@@ -602,23 +602,6 @@ void SparseLuFactorizer::solveMulti(std::span<const double> b,
   }
 }
 
-void LinearSolver::solve(const SparseMatrix& a, std::span<const double> b,
-                         std::vector<double>& x, bool reuseStructure) {
-  x.resize(n_);
-  if (reuseStructure) {
-    sparseFactor_.factor(a);
-    sparseFactor_.solve(b, x);
-    return;
-  }
-  SparseLu lu(a);
-  x = lu.solve(b);
-}
-
-void LinearSolver::solve(const DenseMatrix& a, std::span<const double> b,
-                         std::vector<double>& x) {
-  solve(a.data(), b, x);
-}
-
 void LinearSolver::solve(std::span<const double> rowMajor,
                          std::span<const double> b, std::vector<double>& x) {
   x.resize(n_);
@@ -634,8 +617,8 @@ void LinearSolver::solve(const CsrView& a, std::span<const double> b,
     sparseFactor_.solve(b, x);
     return;
   }
-  // A/B diagnostic path: factor from scratch every call, exactly like the
-  // legacy row-map assembly with structure reuse off.
+  // A/B diagnostic path: copy into a row-map and factor from scratch
+  // every call.
   SparseMatrix rowMap(a.n);
   for (std::size_t r = 0; r < a.n; ++r) {
     for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
@@ -644,38 +627,6 @@ void LinearSolver::solve(const CsrView& a, std::span<const double> b,
   }
   SparseLu lu(rowMap);
   x = lu.solve(b);
-}
-
-void LinearSolver::solveMulti(const CsrView& a, std::span<const double> b,
-                              std::vector<double>& x, std::size_t nrhs,
-                              bool reuseStructure) {
-  x.resize(n_ * nrhs);
-  if (reuseStructure) {
-    sparseFactor_.factor(a);
-    sparseFactor_.solveMulti(b, x, nrhs);
-    return;
-  }
-  // Diagnostic path: one fresh factorization, column-at-a-time solves —
-  // still factor-once, matching the scalar no-reuse path per column.
-  SparseMatrix rowMap(a.n);
-  for (std::size_t r = 0; r < a.n; ++r) {
-    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
-      rowMap.add(r, a.colIdx[p], a.values[p]);
-    }
-  }
-  SparseLu lu(rowMap);
-  for (std::size_t c = 0; c < nrhs; ++c) {
-    const std::vector<double> col = lu.solve(b.subspan(c * n_, n_));
-    std::copy(col.begin(), col.end(), x.begin() + static_cast<std::ptrdiff_t>(c * n_));
-  }
-}
-
-void LinearSolver::solveMulti(std::span<const double> rowMajor,
-                              std::span<const double> b,
-                              std::vector<double>& x, std::size_t nrhs) {
-  x.resize(n_ * nrhs);
-  denseFactor_.factor(n_, rowMajor);
-  denseFactor_.solveMulti(b, x, nrhs);
 }
 
 double normInf(std::span<const double> v) {

@@ -252,11 +252,10 @@ class SparseLuFactorizer {
 
 /// Facade unifying the direct solvers behind one interface: dense LU below
 /// the crossover, sparse LU above it, with or without symbolic-structure
-/// reuse.  One instance owns the reusable factorizers, so callers (legacy
-/// MnaSystem and the compiled Assembler alike) get structure caching and
-/// allocation-free refactorization without knowing which backend runs.
-/// Every overload is bit-identical to calling the underlying factorizer
-/// directly.
+/// reuse.  One instance owns the reusable factorizers, so the Assembler
+/// gets structure caching and allocation-free refactorization without
+/// knowing which backend runs.  Every overload is bit-identical to calling
+/// the underlying factorizer directly.
 class LinearSolver {
  public:
   LinearSolver(std::size_t n, bool sparse) : n_(n), sparse_(sparse) {}
@@ -264,18 +263,10 @@ class LinearSolver {
   std::size_t size() const { return n_; }
   bool sparse() const { return sparse_; }
 
-  /// Solve A x = b for row-map assembly (legacy path).  With
-  /// reuseStructure the cached-pattern factorizer runs; without it a
-  /// fresh SparseLu factors from scratch (diagnostic A/B path).
-  void solve(const SparseMatrix& a, std::span<const double> b,
-             std::vector<double>& x, bool reuseStructure);
-
-  /// Solve A x = b for dense assembly.  The reusable-workspace dense LU
-  /// always runs (it is bit-identical to a fresh DenseLu and allocates
-  /// nothing after the first call), so reuseStructure is irrelevant here.
-  void solve(const DenseMatrix& a, std::span<const double> b,
-             std::vector<double>& x);
-  /// Same, for an n x n row-major matrix in external storage.
+  /// Solve A x = b for an n x n row-major matrix in external storage.
+  /// The reusable-workspace dense LU always runs (it is bit-identical to a
+  /// fresh DenseLu and allocates nothing after the first call), so there
+  /// is no structure-reuse switch here.
   void solve(std::span<const double> rowMajor, std::span<const double> b,
              std::vector<double>& x);
 
@@ -284,15 +275,6 @@ class LinearSolver {
   /// without it the matrix is copied into a row-map and factored fresh.
   void solve(const CsrView& a, std::span<const double> b,
              std::vector<double>& x, bool reuseStructure);
-
-  /// Multi-RHS variants: factor A once and solve `nrhs` column-contiguous
-  /// right-hand sides in one blocked substitution pass.  Each column is
-  /// bit-identical to the corresponding single-RHS solve() call.
-  void solveMulti(const CsrView& a, std::span<const double> b,
-                  std::vector<double>& x, std::size_t nrhs,
-                  bool reuseStructure);
-  void solveMulti(std::span<const double> rowMajor, std::span<const double> b,
-                  std::vector<double>& x, std::size_t nrhs);
 
   /// Structure-cache diagnostics (zeros on the dense path).
   const SparseLuFactorizer& sparseFactorizer() const { return sparseFactor_; }

@@ -32,8 +32,8 @@
 //    instead of re-simulating them.
 //
 // The engine parallelizes *across* points only.  Everything below it —
-// Netlist, Simulator, MnaSystem — stays single-threaded per simulation and
-// must not be shared between concurrently running points.
+// Netlist, Simulator, NewtonSolver — stays single-threaded per simulation
+// and must not be shared between concurrently running points.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -242,133 +241,6 @@ class SweepEngine {
       -> std::vector<std::decay_t<
           std::invoke_result_t<Fn&, const Point&, const SweepContext&>>> {
     return runImpl(points, fn, &codec);
-  }
-
-  /// Batched variant of run(): points are grouped into contiguous batches
-  /// of up to `batchSize` and
-  ///   batchFn(std::span<const Point>, std::span<const SweepContext>)
-  /// is invoked once per batch, returning one result per point (same
-  /// order).  Useful when one evaluation pass amortizes across points —
-  /// e.g. multi-RHS sweep solves assembling K operating points through a
-  /// single factor-once blocked-substitution solve (linalg::solveMulti).
-  ///
-  /// Semantics vs run():
-  ///  * per-point seeds are unchanged — contexts[k].seed is still
-  ///    pointSeed(baseSeed, index), so results are independent of the
-  ///    batch size;
-  ///  * every context in a batch shares one child deadline (the batch is
-  ///    one unit of cancellable work);
-  ///  * failure granularity is the batch: a throwing batchFn marks every
-  ///    point of that batch failed/timed-out;
-  ///  * per-point outcome seconds are the batch wall time divided evenly;
-  ///  * journaling is not supported (FEFET_REQUIREs an unset journal
-  ///    path) — batched sweeps are for throughput, not crash-safety.
-  template <typename Point, typename Fn>
-  auto runBatched(const std::vector<Point>& points, std::size_t batchSize,
-                  Fn&& fn)
-      -> std::decay_t<std::invoke_result_t<Fn&, std::span<const Point>,
-                                           std::span<const SweepContext>>> {
-    using Batch = std::decay_t<std::invoke_result_t<
-        Fn&, std::span<const Point>, std::span<const SweepContext>>>;
-    using Result = typename Batch::value_type;
-    static_assert(std::is_default_constructible_v<Result>,
-                  "sweep results must be default-constructible (failed "
-                  "points yield a default value under kCollectAndContinue)");
-    FEFET_REQUIRE(batchSize > 0, "runBatched: batch size must be positive");
-    FEFET_REQUIRE(options_.journal.path.empty(),
-                  "runBatched does not support journaling; use run()");
-    const std::size_t total = points.size();
-    beginRun(total);
-    std::vector<std::optional<Result>> slots(total);
-    const std::size_t batches = (total + batchSize - 1) / batchSize;
-    if (total > 0) {
-      const int threads = static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(threadCount()), batches));
-      startWatchdog(threads);
-      std::atomic<std::size_t> nextBatch{0};
-      {
-        ThreadPool pool(threads);
-        for (int t = 0; t < threads; ++t) {
-          pool.submit([this, t, total, batchSize, batches, &nextBatch, &slots,
-                       &points, &fn] {
-            const ScopedThreadPrefix prefixGuard("sweep[" +
-                                                 std::to_string(t) + "] ");
-            std::vector<SweepContext> contexts;
-            for (;;) {
-              if (shouldStop()) break;
-              const std::size_t bi =
-                  nextBatch.fetch_add(1, std::memory_order_relaxed);
-              if (bi >= batches) break;
-              const std::size_t begin = bi * batchSize;
-              const std::size_t count = std::min(batchSize, total - begin);
-              const Deadline batchDeadline = beginPoint(begin, t);
-              contexts.clear();
-              contexts.reserve(count);
-              for (std::size_t k = 0; k < count; ++k) {
-                contexts.push_back(SweepContext{
-                    begin + k, pointSeed(options_.baseSeed, begin + k), t,
-                    batchDeadline});
-              }
-              const obs::Span batchSpan("sweep.batch",
-                                        static_cast<std::uint64_t>(bi));
-              const auto started = std::chrono::steady_clock::now();
-              const auto elapsed = [&] {
-                return std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - started)
-                    .count();
-              };
-              try {
-                Batch results =
-                    fn(std::span<const Point>(points.data() + begin, count),
-                       std::span<const SweepContext>(contexts.data(), count));
-                FEFET_REQUIRE(results.size() == count,
-                              "runBatched: batch function returned " +
-                                  std::to_string(results.size()) +
-                                  " results for " + std::to_string(count) +
-                                  " points");
-                const double perPoint =
-                    elapsed() / static_cast<double>(count);
-                for (std::size_t k = 0; k < count; ++k) {
-                  slots[begin + k].emplace(std::move(results[k]));
-                  finishPointOk(begin + k, t, perPoint, nullptr);
-                }
-              } catch (const DeadlineExceeded& e) {
-                const double perPoint =
-                    elapsed() / static_cast<double>(count);
-                for (std::size_t k = 0; k < count; ++k) {
-                  finishPointFailed(begin + k, t, perPoint, e.what(),
-                                    /*timedOut=*/true);
-                }
-              } catch (const std::exception& e) {
-                const double perPoint =
-                    elapsed() / static_cast<double>(count);
-                for (std::size_t k = 0; k < count; ++k) {
-                  finishPointFailed(begin + k, t, perPoint, e.what(),
-                                    /*timedOut=*/false);
-                }
-              } catch (...) {
-                const double perPoint =
-                    elapsed() / static_cast<double>(count);
-                for (std::size_t k = 0; k < count; ++k) {
-                  finishPointFailed(begin + k, t, perPoint,
-                                    "non-standard exception",
-                                    /*timedOut=*/false);
-                }
-              }
-            }
-          });
-        }
-        pool.wait();
-      }
-      stopWatchdog();
-    }
-    finishRun(total);  // may throw under kThrow
-    Batch results;
-    results.reserve(total);
-    for (auto& slot : slots) {
-      results.push_back(slot ? std::move(*slot) : Result{});
-    }
-    return results;
   }
 
  private:

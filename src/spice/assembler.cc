@@ -18,15 +18,13 @@ struct AssemblerTelemetry {
   obs::Counter& assemblies;
   obs::Counter& stamps;
   obs::Counter& patternReuseHits;
-  obs::Counter& batchedAssemblies;
 };
 
 AssemblerTelemetry& assemblerTelemetry() {
   static AssemblerTelemetry t{
       obs::Metrics::counter("fefet.assembler.assemblies"),
       obs::Metrics::counter("fefet.assembler.stamps"),
-      obs::Metrics::counter("fefet.assembler.pattern_reuse_hits"),
-      obs::Metrics::counter("fefet.assembler.batched_assemblies")};
+      obs::Metrics::counter("fefet.assembler.pattern_reuse_hits")};
   return t;
 }
 
@@ -75,8 +73,7 @@ Assembler::Assembler(const StampPattern& pattern, bool useSparse)
 
 void Assembler::assemble(const Netlist& netlist, const SystemView& view,
                          bool dc, double time, double dt,
-                         IntegrationMethod method, double gmin,
-                         bool useBatchedKernels) {
+                         IntegrationMethod method, double gmin) {
   const auto& devices = netlist.devices();
   FEFET_REQUIRE(devices.size() == pattern_.deviceCount(),
                 "compiled stamp pipeline: netlist device list changed after "
@@ -97,36 +94,19 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   buffer_.slotEnd_ = slots.data() + slots.size();
 
   EvalContext ctx{view, dc, time, dt, method, gmin, &buffer_, nullptr};
-  if (useBatchedKernels) {
-    netlist.deviceBatches().stampAll(ctx, ends);
-  } else {
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-      devices[i]->stamp(ctx);
-      if (buffer_.jacobianCalls() != ends[i]) {
-        std::ostringstream os;
-        os << "compiled stamp pipeline: device '" << devices[i]->name()
-           << "' emitted "
-           << buffer_.jacobianCalls() - (i > 0 ? ends[i - 1] : 0)
-           << " Jacobian entries but the recorded pattern has "
-           << ends[i] - (i > 0 ? ends[i - 1] : 0)
-           << " — stamp sequences must be a fixed function of (dc, method)";
-        throw NumericalError(os.str());
-      }
-    }
-  }
+  netlist.deviceBatches().stampAll(ctx, ends);
 
   if (obs::Metrics::enabled()) {
     AssemblerTelemetry& t = assemblerTelemetry();
     t.assemblies.increment();
     t.stamps.add(devices.size());
     if (modeUsed_[static_cast<std::size_t>(m)]) t.patternReuseHits.increment();
-    if (useBatchedKernels) t.batchedAssemblies.increment();
   }
   modeUsed_[static_cast<std::size_t>(m)] = true;
 
-  // gmin regularization, same ordering as the legacy path: after the
-  // device loop, residual through the same accumulation (so the row scale
-  // sees the gmin current), diagonal through the precompiled slots.
+  // gmin regularization after the device loop: residual through the same
+  // accumulation (so the row scale sees the gmin current), diagonal
+  // through the precompiled slots.
   if (gmin > 0.0) {
     const int nodes = pattern_.nodeCount();
     for (int row = 0; row < nodes; ++row) {
@@ -148,8 +128,8 @@ void Assembler::solveForUpdate(std::vector<double>& dx,
     return;
   }
   // Dense: scatter the CSR accumulation into the row-major scratch.  The
-  // values were accumulated in the same order as the legacy direct dense
-  // stamping, so the matrix is bit-identical to the oracle's.
+  // values were accumulated in the same order as direct dense stamping
+  // would add them, so the matrix is bit-identical to the test oracle's.
   std::fill(dense_.begin(), dense_.end(), 0.0);
   const auto& rowPtr = pattern_.rowPtr();
   const auto& colIdx = pattern_.colIdx();
@@ -160,13 +140,6 @@ void Assembler::solveForUpdate(std::vector<double>& dx,
     }
   }
   solver_.solve(std::span<const double>(a, n * n), rhs_, dx);
-}
-
-std::span<const double> Assembler::denseValues() const {
-  FEFET_REQUIRE(!sparseStorage_,
-                "Assembler::denseValues: sparse storage active");
-  return {dense_.data() + 1,
-          static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_)};
 }
 
 }  // namespace fefet::spice

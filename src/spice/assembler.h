@@ -7,8 +7,10 @@
 //     -> slot program: one CSR value position per recorded addJacobian
 //        call, padded by one so ground entries map to the trash bin at
 //        index 0 (branch-free ground dropping)
-//     -> per iteration: zero the values, replay every device through the
-//        program, verify per-device call counts, apply gmin, solve.
+//     -> per iteration: zero the values, evaluate every device through
+//        the SoA batches (device_batch.h) and scatter it through the
+//        program in netlist order, verify per-device call counts, apply
+//        gmin, solve.
 //        Below the dense/sparse crossover the accumulated CSR values are
 //        scattered into a row-major scratch and dense LU runs; above it
 //        the CSR view goes straight to the sparse factorizer.
@@ -35,14 +37,13 @@ class Assembler {
   Assembler(const StampPattern& pattern, bool useSparse);
 
   /// Assemble one Newton evaluation: zero the storage, stamp every device
-  /// through the slot program of (dc, method) and apply gmin.  Throws
-  /// NumericalError naming the culprit device if a call sequence deviates
-  /// from the recorded pattern.  With useBatchedKernels the device loop is
-  /// replaced by the SoA batch path (netlist.deviceBatches().stampAll) —
-  /// bit-identical scatter order, type-major evaluation.
+  /// through netlist.deviceBatches() (type-major evaluation, netlist-order
+  /// scatter into the slot program of (dc, method)) and apply gmin.
+  /// Throws NumericalError naming the culprit device if a call sequence
+  /// deviates from the recorded pattern.
   void assemble(const Netlist& netlist, const SystemView& view, bool dc,
                 double time, double dt, IntegrationMethod method,
-                double gmin, bool useBatchedKernels = false);
+                double gmin);
 
   /// Solve J dx = -F into dx (resized to the system size).  Throws
   /// NumericalError when the Jacobian is singular.
@@ -56,21 +57,15 @@ class Assembler {
     return {rowScale_.data() + 1, static_cast<std::size_t>(n_)};
   }
 
-  bool sparse() const { return sparseStorage_; }
-  const StampPattern& pattern() const { return pattern_; }
   const linalg::LinearSolver& solver() const { return solver_; }
 
   /// Assembled Jacobian as CSR (valid for sparse and dense storage alike —
-  /// devices always accumulate into the CSR slots).  For parity tests and
-  /// benches.
+  /// devices always accumulate into the CSR slots).
   linalg::CsrView csr() const {
     return {static_cast<std::size_t>(n_), pattern_.rowPtr(),
             pattern_.colIdx(),
             {values_.data() + 1, pattern_.nonZeros()}};
   }
-  /// Row-major dense view (dense storage only; the scatter happens inside
-  /// solveForUpdate, so this reflects the last solved system).
-  std::span<const double> denseValues() const;
 
  private:
   const StampPattern& pattern_;

@@ -78,10 +78,10 @@ class Stamper {
 /// the DC, transient and gmin-escalation paths (gmin rides along so the
 /// whole evaluation state lives in one place), and exactly one of two
 /// sinks receives the entries:
-///  * compiled path (buffer != nullptr): inlined slot writes into the
+///  * assembly (buffer != nullptr): inlined slot writes into the
 ///    preallocated StampBuffer — no virtual dispatch per entry;
-///  * legacy path (stamper != nullptr): virtual Stamper calls — the parity
-///    oracle, and the recording pass that builds the StampPattern.
+///  * recording (stamper != nullptr): virtual Stamper calls — the pass
+///    that builds the StampPattern, and the test-side reference oracle.
 struct EvalContext {
   const SystemView& view;
   bool dc = false;                ///< DC operating point: d/dt == 0

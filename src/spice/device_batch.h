@@ -11,11 +11,12 @@
 //     ferro::LandauKhalatnikov::staticFieldBatch) run as tight non-virtual
 //     loops in the model translation units, so the scalar kernels inline
 //     into them.
-//  2. scatter — devices replay in netlist order through the slot program
-//     (or legacy Stamper), reading their scratch lanes.
+//  2. scatter — devices replay in netlist order through the slot program,
+//     reading their scratch lanes.
 //
-// The phase split is what keeps the batched engine bit-identical to the
-// scalar one: every lane's arithmetic is the same expression sequence the
+// This is the one assembly path.  The phase split keeps it bit-identical
+// to scalar Device::stamp() (the pattern recorder and the test oracle's
+// input): every lane's arithmetic is the same expression sequence the
 // scalar Device::stamp evaluates (phase 1 calls the same inline helpers,
 // e.g. ChargeIntegrator::currentFor), and phase 2 accumulates into shared
 // CSR slots / residual rows in the original device order, so the

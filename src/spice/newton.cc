@@ -19,7 +19,7 @@ namespace fefet::spice {
 
 namespace {
 
-/// Per-engine solver telemetry under fefet.newton.*: every solve exit —
+/// Solver telemetry under fefet.newton.*: every solve exit —
 /// converged or not — lands in these, so convergence-health histograms
 /// cover whole runs rather than only the failures that used to surface
 /// through NumericalError's SolverDiagnostics.  Registered once; the hot
@@ -34,31 +34,26 @@ struct NewtonTelemetry {
   obs::Counter& solveNs;
   obs::Histogram& iterationsPerSolve;
 
-  static NewtonTelemetry make(const char* engine) {
+  // The ".compiled" suffix names the compiled stamp pipeline, the one
+  // assembly engine; dashboards and gates key on the full names.
+  static NewtonTelemetry& get() {
     static constexpr double kIterEdges[] = {1,  2,  3,  4,  6,  8, 12,
                                             16, 24, 32, 48, 64, 80};
-    const std::string p = "fefet.newton.";
-    const std::string e = std::string(".") + engine;
-    return NewtonTelemetry{
-        obs::Metrics::counter(p + "solves" + e),
-        obs::Metrics::counter(p + "iterations" + e),
-        obs::Metrics::counter(p + "nonconverged" + e),
-        obs::Metrics::counter(p + "gmin_escalations" + e),
-        obs::Metrics::counter(p + "escalation_attempts" + e),
-        obs::Metrics::counter(p + "assemble_ns" + e),
-        obs::Metrics::counter(p + "solve_ns" + e),
+    static NewtonTelemetry t{
+        obs::Metrics::counter("fefet.newton.solves.compiled"),
+        obs::Metrics::counter("fefet.newton.iterations.compiled"),
+        obs::Metrics::counter("fefet.newton.nonconverged.compiled"),
+        obs::Metrics::counter("fefet.newton.gmin_escalations.compiled"),
+        obs::Metrics::counter("fefet.newton.escalation_attempts.compiled"),
+        obs::Metrics::counter("fefet.newton.assemble_ns.compiled"),
+        obs::Metrics::counter("fefet.newton.solve_ns.compiled"),
         obs::Metrics::histogram("fefet.newton.iterations_per_solve",
                                 kIterEdges)};
+    return t;
   }
 };
 
-NewtonTelemetry& newtonTelemetry(bool compiledEngine) {
-  static NewtonTelemetry compiled = NewtonTelemetry::make("compiled");
-  static NewtonTelemetry legacy = NewtonTelemetry::make("legacy");
-  return compiledEngine ? compiled : legacy;
-}
-
-/// Convergence forensics, engine-agnostic: every solve exit is classified
+/// Convergence forensics: every solve exit is classified
 /// into exactly one of converged/stagnated/diverged (gmin_rescued counts
 /// additionally, at the escalation layer, when a retry at raised gmin
 /// saved a solve).  The decay-rate histogram records
@@ -87,23 +82,14 @@ struct NewtonForensics {
   }
 };
 
+/// Freeze (idempotent) before use: netlist_ is the first member, so the
+/// assembler initialized after it sees the recorded stamp pattern.
+Netlist& frozen(Netlist& netlist) {
+  netlist.freeze();
+  return netlist;
+}
+
 }  // namespace
-
-bool defaultUseCompiledStamps() {
-  static const bool value = [] {
-    const char* env = std::getenv("FEFET_COMPILED_STAMPS");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }();
-  return value;
-}
-
-bool defaultUseBatchedKernels() {
-  static const bool value = [] {
-    const char* env = std::getenv("FEFET_BATCHED_KERNELS");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }();
-  return value;
-}
 
 bool defaultUseHierarchicalSolve() {
   static const bool value = [] {
@@ -114,27 +100,22 @@ bool defaultUseHierarchicalSolve() {
 }
 
 NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
-    : netlist_(netlist), options_(options) {
-  const int unknowns = netlist_.freeze();
-  const bool sparse = unknowns > kDenseToSparseCrossover;
-  if (options_.useCompiledStamps) {
-    assembler_.emplace(netlist_.stampPattern(), sparse);
-    if (options_.useHierarchicalSolve) {
-      const BbdPartition* partition = netlist_.partition();
-      if (partition != nullptr && partition->useful()) {
-        linalg::SchurOptions schurOptions;
-        schurOptions.enableCollapse = options_.hierCollapse;
-        schurOptions.collapseAbsTol = options_.hierCollapseAbsTol;
-        schurOptions.collapseRelTol = options_.hierCollapseRelTol;
-        schurOptions.collapseQuietEvals = options_.hierCollapseQuietEvals;
-        hier_ = std::make_unique<HierEngine>(netlist_.stampPattern(),
-                                             *partition, schurOptions,
-                                             options_.hierThreads);
-      }
+    : netlist_(frozen(netlist)),
+      options_(options),
+      assembler_(netlist.stampPattern(),
+                 netlist.unknownCount() > kDenseToSparseCrossover) {
+  if (options_.useHierarchicalSolve) {
+    const BbdPartition* partition = netlist_.partition();
+    if (partition != nullptr && partition->useful()) {
+      linalg::SchurOptions schurOptions;
+      schurOptions.enableCollapse = options_.hierCollapse;
+      schurOptions.collapseAbsTol = options_.hierCollapseAbsTol;
+      schurOptions.collapseRelTol = options_.hierCollapseRelTol;
+      schurOptions.collapseQuietEvals = options_.hierCollapseQuietEvals;
+      hier_ = std::make_unique<HierEngine>(netlist_.stampPattern(),
+                                           *partition, schurOptions,
+                                           options_.hierThreads);
     }
-  } else {
-    system_.emplace(unknowns, sparse);
-    system_->setLuStructureReuse(options_.reuseLuStructure);
   }
 }
 
@@ -150,7 +131,7 @@ NewtonStats NewtonSolver::solveWithEscalation(std::vector<double>& x, bool dc,
                                               IntegrationMethod method,
                                               int maxEscalations,
                                               double gminMax) {
-  NewtonTelemetry& telemetry = newtonTelemetry(assembler_.has_value());
+  NewtonTelemetry& telemetry = NewtonTelemetry::get();
   int totalIters = 0;
   double gmin = options_.gmin;
   for (int level = 0; level <= maxEscalations; ++level) {
@@ -205,7 +186,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
   // the registry once per solve (one atomic add per counter, not per
   // iteration).  The clock reads for the assemble-vs-solve split are
   // skipped entirely when metrics are disabled.
-  NewtonTelemetry& telemetry = newtonTelemetry(assembler_.has_value());
+  NewtonTelemetry& telemetry = NewtonTelemetry::get();
   const bool timed = obs::Metrics::enabled();
   std::uint64_t assembleNs = 0;
   std::uint64_t luSolveNs = 0;
@@ -274,15 +255,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
     {
       const obs::Span span("newton.assemble");
       const std::uint64_t t0 = timed ? monotonicNanos() : 0;
-      if (assembler_) {
-        assembler_->assemble(netlist_, view, dc, time, dt, method, gmin,
-                             options_.useBatchedKernels);
-      } else {
-        system_->clear();
-        EvalContext ctx{view, dc, time, dt, method, gmin, nullptr, &*system_};
-        for (const auto& device : netlist_.devices()) device->stamp(ctx);
-        system_->addGmin(gmin, view, nodes);
-      }
+      assembler_.assemble(netlist_, view, dc, time, dt, method, gmin);
       if (timed) assembleNs += monotonicNanos() - t0;
     }
 
@@ -291,11 +264,9 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
       const obs::Span span("newton.lu_solve");
       const std::uint64_t t0 = timed ? monotonicNanos() : 0;
       if (hier_) {
-        hier_->solveForUpdate(assembler_->csr(), assembler_->residual(), dx);
-      } else if (assembler_) {
-        assembler_->solveForUpdate(dx, options_.reuseLuStructure);
+        hier_->solveForUpdate(assembler_.csr(), assembler_.residual(), dx);
       } else {
-        system_->solveForUpdate(dx);
+        assembler_.solveForUpdate(dx, options_.reuseLuStructure);
       }
       if (timed) luSolveNs += monotonicNanos() - t0;
     } catch (const NumericalError&) {
@@ -334,12 +305,8 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
     }
 
     // Residual check on the pre-update residual (already assembled).
-    const std::span<const double> residual =
-        assembler_ ? assembler_->residual()
-                   : std::span<const double>(system_->residual());
-    const std::span<const double> rowScale =
-        assembler_ ? assembler_->rowScale()
-                   : std::span<const double>(system_->rowScale());
+    const std::span<const double> residual = assembler_.residual();
+    const std::span<const double> rowScale = assembler_.rowScale();
     double resNorm = 0.0;
     bool residualOk = true;
     for (int i = 0; i < n; ++i) {
@@ -418,7 +385,7 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
   stats.gminEscalations = levels;
   stats.gminUsed = options_.gmin;
   if (obs::Metrics::enabled()) {
-    NewtonTelemetry& telemetry = newtonTelemetry(assembler_.has_value());
+    NewtonTelemetry& telemetry = NewtonTelemetry::get();
     telemetry.escalationAttempts.add(static_cast<std::uint64_t>(levels));
     telemetry.gminEscalations.add(static_cast<std::uint64_t>(levels));
     NewtonForensics::get().gminRescued.increment();

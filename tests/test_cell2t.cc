@@ -1,6 +1,7 @@
 // Tests of the 2T FEFET memory cell (paper §4, Figs. 5-6): write, read,
 // hold, non-destructive reads, the 550 ps / 0.68 V anchor and energies.
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "core/cell2t.h"
@@ -157,6 +158,16 @@ struct WriteCase {
   bool one;
   double voltage;
 };
+// gtest names each case by its raw bytes; print them with the padding after
+// `one` zeroed so the names do not pick up indeterminate stack bytes.
+void PrintTo(const WriteCase& c, std::ostream* os) {
+  WriteCase clean;
+  std::memset(&clean, 0, sizeof clean);
+  clean.one = c.one;
+  clean.voltage = c.voltage;
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&clean), sizeof clean, os);
+}
 class WriteMatrix : public ::testing::TestWithParam<WriteCase> {};
 
 TEST_P(WriteMatrix, CompletesWithinTwoNanoseconds) {

@@ -1,6 +1,7 @@
 // Tests of the 1T-1C FERAM baseline (paper §6.1, Fig. 9): writes, the
 // destructive read with write-back, and the 550 ps / 1.64 V anchor.
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "core/feram_cell.h"
@@ -134,6 +135,16 @@ struct Case {
   bool one;
   double voltage;
 };
+// gtest names each case by its raw bytes; print them with the padding after
+// `one` zeroed so the names do not pick up indeterminate stack bytes.
+void PrintTo(const Case& c, std::ostream* os) {
+  Case clean;
+  std::memset(&clean, 0, sizeof clean);
+  clean.one = c.one;
+  clean.voltage = c.voltage;
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&clean), sizeof clean, os);
+}
 class ReadAfterWrite : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ReadAfterWrite, SensedValueMatchesWritten) {

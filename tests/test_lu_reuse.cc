@@ -1,8 +1,8 @@
 // Tests of the sparse LU structure cache: the linalg-level
 // SparseLuFactorizer contracts (bit-identical solves, counter bookkeeping,
 // pattern-change and pivot-drift fallbacks) and the solver-level guarantee
-// that Newton trajectories are unchanged when MnaSystem reuses the cached
-// structure across iterations and timesteps.
+// that Newton trajectories are unchanged when the Assembler's solve reuses
+// the cached structure across iterations and timesteps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -123,7 +123,7 @@ TEST(SparseLuFactorizer, StillDetectsSingularMatrices) {
 }
 
 // A long RC ladder pushes the unknown count past the sparse-path threshold
-// (160) so the transient exercises SparseLuFactorizer inside MnaSystem.
+// (160) so the transient exercises SparseLuFactorizer inside the Assembler.
 spice::TransientResult runLadder(bool reuse, long* numericRefactorizations) {
   using namespace spice;
   Netlist n;

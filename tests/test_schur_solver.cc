@@ -300,21 +300,22 @@ TEST(SchurSolver, ParallelBlockFactorizationMatchesSerial) {
                                   const std::function<void(int)>& fn) {
     const int workers = std::min(4, count);
     std::atomic<int> next{0};
-    std::atomic<int> done{0};
+    // Counted under the mutex: everything here lives on this frame, so a
+    // worker must be done touching it before the waiter can see done ==
+    // workers and return.
     std::mutex mutex;
     std::condition_variable cv;
+    int done = 0;
     for (int w = 0; w < workers; ++w) {
       pool.submit([&] {
         int i = 0;
         while ((i = next.fetch_add(1)) < count) fn(i);
-        if (done.fetch_add(1) + 1 == workers) {
-          const std::lock_guard<std::mutex> lock(mutex);
-          cv.notify_all();
-        }
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (++done == workers) cv.notify_all();
       });
     }
     std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return done.load() == workers; });
+    cv.wait(lock, [&] { return done == workers; });
   });
 
   std::mt19937 rng(5);

@@ -8,8 +8,8 @@
 #include <thread>
 
 #include "common/deadline.h"
+#include "spice/assembler.h"
 #include "spice/extras.h"
-#include "spice/mna.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
 #include "spice/passives.h"
@@ -270,19 +270,40 @@ TEST(Transient, RejectsBadBackoffFactor) {
 }
 
 TEST(Mna, AddGminFeedsTheRowScale) {
-  // Regression: addGmin used to write residual_ directly, bypassing the
-  // per-row |contribution| accumulation — so the relative convergence test
-  // divided by a scale that ignored the gmin current entirely.
-  MnaSystem sys(2, /*useSparse=*/false);
+  // Regression: gmin used to be written into the residual directly,
+  // bypassing the per-row |contribution| accumulation — so the relative
+  // convergence test divided by a scale that ignored the gmin current
+  // entirely.  Conductances, voltages and gmin are powers of two so every
+  // sum below is exact and the gmin share can be compared with ==.
+  Netlist n;
+  n.add<Resistor>("R1", n.node("a"), n.node("b"), 0.5);
+  n.add<Resistor>("R2", n.node("b"), n.ground(), 0.25);
+  ASSERT_EQ(n.freeze(), 2);
+  Assembler assembler(n.stampPattern(), /*useSparse=*/false);
   const std::vector<double> x = {2.0, -1.0};
-  const SystemView view(x, 2);
-  sys.clear();
-  const double gmin = 1e-9;
-  sys.addGmin(gmin, view, 2);
-  EXPECT_DOUBLE_EQ(sys.residual()[0], gmin * 2.0);
-  EXPECT_DOUBLE_EQ(sys.residual()[1], gmin * -1.0);
-  EXPECT_DOUBLE_EQ(sys.rowScale()[0], gmin * 2.0);
-  EXPECT_DOUBLE_EQ(sys.rowScale()[1], gmin * 1.0);  // |gmin * v|
+  const SystemView view(x, n.nodeCount());
+  struct Rows {
+    std::vector<double> residual, rowScale;
+  };
+  const auto assemble = [&](double gmin) {
+    assembler.assemble(n, view, /*dc=*/true, 0.0, 0.0,
+                       IntegrationMethod::kBackwardEuler, gmin);
+    const auto residual = assembler.residual();
+    const auto rowScale = assembler.rowScale();
+    return Rows{{residual.begin(), residual.end()},
+                {rowScale.begin(), rowScale.end()}};
+  };
+  const Rows without = assemble(0.0);
+  const double gmin = 0x1p-20;
+  const Rows with = assemble(gmin);
+  for (int row = 0; row < n.nodeCount(); ++row) {
+    const auto r = static_cast<std::size_t>(row);
+    EXPECT_GT(without.rowScale[r], 0.0) << "row " << row;
+    EXPECT_EQ(with.residual[r] - without.residual[r], gmin * x[r])
+        << "row " << row;
+    EXPECT_EQ(with.rowScale[r] - without.rowScale[r], std::abs(gmin * x[r]))
+        << "row " << row;
+  }
 }
 
 TEST(Dc, GminContinuationRescuesHardStart) {
