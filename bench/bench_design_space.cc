@@ -7,8 +7,8 @@
 // at the full pool; each point is a pure function of its thickness, so the
 // two runs must match field-for-field (the PERF line records the speedup).
 // With any resilient-execution flag (--journal / --resume /
-// --deadline-seconds / watchdog knobs) the grid runs once, journaled,
-// under kCollectAndContinue — killed runs resume bit-identically.
+// --point-delay-ms) the grid runs once, journaled, under
+// kCollectAndContinue — killed runs resume bit-identically.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -88,20 +88,6 @@ int main(int argc, char** argv) {
   bench::banner("§3: thickness sweep");
   std::vector<double> thicknesses;
   for (double t = 1.0e-9; t <= 2.6e-9; t += 0.1e-9) thicknesses.push_back(t);
-
-  if (cli.sharded()) {
-    // Multi-process sharding over the same thickness grid: each point is
-    // a pure function of its thickness, so the merged results_crc equals
-    // the in-process PERF fingerprint when the board completes.
-    auto shardCodec = makeCodec();
-    return bench::runShardedBench(
-        cli, "bench_design_space", argv[0], thicknesses.size(),
-        /*baseSeed=*/1, configDigest(thicknesses),
-        [&](std::size_t i, const sim::SweepContext&) {
-          return shardCodec.encode(
-              core::characterizeThickness(base, thicknesses[i], kVread));
-        });
-  }
 
   std::vector<core::DesignPoint> points;
   double serialSeconds = 0.0;

@@ -6,8 +6,8 @@
 // The per-material fatigue characterization (retained-P_r curve +
 // cycles-to-failure) runs as a sim::SweepEngine sweep over the material
 // database, so it takes the shared resilient-execution flags (--journal /
-// --resume / --deadline-seconds / watchdog knobs); the FEFET-vs-FERAM
-// architectural sections stay serial.
+// --resume / --point-delay-ms); the FEFET-vs-FERAM architectural sections
+// stay serial.
 #include <cmath>
 #include <cstdio>
 #include <cstring>

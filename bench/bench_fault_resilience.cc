@@ -9,14 +9,10 @@
 //    sim::SweepEngine at 1 thread and at the full pool; every point draws
 //    its fault population from the same fixed seed, so the runs must
 //    match exactly (the PERF line records the speedup);
-//  * resilient (--journal / --resume / --deadline-seconds / watchdog
-//    flags): one journaled run under kCollectAndContinue — a killed run
-//    resumes bit-identically from its journal, a straggler point is
-//    cancelled by the watchdog, and the PERF line carries the outcome
-//    tally plus a CRC32 fingerprint of the encoded results.
-//  * --stall-point=K (with --hard-timeout-s or --deadline-seconds) makes
-//    point K run an artificially non-converging transient bounded only by
-//    its child deadline — the watchdog-cancellation demo.
+//  * resilient (--journal / --resume / --point-delay-ms): one journaled
+//    run under kCollectAndContinue — a killed run resumes bit-identically
+//    from its journal, and the PERF line carries the outcome tally plus a
+//    CRC32 fingerprint of the encoded results.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,9 +28,6 @@
 #include "core/nvm_macro.h"
 #include "sim/sweep_engine.h"
 #include "sim/thread_pool.h"
-#include "spice/passives.h"
-#include "spice/simulator.h"
-#include "spice/sources.h"
 
 namespace fefet {
 namespace {
@@ -174,25 +167,6 @@ std::uint64_t configDigest(const std::vector<SweepPoint>& sweep) {
   return h;
 }
 
-/// An artificially non-converging point: a transient with effectively
-/// unbounded work whose only stop condition is the child deadline handed
-/// down by the sweep engine.  Throws DeadlineExceeded when the watchdog
-/// cancels it or the budget runs out.
-void stallUntilDeadline(const sim::SweepContext& ctx) {
-  spice::Netlist n;
-  n.add<spice::VoltageSource>("V1", n.node("in"), n.ground(),
-                              spice::shapes::dc(1.0));
-  n.add<spice::Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<spice::Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  spice::Simulator sim(n);
-  sim.initializeUic();
-  spice::TransientOptions options;
-  options.duration = 1e6;  // ~1e15 steps at dtMax: never finishes honestly
-  options.dtMax = 1e-9;
-  options.deadline = ctx.deadline;
-  sim.runTransient(options, {spice::Probe::v("out")});
-}
-
 void printTable(const std::vector<SweepPoint>& sweep,
                 const std::vector<PointOutcome>& outcomes,
                 const std::vector<sim::SweepOutcome>& status) {
@@ -244,29 +218,11 @@ int main(int argc, char** argv) {
   auto codec = fefet::makeCodec();
   const std::uint64_t digest = fefet::configDigest(sweep);
 
-  if (cli.sharded()) {
-    // Multi-process sharding over the same 7-point table.  Every point
-    // draws its fault population from the fixed seed 2016, so the merged
-    // results_crc equals the in-process PERF fingerprint.
-    return fefet::bench::runShardedBench(
-        cli, "bench_fault_resilience", argv[0], sweep.size(),
-        /*baseSeed=*/2016, digest,
-        [&](std::size_t i, const fefet::sim::SweepContext&) {
-          fefet::PointOutcome out;
-          out.raw = fefet::runPass(sweep[i], /*protectedPath=*/false, 2016);
-          out.hard = fefet::runPass(sweep[i], /*protectedPath=*/true, 2016);
-          return codec.encode(out);
-        });
-  }
-
   const auto pointFn = [&](const fefet::SweepPoint& pt,
-                           const fefet::sim::SweepContext& ctx) {
+                           const fefet::sim::SweepContext&) {
     if (cli.pointDelaySeconds > 0.0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(cli.pointDelaySeconds));
-    }
-    if (static_cast<int>(ctx.index) == cli.stallPoint) {
-      fefet::stallUntilDeadline(ctx);
     }
     fefet::PointOutcome out;
     out.raw = fefet::runPass(pt, /*protectedPath=*/false, 2016);

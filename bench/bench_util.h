@@ -1,19 +1,17 @@
 // bench_util.h — shared helpers for the figure/table reproduction benches:
 // banner printing, downsampled waveform dumps, paper-vs-measured rows and
 // the resilient-execution command line shared by the long-sweep benches
-// (--journal / --resume / --deadline-seconds and the watchdog knobs).
+// (--threads / --journal / --resume / --point-delay-ms).
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "obs/exporter.h"
@@ -21,8 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "sim/shard_lease.h"
-#include "sim/shard_supervisor.h"
 #include "sim/sweep_engine.h"
 #include "spice/waveform.h"
 
@@ -51,39 +47,15 @@ struct SweepCli {
   int threads = 0;                ///< --threads=N (0 = defaultThreadCount)
   std::string journalPath;        ///< --journal=PATH (crash-safe checkpoint)
   bool resume = false;            ///< --resume (replay a previous journal)
-  double deadlineSeconds = 0.0;   ///< --deadline-seconds=S (whole-run budget)
-  double softTimeoutSeconds = 0.0;  ///< --soft-timeout-s=S (straggler log)
-  double hardTimeoutSeconds = 0.0;  ///< --hard-timeout-s=S (watchdog cancel)
-  // Test hooks for the kill/resume and watchdog smoke tests:
-  int stallPoint = -1;            ///< --stall-point=K: point K never converges
+  // Test hook for the kill/resume smoke test:
   double pointDelaySeconds = 0.0; ///< --point-delay-ms=M: pad every point
-  // Multi-process sharding (sim/shard_lease.h).  --shards=N switches the
-  // bench into supervisor mode: it re-execs itself with --shard-worker
-  // once per worker slot and merges the shard journals into one PERF v3
-  // line.  --chaos-kill-p makes each worker self-SIGKILL after random
-  // durable appends — the kill-storm gate asserts the merged CRC still
-  // matches the unsharded run.
-  int shards = 0;                 ///< --shards=N (0 = in-process sweep)
-  int shardWorkers = 2;           ///< --shard-workers=N (worker processes)
-  std::string shardDir;           ///< --shard-lease=DIR (the board directory)
-  double chaosKillP = 0.0;        ///< --chaos-kill-p=P (per-point SIGKILL)
-  std::uint64_t chaosSeed = 0;    ///< --chaos-seed=S (chaos stream seed)
-  double leaseTtlSeconds = 5.0;   ///< --lease-ttl-s=S (heartbeat deadline)
-  int restartBudget = 16;         ///< --restart-budget=N (crash budget)
-  bool shardWorker = false;       ///< --shard-worker (internal: worker mode)
-  std::string shardOwner;         ///< --shard-owner=NAME (worker identity)
 
   /// Any resilience feature requested (switches benches to a single
   /// journaled run under kCollectAndContinue instead of the serial-vs-
   /// parallel identity pass).
   bool resilient() const {
-    return !journalPath.empty() || deadlineSeconds > 0.0 ||
-           softTimeoutSeconds > 0.0 || hardTimeoutSeconds > 0.0 ||
-           stallPoint >= 0 || pointDelaySeconds > 0.0;
+    return !journalPath.empty() || pointDelaySeconds > 0.0;
   }
-
-  /// Multi-process execution requested (supervisor or worker side).
-  bool sharded() const { return shards > 0 || shardWorker; }
 };
 
 inline SweepCli parseSweepCli(int argc, char** argv) {
@@ -102,43 +74,12 @@ inline SweepCli parseSweepCli(int argc, char** argv) {
       cli.journalPath = v;
     } else if (std::strcmp(arg, "--resume") == 0) {
       cli.resume = true;
-    } else if (const char* v = valueOf(arg, "--deadline-seconds=")) {
-      cli.deadlineSeconds = std::atof(v);
-    } else if (const char* v = valueOf(arg, "--soft-timeout-s=")) {
-      cli.softTimeoutSeconds = std::atof(v);
-    } else if (const char* v = valueOf(arg, "--hard-timeout-s=")) {
-      cli.hardTimeoutSeconds = std::atof(v);
-    } else if (const char* v = valueOf(arg, "--stall-point=")) {
-      cli.stallPoint = std::atoi(v);
     } else if (const char* v = valueOf(arg, "--point-delay-ms=")) {
       cli.pointDelaySeconds = std::atof(v) * 1e-3;
-    } else if (const char* v = valueOf(arg, "--shards=")) {
-      cli.shards = std::atoi(v);
-    } else if (const char* v = valueOf(arg, "--shard-workers=")) {
-      cli.shardWorkers = std::atoi(v);
-    } else if (const char* v = valueOf(arg, "--shard-lease=")) {
-      cli.shardDir = v;
-    } else if (const char* v = valueOf(arg, "--chaos-kill-p=")) {
-      cli.chaosKillP = std::atof(v);
-    } else if (const char* v = valueOf(arg, "--chaos-seed=")) {
-      cli.chaosSeed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = valueOf(arg, "--lease-ttl-s=")) {
-      cli.leaseTtlSeconds = std::atof(v);
-    } else if (const char* v = valueOf(arg, "--restart-budget=")) {
-      cli.restartBudget = std::atoi(v);
-    } else if (std::strcmp(arg, "--shard-worker") == 0) {
-      cli.shardWorker = true;
-    } else if (const char* v = valueOf(arg, "--shard-owner=")) {
-      cli.shardOwner = v;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--threads=N] "
-                   "[--journal=PATH] [--resume] "
-                   "[--deadline-seconds=S] [--soft-timeout-s=S] "
-                   "[--hard-timeout-s=S] [--stall-point=K] "
-                   "[--point-delay-ms=M] [--shards=N] [--shard-workers=N] "
-                   "[--shard-lease=DIR] [--chaos-kill-p=P] [--chaos-seed=S] "
-                   "[--lease-ttl-s=S] [--restart-budget=N]\n",
+                   "[--journal=PATH] [--resume] [--point-delay-ms=M]\n",
                    arg, argv[0]);
       std::exit(2);
     }
@@ -147,28 +88,19 @@ inline SweepCli parseSweepCli(int argc, char** argv) {
     std::fprintf(stderr, "--resume requires --journal=PATH\n");
     std::exit(2);
   }
-  if (cli.shardWorker && cli.shardDir.empty()) {
-    std::fprintf(stderr, "--shard-worker requires --shard-lease=DIR\n");
-    std::exit(2);
-  }
   return cli;
 }
 
-/// Wire the CLI into sweep options: journal, whole-run deadline, watchdog
-/// limits, and CollectAndContinue so a resilient run reports partial
-/// results instead of throwing.  `configDigest` must cover everything that
-/// shapes the per-point work (see SweepJournalOptions::configDigest).
+/// Wire the CLI into sweep options: thread count, journal, and
+/// CollectAndContinue so a resilient run reports partial results instead
+/// of throwing.  `configDigest` must cover everything that shapes the
+/// per-point work (see SweepJournalOptions::configDigest).
 inline void applySweepCli(const SweepCli& cli, std::uint64_t configDigest,
                           sim::SweepOptions* options) {
   if (cli.threads > 0) options->threads = cli.threads;
   options->journal.path = cli.journalPath;
   options->journal.resume = cli.resume;
   options->journal.configDigest = configDigest;
-  if (cli.deadlineSeconds > 0.0) {
-    options->deadline = Deadline::after(cli.deadlineSeconds);
-  }
-  options->softPointTimeoutSeconds = cli.softTimeoutSeconds;
-  options->hardPointTimeoutSeconds = cli.hardTimeoutSeconds;
   if (cli.resilient()) {
     options->failurePolicy = sim::SweepFailurePolicy::kCollectAndContinue;
   }
@@ -205,108 +137,6 @@ inline std::uint32_t resultsCrc32(const std::vector<std::string>& payloads) {
     all += '\n';
   }
   return sim::crc32(all);
-}
-
-/// PERF v3: the sharded-run counterpart of printSweepPerf.  One line with
-/// the merged outcome (ok/missing/duplicates), the supervision tally
-/// (spawns/restarts/crashes) and per-shard tallies; "results_crc" uses
-/// the same payload+'\n' fingerprint as resultsCrc32, so a complete
-/// sharded run must print the same CRC as the unsharded bench.
-inline void printShardPerf(const std::string& benchName,
-                           const sim::ShardBoardConfig& board, int workers,
-                           const sim::ShardSupervisorReport& report) {
-  std::string tally;
-  for (const auto& t : report.merge.shards) {
-    char tbuf[192];
-    std::snprintf(tbuf, sizeof(tbuf),
-                  "%s{\"shard\":%d,\"points\":%zu,\"duplicates\":%zu,"
-                  "\"token\":%llu,\"complete\":%s}",
-                  tally.empty() ? "" : ",", t.shard, t.points, t.duplicates,
-                  static_cast<unsigned long long>(t.token),
-                  t.complete ? "true" : "false");
-    tally += tbuf;
-  }
-  std::printf(
-      "PERF {\"bench\":\"%s\",\"v\":3,\"mode\":\"sharded\",\"points\":%zu,"
-      "\"shards\":%d,\"workers\":%d,\"ok\":%zu,\"missing\":%zu,"
-      "\"duplicates\":%zu,\"spawns\":%d,\"restarts\":%d,\"crashes\":%d,"
-      "\"complete\":%s,\"results_crc\":\"%08x\",\"shard_tally\":[%s]}\n",
-      benchName.c_str(), board.points, board.shards, workers,
-      report.merge.records.size(), report.merge.missing,
-      report.merge.duplicates, report.spawns, report.restarts,
-      report.crashes, report.complete() ? "true" : "false",
-      report.merge.resultsCrc, tally.c_str());
-}
-
-/// Run a bench's point space across worker processes (sim/shard_lease.h).
-/// Worker side (--shard-worker): run the shard-lease loop against the
-/// board and exit.  Supervisor side (--shards=N): re-exec argv0 with
-/// --shard-worker once per slot (slot-stable owner names keep chaos
-/// streams reproducible across restarts), supervise, merge, and print the
-/// PERF v3 line.  `fn` must be the exact per-point payload the unsharded
-/// bench journals — the merged CRC is only comparable if the payload is a
-/// pure function of (index, baseSeed).
-inline int runShardedBench(const SweepCli& cli, const std::string& benchName,
-                           const char* argv0, std::size_t points,
-                           std::uint64_t baseSeed, std::uint64_t configDigest,
-                           const sim::ShardPointFn& fn) {
-  sim::ShardBoardConfig board;
-  board.dir = cli.shardDir.empty() ? benchName + ".board" : cli.shardDir;
-  board.points = points;
-  board.shards = cli.shards > 0 ? cli.shards : 1;
-  board.baseSeed = baseSeed;
-  board.configDigest = configDigest;
-
-  if (cli.shardWorker) {
-    sim::ShardWorkerOptions options;
-    options.board = board;
-    options.owner = cli.shardOwner;
-    options.leaseTtlSeconds = cli.leaseTtlSeconds;
-    options.chaosKillP = cli.chaosKillP;
-    options.chaosSeed = cli.chaosSeed;
-    if (cli.deadlineSeconds > 0.0) {
-      options.deadline = Deadline::after(cli.deadlineSeconds);
-    }
-    sim::runShardWorker(options, fn);
-    return 0;
-  }
-
-  sim::ShardSupervisorOptions options;
-  options.board = board;
-  options.workers = cli.shardWorkers;
-  options.restartBudget = cli.restartBudget;
-  options.leaseTtlSeconds = cli.leaseTtlSeconds;
-  if (cli.deadlineSeconds > 0.0) {
-    options.deadline = Deadline::after(cli.deadlineSeconds);
-  }
-
-  char buf[64];
-  std::vector<std::string> workerArgv;
-  workerArgv.push_back(argv0);
-  workerArgv.push_back("--shard-worker");
-  workerArgv.push_back("--shard-lease=" + board.dir);
-  workerArgv.push_back("--shard-owner=w{slot}");
-  std::snprintf(buf, sizeof(buf), "--shards=%d", board.shards);
-  workerArgv.push_back(buf);
-  std::snprintf(buf, sizeof(buf), "--lease-ttl-s=%g", cli.leaseTtlSeconds);
-  workerArgv.push_back(buf);
-  if (cli.chaosKillP > 0.0) {
-    std::snprintf(buf, sizeof(buf), "--chaos-kill-p=%g", cli.chaosKillP);
-    workerArgv.push_back(buf);
-    std::snprintf(buf, sizeof(buf), "--chaos-seed=%llu",
-                  static_cast<unsigned long long>(cli.chaosSeed));
-    workerArgv.push_back(buf);
-  }
-  if (cli.deadlineSeconds > 0.0) {
-    std::snprintf(buf, sizeof(buf), "--deadline-seconds=%g",
-                  cli.deadlineSeconds);
-    workerArgv.push_back(buf);
-  }
-
-  sim::ShardSupervisor supervisor(options);
-  const auto report = supervisor.run(workerArgv);
-  printShardPerf(benchName, board, cli.shardWorkers, report);
-  return report.complete() ? 0 : 1;
 }
 
 /// End-of-run telemetry for a bench: arms the trace collector from

@@ -8,7 +8,7 @@
 // demonstrate the deterministic parallel speedup (the PERF line at the end
 // is machine-readable).  With any resilient-execution flag the two point
 // sets run once each on journaled engines (journals PATH.mc and
-// PATH.yield) under kCollectAndContinue and a shared whole-run deadline.
+// PATH.yield) under kCollectAndContinue.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -102,38 +102,6 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<double, double>> yieldPoints = {
       {0.68, 800e-12}, {0.68, 550e-12}, {0.60, 800e-12}, {0.55, 800e-12}};
 
-  if (cli.sharded()) {
-    // Multi-process sharding: the same 9-point space (5 MC thicknesses +
-    // 4 yield points) leased range-by-range across worker processes.
-    // Payloads match the unsharded encode exactly (the seeding is
-    // thread-count-invariant), so the merged results_crc must equal the
-    // in-process PERF fingerprint — the kill-storm gate relies on it.
-    auto mcCodec = makeMcCodec();
-    auto yieldCodec = makeYieldCodec();
-    std::uint64_t digest = stats::splitmix64(0x5EED0CA1u);
-    for (double t : thicknesses) digest = foldDouble(digest, t);
-    for (const auto& [v, pulse] : yieldPoints) {
-      digest = foldDouble(foldDouble(digest, v), pulse);
-    }
-    return bench::runShardedBench(
-        cli, "bench_variability", argv[0],
-        thicknesses.size() + yieldPoints.size(), /*baseSeed=*/1, digest,
-        [&](std::size_t i, const sim::SweepContext&) -> std::string {
-          if (i < thicknesses.size()) {
-            core::FefetParams p = nominal;
-            p.feThickness = thicknesses[i];
-            return mcCodec.encode(
-                core::runDeviceMonteCarloParallel(p, spec, 1000,
-                                                  /*threads=*/1));
-          }
-          const auto& pt = yieldPoints[i - thicknesses.size()];
-          core::Cell2TConfig cfg;
-          cfg.fefet = nominal;
-          return yieldCodec.encode(core::runWriteYieldParallel(
-              cfg, spec, 20, pt.first, pt.second, /*threads=*/1));
-        });
-  }
-
   struct Results {
     std::vector<core::DeviceMonteCarlo> mc;
     std::vector<core::WriteYield> yield;
@@ -149,8 +117,8 @@ int main(int argc, char** argv) {
   std::vector<sim::SweepOutcome> yieldOutcomes;
 
   if (cli.resilient()) {
-    // Two journaled engines (the point types differ) sharing one
-    // whole-run deadline; journals land at PATH.mc / PATH.yield.
+    // Two journaled engines (the point types differ); journals land at
+    // PATH.mc / PATH.yield.
     std::uint64_t mcDigest = stats::splitmix64(0x5EED0CA1u);
     for (double t : thicknesses) mcDigest = foldDouble(mcDigest, t);
     std::uint64_t yieldDigest = stats::splitmix64(0x5EED0CA2u);

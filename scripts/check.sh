@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Sanitizer + resilience + perf + observability gate, nine stages:
+# Sanitizer + resilience + perf + observability gate, seven stages:
 #
 #  1. ASan + UBSan (FEFET_SANITIZE=address) over the full test suite —
 #     memory errors and UB in the netlist/device ownership chain (the
@@ -7,9 +7,9 @@
 #     assembly engine runs under ASan);
 #  2. TSan (FEFET_SANITIZE=thread) over the concurrency-sensitive tests
 #     (the sweep engine / thread pool, the LU-reuse solver path, the
-#     stamp-parity suite, the shard-lease board and the parallel per-block
-#     Schur factorization) — data races in the sim layer.  TSan cannot
-#     combine with ASan, hence the separate build directory;
+#     stamp-parity suite, the observability layer and the parallel
+#     per-block Schur factorization) — data races in the sim layer.  TSan
+#     cannot combine with ASan, hence the separate build directory;
 #  3. kill-and-resume smoke: SIGKILL a journaled bench sweep mid-run, then
 #     --resume it and require the PERF record (results CRC + outcome
 #     tally, wall-clock and from_journal fields excluded) to match an
@@ -19,26 +19,18 @@
 #     counters and a Chrome trace with the nested span taxonomy (both
 #     validated with python3), and telemetry must stay ~free — enabled
 #     bench_assembly within 2% of disabled, best of 3;
-#  5. kill-storm chaos gate: bench_variability sharded across worker
-#     processes with --chaos-kill-p self-SIGKILLs, leases reclaimed and
-#     crashed workers restarted — the merged results CRC must be
-#     bit-identical to the unsharded run's;
-#  6. serving-layer chaos gate: bench_macro_service under a power-fail
-#     storm (--storm-p=0.2) — every acked write must read back exactly
-#     (acked_lost=0), no torn word may be served (torn_served=0), and the
-#     shed rate of backpressure-honoring clients must stay bounded;
-#  7. hierarchical solver gate: bench_fig07_array_bias --parity at 32x32
+#  5. hierarchical solver gate: bench_fig07_array_bias --parity at 32x32
 #     must match the flat oracle within the DESIGN.md §6.7 tolerances
 #     (1e-3 of the memory window, 0.5% read current), and --speedup at
 #     64x64 must show the BBD/Schur path >= 2x faster than the flat
 #     sparse-LU solve on the same transient;
-#  8. telemetry plane: bench_macro_service under storms with
+#  6. telemetry plane: the Release bench_variability sweep with
 #     FEFET_EXPORT_PORT=0 — scrape /metrics and /statusz mid-run, validate
 #     the Prometheus exposition with python3, and require every scraped
 #     counter <= its end-of-run REPORT value; then the black-box crash
-#     gate: a worker deliberately SIGSEGV'd mid-storm must leave a dump
-#     that fefet-blackbox parses and pretty-prints;
-#  9. clang-tidy (performance-* as errors + modernize subset, .clang-tidy)
+#     gate: the same sweep, sent SIGSEGV once its Newton counters move,
+#     must leave a dump that fefet-blackbox parses and pretty-prints;
+#  7. clang-tidy (performance-* as errors + modernize subset, .clang-tidy)
 #     over src/spice and src/common — skipped with a notice when
 #     clang-tidy is not installed.
 #
@@ -66,14 +58,14 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DFEFET_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" \
   --target test_sim_sweep test_lu_reuse test_variability test_stamp_parity \
-  test_obs test_obs_exporter test_flight_recorder test_shard_lease \
-  test_serve test_serve_concurrent test_schur_solver test_hier_array
+  test_obs test_obs_exporter test_flight_recorder test_schur_solver \
+  test_hier_array
 
 # The ^(...)\. anchors keep the test_obs suites from pulling in unbuilt
 # binaries with similar names (Trace vs PowerTrace, LogJson vs Logistic).
 TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$(nproc)" \
-  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|ShardLease|ServeConcurrent|MacroService|ShardStore|StormStream|SchurSolver|HierArray|PrometheusText|HandleRequest|ExporterServer|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson|Admission)\.' "$@"
+  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|SchurSolver|HierArray|PrometheusText|HandleRequest|ExporterServer|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson)\.' "$@"
 
 echo "== kill-and-resume smoke: journaled sweep survives SIGKILL =="
 cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_fault_resilience
@@ -184,73 +176,6 @@ fi
 echo "observability smoke passed" \
      "(compiled assemble: disabled ${DISABLED_S}s, enabled ${ENABLED_S}s)"
 
-echo "== kill-storm: sharded sweep under random SIGKILLs stays bit-identical =="
-# The same optimized bench_variability, twice: once unsharded (the
-# reference CRC), once split across 4 shards / 2 worker processes with a
-# 30% chance each worker self-SIGKILLs after every durable point append.
-# Leases expire, survivors and restarted workers reclaim the ranges, and
-# the first-wins merge must reproduce the reference CRC bit for bit.
-crc_of() {
-  grep '^PERF ' "$1" | sed -E 's/.*"results_crc":"([0-9a-f]+)".*/\1/'
-}
-"$PERF_BUILD_DIR/bench/bench_variability" \
-  --journal="$SMOKE_DIR/storm-ref.journal" > "$SMOKE_DIR/storm-ref.out"
-REF_CRC=$(crc_of "$SMOKE_DIR/storm-ref.out")
-"$PERF_BUILD_DIR/bench/bench_variability" --shards=4 --shard-workers=2 \
-  --chaos-kill-p=0.3 --chaos-seed=11 --lease-ttl-s=1 \
-  --shard-lease="$SMOKE_DIR/storm.board" > "$SMOKE_DIR/storm.out"
-STORM_PERF=$(grep '^PERF ' "$SMOKE_DIR/storm.out")
-echo "$STORM_PERF"
-STORM_CRC=$(crc_of "$SMOKE_DIR/storm.out")
-if [ "$STORM_CRC" != "$REF_CRC" ]; then
-  echo "FAIL: kill-storm merge CRC $STORM_CRC differs from unsharded" \
-       "reference $REF_CRC" >&2
-  exit 1
-fi
-if ! echo "$STORM_PERF" | grep -q '"complete":true'; then
-  echo "FAIL: kill-storm run did not complete the board" >&2
-  exit 1
-fi
-# The crash count depends on which worker races to which point, so it is
-# advisory: a storm that happened to land zero kills still proves the CRC.
-if echo "$STORM_PERF" | grep -q '"restarts":0'; then
-  echo "WARN: chaos produced no worker restarts this run" >&2
-fi
-echo "kill-storm smoke passed (CRC $STORM_CRC matches unsharded reference)"
-
-echo "== serve chaos gate: acked writes survive power-fail storms =="
-cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target bench_macro_service
-SERVE_OUT="$SMOKE_DIR/serve.out"
-# The bench itself exits non-zero on any acked-write loss, torn read, or
-# lost completion; the PERF fields are re-asserted here so a regression
-# in the bench's own exit-code logic cannot mask one in the service.
-if ! "$PERF_BUILD_DIR/bench/bench_macro_service" --ops=6000 --storm-p=0.2 \
-    --seed=11 > "$SERVE_OUT"; then
-  echo "FAIL: bench_macro_service chaos run violated a durability invariant" >&2
-  cat "$SERVE_OUT" >&2
-  exit 1
-fi
-SERVE_PERF=$(grep '^PERF ' "$SERVE_OUT")
-echo "$SERVE_PERF"
-for field in acked_lost torn_served; do
-  if ! echo "$SERVE_PERF" | grep -Eq "\"$field\":0[,}]"; then
-    echo "FAIL: serve chaos gate: $field is nonzero" >&2
-    exit 1
-  fi
-done
-if echo "$SERVE_PERF" | grep -q '"power_fails":0,'; then
-  echo "FAIL: serve chaos gate: the storm injected no power failures" >&2
-  exit 1
-fi
-SERVE_SHED_RATE=$(echo "$SERVE_PERF" \
-  | sed -E 's/.*"shed_rate":([0-9.]+).*/\1/')
-if ! awk -v s="$SERVE_SHED_RATE" 'BEGIN { exit !(s <= 0.5) }'; then
-  echo "FAIL: serve chaos gate: shed rate $SERVE_SHED_RATE exceeds 0.5" >&2
-  exit 1
-fi
-echo "serve chaos gate passed (no acked write lost, no torn word served," \
-     "shed rate ${SERVE_SHED_RATE})"
-
 echo "== hierarchical solver gate: BBD/Schur parity + speedup =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target bench_fig07_array_bias
 HIER_BENCH="$PERF_BUILD_DIR/bench/bench_fig07_array_bias"
@@ -278,62 +203,89 @@ echo "hierarchical solver gate passed (64x64 speedup ${HIER_SPEEDUP}x)"
 
 echo "== telemetry plane: live /metrics scrape + black-box crash gate =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" \
-  --target bench_macro_service fefet_blackbox
+  --target bench_variability fefet_blackbox
 BLACKBOX_CLI="$PERF_BUILD_DIR/src/tools/fefet-blackbox"
-if command -v python3 >/dev/null 2>&1; then
-  TELEM_OUT="$SMOKE_DIR/telemetry.out"
-  # --op-delay-us paces the submitters so the storm run stays alive for a
-  # few seconds — long enough to scrape /metrics while it serves.
-  FEFET_EXPORT_PORT=0 FEFET_BLACKBOX="$SMOKE_DIR/telemetry.bbx" \
-    "$PERF_BUILD_DIR/bench/bench_macro_service" --ops=12000 --storm-p=0.2 \
-    --op-delay-us=600 --seed=7 > "$TELEM_OUT" &
-  TELEM_PID=$!
-  # The exporter announces its ephemeral port on stdout at startup.
-  TELEM_PORT=""
+VARIABILITY_BENCH="$PERF_BUILD_DIR/bench/bench_variability"
+
+# Print the exporter port a bench announces on stdout at startup (one
+# `EXPORT {"port":N}` line); empty when none appears within 10 s.
+await_export_port() {
+  local port=""
   for _ in $(seq 1 100); do
-    TELEM_PORT=$(sed -nE 's/^EXPORT \{"port":([0-9]+)\}.*/\1/p' "$TELEM_OUT" \
-      | head -1)
-    [ -n "$TELEM_PORT" ] && break
+    port=$(sed -nE 's/^EXPORT \{"port":([0-9]+)\}.*/\1/p' "$1" | head -1)
+    [ -n "$port" ] && break
     sleep 0.1
   done
+  echo "$port"
+}
+
+if command -v python3 >/dev/null 2>&1; then
+  TELEM_OUT="$SMOKE_DIR/telemetry.out"
+  # --journal runs the Monte Carlo and write-yield sweeps once each; at two
+  # threads that takes ~10 s, long enough to scrape while it runs.
+  FEFET_EXPORT_PORT=0 FEFET_BLACKBOX="$SMOKE_DIR/telemetry.bbx" \
+    "$VARIABILITY_BENCH" --threads 2 \
+    --journal="$SMOKE_DIR/telemetry.journal" > "$TELEM_OUT" &
+  TELEM_PID=$!
+  TELEM_PORT=$(await_export_port "$TELEM_OUT")
   if [ -z "$TELEM_PORT" ]; then
-    echo "FAIL: bench_macro_service announced no exporter port" >&2
+    echo "FAIL: bench_variability announced no exporter port" >&2
     kill "$TELEM_PID" 2>/dev/null || true
     exit 1
   fi
-  sleep 0.3  # let the shard workers register their gauges
-  # Mid-run scrape: the exposition must parse and carry serve metrics.
-  python3 - "$TELEM_PORT" > "$SMOKE_DIR/scrape.txt" <<'PYEOF'
+  # Mid-run scrape: poll until the exposition carries both the sweep and
+  # the Newton families (the first seconds are closed-form device Monte
+  # Carlo, which runs no Newton solve), then require it to parse.
+  if ! python3 - "$TELEM_PORT" > "$SMOKE_DIR/scrape.txt" <<'PYEOF'; then
+import json
 import sys
+import time
 import urllib.request
 
 port = sys.argv[1]
-metrics = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-families = set()
-for line in metrics.splitlines():
-    if not line or line.startswith("#"):
-        continue
-    name, _, value = line.partition(" ")
-    name = name.partition("{")[0]
-    assert name and not name[0].isdigit(), f"bad metric name: {line}"
-    assert all(c.isalnum() or c in "_:" for c in name), f"bad name: {line}"
-    float(value)  # must parse
-    families.add(name)
-assert any(f.startswith("fefet_serve_") for f in families), \
-    f"no serve metrics in the mid-run scrape: {sorted(families)[:10]}"
-statusz = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/statusz", timeout=10).read().decode()
-import json
-status = json.loads(statusz)
-assert "uptime_s" in status and "macro_service" in status["providers"], \
-    "statusz is missing the macro_service provider"
-assert status["providers"]["macro_service"]["shards"] > 0
+
+
+def get(path):
+    return urllib.request.urlopen(
+        f"http://127.0.0.1:{port}{path}", timeout=10).read().decode()
+
+
+def families_of(metrics):
+    families = set()
+    for line in metrics.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.partition(" ")
+        name = name.partition("{")[0]
+        assert name and not name[0].isdigit(), f"bad metric name: {line}"
+        assert all(c.isalnum() or c in "_:" for c in name), \
+            f"bad name: {line}"
+        float(value)  # must parse
+        families.add(name)
+    return families
+
+
+deadline = time.monotonic() + 60
+while True:
+    metrics = get("/metrics")
+    families = families_of(metrics)
+    if any(f.startswith("fefet_sweep_") for f in families) and \
+            any(f.startswith("fefet_newton_") for f in families):
+        break
+    assert time.monotonic() < deadline, \
+        f"no sweep + newton metrics mid-run: {sorted(families)[:10]}"
+    time.sleep(0.2)
+status = json.loads(get("/statusz"))
+assert "uptime_s" in status, "statusz is missing uptime_s"
 sys.stdout.write(metrics)
 sys.stderr.write(f"scraped {len(families)} metric families mid-run\n")
 PYEOF
+    echo "FAIL: mid-run scrape of bench_variability" >&2
+    kill "$TELEM_PID" 2>/dev/null || true
+    exit 1
+  fi
   if ! wait "$TELEM_PID"; then
-    echo "FAIL: the scraped storm run violated a durability invariant" >&2
+    echo "FAIL: the scraped bench_variability run failed" >&2
     cat "$TELEM_OUT" >&2
     exit 1
   fi
@@ -366,19 +318,48 @@ assert compared > 0, "scrape and REPORT share no counters"
 print(f"mid-run scrape consistent with REPORT ({compared} counters)")
 PYEOF
 
-  # Black-box crash gate: a worker SIGSEGV'd mid-storm must leave a dump
-  # the CLI can parse, with the pre-crash event stream intact.
+  # Black-box crash gate: the same sweep, sent SIGSEGV from outside once
+  # its transient or Newton counters move, must leave a dump the CLI can
+  # parse, with the pre-crash solver event stream intact.  Polling (not a
+  # fixed sleep) matters: a signal during the closed-form Monte Carlo
+  # phase would find no solver events to check.
   CRASH_BBX="$SMOKE_DIR/crash.bbx"
   CRASH_OUT="$SMOKE_DIR/crash.out"
   rm -f "$CRASH_BBX"
-  if FEFET_BLACKBOX="$CRASH_BBX" "$PERF_BUILD_DIR/bench/bench_macro_service" \
-      --ops=20000 --storm-p=0.2 --crash-after-ops=500 --seed=3 \
-      > "$CRASH_OUT" 2>&1; then
-    echo "FAIL: --crash-after-ops run exited cleanly" >&2
+  FEFET_EXPORT_PORT=0 FEFET_BLACKBOX="$CRASH_BBX" \
+    "$VARIABILITY_BENCH" --threads 2 \
+    --journal="$SMOKE_DIR/crash.journal" > "$CRASH_OUT" 2>&1 &
+  CRASH_PID=$!
+  CRASH_PORT=$(await_export_port "$CRASH_OUT")
+  if [ -z "$CRASH_PORT" ] || ! python3 - "$CRASH_PORT" <<'PYEOF'; then
+import sys
+import time
+import urllib.request
+
+port = sys.argv[1]
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    metrics = urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
+    for line in metrics.splitlines():
+        name, _, value = line.partition(" ")
+        if name in ("fefet_transient_steps",
+                    "fefet_newton_iterations_compiled") and float(value) > 0:
+            sys.exit(0)
+    time.sleep(0.1)
+sys.exit("solver counters never moved")
+PYEOF
+    echo "FAIL: bench_variability never reached its solver phase" >&2
+    kill "$CRASH_PID" 2>/dev/null || true
+    exit 1
+  fi
+  kill -SEGV "$CRASH_PID" 2>/dev/null || true
+  if wait "$CRASH_PID"; then
+    echo "FAIL: SIGSEGV'd bench_variability exited cleanly" >&2
     exit 1
   fi
   if ! [ -s "$CRASH_BBX" ]; then
-    echo "FAIL: crashed worker left no black-box dump" >&2
+    echo "FAIL: crashed run left no black-box dump" >&2
     exit 1
   fi
   if ! "$BLACKBOX_CLI" "$CRASH_BBX" > "$SMOKE_DIR/crash.txt"; then
@@ -390,11 +371,13 @@ PYEOF
     cat "$SMOKE_DIR/crash.txt" >&2
     exit 1
   fi
-  if ! grep -q 'storm_injection' "$SMOKE_DIR/crash.txt"; then
-    echo "FAIL: crash dump carries no pre-crash storm events" >&2
-    cat "$SMOKE_DIR/crash.txt" >&2
-    exit 1
-  fi
+  for event in solve_start newton_residual; do
+    if ! grep -q "$event" "$SMOKE_DIR/crash.txt"; then
+      echo "FAIL: crash dump carries no pre-crash $event events" >&2
+      head -40 "$SMOKE_DIR/crash.txt" >&2
+      exit 1
+    fi
+  done
   echo "telemetry plane passed (live scrape consistent, crash dump" \
        "parsed: $(grep -c '^ ' "$SMOKE_DIR/crash.txt" || true) event lines)"
 else

@@ -12,10 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
-#include <utility>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/error.h"
@@ -26,14 +23,12 @@
 namespace fefet::obs {
 namespace {
 
-/// /statusz side state shared across instances (REPORT line, providers).
-/// Function-local static + mutex: writers are bench main threads and the
-/// serve layer's registration at construction, readers the serving
-/// thread.
+/// /statusz side state shared across instances (the last REPORT line).
+/// Function-local static + mutex: writers are bench main threads, readers
+/// the serving thread.
 struct StatusState {
   std::mutex mutex;
   std::string lastReport;
-  std::map<std::string, std::function<std::string()>> providers;
 };
 
 StatusState& statusState() {
@@ -145,33 +140,13 @@ std::string statuszJson() {
 
   StatusState& s = statusState();
   std::string lastReport;
-  std::vector<std::pair<std::string, std::function<std::string()>>>
-      providers;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
     lastReport = s.lastReport;
-    providers.assign(s.providers.begin(), s.providers.end());
   }
   // The REPORT line is already JSON — embed raw, not escaped.
   out += ",\"last_report\":" + (lastReport.empty() ? "null" : lastReport);
-  out += ",\"providers\":{";
-  first = true;
-  for (const auto& [name, provider] : providers) {
-    std::string value;
-    try {
-      value = provider();
-    } catch (const std::exception& e) {
-      value = "{\"error\":\"" + strings::jsonEscape(e.what()) + "\"}";
-    }
-    if (value.empty()) value = "null";
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += strings::jsonEscape(name);
-    out += "\":";
-    out += value;
-  }
-  out += "}}";
+  out += "}";
   return out;
 }
 
@@ -381,17 +356,6 @@ void Exporter::setLastReport(const std::string& reportJson) {
   StatusState& s = statusState();
   const std::lock_guard<std::mutex> lock(s.mutex);
   s.lastReport = reportJson;
-}
-
-void Exporter::registerStatusProvider(const std::string& name,
-                                      std::function<std::string()> provider) {
-  StatusState& s = statusState();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  if (provider) {
-    s.providers[name] = std::move(provider);
-  } else {
-    s.providers.erase(name);
-  }
 }
 
 }  // namespace fefet::obs

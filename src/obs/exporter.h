@@ -2,14 +2,14 @@
 // Prometheus text exposition format, /statusz process introspection JSON,
 // /healthz liveness.
 //
-// The PR-5 observability layer only surfaces metrics at clean process
-// exit (REPORT line, FEFET_METRICS file).  Long-lived processes —
-// fefet-sweepd supervisors, MacroService shard workers — need a live
-// plane: a wedged worker or a slowly-degrading endurance run is invisible
-// until it dies.  The exporter is a deliberately tiny TCP server: one
-// background thread, a poll() loop over the listen socket plus a self-pipe
-// for shutdown wake, blocking per-connection handling (scrapes are a few
-// KiB; Prometheus scrapes sequentially).  No third-party dependencies.
+// The REPORT line and FEFET_METRICS file only surface metrics at clean
+// process exit.  Long runs — a multi-minute Monte Carlo sweep, an
+// hour-long hierarchical solve — need a live plane: a wedged worker or a
+// slowly-degrading endurance run is invisible until it dies.  The
+// exporter is a deliberately tiny TCP server: one background thread, a
+// poll() loop over the listen socket plus a self-pipe for shutdown wake,
+// blocking per-connection handling (scrapes are a few KiB; Prometheus
+// scrapes sequentially).  No third-party dependencies.
 //
 // Endpoints:
 //
@@ -19,11 +19,8 @@
 //               registry's per-bucket counts to Prometheus cumulative
 //               `le` series with a trailing +Inf bucket, plus _sum/_count.
 //   /statusz  — JSON: build info, uptime, pid, trace-collector occupancy,
-//               flight-recorder state, the last REPORT line any
-//               TelemetrySession printed, and one entry per registered
-//               status provider (the serve layer registers per-shard
-//               queue/lease state this way — obs cannot link serve, so
-//               the dependency points the other way).
+//               flight-recorder state and the last REPORT line any
+//               TelemetrySession printed.
 //   /healthz  — "ok", for load-balancer liveness probes.
 //
 // Lifecycle: Exporter::startFromEnv() reads FEFET_EXPORT_PORT (0 = pick
@@ -37,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -82,17 +78,10 @@ class Exporter {
   /// The shared instance startFromEnv() manages (nullptr until started).
   static Exporter* instance();
 
-  /// Record the most recent REPORT line (TelemetrySession::finish() and
-  /// fefet-sweepd call this); echoed verbatim in /statusz as
-  /// "last_report".  Pass the bare JSON object, not the "REPORT " prefix.
+  /// Record the most recent REPORT line (TelemetrySession::finish() calls
+  /// this); echoed verbatim in /statusz as "last_report".  Pass the bare
+  /// JSON object, not the "REPORT " prefix.
   static void setLastReport(const std::string& reportJson);
-
-  /// Register a named /statusz section.  `provider` returns a JSON value
-  /// (object/array/scalar) rendered under "providers".<name>; it runs on
-  /// the serving thread and must be thread-safe.  Re-registering a name
-  /// replaces the provider; an empty function removes it.
-  static void registerStatusProvider(const std::string& name,
-                                     std::function<std::string()> provider);
 
   // -- Pure rendering, exposed for tests ------------------------------
 

@@ -210,7 +210,7 @@ void installCrashHandlers() {
 }
 
 /// NumericalError observer (see common/error.h).  Deadline aborts are
-/// routine — the straggler watchdog and serve deadlines throw them by
+/// routine — the straggler watchdog and sweep deadlines throw them by
 /// design — so they only leave a ring event; genuine numerical failures
 /// additionally write a (rate-limited) dump so the evidence survives even
 /// when a retry ladder swallows the exception.
@@ -254,13 +254,7 @@ const char* flightEventName(FlightEvent event) {
     case FlightEvent::kDtCut: return "dt_cut";
     case FlightEvent::kCollapse: return "collapse";
     case FlightEvent::kExpand: return "expand";
-    case FlightEvent::kLeaseSteal: return "lease_steal";
-    case FlightEvent::kBrownoutEnter: return "brownout_enter";
-    case FlightEvent::kBrownoutExit: return "brownout_exit";
-    case FlightEvent::kStormInjection: return "storm_injection";
     case FlightEvent::kNumericalError: return "numerical_error";
-    case FlightEvent::kDeadlineMiss: return "deadline_miss";
-    case FlightEvent::kCheckpoint: return "checkpoint";
   }
   return "?";
 }

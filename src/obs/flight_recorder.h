@@ -2,13 +2,12 @@
 // lock-free, per-thread ring of fixed-size POD event records plus an
 // async-signal-safe crash dumper.
 //
-// Long-lived processes (fefet-sweepd supervisors, MacroService shard
-// workers, hour-long hierarchical solves) can die in ways the end-of-run
-// REPORT line never sees: a SIGSEGV in a device model, an abort() from a
-// sanitizer, a kill-storm casualty.  The flight recorder keeps the last N
-// structured events per thread — solve start/converged/diverged, gmin
-// escalation, dt cut, collapse/expand transitions, lease steals, brownout
-// enter/exit, storm injections, per-iteration Newton residuals — in
+// Long runs (multi-minute Monte Carlo sweeps, hour-long hierarchical
+// solves) can die in ways the end-of-run REPORT line never sees: a
+// SIGSEGV in a device model, an abort() from a sanitizer, an external
+// kill.  The flight recorder keeps the last N structured events per
+// thread — solve start/converged/diverged, gmin escalation, dt cut,
+// collapse/expand transitions, per-iteration Newton residuals — in
 // preallocated rings, and on a fatal signal writes them (plus the most
 // recent preformatted metrics snapshot) to the FEFET_BLACKBOX file using
 // only async-signal-safe primitives: a pre-opened fd, preallocated
@@ -64,13 +63,9 @@ enum class FlightEvent : std::uint16_t {
   kDtCut = 8,             ///< a = new dt [s], b = cumulative cuts this run
   kCollapse = 9,          ///< a = collapsed ratio, b = blocks collapsed
   kExpand = 10,           ///< a = collapsed ratio, b = blocks expanded
-  kLeaseSteal = 11,       ///< a = 0, b = shard index
-  kBrownoutEnter = 12,    ///< a = utilization, b = 0
-  kBrownoutExit = 13,     ///< a = utilization, b = 0
-  kStormInjection = 14,   ///< a = storm probability, b = shard index
+  // 11-14 and 16-17 were retired; dumps from older builds print them as
+  // "?".  Do not reuse them.
   kNumericalError = 15,   ///< a = 0, b = 1 when DeadlineExceeded
-  kDeadlineMiss = 16,     ///< a = overshoot [s], b = shard index
-  kCheckpoint = 17,       ///< a = 0, b = shard index
 };
 
 /// Printable name of an event code ("?" for unknown codes, so the CLI
@@ -84,7 +79,7 @@ struct FlightRecord {
   std::uint16_t thread = 0;   ///< currentThreadId() of the recording thread
   std::uint32_t seq = 0;      ///< per-thread sequence (tie-break + torn check)
   double a = 0.0;             ///< payload (residual, dt, gmin, ratio, …)
-  std::uint64_t b = 0;        ///< payload (iteration, shard, block count, …)
+  std::uint64_t b = 0;        ///< payload (iteration, level, block count, …)
 };
 static_assert(sizeof(FlightRecord) == 32, "dump format is raw records");
 

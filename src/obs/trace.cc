@@ -188,7 +188,7 @@ std::string Trace::toChromeJson() {
   char buf[96];
   bool first = true;
   // Perfetto/chrome "M" metadata records name the tracks: without these a
-  // trace of a sharded run is a wall of bare tids.
+  // trace of a multi-threaded run is a wall of bare tids.
   for (const auto& [tid, name] : threadNames()) {
     if (!first) out += ',';
     first = false;

@@ -99,7 +99,7 @@ class Trace {
   static bool writeChromeJson(const std::string& path);
 
   /// Name the calling thread for trace viewers and /statusz (e.g.
-  /// "sweep[3]", "serve-shard[0]").  Names are keyed by currentThreadId()
+  /// "sweep[3]", "obs-exporter").  Names are keyed by currentThreadId()
   /// and survive enable()/clear() — they describe the thread, not the
   /// capture.  Safe to call any time, even while disabled.
   static void setCurrentThreadName(const std::string& name);

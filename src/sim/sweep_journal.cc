@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/strings.h"
 
 namespace fefet::sim {
 namespace {
@@ -83,8 +84,6 @@ bool jsonUnescape(std::string_view escaped, std::string* out) {
   return true;
 }
 
-}  // namespace
-
 bool parseJournalU64(const std::string& body, const char* key,
                      std::uint64_t* out) {
   const std::string needle = std::string("\"") + key + "\":";
@@ -154,13 +153,15 @@ std::string journalHeaderBody(std::size_t points, std::uint64_t baseSeed,
 std::string journalPointBody(std::size_t index, std::string_view payload) {
   std::ostringstream os;
   os << "{\"type\":\"point\",\"index\":" << index << ",\"payload\":\""
-     << jsonEscape(payload) << "\"}";
+     << strings::jsonEscape(std::string(payload)) << "\"}";
   return os.str();
 }
 
 std::string renderJournalLine(const std::string& body) {
   return kLinePrefix + hex32(crc32(body)) + kLineMiddle + body + "}\n";
 }
+
+}  // namespace
 
 void fsyncParentDir(const std::string& path) {
   const auto slash = path.find_last_of('/');
@@ -182,38 +183,10 @@ std::uint32_t crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::string jsonEscape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[7];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 SweepJournalLoad SweepJournal::load(const std::string& path,
                                     std::size_t expectedPoints,
                                     std::uint64_t baseSeed,
-                                    std::uint64_t configDigest,
-                                    JournalLoadMode mode) {
-  const bool lenient = mode == JournalLoadMode::kLenient;
+                                    std::uint64_t configDigest) {
   SweepJournalLoad result;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -242,14 +215,6 @@ SweepJournalLoad SweepJournal::load(const std::string& path,
     const std::string line = contents.substr(offset, newline - offset);
     std::string body;
     if (!parseJournalLine(line, &body)) {
-      if (lenient && !line.empty()) ++result.skippedLines;
-      if (lenient) {
-        // Multi-epoch journal: resync at the next line.  Empty lines are
-        // the resync markers appended on every lease-holder handover.
-        offset = newline + 1;
-        if (sawHeader) result.validBytes = offset;
-        continue;
-      }
       if (!sawHeader) {
         result.warning =
             "journal " + path + " has no valid header; starting fresh";
@@ -288,12 +253,6 @@ SweepJournalLoad SweepJournal::load(const std::string& path,
                           parseJournalString(body, "payload", &payload) &&
                           index < expectedPoints;
       if (!parsed) {
-        if (lenient) {
-          ++result.skippedLines;
-          offset = newline + 1;
-          result.validBytes = offset;
-          continue;
-        }
         result.warning = "journal " + path +
                          " has a malformed point record; truncating to the "
                          "last good record";
@@ -323,9 +282,6 @@ SweepJournal::SweepJournal(const std::string& path, std::size_t points,
                            std::uint64_t baseSeed, std::uint64_t configDigest,
                            const SweepJournalLoad* resumeFrom)
     : path_(path) {
-  // O_APPEND makes every record write land atomically at EOF, so two
-  // writers (a zombie lease holder and its successor) can interleave only
-  // at line granularity, never mid-record.
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) {
     throw SimulationError("cannot open sweep journal " + path + ": " +

@@ -13,7 +13,9 @@
 // journal can never be replayed against a different sweep.  Each
 // completed point appends one record carrying its caller-encoded result
 // payload, flushed and fsync'd before the write returns (a record is
-// either durable or absent, never half-trusted).
+// either durable or absent, never half-trusted).  Payloads are escaped
+// with strings::jsonEscape; the loader also accepts the `\b`/`\f` short
+// escapes that older journals used, so those still resume.
 //
 // Recovery rules (deliberately forgiving — a journal is an optimization,
 // never a reason to crash):
@@ -34,38 +36,6 @@ namespace fefet::sim {
 /// CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the per-record
 /// checksum.  crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(std::string_view data);
-
-/// Escape a string for embedding in a JSON string literal (adds no quotes).
-std::string jsonEscape(std::string_view raw);
-
-// ---- journal line primitives ------------------------------------------
-// The CRC-framed line format is shared by every journal in sim/: the
-// sweep checkpoint journal below and the shard lease journal
-// (sim/shard_lease.h) both append renderJournalLine(body) records and
-// recover with parseJournalLine, so one torn-tail/corruption policy
-// covers the whole coordination substrate.
-
-/// Frame `body` as one journal line: {"crc":"<8 hex>","rec":<body>}\n.
-std::string renderJournalLine(const std::string& body);
-
-/// Parse + CRC-verify one line (no trailing newline) into its rec body.
-/// False on any damage: bad frame, bad hex, CRC mismatch.
-bool parseJournalLine(const std::string& line, std::string* body);
-
-/// Extract the unsigned integer following `"key":` in a record body.
-bool parseJournalU64(const std::string& body, const char* key,
-                     std::uint64_t* out);
-
-/// Extract and unescape the string following `"key":"` in a record body.
-bool parseJournalString(const std::string& body, const char* key,
-                        std::string* out);
-
-/// Header record body binding a journal to one run shape.
-std::string journalHeaderBody(std::size_t points, std::uint64_t baseSeed,
-                              std::uint64_t configDigest);
-
-/// Completed-point record body carrying a caller-encoded payload.
-std::string journalPointBody(std::size_t index, std::string_view payload);
 
 /// fsync the directory containing `path`, so a freshly created file's
 /// directory entry is durable (a journal whose records are fsynced but
@@ -93,18 +63,6 @@ struct SweepJournalRecord {
   std::string payload;  ///< caller-encoded result
 };
 
-/// How load() treats a damaged record in the middle of the file.
-enum class JournalLoadMode {
-  /// Single-writer checkpoint journal: damage means everything after it
-  /// is untrustworthy — truncate to the last good record.
-  kStrict,
-  /// Multi-epoch shard journal (several lease holders appended over
-  /// time, each starting with a '\n' resync marker): skip damaged or
-  /// empty lines and keep scanning — a torn tail left by a SIGKILLed
-  /// predecessor must not hide a successor's good records.
-  kLenient,
-};
-
 /// Result of scanning an existing journal file.
 struct SweepJournalLoad {
   /// Header present and matching the expected run shape; records are
@@ -116,7 +74,6 @@ struct SweepJournalLoad {
   std::vector<SweepJournalRecord> records;  ///< unique, CRC-verified
   std::uint64_t validBytes = 0;  ///< file offset after the last good record
   std::size_t duplicates = 0;    ///< point records dropped first-wins
-  std::size_t skippedLines = 0;  ///< damaged lines skipped (kLenient only)
 };
 
 class SweepJournal {
@@ -127,8 +84,7 @@ class SweepJournal {
   static SweepJournalLoad load(const std::string& path,
                                std::size_t expectedPoints,
                                std::uint64_t baseSeed,
-                               std::uint64_t configDigest,
-                               JournalLoadMode mode = JournalLoadMode::kStrict);
+                               std::uint64_t configDigest);
 
   /// Open `path` for appending.  With a usable `resumeFrom`, the file is
   /// truncated to its validBytes (dropping any torn tail) and appended to;

@@ -98,7 +98,7 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDropped) {
   FlightRecorder::enable(path, 8);
   constexpr int kRecorded = 20;
   for (int i = 0; i < kRecorded; ++i) {
-    FlightRecorder::record(FlightEvent::kCheckpoint, 0.0,
+    FlightRecorder::record(FlightEvent::kDtCut, 0.0,
                            static_cast<std::uint64_t>(i));
   }
   ASSERT_TRUE(FlightRecorder::dumpNow("wrap test"));
@@ -109,7 +109,7 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDropped) {
   ASSERT_TRUE(readBlackboxDump(path, &dump, &error)) << error;
   std::vector<std::uint64_t> payloads;
   for (const auto& rec : dump.records) {
-    if (rec.type == static_cast<std::uint16_t>(FlightEvent::kCheckpoint)) {
+    if (rec.type == static_cast<std::uint16_t>(FlightEvent::kDtCut)) {
       payloads.push_back(rec.b);
     }
   }

@@ -4,8 +4,7 @@
 //    declarations, cumulative le buckets ending in +Inf == _count;
 //  * the embedded server answers /metrics, /statusz and /healthz over a
 //    real socket, 404s everything else, and /statusz is valid JSON that
-//    echoes the last REPORT line and registered status providers
-//    (including a provider that throws);
+//    echoes the last REPORT line and the build info;
 //  * concurrent scrapes during counter/histogram churn are data-race
 //    free (this suite runs under TSan in scripts/check.sh);
 //  * stop() is idempotent, races cleanly with in-flight clients, and the
@@ -21,7 +20,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,7 +171,7 @@ TEST(PrometheusText, SanitizesNamesAndRendersAllKinds) {
   MetricsSnapshot snap;
   snap.counters.push_back({"fefet.newton.outcome.converged", 3});
   snap.counters.push_back({"9starts.with-digit", 1});
-  snap.gauges.push_back({"fefet.serve.queue_depth.shard0", 2.5});
+  snap.gauges.push_back({"fefet.sweep.queue_depth.worker0", 2.5});
   MetricsSnapshot::HistogramValue h;
   h.name = "fefet.newton.residual_decay_rate";
   h.edges = {1.0, 2.0};
@@ -190,7 +188,7 @@ TEST(PrometheusText, SanitizesNamesAndRendersAllKinds) {
             std::string::npos);
   // Leading digit gets a '_' prefix; '.' and '-' become '_'.
   EXPECT_NE(text.find("_9starts_with_digit 1\n"), std::string::npos);
-  EXPECT_NE(text.find("fefet_serve_queue_depth_shard0 2.5\n"),
+  EXPECT_NE(text.find("fefet_sweep_queue_depth_worker0 2.5\n"),
             std::string::npos);
   // Per-bucket 2,3 -> cumulative 2,5; +Inf carries the total count.
   EXPECT_NE(
@@ -235,28 +233,15 @@ TEST(HandleRequest, RoutesAndContentTypes) {
             std::string::npos);
 }
 
-TEST(HandleRequest, StatuszEchoesReportAndProviders) {
+TEST(HandleRequest, StatuszEchoesReportAndBuildInfo) {
   Exporter::setLastReport("{\"bench\":\"unit\",\"ok\":true}");
-  Exporter::registerStatusProvider(
-      "unit_test", [] { return std::string("{\"value\":7}"); });
-  Exporter::registerStatusProvider("throwing", []() -> std::string {
-    throw std::runtime_error("boom");
-  });
   const std::string body = bodyOf(Exporter::handleRequest("/statusz"));
   EXPECT_NE(body.find("\"last_report\":{\"bench\":\"unit\",\"ok\":true}"),
             std::string::npos)
       << body;
-  EXPECT_NE(body.find("\"unit_test\":{\"value\":7}"), std::string::npos);
-  // A throwing provider degrades to an error object, not a dead scrape.
-  EXPECT_NE(body.find("\"throwing\":{\"error\":\"boom\"}"),
-            std::string::npos);
+  EXPECT_NE(body.find("\"build\":{\"compiler\":"), std::string::npos);
   EXPECT_NE(body.find("\"uptime_s\":"), std::string::npos);
   EXPECT_NE(body.find("\"pid\":"), std::string::npos);
-  // Empty function deregisters.
-  Exporter::registerStatusProvider("unit_test", {});
-  Exporter::registerStatusProvider("throwing", {});
-  const std::string after = bodyOf(Exporter::handleRequest("/statusz"));
-  EXPECT_EQ(after.find("\"unit_test\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/strings.h"
 #include "sim/sweep_journal.h"
 
 namespace fefet {
@@ -53,11 +54,13 @@ TEST(SweepJournalCrc, MatchesTheIeeeCheckValue) {
   EXPECT_NE(sim::crc32("abc"), sim::crc32("abd"));
 }
 
+// The journal escapes payloads with the common JSON escaper.
 TEST(SweepJournalEscape, ControlAndQuoteCharactersRoundTrip) {
-  EXPECT_EQ(sim::jsonEscape("plain"), "plain");
-  EXPECT_EQ(sim::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(sim::jsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(sim::jsonEscape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(strings::jsonEscape("plain"), "plain");
+  EXPECT_EQ(strings::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(strings::jsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(strings::jsonEscape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(strings::jsonEscape("\b\f"), "\\u0008\\u000c");
 }
 
 TEST_F(SweepJournalTest, WriteThenLoadRoundTrips) {
@@ -82,6 +85,31 @@ TEST_F(SweepJournalTest, BinaryishPayloadRoundTrips) {
   ASSERT_TRUE(load.usable);
   ASSERT_EQ(load.records.size(), 1u);
   EXPECT_EQ(load.records[0].payload, std::string("a\"b\\c\nd\x01e"));
+}
+
+// Journals written before the payload escaper was shared spelled
+// backspace and form feed as \b and \f; today's writer emits \u0008 and
+// \u000c.  Both spellings must load to the same bytes, so an older
+// journal still resumes.
+TEST_F(SweepJournalTest, ShortAndUnicodeControlEscapesLoadIdentically) {
+  const auto frame = [](const std::string& body) {
+    char crc[9];
+    std::snprintf(crc, sizeof(crc), "%08x", sim::crc32(body));
+    return "{\"crc\":\"" + std::string(crc) + "\",\"rec\":" + body + "}\n";
+  };
+  writeFile(
+      frame("{\"type\":\"header\",\"version\":1,\"points\":2,"
+            "\"baseSeed\":7,\"configDigest\":99}") +
+      frame("{\"type\":\"point\",\"index\":0,"
+            "\"payload\":\"x\\by\\fz\"}") +
+      frame("{\"type\":\"point\",\"index\":1,"
+            "\"payload\":\"x\\u0008y\\u000cz\"}"));
+  const auto load = sim::SweepJournal::load(path_, 2, 7, 99);
+  ASSERT_TRUE(load.usable) << load.warning;
+  EXPECT_TRUE(load.warning.empty()) << load.warning;
+  ASSERT_EQ(load.records.size(), 2u);
+  EXPECT_EQ(load.records[0].payload, std::string("x\by\fz"));
+  EXPECT_EQ(load.records[1].payload, load.records[0].payload);
 }
 
 TEST_F(SweepJournalTest, MissingFileStartsFresh) {
