@@ -9,9 +9,6 @@
 //   PERF {"bench":"bench_assembly","unknowns":...,"reps":...,
 //         "compiled_assemble_s":...,"compiled_solve_s":...,
 //         "stamps_per_sec":...}
-//
-// scripts/check.sh runs this with telemetry enabled and disabled and
-// requires the compiled_assemble_s gap to stay within 2%.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -74,7 +71,7 @@ int run() {
 
   // Warm up (the first solve pays the one-time symbolic LU).
   assemble();
-  compiled.solveForUpdate(dx, /*reuseLuStructure=*/true);
+  compiled.solveForUpdate(dx);
 
   bench::WallTimer tCompiledAsm;
   for (int r = 0; r < kReps; ++r) assemble();
@@ -82,7 +79,7 @@ int run() {
 
   bench::WallTimer tCompiledSolve;
   for (int r = 0; r < kReps; ++r) {
-    compiled.solveForUpdate(dx, /*reuseLuStructure=*/true);
+    compiled.solveForUpdate(dx);
   }
   const double compiledSolveS = tCompiledSolve.seconds();
 

@@ -14,7 +14,14 @@
 //              gate on the DESIGN.md §6.7 tolerances (1e-3 of the memory
 //              window on polarizations, 0.5% on the read current).
 //   --speedup  time the same transient hold flat vs hierarchically and
-//              report the solve-path speedup (check.sh stage 8 smoke).
+//              report the solve-path speedup (check.sh stage 5 smoke).
+//   --telemetry-overhead
+//              run the write/read schedule on two identical flat arrays,
+//              metrics disabled on one and enabled on the other, and
+//              report the median per-op thread-CPU cost of collection
+//              (check.sh stage 4 gate).
+#include <time.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -25,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "core/array_netlist.h"
 #include "core/bias_scheme.h"
 #include "obs/metrics.h"
@@ -43,6 +51,7 @@ struct Cli {
   int writes = 0;  ///< 0 = auto (checkerboard when small, 8 strided else)
   bool parity = false;
   bool speedup = false;
+  bool telemetryOverhead = false;
 };
 
 Cli parseCli(int argc, char** argv) {
@@ -67,11 +76,13 @@ Cli parseCli(int argc, char** argv) {
       cli.parity = true;
     } else if (std::strcmp(arg, "--speedup") == 0) {
       cli.speedup = true;
+    } else if (std::strcmp(arg, "--telemetry-overhead") == 0) {
+      cli.telemetryOverhead = true;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--rows=N] [--cols=M] "
                    "[--hier=0|1] [--threads=N] [--writes=K] [--parity] "
-                   "[--speedup]\n",
+                   "[--speedup] [--telemetry-overhead]\n",
                    arg, argv[0]);
       std::exit(2);
     }
@@ -205,14 +216,12 @@ int runParity(const Cli& cli, const std::vector<WriteOp>& ops) {
   return pass ? 0 : 1;
 }
 
-/// check.sh stage 8 smoke: the same short transient flat vs hierarchical.
+/// check.sh stage 5 smoke: the same short transient flat vs hierarchical.
 int runSpeedup(const Cli& cli) {
   bench::banner("hierarchical solve speedup smoke");
   core::ArrayNetlist hier(makeConfig(cli, /*hierarchical=*/true));
   core::ArrayNetlist flat(makeConfig(cli, /*hierarchical=*/false));
-  // One short op keeps the flat oracle affordable at 64x64: the flat
-  // sparse LU pays the full cross-row fill every Newton iteration, which
-  // is exactly the cost the BBD partition removes.
+  // One short op keeps the comparison quick at large sizes.
   const double holdTime = 0.3e-9;
   const bench::WallTimer tf;
   flat.hold(holdTime);
@@ -229,6 +238,55 @@ int runSpeedup(const Cli& cli) {
   return 0;
 }
 
+double threadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// check.sh stage 4 gate: what metrics collection costs on the Fig. 7
+/// array transients.  Two identical flat arrays run the same schedule in
+/// lockstep (the counters do not touch the numerics, so both do the same
+/// work).  Each op runs once per array, one run with metrics disabled and
+/// one enabled, timed in thread CPU time; the two runs form a pair, so
+/// both halves see the same machine state.  Pairs cycle through the four
+/// combinations of which array runs first and which has metrics on, so
+/// neither order nor memory layout favours one side.  The overhead is the
+/// median enabled/disabled ratio over the pairs, minus 1.
+int runTelemetryOverhead(const Cli& cli, const std::vector<WriteOp>& ops) {
+  bench::banner("telemetry overhead: metrics off vs on, op-interleaved");
+  const bool wasEnabled = obs::Metrics::enabled();
+  core::ArrayNetlist a(makeConfig(cli, /*hierarchical=*/false));
+  core::ArrayNetlist b(makeConfig(cli, /*hierarchical=*/false));
+  std::vector<double> ratios;
+  const auto pair = [&](const auto& op) {
+    const auto timed = [&](core::ArrayNetlist& array, bool metrics) {
+      obs::Metrics::setEnabled(metrics);
+      const double t0 = threadCpuSeconds();
+      op(array);
+      return threadCpuSeconds() - t0;
+    };
+    const std::size_t cycle = ratios.size() % 4;
+    const bool aFirst = cycle < 2;
+    const bool firstOn = cycle % 2 == 1;
+    const double first = timed(aFirst ? a : b, firstOn);
+    const double second = timed(aFirst ? b : a, !firstOn);
+    ratios.push_back(firstOn ? first / second : second / first);
+  };
+  for (const auto& w : ops) {
+    pair([&](core::ArrayNetlist& x) { x.writeBit(w.row, w.col, w.bit); });
+    pair([&](core::ArrayNetlist& x) { x.readBit(w.row, w.col); });
+  }
+  obs::Metrics::setEnabled(wasEnabled);
+  const double median = stats::percentile(ratios, 50.0);
+  std::printf(
+      "PERF {\"bench\":\"fig07_array_bias\",\"mode\":\"telemetry_overhead\","
+      "\"rows\":%d,\"cols\":%d,\"pairs\":%zu,\"overhead\":%.4f}\n",
+      cli.rows, cli.cols, ratios.size(), median - 1.0);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -241,6 +299,7 @@ int main(int argc, char** argv) {
   const auto ops = makeSchedule(cli);
   if (cli.parity) return runParity(cli, ops);
   if (cli.speedup) return runSpeedup(cli);
+  if (cli.telemetryOverhead) return runTelemetryOverhead(cli, ops);
 
   const bool hierarchical =
       cli.hier >= 0 ? cli.hier != 0 : spice::defaultUseHierarchicalSolve();

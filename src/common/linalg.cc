@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -184,327 +187,295 @@ std::size_t SparseMatrix::nonZeros() const {
   return nz;
 }
 
-SparseLu::SparseLu(const SparseMatrix& a) {
-  const std::size_t n = a.size();
-  // Working copy of the rows; we eliminate in place.
-  std::vector<std::map<std::size_t, double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r) rows[r] = a.row(r);
+namespace {
 
-  perm_.resize(n);
-  std::vector<std::size_t> rowOf(n);  // position k -> original row index
-  for (std::size_t i = 0; i < n; ++i) rowOf[i] = i;
+/// Threshold of the diagonal-preferring pivot rule: the diagonal candidate
+/// is kept while its magnitude is at least this fraction of the column's
+/// largest candidate (KLU's default).
+constexpr double kPivotThreshold = 0.1;
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  lower_.assign(n, {});
-  upper_.assign(n, {});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Pivot: among remaining rows, pick the one with the largest |entry| in
-    // column k (partial pivoting, like the dense path).
-    std::size_t best = n;
-    double bestMag = 0.0;
-    for (std::size_t i = k; i < n; ++i) {
-      const auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double mag = std::abs(it->second);
-      if (mag > bestMag) {
-        bestMag = mag;
-        best = i;
-      }
-    }
-    if (best == n || bestMag < 1e-300) {
-      std::ostringstream os;
-      os << "SparseLu: singular matrix at elimination step " << k << " of "
-         << n;
-      throw NumericalError(os.str());
-    }
-    std::swap(rowOf[k], rowOf[best]);
-    const std::size_t prow = rowOf[k];
-    const double pivot = rows[prow][k];
-
-    // Record U row k (entries at columns >= k).
-    upper_[k] = rows[prow];
-
-    // Eliminate column k from all remaining rows that contain it.
-    for (std::size_t i = k + 1; i < n; ++i) {
-      auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double factor = it->second / pivot;
-      row.erase(it);
-      lower_[rowOf[i]][k] = factor;
-      if (factor == 0.0) continue;
-      for (auto uit = upper_[k].upper_bound(k); uit != upper_[k].end();
-           ++uit) {
-        row[uit->first] -= factor * uit->second;
-      }
+/// Minimum-degree ordering of the pattern of A + A^T (diagonal ignored).
+/// Greedy on the explicit elimination graph: repeatedly eliminate the
+/// vertex of least current degree (ties to the lowest index, so the order
+/// is deterministic) and turn its neighbourhood into a clique.  The graph
+/// holds exactly the symmetrised fill, which stays small on MNA patterns,
+/// and the ordering runs once per sparsity pattern.
+std::vector<std::size_t> minimumDegreeOrder(std::size_t n,
+                                            std::span<const std::size_t> rowPtr,
+                                            std::span<const std::size_t> colIdx) {
+  std::vector<std::vector<std::size_t>> adj(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t p = rowPtr[r]; p < rowPtr[r + 1]; ++p) {
+      const std::size_t c = colIdx[p];
+      if (c == r) continue;
+      adj[r].push_back(c);
+      adj[c].push_back(r);
     }
   }
-  perm_ = rowOf;
+  std::set<std::pair<std::size_t, std::size_t>> byDegree;  // (degree, vertex)
+  for (std::size_t v = 0; v < n; ++v) {
+    auto& a = adj[v];
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+    byDegree.emplace(a.size(), v);
+  }
 
-  // Re-key lower_ so that lower_[k] holds the multipliers of the row placed
-  // at position k (in elimination order).
-  std::vector<std::map<std::size_t, double>> lowerByPos(n);
-  for (std::size_t k = 0; k < n; ++k) lowerByPos[k] = lower_[perm_[k]];
-  lower_ = std::move(lowerByPos);
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  std::vector<std::size_t> merged;
+  while (!byDegree.empty()) {
+    const std::size_t p = byDegree.begin()->second;
+    byDegree.erase(byDegree.begin());
+    order.push_back(p);
+    const std::vector<std::size_t> clique = std::move(adj[p]);
+    adj[p] = {};
+    for (const std::size_t u : clique) {
+      auto& au = adj[u];
+      byDegree.erase({au.size(), u});
+      merged.clear();
+      std::set_union(au.begin(), au.end(), clique.begin(), clique.end(),
+                     std::back_inserter(merged));
+      std::erase_if(merged, [&](std::size_t v) { return v == p || v == u; });
+      au.swap(merged);
+      byDegree.emplace(au.size(), u);
+    }
+  }
+  return order;
 }
 
-std::vector<double> SparseLu::solve(std::span<const double> b) const {
-  const std::size_t n = perm_.size();
-  FEFET_REQUIRE(b.size() == n, "SparseLu::solve: size mismatch");
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  // Forward substitution: L has unit diagonal; lower_[i] keys are column
-  // positions (< i) in elimination order.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = x[i];
-    for (const auto& [j, v] : lower_[i]) acc -= v * x[j];
-    x[i] = acc;
-  }
-  // Backward substitution on U.
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = x[i];
-    double diag = 0.0;
-    for (const auto& [j, v] : upper_[i]) {
-      if (j == i) {
-        diag = v;
-      } else if (j > i) {
-        acc -= v * x[j];
-      }
-    }
-    x[i] = acc / diag;
-  }
-  return x;
-}
+}  // namespace
 
 void SparseLuFactorizer::factor(const SparseMatrix& a) {
-  if (loadValues(a)) {
-    if (refactorNumeric()) {
-      ++numericRefactorizations_;
-      return;
+  std::vector<std::size_t> rowPtr{0};
+  std::vector<std::size_t> colIdx;
+  std::vector<double> values;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (const auto& [c, v] : a.row(r)) {
+      colIdx.push_back(c);
+      values.push_back(v);
     }
-    ++pivotFallbacks_;
+    rowPtr.push_back(colIdx.size());
+  }
+  factor(CsrView{a.size(), rowPtr, colIdx, values});
+}
+
+void SparseLuFactorizer::factor(const CsrView& a) {
+  FEFET_REQUIRE(a.values.size() == a.colIdx.size(),
+                "SparseLuFactorizer: CSR values/pattern size mismatch");
+  factored_ = false;
+  if (samePattern(a)) {
+    if (structureValid_) {
+      if (refactorNumeric(a)) {
+        ++numericRefactorizations_;
+        factored_ = true;
+        return;
+      }
+      ++pivotFallbacks_;
+    }
+  } else {
+    analyzePattern(a);
   }
   factorFull(a);
 }
 
-void SparseLuFactorizer::factor(const CsrView& a) {
-  if (loadValues(a)) {
-    if (refactorNumeric()) {
-      ++numericRefactorizations_;
-      return;
-    }
-    ++pivotFallbacks_;
-  }
-  // Full symbolic pass: copy the CSR entries (explicit zeros included, so
-  // the harvested origCols_ pattern matches the view exactly and the next
-  // loadValues(CsrView) takes the fast path) into the row-map form the
-  // symbolic factorization works on.  This runs once per pattern — and
-  // again only on pivot drift.
-  SparseMatrix rowMap(a.n);
-  for (std::size_t r = 0; r < a.n; ++r) {
-    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
-      rowMap.add(r, a.colIdx[p], a.values[p]);
-    }
-  }
-  factorFull(rowMap);
+bool SparseLuFactorizer::samePattern(const CsrView& a) const {
+  return analyzed_ && a.n == n_ &&
+         std::equal(a.rowPtr.begin(), a.rowPtr.end(), patRowPtr_.begin(),
+                    patRowPtr_.end()) &&
+         std::equal(a.colIdx.begin(), a.colIdx.end(), patColIdx_.begin(),
+                    patColIdx_.end());
 }
 
-bool SparseLuFactorizer::loadValues(const SparseMatrix& a) {
-  if (!structureValid_ || a.size() != n_) return false;
-  for (std::size_t r = 0; r < n_; ++r) {
-    const auto& row = a.row(r);
-    if (row.size() != origCols_[r].size()) return false;
-    auto& v = vals_[r];
-    std::fill(v.begin(), v.end(), 0.0);
-    std::size_t q = 0;
-    for (const auto& [c, val] : row) {
-      if (origCols_[r][q] != c) return false;
-      v[origPos_[r][q]] = val;
-      ++q;
-    }
-  }
-  return true;
-}
-
-bool SparseLuFactorizer::loadValues(const CsrView& a) {
-  if (!structureValid_ || a.n != n_) return false;
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t begin = a.rowPtr[r];
-    const std::size_t count = a.rowPtr[r + 1] - begin;
-    const auto& cols = origCols_[r];
-    if (count != cols.size()) return false;
-    auto& v = vals_[r];
-    std::fill(v.begin(), v.end(), 0.0);
-    const auto& pos = origPos_[r];
-    for (std::size_t q = 0; q < count; ++q) {
-      if (a.colIdx[begin + q] != cols[q]) return false;
-      v[pos[q]] = a.values[begin + q];
-    }
-  }
-  return true;
-}
-
-bool SparseLuFactorizer::refactorNumeric() {
-  // Replays the elimination of factorFull() on the cached fill pattern.
-  // The pivot *search* is identical (largest magnitude in column k among
-  // remaining rows, first-wins ties, same scan order), so whenever the
-  // search agrees with the cached pivot sequence the arithmetic — values
-  // and evaluation order both — matches a fresh factorization exactly.
-  // Cached fill slots that a fresh run has not created yet hold 0.0 and
-  // are inert: a zero can never win the pivot scan, a zero multiplier
-  // skips its update loop, and zero update terms do not change values.
-  rowOfScratch_.resize(n_);
-  std::vector<std::size_t>& rowOf = rowOfScratch_;
-  for (std::size_t i = 0; i < n_; ++i) rowOf[i] = i;
-
-  const auto findCol = [this](std::size_t r, std::size_t c) -> std::ptrdiff_t {
-    const auto& cols = fullCols_[r];
-    const auto it = std::lower_bound(cols.begin(), cols.end(), c);
-    if (it == cols.end() || *it != c) return -1;
-    return it - cols.begin();
-  };
-
-  for (std::size_t k = 0; k < n_; ++k) {
-    std::size_t best = n_;
-    double bestMag = 0.0;
-    for (std::size_t i = k; i < n_; ++i) {
-      const std::ptrdiff_t p = findCol(rowOf[i], k);
-      if (p < 0) continue;
-      const double mag = std::abs(vals_[rowOf[i]][static_cast<std::size_t>(p)]);
-      if (mag > bestMag) {
-        bestMag = mag;
-        best = i;
-      }
-    }
-    if (best == n_ || bestMag < 1e-300) {
-      // Cached fill entries are explicit zeros and cannot be selected, so
-      // a fresh factorization of this matrix is singular here too.
-      factored_ = false;
-      std::ostringstream os;
-      os << "SparseLu: singular matrix at elimination step " << k << " of "
-         << n_;
-      throw NumericalError(os.str());
-    }
-    if (rowOf[best] != cachedPerm_[k]) return false;  // pivot drift
-    std::swap(rowOf[k], rowOf[best]);
-    const std::size_t prow = rowOf[k];
-    const auto& pcols = fullCols_[prow];
-    auto& pvals = vals_[prow];
-    const std::size_t pk = static_cast<std::size_t>(findCol(prow, k));
-    const double pivot = pvals[pk];
-
-    for (std::size_t i = k + 1; i < n_; ++i) {
-      const std::size_t r2 = rowOf[i];
-      const std::ptrdiff_t pos = findCol(r2, k);
-      if (pos < 0) continue;
-      auto& rv = vals_[r2];
-      const double factor = rv[static_cast<std::size_t>(pos)] / pivot;
-      rv[static_cast<std::size_t>(pos)] = factor;  // now the L multiplier
-      if (factor == 0.0) continue;
-      const auto& rcols = fullCols_[r2];
-      std::size_t ai = static_cast<std::size_t>(pos) + 1;
-      for (std::size_t bi = pk + 1; bi < pcols.size(); ++bi) {
-        const std::size_t c = pcols[bi];
-        while (ai < rcols.size() && rcols[ai] < c) ++ai;
-        if (ai >= rcols.size() || rcols[ai] != c) return false;  // bad cache
-        rv[ai] -= factor * pvals[bi];
-        ++ai;
-      }
-    }
-  }
-  perm_ = cachedPerm_;
-  factored_ = true;
-  return true;
-}
-
-void SparseLuFactorizer::factorFull(const SparseMatrix& a) {
-  const std::size_t n = a.size();
+void SparseLuFactorizer::analyzePattern(const CsrView& a) {
+  FEFET_REQUIRE(a.rowPtr.size() == a.n + 1 &&
+                    a.colIdx.size() == a.rowPtr[a.n],
+                "SparseLuFactorizer: malformed CSR view");
+  const std::size_t n = a.n;
   n_ = n;
+  analyzed_ = false;
   structureValid_ = false;
-  factored_ = false;
+  patRowPtr_.assign(a.rowPtr.begin(), a.rowPtr.end());
+  patColIdx_.assign(a.colIdx.begin(), a.colIdx.end());
+
+  // Transpose, so step k can scatter column q_[k] of the CSR values.
+  colPtr_.assign(n + 1, 0);
+  for (const std::size_t c : patColIdx_) {
+    FEFET_REQUIRE(c < n, "SparseLuFactorizer: column index out of range");
+    ++colPtr_[c + 1];
+  }
+  for (std::size_t c = 0; c < n; ++c) colPtr_[c + 1] += colPtr_[c];
+  colRows_.resize(patColIdx_.size());
+  colSrc_.resize(patColIdx_.size());
+  std::vector<std::size_t> next(colPtr_.begin(), colPtr_.end() - 1);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t p = patRowPtr_[r]; p < patRowPtr_[r + 1]; ++p) {
+      const std::size_t dst = next[patColIdx_[p]]++;
+      colRows_[dst] = r;
+      colSrc_[dst] = p;
+    }
+  }
+
+  q_ = minimumDegreeOrder(n, patRowPtr_, patColIdx_);
+  work_.assign(n, 0.0);
+  analyzed_ = true;
+}
+
+void SparseLuFactorizer::solveColumn(std::size_t k,
+                                     std::span<const double> values) {
+  // Scatter column q_[k] into the (all-zero) working column, then apply
+  // the L columns of the earlier steps it reaches, in topological order:
+  // each step's U entry is final when it is read.
+  const std::size_t c = q_[k];
+  for (std::size_t p = colPtr_[c]; p < colPtr_[c + 1]; ++p) {
+    work_[colRows_[p]] = values[colSrc_[p]];
+  }
+  for (std::size_t t = up_[k]; t < up_[k + 1]; ++t) {
+    const std::size_t j = ui_[t];
+    const std::size_t r = perm_[j];
+    const double v = work_[r];
+    work_[r] = 0.0;
+    ux_[t] = v;
+    for (std::size_t p = lp_[j]; p < lp_[j + 1]; ++p) {
+      work_[li_[p]] -= lx_[p] * v;
+    }
+  }
+}
+
+std::size_t SparseLuFactorizer::choosePivot(
+    std::size_t k, std::span<const std::size_t> rows, std::size_t extraRow) {
+  // The rule depends only on the candidate set and its values, not on the
+  // order the candidates are listed in.
+  const std::size_t diagRow = q_[k];
+  double maxMag = 0.0;
+  std::size_t best = kNone;
+  bool hasDiag = false;
+  const auto consider = [&](std::size_t r) {
+    const double mag = std::abs(work_[r]);
+    if (mag > maxMag || (mag == maxMag && r < best)) {
+      maxMag = mag;
+      best = r;
+    }
+    hasDiag = hasDiag || r == diagRow;
+  };
+  for (const std::size_t r : rows) consider(r);
+  if (extraRow != kNone) consider(extraRow);
+  if (best == kNone || !(maxMag >= 1e-300)) {
+    for (const std::size_t r : rows) work_[r] = 0.0;
+    if (extraRow != kNone) work_[extraRow] = 0.0;
+    std::ostringstream os;
+    os << "SparseLu: singular matrix at elimination step " << k << " of "
+       << n_;
+    throw NumericalError(os.str());
+  }
+  if (hasDiag && std::abs(work_[diagRow]) >= kPivotThreshold * maxMag) {
+    return diagRow;
+  }
+  return best;
+}
+
+void SparseLuFactorizer::storeColumn(std::size_t k) {
+  const std::size_t prow = perm_[k];
+  const double pivot = work_[prow];
+  work_[prow] = 0.0;
+  udiag_[k] = pivot;
+  for (std::size_t p = lp_[k]; p < lp_[k + 1]; ++p) {
+    lx_[p] = work_[li_[p]] / pivot;
+    work_[li_[p]] = 0.0;
+  }
+}
+
+bool SparseLuFactorizer::refactorNumeric(const CsrView& a) {
+  // Replays factorFull() on the cached patterns: the same kernel, and at
+  // every step the same pivot rule over the same candidate set (the cached
+  // L rows plus the cached pivot row), so agreement at every step means
+  // the arithmetic matches a fresh factorization exactly.
+  for (std::size_t k = 0; k < n_; ++k) {
+    solveColumn(k, a.values);
+    const std::span<const std::size_t> rows(li_.data() + lp_[k],
+                                            lp_[k + 1] - lp_[k]);
+    if (choosePivot(k, rows, perm_[k]) != perm_[k]) {  // pivot drift
+      for (const std::size_t r : rows) work_[r] = 0.0;
+      work_[perm_[k]] = 0.0;
+      return false;
+    }
+    storeColumn(k);
+  }
+  return true;
+}
+
+void SparseLuFactorizer::factorFull(const CsrView& a) {
+  const std::size_t n = n_;
+  structureValid_ = false;
   ++fullFactorizations_;
 
-  // Same elimination as SparseLu's constructor, with the original pattern
-  // recorded up front and the final fill pattern harvested afterwards.
-  std::vector<std::map<std::size_t, double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r) rows[r] = a.row(r);
-  std::vector<std::map<std::size_t, double>> lower(n);
+  std::fill(work_.begin(), work_.end(), 0.0);
+  perm_.clear();
+  rowStep_.assign(n, kNone);
+  lp_.assign(1, 0);
+  li_.clear();
+  lx_.clear();
+  up_.assign(1, 0);
+  ui_.clear();
+  ux_.clear();
+  udiag_.assign(n, 0.0);
 
-  origCols_.assign(n, {});
-  for (std::size_t r = 0; r < n; ++r) {
-    origCols_[r].reserve(rows[r].size());
-    for (const auto& [c, v] : rows[r]) origCols_[r].push_back(c);
-  }
-
-  std::vector<std::size_t> rowOf(n);
-  for (std::size_t i = 0; i < n; ++i) rowOf[i] = i;
-
+  // Reach search state: the step that last visited each row, the pivot
+  // candidates, the visited steps in postorder and the depth-first stack
+  // of (step, next L entry).
+  std::vector<std::size_t> mark(n, kNone);
+  std::vector<std::size_t> candidates;
+  std::vector<std::size_t> postorder;
+  std::vector<std::pair<std::size_t, std::size_t>> stack;
   for (std::size_t k = 0; k < n; ++k) {
-    std::size_t best = n;
-    double bestMag = 0.0;
-    for (std::size_t i = k; i < n; ++i) {
-      const auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double mag = std::abs(it->second);
-      if (mag > bestMag) {
-        bestMag = mag;
-        best = i;
+    // Reach of column q_[k] through the L columns found so far: the
+    // unpivoted rows it fills (the pivot candidates) and, by depth-first
+    // search, the earlier steps it depends on in postorder — reversed,
+    // that is a valid elimination order.
+    candidates.clear();
+    postorder.clear();
+    const auto visit = [&](std::size_t r) {
+      if (mark[r] == k) return;
+      mark[r] = k;
+      if (rowStep_[r] == kNone) {
+        candidates.push_back(r);
+      } else {
+        stack.emplace_back(rowStep_[r], lp_[rowStep_[r]]);
+      }
+    };
+    const std::size_t c = q_[k];
+    for (std::size_t p = colPtr_[c]; p < colPtr_[c + 1]; ++p) {
+      visit(colRows_[p]);
+      while (!stack.empty()) {
+        const std::size_t j = stack.back().first;
+        const std::size_t next = stack.back().second;
+        if (next < lp_[j + 1]) {
+          ++stack.back().second;
+          visit(li_[next]);
+        } else {
+          postorder.push_back(j);
+          stack.pop_back();
+        }
       }
     }
-    if (best == n || bestMag < 1e-300) {
-      std::ostringstream os;
-      os << "SparseLu: singular matrix at elimination step " << k << " of "
-         << n;
-      throw NumericalError(os.str());
-    }
-    std::swap(rowOf[k], rowOf[best]);
-    const std::size_t prow = rowOf[k];
-    const double pivot = rows[prow][k];
-    for (std::size_t i = k + 1; i < n; ++i) {
-      auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double factor = it->second / pivot;
-      row.erase(it);
-      lower[rowOf[i]][k] = factor;
-      if (factor == 0.0) continue;
-      const auto& urow = rows[prow];
-      for (auto uit = urow.upper_bound(k); uit != urow.end(); ++uit) {
-        row[uit->first] -= factor * uit->second;
-      }
-    }
-  }
-  perm_ = rowOf;
-  cachedPerm_ = rowOf;
+    ui_.insert(ui_.end(), postorder.rbegin(), postorder.rend());
+    up_.push_back(ui_.size());
+    ux_.resize(ui_.size());
 
-  // Harvest the in-place layout: row r keeps its L multipliers (columns
-  // below its pivot position) followed by its U entries — both maps are
-  // already sorted and L columns all precede U columns.
-  fullCols_.assign(n, {});
-  vals_.assign(n, {});
-  origPos_.assign(n, {});
-  for (std::size_t r = 0; r < n; ++r) {
-    auto& cols = fullCols_[r];
-    auto& v = vals_[r];
-    cols.reserve(lower[r].size() + rows[r].size());
-    v.reserve(cols.capacity());
-    for (const auto& [c, val] : lower[r]) {
-      cols.push_back(c);
-      v.push_back(val);
+    solveColumn(k, a.values);
+    const std::size_t prow = choosePivot(k, candidates, kNone);
+    perm_.push_back(prow);
+    rowStep_[prow] = k;
+    for (const std::size_t r : candidates) {
+      if (r != prow) li_.push_back(r);
     }
-    for (const auto& [c, val] : rows[r]) {
-      cols.push_back(c);
-      v.push_back(val);
-    }
-    origPos_[r].resize(origCols_[r].size());
-    std::size_t j = 0;
-    for (std::size_t q = 0; q < origCols_[r].size(); ++q) {
-      while (cols[j] != origCols_[r][q]) ++j;
-      origPos_[r][q] = j;
-    }
+    lp_.push_back(li_.size());
+    lx_.resize(li_.size());
+    storeColumn(k);
   }
+
+  rowSlot_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) rowSlot_[r] = q_[rowStep_[r]];
   structureValid_ = true;
   factored_ = true;
 }
@@ -521,36 +492,23 @@ void SparseLuFactorizer::solve(std::span<const double> b,
   FEFET_REQUIRE(factored_, "SparseLuFactorizer::solve called before factor()");
   FEFET_REQUIRE(b.size() == n_ && x.size() == n_,
                 "SparseLuFactorizer::solve: size mismatch");
-  for (std::size_t i = 0; i < n_; ++i) x[i] = b[perm_[i]];
-  // Forward substitution: row perm_[i] pivoted at position i, so its
-  // entries at columns < i are the unit-lower multipliers.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    double acc = x[i];
-    for (std::size_t j = 0; j < cols.size() && cols[j] < i; ++j) {
-      acc -= v[j] * x[cols[j]];
+  // Step k's unknown lives at x[q_[k]] throughout, so the column
+  // permutation costs nothing and x needs no scratch copy.
+  for (std::size_t k = 0; k < n_; ++k) x[q_[k]] = b[perm_[k]];
+  // Forward substitution on unit-lower L, column by column.
+  for (std::size_t j = 0; j < n_; ++j) {
+    const double v = x[q_[j]];
+    for (std::size_t p = lp_[j]; p < lp_[j + 1]; ++p) {
+      x[rowSlot_[li_[p]]] -= lx_[p] * v;
     }
-    x[i] = acc;
   }
-  // Backward substitution on U (columns >= i of row perm_[i]).
-  for (std::size_t i = n_; i-- > 0;) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    double acc = x[i];
-    double diag = 0.0;
-    const std::size_t start = static_cast<std::size_t>(
-        std::lower_bound(cols.begin(), cols.end(), i) - cols.begin());
-    for (std::size_t j = start; j < cols.size(); ++j) {
-      if (cols[j] == i) {
-        diag = v[j];
-      } else {
-        acc -= v[j] * x[cols[j]];
-      }
+  // Backward substitution on U, column by column.
+  for (std::size_t k = n_; k-- > 0;) {
+    const double v = x[q_[k]] / udiag_[k];
+    x[q_[k]] = v;
+    for (std::size_t t = up_[k]; t < up_[k + 1]; ++t) {
+      x[q_[ui_[t]]] -= ux_[t] * v;
     }
-    x[i] = acc / diag;
   }
 }
 
@@ -562,43 +520,32 @@ void SparseLuFactorizer::solveMulti(std::span<const double> b,
   FEFET_REQUIRE(b.size() == n_ * nrhs && x.size() == n_ * nrhs,
                 "SparseLuFactorizer::solveMulti: size mismatch");
   for (std::size_t c = 0; c < nrhs; ++c) {
-    for (std::size_t i = 0; i < n_; ++i) x[c * n_ + i] = b[c * n_ + perm_[i]];
+    for (std::size_t k = 0; k < n_; ++k) x[c * n_ + q_[k]] = b[c * n_ + perm_[k]];
   }
-  // Forward substitution, blocked over columns: every (i, j) elimination
-  // step is applied to all right-hand sides before moving on, so each
-  // column sees the identical operation sequence as the scalar solve().
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    for (std::size_t j = 0; j < cols.size() && cols[j] < i; ++j) {
-      const double l = v[j];
-      const std::size_t cj = cols[j];
+  // Both substitutions blocked over columns: every elimination update is
+  // applied to all right-hand sides before moving on, so each column sees
+  // the identical operation sequence as the scalar solve().
+  for (std::size_t j = 0; j < n_; ++j) {
+    const std::size_t sj = q_[j];
+    for (std::size_t p = lp_[j]; p < lp_[j + 1]; ++p) {
+      const double l = lx_[p];
+      const std::size_t si = rowSlot_[li_[p]];
       for (std::size_t c = 0; c < nrhs; ++c) {
-        x[c * n_ + i] -= l * x[c * n_ + cj];
+        x[c * n_ + si] -= l * x[c * n_ + sj];
       }
     }
   }
-  // Backward substitution on U.
-  for (std::size_t i = n_; i-- > 0;) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    double diag = 0.0;
-    const std::size_t start = static_cast<std::size_t>(
-        std::lower_bound(cols.begin(), cols.end(), i) - cols.begin());
-    for (std::size_t j = start; j < cols.size(); ++j) {
-      if (cols[j] == i) {
-        diag = v[j];
-        continue;
-      }
-      const double u = v[j];
-      const std::size_t cj = cols[j];
+  for (std::size_t k = n_; k-- > 0;) {
+    const std::size_t sk = q_[k];
+    const double diag = udiag_[k];
+    for (std::size_t c = 0; c < nrhs; ++c) x[c * n_ + sk] /= diag;
+    for (std::size_t t = up_[k]; t < up_[k + 1]; ++t) {
+      const double u = ux_[t];
+      const std::size_t si = q_[ui_[t]];
       for (std::size_t c = 0; c < nrhs; ++c) {
-        x[c * n_ + i] -= u * x[c * n_ + cj];
+        x[c * n_ + si] -= u * x[c * n_ + sk];
       }
     }
-    for (std::size_t c = 0; c < nrhs; ++c) x[c * n_ + i] /= diag;
   }
 }
 
@@ -610,23 +557,10 @@ void LinearSolver::solve(std::span<const double> rowMajor,
 }
 
 void LinearSolver::solve(const CsrView& a, std::span<const double> b,
-                         std::vector<double>& x, bool reuseStructure) {
+                         std::vector<double>& x) {
   x.resize(n_);
-  if (reuseStructure) {
-    sparseFactor_.factor(a);
-    sparseFactor_.solve(b, x);
-    return;
-  }
-  // A/B diagnostic path: copy into a row-map and factor from scratch
-  // every call.
-  SparseMatrix rowMap(a.n);
-  for (std::size_t r = 0; r < a.n; ++r) {
-    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
-      rowMap.add(r, a.colIdx[p], a.values[p]);
-    }
-  }
-  SparseLu lu(rowMap);
-  x = lu.solve(b);
+  sparseFactor_.factor(a);
+  sparseFactor_.solve(b, x);
 }
 
 double normInf(std::span<const double> v) {

@@ -1,11 +1,13 @@
 // linalg.h — dense and sparse linear algebra for the MNA solver.
 //
 // DenseMatrix + LU with partial pivoting covers small circuits (cells,
-// sense amplifiers).  SparseMatrix with a row-map LU covers memory arrays,
-// where the MNA matrix is extremely sparse.  CsrView lets the compiled
-// stamp pipeline hand its fixed-pattern slot storage to the factorizers
-// without copying, and the LinearSolver facade at the bottom picks the
-// right backend for a given size/assembly combination.
+// sense amplifiers).  SparseLuFactorizer — a fill-reducing ordering with
+// threshold pivoting and a cached symbolic structure — covers memory
+// arrays, where the MNA matrix is extremely sparse.  CsrView lets the
+// compiled stamp pipeline hand its fixed-pattern slot storage to the
+// factorizers without copying, and the LinearSolver facade at the bottom
+// picks the right backend for a given size.  SparseMatrix is the
+// assembly-friendly row-map form tests and oracles build matrices in.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +20,8 @@ namespace fefet::linalg {
 /// Read-only compressed-sparse-row view of a square matrix whose storage
 /// lives elsewhere (the compiled stamp pipeline's slot buffer).  rowPtr has
 /// n + 1 entries; colIdx is ascending within each row; values parallels
-/// colIdx.  Entries may hold explicit 0.0 — like the row-map path with
-/// structure reuse, explicit zeros are numerically inert in the LU.
+/// colIdx.  Entries may hold explicit 0.0 — they are part of the pattern
+/// and numerically inert in the LU.
 struct CsrView {
   std::size_t n = 0;
   std::span<const std::size_t> rowPtr;
@@ -116,9 +118,8 @@ class DenseLuFactorizer {
 };
 
 /// Square sparse matrix stored as one std::map<col,double> per row.
-/// Assembly-friendly (random add), solvable with a fill-in-tolerant LU.
-/// This trades peak speed for simplicity and robustness, which is the right
-/// call for array-scale MNA systems (thousands of nodes, ~5 entries/row).
+/// Assembly-friendly (random add); SparseLuFactorizer::factor accepts it
+/// directly.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -133,8 +134,7 @@ class SparseMatrix {
   /// Re-assembling the same circuit then touches existing nodes instead of
   /// re-allocating them, and downstream structure caches see a stable
   /// pattern.  Entries that receive no contribution stay as explicit 0.0,
-  /// which is numerically inert for LU (zero multipliers are skipped and
-  /// zero updates do not change values).
+  /// which is numerically inert for LU.
   void setZeroKeepStructure();
 
   const std::map<std::size_t, double>& row(std::size_t r) const {
@@ -148,56 +148,49 @@ class SparseMatrix {
   std::vector<std::map<std::size_t, double>> rows_;
 };
 
-/// Sparse LU with partial (threshold) pivoting over the row maps.
-class SparseLu {
- public:
-  explicit SparseLu(const SparseMatrix& a);
-
-  std::vector<double> solve(std::span<const double> b) const;
-
- private:
-  std::vector<std::map<std::size_t, double>> lower_;  // unit diagonal implied
-  std::vector<std::map<std::size_t, double>> upper_;
-  std::vector<std::size_t> perm_;  // row permutation: perm_[k] = original row
-};
-
-/// Sparse LU with a reusable symbolic structure.
+/// Sparse LU with a fill-reducing ordering and a reusable symbolic
+/// structure — the KLU recipe (Davis & Palamadai Natarajan, ACM TOMS 2010).
 ///
-/// The MNA pattern of a frozen netlist is fixed, but `SparseLu` rediscovers
-/// it from scratch on every Newton iteration: it copies the row maps, finds
-/// fill-in positions by map insertion, and rebuilds the L/U maps.  This
-/// class performs that symbolic analysis once and caches
-///  * the full per-row fill pattern (original entries + fill),
-///  * the pivot sequence the magnitude-based partial pivoting chose,
-/// so later factorizations of a same-pattern matrix run *numerically only*
-/// on preallocated contiguous arrays.
+/// The first factorization of a sparsity pattern computes a minimum-degree
+/// column ordering q of the pattern of A + A^T.  Elimination then runs
+/// left-looking (Gilbert–Peierls): step k solves column q[k] against the L
+/// columns found so far, over the reach of its pattern, and picks the
+/// pivot by a threshold rule that prefers the diagonal — the row whose
+/// index equals q[k] when its magnitude is at least a fixed fraction of the
+/// column maximum, else the largest magnitude (ties to the lowest row).
+/// The ordering, the per-step patterns it discovers (U entries in
+/// topological order, the L candidate rows) and the pivot sequence are
+/// cached, so later factorizations of a same-pattern matrix run
+/// *numerically only* on preallocated flat arrays and touch only the rows
+/// that hold each column.
 ///
-/// Correctness contract: `factor()` + `solve()` produce solutions that are
-/// bit-identical to constructing a fresh `SparseLu` each time.  The numeric
-/// refactorization replays the identical elimination arithmetic in the
-/// identical order, and it re-runs the pivot *search* each call: if the
-/// values have drifted enough that partial pivoting would pick a different
-/// row (or the assembled pattern changed), the cache is discarded and a
-/// full symbolic factorization runs instead — so pivot quality is never
-/// sacrificed for speed.
+/// Correctness contract: a full factorization and a numeric refactorization
+/// run the same per-step kernel on the same patterns, so a refactorization
+/// is bit-identical to a fresh factorization of the same matrix.  The
+/// refactorization re-runs the pivot rule at every step: if it picks a
+/// different row than the cached sequence, the cache is discarded and a
+/// full factorization runs (reusing the ordering, which depends only on the
+/// pattern), so pivot quality is never sacrificed for speed.  A changed
+/// pattern recomputes the ordering.  Explicit zeros are structural: the
+/// fill pattern depends on the assembled pattern and the pivot sequence
+/// only, never on values.
 class SparseLuFactorizer {
  public:
   SparseLuFactorizer() = default;
 
-  /// Factor `a`, reusing the cached structure when possible.
-  /// Throws NumericalError when the matrix is numerically singular.
-  void factor(const SparseMatrix& a);
-
   /// Factor a CSR matrix with external value storage (compiled stamp
   /// pipeline).  The CSR pattern of a frozen netlist never changes, so
-  /// after the first call every factorization takes the fast
-  /// position-exact value-scatter path — no heap allocation unless the
-  /// pivot sequence drifts and a full symbolic pass must rerun.
+  /// after the first call every factorization takes the numeric-only path
+  /// — no heap allocation unless the pivot sequence drifts and a full
+  /// factorization must rerun.  Throws NumericalError when the matrix is
+  /// numerically singular.
   void factor(const CsrView& a);
+  /// Row-map convenience overload (copies into CSR first).
+  void factor(const SparseMatrix& a);
 
   /// Solve A x = b with the most recent factorization.
   std::vector<double> solve(std::span<const double> b) const;
-  /// Allocation-free overload: x must be sized n.
+  /// Allocation-free overload: x must be sized n and must not alias b.
   void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Multi-RHS solve over `nrhs` column-contiguous right-hand sides (see
@@ -212,50 +205,77 @@ class SparseLuFactorizer {
   /// how many structure-reusing numeric refactorizations have run.
   long fullFactorizations() const { return fullFactorizations_; }
   long numericRefactorizations() const { return numericRefactorizations_; }
-  /// Numeric refactorizations abandoned because partial pivoting chose a
+  /// Numeric refactorizations abandoned because the pivot rule chose a
   /// different row than the cached sequence (each one also counts a full
   /// factorization).
   long pivotFallbacks() const { return pivotFallbacks_; }
+  /// Stored entries of the current factor, nnz(L + U): the strictly lower
+  /// L multipliers plus U including its diagonal (0 before the first
+  /// factorization).
+  std::size_t nonZeros() const {
+    return structureValid_ ? li_.size() + ui_.size() + n_ : 0;
+  }
 
  private:
-  bool loadValues(const SparseMatrix& a);
-  bool loadValues(const CsrView& a);
-  bool refactorNumeric();
-  void factorFull(const SparseMatrix& a);
+  bool samePattern(const CsrView& a) const;
+  void analyzePattern(const CsrView& a);
+  void factorFull(const CsrView& a);
+  bool refactorNumeric(const CsrView& a);
+  // The per-step kernel shared by both paths.
+  void solveColumn(std::size_t k, std::span<const double> values);
+  std::size_t choosePivot(std::size_t k, std::span<const std::size_t> rows,
+                          std::size_t extraRow);
+  void storeColumn(std::size_t k);
 
   std::size_t n_ = 0;
   bool factored_ = false;
-  bool structureValid_ = false;
+  bool analyzed_ = false;        ///< pattern + ordering below are current
+  bool structureValid_ = false;  ///< pivot sequence + L/U patterns too
 
-  // Cached structure, one entry per original row r:
-  //  origCols_[r]  — assembled (pre-fill) pattern, ascending;
-  //  fullCols_[r]  — assembled + fill pattern, ascending;
-  //  origPos_[r]   — position of origCols_[r][k] inside fullCols_[r].
-  std::vector<std::vector<std::size_t>> origCols_;
-  std::vector<std::vector<std::size_t>> fullCols_;
-  std::vector<std::vector<std::size_t>> origPos_;
-  std::vector<std::size_t> cachedPerm_;  ///< pivot sequence of the cache
+  // Per pattern: the CSR pattern the cache was built for, its transpose
+  // (column c holds rows colRows_[colPtr_[c]..colPtr_[c+1]), whose values
+  // sit at CSR positions colSrc_[...]) and the fill-reducing order: step k
+  // eliminates column q_[k].
+  std::vector<std::size_t> patRowPtr_;
+  std::vector<std::size_t> patColIdx_;
+  std::vector<std::size_t> colPtr_;
+  std::vector<std::size_t> colRows_;
+  std::vector<std::size_t> colSrc_;
+  std::vector<std::size_t> q_;
 
-  // Current factorization (in-place LU over the full pattern): vals_[r][j]
-  // holds, for column fullCols_[r][j], the L multiplier (col < pivot step
-  // of row r) or the U value (col >= pivot step).
-  std::vector<std::vector<double>> vals_;
-  std::vector<std::size_t> perm_;  ///< position k -> original row
-  /// Scratch for refactorNumeric's position -> row table; a member so a
-  /// structure-reusing refactorization performs no heap allocation.
-  std::vector<std::size_t> rowOfScratch_;
+  // Per pivot sequence: step k pivots on row perm_[k] (rowStep_ is the
+  // inverse).  L is stored by step: rows li_[lp_[k]..lp_[k+1]) (original
+  // row indices, unit diagonal implied) with multipliers lx_.  U is stored
+  // by step too: the earlier steps ui_[up_[k]..up_[k+1]) in the
+  // topological order the elimination visits them, values ux_, and the
+  // pivot udiag_[k].  In a solve, step k's unknown lives at x[q_[k]], so
+  // row r's lives at x[rowSlot_[r]] = x[q_[rowStep_[r]]].
+  std::vector<std::size_t> perm_;
+  std::vector<std::size_t> rowStep_;
+  std::vector<std::size_t> rowSlot_;
+  std::vector<std::size_t> lp_;
+  std::vector<std::size_t> li_;
+  std::vector<double> lx_;
+  std::vector<std::size_t> up_;
+  std::vector<std::size_t> ui_;
+  std::vector<double> ux_;
+  std::vector<double> udiag_;
+
+  /// Factor-time dense working column, all zero between steps (never
+  /// touched by the const solves).
+  std::vector<double> work_;
 
   long fullFactorizations_ = 0;
   long numericRefactorizations_ = 0;
   long pivotFallbacks_ = 0;
 };
 
-/// Facade unifying the direct solvers behind one interface: dense LU below
-/// the crossover, sparse LU above it, with or without symbolic-structure
-/// reuse.  One instance owns the reusable factorizers, so the Assembler
-/// gets structure caching and allocation-free refactorization without
-/// knowing which backend runs.  Every overload is bit-identical to calling
-/// the underlying factorizer directly.
+/// Facade unifying the direct solvers behind one interface: dense LU at or
+/// below the crossover, the ordered sparse LU above it.  One instance owns
+/// the reusable factorizers, so the Assembler gets structure caching and
+/// allocation-free refactorization without knowing which backend runs.
+/// Every overload is bit-identical to calling the underlying factorizer
+/// directly.
 class LinearSolver {
  public:
   LinearSolver(std::size_t n, bool sparse) : n_(n), sparse_(sparse) {}
@@ -264,17 +284,15 @@ class LinearSolver {
   bool sparse() const { return sparse_; }
 
   /// Solve A x = b for an n x n row-major matrix in external storage.
-  /// The reusable-workspace dense LU always runs (it is bit-identical to a
-  /// fresh DenseLu and allocates nothing after the first call), so there
-  /// is no structure-reuse switch here.
+  /// The reusable-workspace dense LU is bit-identical to a fresh DenseLu
+  /// and allocates nothing after the first call.
   void solve(std::span<const double> rowMajor, std::span<const double> b,
              std::vector<double>& x);
 
   /// Solve A x = b for CSR assembly with external values (compiled path).
-  /// With reuseStructure the steady state performs no heap allocation;
-  /// without it the matrix is copied into a row-map and factored fresh.
+  /// The steady state performs no heap allocation.
   void solve(const CsrView& a, std::span<const double> b,
-             std::vector<double>& x, bool reuseStructure);
+             std::vector<double>& x);
 
   /// Structure-cache diagnostics (zeros on the dense path).
   const SparseLuFactorizer& sparseFactorizer() const { return sparseFactor_; }

@@ -61,9 +61,8 @@ struct SchurOptions {
   double collapseRelTol = 1e-5;
   /// Consecutive quiet evaluations before a block collapses.
   int collapseQuietEvals = 3;
-  /// Blocks with at most this many rows factor through dense LU (faster
-  /// than the map-based sparse path at cell scale); larger blocks use the
-  /// structure-caching sparse factorizer.
+  /// Blocks with at most this many rows factor through dense LU; larger
+  /// blocks use the ordered, structure-caching sparse factorizer.
   int denseBlockLimit = 96;
 };
 

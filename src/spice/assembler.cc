@@ -117,14 +117,13 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   }
 }
 
-void Assembler::solveForUpdate(std::vector<double>& dx,
-                               bool reuseLuStructure) {
+void Assembler::solveForUpdate(std::vector<double>& dx) {
   const std::size_t n = static_cast<std::size_t>(n_);
   const double* res = residual_.data() + 1;
   for (std::size_t i = 0; i < n; ++i) rhs_[i] = -res[i];
 
   if (sparseStorage_) {
-    solver_.solve(csr(), rhs_, dx, reuseLuStructure);
+    solver_.solve(csr(), rhs_, dx);
     return;
   }
   // Dense: scatter the CSR accumulation into the row-major scratch.  The

@@ -47,7 +47,7 @@ class Assembler {
 
   /// Solve J dx = -F into dx (resized to the system size).  Throws
   /// NumericalError when the Jacobian is singular.
-  void solveForUpdate(std::vector<double>& dx, bool reuseLuStructure);
+  void solveForUpdate(std::vector<double>& dx);
 
   // Unpadded views of the last assembly (row i = unknown i).
   std::span<const double> residual() const {

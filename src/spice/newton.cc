@@ -266,7 +266,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
       if (hier_) {
         hier_->solveForUpdate(assembler_.csr(), assembler_.residual(), dx);
       } else {
-        assembler_.solveForUpdate(dx, options_.reuseLuStructure);
+        assembler_.solveForUpdate(dx);
       }
       if (timed) luSolveNs += monotonicNanos() - t0;
     } catch (const NumericalError&) {

@@ -15,11 +15,11 @@
 namespace fefet::spice {
 
 /// Dense -> sparse crossover: systems with more unknowns than this use the
-/// sparse matrix + sparse LU; at or below it dense LU wins.  MNA rows only
-/// carry a handful of entries, but dense factorization of a small system
-/// still beats the pointer-chasing of the sparse path; the value was
-/// picked from solver benchmarks (see bench_perf_solver / bench_assembly)
-/// around where array netlists overtake cell netlists.
+/// CSR storage + ordered sparse LU; at or below it the dense LU runs.  The
+/// value sits between cell and array netlists, so every cell simulation
+/// keeps its bit-exact dense-LU arithmetic (and goldens).  It is not a
+/// speed optimum: the ordered sparse path is faster at every size down to
+/// one 2T cell (EXPERIMENTS.md, Fig. 7 solver section).
 inline constexpr int kDenseToSparseCrossover = 160;
 
 /// Session default for NewtonOptions::useHierarchicalSolve: false unless
@@ -39,11 +39,6 @@ struct NewtonOptions {
   double maxVoltageStep = 0.6;    ///< [V] damping clamp per iteration
   double maxAuxStep = 0.1;        ///< damping clamp on aux unknowns
   double gmin = 1e-12;            ///< [S] node-to-ground regularization
-  /// Cache the sparse LU symbolic structure (fill pattern + pivot order)
-  /// across Newton iterations and timesteps, refactoring numerically only.
-  /// Bit-identical to the uncached path (pivoting is re-verified every
-  /// solve); off exists for A/B testing and diagnostics.
-  bool reuseLuStructure = true;
   /// Solve the Newton update through the bordered-block-diagonal Schur
   /// engine (hier_engine.h) instead of the flat LU.  Effective only for
   /// a netlist whose freeze() built a useful BBD partition (border nodes
@@ -105,8 +100,8 @@ class NewtonSolver {
   /// (option off or no useful partition).
   const HierEngine* hier() const { return hier_.get(); }
 
-  /// Sparse-LU structure-cache diagnostics of the flat solve (zeros on
-  /// the dense path).
+  /// Sparse-LU diagnostics of the flat solve: structure-cache counters and
+  /// factor fill (zeros on the dense path).
   const linalg::SparseLuFactorizer& sparseFactorizer() const {
     return assembler_.solver().sparseFactorizer();
   }

@@ -1,7 +1,6 @@
 #include "spice/partition.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.h"
 #include "spice/stamp_pattern.h"
@@ -24,7 +23,7 @@ BbdPartition::BbdPartition(const StampPattern& pattern,
   }
 
   // Undirected adjacency (union pattern is not symmetric for source aux
-  // rows) and per-row degrees.
+  // rows).
   std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     for (std::size_t p = rowPtr[static_cast<std::size_t>(r)];
@@ -35,12 +34,9 @@ BbdPartition::BbdPartition(const StampPattern& pattern,
       adj[static_cast<std::size_t>(c)].push_back(r);
     }
   }
-  std::vector<int> degree(static_cast<std::size_t>(n), 0);
-  for (int r = 0; r < n; ++r) {
-    auto& nb = adj[static_cast<std::size_t>(r)];
+  for (auto& nb : adj) {
     std::sort(nb.begin(), nb.end());
     nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    degree[static_cast<std::size_t>(r)] = static_cast<int>(nb.size());
   }
 
   // Promote aux rows adjacent to the border, to a fixpoint.
@@ -92,13 +88,7 @@ BbdPartition::BbdPartition(const StampPattern& pattern,
     }
   }
 
-  for (auto& block : partition_.blocks) {
-    std::sort(block.begin(), block.end(), [&](int a, int b) {
-      const int da = degree[static_cast<std::size_t>(a)];
-      const int db = degree[static_cast<std::size_t>(b)];
-      if (da != db) return da < db;
-      return a < b;
-    });
+  for (const auto& block : partition_.blocks) {
     maxBlockRows_ = std::max(maxBlockRows_, static_cast<int>(block.size()));
   }
 }

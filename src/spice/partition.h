@@ -9,13 +9,8 @@
 // 1x1 block.  The diagonal blocks are then the connected components of the
 // union sparsity graph with the border rows removed: for an N x M memory
 // array with the bit/source lines marked, that is one block per word-line
-// row of the array.
-//
-// Within each block the rows are ordered by ascending union-pattern degree
-// (ties by global row index) so locally shared hub nodes (a word line
-// touching every cell of its row) are eliminated last — the sparse block
-// factorizer eliminates columns in local order, and this ordering keeps
-// the fill linear instead of quadratic in the block size.
+// row of the array.  Rows within a block keep their discovery order; the
+// block factorizers choose their own elimination order.
 #pragma once
 
 #include <vector>

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/array_netlist.h"
@@ -159,6 +160,28 @@ TEST(HierArray, ParallelBlockFactorization) {
                   1e-3 * window);
     }
   }
+}
+
+/// Fill regression for the flat sparse LU on the array Jacobians.  The
+/// minimum-degree factor holds 1,504 (8x8) and 22,912 (32x32) entries of
+/// L + U.  Natural column order gives 1,696 and 25,984 with the same pivot
+/// rule, and 1,632 and 24,960 with pure partial pivoting; the bounds sit
+/// about 3% above the ordered fill, below all of those, so a lost or
+/// weakened ordering fails here.
+void expectFlatFillBelow(int size, std::size_t bound) {
+  SCOPED_TRACE(std::to_string(size) + "x" + std::to_string(size));
+  ArrayNetlist array(makeConfig(size, size, /*hierarchical=*/false));
+  array.hold(10e-12);  // a short transient: assembles and factors flat
+  const auto& lu = array.simulator().newton().sparseFactorizer();
+  ASSERT_GE(lu.fullFactorizations(), 1);
+  EXPECT_LT(lu.nonZeros(), bound);
+  EXPECT_GT(lu.nonZeros(),
+            static_cast<std::size_t>(array.netlist().unknownCount()));
+}
+
+TEST(ArrayLuFill, FlatFactorFillStaysNearLinear) {
+  expectFlatFillBelow(8, 1550);
+  expectFlatFillBelow(32, 23600);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(SparseMatrix, AccumulatesAndCounts) {
   EXPECT_DOUBLE_EQ(m.row(0).at(0), 3.0);
 }
 
-TEST(SparseLu, SolvesTridiagonal) {
+TEST(SparseLuFactorizer, SolvesTridiagonal) {
   const std::size_t n = 50;
   SparseMatrix m(n);
   std::vector<double> b(n, 1.0);
@@ -69,17 +69,27 @@ TEST(SparseLu, SolvesTridiagonal) {
     if (i > 0) m.add(i, i - 1, -1.0);
     if (i + 1 < n) m.add(i, i + 1, -1.0);
   }
-  SparseLu lu(m);
+  SparseLuFactorizer lu;
+  lu.factor(m);
   const auto x = lu.solve(b);
   const auto back = m.multiply(x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], 1.0, 1e-9);
+  // A tridiagonal matrix factors without fill: n pivots plus the 2(n-1)
+  // off-diagonals.
+  EXPECT_EQ(lu.nonZeros(), 3 * n - 2);
 }
 
-TEST(SparseLu, DetectsSingular) {
+TEST(SparseLuFactorizer, DetectsNumericallySingular) {
+  // Structurally complete, but row 1 = 2 * row 0: the second pivot
+  // cancels to exactly zero.
   SparseMatrix m(2);
   m.add(0, 0, 1.0);
-  m.add(1, 0, 1.0);  // column 1 empty -> singular
-  EXPECT_THROW(SparseLu{m}, NumericalError);
+  m.add(0, 1, 2.0);
+  m.add(1, 0, 2.0);
+  m.add(1, 1, 4.0);
+  SparseLuFactorizer lu;
+  EXPECT_THROW(lu.factor(m), NumericalError);
+  EXPECT_FALSE(lu.factored());
 }
 
 TEST(Norms, InfAndTwo) {
@@ -114,7 +124,9 @@ TEST_P(SparseVsDense, AgreeOnRandomSystems) {
   for (auto& e : b) e = rng.uniform(-1.0, 1.0);
 
   const auto xd = DenseLu(d).solve(b);
-  const auto xs = SparseLu(s).solve(b);
+  SparseLuFactorizer lu;
+  lu.factor(s);
+  const auto xs = lu.solve(b);
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(xs[static_cast<std::size_t>(i)], xd[static_cast<std::size_t>(i)], 1e-7)
         << "n=" << n << " i=" << i;
@@ -234,8 +246,7 @@ TEST(MultiRhs, LinearSolverFacadeMatchesBackends) {
     }
   }
 
-  // CSR facade overload (reuse on) vs direct sparse factorizer, and the
-  // no-reuse diagnostic path solving the same system to tolerance.
+  // CSR facade overload vs direct sparse factorizer.
   std::vector<std::size_t> rowPtr{0};
   std::vector<std::size_t> colIdx;
   std::vector<double> values;
@@ -252,16 +263,12 @@ TEST(MultiRhs, LinearSolverFacadeMatchesBackends) {
   std::vector<double> xSref(kRhs * kN);
   slu.solveMulti(b, xSref, kRhs);
   LinearSolver sparse(kN, /*sparse=*/true);
-  LinearSolver sparseNoReuse(kN, /*sparse=*/true);
-  std::vector<double> xNoReuse;
   for (std::size_t c = 0; c < kRhs; ++c) {
-    sparse.solve(csr, column(c), x, /*reuseStructure=*/true);
-    sparseNoReuse.solve(csr, column(c), xNoReuse, /*reuseStructure=*/false);
+    sparse.solve(csr, column(c), x);
     for (int i = 0; i < kN; ++i) {
-      const double ref = xSref[c * kN + static_cast<std::size_t>(i)];
-      ASSERT_EQ(x[static_cast<std::size_t>(i)], ref)
+      ASSERT_EQ(x[static_cast<std::size_t>(i)],
+                xSref[c * kN + static_cast<std::size_t>(i)])
           << "sparse col " << c << " row " << i;
-      ASSERT_NEAR(xNoReuse[static_cast<std::size_t>(i)], ref, 1e-9);
     }
   }
 }

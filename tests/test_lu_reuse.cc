@@ -1,20 +1,22 @@
 // Tests of the sparse LU structure cache: the linalg-level
 // SparseLuFactorizer contracts (bit-identical solves, counter bookkeeping,
-// pattern-change and pivot-drift fallbacks) and the solver-level guarantee
-// that Newton trajectories are unchanged when the Assembler's solve reuses
-// the cached structure across iterations and timesteps.
+// pattern-change and pivot-drift fallbacks) and, on an assembled circuit
+// Jacobian, agreement with dense LU while the cache is reused across
+// Newton iterations and timesteps.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/linalg.h"
+#include "spice/assembler.h"
 #include "spice/netlist.h"
+#include "spice/newton.h"
 #include "spice/passives.h"
-#include "spice/simulator.h"
 #include "spice/sources.h"
-#include "spice/waveform.h"
 
 namespace fefet {
 namespace {
@@ -54,7 +56,8 @@ TEST(SparseLuFactorizer, MatchesFreshLuBitForBit) {
     const double off = -1.0 - 0.01 * pass;
     const auto m = tridiagonal(n, diag, off);
     cached.factor(m);
-    const linalg::SparseLu fresh(m);
+    linalg::SparseLuFactorizer fresh;
+    fresh.factor(m);
     const auto xCached = cached.solve(b);
     const auto xFresh = fresh.solve(b);
     ASSERT_EQ(xCached.size(), xFresh.size());
@@ -86,32 +89,69 @@ TEST(SparseLuFactorizer, PatternChangeRunsFullFactorization) {
   EXPECT_EQ(cached.numericRefactorizations(), 1);
 }
 
+linalg::SparseMatrix twoByTwo(double a00) {
+  linalg::SparseMatrix m(2);
+  m.add(0, 0, a00);
+  m.add(0, 1, 1.0);
+  m.add(1, 0, 1.0);
+  m.add(1, 1, 1.0);
+  return m;
+}
+
 TEST(SparseLuFactorizer, PivotDriftFallsBackToFullFactorization) {
-  // Column 0: |a10| > |a00| initially, so partial pivoting permutes rows.
-  linalg::SparseMatrix a(2);
-  a.add(0, 0, 1.0);
-  a.add(0, 1, 1.0);
-  a.add(1, 0, 2.0);
-  a.add(1, 1, 1.0);
+  // Column 0 is eliminated first.  Its diagonal 0.05 is below the 0.1
+  // threshold times the column maximum (1.0), so the rule pivots on row 1.
   linalg::SparseLuFactorizer cached;
-  cached.factor(a);
+  cached.factor(twoByTwo(0.05));
   EXPECT_EQ(cached.fullFactorizations(), 1);
 
-  // Same pattern, but now |a00| wins the pivot scan: the cached pivot
-  // sequence is stale and the factorizer must rebuild rather than reuse.
-  linalg::SparseMatrix drifted(2);
-  drifted.add(0, 0, 5.0);
-  drifted.add(0, 1, 1.0);
-  drifted.add(1, 0, 2.0);
-  drifted.add(1, 1, 1.0);
+  // Same pattern, but the diagonal has grown past the threshold: the rule
+  // now keeps the diagonal, the cached pivot sequence is stale and the
+  // factorizer must rebuild rather than reuse.
+  const auto drifted = twoByTwo(0.5);
   cached.factor(drifted);
   EXPECT_EQ(cached.pivotFallbacks(), 1);
   EXPECT_EQ(cached.fullFactorizations(), 2);
-
   const auto x = cached.solve(std::vector<double>{6.0, 3.0});
   const auto back = drifted.multiply(x);
   EXPECT_NEAR(back[0], 6.0, 1e-12);
   EXPECT_NEAR(back[1], 3.0, 1e-12);
+
+  // A diagonal that moves but stays above the threshold keeps the cache,
+  // although pure partial pivoting would have swapped to row 1 (0.3 < 1).
+  cached.factor(twoByTwo(0.3));
+  EXPECT_EQ(cached.pivotFallbacks(), 1);
+  EXPECT_EQ(cached.fullFactorizations(), 2);
+  EXPECT_EQ(cached.numericRefactorizations(), 1);
+}
+
+TEST(SparseLuFactorizer, OrderingKeepsArrowheadFillFree) {
+  // Row/column 0 is a hub coupled to every other unknown.  Eliminated
+  // first, as natural order would, it fills the whole trailing matrix
+  // (n^2 entries); minimum degree eliminates the leaves first and the hub
+  // last, so the factor keeps exactly the matrix's 3n - 2 entries.
+  constexpr std::size_t n = 50;
+  linalg::SparseMatrix m(n);
+  linalg::DenseMatrix dense(n, n);
+  const auto set = [&](std::size_t r, std::size_t c, double v) {
+    m.add(r, c, v);
+    dense.at(r, c) = v;
+  };
+  set(0, 0, 100.0);
+  for (std::size_t i = 1; i < n; ++i) {
+    set(i, i, 4.0 + 0.01 * i);
+    set(0, i, 1.0);
+    set(i, 0, -1.0);
+  }
+  linalg::SparseLuFactorizer lu;
+  lu.factor(m);
+  EXPECT_EQ(lu.nonZeros(), 3 * n - 2);
+
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = std::cos(0.3 * i);
+  const auto x = lu.solve(b);
+  const auto ref = linalg::DenseLu(dense).solve(b);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], ref[i], 1e-12);
 }
 
 TEST(SparseLuFactorizer, StillDetectsSingularMatrices) {
@@ -122,9 +162,28 @@ TEST(SparseLuFactorizer, StillDetectsSingularMatrices) {
   EXPECT_THROW(cached.factor(m), NumericalError);
 }
 
+TEST(SparseLuFactorizer, RejectsMalformedCsrViews) {
+  const std::vector<std::size_t> rowPtr{0, 1, 2};
+  const std::vector<std::size_t> colIdx{0, 1};
+  const std::vector<double> values{2.0, 3.0};
+  linalg::SparseLuFactorizer lu;
+  lu.factor(linalg::CsrView{2, rowPtr, colIdx, values});
+  // Same (cached) pattern but too few values.
+  EXPECT_THROW(lu.factor(linalg::CsrView{2, rowPtr, colIdx,
+                                         std::span(values).first(1)}),
+               InvalidArgumentError);
+  // Column index outside the matrix.
+  const std::vector<std::size_t> badCols{0, 2};
+  EXPECT_THROW(lu.factor(linalg::CsrView{2, rowPtr, badCols, values}),
+               InvalidArgumentError);
+}
+
 // A long RC ladder pushes the unknown count past the sparse-path threshold
-// (160) so the transient exercises SparseLuFactorizer inside the Assembler.
-spice::TransientResult runLadder(bool reuse, long* numericRefactorizations) {
+// (160) so Newton runs SparseLuFactorizer inside the Assembler.  At every
+// timestep the assembled Jacobian is also factored by a standalone
+// factorizer (structure reuse across steps) and checked against dense LU
+// on the densified matrix.
+TEST(LuReuse, LadderJacobianSolvesMatchDenseLu) {
   using namespace spice;
   Netlist n;
   constexpr int kStages = 200;
@@ -136,44 +195,48 @@ spice::TransientResult runLadder(bool reuse, long* numericRefactorizations) {
     n.add<Resistor>("R" + std::to_string(i), a, b, 100.0);
     n.add<Capacitor>("C" + std::to_string(i), b, n.ground(), 1e-15);
   }
-  NewtonOptions newton;
-  newton.reuseLuStructure = reuse;
-  Simulator sim(n, newton);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 2e-9;
-  options.dtMax = 20e-12;
-  auto result = sim.runTransient(
-      options, {Probe::v("s1"), Probe::v("s100"), Probe::v("s200")});
-  if (numericRefactorizations) {
-    *numericRefactorizations =
-        sim.newton().sparseFactorizer().numericRefactorizations();
-  }
-  return result;
-}
+  NewtonSolver newton(n, NewtonOptions{});
+  const int unknowns = n.unknownCount();
+  ASSERT_GT(unknowns, kDenseToSparseCrossover);
+  const auto size = static_cast<std::size_t>(unknowns);
+  std::vector<double> x(size, 0.0);
+  for (const auto& device : n.devices()) device->seedUnknowns(x);
 
-TEST(LuReuse, NewtonTrajectoryIsBitIdenticalWithAndWithoutCache) {
-  long numericRefactorizations = 0;
-  const auto cached = runLadder(true, &numericRefactorizations);
-  const auto fresh = runLadder(false, nullptr);
+  Assembler jacobian(n.stampPattern(), /*useSparse=*/true);
+  linalg::SparseLuFactorizer lu;
+  constexpr double kDt = 20e-12;
+  for (int step = 1; step <= 20; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const double time = step * kDt;
+    ASSERT_TRUE(newton.solve(x, /*dc=*/false, time, kDt,
+                             IntegrationMethod::kBackwardEuler)
+                    .converged);
 
-  // The cache must actually have been exercised: every accepted step after
-  // the first reuses the structure instead of re-deriving it.
-  EXPECT_GT(numericRefactorizations, 10);
+    jacobian.assemble(n, SystemView(x, n.nodeCount()), /*dc=*/false, time,
+                      kDt, IntegrationMethod::kBackwardEuler, 1e-12);
+    const linalg::CsrView csr = jacobian.csr();
+    lu.factor(csr);
+    const auto rhs = jacobian.residual();
+    const auto xs = lu.solve(rhs);
 
-  ASSERT_EQ(cached.waveform.sampleCount(), fresh.waveform.sampleCount());
-  const auto tCached = cached.waveform.time();
-  const auto tFresh = fresh.waveform.time();
-  for (std::size_t i = 0; i < tCached.size(); ++i) {
-    ASSERT_EQ(tCached[i], tFresh[i]) << "timestep sequence diverged at " << i;
-  }
-  for (const char* col : {"v(s1)", "v(s100)", "v(s200)"}) {
-    const auto a = cached.waveform.column(col);
-    const auto b = fresh.waveform.column(col);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << col << " diverged at sample " << i;
+    linalg::DenseMatrix dense(size, size);
+    for (std::size_t r = 0; r < size; ++r) {
+      for (std::size_t p = csr.rowPtr[r]; p < csr.rowPtr[r + 1]; ++p) {
+        dense.at(r, csr.colIdx[p]) = csr.values[p];
+      }
+    }
+    const auto xd = linalg::DenseLu(dense).solve(rhs);
+    const double scale = linalg::normInf(xd);
+    ASSERT_GT(scale, 0.0);
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_LE(std::abs(xs[i] - xd[i]), 1e-12 * scale) << "x[" << i << "]";
     }
   }
+
+  // Both caches were exercised: the Newton solver's across iterations and
+  // timesteps, the standalone one across timesteps.
+  EXPECT_GT(newton.sparseFactorizer().numericRefactorizations(), 10);
+  EXPECT_GT(lu.numericRefactorizations(), 10);
 }
 
 }  // namespace

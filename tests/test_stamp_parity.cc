@@ -14,7 +14,9 @@
 //      that still ran three assembly engines side by side (virtual-
 //      dispatch MnaSystem, compiled scalar slot replay, compiled SoA
 //      batches) and asserted them bit-identical; the one engine left must
-//      keep reproducing them exactly.  Each golden holds the final
+//      keep reproducing them exactly.  The ladder's waveform hash also pins
+//      the sparse LU's elimination order and was re-captured when that
+//      order changed.  Each golden holds the final
 //      physical values, the step/iteration/escalation counts and an
 //      order-sensitive hash over the bits of every waveform sample.
 #include <gtest/gtest.h>
@@ -257,7 +259,10 @@ TEST(StampParity, LadderTransientIsBitIdenticalAcrossEngines) {
   EXPECT_EQ(result.stats.newtonIterations, 214);
   EXPECT_EQ(result.stats.gminEscalations, 0);
   EXPECT_EQ(result.waveform.sampleCount(), 108u);
-  EXPECT_EQ(waveformHash(result.waveform), 0xdf168a18685f700bull);
+  // Re-captured when the sparse LU gained its fill-reducing ordering: the
+  // elimination order changed the rounding only (every probe sample within
+  // 1e-15 relative of the natural-order capture, identical time points).
+  EXPECT_EQ(waveformHash(result.waveform), 0x06ca482a99f3f2a9ull);
 }
 
 // Golden of one cell operation; `steps`/`iterations`/`escalations` are
