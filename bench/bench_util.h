@@ -14,7 +14,6 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -121,11 +120,11 @@ inline void printSweepPerf(const std::string& benchName, int threads,
   std::printf(
       "PERF {\"bench\":\"%s\",\"threads\":%d,\"serial_s\":%.3f,"
       "\"parallel_s\":%.3f,\"speedup\":%.2f,\"identical\":%s,"
-      "\"ok\":%zu,\"failed\":%zu,\"timed_out\":%zu,\"from_journal\":%zu,"
-      "\"not_run\":%zu,\"results_crc\":\"%08x\"}\n",
+      "\"ok\":%zu,\"failed\":%zu,\"from_journal\":%zu,"
+      "\"results_crc\":\"%08x\"}\n",
       benchName.c_str(), threads, serialSeconds, parallelSeconds, speedup,
       identical ? "true" : "false", summary.completed(), summary.failed,
-      summary.timedOut, summary.fromJournal, summary.notRun, resultsCrc);
+      summary.fromJournal, resultsCrc);
 }
 
 /// CRC over per-point encoded results: the cheap bit-identity fingerprint
@@ -140,23 +139,16 @@ inline std::uint32_t resultsCrc32(const std::vector<std::string>& payloads) {
 }
 
 /// End-of-run telemetry for a bench: arms the trace collector from
-/// FEFET_TRACE at construction, and at finish() emits the unified run
-/// report (obs/report.h) as one "REPORT {...}" stdout line plus the
-/// optional file outputs:
+/// FEFET_TRACE and the flight recorder from FEFET_BLACKBOX at
+/// construction, and at finish() emits the unified run report
+/// (obs/report.h) as one "REPORT {...}" stdout line plus the optional
+/// file outputs:
 ///
 ///   FEFET_TRACE=out.json    — Chrome trace_event JSON (chrome://tracing,
 ///                             https://ui.perfetto.dev)
 ///   FEFET_METRICS=out.json  — the report JSON (metrics snapshot + bench
 ///                             fields); FEFET_METRICS=0 still means
 ///                             "disable metrics" (obs/metrics.h)
-///
-/// Construction also arms the live telemetry plane (obs/exporter.h,
-/// obs/flight_recorder.h):
-///
-///   FEFET_EXPORT_PORT=N     — serve /metrics, /statusz, /healthz on port
-///                             N (0 = ephemeral); the bound port is
-///                             announced as one `EXPORT {"port":N}` stdout
-///                             line so harnesses using port 0 can curl it
 ///   FEFET_BLACKBOX=out.bin  — flight-recorder crash dumps (read with
 ///                             `fefet-blackbox out.bin`)
 ///
@@ -168,10 +160,6 @@ class TelemetrySession {
   explicit TelemetrySession(std::string benchName)
       : report_(std::move(benchName)), tracePath_(obs::Trace::enableFromEnv()) {
     obs::FlightRecorder::enableFromEnv();
-    if (obs::Exporter* exporter = obs::Exporter::startFromEnv()) {
-      std::printf("EXPORT {\"port\":%d}\n", exporter->port());
-      std::fflush(stdout);
-    }
   }
 
   obs::RunReport& report() { return report_; }
@@ -181,16 +169,12 @@ class TelemetrySession {
   void addSummary(const sim::SweepSummary& summary) {
     report_.addCount("ok", summary.completed());
     report_.addCount("failed", summary.failed);
-    report_.addCount("timed_out", summary.timedOut);
     report_.addCount("from_journal", summary.fromJournal);
-    report_.addCount("not_run", summary.notRun);
   }
 
   void finish() {
     const obs::MetricsSnapshot snapshot = obs::Metrics::snapshot();
-    const std::string reportJson = report_.toJson(snapshot);
-    std::printf("REPORT %s\n", reportJson.c_str());
-    obs::Exporter::setLastReport(reportJson);
+    std::printf("REPORT %s\n", report_.toJson(snapshot).c_str());
     if (obs::FlightRecorder::enabled()) {
       // Final refresh: a post-exit crash dump (or explicit dump in
       // teardown) carries the end-of-run snapshot.

@@ -169,9 +169,7 @@ int main(int argc, char** argv) {
       const auto s2 = engine.summary();
       summary.ok += s2.ok;
       summary.failed += s2.failed;
-      summary.timedOut += s2.timedOut;
       summary.fromJournal += s2.fromJournal;
-      summary.notRun += s2.notRun;
       yieldOutcomes = engine.outcomes();
     }
     serialSeconds = parallelSeconds = timer.seconds();

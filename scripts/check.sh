@@ -25,12 +25,11 @@
 #     (1e-3 of the memory window, 0.5% read current), and --speedup at
 #     64x64 must show the BBD/Schur path >= 2x faster than the flat
 #     sparse-LU solve on the same transient;
-#  6. telemetry plane: the Release bench_variability sweep with
-#     FEFET_EXPORT_PORT=0 — scrape /metrics and /statusz mid-run, validate
-#     the Prometheus exposition with python3, and require every scraped
-#     counter <= its end-of-run REPORT value; then the black-box crash
-#     gate: the same sweep, sent SIGSEGV once its Newton counters move,
-#     must leave a dump that fefet-blackbox parses and pretty-prints;
+#  6. black-box crash gate: the Release bench_variability sweep with
+#     FEFET_BLACKBOX set, sent SIGSEGV once its journaled write-yield
+#     sweep (the Newton-running one) has recorded a point, must leave a
+#     dump that fefet-blackbox parses and pretty-prints, with the solver
+#     events and the sweep engine's embedded metrics snapshot intact;
 #  7. clang-tidy (performance-* as errors + modernize subset, .clang-tidy)
 #     over src/spice and src/common — skipped with a notice when
 #     clang-tidy is not installed.
@@ -59,14 +58,14 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DFEFET_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" \
   --target test_sim_sweep test_lu_reuse test_variability test_stamp_parity \
-  test_obs test_obs_exporter test_flight_recorder test_schur_solver \
+  test_obs test_flight_recorder test_schur_solver \
   test_hier_array
 
 # The ^(...)\. anchors keep the test_obs suites from pulling in unbuilt
 # binaries with similar names (Trace vs PowerTrace, LogJson vs Logistic).
 TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$(nproc)" \
-  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|SchurSolver|HierArray|PrometheusText|HandleRequest|ExporterServer|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson)\.' "$@"
+  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|SchurSolver|HierArray|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson)\.' "$@"
 
 echo "== kill-and-resume smoke: journaled sweep survives SIGKILL =="
 cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_fault_resilience
@@ -192,188 +191,76 @@ if ! awk -v s="$HIER_SPEEDUP" 'BEGIN { exit !(s >= 2.0) }'; then
 fi
 echo "hierarchical solver gate passed (64x64 speedup ${HIER_SPEEDUP}x)"
 
-echo "== telemetry plane: live /metrics scrape + black-box crash gate =="
+echo "== black-box crash gate: SIGSEGV mid-sweep leaves a parseable dump =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" \
   --target bench_variability fefet_blackbox
 BLACKBOX_CLI="$PERF_BUILD_DIR/src/tools/fefet-blackbox"
 VARIABILITY_BENCH="$PERF_BUILD_DIR/bench/bench_variability"
 
-# Print the exporter port a bench announces on stdout at startup (one
-# `EXPORT {"port":N}` line); empty when none appears within 10 s.
-await_export_port() {
-  local port=""
-  for _ in $(seq 1 100); do
-    port=$(sed -nE 's/^EXPORT \{"port":([0-9]+)\}.*/\1/p' "$1" | head -1)
-    [ -n "$port" ] && break
-    sleep 0.1
-  done
-  echo "$port"
+# The sweep, sent SIGSEGV from outside mid-run, must leave a dump the CLI
+# can parse, with the pre-crash solver event stream intact.  Polling (not
+# a fixed sleep) matters: a signal during the closed-form Monte Carlo
+# phase would find no solver events to check.  The .yield journal belongs
+# to the Newton-running write-yield sweep, so once it holds its header
+# plus one point record, solver events are in the rings and the sweep
+# engine has refreshed the dump's metrics snapshot.
+CRASH_BBX="$SMOKE_DIR/crash.bbx"
+CRASH_JOURNAL="$SMOKE_DIR/crash.journal"
+rm -f "$CRASH_BBX" "$CRASH_JOURNAL.yield"
+FEFET_BLACKBOX="$CRASH_BBX" "$VARIABILITY_BENCH" --threads 2 \
+  --journal="$CRASH_JOURNAL" > "$SMOKE_DIR/crash.out" 2>&1 &
+CRASH_PID=$!
+# Complete (newline-terminated) records in the write-yield journal.
+yield_journal_lines() {
+  if [ -f "$CRASH_JOURNAL.yield" ]; then
+    wc -l < "$CRASH_JOURNAL.yield"
+  else
+    echo 0
+  fi
 }
-
-if command -v python3 >/dev/null 2>&1; then
-  TELEM_OUT="$SMOKE_DIR/telemetry.out"
-  # --journal runs the Monte Carlo and write-yield sweeps once each; at two
-  # threads that takes ~10 s, long enough to scrape while it runs.
-  FEFET_EXPORT_PORT=0 FEFET_BLACKBOX="$SMOKE_DIR/telemetry.bbx" \
-    "$VARIABILITY_BENCH" --threads 2 \
-    --journal="$SMOKE_DIR/telemetry.journal" > "$TELEM_OUT" &
-  TELEM_PID=$!
-  TELEM_PORT=$(await_export_port "$TELEM_OUT")
-  if [ -z "$TELEM_PORT" ]; then
-    echo "FAIL: bench_variability announced no exporter port" >&2
-    kill "$TELEM_PID" 2>/dev/null || true
-    exit 1
-  fi
-  # Mid-run scrape: poll until the exposition carries both the sweep and
-  # the Newton families (the first seconds are closed-form device Monte
-  # Carlo, which runs no Newton solve), then require it to parse.
-  if ! python3 - "$TELEM_PORT" > "$SMOKE_DIR/scrape.txt" <<'PYEOF'; then
-import json
-import sys
-import time
-import urllib.request
-
-port = sys.argv[1]
-
-
-def get(path):
-    return urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10).read().decode()
-
-
-def families_of(metrics):
-    families = set()
-    for line in metrics.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.partition(" ")
-        name = name.partition("{")[0]
-        assert name and not name[0].isdigit(), f"bad metric name: {line}"
-        assert all(c.isalnum() or c in "_:" for c in name), \
-            f"bad name: {line}"
-        float(value)  # must parse
-        families.add(name)
-    return families
-
-
-deadline = time.monotonic() + 60
-while True:
-    metrics = get("/metrics")
-    families = families_of(metrics)
-    if any(f.startswith("fefet_sweep_") for f in families) and \
-            any(f.startswith("fefet_newton_") for f in families):
-        break
-    assert time.monotonic() < deadline, \
-        f"no sweep + newton metrics mid-run: {sorted(families)[:10]}"
-    time.sleep(0.2)
-status = json.loads(get("/statusz"))
-assert "uptime_s" in status, "statusz is missing uptime_s"
-sys.stdout.write(metrics)
-sys.stderr.write(f"scraped {len(families)} metric families mid-run\n")
-PYEOF
-    echo "FAIL: mid-run scrape of bench_variability" >&2
-    kill "$TELEM_PID" 2>/dev/null || true
-    exit 1
-  fi
-  if ! wait "$TELEM_PID"; then
-    echo "FAIL: the scraped bench_variability run failed" >&2
-    cat "$TELEM_OUT" >&2
-    exit 1
-  fi
-  # The mid-run scrape must be consistent with the end-of-run REPORT:
-  # every counter present in both is monotone, so scraped <= final.
-  python3 - "$SMOKE_DIR/scrape.txt" "$TELEM_OUT" <<'PYEOF'
-import json
-import sys
-
-scraped = {}
-for line in open(sys.argv[1]):
-    if not line.strip() or line.startswith("#") or "{" in line:
-        continue
-    name, _, value = line.partition(" ")
-    scraped[name] = float(value)
-report = None
-for line in open(sys.argv[2]):
-    if line.startswith("REPORT "):
-        report = json.loads(line[len("REPORT "):])
-assert report is not None, "no REPORT line"
-final = {k.replace(".", "_"): v
-         for k, v in report["metrics"]["counters"].items()}
-compared = 0
-for name, value in scraped.items():
-    if name in final:
-        assert value <= final[name], \
-            f"scraped {name}={value} exceeds end-of-run {final[name]}"
-        compared += 1
-assert compared > 0, "scrape and REPORT share no counters"
-print(f"mid-run scrape consistent with REPORT ({compared} counters)")
-PYEOF
-
-  # Black-box crash gate: the same sweep, sent SIGSEGV from outside once
-  # its transient or Newton counters move, must leave a dump the CLI can
-  # parse, with the pre-crash solver event stream intact.  Polling (not a
-  # fixed sleep) matters: a signal during the closed-form Monte Carlo
-  # phase would find no solver events to check.
-  CRASH_BBX="$SMOKE_DIR/crash.bbx"
-  CRASH_OUT="$SMOKE_DIR/crash.out"
-  rm -f "$CRASH_BBX"
-  FEFET_EXPORT_PORT=0 FEFET_BLACKBOX="$CRASH_BBX" \
-    "$VARIABILITY_BENCH" --threads 2 \
-    --journal="$SMOKE_DIR/crash.journal" > "$CRASH_OUT" 2>&1 &
-  CRASH_PID=$!
-  CRASH_PORT=$(await_export_port "$CRASH_OUT")
-  if [ -z "$CRASH_PORT" ] || ! python3 - "$CRASH_PORT" <<'PYEOF'; then
-import sys
-import time
-import urllib.request
-
-port = sys.argv[1]
-deadline = time.monotonic() + 60
-while time.monotonic() < deadline:
-    metrics = urllib.request.urlopen(
-        f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-    for line in metrics.splitlines():
-        name, _, value = line.partition(" ")
-        if name in ("fefet_transient_steps",
-                    "fefet_newton_iterations_compiled") and float(value) > 0:
-            sys.exit(0)
-    time.sleep(0.1)
-sys.exit("solver counters never moved")
-PYEOF
-    echo "FAIL: bench_variability never reached its solver phase" >&2
-    kill "$CRASH_PID" 2>/dev/null || true
-    exit 1
-  fi
-  kill -SEGV "$CRASH_PID" 2>/dev/null || true
-  if wait "$CRASH_PID"; then
-    echo "FAIL: SIGSEGV'd bench_variability exited cleanly" >&2
-    exit 1
-  fi
-  if ! [ -s "$CRASH_BBX" ]; then
-    echo "FAIL: crashed run left no black-box dump" >&2
-    exit 1
-  fi
-  if ! "$BLACKBOX_CLI" "$CRASH_BBX" > "$SMOKE_DIR/crash.txt"; then
-    echo "FAIL: fefet-blackbox could not parse the crash dump" >&2
-    exit 1
-  fi
-  if ! grep -q 'SIGSEGV' "$SMOKE_DIR/crash.txt"; then
-    echo "FAIL: crash dump does not record the fatal signal" >&2
-    cat "$SMOKE_DIR/crash.txt" >&2
-    exit 1
-  fi
-  for event in solve_start newton_residual; do
-    if ! grep -q "$event" "$SMOKE_DIR/crash.txt"; then
-      echo "FAIL: crash dump carries no pre-crash $event events" >&2
-      head -40 "$SMOKE_DIR/crash.txt" >&2
-      exit 1
-    fi
-  done
-  echo "telemetry plane passed (live scrape consistent, crash dump" \
-       "parsed: $(grep -c '^ ' "$SMOKE_DIR/crash.txt" || true) event lines)"
-else
-  echo "python3 not installed; skipping telemetry-plane stage"
+for _ in $(seq 1 600); do
+  [ "$(yield_journal_lines)" -ge 2 ] && break
+  kill -0 "$CRASH_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if [ "$(yield_journal_lines)" -lt 2 ]; then
+  echo "FAIL: bench_variability never journaled a write-yield point" >&2
+  kill "$CRASH_PID" 2>/dev/null || true
+  cat "$SMOKE_DIR/crash.out" >&2
+  exit 1
 fi
+kill -SEGV "$CRASH_PID" 2>/dev/null || true
+if wait "$CRASH_PID"; then
+  echo "FAIL: SIGSEGV'd bench_variability exited cleanly" >&2
+  exit 1
+fi
+if ! [ -s "$CRASH_BBX" ]; then
+  echo "FAIL: crashed run left no black-box dump" >&2
+  exit 1
+fi
+if ! "$BLACKBOX_CLI" "$CRASH_BBX" > "$SMOKE_DIR/crash.txt"; then
+  echo "FAIL: fefet-blackbox could not parse the crash dump" >&2
+  exit 1
+fi
+if ! grep -q 'SIGSEGV' "$SMOKE_DIR/crash.txt"; then
+  echo "FAIL: crash dump does not record the fatal signal" >&2
+  cat "$SMOKE_DIR/crash.txt" >&2
+  exit 1
+fi
+for event in solve_start newton_residual; do
+  if ! grep -q "$event" "$SMOKE_DIR/crash.txt"; then
+    echo "FAIL: crash dump carries no pre-crash $event events" >&2
+    head -40 "$SMOKE_DIR/crash.txt" >&2
+    exit 1
+  fi
+done
+if ! grep -qE 'metrics json +: embedded' "$SMOKE_DIR/crash.txt"; then
+  echo "FAIL: crash dump carries no metrics snapshot" >&2
+  head -20 "$SMOKE_DIR/crash.txt" >&2
+  exit 1
+fi
+echo "black-box crash gate passed (dump parsed:" \
+     "$(grep -c '^ ' "$SMOKE_DIR/crash.txt" || true) event lines)"
 
 echo "== clang-tidy: performance + modernize over the solver hot path =="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -8,10 +8,10 @@ namespace {
 
 std::atomic<NumericalErrorHook> g_numericalErrorHook{nullptr};
 
-void notifyNumericalError(bool deadline, const SolverDiagnostics* diag) {
+void notifyNumericalError(const SolverDiagnostics* diag) {
   if (NumericalErrorHook hook =
           g_numericalErrorHook.load(std::memory_order_acquire)) {
-    hook(deadline, diag);
+    hook(diag);
   }
 }
 
@@ -31,24 +31,16 @@ std::string SolverDiagnostics::summary() const {
   return os.str();
 }
 
-NumericalError::NumericalError(const std::string& what)
-    : NumericalError(what, /*deadline=*/false) {}
-
-NumericalError::NumericalError(const std::string& what,
-                               const SolverDiagnostics& diag)
-    : NumericalError(what, diag, /*deadline=*/false) {}
-
-NumericalError::NumericalError(const std::string& what, bool deadline)
-    : Error(what) {
-  notifyNumericalError(deadline, nullptr);
+NumericalError::NumericalError(const std::string& what) : Error(what) {
+  notifyNumericalError(nullptr);
 }
 
 NumericalError::NumericalError(const std::string& what,
-                               const SolverDiagnostics& diag, bool deadline)
+                               const SolverDiagnostics& diag)
     : Error(what + " [" + diag.summary() + "]"),
       diagnostics_(diag),
       hasDiagnostics_(true) {
-  notifyNumericalError(deadline, &diagnostics_);
+  notifyNumericalError(&diagnostics_);
 }
 
 SimulationError::SimulationError(const std::string& what,

@@ -38,16 +38,14 @@ struct SolverDiagnostics {
   std::string summary() const;
 };
 
-/// Observer invoked from every NumericalError construction (including the
-/// DeadlineExceeded subclass, with `deadline` true).  Registered by the
-/// observability layer (obs/flight_recorder) so a solver failure leaves a
+/// Observer invoked from every NumericalError construction.  Registered by
+/// the observability layer (obs/flight_recorder) so a solver failure leaves a
 /// black-box dump even when the exception is caught and retried upstream
 /// — `common` stays dependency-free by only holding the function pointer.
 /// The hook runs inside exception construction: it must not throw and
 /// must tolerate concurrent calls.  `diag` is null when the error carries
 /// no diagnostics.
-using NumericalErrorHook = void (*)(bool deadline,
-                                    const SolverDiagnostics* diag);
+using NumericalErrorHook = void (*)(const SolverDiagnostics* diag);
 
 /// Install (or clear, with nullptr) the process-wide hook.  Returns the
 /// previous hook.
@@ -63,29 +61,9 @@ class NumericalError : public Error {
   bool hasDiagnostics() const { return hasDiagnostics_; }
   const SolverDiagnostics& diagnostics() const { return diagnostics_; }
 
- protected:
-  /// Tag ctors used by DeadlineExceeded so the hook can distinguish a
-  /// routine wall-clock abort from a genuine numerical failure.
-  NumericalError(const std::string& what, bool deadline);
-  NumericalError(const std::string& what, const SolverDiagnostics& diag,
-                 bool deadline);
-
  private:
   SolverDiagnostics diagnostics_;
   bool hasDiagnostics_ = false;
-};
-
-/// A wall-clock budget ran out: a transient blew its Deadline, a sweep
-/// point was cancelled by the straggler watchdog, or a whole sweep
-/// exhausted its run budget.  Subclasses NumericalError so existing
-/// "solver gave up" handlers keep working, and carries the same
-/// SolverDiagnostics retry history when the abort happened inside a run.
-class DeadlineExceeded : public NumericalError {
- public:
-  explicit DeadlineExceeded(const std::string& what)
-      : NumericalError(what, /*deadline=*/true) {}
-  DeadlineExceeded(const std::string& what, const SolverDiagnostics& diag)
-      : NumericalError(what, diag, /*deadline=*/true) {}
 };
 
 /// A simulation-level failure: write did not complete, sense amplifier did

@@ -209,17 +209,14 @@ void installCrashHandlers() {
   }
 }
 
-/// NumericalError observer (see common/error.h).  Deadline aborts are
-/// routine — the straggler watchdog and sweep deadlines throw them by
-/// design — so they only leave a ring event; genuine numerical failures
-/// additionally write a (rate-limited) dump so the evidence survives even
-/// when a retry ladder swallows the exception.
-void onNumericalError(bool deadline, const SolverDiagnostics* diag) {
+/// NumericalError observer (see common/error.h): leaves a ring event and
+/// writes a (rate-limited) dump, so the evidence survives even when a
+/// retry ladder swallows the exception.
+void onNumericalError(const SolverDiagnostics* diag) {
   if (!FlightRecorder::enabled()) return;
   FlightRecorder::record(FlightEvent::kNumericalError,
-                         diag != nullptr ? diag->finalResidualNorm : 0.0,
-                         deadline ? 1 : 0);
-  if (!deadline) FlightRecorder::dumpNow("NumericalError");
+                         diag != nullptr ? diag->finalResidualNorm : 0.0);
+  FlightRecorder::dumpNow("NumericalError");
 }
 
 Ring* claimRing() {
@@ -381,37 +378,6 @@ bool FlightRecorder::dumpNow(const char* reason) {
   updateMetricsBuffer();
   writeDump(0, reason);
   return true;
-}
-
-std::uint64_t FlightRecorder::recordCount() {
-  Global* g = g_flight;
-  if (g == nullptr) return 0;
-  std::uint64_t total = 0;
-  int rings = std::min(g->ringCount.load(std::memory_order_acquire),
-                       kMaxRings);
-  for (int i = 0; i < rings; ++i) {
-    total += g->rings[i].head.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int FlightRecorder::ringCount() {
-  Global* g = g_flight;
-  if (g == nullptr) return 0;
-  return std::min(g->ringCount.load(std::memory_order_acquire), kMaxRings);
-}
-
-std::uint64_t FlightRecorder::droppedCount() {
-  Global* g = g_flight;
-  if (g == nullptr) return 0;
-  std::uint64_t total = 0;
-  int rings = std::min(g->ringCount.load(std::memory_order_acquire),
-                       kMaxRings);
-  for (int i = 0; i < rings; ++i) {
-    std::uint64_t head = g->rings[i].head.load(std::memory_order_relaxed);
-    if (head > g->capacity) total += head - g->capacity;
-  }
-  return total;
 }
 
 bool readBlackboxDump(const std::string& path, BlackboxDump* out,

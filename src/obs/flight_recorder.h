@@ -26,10 +26,11 @@
 //    the Span/Counter paths the same way).
 //  * The metrics snapshot in the dump is a *preformatted* JSON buffer,
 //    refreshed from normal (non-signal) context by updateMetricsBuffer()
-//    — the exporter's poll loop and TelemetrySession::finish() both call
-//    it — because Metrics::snapshot() allocates and must never run inside
-//    a signal handler.  Double-buffered so a refresh racing the crash
-//    still leaves one intact copy.
+//    — sim::SweepEngine calls it about once a second as points complete,
+//    and TelemetrySession::finish() once at the end — because
+//    Metrics::snapshot() allocates and must never run inside a signal
+//    handler.  Double-buffered so a refresh racing the crash still leaves
+//    one intact copy.
 //
 // Explicit dumps: dumpNow() writes the same format from normal context
 // (refreshing the metrics buffer first) — wired to NumericalError
@@ -65,7 +66,7 @@ enum class FlightEvent : std::uint16_t {
   kExpand = 10,           ///< a = collapsed ratio, b = blocks expanded
   // 11-14 and 16-17 were retired; dumps from older builds print them as
   // "?".  Do not reuse them.
-  kNumericalError = 15,   ///< a = 0, b = 1 when DeadlineExceeded
+  kNumericalError = 15,   ///< a = final residual norm (0 if unknown)
 };
 
 /// Printable name of an event code ("?" for unknown codes, so the CLI
@@ -117,8 +118,8 @@ class FlightRecorder {
   static void record(FlightEvent type, double a = 0.0, std::uint64_t b = 0);
 
   /// Refresh the preformatted metrics-snapshot buffer embedded in dumps.
-  /// NOT async-signal-safe — call from normal context (the exporter poll
-  /// loop does, about once a second while live).
+  /// NOT async-signal-safe — call from normal context (sim::SweepEngine
+  /// does, at most once a second while points complete).
   static void updateMetricsBuffer();
 
   /// Write a dump right now from normal context: refreshes the metrics
@@ -126,14 +127,6 @@ class FlightRecorder {
   /// uses.  `reason` is truncated to the header's 96-byte field.  Returns
   /// false when the recorder was never enabled.
   static bool dumpNow(const char* reason);
-
-  /// Total events ever recorded across rings (approximate — relaxed
-  /// reads), for /statusz.
-  static std::uint64_t recordCount();
-  /// Rings claimed so far.
-  static int ringCount();
-  /// Events overwritten by ring wraps (approximate).
-  static std::uint64_t droppedCount();
 
  private:
   static std::atomic<bool> enabled_;

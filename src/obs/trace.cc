@@ -26,7 +26,7 @@ struct ThreadRing {
   int thread = 0;
   std::vector<TraceEvent> slots;
   // head/dropped are written only by the owning thread but read by
-  // Trace::stats() while spans are still recording, so they are atomics
+  // Trace::dropped() while spans may still be recording, so they are atomics
   // with relaxed ordering (slot *contents* are still only read after
   // quiescence — see the contract in trace.h).
   std::atomic<std::uint64_t> head{0};     ///< total events ever recorded
@@ -168,18 +168,6 @@ std::vector<std::pair<int, std::string>> Trace::threadNames() {
   Collector& c = collector();
   const std::lock_guard<std::mutex> guard(c.mutex);
   return {c.threadNames.begin(), c.threadNames.end()};
-}
-
-Trace::Stats Trace::stats() {
-  Collector& c = collector();
-  const std::lock_guard<std::mutex> guard(c.mutex);
-  Stats s;
-  s.rings = static_cast<int>(c.rings.size());
-  for (const auto& ring : c.rings) {
-    s.recorded += ring->head.load(std::memory_order_relaxed);
-    s.dropped += ring->dropped.load(std::memory_order_relaxed);
-  }
-  return s;
 }
 
 std::string Trace::toChromeJson() {

@@ -98,24 +98,14 @@ class Trace {
   /// Write toChromeJson() to `path`; false on I/O failure.
   static bool writeChromeJson(const std::string& path);
 
-  /// Name the calling thread for trace viewers and /statusz (e.g.
-  /// "sweep[3]", "obs-exporter").  Names are keyed by currentThreadId()
-  /// and survive enable()/clear() — they describe the thread, not the
-  /// capture.  Safe to call any time, even while disabled.
+  /// Name the calling thread for trace viewers (e.g. "sweep[3]").  Names
+  /// are keyed by currentThreadId() and survive enable()/clear() — they
+  /// describe the thread, not the capture.  Safe to call any time, even
+  /// while disabled.
   static void setCurrentThreadName(const std::string& name);
 
   /// Registered (thread id, name) pairs, sorted by id.
   static std::vector<std::pair<int, std::string>> threadNames();
-
-  /// Lightweight collector occupancy for /statusz.  Unlike events(), safe
-  /// to call while spans are recording: reads only the atomic ring
-  /// heads/drop counts, never the slots.
-  struct Stats {
-    int rings = 0;                ///< threads that have recorded
-    std::uint64_t recorded = 0;   ///< events ever recorded (incl. dropped)
-    std::uint64_t dropped = 0;    ///< events lost to ring overflow
-  };
-  static Stats stats();
 
  private:
   static std::atomic<bool> enabled_;

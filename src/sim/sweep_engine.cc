@@ -1,9 +1,10 @@
 #include "sim/sweep_engine.h"
 
-#include <limits>
 #include <sstream>
 
+#include "common/clock.h"
 #include "common/stats.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace fefet::sim {
@@ -11,16 +12,12 @@ namespace fefet::sim {
 namespace {
 
 /// Sweep-level health telemetry under fefet.sweep.*.  The per-point wall
-/// time histogram feeds capacity planning (where did the sweep budget
-/// go); the replay/watchdog counters quantify how much work resume and
-/// straggler cancellation actually saved or reclaimed.
+/// time histogram feeds capacity planning (where did the sweep time go);
+/// the replay counter quantifies how much work resume actually saved.
 struct SweepTelemetry {
   obs::Counter& pointsOk;
   obs::Counter& pointsFailed;
-  obs::Counter& pointsTimedOut;
   obs::Counter& journalReplays;
-  obs::Counter& stragglersFlagged;
-  obs::Counter& watchdogCancels;
   obs::Histogram& pointSeconds;
 };
 
@@ -31,10 +28,7 @@ SweepTelemetry& sweepTelemetry() {
   static SweepTelemetry t{
       obs::Metrics::counter("fefet.sweep.points_ok"),
       obs::Metrics::counter("fefet.sweep.points_failed"),
-      obs::Metrics::counter("fefet.sweep.points_timed_out"),
       obs::Metrics::counter("fefet.sweep.journal_replays"),
-      obs::Metrics::counter("fefet.sweep.stragglers_flagged"),
-      obs::Metrics::counter("fefet.sweep.watchdog_cancels"),
       obs::Metrics::histogram("fefet.sweep.point_seconds", kSecondsEdges)};
   return t;
 }
@@ -43,10 +37,8 @@ SweepTelemetry& sweepTelemetry() {
 
 const char* toString(SweepPointStatus status) {
   switch (status) {
-    case SweepPointStatus::kNotRun: return "not-run";
     case SweepPointStatus::kOk: return "ok";
     case SweepPointStatus::kFailed: return "failed";
-    case SweepPointStatus::kTimedOut: return "timed-out";
     case SweepPointStatus::kFromJournal: return "from-journal";
   }
   return "unknown";
@@ -56,10 +48,8 @@ SweepSummary summarize(const std::vector<SweepOutcome>& outcomes) {
   SweepSummary s;
   for (const auto& outcome : outcomes) {
     switch (outcome.status) {
-      case SweepPointStatus::kNotRun: ++s.notRun; break;
       case SweepPointStatus::kOk: ++s.ok; break;
       case SweepPointStatus::kFailed: ++s.failed; break;
-      case SweepPointStatus::kTimedOut: ++s.timedOut; break;
       case SweepPointStatus::kFromJournal: ++s.fromJournal; break;
     }
   }
@@ -80,17 +70,11 @@ int SweepEngine::threadCount() const {
 }
 
 void SweepEngine::beginRun(std::size_t total) {
-  cancelRequested_.store(false, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> guard(mutex_);
   failures_.clear();
   outcomes_.assign(total, SweepOutcome{});
-  running_.clear();
-  done_ = 0;
-  okCount_ = 0;
-  failedCount_ = 0;
-  timedOutCount_ = 0;
-  sweepDeadlineExpired_ = false;
   journal_.reset();
+  lastMetricsRefreshNs_ = 0;
 }
 
 SweepJournalLoad SweepEngine::loadJournal(std::size_t total) {
@@ -119,161 +103,58 @@ void SweepEngine::openJournal(std::size_t total,
 void SweepEngine::markReplayed(std::size_t index) {
   const std::lock_guard<std::mutex> guard(mutex_);
   outcomes_[index].status = SweepPointStatus::kFromJournal;
-  ++done_;
-  ++okCount_;
   if (obs::Metrics::enabled()) sweepTelemetry().journalReplays.increment();
 }
 
-bool SweepEngine::shouldStop() {
-  if (cancelRequested()) return true;
-  if (options_.deadline.expired()) {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    sweepDeadlineExpired_ = true;
-    return true;
-  }
-  if (options_.cancel) {
-    // The predicate may be stateful; poll it under the engine mutex so it
-    // is never invoked concurrently (same contract as progress).
-    const std::lock_guard<std::mutex> guard(mutex_);
-    if (options_.cancel()) {
-      cancelRequested_.store(true, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-Deadline SweepEngine::beginPoint(std::size_t index, int worker) {
-  const std::lock_guard<std::mutex> guard(mutex_);
-  if (running_.size() <= static_cast<std::size_t>(worker)) {
-    running_.resize(static_cast<std::size_t>(worker) + 1);
-  }
-  RunningPoint& slot = running_[static_cast<std::size_t>(worker)];
-  slot = RunningPoint{};
-  slot.active = true;
-  slot.index = index;
-  slot.start = std::chrono::steady_clock::now();
-  const double hard = options_.hardPointTimeoutSeconds > 0.0
-                          ? options_.hardPointTimeoutSeconds
-                          : std::numeric_limits<double>::infinity();
-  return options_.deadline.child(hard).withToken(slot.token);
-}
-
-void SweepEngine::finishPointOk(std::size_t index, int worker, double seconds,
+void SweepEngine::finishPointOk(std::size_t index, double seconds,
                                 const std::string* payload) {
   const std::lock_guard<std::mutex> guard(mutex_);
-  running_[static_cast<std::size_t>(worker)].active = false;
   outcomes_[index].status = SweepPointStatus::kOk;
   outcomes_[index].seconds = seconds;
-  ++done_;
-  ++okCount_;
   if (obs::Metrics::enabled()) {
     SweepTelemetry& t = sweepTelemetry();
     t.pointsOk.increment();
     t.pointSeconds.observe(seconds);
   }
   if (journal_ && payload != nullptr) journal_->appendPoint(index, *payload);
-  if (options_.progress) options_.progress(done_, outcomes_.size());
-  checkStragglersLocked();
+  refreshBlackboxMetricsLocked();
 }
 
-void SweepEngine::finishPointFailed(std::size_t index, int worker,
-                                    double seconds, const std::string& message,
-                                    bool timedOut) {
+void SweepEngine::finishPointFailed(std::size_t index, double seconds,
+                                    const std::string& message) {
   const std::lock_guard<std::mutex> guard(mutex_);
-  running_[static_cast<std::size_t>(worker)].active = false;
-  outcomes_[index].status =
-      timedOut ? SweepPointStatus::kTimedOut : SweepPointStatus::kFailed;
+  outcomes_[index].status = SweepPointStatus::kFailed;
   outcomes_[index].message = message;
   outcomes_[index].seconds = seconds;
-  ++done_;
-  if (timedOut) ++timedOutCount_; else ++failedCount_;
   if (obs::Metrics::enabled()) {
     SweepTelemetry& t = sweepTelemetry();
-    if (timedOut) t.pointsTimedOut.increment(); else t.pointsFailed.increment();
+    t.pointsFailed.increment();
     t.pointSeconds.observe(seconds);
   }
   failures_.push_back({index, message});
-  if (options_.progress) options_.progress(done_, outcomes_.size());
-  checkStragglersLocked();
+  refreshBlackboxMetricsLocked();
 }
 
-void SweepEngine::checkStragglersLocked() {
-  const double soft = options_.softPointTimeoutSeconds;
-  const double hard = options_.hardPointTimeoutSeconds;
-  if (soft <= 0.0 && hard <= 0.0) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (auto& slot : running_) {
-    if (!slot.active) continue;
-    const double elapsed =
-        std::chrono::duration<double>(now - slot.start).count();
-    if (soft > 0.0 && !slot.softFlagged && elapsed > soft) {
-      slot.softFlagged = true;
-      if (obs::Metrics::enabled()) {
-        sweepTelemetry().stragglersFlagged.increment();
-      }
-      FEFET_WARN() << "sweep straggler: point " << slot.index
-                   << " still running after " << elapsed << " s (soft limit "
-                   << soft << " s)";
-    }
-    if (hard > 0.0 && !slot.hardCancelled && elapsed > hard) {
-      slot.hardCancelled = true;
-      slot.token.requestCancel();
-      if (obs::Metrics::enabled()) {
-        sweepTelemetry().watchdogCancels.increment();
-      }
-      FEFET_WARN() << "sweep watchdog: cancelling point " << slot.index
-                   << " after " << elapsed << " s (hard limit " << hard
-                   << " s)";
-    }
+void SweepEngine::refreshBlackboxMetricsLocked() {
+  // The crash handler cannot snapshot metrics itself (snapshot() allocates),
+  // so a mid-sweep crash dump carries the last buffer refreshed here.
+  if (!obs::FlightRecorder::enabled()) return;
+  constexpr std::uint64_t kRefreshIntervalNs = 1'000'000'000ULL;
+  const std::uint64_t now = monotonicNanos();
+  if (lastMetricsRefreshNs_ != 0 &&
+      now - lastMetricsRefreshNs_ < kRefreshIntervalNs) {
+    return;
   }
-}
-
-void SweepEngine::startWatchdog(int threads) {
-  const double soft = options_.softPointTimeoutSeconds;
-  const double hard = options_.hardPointTimeoutSeconds;
-  if (threads <= 1 || (soft <= 0.0 && hard <= 0.0)) return;
-  // Poll at a quarter of the tightest limit, clamped to [10, 250] ms: fine
-  // enough to catch stragglers promptly, coarse enough to stay invisible
-  // in profiles.
-  double tightest = std::numeric_limits<double>::infinity();
-  if (soft > 0.0) tightest = std::min(tightest, soft);
-  if (hard > 0.0) tightest = std::min(tightest, hard);
-  const auto interval = std::chrono::milliseconds(static_cast<long>(
-      std::clamp(tightest / 4.0 * 1000.0, 10.0, 250.0)));
-  watchdogStop_ = false;
-  watchdog_ = std::thread([this, interval] {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!watchdogStop_) {
-      watchdogCv_.wait_for(lock, interval);
-      if (watchdogStop_) break;
-      checkStragglersLocked();
-    }
-  });
-}
-
-void SweepEngine::stopWatchdog() {
-  if (!watchdog_.joinable()) return;
-  {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    watchdogStop_ = true;
-  }
-  watchdogCv_.notify_all();
-  watchdog_.join();
+  lastMetricsRefreshNs_ = now;
+  obs::FlightRecorder::updateMetricsBuffer();
 }
 
 void SweepEngine::finishRun(std::size_t total) {
   std::vector<PointFailure> failures;
-  std::size_t done = 0, ok = 0, failed = 0;
-  bool deadlineExpired = false;
   {
     const std::lock_guard<std::mutex> guard(mutex_);
     journal_.reset();  // close + release the journal before any throw
     failures = failures_;
-    done = done_;
-    ok = okCount_;
-    failed = failedCount_ + timedOutCount_;
-    deadlineExpired = sweepDeadlineExpired_;
   }
   if (options_.failurePolicy == SweepFailurePolicy::kCollectAndContinue) {
     return;  // outcomes() carries the full story; partial results returned
@@ -284,19 +165,6 @@ void SweepEngine::finishRun(std::size_t total) {
             [](const PointFailure& a, const PointFailure& b) {
               return a.index < b.index;
             });
-  if (done < total) {
-    // The sweep stopped early: budget exhaustion and cancellation trump
-    // individual failures (the caller asked the run to stop).
-    std::ostringstream os;
-    if (deadlineExpired) {
-      os << "sweep exceeded its wall-clock budget after " << done << " of "
-         << total << " points (" << ok << " ok, " << failed << " failed)";
-      throw DeadlineExceeded(os.str());
-    }
-    os << "sweep cancelled after " << done << " of " << total << " points ("
-       << ok << " ok, " << failed << " failed)";
-    throw SweepCancelled(os.str(), ok, failed);
-  }
   if (!failures.empty()) {
     std::ostringstream os;
     os << "sweep failed at " << failures.size() << " of " << total

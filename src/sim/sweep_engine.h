@@ -13,23 +13,19 @@
 //    same order-independence contract as core/fault_model);
 //  * ordered result collection — run() returns results[i] for points[i]
 //    regardless of which worker finished first;
-//  * progress/cancellation hooks — a serialized progress callback and a
-//    cooperative cancel() / cancel-predicate pair;
 //  * exception capture — a throwing point never kills the process; under
 //    the default kThrow policy the failures are rethrown after the sweep
 //    as one SweepError, under kCollectAndContinue the sweep returns
 //    partial results plus a per-point SweepOutcome record;
-//  * wall-clock budgets — SweepOptions::deadline bounds the whole sweep
-//    and every point receives a child Deadline in its SweepContext;
-//    points exceeding softPointTimeoutSeconds are flagged as stragglers,
-//    points exceeding hardPointTimeoutSeconds are cancelled through their
-//    child deadline (a watchdog thread polls when threads > 1; on one
-//    thread the progress path doubles as the monitor);
 //  * crash-safe journaling — with SweepOptions::journal.path set (and a
 //    SweepCodec to serialize results), every completed point is appended
 //    to a checksummed JSONL journal (see sim/sweep_journal.h) and a
 //    killed sweep resumes by replaying completed points bit-identically
-//    instead of re-simulating them.
+//    instead of re-simulating them;
+//  * black-box freshness — while obs::FlightRecorder is enabled, the
+//    point-completion path refreshes its crash-dump metrics snapshot at
+//    most once a second, so a dump taken mid-sweep carries recent
+//    counters.
 //
 // The engine parallelizes *across* points only.  Everything below it —
 // Netlist, Simulator, NewtonSolver — stays single-threaded per simulation
@@ -39,19 +35,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/trace.h"
@@ -65,12 +58,6 @@ struct SweepContext {
   std::size_t index = 0;     ///< position of the point in the input vector
   std::uint64_t seed = 0;    ///< pointSeed(baseSeed, index)
   int thread = 0;            ///< worker slot running this point
-  /// This point's share of the sweep budget: a child of
-  /// SweepOptions::deadline clipped to hardPointTimeoutSeconds, carrying
-  /// the watchdog's cancel token.  Long-running points should thread it
-  /// into their TransientOptions (or poll expired()) so the watchdog can
-  /// actually stop them.
-  Deadline deadline;
 };
 
 /// What run() does when one or more points fail.
@@ -81,19 +68,18 @@ enum class SweepFailurePolicy {
 
 /// Terminal state of one sweep point.
 enum class SweepPointStatus : std::uint8_t {
-  kNotRun,       ///< never attempted (cancelled / budget exhausted)
   kOk,           ///< simulated to completion this run
   kFailed,       ///< the point function threw
-  kTimedOut,     ///< aborted via its child deadline (watchdog / budget)
   kFromJournal,  ///< replayed from the resume journal, not re-simulated
 };
 
 const char* toString(SweepPointStatus status);
 
 /// Per-point outcome record (parallel to the results vector).
+/// Every point of a run() reaches one of the statuses above.
 struct SweepOutcome {
-  SweepPointStatus status = SweepPointStatus::kNotRun;
-  std::string message;   ///< failure/timeout diagnostic; empty when ok
+  SweepPointStatus status = SweepPointStatus::kOk;
+  std::string message;   ///< failure diagnostic; empty when ok
   double seconds = 0.0;  ///< wall time spent simulating (0 for replays)
 };
 
@@ -101,9 +87,7 @@ struct SweepOutcome {
 struct SweepSummary {
   std::size_t ok = 0;           ///< simulated successfully this run
   std::size_t failed = 0;
-  std::size_t timedOut = 0;
   std::size_t fromJournal = 0;  ///< replayed from the journal
-  std::size_t notRun = 0;
   /// Points with a valid result: ok + fromJournal.
   std::size_t completed() const { return ok + fromJournal; }
 };
@@ -125,25 +109,6 @@ struct SweepOptions {
   int threads = 0;
   /// Base seed for the deterministic per-point seed derivation.
   std::uint64_t baseSeed = 1;
-  /// Called after every simulated point with (done, total); `done` starts
-  /// above zero on a resumed run (journal replays count as done).
-  /// Serialized: never invoked concurrently; may be slow without
-  /// corrupting anything.
-  std::function<void(std::size_t done, std::size_t total)> progress;
-  /// Polled before each point starts; returning true cancels the sweep
-  /// (equivalent to calling cancel()).
-  std::function<bool()> cancel;
-  /// Wall-clock budget for the whole sweep.  When it expires, no new
-  /// points start: kThrow raises DeadlineExceeded, kCollectAndContinue
-  /// returns partial results with the rest marked kNotRun.
-  Deadline deadline;
-  /// A point running longer than this is logged as a straggler (with its
-  /// index and elapsed time); 0 disables the check.
-  double softPointTimeoutSeconds = 0.0;
-  /// A point running longer than this is cancelled through its child
-  /// deadline; 0 disables.  Points that never poll their deadline cannot
-  /// be interrupted mid-flight — they are reported late, on completion.
-  double hardPointTimeoutSeconds = 0.0;
   SweepFailurePolicy failurePolicy = SweepFailurePolicy::kThrow;
   /// Crash-safe checkpoint/resume (requires the codec overload of run()).
   SweepJournalOptions journal;
@@ -167,26 +132,6 @@ class SweepError : public Error {
   std::vector<PointFailure> failures_;
 };
 
-/// Thrown when a sweep was cancelled before attempting every point.
-/// completed() counts points with a valid result (simulated or replayed);
-/// failed() counts points that threw before the cancellation took effect,
-/// so "cancelled after K good points" and "failed at point K" are
-/// distinguishable.
-class SweepCancelled : public Error {
- public:
-  SweepCancelled(const std::string& what, std::size_t completed,
-                 std::size_t failed = 0)
-      : Error(what), completed_(completed), failed_(failed) {}
-  /// Points that produced a valid result before the cancellation.
-  std::size_t completed() const { return completed_; }
-  /// Points that failed before the cancellation.
-  std::size_t failed() const { return failed_; }
-
- private:
-  std::size_t completed_ = 0;
-  std::size_t failed_ = 0;
-};
-
 class SweepEngine {
  public:
   explicit SweepEngine(SweepOptions options = {})
@@ -195,12 +140,6 @@ class SweepEngine {
   /// Deterministic per-point seed: a splitmix64 hash of the base seed and
   /// the point index.  Pure function — identical for every thread count.
   static std::uint64_t pointSeed(std::uint64_t baseSeed, std::size_t index);
-
-  /// Cooperative cancellation; takes effect before the next point starts.
-  void cancel() { cancelRequested_.store(true, std::memory_order_relaxed); }
-  bool cancelRequested() const {
-    return cancelRequested_.load(std::memory_order_relaxed);
-  }
 
   int threadCount() const;
 
@@ -213,11 +152,10 @@ class SweepEngine {
   /// Run fn(point, context) for every point, in parallel, returning the
   /// results in input order.  fn is invoked concurrently from several
   /// threads and must be safe to call that way (independent points must
-  /// not share mutable state).  Under kThrow (default) throws SweepError
-  /// if any point threw, SweepCancelled if the sweep was cancelled first
-  /// and DeadlineExceeded if the sweep budget expired; under
-  /// kCollectAndContinue never throws and leaves failed points
-  /// default-constructed in the result vector (see outcomes()).
+  /// not share mutable state).  Every point runs.  Under kThrow (default)
+  /// throws SweepError if any point threw; under kCollectAndContinue never
+  /// throws and leaves failed points default-constructed in the result
+  /// vector (see outcomes()).
   template <typename Point, typename Fn>
   auto run(const std::vector<Point>& points, Fn&& fn)
       -> std::vector<std::decay_t<
@@ -291,7 +229,6 @@ class SweepEngine {
     if (total > 0) {
       const int threads = static_cast<int>(std::min<std::size_t>(
           static_cast<std::size_t>(threadCount()), total));
-      startWatchdog(threads);
       std::atomic<std::size_t> next{0};
       {
         ThreadPool pool(threads);
@@ -305,14 +242,11 @@ class SweepEngine {
             const ScopedThreadPrefix prefixGuard("sweep[" +
                                                  std::to_string(t) + "] ");
             for (;;) {
-              if (shouldStop()) break;
               const std::size_t i =
                   next.fetch_add(1, std::memory_order_relaxed);
               if (i >= total) break;
               if (replayed[i]) continue;
-              const Deadline pointDeadline = beginPoint(i, t);
-              const SweepContext ctx{i, pointSeed(options_.baseSeed, i), t,
-                                     pointDeadline};
+              const SweepContext ctx{i, pointSeed(options_.baseSeed, i), t};
               const obs::Span pointSpan("sweep.point",
                                         static_cast<std::uint64_t>(i));
               const auto started = std::chrono::steady_clock::now();
@@ -328,24 +262,18 @@ class SweepEngine {
                         ? codec->encode(result)
                         : std::string();
                 slots[i].emplace(std::move(result));
-                finishPointOk(i, t, elapsed(),
+                finishPointOk(i, elapsed(),
                               codec != nullptr ? &payload : nullptr);
-              } catch (const DeadlineExceeded& e) {
-                finishPointFailed(i, t, elapsed(), e.what(),
-                                  /*timedOut=*/true);
               } catch (const std::exception& e) {
-                finishPointFailed(i, t, elapsed(), e.what(),
-                                  /*timedOut=*/false);
+                finishPointFailed(i, elapsed(), e.what());
               } catch (...) {
-                finishPointFailed(i, t, elapsed(), "non-standard exception",
-                                  /*timedOut=*/false);
+                finishPointFailed(i, elapsed(), "non-standard exception");
               }
             }
           });
         }
         pool.wait();
       }
-      stopWatchdog();
     }
     finishRun(total);  // may throw under kThrow; always closes the journal
     std::vector<Result> results;
@@ -360,43 +288,21 @@ class SweepEngine {
   SweepJournalLoad loadJournal(std::size_t total);
   void openJournal(std::size_t total, const SweepJournalLoad* resumeFrom);
   void markReplayed(std::size_t index);
-  bool shouldStop();
-  Deadline beginPoint(std::size_t index, int worker);
-  void finishPointOk(std::size_t index, int worker, double seconds,
+  void finishPointOk(std::size_t index, double seconds,
                      const std::string* payload);
-  void finishPointFailed(std::size_t index, int worker, double seconds,
-                         const std::string& message, bool timedOut);
-  void checkStragglersLocked();
-  void startWatchdog(int threads);
-  void stopWatchdog();
+  void finishPointFailed(std::size_t index, double seconds,
+                         const std::string& message);
+  void refreshBlackboxMetricsLocked();
   void finishRun(std::size_t total);
 
-  /// One in-flight point, visible to the straggler watchdog.
-  struct RunningPoint {
-    bool active = false;
-    std::size_t index = 0;
-    std::chrono::steady_clock::time_point start{};
-    CancelToken token;
-    bool softFlagged = false;
-    bool hardCancelled = false;
-  };
-
   SweepOptions options_;
-  std::atomic<bool> cancelRequested_{false};
-  std::mutex mutex_;  ///< guards everything below + progress/journal writes
+  std::mutex mutex_;  ///< guards everything below + journal writes
   std::vector<PointFailure> failures_;
   std::vector<SweepOutcome> outcomes_;
-  std::vector<RunningPoint> running_;
-  std::size_t done_ = 0;        ///< points with a terminal outcome
-  std::size_t okCount_ = 0;     ///< ok + fromJournal
-  std::size_t failedCount_ = 0;
-  std::size_t timedOutCount_ = 0;
-  bool sweepDeadlineExpired_ = false;
   std::unique_ptr<SweepJournal> journal_;
-
-  std::thread watchdog_;
-  std::condition_variable watchdogCv_;
-  bool watchdogStop_ = false;
+  /// monotonicNanos() of the last black-box metrics refresh; 0 = none yet
+  /// this run.
+  std::uint64_t lastMetricsRefreshNs_ = 0;
 };
 
 }  // namespace fefet::sim

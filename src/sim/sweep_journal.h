@@ -99,7 +99,7 @@ class SweepJournal {
   SweepJournal& operator=(const SweepJournal&) = delete;
 
   /// Append one completed-point record and fsync it.  Callers serialize
-  /// (the sweep engine holds its progress lock while appending).
+  /// (the sweep engine holds its mutex while appending).
   void appendPoint(std::size_t index, std::string_view payload);
 
   const std::string& path() const { return path_; }

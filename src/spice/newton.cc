@@ -240,16 +240,6 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
 
   NewtonStats stats;
   for (int iter = 0; iter < options_.maxIterations; ++iter) {
-    // The deadline poll is ~ns against a matrix assemble+solve, so per-
-    // iteration granularity costs nothing and bounds even a single hard
-    // solve that would otherwise burn its full maxIterations budget.
-    if (deadline_.expired()) {
-      flushTelemetry(stats);
-      SolverDiagnostics diag;
-      diag.newtonIterations = stats.iterations;
-      diag.finalResidualNorm = stats.finalResidualNorm;
-      throw DeadlineExceeded("newton iteration exceeded its deadline", diag);
-    }
     stats.iterations = iter + 1;
     SystemView view(x, nodes);
     {

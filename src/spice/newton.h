@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/deadline.h"
 #include "spice/assembler.h"
 #include "spice/netlist.h"
 
@@ -106,12 +105,6 @@ class NewtonSolver {
     return assembler_.solver().sparseFactorizer();
   }
 
-  /// Wall-clock budget observed by the iteration loop: every iteration
-  /// polls it and an expired deadline raises DeadlineExceeded (carrying
-  /// the iteration count and last residual).  Set by Simulator per
-  /// transient run; defaults to unlimited.
-  void setDeadline(const Deadline& deadline) { deadline_ = deadline; }
-
  private:
   NewtonStats solveWithGmin(std::vector<double>& x, bool dc, double time,
                             double dt, IntegrationMethod method, double gmin);
@@ -125,7 +118,6 @@ class NewtonSolver {
   // heap churn).
   std::vector<double> dx_;
   std::vector<double> attempt_;
-  Deadline deadline_;  ///< unlimited unless a transient run set one
 };
 
 }  // namespace fefet::spice

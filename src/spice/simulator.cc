@@ -1,7 +1,6 @@
 #include "spice/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <sstream>
 
@@ -51,7 +50,6 @@ Simulator::Simulator(Netlist& netlist, const NewtonOptions& newton)
 
 NewtonStats Simulator::solveDc() {
   initializeUic();
-  newton_.setDeadline(Deadline::unlimited());  // clear any stale run budget
   const NewtonStats stats = newton_.solveDcWithContinuation(x_);
   SystemView view(x_, netlist_.nodeCount());
   for (const auto& device : netlist_.devices()) device->initializeState(view);
@@ -149,19 +147,6 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
   };
   record(0.0);
 
-  const auto wallStart = std::chrono::steady_clock::now();
-  const auto wallElapsed = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wallStart)
-        .count();
-  };
-  // One effective deadline governs the run: the caller's (sweep-point)
-  // deadline clipped by the per-run maxWallSeconds convenience budget.
-  const Deadline deadline =
-      options.maxWallSeconds > 0.0
-          ? options.deadline.child(options.maxWallSeconds)
-          : options.deadline;
-  newton_.setDeadline(deadline);
   double t = 0.0;
   double lastResidual = 0.0;
   result.stats.smallestDt = dt;
@@ -188,12 +173,6 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
          << " solves at t=" << t << " s";
       throw NumericalError(os.str(), diagnose());
     }
-    result.stats.wallSeconds = wallElapsed();
-    if (deadline.expired()) {
-      std::ostringstream os;
-      os << "transient exceeded its wall-clock deadline at t=" << t << " s";
-      throw DeadlineExceeded(os.str(), diagnose());
-    }
 
     dt = std::min(dt, options.duration - t);
     // Honor device step-size hints (e.g. fast polarization switching).
@@ -218,16 +197,8 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
 
     std::vector<double> trial = x_;
     ++solves;
-    NewtonStats stats;
-    try {
-      stats = newton_.solve(trial, /*dc=*/false, t + dt, dt, method);
-    } catch (const DeadlineExceeded&) {
-      // Rethrow with the full transient retry history, not just the
-      // iteration count the Newton loop could see.
-      std::ostringstream os;
-      os << "transient exceeded its wall-clock deadline at t=" << t << " s";
-      throw DeadlineExceeded(os.str(), diagnose());
-    }
+    NewtonStats stats =
+        newton_.solve(trial, /*dc=*/false, t + dt, dt, method);
     result.stats.newtonIterations += stats.iterations;
     lastResidual = stats.finalResidualNorm;
     if (!stats.converged) {
@@ -247,16 +218,9 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       if (options.maxGminEscalations > 0) {
         trial = x_;
         ++solves;
-        try {
-          stats = newton_.solveWithEscalation(
-              trial, /*dc=*/false, t + dt, dt, method,
-              options.maxGminEscalations, options.gminMax);
-        } catch (const DeadlineExceeded&) {
-          std::ostringstream os;
-          os << "transient exceeded its wall-clock deadline at t=" << t
-             << " s";
-          throw DeadlineExceeded(os.str(), diagnose());
-        }
+        stats = newton_.solveWithEscalation(
+            trial, /*dc=*/false, t + dt, dt, method,
+            options.maxGminEscalations, options.gminMax);
         result.stats.newtonIterations += stats.iterations;
         result.stats.gminEscalations += stats.gminEscalations;
         lastResidual = stats.finalResidualNorm;
@@ -285,7 +249,6 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       dt = std::min(dt * options.growthFactor, dtMax);
     }
   }
-  result.stats.wallSeconds = wallElapsed();
   telemetryFlush.ok = true;
   return result;
 }

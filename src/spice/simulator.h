@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "common/deadline.h"
 #include "spice/netlist.h"
 #include "spice/newton.h"
 #include "spice/waveform.h"
@@ -32,19 +31,10 @@ struct TransientOptions {
   /// gmin raised x100 per level, up to this many levels (0 disables).
   int maxGminEscalations = 3;
   double gminMax = 1e-6;  ///< [S] escalation ceiling
-  /// Hard budgets — exceeding either aborts the run with an error carrying
-  /// the retry history (NumericalError for the step budget,
-  /// DeadlineExceeded for wall clock).  0 means unlimited.
-  long maxSteps = 0;  ///< accepted + rejected Newton solves
-  /// Convenience wall-clock ceiling for THIS run: shorthand for
-  /// deadline.child(maxWallSeconds) anchored at run start.  0 = unlimited.
-  double maxWallSeconds = 0.0;
-  /// Wall-clock budget shared with the caller's enclosing job (sweep
-  /// point, bench run).  Combined with maxWallSeconds via child(); both
-  /// the step loop and every Newton iteration poll the result, so an
-  /// expired deadline (or a cancelled token, e.g. the sweep watchdog)
-  /// aborts promptly with DeadlineExceeded.
-  Deadline deadline;
+  /// Hard step budget: accepted + rejected Newton solves.  Exceeding it
+  /// aborts the run with a NumericalError carrying the retry history.
+  /// 0 means unlimited.
+  long maxSteps = 0;
 };
 
 struct TransientStats {
@@ -54,7 +44,6 @@ struct TransientStats {
   int dtCuts = 0;            ///< step-size reductions (backoff events)
   int gminEscalations = 0;   ///< cumulative rescue levels applied
   double smallestDt = 0.0;   ///< [s] smallest step attempted
-  double wallSeconds = 0.0;  ///< wall-clock time of the run
 };
 
 struct TransientResult {

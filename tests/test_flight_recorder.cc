@@ -4,13 +4,13 @@
 //    events come back merged, time-ordered, with per-thread sequence
 //    numbers intact and the preformatted metrics snapshot attached;
 //  * ring wrap keeps the newest events and counts the overwrites;
-//  * a NumericalError leaves a dump through the common/error.h hook,
-//    while DeadlineExceeded (routine, thrown by watchdogs) only leaves a
-//    ring event — no dump churn;
+//  * a NumericalError leaves a ring event and a dump through the
+//    common/error.h hook;
 //  * the crash path: a forked child runs a real FeFET cell write (Newton
-//    solves recording per-iteration residuals), then dies on SIGSEGV —
-//    the async-signal-safe handler must leave a dump this parent can
-//    parse, with the final Newton residual trajectory intact;
+//    solves recording per-iteration residuals) as a one-point sweep, then
+//    dies on SIGSEGV — the async-signal-safe handler must leave a dump
+//    this parent can parse, with the final Newton residual trajectory
+//    intact and the metrics snapshot the sweep engine refreshed;
 //  * malformed files are rejected with an error, not crashes.
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 #include "core/cell2t.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "sim/sweep_engine.h"
 
 namespace fefet::obs {
 namespace {
@@ -121,25 +122,13 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDropped) {
   EXPECT_GE(dump.dropped, static_cast<std::uint64_t>(kRecorded - 8));
 }
 
-TEST(FlightRecorder, NumericalErrorDumpsButDeadlineOnlyRecords) {
+TEST(FlightRecorder, NumericalErrorRecordsAndDumps) {
   const std::string path = tmpPath("numerr");
   std::remove(path.c_str());
   FlightRecorder::enable(path, 64);
 
-  // Routine deadline abort first: ring event, no dump.
-  try {
-    throw DeadlineExceeded("watchdog fired");
-  } catch (const DeadlineExceeded&) {
-  }
-  {
-    BlackboxDump dump;
-    std::string error;
-    EXPECT_FALSE(readBlackboxDump(path, &dump, &error))
-        << "deadline abort must not write a dump";
-  }
-
-  // A genuine numerical failure dumps through the hook, diagnostics
-  // riding in the event payload.
+  // A numerical failure dumps through the hook, diagnostics riding in the
+  // event payload.
   SolverDiagnostics diag;
   diag.finalResidualNorm = 42.5;
   try {
@@ -153,22 +142,12 @@ TEST(FlightRecorder, NumericalErrorDumpsButDeadlineOnlyRecords) {
   ASSERT_TRUE(readBlackboxDump(path, &dump, &error)) << error;
   EXPECT_EQ(dump.signal, 0);
   EXPECT_EQ(dump.reason, "NumericalError");
-  // Both constructions left ring events: b distinguishes deadline (1)
-  // from genuine (0).
-  std::size_t deadlineEvents = 0;
-  std::size_t genuineEvents = 0;
+  ASSERT_EQ(countEvents(dump, FlightEvent::kNumericalError), 1u);
   for (const auto& rec : dump.records) {
-    if (rec.type != static_cast<std::uint16_t>(FlightEvent::kNumericalError))
-      continue;
-    if (rec.b == 1) {
-      ++deadlineEvents;
-    } else {
-      ++genuineEvents;
+    if (rec.type == static_cast<std::uint16_t>(FlightEvent::kNumericalError)) {
       EXPECT_DOUBLE_EQ(rec.a, 42.5);
     }
   }
-  EXPECT_EQ(deadlineEvents, 1u);
-  EXPECT_EQ(genuineEvents, 1u);
 }
 
 TEST(FlightRecorder, MalformedFileIsRejected) {
@@ -202,10 +181,16 @@ TEST(FlightRecorderCrash, SigsegvMidRunLeavesParseableDump) {
   if (pid == 0) {
     // Child: everything below must end in the fatal signal.
     FlightRecorder::enable(path, 512);
-    core::Cell2TConfig cfg;
-    core::Cell2T cell(cfg);
-    (void)cell.write(true, 700e-12);  // transient: Newton solves inside
-    FlightRecorder::updateMetricsBuffer();
+    sim::SweepOptions options;
+    options.threads = 1;
+    sim::SweepEngine engine(options);
+    const std::vector<int> points = {0};
+    engine.run(points, [](int, const sim::SweepContext&) {
+      core::Cell2TConfig cfg;
+      core::Cell2T cell(cfg);
+      // Transient: Newton solves inside.
+      return cell.write(true, 700e-12).bitAfter;
+    });
     std::raise(SIGSEGV);
     ::_exit(97);  // unreachable: the handler re-raises
   }
@@ -246,7 +231,8 @@ TEST(FlightRecorderCrash, SigsegvMidRunLeavesParseableDump) {
   // than every other record (merge order held even through the crash).
   ASSERT_FALSE(dump.records.empty());
   EXPECT_GE(dump.records.back().timeNs, dump.records.front().timeNs);
-  // updateMetricsBuffer() ran before the crash: the snapshot rode along.
+  // The sweep engine refreshed the metrics snapshot as the point
+  // completed: it rode along in the crash dump.
   EXPECT_FALSE(dump.metricsJson.empty());
 }
 

@@ -1,22 +1,20 @@
 // Concurrency tests for the sim layer: ThreadPool basics and the
 // SweepEngine contracts — ordered results, thread-count-invariant seeding,
-// exception capture, progress reporting, cooperative cancellation, and the
-// resilience layer (journaled resume, CollectAndContinue, watchdog
-// timeouts, sweep deadlines).
+// exception capture and the resilience layer (journaled resume,
+// CollectAndContinue).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "sim/sweep_engine.h"
@@ -136,68 +134,6 @@ TEST(SweepEngine, CapturesWorkerExceptionsAsSweepError) {
   EXPECT_EQ(completed.load(), 17);
 }
 
-TEST(SweepEngine, ProgressReportsEveryPointAndIsSerialized) {
-  sim::SweepOptions options;
-  options.threads = 4;
-  std::mutex progressMutex;
-  std::vector<std::size_t> doneValues;
-  options.progress = [&](std::size_t done, std::size_t total) {
-    // The engine serializes this callback; the mutex is belt-and-braces so
-    // the test itself stays race-free under TSan.
-    std::lock_guard<std::mutex> lock(progressMutex);
-    EXPECT_EQ(total, 32u);
-    doneValues.push_back(done);
-  };
-  sim::SweepEngine engine(options);
-  std::vector<int> points(32);
-  std::iota(points.begin(), points.end(), 0);
-  engine.run(points, [](int p, const sim::SweepContext&) { return p; });
-  ASSERT_EQ(doneValues.size(), 32u);
-  for (std::size_t i = 0; i < doneValues.size(); ++i) {
-    EXPECT_EQ(doneValues[i], i + 1);  // strictly increasing 1..total
-  }
-}
-
-TEST(SweepEngine, CancelPredicateStopsTheSweepEarly) {
-  sim::SweepOptions options;
-  options.threads = 2;
-  std::atomic<std::size_t> finished{0};
-  options.cancel = [&] { return finished.load() >= 8; };
-  sim::SweepEngine engine(options);
-  std::vector<int> points(1000);
-  std::iota(points.begin(), points.end(), 0);
-  try {
-    engine.run(points, [&](int p, const sim::SweepContext&) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      finished.fetch_add(1);
-      return p;
-    });
-    FAIL() << "expected SweepCancelled";
-  } catch (const sim::SweepCancelled& e) {
-    EXPECT_GE(e.completed(), 8u);
-    EXPECT_LT(e.completed(), points.size());
-  }
-}
-
-TEST(SweepEngine, ExplicitCancelFromAPointStopsTheRun) {
-  sim::SweepOptions options;
-  options.threads = 1;  // deterministic: exactly one point completes
-  sim::SweepEngine engine(options);
-  EXPECT_FALSE(engine.cancelRequested());
-  std::vector<int> points(10);
-  std::iota(points.begin(), points.end(), 0);
-  try {
-    engine.run(points, [&](int p, const sim::SweepContext&) {
-      engine.cancel();
-      return p;
-    });
-    FAIL() << "expected SweepCancelled";
-  } catch (const sim::SweepCancelled& e) {
-    EXPECT_EQ(e.completed(), 1u);
-  }
-  EXPECT_TRUE(engine.cancelRequested());
-}
-
 TEST(SweepEngine, EmptyPointSetReturnsEmptyResults) {
   sim::SweepEngine engine;
   const std::vector<int> points;
@@ -280,10 +216,10 @@ TEST(SweepEngineResilience, KilledRunResumesBitIdentically) {
   sim::SweepEngine reference;
   const auto expected = reference.run(points, seedValue);
 
-  // "Kill" a journaled run after 6 completed points: cancellation after the
-  // journal has absorbed them stands in for SIGKILL (the file is left
-  // exactly as a dead process would leave it — check.sh covers the real
-  // SIGKILL path end-to-end).
+  // "Kill" a journaled run after 6 completed points: a complete journaled
+  // run cut back to its header plus the first 6 point records is exactly
+  // what a process killed between two appends leaves behind (check.sh
+  // covers the real SIGKILL path end-to-end).
   const std::size_t kKillAfter = 6;
   {
     sim::SweepOptions options;
@@ -291,21 +227,15 @@ TEST(SweepEngineResilience, KilledRunResumesBitIdentically) {
     options.journal.path = journal.path();
     options.journal.configDigest = 42;
     sim::SweepEngine engine(options);
-    std::size_t completedCount = 0;
-    try {
-      engine.run(
-          points,
-          [&](int p, const sim::SweepContext& ctx) {
-            const double v = seedValue(p, ctx);
-            if (++completedCount >= kKillAfter) engine.cancel();
-            return v;
-          },
-          doubleCodec());
-      FAIL() << "expected SweepCancelled";
-    } catch (const sim::SweepCancelled& e) {
-      EXPECT_EQ(e.completed(), kKillAfter);
-      EXPECT_EQ(e.failed(), 0u);
+    engine.run(points, seedValue, doubleCodec());
+    std::ifstream in(journal.path());
+    std::string kept, line;
+    for (std::size_t lines = 0; lines < 1 + kKillAfter; ++lines) {
+      ASSERT_TRUE(std::getline(in, line));
+      kept += line + "\n";
     }
+    in.close();
+    std::ofstream(journal.path(), std::ios::trunc) << kept;
   }
 
   // Resume: the completed prefix must replay from the journal, the rest
@@ -374,93 +304,6 @@ TEST(SweepEngineResilience, CollectAndContinueReturnsPartialResults) {
   }
   EXPECT_EQ(engine.summary().ok, 9u);
   EXPECT_EQ(engine.summary().failed, 3u);
-}
-
-TEST(SweepEngineResilience, WatchdogCancelsAHardTimeoutStraggler) {
-  sim::SweepOptions options;
-  options.threads = 2;  // watchdog thread engages
-  options.hardPointTimeoutSeconds = 0.1;
-  options.failurePolicy = sim::SweepFailurePolicy::kCollectAndContinue;
-  sim::SweepEngine engine(options);
-  const std::vector<int> points = {0, 1, 2, 3};
-  const auto results =
-      engine.run(points, [](int p, const sim::SweepContext& ctx) {
-        if (p == 2) {
-          // A deadline-polling straggler: spins until cancelled.
-          const auto start = std::chrono::steady_clock::now();
-          while (!ctx.deadline.expired()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            if (std::chrono::steady_clock::now() - start >
-                std::chrono::seconds(30)) {
-              break;  // safety net: the test must not hang forever
-            }
-          }
-          throw DeadlineExceeded("point 2 cancelled");
-        }
-        return p;
-      });
-  EXPECT_EQ(engine.outcomes()[2].status, sim::SweepPointStatus::kTimedOut);
-  EXPECT_EQ(engine.summary().timedOut, 1u);
-  EXPECT_EQ(engine.summary().ok, 3u);
-  EXPECT_EQ(results[2], 0);
-}
-
-TEST(SweepEngineResilience, SweepDeadlineMarksRemainingPointsNotRun) {
-  sim::SweepOptions options;
-  options.threads = 1;
-  options.deadline = Deadline::after(0.05);
-  options.failurePolicy = sim::SweepFailurePolicy::kCollectAndContinue;
-  sim::SweepEngine engine(options);
-  std::vector<int> points(50);
-  std::iota(points.begin(), points.end(), 0);
-  const auto results =
-      engine.run(points, [](int p, const sim::SweepContext&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return p;
-      });
-  ASSERT_EQ(results.size(), points.size());
-  const auto summary = engine.summary();
-  EXPECT_GT(summary.ok, 0u);           // some points made it
-  EXPECT_GT(summary.notRun, 0u);       // the budget cut off the rest
-  EXPECT_LT(summary.ok, points.size());
-  EXPECT_EQ(summary.ok + summary.notRun, points.size());
-}
-
-TEST(SweepEngineResilience, SweepDeadlineThrowsDeadlineExceededUnderKThrow) {
-  sim::SweepOptions options;
-  options.threads = 1;
-  options.deadline = Deadline::after(0.05);
-  sim::SweepEngine engine(options);
-  std::vector<int> points(50);
-  std::iota(points.begin(), points.end(), 0);
-  EXPECT_THROW(engine.run(points,
-                          [](int p, const sim::SweepContext&) {
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(20));
-                            return p;
-                          }),
-               DeadlineExceeded);
-}
-
-TEST(SweepEngineResilience, CancelledSweepSeparatesCompletedFromFailed) {
-  sim::SweepOptions options;
-  options.threads = 1;  // deterministic ordering
-  sim::SweepEngine engine(options);
-  std::vector<int> points(10);
-  std::iota(points.begin(), points.end(), 0);
-  try {
-    engine.run(points, [&](int p, const sim::SweepContext&) {
-      if (p == 1) throw SimulationError("boom");
-      if (p == 3) engine.cancel();
-      return p;
-    });
-    FAIL() << "expected SweepCancelled";
-  } catch (const sim::SweepCancelled& e) {
-    EXPECT_EQ(e.completed(), 3u);  // points 0, 2, 3
-    EXPECT_EQ(e.failed(), 1u);     // point 1
-    EXPECT_NE(std::string(e.what()).find("3 ok"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("1 failed"), std::string::npos);
-  }
 }
 
 TEST(SweepEngineResilience, PlainRunRejectsAJournalPath) {

@@ -4,10 +4,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
-#include "common/deadline.h"
 #include "spice/assembler.h"
 #include "spice/extras.h"
 #include "spice/mosfet_device.h"
@@ -159,8 +155,8 @@ TEST(Transient, AdaptiveStepGrowsAfterTheEdge) {
 }
 
 TEST(Transient, StatsSurfaceTheRetryHistory) {
-  // A clean run reports its effort: steps, Newton iterations, the
-  // smallest dt attempted and the wall-clock time — and no rescues.
+  // A clean run reports its effort: steps, Newton iterations and the
+  // smallest dt attempted — and no rescues.
   Netlist n;
   n.add<VoltageSource>("V1", n.node("in"), n.ground(),
                        pulse(0.0, 1.0, 0.0, 10e-12, 1.0, 10e-12));
@@ -175,7 +171,6 @@ TEST(Transient, StatsSurfaceTheRetryHistory) {
   EXPECT_GT(r.stats.newtonIterations, 0);
   EXPECT_GT(r.stats.smallestDt, 0.0);
   EXPECT_LE(r.stats.smallestDt, options.dtInitial);
-  EXPECT_GE(r.stats.wallSeconds, 0.0);
   EXPECT_EQ(r.stats.gminEscalations, 0);
 }
 
@@ -205,26 +200,6 @@ TEST(Transient, StepBudgetAbortsWithDiagnostics) {
     EXPECT_GE(d.time, 0.0);
     // The rendered what() embeds the same history.
     EXPECT_NE(std::string(e.what()).find("dt"), std::string::npos);
-  }
-}
-
-TEST(Transient, WallClockBudgetAborts) {
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1e6;      // effectively unbounded work...
-  options.dtMax = 1e-9;
-  options.maxWallSeconds = 0.05;  // ...cut short by the wall budget
-  try {
-    sim.runTransient(options, {Probe::v("out")});
-    FAIL() << "expected NumericalError";
-  } catch (const NumericalError& e) {
-    ASSERT_TRUE(e.hasDiagnostics());
-    EXPECT_GT(e.diagnostics().steps, 0);
   }
 }
 
@@ -327,106 +302,6 @@ TEST(Dc, GminContinuationRescuesHardStart) {
   EXPECT_GT(m1, m2);
   EXPECT_GT(m2, m3);
   EXPECT_GT(m3, 0.0);
-}
-
-TEST(Transient, DeadlineExceededCarriesTheRetryHistory) {
-  // The wall-budget abort must be catchable as the precise DeadlineExceeded
-  // type AND carry the full transient retry history (dt cuts, gmin
-  // escalations, step counts) so a sweep can report WHY a point timed out.
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1e6;  // effectively unbounded work
-  options.dtMax = 1e-9;
-  options.maxWallSeconds = 0.05;
-  try {
-    sim.runTransient(options, {Probe::v("out")});
-    FAIL() << "expected DeadlineExceeded";
-  } catch (const DeadlineExceeded& e) {
-    ASSERT_TRUE(e.hasDiagnostics());
-    const auto& d = e.diagnostics();
-    EXPECT_GT(d.steps, 0);
-    EXPECT_GT(d.newtonIterations, 0);
-    EXPECT_GT(d.smallestDt, 0.0);
-    EXPECT_GE(d.time, 0.0);
-    EXPECT_GE(d.dtCuts, 0);
-    EXPECT_GE(d.gminEscalations, 0);
-    EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos);
-  }
-}
-
-TEST(Transient, CallerDeadlineBoundsTheRun) {
-  // The deadline handed down by a sweep point bounds the run even with no
-  // maxWallSeconds set.
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1e6;
-  options.dtMax = 1e-9;
-  options.deadline = Deadline::after(0.05);
-  EXPECT_THROW(sim.runTransient(options, {Probe::v("out")}),
-               DeadlineExceeded);
-}
-
-TEST(Transient, PreExpiredDeadlineAbortsImmediately) {
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1e-9;
-  options.deadline = Deadline::after(0.0);  // already expired
-  EXPECT_THROW(sim.runTransient(options, {Probe::v("out")}),
-               DeadlineExceeded);
-}
-
-TEST(Transient, CancelTokenAbortsMidRun) {
-  // The sweep watchdog's cancellation path: a token attached to the
-  // deadline flips mid-run and the transient stops with DeadlineExceeded.
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  CancelToken token;
-  TransientOptions options;
-  options.duration = 1e6;
-  options.dtMax = 1e-9;
-  options.deadline = Deadline::unlimited().withToken(token);
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    token.requestCancel();
-  });
-  EXPECT_THROW(sim.runTransient(options, {Probe::v("out")}),
-               DeadlineExceeded);
-  canceller.join();
-}
-
-TEST(Transient, DeadlineExceededIsCatchableAsNumericalError) {
-  // Compatibility guarantee: pre-deadline callers catching NumericalError
-  // keep working unchanged.
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1e3);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1e6;
-  options.dtMax = 1e-9;
-  options.maxWallSeconds = 0.05;
-  EXPECT_THROW(sim.runTransient(options, {Probe::v("out")}), NumericalError);
 }
 
 }  // namespace
