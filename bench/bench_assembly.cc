@@ -1,7 +1,6 @@
 // bench_assembly — microbenchmark of the compiled stamp pipeline (slot
-// programs + SoA device batches) on an array-scale netlist (above the
-// dense->sparse crossover, i.e. the configuration where assembly cost
-// used to rival the LU itself).
+// programs + SoA device batches) on an array-scale netlist, the
+// configuration where assembly cost used to rival the LU itself.
 //
 // Times the assemble and solve phases separately over identical iterates
 // and emits one machine-readable PERF line:
@@ -17,7 +16,6 @@
 #include "spice/assembler.h"
 #include "spice/extras.h"
 #include "spice/netlist.h"
-#include "spice/newton.h"
 #include "spice/passives.h"
 #include "spice/sources.h"
 #include "spice/stamp_pattern.h"
@@ -28,7 +26,7 @@ namespace {
 using namespace spice;
 
 // RC ladder with periodic diodes: the same mixed linear/nonlinear row
-// structure a bit-line column presents, sized past the sparse crossover.
+// structure a bit-line column presents, at array scale.
 void buildArrayNetlist(Netlist& n, int stages) {
   n.add<VoltageSource>("V1", n.node("s0"), n.ground(),
                        shapes::pulse(0.0, 1.0, 0.0, 50e-12, 1.0, 50e-12));
@@ -54,16 +52,14 @@ int run() {
   buildArrayNetlist(n, kStages);
   const int unknowns = n.freeze();
   const int nodes = n.nodeCount();
-  const bool sparse = unknowns > kDenseToSparseCrossover;
   bench::banner("assembly: compiled stamp pipeline (" +
-                std::to_string(unknowns) + " unknowns, " +
-                (sparse ? "sparse" : "dense") + " storage)");
+                std::to_string(unknowns) + " unknowns)");
 
   std::vector<double> x(static_cast<std::size_t>(unknowns), 0.05);
   for (const auto& device : n.devices()) device->seedUnknowns(x);
   const SystemView view(x, nodes);
 
-  Assembler compiled(n.stampPattern(), sparse);
+  Assembler compiled(n.stampPattern());
   std::vector<double> dx;
   const auto assemble = [&] {
     compiled.assemble(n, view, /*dc=*/false, kTime, kDt, kMethod, kGmin);

@@ -26,13 +26,12 @@ std::vector<double> DenseMatrix::multiply(std::span<const double> x) const {
 
 namespace detail {
 
-double denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm) {
-  FEFET_REQUIRE(lu.rows() == lu.cols(), "DenseLu: matrix not square");
+void denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm) {
+  FEFET_REQUIRE(lu.rows() == lu.cols(), "dense LU: matrix not square");
   const std::size_t n = lu.rows();
   perm.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
 
-  double maxPivot = 0.0, minPivot = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: find the largest magnitude in column k at/below k.
     std::size_t pivotRow = k;
@@ -46,7 +45,7 @@ double denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm) {
     }
     if (pivotMag < 1e-300) {
       std::ostringstream os;
-      os << "DenseLu: singular matrix at elimination step " << k << " of "
+      os << "dense LU: singular matrix at elimination step " << k << " of "
          << n;
       throw NumericalError(os.str());
     }
@@ -55,12 +54,6 @@ double denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm) {
         std::swap(lu.at(k, c), lu.at(pivotRow, c));
       }
       std::swap(perm[k], perm[pivotRow]);
-    }
-    if (k == 0) {
-      maxPivot = minPivot = pivotMag;
-    } else {
-      maxPivot = std::max(maxPivot, pivotMag);
-      minPivot = std::min(minPivot, pivotMag);
     }
     const double pivot = lu.at(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -72,14 +65,13 @@ double denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm) {
       }
     }
   }
-  return (minPivot > 0.0) ? maxPivot / minPivot : 0.0;
 }
 
 void denseLuSolve(const DenseMatrix& lu, const std::vector<std::size_t>& perm,
                   std::span<const double> b, std::span<double> x) {
   const std::size_t n = lu.rows();
   FEFET_REQUIRE(b.size() == n && x.size() == n,
-                "DenseLu::solve: size mismatch");
+                "dense LU solve: size mismatch");
   // Apply permutation, then forward substitution on unit-lower L.
   for (std::size_t i = 0; i < n; ++i) x[i] = b[perm[i]];
   for (std::size_t i = 1; i < n; ++i) {
@@ -97,23 +89,13 @@ void denseLuSolve(const DenseMatrix& lu, const std::vector<std::size_t>& perm,
 
 }  // namespace detail
 
-DenseLu::DenseLu(DenseMatrix a) : lu_(std::move(a)) {
-  pivotRatio_ = detail::denseLuFactorInPlace(lu_, perm_);
-}
-
-std::vector<double> DenseLu::solve(std::span<const double> b) const {
-  std::vector<double> x(lu_.rows());
-  detail::denseLuSolve(lu_, perm_, b, x);
-  return x;
-}
-
 void DenseLuFactorizer::factor(std::size_t n, std::span<const double> rowMajor) {
   FEFET_REQUIRE(rowMajor.size() == n * n,
                 "DenseLuFactorizer: matrix storage size mismatch");
   factored_ = false;
   if (lu_.rows() != n) lu_ = DenseMatrix(n, n);
   std::copy(rowMajor.begin(), rowMajor.end(), lu_.data().begin());
-  pivotRatio_ = detail::denseLuFactorInPlace(lu_, perm_);
+  detail::denseLuFactorInPlace(lu_, perm_);
   factored_ = true;
 }
 
@@ -162,12 +144,6 @@ void DenseLuFactorizer::solveMulti(std::span<const double> b,
 
 void SparseMatrix::setZero() {
   for (auto& row : rows_) row.clear();
-}
-
-void SparseMatrix::setZeroKeepStructure() {
-  for (auto& row : rows_) {
-    for (auto& [c, v] : row) v = 0.0;
-  }
 }
 
 std::vector<double> SparseMatrix::multiply(std::span<const double> x) const {
@@ -547,20 +523,6 @@ void SparseLuFactorizer::solveMulti(std::span<const double> b,
       }
     }
   }
-}
-
-void LinearSolver::solve(std::span<const double> rowMajor,
-                         std::span<const double> b, std::vector<double>& x) {
-  x.resize(n_);
-  denseFactor_.factor(n_, rowMajor);
-  denseFactor_.solve(b, x);
-}
-
-void LinearSolver::solve(const CsrView& a, std::span<const double> b,
-                         std::vector<double>& x) {
-  x.resize(n_);
-  sparseFactor_.factor(a);
-  sparseFactor_.solve(b, x);
 }
 
 double normInf(std::span<const double> v) {

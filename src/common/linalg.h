@@ -1,12 +1,12 @@
 // linalg.h — dense and sparse linear algebra for the MNA solver.
 //
-// DenseMatrix + LU with partial pivoting covers small circuits (cells,
-// sense amplifiers).  SparseLuFactorizer — a fill-reducing ordering with
-// threshold pivoting and a cached symbolic structure — covers memory
-// arrays, where the MNA matrix is extremely sparse.  CsrView lets the
-// compiled stamp pipeline hand its fixed-pattern slot storage to the
-// factorizers without copying, and the LinearSolver facade at the bottom
-// picks the right backend for a given size.  SparseMatrix is the
+// SparseLuFactorizer — a fill-reducing ordering with threshold pivoting
+// and a cached symbolic structure — is the one LU Newton runs, at every
+// system size from a single 2T cell to a memory array.  CsrView lets the
+// compiled stamp pipeline hand its fixed-pattern slot storage to it
+// without copying.  DenseMatrix + DenseLuFactorizer (LU with partial
+// pivoting) serve the small dense blocks and border of the hierarchical
+// Schur solver (schur.h) and the tests' oracles.  SparseMatrix is the
 // assembly-friendly row-map form tests and oracles build matrices in.
 #pragma once
 
@@ -58,38 +58,18 @@ class DenseMatrix {
 };
 
 namespace detail {
-/// In-place dense LU with partial pivoting: eliminates `lu`, records the
-/// row permutation in `perm` (resized to n) and returns the max/min pivot
-/// magnitude ratio.  Shared by DenseLu and DenseLuFactorizer so the two
-/// produce bit-identical factors by construction.
-double denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm);
+/// In-place dense LU with partial pivoting: eliminates `lu` and records the
+/// row permutation in `perm` (resized to n).
+void denseLuFactorInPlace(DenseMatrix& lu, std::vector<std::size_t>& perm);
 /// Permute + forward/backward substitution with a factor from above.
 void denseLuSolve(const DenseMatrix& lu, const std::vector<std::size_t>& perm,
                   std::span<const double> b, std::span<double> x);
 }  // namespace detail
 
-/// LU factorization with partial pivoting of a square dense matrix.
-/// Throws NumericalError when the matrix is numerically singular.
-class DenseLu {
- public:
-  explicit DenseLu(DenseMatrix a);
-
-  /// Solve A x = b for x.
-  std::vector<double> solve(std::span<const double> b) const;
-
-  /// Largest pivot magnitude ratio encountered (diagnostic).
-  double conditionEstimate() const { return pivotRatio_; }
-
- private:
-  DenseMatrix lu_;
-  std::vector<std::size_t> perm_;
-  double pivotRatio_ = 0.0;
-};
-
-/// Dense LU with a reusable workspace: factor() copies the input into a
-/// preallocated matrix and eliminates in place, so refactoring a
-/// same-sized matrix performs no heap allocation.  Runs the same kernel as
-/// DenseLu — results are bit-identical to constructing a fresh DenseLu.
+/// LU with partial pivoting of a square dense matrix, with a reusable
+/// workspace: factor() copies the input into a preallocated matrix and
+/// eliminates in place, so refactoring a same-sized matrix performs no
+/// heap allocation.
 class DenseLuFactorizer {
  public:
   /// Factor an n x n matrix given in row-major order.
@@ -114,7 +94,6 @@ class DenseLuFactorizer {
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;
   bool factored_ = false;
-  double pivotRatio_ = 0.0;
 };
 
 /// Square sparse matrix stored as one std::map<col,double> per row.
@@ -129,13 +108,6 @@ class SparseMatrix {
 
   void add(std::size_t r, std::size_t c, double v) { rows_[r][c] += v; }
   void setZero();
-
-  /// Zero every stored value but keep the sparsity pattern (map nodes).
-  /// Re-assembling the same circuit then touches existing nodes instead of
-  /// re-allocating them, and downstream structure caches see a stable
-  /// pattern.  Entries that receive no contribution stay as explicit 0.0,
-  /// which is numerically inert for LU.
-  void setZeroKeepStructure();
 
   const std::map<std::size_t, double>& row(std::size_t r) const {
     return rows_[r];
@@ -268,40 +240,6 @@ class SparseLuFactorizer {
   long fullFactorizations_ = 0;
   long numericRefactorizations_ = 0;
   long pivotFallbacks_ = 0;
-};
-
-/// Facade unifying the direct solvers behind one interface: dense LU at or
-/// below the crossover, the ordered sparse LU above it.  One instance owns
-/// the reusable factorizers, so the Assembler gets structure caching and
-/// allocation-free refactorization without knowing which backend runs.
-/// Every overload is bit-identical to calling the underlying factorizer
-/// directly.
-class LinearSolver {
- public:
-  LinearSolver(std::size_t n, bool sparse) : n_(n), sparse_(sparse) {}
-
-  std::size_t size() const { return n_; }
-  bool sparse() const { return sparse_; }
-
-  /// Solve A x = b for an n x n row-major matrix in external storage.
-  /// The reusable-workspace dense LU is bit-identical to a fresh DenseLu
-  /// and allocates nothing after the first call.
-  void solve(std::span<const double> rowMajor, std::span<const double> b,
-             std::vector<double>& x);
-
-  /// Solve A x = b for CSR assembly with external values (compiled path).
-  /// The steady state performs no heap allocation.
-  void solve(const CsrView& a, std::span<const double> b,
-             std::vector<double>& x);
-
-  /// Structure-cache diagnostics (zeros on the dense path).
-  const SparseLuFactorizer& sparseFactorizer() const { return sparseFactor_; }
-
- private:
-  std::size_t n_;
-  bool sparse_;
-  SparseLuFactorizer sparseFactor_;
-  DenseLuFactorizer denseFactor_;
 };
 
 /// Infinity norm of a vector.

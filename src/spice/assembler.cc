@@ -40,20 +40,14 @@ void StampBuffer::throwSlotOverrun(int row, int col) const {
   throw NumericalError(os.str());
 }
 
-Assembler::Assembler(const StampPattern& pattern, bool useSparse)
+Assembler::Assembler(const StampPattern& pattern)
     : pattern_(pattern),
-      sparseStorage_(useSparse),
       n_(pattern.unknowns()),
       values_(1 + pattern.nonZeros(), 0.0),
       residual_(1 + static_cast<std::size_t>(n_), 0.0),
       rowScale_(1 + static_cast<std::size_t>(n_), 0.0),
-      rhs_(static_cast<std::size_t>(n_), 0.0),
-      solver_(static_cast<std::size_t>(n_), useSparse) {
+      rhs_(static_cast<std::size_t>(n_), 0.0) {
   FEFET_REQUIRE(n_ > 0, "MNA system needs at least one unknown");
-  if (!sparseStorage_) {
-    dense_.assign(1 + static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
-                  0.0);
-  }
   // Compile the per-mode slot programs: CSR position + 1 per recorded
   // call, ground entries to the trash slot 0.
   for (int m = 0; m < kStampModeCount; ++m) {
@@ -122,23 +116,9 @@ void Assembler::solveForUpdate(std::vector<double>& dx) {
   const double* res = residual_.data() + 1;
   for (std::size_t i = 0; i < n; ++i) rhs_[i] = -res[i];
 
-  if (sparseStorage_) {
-    solver_.solve(csr(), rhs_, dx);
-    return;
-  }
-  // Dense: scatter the CSR accumulation into the row-major scratch.  The
-  // values were accumulated in the same order as direct dense stamping
-  // would add them, so the matrix is bit-identical to the test oracle's.
-  std::fill(dense_.begin(), dense_.end(), 0.0);
-  const auto& rowPtr = pattern_.rowPtr();
-  const auto& colIdx = pattern_.colIdx();
-  double* a = dense_.data() + 1;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t p = rowPtr[r]; p < rowPtr[r + 1]; ++p) {
-      a[r * n + colIdx[p]] = values_[p + 1];
-    }
-  }
-  solver_.solve(std::span<const double>(a, n * n), rhs_, dx);
+  dx.resize(n);
+  lu_.factor(csr());
+  lu_.solve(rhs_, dx);
 }
 
 }  // namespace fefet::spice

@@ -10,14 +10,12 @@
 //     -> per iteration: zero the values, evaluate every device through
 //        the SoA batches (device_batch.h) and scatter it through the
 //        program in netlist order, verify per-device call counts, apply
-//        gmin, solve.
-//        Below the dense/sparse crossover the accumulated CSR values are
-//        scattered into a row-major scratch and dense LU runs; above it
-//        the CSR view goes straight to the sparse factorizer.
+//        gmin, solve: the CSR view goes straight to the ordered sparse
+//        LU, at every system size.
 //
 // The steady state of assemble() + solveForUpdate() performs no heap
-// allocation (with LU structure reuse on): everything was sized at
-// construction and the factorizers keep their own workspaces.
+// allocation: everything was sized at construction and the factorizer
+// keeps its own workspace and reuses its symbolic structure.
 #pragma once
 
 #include <array>
@@ -34,7 +32,7 @@ namespace fefet::spice {
 class Assembler {
  public:
   /// `pattern` must outlive the assembler (the netlist owns it).
-  Assembler(const StampPattern& pattern, bool useSparse);
+  explicit Assembler(const StampPattern& pattern);
 
   /// Assemble one Newton evaluation: zero the storage, stamp every device
   /// through netlist.deviceBatches() (type-major evaluation, netlist-order
@@ -57,10 +55,10 @@ class Assembler {
     return {rowScale_.data() + 1, static_cast<std::size_t>(n_)};
   }
 
-  const linalg::LinearSolver& solver() const { return solver_; }
+  /// Structure-cache counters and factor fill of the sparse LU.
+  const linalg::SparseLuFactorizer& factorizer() const { return lu_; }
 
-  /// Assembled Jacobian as CSR (valid for sparse and dense storage alike —
-  /// devices always accumulate into the CSR slots).
+  /// Assembled Jacobian as CSR.
   linalg::CsrView csr() const {
     return {static_cast<std::size_t>(n_), pattern_.rowPtr(),
             pattern_.colIdx(),
@@ -69,19 +67,17 @@ class Assembler {
 
  private:
   const StampPattern& pattern_;
-  bool sparseStorage_;
   int n_;
-  /// Per-mode slot programs (padded indices into values_/dense_).
+  /// Per-mode slot programs (padded indices into values_).
   std::array<std::vector<std::size_t>, kStampModeCount> slots_;
   /// Padded CSR slot of each node diagonal (for gmin).
   std::vector<std::size_t> diagSlots_;
   // Padded storage: index 0 is the trash bin ground entries write into.
   std::vector<double> values_;    ///< CSR values (1 + nnz)
-  std::vector<double> dense_;     ///< row-major matrix (1 + n*n), dense only
   std::vector<double> residual_;  ///< 1 + n
   std::vector<double> rowScale_;  ///< 1 + n
   std::vector<double> rhs_;       ///< n (negated residual)
-  linalg::LinearSolver solver_;
+  linalg::SparseLuFactorizer lu_;
   StampBuffer buffer_;
   /// Which modes have already replayed their compiled slot program at
   /// least once — every assemble after that is a pattern-reuse hit for

@@ -102,8 +102,7 @@ bool defaultUseHierarchicalSolve() {
 NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
     : netlist_(frozen(netlist)),
       options_(options),
-      assembler_(netlist.stampPattern(),
-                 netlist.unknownCount() > kDenseToSparseCrossover) {
+      assembler_(netlist.stampPattern()) {
   if (options_.useHierarchicalSolve) {
     const BbdPartition* partition = netlist_.partition();
     if (partition != nullptr && partition->useful()) {

@@ -13,14 +13,6 @@
 
 namespace fefet::spice {
 
-/// Dense -> sparse crossover: systems with more unknowns than this use the
-/// CSR storage + ordered sparse LU; at or below it the dense LU runs.  The
-/// value sits between cell and array netlists, so every cell simulation
-/// keeps its bit-exact dense-LU arithmetic (and goldens).  It is not a
-/// speed optimum: the ordered sparse path is faster at every size down to
-/// one 2T cell (EXPERIMENTS.md, Fig. 7 solver section).
-inline constexpr int kDenseToSparseCrossover = 160;
-
 /// Session default for NewtonOptions::useHierarchicalSolve: false unless
 /// the environment sets FEFET_HIERARCHICAL_SOLVE=1 (opt-in — the flat
 /// solve remains the oracle, see partition.h / hier_engine.h).
@@ -100,9 +92,9 @@ class NewtonSolver {
   const HierEngine* hier() const { return hier_.get(); }
 
   /// Sparse-LU diagnostics of the flat solve: structure-cache counters and
-  /// factor fill (zeros on the dense path).
+  /// factor fill (zeros while the hierarchical engine does the solves).
   const linalg::SparseLuFactorizer& sparseFactorizer() const {
-    return assembler_.solver().sparseFactorizer();
+    return assembler_.factorizer();
   }
 
  private:

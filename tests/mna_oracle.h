@@ -19,12 +19,12 @@ namespace fefet::spice {
 
 class MnaSystem final : public Stamper {
  public:
-  MnaSystem(int unknowns, bool useSparse)
-      : useSparse_(useSparse),
+  MnaSystem(int unknowns, bool sparse)
+      : sparse_(sparse),
         residual_(static_cast<std::size_t>(unknowns), 0.0),
         rowScale_(static_cast<std::size_t>(unknowns), 0.0) {
     const auto n = static_cast<std::size_t>(unknowns);
-    if (useSparse_) {
+    if (sparse_) {
       sparseM_ = linalg::SparseMatrix(n);
     } else {
       dense_ = linalg::DenseMatrix(n, n);
@@ -34,7 +34,7 @@ class MnaSystem final : public Stamper {
   void clear() {
     std::fill(residual_.begin(), residual_.end(), 0.0);
     std::fill(rowScale_.begin(), rowScale_.end(), 0.0);
-    if (useSparse_) {
+    if (sparse_) {
       sparseM_.setZero();
     } else {
       dense_.setZero();
@@ -52,7 +52,7 @@ class MnaSystem final : public Stamper {
     if (value == 0.0) return;
     const auto r = static_cast<std::size_t>(row);
     const auto c = static_cast<std::size_t>(col);
-    if (useSparse_) {
+    if (sparse_) {
       sparseM_.add(r, c, value);
     } else {
       dense_.at(r, c) += value;
@@ -75,7 +75,7 @@ class MnaSystem final : public Stamper {
   const linalg::SparseMatrix& sparseMatrix() const { return sparseM_; }
 
  private:
-  bool useSparse_;
+  bool sparse_;
   linalg::DenseMatrix dense_;
   linalg::SparseMatrix sparseM_;
   std::vector<double> residual_;

@@ -23,32 +23,41 @@ TEST(DenseMatrix, MultiplyIdentityLike) {
   EXPECT_DOUBLE_EQ(y[1], -3.0);
 }
 
-TEST(DenseLu, Solves2x2) {
+std::vector<double> denseSolve(const DenseMatrix& a,
+                               std::span<const double> b) {
+  DenseLuFactorizer lu;
+  lu.factor(a);
+  std::vector<double> x(a.rows());
+  lu.solve(b, x);
+  return x;
+}
+
+TEST(DenseLuFactorizer, Solves2x2) {
   DenseMatrix a(2, 2);
   a.at(0, 0) = 3.0; a.at(0, 1) = 2.0;
   a.at(1, 0) = 1.0; a.at(1, 1) = 4.0;
-  DenseLu lu(a);
-  const auto x = lu.solve(std::vector<double>{7.0, 9.0});
+  const auto x = denseSolve(a, std::vector<double>{7.0, 9.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(DenseLu, RequiresPivoting) {
+TEST(DenseLuFactorizer, RequiresPivoting) {
   // Zero on the diagonal forces a row swap.
   DenseMatrix a(2, 2);
   a.at(0, 0) = 0.0; a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0; a.at(1, 1) = 0.0;
-  DenseLu lu(a);
-  const auto x = lu.solve(std::vector<double>{5.0, 7.0});
+  const auto x = denseSolve(a, std::vector<double>{5.0, 7.0});
   EXPECT_NEAR(x[0], 7.0, 1e-12);
   EXPECT_NEAR(x[1], 5.0, 1e-12);
 }
 
-TEST(DenseLu, DetectsSingular) {
+TEST(DenseLuFactorizer, DetectsSingular) {
   DenseMatrix a(2, 2);
   a.at(0, 0) = 1.0; a.at(0, 1) = 2.0;
   a.at(1, 0) = 2.0; a.at(1, 1) = 4.0;
-  EXPECT_THROW(DenseLu{a}, NumericalError);
+  DenseLuFactorizer lu;
+  EXPECT_THROW(lu.factor(a), NumericalError);
+  EXPECT_FALSE(lu.factored());
 }
 
 TEST(SparseMatrix, AccumulatesAndCounts) {
@@ -123,7 +132,7 @@ TEST_P(SparseVsDense, AgreeOnRandomSystems) {
   std::vector<double> b(static_cast<std::size_t>(n));
   for (auto& e : b) e = rng.uniform(-1.0, 1.0);
 
-  const auto xd = DenseLu(d).solve(b);
+  const auto xd = denseSolve(d, b);
   SparseLuFactorizer lu;
   lu.factor(s);
   const auto xs = lu.solve(b);
@@ -209,66 +218,6 @@ TEST(MultiRhs, SparseSolveMultiIsBitIdenticalPerColumn) {
       ASSERT_EQ(multi[c * kN + static_cast<std::size_t>(i)],
                 single[static_cast<std::size_t>(i)])
           << "col " << c << " row " << i;
-    }
-  }
-}
-
-// The LinearSolver facade (what the Newton assembler calls, one RHS per
-// iteration) against the backends' blocked multi-RHS solve: every column
-// must come out bit-identical through either route.
-TEST(MultiRhs, LinearSolverFacadeMatchesBackends) {
-  constexpr int kN = 24;
-  constexpr std::size_t kRhs = 3;
-  DenseMatrix d;
-  SparseMatrix s;
-  buildRandomSystem(kN, 99u, &d, &s);
-  stats::Rng rng(3u);
-  std::vector<double> b(kRhs * kN);
-  for (auto& e : b) e = rng.uniform(-1.0, 1.0);
-  const auto column = [&](std::size_t c) {
-    return std::span<const double>(b).subspan(c * kN, kN);
-  };
-
-  // Dense facade overload vs direct factorizer.
-  DenseLuFactorizer dlu;
-  dlu.factor(d);
-  std::vector<double> xRef(kRhs * kN);
-  dlu.solveMulti(b, xRef, kRhs);
-  LinearSolver dense(kN, /*sparse=*/false);
-  std::vector<double> x;
-  for (std::size_t c = 0; c < kRhs; ++c) {
-    dense.solve(d.data(), column(c), x);
-    ASSERT_EQ(x.size(), static_cast<std::size_t>(kN));
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_EQ(x[static_cast<std::size_t>(i)],
-                xRef[c * kN + static_cast<std::size_t>(i)])
-          << "dense col " << c << " row " << i;
-    }
-  }
-
-  // CSR facade overload vs direct sparse factorizer.
-  std::vector<std::size_t> rowPtr{0};
-  std::vector<std::size_t> colIdx;
-  std::vector<double> values;
-  for (int r = 0; r < kN; ++r) {
-    for (const auto& [c, v] : s.row(static_cast<std::size_t>(r))) {
-      colIdx.push_back(c);
-      values.push_back(v);
-    }
-    rowPtr.push_back(colIdx.size());
-  }
-  const CsrView csr{static_cast<std::size_t>(kN), rowPtr, colIdx, values};
-  SparseLuFactorizer slu;
-  slu.factor(s);
-  std::vector<double> xSref(kRhs * kN);
-  slu.solveMulti(b, xSref, kRhs);
-  LinearSolver sparse(kN, /*sparse=*/true);
-  for (std::size_t c = 0; c < kRhs; ++c) {
-    sparse.solve(csr, column(c), x);
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_EQ(x[static_cast<std::size_t>(i)],
-                xSref[c * kN + static_cast<std::size_t>(i)])
-          << "sparse col " << c << " row " << i;
     }
   }
 }

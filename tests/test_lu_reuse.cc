@@ -2,7 +2,7 @@
 // SparseLuFactorizer contracts (bit-identical solves, counter bookkeeping,
 // pattern-change and pivot-drift fallbacks) and, on an assembled circuit
 // Jacobian, agreement with dense LU while the cache is reused across
-// Newton iterations and timesteps.
+// Newton iterations and timesteps, and the cache at work on a 2T cell.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/linalg.h"
+#include "core/cell2t.h"
 #include "spice/assembler.h"
 #include "spice/netlist.h"
 #include "spice/newton.h"
@@ -29,18 +30,6 @@ linalg::SparseMatrix tridiagonal(std::size_t n, double diag, double off) {
     if (i + 1 < n) m.add(i, i + 1, off);
   }
   return m;
-}
-
-TEST(SparseMatrix, SetZeroKeepStructurePreservesPattern) {
-  linalg::SparseMatrix m(3);
-  m.add(0, 0, 1.0);
-  m.add(1, 2, -4.0);
-  m.setZeroKeepStructure();
-  EXPECT_EQ(m.nonZeros(), 2u);  // nodes survive as explicit zeros
-  EXPECT_DOUBLE_EQ(m.row(0).at(0), 0.0);
-  EXPECT_DOUBLE_EQ(m.row(1).at(2), 0.0);
-  m.add(1, 2, 5.0);
-  EXPECT_DOUBLE_EQ(m.row(1).at(2), 5.0);
 }
 
 TEST(SparseLuFactorizer, MatchesFreshLuBitForBit) {
@@ -150,7 +139,10 @@ TEST(SparseLuFactorizer, OrderingKeepsArrowheadFillFree) {
   std::vector<double> b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = std::cos(0.3 * i);
   const auto x = lu.solve(b);
-  const auto ref = linalg::DenseLu(dense).solve(b);
+  linalg::DenseLuFactorizer denseLu;
+  denseLu.factor(dense);
+  std::vector<double> ref(n);
+  denseLu.solve(b, ref);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], ref[i], 1e-12);
 }
 
@@ -178,11 +170,10 @@ TEST(SparseLuFactorizer, RejectsMalformedCsrViews) {
                InvalidArgumentError);
 }
 
-// A long RC ladder pushes the unknown count past the sparse-path threshold
-// (160) so Newton runs SparseLuFactorizer inside the Assembler.  At every
-// timestep the assembled Jacobian is also factored by a standalone
-// factorizer (structure reuse across steps) and checked against dense LU
-// on the densified matrix.
+// A long RC ladder through Newton, which runs SparseLuFactorizer inside
+// the Assembler.  At every timestep the assembled Jacobian is also factored
+// by a standalone factorizer (structure reuse across steps) and checked
+// against dense LU on the densified matrix.
 TEST(LuReuse, LadderJacobianSolvesMatchDenseLu) {
   using namespace spice;
   Netlist n;
@@ -196,14 +187,14 @@ TEST(LuReuse, LadderJacobianSolvesMatchDenseLu) {
     n.add<Capacitor>("C" + std::to_string(i), b, n.ground(), 1e-15);
   }
   NewtonSolver newton(n, NewtonOptions{});
-  const int unknowns = n.unknownCount();
-  ASSERT_GT(unknowns, kDenseToSparseCrossover);
-  const auto size = static_cast<std::size_t>(unknowns);
+  const auto size = static_cast<std::size_t>(n.unknownCount());
   std::vector<double> x(size, 0.0);
   for (const auto& device : n.devices()) device->seedUnknowns(x);
 
-  Assembler jacobian(n.stampPattern(), /*useSparse=*/true);
+  Assembler jacobian(n.stampPattern());
   linalg::SparseLuFactorizer lu;
+  linalg::DenseLuFactorizer denseLu;
+  std::vector<double> xd(size);
   constexpr double kDt = 20e-12;
   for (int step = 1; step <= 20; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -225,7 +216,8 @@ TEST(LuReuse, LadderJacobianSolvesMatchDenseLu) {
         dense.at(r, csr.colIdx[p]) = csr.values[p];
       }
     }
-    const auto xd = linalg::DenseLu(dense).solve(rhs);
+    denseLu.factor(dense);
+    denseLu.solve(rhs, xd);
     const double scale = linalg::normInf(xd);
     ASSERT_GT(scale, 0.0);
     for (std::size_t i = 0; i < size; ++i) {
@@ -237,6 +229,19 @@ TEST(LuReuse, LadderJacobianSolvesMatchDenseLu) {
   // timesteps, the standalone one across timesteps.
   EXPECT_GT(newton.sparseFactorizer().numericRefactorizations(), 10);
   EXPECT_GT(lu.numericRefactorizations(), 10);
+}
+
+// A 2T-cell write (11 unknowns) runs Newton through the same sparse LU as
+// an array: one full factorization, then numeric refactorizations on the
+// cached structure for every later iteration and timestep.
+TEST(LuReuse, Cell2TWriteReusesTheSparseFactorization) {
+  core::Cell2T cell(core::Cell2TConfig{});
+  cell.setStoredBit(false);
+  ASSERT_TRUE(cell.write(true, 1e-9).bitAfter);
+  const auto& lu = cell.simulator().newton().sparseFactorizer();
+  EXPECT_EQ(lu.fullFactorizations(), 1);
+  EXPECT_GT(lu.numericRefactorizations(), 0);
+  EXPECT_EQ(lu.pivotFallbacks(), 0);
 }
 
 }  // namespace

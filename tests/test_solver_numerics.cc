@@ -254,7 +254,7 @@ TEST(Mna, AddGminFeedsTheRowScale) {
   n.add<Resistor>("R1", n.node("a"), n.node("b"), 0.5);
   n.add<Resistor>("R2", n.node("b"), n.ground(), 0.25);
   ASSERT_EQ(n.freeze(), 2);
-  Assembler assembler(n.stampPattern(), /*useSparse=*/false);
+  Assembler assembler(n.stampPattern());
   const std::vector<double> x = {2.0, -1.0};
   const SystemView view(x, n.nodeCount());
   struct Rows {

@@ -1,7 +1,7 @@
 // Heap-allocation audit of the compiled stamp pipeline: after a warm-up
-// solve, the Newton steady state (SoA batch assemble + factor + solve, LU
-// structure reuse on) must perform zero heap allocations on both the
-// dense and the sparse storage paths.
+// solve, the Newton steady state (SoA batch assemble + sparse LU numeric
+// refactor + solve) must perform zero heap allocations, on a short and a
+// long ladder.
 //
 // The audit replaces the global operator new/delete with counting
 // wrappers for the whole test binary; counting is only armed around the
@@ -63,11 +63,10 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace fefet::spice {
 namespace {
 
-// RC/diode ladder sized by stage count: small counts stay on the dense
-// path, large counts cross kDenseToSparseCrossover onto the sparse path.
-// With `activeLoads` every fifth stage also drives a diode-connected MOSFET
-// and a ferroelectric capacitor, so the MOSFET and FeCap batch kernels run
-// inside the audited window too.
+// RC/diode ladder sized by stage count.  With `activeLoads` every fifth
+// stage also drives a diode-connected MOSFET and a ferroelectric
+// capacitor, so the MOSFET and FeCap batch kernels run inside the audited
+// window too.
 void buildLadder(Netlist& n, int stages, bool activeLoads) {
   n.add<VoltageSource>("V1", n.node("s0"), n.ground(), shapes::dc(1.0));
   ferro::LkCoefficients fe;
@@ -116,19 +115,19 @@ long allocationsDuringSolves(int stages, bool activeLoads = false) {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-TEST(StampAlloc, DensePathSteadyStateIsAllocationFree) {
+TEST(StampAlloc, Ladder40SteadyStateIsAllocationFree) {
   EXPECT_EQ(allocationsDuringSolves(/*stages=*/40), 0);
 }
 
-TEST(StampAlloc, SparsePathSteadyStateIsAllocationFree) {
+TEST(StampAlloc, Ladder200SteadyStateIsAllocationFree) {
   EXPECT_EQ(allocationsDuringSolves(/*stages=*/200), 0);
 }
 
-TEST(StampAlloc, BatchedDensePathSteadyStateIsAllocationFree) {
+TEST(StampAlloc, BatchedLadder40SteadyStateIsAllocationFree) {
   EXPECT_EQ(allocationsDuringSolves(/*stages=*/40, /*activeLoads=*/true), 0);
 }
 
-TEST(StampAlloc, BatchedSparsePathSteadyStateIsAllocationFree) {
+TEST(StampAlloc, BatchedLadder200SteadyStateIsAllocationFree) {
   EXPECT_EQ(allocationsDuringSolves(/*stages=*/200, /*activeLoads=*/true), 0);
 }
 
