@@ -46,7 +46,7 @@ namespace {
 struct Cli {
   int rows = 2;
   int cols = 3;
-  int hier = -1;  ///< -1 = NewtonOptions env default, 0/1 = forced
+  bool hier = false;  ///< --hier=1: BBD/Schur solve instead of flat
   int threads = 1;
   int writes = 0;  ///< 0 = auto (checkerboard when small, 8 strided else)
   bool parity = false;
@@ -67,7 +67,7 @@ Cli parseCli(int argc, char** argv) {
     } else if (const char* v = valueOf(arg, "--cols=")) {
       cli.cols = std::atoi(v);
     } else if (const char* v = valueOf(arg, "--hier=")) {
-      cli.hier = std::atoi(v);
+      cli.hier = std::atoi(v) != 0;
     } else if (const char* v = valueOf(arg, "--threads=")) {
       cli.threads = std::atoi(v);
     } else if (const char* v = valueOf(arg, "--writes=")) {
@@ -301,16 +301,14 @@ int main(int argc, char** argv) {
   if (cli.speedup) return runSpeedup(cli);
   if (cli.telemetryOverhead) return runTelemetryOverhead(cli, ops);
 
-  const bool hierarchical =
-      cli.hier >= 0 ? cli.hier != 0 : spice::defaultUseHierarchicalSolve();
   bench::TelemetrySession telemetry("fig07_array_bias");
   char title[128];
   std::snprintf(title, sizeof(title),
                 "Fig. 7: %dx%d array operations (%s solve)", cli.rows,
-                cli.cols, hierarchical ? "hierarchical" : "flat");
+                cli.cols, cli.hier ? "hierarchical" : "flat");
   bench::banner(title);
 
-  core::ArrayNetlist array(makeConfig(cli, hierarchical));
+  core::ArrayNetlist array(makeConfig(cli, cli.hier));
   const std::uint64_t newtonBefore =
       obs::Metrics::counter("fefet.transient.newton_iterations").total();
   const auto outcome = runSchedule(array, ops);
@@ -363,7 +361,7 @@ int main(int argc, char** argv) {
       "\"border\":%d,\"disturb_worst\":%.4g,\"disturb_frac\":%.4g,"
       "\"disturb_margin\":%.3f,\"sneak_worst_nA\":%.4g,"
       "\"avg_write_energy_fJ\":%.4g}\n",
-      cli.rows, cli.cols, hierarchical ? "true" : "false", cli.threads,
+      cli.rows, cli.cols, cli.hier ? "true" : "false", cli.threads,
       outcome.writes, outcome.ok ? "true" : "false", outcome.wallSeconds,
       static_cast<unsigned long long>(newtonIters), hierSolves, blockFactors,
       blockSkips, collapsedRatio, schurRefactors, schurReuses, blocks, border,
@@ -381,7 +379,7 @@ int main(int argc, char** argv) {
   // REPORT line: the write-energy figure of merit through obs::RunReport.
   telemetry.report().addNumber("rows", cli.rows);
   telemetry.report().addNumber("cols", cli.cols);
-  telemetry.report().addBool("hierarchical", hierarchical);
+  telemetry.report().addBool("hierarchical", cli.hier);
   telemetry.report().addCount("writes",
                               static_cast<std::uint64_t>(outcome.writes));
   telemetry.report().addNumber("avg_write_energy_fJ", avgWriteEnergy * 1e15);

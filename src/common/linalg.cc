@@ -105,43 +105,6 @@ void DenseLuFactorizer::solve(std::span<const double> b,
   detail::denseLuSolve(lu_, perm_, b, x);
 }
 
-void DenseLuFactorizer::solveMulti(std::span<const double> b,
-                                   std::span<double> x,
-                                   std::size_t nrhs) const {
-  FEFET_REQUIRE(factored_,
-                "DenseLuFactorizer::solveMulti called before factor()");
-  const std::size_t n = lu_.rows();
-  FEFET_REQUIRE(b.size() == n * nrhs && x.size() == n * nrhs,
-                "DenseLuFactorizer::solveMulti: size mismatch");
-  // Permutation, column by column.
-  for (std::size_t c = 0; c < nrhs; ++c) {
-    for (std::size_t i = 0; i < n; ++i) x[c * n + i] = b[c * n + perm_[i]];
-  }
-  // Forward substitution on unit-lower L, blocked over columns.  For every
-  // column the updates to x[c*n + i] happen in the same j order as the
-  // scalar kernel's register accumulation, so the results are
-  // bit-identical per column.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      const double l = lu_.at(i, j);
-      for (std::size_t c = 0; c < nrhs; ++c) {
-        x[c * n + i] -= l * x[c * n + j];
-      }
-    }
-  }
-  // Backward substitution on U.
-  for (std::size_t i = n; i-- > 0;) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double u = lu_.at(i, j);
-      for (std::size_t c = 0; c < nrhs; ++c) {
-        x[c * n + i] -= u * x[c * n + j];
-      }
-    }
-    const double diag = lu_.at(i, i);
-    for (std::size_t c = 0; c < nrhs; ++c) x[c * n + i] /= diag;
-  }
-}
-
 void SparseMatrix::setZero() {
   for (auto& row : rows_) row.clear();
 }

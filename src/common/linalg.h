@@ -2,11 +2,12 @@
 //
 // SparseLuFactorizer — a fill-reducing ordering with threshold pivoting
 // and a cached symbolic structure — is the one LU Newton runs, at every
-// system size from a single 2T cell to a memory array.  CsrView lets the
+// system size from a single 2T cell to a memory array, and every diagonal
+// block of the hierarchical Schur solver (schur.h).  CsrView lets the
 // compiled stamp pipeline hand its fixed-pattern slot storage to it
 // without copying.  DenseMatrix + DenseLuFactorizer (LU with partial
-// pivoting) serve the small dense blocks and border of the hierarchical
-// Schur solver (schur.h) and the tests' oracles.  SparseMatrix is the
+// pivoting) serve the dense border Schur complement and the tests'
+// oracles.  SparseMatrix is the
 // assembly-friendly row-map form tests and oracles build matrices in.
 #pragma once
 
@@ -79,14 +80,6 @@ class DenseLuFactorizer {
 
   /// Solve A x = b with the most recent factorization (x sized n).
   void solve(std::span<const double> b, std::span<double> x) const;
-
-  /// Multi-RHS solve: b and x hold `nrhs` column-contiguous right-hand
-  /// sides / solutions (column c occupies [c*n, (c+1)*n)).  The blocked
-  /// substitution walks the factor once and applies every elimination step
-  /// to all columns, so each column's arithmetic sequence — and therefore
-  /// its IEEE result — is bit-identical to a scalar solve() of that column.
-  void solveMulti(std::span<const double> b, std::span<double> x,
-                  std::size_t nrhs) const;
 
   bool factored() const { return factored_; }
 
@@ -165,9 +158,10 @@ class SparseLuFactorizer {
   /// Allocation-free overload: x must be sized n and must not alias b.
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// Multi-RHS solve over `nrhs` column-contiguous right-hand sides (see
-  /// DenseLuFactorizer::solveMulti).  One traversal of the cached factor
-  /// serves all columns; per-column results are bit-identical to solve().
+  /// Multi-RHS solve: b and x hold `nrhs` column-contiguous right-hand
+  /// sides / solutions (column c occupies [c*n, (c+1)*n)).  One traversal
+  /// of the cached factor applies every elimination step to all columns,
+  /// so per-column results are bit-identical to solve().
   void solveMulti(std::span<const double> b, std::span<double> x,
                   std::size_t nrhs) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/error.h"
 
@@ -10,9 +9,8 @@ namespace fefet::linalg {
 
 /// Per-block state: the local CSR pattern with its gather program into the
 /// global CSR values, the border coupling triplets (B above, C left of the
-/// corner), the LU factorizer (dense or sparse by size), the cached value
-/// copies the collapse state machine compares against, and per-solve
-/// scratch.
+/// corner), the sparse LU factorizer, the cached value copies the collapse
+/// state machine compares against, and per-solve scratch.
 struct SchurSolver::Block {
   std::vector<int> rows_;  ///< global rows, local order
 
@@ -46,14 +44,11 @@ struct SchurSolver::Block {
   std::vector<double> cachedB_;
   std::vector<double> cachedC_;
 
-  bool dense = false;
   bool factored = false;
   bool collapsed = false;
   int quiet = 0;
 
   SparseLuFactorizer sparseFac_;
-  DenseLuFactorizer denseFac_;
-  std::vector<double> denseScratch_;  ///< nb*nb, dense blocks only
 
   // Per-solve results consumed by the serial border phase.
   std::vector<double> y_;   ///< A_b^{-1} f_b
@@ -61,41 +56,37 @@ struct SchurSolver::Block {
 
   int nb() const { return static_cast<int>(rows_.size()); }
   int kb() const { return static_cast<int>(bcols_.size()); }
-
-  void factorSolve(std::span<const double> b, std::span<double> x) const {
-    if (dense) {
-      denseFac_.solve(b, x);
-    } else {
-      sparseFac_.solve(b, x);
-    }
-  }
-  void factorSolveMulti(std::span<const double> b, std::span<double> x,
-                        std::size_t nrhs) const {
-    if (dense) {
-      denseFac_.solveMulti(b, x, nrhs);
-    } else {
-      sparseFac_.solveMulti(b, x, nrhs);
-    }
-  }
 };
 
 namespace {
 
-/// Quiet check: every |v - cached| within abs + rel * |cached|.  Also
-/// reports bitwise equality (the exact refactor-skip fast path).
+/// Collapse band on gathered values: an entry is quiet when
+/// |v - cached| <= kCollapseAbsTol + kCollapseRelTol * |cached|.
+constexpr double kCollapseAbsTol = 1e-12;
+constexpr double kCollapseRelTol = 1e-5;
+/// Consecutive quiet evaluations before a block collapses.
+constexpr int kCollapseQuietEvals = 3;
+
+bool leavesBand(double v, double cached) {
+  return std::abs(v - cached) >
+         kCollapseAbsTol + kCollapseRelTol * std::abs(cached);
+}
+
+/// Quiet check: every value inside the collapse band.  Also reports
+/// bitwise equality (the exact refactor-skip fast path).
 struct DriftReport {
   bool exact = true;
   bool quiet = true;
 };
 
 void checkDrift(std::span<const double> cur, std::span<const double> cached,
-                double absTol, double relTol, DriftReport* report) {
+                DriftReport* report) {
   for (std::size_t i = 0; i < cur.size(); ++i) {
     const double c = cur[i];
     const double p = cached[i];
     if (c != p) {
       report->exact = false;
-      if (std::abs(c - p) > absTol + relTol * std::abs(p)) {
+      if (leavesBand(c, p)) {
         report->quiet = false;
         return;
       }
@@ -107,8 +98,8 @@ void checkDrift(std::span<const double> cur, std::span<const double> cached,
 
 SchurSolver::SchurSolver(std::span<const std::size_t> rowPtr,
                          std::span<const std::size_t> colIdx,
-                         SchurPartition partition, SchurOptions options)
-    : options_(options), n_(partition.n) {
+                         SchurPartition partition)
+    : n_(partition.n) {
   FEFET_REQUIRE(n_ >= 1, "SchurSolver: empty system");
   FEFET_REQUIRE(rowPtr.size() == static_cast<std::size_t>(n_) + 1,
                 "SchurSolver: rowPtr size mismatch");
@@ -151,7 +142,6 @@ SchurSolver::SchurSolver(std::span<const std::size_t> rowPtr,
     auto blk = std::make_unique<Block>();
     blk->rows_ = partition.blocks[b];
     const int nb = blk->nb();
-    blk->dense = nb <= options_.denseBlockLimit;
 
     // First pass: discover which border columns the block touches (from
     // both B and C entries) so bcols_ indexes stay compact.
@@ -234,10 +224,6 @@ SchurSolver::SchurSolver(std::span<const std::size_t> rowPtr,
     blk->valsC_.resize(blk->cEntries_.size());
     blk->y_.resize(static_cast<std::size_t>(nb));
     blk->gy_.resize(static_cast<std::size_t>(blk->kb()));
-    if (blk->dense) {
-      blk->denseScratch_.resize(static_cast<std::size_t>(nb) *
-                                static_cast<std::size_t>(nb));
-    }
     blocks_.push_back(std::move(blk));
   }
 
@@ -267,10 +253,6 @@ SchurSolver::SchurSolver(std::span<const std::size_t> rowPtr,
 
 SchurSolver::~SchurSolver() = default;
 
-int SchurSolver::blockRows(int block) const {
-  return blocks_[static_cast<std::size_t>(block)]->nb();
-}
-
 void SchurSolver::setParallelFor(ParallelFor parallelFor) {
   FEFET_REQUIRE(parallelFor != nullptr, "SchurSolver: null ParallelFor");
   parallelFor_ = std::move(parallelFor);
@@ -289,23 +271,9 @@ void SchurSolver::gatherBlockValues(Block& blk, const CsrView& a) {
 }
 
 void SchurSolver::factorBlock(Block& blk) {
-  const int nb = blk.nb();
-  if (blk.dense) {
-    std::fill(blk.denseScratch_.begin(), blk.denseScratch_.end(), 0.0);
-    for (int li = 0; li < nb; ++li) {
-      for (std::size_t p = blk.rowPtr_[static_cast<std::size_t>(li)];
-           p < blk.rowPtr_[static_cast<std::size_t>(li) + 1]; ++p) {
-        blk.denseScratch_[static_cast<std::size_t>(li) *
-                              static_cast<std::size_t>(nb) +
-                          blk.colIdx_[p]] += blk.valsA_[p];
-      }
-    }
-    blk.denseFac_.factor(static_cast<std::size_t>(nb), blk.denseScratch_);
-  } else {
-    const CsrView view{static_cast<std::size_t>(nb), blk.rowPtr_,
-                       blk.colIdx_, blk.valsA_};
-    blk.sparseFac_.factor(view);
-  }
+  const CsrView view{static_cast<std::size_t>(blk.nb()), blk.rowPtr_,
+                     blk.colIdx_, blk.valsA_};
+  blk.sparseFac_.factor(view);
   blk.factored = true;
 }
 
@@ -325,7 +293,7 @@ void SchurSolver::computeContribution(const Block& blk,
         bVals[i];
   }
   std::vector<double> x(nb * kb);
-  blk.factorSolveMulti(bd, x, kb);
+  blk.sparseFac_.solveMulti(bd, x, kb);
   // contrib(i, j) = sum_lj C(i, lj) * X(lj, j).
   for (std::size_t j = 0; j < kb; ++j) {
     const double* xc = x.data() + j * nb;
@@ -369,16 +337,9 @@ void SchurSolver::updateBlock(Block& blk, const CsrView& a,
 
   DriftReport drift;
   if (blk.factored) {
-    checkDrift(blk.valsA_, blk.cachedA_, options_.collapseAbsTol,
-               options_.collapseRelTol, &drift);
-    if (drift.quiet) {
-      checkDrift(blk.valsB_, blk.cachedB_, options_.collapseAbsTol,
-                 options_.collapseRelTol, &drift);
-    }
-    if (drift.quiet) {
-      checkDrift(blk.valsC_, blk.cachedC_, options_.collapseAbsTol,
-                 options_.collapseRelTol, &drift);
-    }
+    checkDrift(blk.valsA_, blk.cachedA_, &drift);
+    if (drift.quiet) checkDrift(blk.valsB_, blk.cachedB_, &drift);
+    if (drift.quiet) checkDrift(blk.valsC_, blk.cachedC_, &drift);
   }
 
   bool refactor;
@@ -396,8 +357,7 @@ void SchurSolver::updateBlock(Block& blk, const CsrView& a,
     // Inside the band: refactor until enough consecutive quiet evals
     // establish trust, then stop (the skip branch collapses the block).
     ++blk.quiet;
-    refactor = !(options_.enableCollapse &&
-                 blk.quiet >= options_.collapseQuietEvals);
+    refactor = blk.quiet < kCollapseQuietEvals;
   }
 
   if (refactor) {
@@ -422,8 +382,8 @@ void SchurSolver::updateBlock(Block& blk, const CsrView& a,
     ++stats_.blockFactorizations;
     if (expanded) ++stats_.expands;
   } else {
-    const bool collapsing = options_.enableCollapse && !blk.collapsed &&
-                            blk.quiet >= options_.collapseQuietEvals;
+    const bool collapsing =
+        !blk.collapsed && blk.quiet >= kCollapseQuietEvals;
     if (collapsing) blk.collapsed = true;
     const std::lock_guard<std::mutex> lock(statsMutex_);
     ++stats_.blockFactorSkips;
@@ -439,7 +399,7 @@ void SchurSolver::updateBlock(Block& blk, const CsrView& a,
     fb[static_cast<std::size_t>(li)] =
         f[static_cast<std::size_t>(blk.rows_[static_cast<std::size_t>(li)])];
   }
-  blk.factorSolve(fb, blk.y_);
+  blk.sparseFac_.solve(fb, blk.y_);
   std::fill(blk.gy_.begin(), blk.gy_.end(), 0.0);
   for (std::size_t i = 0; i < blk.cEntries_.size(); ++i) {
     const auto& e = blk.cEntries_[i];
@@ -449,9 +409,7 @@ void SchurSolver::updateBlock(Block& blk, const CsrView& a,
 }
 
 void SchurSolver::backSubstitute(Block& blk, std::span<const double> xBorder,
-                                 std::span<double> x,
-                                 std::span<const double> f) {
-  (void)f;
+                                 std::span<double> x) {
   const int nb = blk.nb();
   std::vector<double> t(static_cast<std::size_t>(nb), 0.0);
   for (std::size_t i = 0; i < blk.bEntries_.size(); ++i) {
@@ -461,7 +419,7 @@ void SchurSolver::backSubstitute(Block& blk, std::span<const double> xBorder,
         xBorder[static_cast<std::size_t>(blk.bcols_[static_cast<std::size_t>(e.bk)])];
   }
   std::vector<double> u(static_cast<std::size_t>(nb));
-  blk.factorSolve(t, u);
+  blk.sparseFac_.solve(t, u);
   for (int li = 0; li < nb; ++li) {
     x[static_cast<std::size_t>(blk.rows_[static_cast<std::size_t>(li)])] =
         blk.y_[static_cast<std::size_t>(li)] - u[static_cast<std::size_t>(li)];
@@ -518,25 +476,12 @@ void SchurSolver::solve(const CsrView& a, std::span<const double> f,
     }
     // A_bb gets the same tolerance band as the blocks: while the direct
     // border entries stay inside the band the existing Schur factor is
-    // reused (same exact-residual inexact-Newton argument).  With collapse
-    // disabled only the exact bitwise match allows reuse.
-    bool abbExact = true;
+    // reused (same exact-residual inexact-Newton argument).
     bool abbQuiet = true;
-    for (std::size_t i = 0; i < abbEntries_.size(); ++i) {
-      const double v = a.values[abbEntries_[i].gpos];
-      const double p = cachedAbb_[i];
-      if (v != p) {
-        abbExact = false;
-        if (std::abs(v - p) >
-            options_.collapseAbsTol + options_.collapseRelTol * std::abs(p)) {
-          abbQuiet = false;
-          break;
-        }
-      }
+    for (std::size_t i = 0; i < abbEntries_.size() && abbQuiet; ++i) {
+      abbQuiet = !leavesBand(a.values[abbEntries_[i].gpos], cachedAbb_[i]);
     }
-    const bool abbChanged =
-        !sFactored_ || (options_.enableCollapse ? !abbQuiet : !abbExact);
-    if (sDirty_ || abbChanged) {
+    if (sDirty_ || !sFactored_ || !abbQuiet) {
       for (std::size_t i = 0; i < abbEntries_.size(); ++i) {
         cachedAbb_[i] = a.values[abbEntries_[i].gpos];
       }
@@ -563,7 +508,7 @@ void SchurSolver::solve(const CsrView& a, std::span<const double> f,
   // Phase 3 (parallel): back-substitution into the block interiors.
   parallelFor_(nBlocks, [&](int b) {
     try {
-      backSubstitute(*blocks_[static_cast<std::size_t>(b)], xBorder_, x, f);
+      backSubstitute(*blocks_[static_cast<std::size_t>(b)], xBorder_, x);
     } catch (const Error& e) {
       recordError(e.what());
     } catch (const std::exception& e) {

@@ -17,17 +17,21 @@
 // the blocks are the rows and the border is the shared bit/sense lines, so
 // the border stays O(N + M) while the flat system is O(N * M).
 //
+// Every block factors through the ordered, structure-caching
+// SparseLuFactorizer; the border Schur complement through dense LU.
+//
 // Macromodel collapsing: a block whose gathered matrix values stay inside a
-// tolerance band for `collapseQuietEvals` consecutive solves is collapsed —
-// its factorization and its (cached) Schur contribution are frozen and
-// reused, and only the (always fresh) right-hand side is propagated through
-// the stale factor.  Because the caller's Newton iteration assembles the
-// exact residual every iteration, a collapsed block makes the update an
-// inexact-Newton step with an exact residual: the converged solution is
-// unchanged, only the iteration path may differ.  A block whose values
-// leave the band is re-expanded (refactored) on the spot.  With collapsing
-// disabled the solver still skips refactoring blocks whose values are
-// bitwise identical to the cached copy — that fast path is exact.
+// tolerance band (|v - cached| <= 1e-12 + 1e-5 |cached| per entry) for
+// three consecutive solves is collapsed — its factorization and its
+// (cached) Schur contribution are frozen and reused, and only the (always
+// fresh) right-hand side is propagated through the stale factor.  Because
+// the caller's Newton iteration assembles the exact residual every
+// iteration, a collapsed block makes the update an inexact-Newton step with
+// an exact residual: the converged solution is unchanged, only the
+// iteration path may differ.  A block whose values leave the band is
+// re-expanded (refactored) on the spot.  A block whose values are bitwise
+// identical to the cached copy reuses its factor as is — that skip is
+// exact.
 #pragma once
 
 #include <cstddef>
@@ -49,21 +53,6 @@ struct SchurPartition {
   int n = 0;
   std::vector<int> borderRows;           ///< global rows on the border
   std::vector<std::vector<int>> blocks;  ///< per block: global rows, local order
-};
-
-struct SchurOptions {
-  /// Enable the hold-bias macromodel fast path (see file comment).  Off,
-  /// only the exact bitwise-identical refactor skip remains.
-  bool enableCollapse = true;
-  /// Tolerance band on gathered block values: a block is "quiet" when
-  /// every entry satisfies |v - cached| <= abs + rel * |cached|.
-  double collapseAbsTol = 1e-12;
-  double collapseRelTol = 1e-5;
-  /// Consecutive quiet evaluations before a block collapses.
-  int collapseQuietEvals = 3;
-  /// Blocks with at most this many rows factor through dense LU; larger
-  /// blocks use the ordered, structure-caching sparse factorizer.
-  int denseBlockLimit = 96;
 };
 
 /// Cumulative solver telemetry (monotone counters plus the current
@@ -91,8 +80,7 @@ class SchurSolver {
   /// solve).  Throws InvalidArgumentError when the partition is not
   /// bordered-block-diagonal under this pattern.
   SchurSolver(std::span<const std::size_t> rowPtr,
-              std::span<const std::size_t> colIdx, SchurPartition partition,
-              SchurOptions options = {});
+              std::span<const std::size_t> colIdx, SchurPartition partition);
   ~SchurSolver();
   SchurSolver(const SchurSolver&) = delete;
   SchurSolver& operator=(const SchurSolver&) = delete;
@@ -106,7 +94,6 @@ class SchurSolver {
 
   int blockCount() const { return static_cast<int>(blocks_.size()); }
   int borderSize() const { return nBorder_; }
-  int blockRows(int block) const;
   const SchurStats& stats() const { return stats_; }
 
  private:
@@ -123,10 +110,9 @@ class SchurSolver {
                          double sign);
   void updateBlock(Block& blk, const CsrView& a, std::span<const double> f);
   void backSubstitute(Block& blk, std::span<const double> xBorder,
-                      std::span<double> x, std::span<const double> f);
+                      std::span<double> x);
   void recordError(const std::string& what);
 
-  SchurOptions options_;
   int n_ = 0;
   int nBorder_ = 0;
   std::vector<int> borderRows_;

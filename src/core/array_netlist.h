@@ -7,8 +7,8 @@
 // external array deck would take.  The shared column lines (WBL, SL) are
 // then marked as border nodes so Netlist::freeze() builds the bordered-
 // block-diagonal partition (spice/partition.h): one diagonal block per
-// word-line row, ready for the hierarchical Schur solver
-// (NewtonOptions::useHierarchicalSolve).
+// word-line row, ready for the hierarchical Schur solver (off unless
+// NewtonOptions::useHierarchicalSolve is set).
 //
 // The electrical content matches MemoryArray cell for cell: a 2T cell is
 // an access NMOS (drain = WBL, gate = WS, source = floating gate), the FE
@@ -46,8 +46,8 @@ struct ArrayNetlistConfig {
   double writePulse = 700e-12;
   double readCurrentThreshold = 1e-6;  ///< '1' classification level [A]
   bool negativeUnaccessedSelect = true;
-  /// Solver configuration; set newton.useHierarchicalSolve (or env
-  /// FEFET_HIERARCHICAL_SOLVE=1) for the BBD/Schur engine.
+  /// Solver configuration; set newton.useHierarchicalSolve for the
+  /// BBD/Schur engine (the flat sparse LU otherwise).
   spice::NewtonOptions newton;
 };
 

@@ -49,10 +49,8 @@ struct HierTelemetry {
 }  // namespace
 
 HierEngine::HierEngine(const StampPattern& pattern,
-                       const BbdPartition& partition,
-                       const linalg::SchurOptions& options, int threads)
-    : solver_(pattern.rowPtr(), pattern.colIdx(), partition.schurPartition(),
-              options) {
+                       const BbdPartition& partition, int threads)
+    : solver_(pattern.rowPtr(), pattern.colIdx(), partition.schurPartition()) {
   threads_ = threads > 0 ? threads : sim::defaultThreadCount();
   threads_ = std::min(threads_, solver_.blockCount());
   if (threads_ > 1) {

@@ -28,7 +28,7 @@ class HierEngine {
   /// `pattern` and `partition` must outlive the engine (the netlist owns
   /// both).  `threads` <= 0 uses sim::defaultThreadCount().
   HierEngine(const StampPattern& pattern, const BbdPartition& partition,
-             const linalg::SchurOptions& options, int threads = 0);
+             int threads = 0);
 
   /// Solve J dx = -F for the assembled system (`a` with gmin applied,
   /// `residual` = F).  Throws NumericalError on singular blocks/border.
@@ -39,7 +39,6 @@ class HierEngine {
   const linalg::SchurStats& stats() const { return solver_.stats(); }
   int blockCount() const { return solver_.blockCount(); }
   int borderSize() const { return solver_.borderSize(); }
-  int threadCount() const { return threads_; }
 
  private:
   linalg::SchurSolver solver_;

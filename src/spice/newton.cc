@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/clock.h"
 #include "common/error.h"
@@ -91,14 +89,6 @@ Netlist& frozen(Netlist& netlist) {
 
 }  // namespace
 
-bool defaultUseHierarchicalSolve() {
-  static const bool value = [] {
-    const char* env = std::getenv("FEFET_HIERARCHICAL_SOLVE");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-  }();
-  return value;
-}
-
 NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
     : netlist_(frozen(netlist)),
       options_(options),
@@ -106,14 +96,8 @@ NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
   if (options_.useHierarchicalSolve) {
     const BbdPartition* partition = netlist_.partition();
     if (partition != nullptr && partition->useful()) {
-      linalg::SchurOptions schurOptions;
-      schurOptions.enableCollapse = options_.hierCollapse;
-      schurOptions.collapseAbsTol = options_.hierCollapseAbsTol;
-      schurOptions.collapseRelTol = options_.hierCollapseRelTol;
-      schurOptions.collapseQuietEvals = options_.hierCollapseQuietEvals;
       hier_ = std::make_unique<HierEngine>(netlist_.stampPattern(),
-                                           *partition, schurOptions,
-                                           options_.hierThreads);
+                                           *partition, options_.hierThreads);
     }
   }
 }

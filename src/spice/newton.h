@@ -13,11 +13,6 @@
 
 namespace fefet::spice {
 
-/// Session default for NewtonOptions::useHierarchicalSolve: false unless
-/// the environment sets FEFET_HIERARCHICAL_SOLVE=1 (opt-in — the flat
-/// solve remains the oracle, see partition.h / hier_engine.h).
-bool defaultUseHierarchicalSolve();
-
 class HierEngine;
 
 struct NewtonOptions {
@@ -34,16 +29,12 @@ struct NewtonOptions {
   /// engine (hier_engine.h) instead of the flat LU.  Effective only for
   /// a netlist whose freeze() built a useful BBD partition (border nodes
   /// marked, >= 2 blocks); silently falls back to the flat solve
-  /// otherwise.  Collapsing makes updates inexact-Newton
+  /// otherwise.  Off by default: the flat solve is the oracle.  The
+  /// engine's macromodel collapsing of quiet blocks (hold-bias fast path,
+  /// fixed tolerances in common/schur.cc) makes updates inexact-Newton
   /// steps with exact residuals — converged solutions agree with the flat
   /// engine within the Newton tolerances (see DESIGN.md §6.7).
-  bool useHierarchicalSolve = defaultUseHierarchicalSolve();
-  /// Macromodel collapsing of quiet blocks (hold-bias fast path); the
-  /// tolerances mirror linalg::SchurOptions.
-  bool hierCollapse = true;
-  double hierCollapseAbsTol = 1e-12;
-  double hierCollapseRelTol = 1e-5;
-  int hierCollapseQuietEvals = 3;
+  bool useHierarchicalSolve = false;
   /// Worker threads for per-block factorization (<= 0: FEFET_THREADS /
   /// hardware default).
   int hierThreads = 0;

@@ -307,6 +307,73 @@ TEST(Checkpoint, RejectsBadGeometry) {
   EXPECT_THROW(mgr.backup(sampleState(5, 1)), InvalidArgumentError);
 }
 
+TEST(Checkpoint, MutationRobustness) {
+  // Seeded fuzzing of the macro-bank record reader: each trial commits two
+  // epochs on a fresh macro (epoch k in bank k - 1), then XORs a random
+  // nonzero mask into one state, checksum or epoch word of bank 0, bank 1
+  // or both.  restore() and a rebuilt manager must never throw, and must
+  // return the image of the newest undamaged bank — an image that was
+  // actually backed up — or nullopt when neither survived.  The checksum
+  // mixes the epoch into an FNV-1a hash of every state byte, so any
+  // damaged word invalidates its bank.
+  constexpr int kStateWords = 8;
+  const std::vector<std::vector<std::uint32_t>> saved = {
+      sampleState(kStateWords, 1), sampleState(kStateWords, 2)};
+  stats::Rng rng(2026);
+  int damagedWords[3] = {0, 0, 0};  // state, checksum, epoch
+  for (int i = 0; i < 600; ++i) {
+    auto macro = checkpointMacro();
+    CheckpointManager mgr(macro, kStateWords);
+    for (const auto& state : saved) ASSERT_TRUE(mgr.backup(state).committed);
+
+    const int target = i % 3;  // damage bank 0, bank 1, or both
+    bool intact[2] = {true, true};
+    for (int bank = 0; bank < 2; ++bank) {
+      if (target != bank && target != 2) continue;
+      const int kind = rng.uniformInt(0, 2);
+      const int offset = kind == 0   ? rng.uniformInt(0, kStateWords - 1)
+                         : kind == 1 ? kStateWords
+                                     : kStateWords + 1;
+      std::uint32_t mask = 0;
+      if (i % 2 == 0) {
+        mask = 1u << rng.uniformInt(0, 31);  // a single bit flip
+      }
+      while (mask == 0) {
+        mask = static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF)) << 16 |
+               static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF));
+      }
+      const int address = bank * mgr.bankWords() + offset;
+      macro.writeWord(address, macro.readWord(address).value ^ mask);
+      intact[bank] = false;
+      ++damagedWords[kind];
+    }
+
+    const int newest = intact[1] ? 1 : intact[0] ? 0 : -1;
+    std::optional<std::vector<std::uint32_t>> restored;
+    std::optional<std::vector<std::uint32_t>> rebuiltRestored;
+    std::uint32_t rebuiltEpoch = 0;
+    ASSERT_NO_THROW({
+      restored = mgr.restore();
+      CheckpointManager rebuilt(macro, kStateWords);
+      rebuiltEpoch = rebuilt.epoch();
+      rebuiltRestored = rebuilt.restore();
+    }) << "input " << i;
+    EXPECT_EQ(rebuiltEpoch, static_cast<std::uint32_t>(newest + 1))
+        << "input " << i;
+    for (const auto* r : {&restored, &rebuiltRestored}) {
+      if (newest < 0) {
+        EXPECT_FALSE(r->has_value()) << "input " << i;
+      } else {
+        ASSERT_TRUE(r->has_value()) << "input " << i;
+        EXPECT_EQ(**r, saved[static_cast<std::size_t>(newest)])
+            << "input " << i;
+      }
+    }
+  }
+  // Every word kind of the record was damaged many times.
+  for (const int count : damagedWords) EXPECT_GT(count, 100);
+}
+
 // --- file-backed double-bank store ---------------------------------------
 
 class FileCheckpointStoreTest : public ::testing::Test {

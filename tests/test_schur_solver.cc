@@ -116,56 +116,47 @@ double maxAbs(const std::vector<double>& v) {
 }
 
 TEST(SchurSolver, MatchesDenseLuAcrossValueDrifts) {
-  auto sys = makeSystem({5, 7, 4, 6}, 3, /*seed=*/11);
-  linalg::SchurOptions options;
-  options.enableCollapse = false;
-  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
-  EXPECT_EQ(solver.blockCount(), 4);
-  EXPECT_EQ(solver.borderSize(), 3);
+  // Four small blocks, then two larger ones: every block of either system
+  // factors through the sparse LU.  Each drift leaves the collapse band, so
+  // every pass refactors every block and the solve stays exact.
+  struct Case {
+    std::vector<int> blockSizes;
+    int borderSize;
+    unsigned seed;
+  };
+  for (const Case& c : {Case{{5, 7, 4, 6}, 3, 11}, Case{{12, 15}, 4, 7}}) {
+    auto sys = makeSystem(c.blockSizes, c.borderSize, c.seed);
+    linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part);
+    const int blocks = static_cast<int>(c.blockSizes.size());
+    EXPECT_EQ(solver.blockCount(), blocks);
+    EXPECT_EQ(solver.borderSize(), c.borderSize);
 
-  std::mt19937 rng(42);
-  std::uniform_real_distribution<double> drift(-0.05, 0.05);
-  for (int pass = 0; pass < 4; ++pass) {
-    if (pass > 0) {
-      for (double& v : sys.values) v += drift(rng);
-      syncDense(sys);
+    std::mt19937 rng(42);
+    std::uniform_real_distribution<double> drift(-0.05, 0.05);
+    constexpr int kPasses = 4;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      if (pass > 0) {
+        for (double& v : sys.values) v += drift(rng);
+        syncDense(sys);
+      }
+      const auto f = rhs(sys.n, 100 + static_cast<unsigned>(pass));
+      std::vector<double> x(static_cast<std::size_t>(sys.n));
+      solver.solve(view(sys), f, x);
+      const auto expected = denseSolve(sys, f);
+      for (int i = 0; i < sys.n; ++i) {
+        EXPECT_NEAR(x[static_cast<std::size_t>(i)],
+                    expected[static_cast<std::size_t>(i)],
+                    1e-10 * (1.0 + maxAbs(expected)))
+            << "row " << i << " pass " << pass << " seed " << c.seed;
+      }
     }
-    const auto f = rhs(sys.n, 100 + static_cast<unsigned>(pass));
-    std::vector<double> x(static_cast<std::size_t>(sys.n));
-    solver.solve(view(sys), f, x);
-    const auto expected = denseSolve(sys, f);
-    for (int i = 0; i < sys.n; ++i) {
-      EXPECT_NEAR(x[static_cast<std::size_t>(i)],
-                  expected[static_cast<std::size_t>(i)],
-                  1e-10 * (1.0 + maxAbs(expected)))
-          << "row " << i << " pass " << pass;
-    }
-  }
-}
-
-TEST(SchurSolver, SparseBlockPathMatchesDense) {
-  // Blocks above denseBlockLimit route through the sparse factorizer.
-  auto sys = makeSystem({12, 15}, 4, /*seed=*/7);
-  linalg::SchurOptions options;
-  options.enableCollapse = false;
-  options.denseBlockLimit = 8;  // force the sparse block path
-  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
-  const auto f = rhs(sys.n, 5);
-  std::vector<double> x(static_cast<std::size_t>(sys.n));
-  solver.solve(view(sys), f, x);
-  const auto expected = denseSolve(sys, f);
-  for (int i = 0; i < sys.n; ++i) {
-    EXPECT_NEAR(x[static_cast<std::size_t>(i)],
-                expected[static_cast<std::size_t>(i)],
-                1e-10 * (1.0 + maxAbs(expected)));
+    EXPECT_EQ(solver.stats().blockFactorizations, kPasses * blocks);
   }
 }
 
 TEST(SchurSolver, BitwiseIdenticalValuesSkipRefactorization) {
   auto sys = makeSystem({6, 6}, 2, /*seed=*/3);
-  linalg::SchurOptions options;
-  options.enableCollapse = false;  // the exact skip is collapse-independent
-  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
+  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part);
   const auto f = rhs(sys.n, 9);
   std::vector<double> x1(static_cast<std::size_t>(sys.n));
   solver.solve(view(sys), f, x1);
@@ -179,26 +170,22 @@ TEST(SchurSolver, BitwiseIdenticalValuesSkipRefactorization) {
 
 TEST(SchurSolver, CollapsedBlockSolvesCachedLinearization) {
   auto sys = makeSystem({6, 6}, 2, /*seed=*/21);
-  linalg::SchurOptions options;
-  options.enableCollapse = true;
-  options.collapseQuietEvals = 2;
-  options.collapseRelTol = 1e-2;  // wide band so the perturbation is quiet
-  options.collapseAbsTol = 1e-4;
-  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
+  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part);
   const auto f = rhs(sys.n, 33);
   std::vector<double> x(static_cast<std::size_t>(sys.n));
   solver.solve(view(sys), f, x);  // factor
   solver.solve(view(sys), f, x);  // exact skip, quiet = 1
-  solver.solve(view(sys), f, x);  // exact skip, quiet = 2 -> collapse
+  solver.solve(view(sys), f, x);  // exact skip, quiet = 2
+  solver.solve(view(sys), f, x);  // exact skip, quiet = 3 -> collapse
   EXPECT_EQ(solver.stats().collapsedBlocks, 2);
   const std::vector<double> xCollapsed = x;
 
-  // Perturb block 0's values within the band: the collapsed block keeps
-  // its frozen linearization, so the solution is the one for the CACHED
-  // matrix — bitwise the previous solve — not the perturbed one.
+  // Perturb block 0's values within the 1e-5 relative band: the collapsed
+  // block keeps its frozen linearization, so the solution is the one for
+  // the CACHED matrix — bitwise the previous solve — not the perturbed one.
   BbdSystem perturbed = sys;
   for (std::size_t q = perturbed.rowPtr[0]; q < perturbed.rowPtr[6]; ++q) {
-    if (perturbed.colIdx[q] < 6) perturbed.values[q] *= 1.0 + 1e-5;
+    if (perturbed.colIdx[q] < 6) perturbed.values[q] *= 1.0 + 1e-6;
   }
   syncDense(perturbed);
   std::vector<double> xStale(static_cast<std::size_t>(sys.n));
@@ -216,15 +203,13 @@ TEST(SchurSolver, CollapsedBlockSolvesCachedLinearization) {
 
 TEST(SchurSolver, ExpandsWhenValuesLeaveTheBand) {
   auto sys = makeSystem({6, 6}, 2, /*seed=*/21);
-  linalg::SchurOptions options;
-  options.enableCollapse = true;
-  options.collapseQuietEvals = 1;
-  options.collapseRelTol = 1e-6;
-  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
+  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part);
   const auto f = rhs(sys.n, 33);
   std::vector<double> x(static_cast<std::size_t>(sys.n));
-  solver.solve(view(sys), f, x);
-  solver.solve(view(sys), f, x);  // quiet -> collapse
+  solver.solve(view(sys), f, x);  // factor
+  for (int quiet = 1; quiet <= 3; ++quiet) {
+    solver.solve(view(sys), f, x);  // exact skips; the third collapses
+  }
   EXPECT_EQ(solver.stats().collapsedBlocks, 2);
 
   // A 10% jolt leaves the band: both blocks re-expand and the result is
@@ -248,7 +233,7 @@ TEST(SchurSolver, RejectsCrossBlockCoupling) {
   // pattern now couples the two halves directly.
   linalg::SchurPartition bad = sys.part;
   bad.blocks = {{0, 1}, {2, 3}, {4, 5, 6, 7}};
-  EXPECT_THROW(linalg::SchurSolver(sys.rowPtr, sys.colIdx, bad, {}),
+  EXPECT_THROW(linalg::SchurSolver(sys.rowPtr, sys.colIdx, bad),
                InvalidArgumentError);
 }
 
@@ -256,15 +241,13 @@ TEST(SchurSolver, RejectsIncompletePartition) {
   auto sys = makeSystem({4}, 2, /*seed=*/1);
   linalg::SchurPartition bad = sys.part;
   bad.blocks[0].pop_back();  // row 3 now unassigned
-  EXPECT_THROW(linalg::SchurSolver(sys.rowPtr, sys.colIdx, bad, {}),
+  EXPECT_THROW(linalg::SchurSolver(sys.rowPtr, sys.colIdx, bad),
                InvalidArgumentError);
 }
 
 TEST(SchurSolver, SingularBlockThrowsAndRecovers) {
   auto sys = makeSystem({4, 4}, 2, /*seed=*/17);
-  linalg::SchurOptions options;
-  options.enableCollapse = false;
-  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
+  linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part);
   const auto f = rhs(sys.n, 2);
   std::vector<double> x(static_cast<std::size_t>(sys.n));
 
@@ -289,11 +272,8 @@ TEST(SchurSolver, SingularBlockThrowsAndRecovers) {
 /// hook).  This test is in the TSan stage target set.
 TEST(SchurSolver, ParallelBlockFactorizationMatchesSerial) {
   auto sys = makeSystem(std::vector<int>(24, 6), 5, /*seed=*/77);
-  linalg::SchurOptions options;
-  options.enableCollapse = true;
-  options.collapseQuietEvals = 2;
-  linalg::SchurSolver serial(sys.rowPtr, sys.colIdx, sys.part, options);
-  linalg::SchurSolver parallel(sys.rowPtr, sys.colIdx, sys.part, options);
+  linalg::SchurSolver serial(sys.rowPtr, sys.colIdx, sys.part);
+  linalg::SchurSolver parallel(sys.rowPtr, sys.colIdx, sys.part);
 
   sim::ThreadPool pool(4);
   parallel.setParallelFor([&pool](int count,
