@@ -4,6 +4,7 @@
 // post-processing (threshold crossings, energy integrals).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -19,6 +20,24 @@ double softplus(double x);
 
 /// Derivative of softplus, i.e. the logistic function 1/(1+exp(-x)).
 double logistic(double x);
+
+/// softplus(x) and logistic(x) of one argument, bit-identical to the two
+/// scalar calls.  For x < 0 both terms come from one exp(x) (the x < -35
+/// branch included); for x >= 0 softplus uses exp(x) and logistic exp(-x),
+/// as the scalar functions do, so no bit changes.  Inline: this is the
+/// per-lane kernel of the MOSFET model.
+struct SoftplusLogistic {
+  double softplus;
+  double logistic;
+};
+inline SoftplusLogistic softplusLogistic(double x) {
+  if (x >= 0.0) {
+    const double sp = x > 35.0 ? x : std::log1p(std::exp(x));
+    return {sp, 1.0 / (1.0 + std::exp(-x))};
+  }
+  const double e = std::exp(x);
+  return {x < -35.0 ? e : std::log1p(e), e / (1.0 + e)};
+}
 
 /// Evaluate a polynomial with coefficients in ascending order
 /// (c[0] + c[1] x + c[2] x^2 + ...).

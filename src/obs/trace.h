@@ -11,8 +11,9 @@
 // Cost model:
 //
 //  * disabled (default): Span construction is one relaxed atomic load and
-//    a branch; nothing else happens.  This is the state the <2%
-//    bench_assembly telemetry budget is measured in (scripts/check.sh).
+//    a branch; nothing else happens.  This is the baseline of the <2%
+//    telemetry budget (scripts/check.sh: metrics on vs off on the Fig. 7
+//    8x8 array transients, bench_fig07_array_bias --telemetry-overhead).
 //  * enabled: two monotonic clock reads plus one write into the calling
 //    thread's preallocated ring — no locks, no allocation, no contention
 //    (each thread records into its own ring; a mutex is taken only the

@@ -12,8 +12,9 @@ namespace fefet::spice {
 namespace {
 
 /// Assembly-rate telemetry.  Deliberately counter-only — no clock reads
-/// inside assemble(): bench_assembly times this code directly, and the
-/// observability budget caps telemetry overhead there at 2%.
+/// inside assemble(): the observability budget caps telemetry overhead at
+/// 2% of the Fig. 7 8x8 array transients, measured by scripts/check.sh on
+/// bench_fig07_array_bias --telemetry-overhead.
 struct AssemblerTelemetry {
   obs::Counter& assemblies;
   obs::Counter& stamps;

@@ -127,6 +127,8 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
 
 void DeviceBatches::stampAll(const EvalContext& ctx,
                              std::span<const std::size_t> jacobianEnds) {
+  FEFET_REQUIRE(ctx.buffer != nullptr,
+                "DeviceBatches::stampAll writes into a StampBuffer");
   // Phase 1: type-major kernels into scratch.
   evalResistors(ctx);
   evalCapacitors(ctx);
@@ -136,23 +138,28 @@ void DeviceBatches::stampAll(const EvalContext& ctx,
   evalMosfets(ctx);
   evalFeCaps(ctx);
 
-  // Phase 2: scatter in netlist order — the accumulation order (and
-  // therefore the floating-point result) matches the scalar engine.
-  StampBuffer* buffer = ctx.buffer;
+  // Phase 2: scatter in netlist order straight into the slot buffer — the
+  // accumulation order (and therefore the floating-point result) matches
+  // the scalar engine.
+  StampBuffer& buf = *ctx.buffer;
   for (std::size_t i = 0; i < refs_.size(); ++i) {
     const Ref ref = refs_[i];
     switch (ref.kind) {
-      case Kind::kResistor: scatterResistor(ref.lane, ctx); break;
-      case Kind::kCapacitor: scatterCapacitor(ref.lane, ctx); break;
-      case Kind::kVoltageSource: scatterVoltageSource(ref.lane, ctx); break;
-      case Kind::kCurrentSource: scatterCurrentSource(ref.lane, ctx); break;
-      case Kind::kDiode: scatterDiode(ref.lane, ctx); break;
-      case Kind::kMosfet: scatterMosfet(ref.lane, ctx); break;
-      case Kind::kFeCap: scatterFeCap(ref.lane, ctx); break;
+      case Kind::kResistor: scatterResistor(ref.lane, buf); break;
+      case Kind::kCapacitor:
+        if (!ctx.dc) scatterCapacitor(ref.lane, buf);
+        break;
+      case Kind::kVoltageSource:
+        scatterVoltageSource(ref.lane, ctx.view, buf);
+        break;
+      case Kind::kCurrentSource: scatterCurrentSource(ref.lane, buf); break;
+      case Kind::kDiode: scatterDiode(ref.lane, buf); break;
+      case Kind::kMosfet: scatterMosfet(ref.lane, ctx.dc, buf); break;
+      case Kind::kFeCap: scatterFeCap(ref.lane, ctx, buf); break;
       case Kind::kGeneric: order_[i]->stamp(ctx); break;
     }
-    if (buffer != nullptr && buffer->jacobianCalls() != jacobianEnds[i]) {
-      throwCountMismatch(i, buffer->jacobianCalls(), jacobianEnds);
+    if (buf.jacobianCalls() != jacobianEnds[i]) {
+      throwCountMismatch(i, buf.jacobianCalls(), jacobianEnds);
     }
   }
 }
@@ -345,83 +352,78 @@ void DeviceBatches::evalFeCaps(const EvalContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: netlist-order scatter.  Call sequences mirror the scalar stamp
-// implementations entry for entry.
+// Phase 2: netlist-order scatter into the StampBuffer.  Call sequences
+// mirror the scalar stamp implementations entry for entry.
+
+namespace {
+
+/// Two-terminal element: current i leaving node row ra into rb, and its
+/// conductance g (Resistor/Diode::stamp and the companion forms of every
+/// charge element emit this same six-call sequence).
+inline void scatterBranch(StampBuffer& buf, int ra, int rb, double i,
+                          double g) {
+  buf.addResidual(ra, i);
+  buf.addResidual(rb, -i);
+  buf.addJacobian(ra, ra, g);
+  buf.addJacobian(ra, rb, -g);
+  buf.addJacobian(rb, ra, -g);
+  buf.addJacobian(rb, rb, g);
+}
+
+}  // namespace
 
 void DeviceBatches::scatterResistor(std::uint32_t lane,
-                                    const EvalContext& ctx) const {
+                                    StampBuffer& buf) const {
   const ResistorBatch& batch = resistors_;
-  const double g = batch.g[lane];
-  const double i = batch.i[lane];
-  const int ra = Stamper::rowOfNode(batch.a[lane]);
-  const int rb = Stamper::rowOfNode(batch.b[lane]);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  scatterBranch(buf, Stamper::rowOfNode(batch.a[lane]),
+                Stamper::rowOfNode(batch.b[lane]), batch.i[lane],
+                batch.g[lane]);
 }
 
 void DeviceBatches::scatterCapacitor(std::uint32_t lane,
-                                     const EvalContext& ctx) const {
-  if (ctx.dc) return;
+                                     StampBuffer& buf) const {
   const CapacitorBatch& batch = capacitors_;
-  const double i = batch.i[lane];
-  const double g = batch.g[lane];
-  const int ra = Stamper::rowOfNode(batch.a[lane]);
-  const int rb = Stamper::rowOfNode(batch.b[lane]);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  scatterBranch(buf, Stamper::rowOfNode(batch.a[lane]),
+                Stamper::rowOfNode(batch.b[lane]), batch.i[lane],
+                batch.g[lane]);
 }
 
 void DeviceBatches::scatterVoltageSource(std::uint32_t lane,
-                                         const EvalContext& ctx) const {
+                                         const SystemView& view,
+                                         StampBuffer& buf) const {
   const VoltageSourceBatch& batch = vsources_;
   const int rp = Stamper::rowOfNode(batch.plus[lane]);
   const int rm = Stamper::rowOfNode(batch.minus[lane]);
   const int aux = batch.auxRow[lane];
-  const double i = ctx.view.aux(aux);
-  const double vp = ctx.view.nodeVoltage(batch.plus[lane]);
-  const double vm = ctx.view.nodeVoltage(batch.minus[lane]);
-  ctx.addResidual(rp, i);
-  ctx.addResidual(rm, -i);
-  ctx.addJacobian(rp, aux, 1.0);
-  ctx.addJacobian(rm, aux, -1.0);
-  ctx.addResidual(aux, vp - vm - batch.v[lane]);
-  ctx.addJacobian(aux, rp, 1.0);
-  ctx.addJacobian(aux, rm, -1.0);
+  const double i = view.aux(aux);
+  const double vp = view.nodeVoltage(batch.plus[lane]);
+  const double vm = view.nodeVoltage(batch.minus[lane]);
+  buf.addResidual(rp, i);
+  buf.addResidual(rm, -i);
+  buf.addJacobian(rp, aux, 1.0);
+  buf.addJacobian(rm, aux, -1.0);
+  buf.addResidual(aux, vp - vm - batch.v[lane]);
+  buf.addJacobian(aux, rp, 1.0);
+  buf.addJacobian(aux, rm, -1.0);
 }
 
 void DeviceBatches::scatterCurrentSource(std::uint32_t lane,
-                                         const EvalContext& ctx) const {
+                                         StampBuffer& buf) const {
   const CurrentSourceBatch& batch = isources_;
   const double i = batch.i[lane];
-  ctx.addResidual(Stamper::rowOfNode(batch.from[lane]), i);
-  ctx.addResidual(Stamper::rowOfNode(batch.to[lane]), -i);
+  buf.addResidual(Stamper::rowOfNode(batch.from[lane]), i);
+  buf.addResidual(Stamper::rowOfNode(batch.to[lane]), -i);
 }
 
-void DeviceBatches::scatterDiode(std::uint32_t lane,
-                                 const EvalContext& ctx) const {
+void DeviceBatches::scatterDiode(std::uint32_t lane, StampBuffer& buf) const {
   const DiodeBatch& batch = diodes_;
-  const double i = batch.i[lane];
-  const double g = batch.g[lane];
-  const int ra = Stamper::rowOfNode(batch.anode[lane]);
-  const int rb = Stamper::rowOfNode(batch.cathode[lane]);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  scatterBranch(buf, Stamper::rowOfNode(batch.anode[lane]),
+                Stamper::rowOfNode(batch.cathode[lane]), batch.i[lane],
+                batch.g[lane]);
 }
 
-void DeviceBatches::scatterMosfet(std::uint32_t lane,
-                                  const EvalContext& ctx) const {
+void DeviceBatches::scatterMosfet(std::uint32_t lane, bool dc,
+                                  StampBuffer& buf) const {
   const MosfetBatch& batch = mosfets_;
   const int rd = Stamper::rowOfNode(batch.drain[lane]);
   const int rg = Stamper::rowOfNode(batch.gate[lane]);
@@ -429,59 +431,37 @@ void DeviceBatches::scatterMosfet(std::uint32_t lane,
 
   const xtor::MosOperatingPoint& op = batch.op[lane];
   const double gms = -(op.gm + op.gds);
-  ctx.addResidual(rd, op.ids);
-  ctx.addResidual(rs, -op.ids);
-  ctx.addJacobian(rd, rd, op.gds);
-  ctx.addJacobian(rd, rg, op.gm);
-  ctx.addJacobian(rd, rs, gms);
-  ctx.addJacobian(rs, rd, -op.gds);
-  ctx.addJacobian(rs, rg, -op.gm);
-  ctx.addJacobian(rs, rs, -gms);
+  buf.addResidual(rd, op.ids);
+  buf.addResidual(rs, -op.ids);
+  buf.addJacobian(rd, rd, op.gds);
+  buf.addJacobian(rd, rg, op.gm);
+  buf.addJacobian(rd, rs, gms);
+  buf.addJacobian(rs, rd, -op.gds);
+  buf.addJacobian(rs, rg, -op.gm);
+  buf.addJacobian(rs, rs, -gms);
 
   const double gateLeak = batch.gateLeak[lane];
   if (gateLeak > 0.0) {
-    const double il = gateLeak * (batch.vg[lane] - batch.vs[lane]);
-    ctx.addResidual(rg, il);
-    ctx.addResidual(rs, -il);
-    ctx.addJacobian(rg, rg, gateLeak);
-    ctx.addJacobian(rg, rs, -gateLeak);
-    ctx.addJacobian(rs, rg, -gateLeak);
-    ctx.addJacobian(rs, rs, gateLeak);
+    scatterBranch(buf, rg, rs,
+                  gateLeak * (batch.vg[lane] - batch.vs[lane]), gateLeak);
   }
 
-  if (ctx.dc) return;
+  if (dc) return;
 
-  {
-    const double i = batch.chanI[lane];
-    const double g = batch.chanG[lane];
-    ctx.addResidual(rg, i);
-    ctx.addResidual(rs, -i);
-    ctx.addJacobian(rg, rg, g);
-    ctx.addJacobian(rg, rs, -g);
-    ctx.addJacobian(rs, rg, -g);
-    ctx.addJacobian(rs, rs, g);
-  }
-  const auto scatterCap = [&ctx](double i, double g, int ra, int rb) {
-    ctx.addResidual(ra, i);
-    ctx.addResidual(rb, -i);
-    ctx.addJacobian(ra, ra, g);
-    ctx.addJacobian(ra, rb, -g);
-    ctx.addJacobian(rb, ra, -g);
-    ctx.addJacobian(rb, rb, g);
-  };
+  scatterBranch(buf, rg, rs, batch.chanI[lane], batch.chanG[lane]);
   const int rground = Stamper::rowOfNode(kGround);
   if (batch.overlapCap[lane] > 0.0) {
-    scatterCap(batch.ovlGdI[lane], batch.ovlGdG[lane], rg, rd);
-    scatterCap(batch.ovlGsI[lane], batch.ovlGsG[lane], rg, rs);
+    scatterBranch(buf, rg, rd, batch.ovlGdI[lane], batch.ovlGdG[lane]);
+    scatterBranch(buf, rg, rs, batch.ovlGsI[lane], batch.ovlGsG[lane]);
   }
   if (batch.junctionCap[lane] > 0.0) {
-    scatterCap(batch.junDI[lane], batch.junDG[lane], rd, rground);
-    scatterCap(batch.junSI[lane], batch.junSG[lane], rs, rground);
+    scatterBranch(buf, rd, rground, batch.junDI[lane], batch.junDG[lane]);
+    scatterBranch(buf, rs, rground, batch.junSI[lane], batch.junSG[lane]);
   }
 }
 
-void DeviceBatches::scatterFeCap(std::uint32_t lane,
-                                 const EvalContext& ctx) const {
+void DeviceBatches::scatterFeCap(std::uint32_t lane, const EvalContext& ctx,
+                                 StampBuffer& buf) const {
   const FeCapBatch& batch = fecaps_;
   const int ra = Stamper::rowOfNode(batch.a[lane]);
   const int rb = Stamper::rowOfNode(batch.b[lane]);
@@ -493,28 +473,21 @@ void DeviceBatches::scatterFeCap(std::uint32_t lane,
   const double va = ctx.view.nodeVoltage(batch.a[lane]);
   const double vb = ctx.view.nodeVoltage(batch.b[lane]);
 
-  ctx.addResidual(aux, va - vb - tFe * (batch.field[lane] + rho * dPdt));
-  ctx.addJacobian(aux, ra, 1.0);
-  ctx.addJacobian(aux, rb, -1.0);
-  ctx.addJacobian(aux, aux, -tFe * (batch.slope[lane] + rho * dRatedP));
+  buf.addResidual(aux, va - vb - tFe * (batch.field[lane] + rho * dPdt));
+  buf.addJacobian(aux, ra, 1.0);
+  buf.addJacobian(aux, rb, -1.0);
+  buf.addJacobian(aux, aux, -tFe * (batch.slope[lane] + rho * dRatedP));
 
   if (!ctx.dc) {
     const double i = batch.area[lane] * dPdt;
-    ctx.addResidual(ra, i);
-    ctx.addResidual(rb, -i);
+    buf.addResidual(ra, i);
+    buf.addResidual(rb, -i);
     const double dIdP = batch.area[lane] * dRatedP;
-    ctx.addJacobian(ra, aux, dIdP);
-    ctx.addJacobian(rb, aux, -dIdP);
+    buf.addJacobian(ra, aux, dIdP);
+    buf.addJacobian(rb, aux, -dIdP);
 
     if (batch.backgroundCap[lane] > 0.0) {
-      const double ib = batch.bgI[lane];
-      const double g = batch.bgG[lane];
-      ctx.addResidual(ra, ib);
-      ctx.addResidual(rb, -ib);
-      ctx.addJacobian(ra, ra, g);
-      ctx.addJacobian(ra, rb, -g);
-      ctx.addJacobian(rb, ra, -g);
-      ctx.addJacobian(rb, rb, g);
+      scatterBranch(buf, ra, rb, batch.bgI[lane], batch.bgG[lane]);
     }
   }
 }

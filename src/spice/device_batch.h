@@ -9,10 +9,14 @@
 //     lane's currents/conductances into preallocated scratch.  The model
 //     evaluations (xtor::MosfetModel::evaluateBatch, gateChargeBatch,
 //     ferro::LandauKhalatnikov::staticFieldBatch) run as tight non-virtual
-//     loops in the model translation units, so the scalar kernels inline
-//     into them.
-//  2. scatter — devices replay in netlist order through the slot program,
-//     reading their scratch lanes.
+//     loops in the model translation units over the same inline per-lane
+//     helpers the scalar methods call.  A MOSFET lane does its
+//     transcendental work once: softplus/logistic pairs share one
+//     exponential, and the gate charge and capacitance come from one pass.
+//  2. scatter — devices replay in netlist order, reading their scratch
+//     lanes and writing straight into the Assembler's StampBuffer (slot
+//     program + padded residual), with no per-entry sink dispatch.  Only
+//     the generic fallback below goes through EvalContext.
 //
 // This is the one assembly path.  The phase split keeps it bit-identical
 // to scalar Device::stamp() (the pattern recorder and the test oracle's
@@ -60,12 +64,13 @@ class DeviceBatches {
   DeviceBatches& operator=(const DeviceBatches&) = delete;
 
   /// One full batched assembly pass: eval every batch kernel at the
-  /// iterate, then scatter all devices in netlist order through the
-  /// context's sink.  `jacobianEnds` is the active mode's cumulative
-  /// per-device Jacobian call count (StampPattern::deviceJacobianEnds);
-  /// on the compiled path every device's consumed slot count is verified
-  /// against it, naming the culprit on mismatch.  Performs no heap
-  /// allocation (scratch was sized at construction).
+  /// iterate, then scatter all devices in netlist order into
+  /// `ctx.buffer`, which must be set (the recording pass and the test
+  /// oracle use the scalar Device::stamp, not this).  `jacobianEnds` is
+  /// the active mode's cumulative per-device Jacobian call count
+  /// (StampPattern::deviceJacobianEnds); every device's consumed slot
+  /// count is verified against it, naming the culprit on mismatch.
+  /// Performs no heap allocation (scratch was sized at construction).
   void stampAll(const EvalContext& ctx,
                 std::span<const std::size_t> jacobianEnds);
 
@@ -158,13 +163,15 @@ class DeviceBatches {
   void evalMosfets(const EvalContext& ctx);
   void evalFeCaps(const EvalContext& ctx);
 
-  void scatterResistor(std::uint32_t lane, const EvalContext& ctx) const;
-  void scatterCapacitor(std::uint32_t lane, const EvalContext& ctx) const;
-  void scatterVoltageSource(std::uint32_t lane, const EvalContext& ctx) const;
-  void scatterCurrentSource(std::uint32_t lane, const EvalContext& ctx) const;
-  void scatterDiode(std::uint32_t lane, const EvalContext& ctx) const;
-  void scatterMosfet(std::uint32_t lane, const EvalContext& ctx) const;
-  void scatterFeCap(std::uint32_t lane, const EvalContext& ctx) const;
+  void scatterResistor(std::uint32_t lane, StampBuffer& buf) const;
+  void scatterCapacitor(std::uint32_t lane, StampBuffer& buf) const;
+  void scatterVoltageSource(std::uint32_t lane, const SystemView& view,
+                            StampBuffer& buf) const;
+  void scatterCurrentSource(std::uint32_t lane, StampBuffer& buf) const;
+  void scatterDiode(std::uint32_t lane, StampBuffer& buf) const;
+  void scatterMosfet(std::uint32_t lane, bool dc, StampBuffer& buf) const;
+  void scatterFeCap(std::uint32_t lane, const EvalContext& ctx,
+                    StampBuffer& buf) const;
 
   [[noreturn]] void throwCountMismatch(
       std::size_t deviceIndex, std::size_t consumed,

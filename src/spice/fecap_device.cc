@@ -20,7 +20,9 @@ FeCapDevice::FeCapDevice(std::string name, NodeId a, NodeId b,
                          ? constants::kEpsilon0 * backgroundEpsR *
                                geometry.area / geometry.thickness
                          : 0.0),
-      pCommitted_(initialPolarization) {}
+      pCommitted_(initialPolarization) {
+  if (lk_.isFerroelectric()) remnantPolarization_ = lk_.remnantPolarization();
+}
 
 void FeCapDevice::setup(SetupContext& ctx) {
   auxRow_ = ctx.allocateAux("P(" + name() + ")");
@@ -104,7 +106,8 @@ void FeCapDevice::commitStep(const SystemView& view, double /*time*/,
 double FeCapDevice::maxStepHint(const SystemView& view) const {
   // Keep the per-step polarization change below a fraction of P_r so the
   // stiff switching trajectory stays resolved.
-  const double pr = lk_.remnantPolarization();
+  const double pr = remnantPolarization_ ? *remnantPolarization_
+                                         : lk_.remnantPolarization();
   const double va = view.nodeVoltage(a_);
   const double vb = view.nodeVoltage(b_);
   const double rate = std::abs((va - vb) / geom_.thickness -

@@ -15,6 +15,8 @@
 // committed polarization state, which is exactly the memory semantics.
 #pragma once
 
+#include <optional>
+
 #include "ferro/fe_capacitor.h"
 #include "spice/device.h"
 
@@ -58,6 +60,9 @@ class FeCapDevice final : public Device {
   ferro::LandauKhalatnikov lk_;
   ferro::FeGeometry geom_;
   double backgroundCap_;
+  /// P_r of the coefficients, fixed at construction for maxStepHint;
+  /// empty when the set has none (the hint then asks lk_, which throws).
+  std::optional<double> remnantPolarization_;
   int auxRow_ = -1;
   double pCommitted_;
   double rateCommitted_ = 0.0;  ///< dP/dt at the last commit (for TRAP)

@@ -9,9 +9,6 @@
 
 namespace fefet::xtor {
 
-using math::logistic;
-using math::softplus;
-
 MosfetModel::MosfetModel(const MosParams& params, double width)
     : params_(params), width_(width) {
   FEFET_REQUIRE(width_ > 0.0, "MOSFET width must be positive");
@@ -19,42 +16,47 @@ MosfetModel::MosfetModel(const MosParams& params, double width)
   FEFET_REQUIRE(params_.cox > 0.0, "oxide capacitance must be positive");
   FEFET_REQUIRE(params_.slopeFactor >= 1.0, "slope factor must be >= 1");
   FEFET_REQUIRE(params_.mobility > 0.0, "mobility must be positive");
+  phit_ = constants::kBoltzmann * params_.temperature /
+          constants::kElementaryCharge;
+  ispec_ = 2.0 * params_.slopeFactor * params_.mobility * params_.cox *
+           (width_ / params_.length) * phit_ * phit_;
 }
 
-double MosfetModel::thermalVoltage() const {
-  return constants::kBoltzmann * params_.temperature /
-         constants::kElementaryCharge;
-}
+// ---------------------------------------------------------------------------
+// Per-lane helpers: the one expression sequence behind both the scalar
+// methods and the batch kernels (device_batch.h relies on scalar and batch
+// lanes being bit-identical).  Each transcendental runs once per lane:
+// softplus and logistic of one argument share their exponential
+// (math::softplusLogistic), and the gate charge and capacitance densities
+// come out of one pass with one sqrt per branch.
 
 namespace {
-/// Normal-mode (vds >= 0) NMOS evaluation.  Returns ids and the partial
-/// derivatives w.r.t. vgs and vds.
+
+/// Normal-mode (vds >= 0) NMOS drain current and its partial derivatives
+/// w.r.t. vgs and vds.
 struct NormalModeResult {
   double ids;
   double dIdVgs;
   double dIdVds;
 };
 
-NormalModeResult evaluateNormalMode(const MosParams& p, double width,
-                                    double phit, double vgs, double vds) {
+inline NormalModeResult evaluateNormalMode(const MosParams& p, double ispec,
+                                           double phit, double vgs,
+                                           double vds) {
   const double n = p.slopeFactor;
-  const double ispec = 2.0 * n * p.mobility * p.cox * (width / p.length) *
-                       phit * phit;
   const double vtEff = p.vt0 - p.dibl * vds;
 
   const double argF = (vgs - vtEff) / (2.0 * n * phit);
   const double argR = argF - vds / (2.0 * phit);
-  const double lf = softplus(argF);
-  const double lr = softplus(argR);
-  const double sf = logistic(argF);
-  const double sr = logistic(argR);
+  const auto [lf, sf] = math::softplusLogistic(argF);
+  const auto [lr, sr] = math::softplusLogistic(argR);
   const double iF = lf * lf;
   const double iR = lr * lr;
 
   // Smoothed gate overdrive for the mobility-degradation factor.
   const double argOv = (vgs - vtEff) / (2.0 * phit);
-  const double ovs = 2.0 * phit * softplus(argOv);
-  const double sOv = logistic(argOv);
+  const auto [spOv, sOv] = math::softplusLogistic(argOv);
+  const double ovs = 2.0 * phit * spOv;
   const double mobDen = 1.0 + p.mobilityTheta * ovs;
   const double clm = 1.0 + p.lambda * vds;
   const double m = clm / mobDen;
@@ -81,35 +83,81 @@ NormalModeResult evaluateNormalMode(const MosParams& p, double width,
   r.dIdVds = ispec * ((diFdVds - diRdVds) * m + core * dMdVds);
   return r;
 }
-}  // namespace
 
-MosOperatingPoint MosfetModel::evaluate(double vd, double vg,
-                                        double vs) const {
+/// Drain current and derivatives at absolute terminal voltages: PMOS
+/// mirroring and source/drain swap around evaluateNormalMode.
+inline MosOperatingPoint evaluateLane(const MosParams& p, double ispec,
+                                      double phit, double vd, double vg,
+                                      double vs) {
   // Mirror PMOS into NMOS space.
   double sgn = 1.0;
-  if (params_.type == MosType::kPmos) {
+  if (p.type == MosType::kPmos) {
     vd = -vd;
     vg = -vg;
     vs = -vs;
     sgn = -1.0;
   }
-  const double phit = thermalVoltage();
 
   MosOperatingPoint op;
   if (vd >= vs) {
-    const auto r = evaluateNormalMode(params_, width_, phit, vg - vs, vd - vs);
+    const auto r = evaluateNormalMode(p, ispec, phit, vg - vs, vd - vs);
     op.ids = sgn * r.ids;
     op.gm = r.dIdVgs;        // dI/dvg
     op.gds = r.dIdVds;       // dI/dvd
   } else {
     // Swapped mode: I(vd,vg,vs) = -I_N with source and drain exchanged.
-    const auto r = evaluateNormalMode(params_, width_, phit, vg - vd, vs - vd);
+    const auto r = evaluateNormalMode(p, ispec, phit, vg - vd, vs - vd);
     op.ids = -sgn * r.ids;
     op.gm = -r.dIdVgs;                 // dI/dvg
     op.gds = r.dIdVgs + r.dIdVds;      // dI/dvd (was -dI_N/dvs')
   }
   // PMOS: dI_p/dv = d[-I_n(-v)]/dv = +dI_n/dv' — derivative values carry over.
   return op;
+}
+
+/// Areal gate charge and its vgs-derivative.
+struct GateCharge {
+  double density;
+  double capacitance;
+};
+
+/// One gate-charge branch at x = (signed overdrive)/(slope·phit): the
+/// onset-smoothed overdrive u = slope·phit·softplus(x) maps to charge via
+/// the stiffened quadratic u = Q/C_ox + kappa·Q², and dQ/dvgs = dQ/du ·
+/// logistic(x).
+inline GateCharge gateChargeBranch(const MosParams& p, double slopePhit,
+                                   double x) {
+  const auto [sp, lg] = math::softplusLogistic(x);
+  const double u = slopePhit * sp;
+  if (u <= 0.0) return {0.0, p.cox * lg};
+  const double c = 1.0 / p.cox;
+  const double k = p.chargeStiffening;
+  const double s = std::sqrt(c * c + 4.0 * k * u);
+  const double dQdU = 2.0 / (c + s) - 4.0 * k * u / (s * (c + s) * (c + s));
+  return {2.0 * u / (c + s), dQdU * lg};
+}
+
+/// Gate charge at an intrinsic gate-to-channel voltage: inversion branch
+/// minus accumulation branch, evaluated in NMOS space (PMOS mirrors the
+/// argument and the charge, the capacitance is symmetric).
+inline GateCharge gateChargeLane(const MosParams& p, double phit, double vgs) {
+  const bool pmos = p.type == MosType::kPmos;
+  if (pmos) vgs = -vgs;
+  const double n = p.slopeFactor;
+  const double na = p.accSlopeFactor;
+  const double xInv = (vgs - p.vt0) / (n * phit);
+  const double xAcc = -(vgs - p.vfb) / (na * phit);
+  const GateCharge inv = gateChargeBranch(p, n * phit, xInv);
+  const GateCharge acc = gateChargeBranch(p, na * phit, xAcc);
+  const double density = inv.density - acc.density;
+  return {pmos ? -density : density, inv.capacitance + acc.capacitance};
+}
+
+}  // namespace
+
+MosOperatingPoint MosfetModel::evaluate(double vd, double vg,
+                                        double vs) const {
+  return evaluateLane(params_, ispec_, phit_, vd, vg, vs);
 }
 
 double MosfetModel::idsAt(double vd, double vg, double vs) const {
@@ -120,7 +168,8 @@ void MosfetModel::evaluateBatch(std::size_t n, const MosfetModel* const* models,
                                 const double* vd, const double* vg,
                                 const double* vs, MosOperatingPoint* out) {
   for (std::size_t k = 0; k < n; ++k) {
-    out[k] = models[k]->evaluate(vd[k], vg[k], vs[k]);
+    const MosfetModel& m = *models[k];
+    out[k] = evaluateLane(m.params_, m.ispec_, m.phit_, vd[k], vg[k], vs[k]);
   }
 }
 
@@ -130,59 +179,19 @@ void MosfetModel::gateChargeBatch(std::size_t n,
                                   double* capacitanceDensity) {
   for (std::size_t k = 0; k < n; ++k) {
     // Read the lane input first: chargeDensity may alias vgs.
-    const double v = vgs[k];
-    chargeDensity[k] = models[k]->gateChargeDensity(v);
-    capacitanceDensity[k] = models[k]->gateCapacitanceDensity(v);
+    const MosfetModel& m = *models[k];
+    const GateCharge g = gateChargeLane(m.params_, m.phit_, vgs[k]);
+    chargeDensity[k] = g.density;
+    capacitanceDensity[k] = g.capacitance;
   }
 }
 
-double MosfetModel::branchCharge(double overdrive) const {
-  if (overdrive <= 0.0) return 0.0;
-  const double c = 1.0 / params_.cox;
-  const double k = params_.chargeStiffening;
-  const double s = std::sqrt(c * c + 4.0 * k * overdrive);
-  return 2.0 * overdrive / (c + s);
-}
-
-double MosfetModel::branchCapacitance(double overdrive,
-                                      double logisticFactor) const {
-  if (overdrive <= 0.0) return params_.cox * logisticFactor;
-  const double c = 1.0 / params_.cox;
-  const double k = params_.chargeStiffening;
-  const double s = std::sqrt(c * c + 4.0 * k * overdrive);
-  const double dQdU = 2.0 / (c + s) - 4.0 * k * overdrive /
-                                          (s * (c + s) * (c + s));
-  return dQdU * logisticFactor;
-}
-
 double MosfetModel::gateChargeDensity(double vgs) const {
-  if (params_.type == MosType::kPmos) return -gateChargeDensityMirror(-vgs);
-  return gateChargeDensityMirror(vgs);
-}
-
-// Helper implemented as a private-like free pattern via a member; declared
-// inline here to keep the header minimal.
-double MosfetModel::gateChargeDensityMirror(double vgs) const {
-  const double phit = thermalVoltage();
-  const double n = params_.slopeFactor;
-  const double na = params_.accSlopeFactor;
-  const double uInv = n * phit * softplus((vgs - params_.vt0) / (n * phit));
-  const double uAcc =
-      na * phit * softplus(-(vgs - params_.vfb) / (na * phit));
-  return branchCharge(uInv) - branchCharge(uAcc);
+  return gateChargeLane(params_, phit_, vgs).density;
 }
 
 double MosfetModel::gateCapacitanceDensity(double vgs) const {
-  if (params_.type == MosType::kPmos) vgs = -vgs;  // symmetric derivative
-  const double phit = thermalVoltage();
-  const double n = params_.slopeFactor;
-  const double na = params_.accSlopeFactor;
-  const double xInv = (vgs - params_.vt0) / (n * phit);
-  const double xAcc = -(vgs - params_.vfb) / (na * phit);
-  const double uInv = n * phit * softplus(xInv);
-  const double uAcc = na * phit * softplus(xAcc);
-  return branchCapacitance(uInv, logistic(xInv)) +
-         branchCapacitance(uAcc, logistic(xAcc));
+  return gateChargeLane(params_, phit_, vgs).capacitance;
 }
 
 double MosfetModel::gateVoltageForCharge(double q) const {

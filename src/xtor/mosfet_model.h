@@ -66,7 +66,8 @@ class MosfetModel {
   const MosParams& params() const { return params_; }
   double width() const { return width_; }
   double gateArea() const { return width_ * params_.length; }
-  double thermalVoltage() const;
+  /// phi_t = kT/q, fixed at construction.
+  double thermalVoltage() const { return phit_; }
 
   /// Drain current and derivatives.  Voltages are absolute node voltages of
   /// drain, gate, source; the model handles source/drain swap (Vds < 0) and
@@ -76,19 +77,21 @@ class MosfetModel {
   /// Convenience: just the current.
   double idsAt(double vd, double vg, double vs) const;
 
-  /// Batch kernel of evaluate() for the SoA device path (see
-  /// spice/device_batch.h): out[k] = models[k]->evaluate(vd[k], vg[k],
-  /// vs[k]).  Defined in the model TU so the scalar kernel inlines into a
-  /// tight non-virtual loop; each lane is bit-identical to the scalar
-  /// call.
+  // Batch kernels for the SoA device path (see spice/device_batch.h).
+  // They and the scalar methods run the same inline per-lane helpers of
+  // mosfet_model.cc, so each lane is bit-identical to the scalar call; the
+  // helpers evaluate softplus and logistic of one argument from a single
+  // exponential and the gate charge and capacitance in one pass.
+
+  /// out[k] = models[k]->evaluate(vd[k], vg[k], vs[k]).
   static void evaluateBatch(std::size_t n, const MosfetModel* const* models,
                             const double* vd, const double* vg,
                             const double* vs, MosOperatingPoint* out);
 
-  /// Batch kernel of the gate charge model: chargeDensity[k] =
-  /// gateChargeDensity(vgs[k]), capacitanceDensity[k] =
-  /// gateCapacitanceDensity(vgs[k]).  `chargeDensity` may alias `vgs`
-  /// (each lane reads its input before writing).
+  /// chargeDensity[k] = gateChargeDensity(vgs[k]) and
+  /// capacitanceDensity[k] = gateCapacitanceDensity(vgs[k]), both from one
+  /// pass per lane.  `chargeDensity` may alias `vgs` (each lane reads its
+  /// input before writing).
   static void gateChargeBatch(std::size_t n, const MosfetModel* const* models,
                               const double* vgs, double* chargeDensity,
                               double* capacitanceDensity);
@@ -116,14 +119,11 @@ class MosfetModel {
   std::string describe() const;
 
  private:
-  /// Charge of one branch: overdrive -> density via the stiffened quadratic.
-  double branchCharge(double overdrive) const;
-  double branchCapacitance(double overdrive, double logisticFactor) const;
-  /// NMOS-space charge density (PMOS callers mirror the argument).
-  double gateChargeDensityMirror(double vgs) const;
-
   MosParams params_;
   double width_;
+  // Lane constants, computed once from params_ and width_.
+  double phit_;   ///< thermal voltage kT/q [V]
+  double ispec_;  ///< EKV specific current 2·n·mu·C_ox·(W/L)·phi_t² [A]
 };
 
 /// 45nm-class NMOS card used throughout the paper reproduction.

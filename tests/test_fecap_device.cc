@@ -3,7 +3,10 @@
 // integrator in ferro/fe_capacitor.h.
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
+#include <vector>
 
+#include "common/error.h"
 #include "ferro/fe_capacitor.h"
 #include "spice/fecap_device.h"
 #include "spice/netlist.h"
@@ -159,6 +162,36 @@ TEST(FeCapDevice, ReportsStates) {
   ASSERT_EQ(states.size(), 2u);
   EXPECT_EQ(states[0].name, "P");
   EXPECT_EQ(states[1].name, "v");
+}
+
+// The step hint keeps dP per step below P_r/40 at the present switching
+// rate; P_r is cached at construction, so the hint must equal the
+// expression evaluated against the model, and a coefficient set without a
+// remnant polarization must still fail when (and only when) a hint is
+// asked for.
+TEST(FeCapDevice, MaxStepHintUsesRemnantPolarization) {
+  const ferro::LandauKhalatnikov lk(material());
+  const double p0 = 0.3 * lk.remnantPolarization();
+  FeCapDevice fe("F", 1, kGround, material(), kGeom, p0);
+  const std::vector<double> x{0.9};
+  const SystemView view(x, 1);
+  const double rate =
+      std::abs(0.9 / kGeom.thickness - lk.staticField(p0)) / material().rho;
+  EXPECT_EQ(fe.maxStepHint(view), (lk.remnantPolarization() / 40.0) / rate);
+
+  ferro::LkCoefficients para = material();
+  para.alpha = +1e9;  // positive alpha: no double well
+  para.gamma = 0.0;
+  FeCapDevice paraelectric("P", 1, kGround, para, kGeom, 0.0);
+  try {
+    paraelectric.maxStepHint(view);
+    ADD_FAILURE() << "maxStepHint accepted a paraelectric coefficient set";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "coefficient set has no remnant polarization"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // Property: circuit-level switching time scales linearly with rho, same

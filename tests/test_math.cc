@@ -2,8 +2,12 @@
 // crossings and ODE helpers.
 #include "common/math.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
 
@@ -37,6 +41,38 @@ TEST(Logistic, IsDerivativeOfSoftplus) {
 
 TEST(Logistic, SymmetricAroundHalf) {
   EXPECT_NEAR(logistic(0.3) + logistic(-0.3), 1.0, 1e-14);
+}
+
+// The pair helper must reproduce both scalar functions bit for bit (the
+// MOSFET lane kernel relies on it): a dense sweep across both exponential
+// branches and the +-35 cut-offs, plus signed zeros, denormal-adjacent
+// magnitudes, infinities and NaN.
+TEST(Math, SoftplusLogisticPairMatchesScalar) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs;
+  for (int i = -600000; i <= 600000; ++i) xs.push_back(i * 1e-4);
+  for (const double edge : {35.0, -35.0, 0.0}) {
+    xs.push_back(std::nextafter(edge, kInf));
+    xs.push_back(std::nextafter(edge, -kInf));
+  }
+  for (const double x : {35.0, -35.0, 0.0, -0.0, 1e-300, -1e-300, kInf, -kInf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    xs.push_back(x);
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  int mismatches = 0;
+  for (const double x : xs) {
+    const SoftplusLogistic pair = softplusLogistic(x);
+    if (bits(pair.softplus) != bits(softplus(x)) ||
+        bits(pair.logistic) != bits(logistic(x))) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "x=" << x << ": pair (" << pair.softplus << ", "
+                      << pair.logistic << ") vs scalar (" << softplus(x)
+                      << ", " << logistic(x) << ")";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << xs.size() << " arguments";
 }
 
 TEST(Polyval, AscendingCoefficients) {

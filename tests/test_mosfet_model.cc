@@ -1,10 +1,15 @@
 // Tests of the EKV-style compact transistor model (xtor/mosfet_model.h).
 #include "xtor/mosfet_model.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "common/error.h"
+#include "common/math.h"
 #include "common/units.h"
 
 namespace fefet::xtor {
@@ -132,6 +137,203 @@ TEST(Mosfet, RejectsBadParameters) {
 
 TEST(Mosfet, DescribeMentionsGeometry) {
   EXPECT_NE(nmos().describe().find("65"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity oracle for the lane kernel: a straight transcription of the
+// model's original expression sequence — separate softplus/logistic calls,
+// phi_t recomputed per call, the charge and capacitance densities as two
+// independent passes.  It lives here only as the reference the shared
+// per-lane helpers (scalar methods and batch kernels alike) must reproduce
+// bit for bit.
+namespace oracle {
+
+using math::logistic;
+using math::softplus;
+
+double thermalVoltage(const MosParams& p) {
+  return constants::kBoltzmann * p.temperature / constants::kElementaryCharge;
+}
+
+struct NormalModeResult {
+  double ids;
+  double dIdVgs;
+  double dIdVds;
+};
+
+NormalModeResult evaluateNormalMode(const MosParams& p, double width,
+                                    double phit, double vgs, double vds) {
+  const double n = p.slopeFactor;
+  const double ispec = 2.0 * n * p.mobility * p.cox * (width / p.length) *
+                       phit * phit;
+  const double vtEff = p.vt0 - p.dibl * vds;
+  const double argF = (vgs - vtEff) / (2.0 * n * phit);
+  const double argR = argF - vds / (2.0 * phit);
+  const double lf = softplus(argF);
+  const double lr = softplus(argR);
+  const double sf = logistic(argF);
+  const double sr = logistic(argR);
+  const double iF = lf * lf;
+  const double iR = lr * lr;
+  const double argOv = (vgs - vtEff) / (2.0 * phit);
+  const double ovs = 2.0 * phit * softplus(argOv);
+  const double sOv = logistic(argOv);
+  const double mobDen = 1.0 + p.mobilityTheta * ovs;
+  const double clm = 1.0 + p.lambda * vds;
+  const double m = clm / mobDen;
+  const double core = iF - iR;
+  const double ids = ispec * core * m;
+  const double diFdVgs = lf * sf / (n * phit);
+  const double diRdVgs = lr * sr / (n * phit);
+  const double diFdVds = lf * sf * p.dibl / (n * phit);
+  const double diRdVds = lr * sr * (p.dibl - n) / (n * phit);
+  const double dMdVgs = -m * p.mobilityTheta * sOv / mobDen;
+  const double dOvsdVds = sOv * p.dibl;
+  const double dMdVds =
+      p.lambda / mobDen - m * p.mobilityTheta * dOvsdVds / mobDen;
+  return {ids, ispec * ((diFdVgs - diRdVgs) * m + core * dMdVgs),
+          ispec * ((diFdVds - diRdVds) * m + core * dMdVds)};
+}
+
+MosOperatingPoint evaluate(const MosParams& p, double width, double vd,
+                           double vg, double vs) {
+  double sgn = 1.0;
+  if (p.type == MosType::kPmos) {
+    vd = -vd;
+    vg = -vg;
+    vs = -vs;
+    sgn = -1.0;
+  }
+  const double phit = thermalVoltage(p);
+  MosOperatingPoint op;
+  if (vd >= vs) {
+    const auto r = evaluateNormalMode(p, width, phit, vg - vs, vd - vs);
+    op.ids = sgn * r.ids;
+    op.gm = r.dIdVgs;
+    op.gds = r.dIdVds;
+  } else {
+    const auto r = evaluateNormalMode(p, width, phit, vg - vd, vs - vd);
+    op.ids = -sgn * r.ids;
+    op.gm = -r.dIdVgs;
+    op.gds = r.dIdVgs + r.dIdVds;
+  }
+  return op;
+}
+
+double branchCharge(const MosParams& p, double overdrive) {
+  if (overdrive <= 0.0) return 0.0;
+  const double c = 1.0 / p.cox;
+  const double k = p.chargeStiffening;
+  const double s = std::sqrt(c * c + 4.0 * k * overdrive);
+  return 2.0 * overdrive / (c + s);
+}
+
+double branchCapacitance(const MosParams& p, double overdrive,
+                         double logisticFactor) {
+  if (overdrive <= 0.0) return p.cox * logisticFactor;
+  const double c = 1.0 / p.cox;
+  const double k = p.chargeStiffening;
+  const double s = std::sqrt(c * c + 4.0 * k * overdrive);
+  const double dQdU = 2.0 / (c + s) - 4.0 * k * overdrive /
+                                          (s * (c + s) * (c + s));
+  return dQdU * logisticFactor;
+}
+
+double gateChargeDensityMirror(const MosParams& p, double vgs) {
+  const double phit = thermalVoltage(p);
+  const double n = p.slopeFactor;
+  const double na = p.accSlopeFactor;
+  const double uInv = n * phit * softplus((vgs - p.vt0) / (n * phit));
+  const double uAcc = na * phit * softplus(-(vgs - p.vfb) / (na * phit));
+  return branchCharge(p, uInv) - branchCharge(p, uAcc);
+}
+
+double gateChargeDensity(const MosParams& p, double vgs) {
+  if (p.type == MosType::kPmos) return -gateChargeDensityMirror(p, -vgs);
+  return gateChargeDensityMirror(p, vgs);
+}
+
+double gateCapacitanceDensity(const MosParams& p, double vgs) {
+  if (p.type == MosType::kPmos) vgs = -vgs;
+  const double phit = thermalVoltage(p);
+  const double n = p.slopeFactor;
+  const double na = p.accSlopeFactor;
+  const double xInv = (vgs - p.vt0) / (n * phit);
+  const double xAcc = -(vgs - p.vfb) / (na * phit);
+  const double uInv = n * phit * softplus(xInv);
+  const double uAcc = na * phit * softplus(xAcc);
+  return branchCapacitance(p, uInv, logistic(xInv)) +
+         branchCapacitance(p, uAcc, logistic(xAcc));
+}
+
+}  // namespace oracle
+
+TEST(MosfetModel, LaneKernelMatchesTodaysExpressions) {
+  MosParams hot = nmos45();
+  hot.temperature = 358.0;
+  hot.vt0 = 0.33;
+  const std::array<MosfetModel, 3> models{MosfetModel(nmos45(), 65e-9),
+                                          MosfetModel(pmos45(), 90e-9),
+                                          MosfetModel(hot, 120e-9)};
+  // vd/vg/vs grid over [-1.5, 1.5] V: every point of it for each model, so
+  // both polarities, normal (vd >= vs) and swapped (vd < vs) modes, and
+  // gate voltages from deep accumulation to strong inversion.
+  constexpr int kSteps = 40;
+  std::vector<double> grid;
+  for (int i = 0; i <= kSteps; ++i) grid.push_back(-1.5 + 3.0 * i / kSteps);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const MosfetModel& model : models) {
+    const MosParams& p = model.params();
+    std::vector<const MosfetModel*> lanes;
+    std::vector<double> vd, vg, vs, vgs;
+    for (const double d : grid) {
+      for (const double g : grid) {
+        for (const double s : grid) {
+          lanes.push_back(&model);
+          vd.push_back(d);
+          vg.push_back(g);
+          vs.push_back(s);
+          vgs.push_back(g - s);
+        }
+      }
+    }
+    const std::size_t n = lanes.size();
+    std::vector<MosOperatingPoint> batchOp(n);
+    std::vector<double> batchQ(n), batchC(n);
+    MosfetModel::evaluateBatch(n, lanes.data(), vd.data(), vg.data(),
+                               vs.data(), batchOp.data());
+    MosfetModel::gateChargeBatch(n, lanes.data(), vgs.data(), batchQ.data(),
+                                 batchC.data());
+
+    EXPECT_EQ(bits(model.thermalVoltage()), bits(oracle::thermalVoltage(p)));
+    int mismatches = 0;
+    int swapped = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (vd[k] < vs[k]) ++swapped;
+      const MosOperatingPoint want =
+          oracle::evaluate(p, model.width(), vd[k], vg[k], vs[k]);
+      const MosOperatingPoint scalar = model.evaluate(vd[k], vg[k], vs[k]);
+      const double wantQ = oracle::gateChargeDensity(p, vgs[k]);
+      const double wantC = oracle::gateCapacitanceDensity(p, vgs[k]);
+      const bool same =
+          bits(scalar.ids) == bits(want.ids) &&
+          bits(scalar.gm) == bits(want.gm) &&
+          bits(scalar.gds) == bits(want.gds) &&
+          bits(batchOp[k].ids) == bits(want.ids) &&
+          bits(batchOp[k].gm) == bits(want.gm) &&
+          bits(batchOp[k].gds) == bits(want.gds) &&
+          bits(model.gateChargeDensity(vgs[k])) == bits(wantQ) &&
+          bits(model.gateCapacitanceDensity(vgs[k])) == bits(wantC) &&
+          bits(batchQ[k]) == bits(wantQ) && bits(batchC[k]) == bits(wantC);
+      if (!same && ++mismatches <= 5) {
+        ADD_FAILURE() << model.describe() << " at vd=" << vd[k]
+                      << " vg=" << vg[k] << " vs=" << vs[k];
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << model.describe() << ", " << n << " lanes";
+    EXPECT_GT(swapped, 0);
+  }
 }
 
 // Property sweep: analytic gm/gds match finite differences over a bias grid
