@@ -19,13 +19,17 @@ struct AssemblerTelemetry {
   obs::Counter& assemblies;
   obs::Counter& stamps;
   obs::Counter& patternReuseHits;
+  obs::Counter& mosfetLanes;     ///< MOSFET lanes stamped
+  obs::Counter& mosfetBypassed;  ///< of those, stamped from the bypass cache
 };
 
 AssemblerTelemetry& assemblerTelemetry() {
   static AssemblerTelemetry t{
       obs::Metrics::counter("fefet.assembler.assemblies"),
       obs::Metrics::counter("fefet.assembler.stamps"),
-      obs::Metrics::counter("fefet.assembler.pattern_reuse_hits")};
+      obs::Metrics::counter("fefet.assembler.pattern_reuse_hits"),
+      obs::Metrics::counter("fefet.assembler.mosfet_lanes"),
+      obs::Metrics::counter("fefet.assembler.mosfet_bypassed")};
   return t;
 }
 
@@ -89,13 +93,16 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   buffer_.slotEnd_ = slots.data() + slots.size();
 
   EvalContext ctx{view, dc, time, dt, method, gmin, &buffer_, nullptr};
-  netlist.deviceBatches().stampAll(ctx, ends);
+  DeviceBatches& batches = netlist.deviceBatches();
+  batches.stampAll(ctx, ends);
 
   if (obs::Metrics::enabled()) {
     AssemblerTelemetry& t = assemblerTelemetry();
     t.assemblies.increment();
     t.stamps.add(devices.size());
     if (modeUsed_[static_cast<std::size_t>(m)]) t.patternReuseHits.increment();
+    t.mosfetLanes.add(batches.mosfetLanes());
+    t.mosfetBypassed.add(batches.mosfetBypassed());
   }
   modeUsed_[static_cast<std::size_t>(m)] = true;
 

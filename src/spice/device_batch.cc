@@ -1,6 +1,7 @@
 #include "spice/device_batch.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -14,6 +15,25 @@
 #include "spice/sources.h"
 
 namespace fefet::spice {
+
+namespace {
+
+/// MOSFET bypass band: a lane whose drain, gate and source voltages all
+/// satisfy |v - vEval| <= kBypassAbsTol + kBypassRelTol * |vEval| against
+/// its last full evaluation skips the model and stamps the first-order
+/// extrapolation from that evaluation (DESIGN.md §6.5.1).  The pair is the
+/// loosest power-of-ten band found that leaves every step and Newton
+/// iteration count of every perfbench schedule unchanged.
+constexpr double kBypassAbsTol = 1e-6;
+constexpr double kBypassRelTol = 1e-6;
+
+/// False against a NaN (never evaluated) cache entry.
+inline bool inBypassBand(double v, double cached) {
+  return std::abs(v - cached) <=
+         kBypassAbsTol + kBypassRelTol * std::abs(cached);
+}
+
+}  // namespace
 
 DeviceBatches::DeviceBatches(const Netlist& netlist) {
   const auto& devices = netlist.devices();
@@ -62,6 +82,8 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
       diodes_.vmax.push_back(40.0 * vt);
     } else if (auto* m = dynamic_cast<MosfetDevice*>(device)) {
       ref = {Kind::kMosfet, lane(mosfets_.dev.size())};
+      m->batches_ = this;
+      m->lane_ = ref.lane;
       mosfets_.dev.push_back(m);
       mosfets_.drain.push_back(m->drain_);
       mosfets_.gate.push_back(m->gate_);
@@ -98,12 +120,20 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
   diodes_.i.resize(diodes_.anode.size());
   diodes_.g.resize(diodes_.anode.size());
   const std::size_t nm = mosfets_.dev.size();
+  const double never = std::numeric_limits<double>::quiet_NaN();
+  mosfets_.vdEval.assign(nm, never);
+  mosfets_.vgEval.assign(nm, never);
+  mosfets_.vsEval.assign(nm, never);
+  mosfets_.opEval.resize(nm);
+  mosfets_.qEval.resize(nm);
+  mosfets_.cEval.resize(nm);
+  mosfets_.chargeValid.assign(nm, 0);
+  mosfets_.evalLanes.reserve(nm);
   mosfets_.vd.resize(nm);
   mosfets_.vg.resize(nm);
   mosfets_.vs.resize(nm);
-  mosfets_.op.resize(nm);
+  mosfets_.ids.resize(nm);
   mosfets_.qDensity.resize(nm);
-  mosfets_.cDensity.resize(nm);
   mosfets_.chanI.resize(nm);
   mosfets_.chanG.resize(nm);
   mosfets_.ovlGdI.resize(nm);
@@ -252,32 +282,65 @@ void DeviceBatches::evalMosfets(const EvalContext& ctx) {
   MosfetBatch& batch = mosfets_;
   const SystemView& view = ctx.view;
   const std::size_t n = batch.dev.size();
+  mosfetBypassed_ = 0;
   if (n == 0) return;
-  for (std::size_t k = 0; k < n; ++k) {
-    batch.vd[k] = view.nodeVoltage(batch.drain[k]);
-    batch.vg[k] = view.nodeVoltage(batch.gate[k]);
-    batch.vs[k] = view.nodeVoltage(batch.source[k]);
-  }
-  xtor::MosfetModel::evaluateBatch(n, batch.model.data(), batch.vd.data(),
-                                   batch.vg.data(), batch.vs.data(),
-                                   batch.op.data());
-  if (ctx.dc) return;  // charge elements vanish in DC
+  const bool charge = !ctx.dc;  // charge elements vanish in DC
 
-  // Intrinsic gate charge: vgs lanes reuse the qDensity scratch before the
-  // kernel overwrites it with the charge density.
+  // Bypass test.  A lane inside the band stamps the first-order
+  // extrapolation from its cache: the drain current through the cached
+  // gm/gds, the gate charge through the cached capacitance.  The other
+  // lanes are gathered for one kernel call each.
+  batch.evalLanes.clear();
   for (std::size_t k = 0; k < n; ++k) {
-    batch.qDensity[k] = batch.vg[k] - batch.vs[k];
+    const double vd = view.nodeVoltage(batch.drain[k]);
+    const double vg = view.nodeVoltage(batch.gate[k]);
+    const double vs = view.nodeVoltage(batch.source[k]);
+    batch.vd[k] = vd;
+    batch.vg[k] = vg;
+    batch.vs[k] = vs;
+    if (!inBypassBand(vd, batch.vdEval[k]) ||
+        !inBypassBand(vg, batch.vgEval[k]) ||
+        !inBypassBand(vs, batch.vsEval[k]) ||
+        (charge && batch.chargeValid[k] == 0)) {
+      batch.evalLanes.push_back(static_cast<std::uint32_t>(k));
+      continue;
+    }
+    const xtor::MosOperatingPoint& op = batch.opEval[k];
+    batch.ids[k] = op.ids + op.gds * (vd - batch.vdEval[k]) +
+                   op.gm * (vg - batch.vgEval[k]) -
+                   (op.gm + op.gds) * (vs - batch.vsEval[k]);
+    if (charge) batch.qDensity[k] = extrapolatedChargeDensity(k, vg, vs);
   }
-  xtor::MosfetModel::gateChargeBatch(n, batch.model.data(),
-                                     batch.qDensity.data(),
-                                     batch.qDensity.data(),
-                                     batch.cDensity.data());
+  const std::span<const std::uint32_t> lanes = batch.evalLanes;
+  mosfetBypassed_ = n - lanes.size();
+
+  xtor::MosfetModel::evaluateBatch(lanes, batch.model.data(), batch.vd.data(),
+                                   batch.vg.data(), batch.vs.data(),
+                                   batch.opEval.data());
+  for (const std::uint32_t k : lanes) {
+    batch.vdEval[k] = batch.vd[k];
+    batch.vgEval[k] = batch.vg[k];
+    batch.vsEval[k] = batch.vs[k];
+    batch.chargeValid[k] = charge ? 1 : 0;
+    batch.ids[k] = batch.opEval[k].ids;
+  }
+  if (!charge) return;
+
+  // Intrinsic gate charge: vgs lanes reuse the qEval cache before the
+  // kernel overwrites it with the charge density.
+  for (const std::uint32_t k : lanes) {
+    batch.qEval[k] = batch.vg[k] - batch.vs[k];
+  }
+  xtor::MosfetModel::gateChargeBatch(lanes, batch.model.data(),
+                                     batch.qEval.data(), batch.qEval.data(),
+                                     batch.cEval.data());
+  for (const std::uint32_t k : lanes) batch.qDensity[k] = batch.qEval[k];
   for (std::size_t k = 0; k < n; ++k) {
     const MosfetDevice& dev = *batch.dev[k];
     const double q = batch.gateArea[k] * batch.qDensity[k];
     const auto [i, dIdQ] = dev.chanCharge_.currentFor(q, ctx);
     batch.chanI[k] = i;
-    batch.chanG[k] = dIdQ * (batch.gateArea[k] * batch.cDensity[k]);
+    batch.chanG[k] = dIdQ * (batch.gateArea[k] * batch.cEval[k]);
   }
   // Linear charge elements (same companion arithmetic as stampLinearCap).
   for (std::size_t k = 0; k < n; ++k) {
@@ -308,6 +371,23 @@ void DeviceBatches::evalMosfets(const EvalContext& ctx) {
       batch.junSG[k] = dIdQ * jun;
     }
   }
+}
+
+double DeviceBatches::extrapolatedChargeDensity(std::size_t lane, double vg,
+                                                double vs) const {
+  const MosfetBatch& batch = mosfets_;
+  const double dvgs = (vg - vs) - (batch.vgEval[lane] - batch.vsEval[lane]);
+  return batch.qEval[lane] + batch.cEval[lane] * dvgs;
+}
+
+double DeviceBatches::mosfetGateChargeDensity(std::uint32_t lane, double vg,
+                                              double vs) const {
+  const MosfetBatch& batch = mosfets_;
+  if (batch.chargeValid[lane] != 0 && inBypassBand(vg, batch.vgEval[lane]) &&
+      inBypassBand(vs, batch.vsEval[lane])) {
+    return extrapolatedChargeDensity(lane, vg, vs);
+  }
+  return batch.model[lane]->gateChargeDensity(vg - vs);
 }
 
 void DeviceBatches::evalFeCaps(const EvalContext& ctx) {
@@ -429,10 +509,11 @@ void DeviceBatches::scatterMosfet(std::uint32_t lane, bool dc,
   const int rg = Stamper::rowOfNode(batch.gate[lane]);
   const int rs = Stamper::rowOfNode(batch.source[lane]);
 
-  const xtor::MosOperatingPoint& op = batch.op[lane];
+  const xtor::MosOperatingPoint& op = batch.opEval[lane];
+  const double ids = batch.ids[lane];
   const double gms = -(op.gm + op.gds);
-  buf.addResidual(rd, op.ids);
-  buf.addResidual(rs, -op.ids);
+  buf.addResidual(rd, ids);
+  buf.addResidual(rs, -ids);
   buf.addJacobian(rd, rd, op.gds);
   buf.addJacobian(rd, rg, op.gm);
   buf.addJacobian(rd, rs, gms);

@@ -27,6 +27,14 @@
 // floating-point accumulation order never changes.  A type-major single
 // pass would reorder those additions and drift in the last ulp.
 //
+// The one exception is MOSFET bypass (DESIGN.md §6.5.1).  A MOSFET lane
+// whose three terminal voltages all stayed inside a narrow band of its
+// last full evaluation skips the model: it stamps the first-order
+// extrapolation ids + gm·Δvg + gds·Δvd − (gm+gds)·Δvs and q + c·Δvgs with
+// the cached gm, gds and c, off the exact stamp by a second-order
+// remainder.  The lanes outside the band are gathered into one list and
+// run through the kernels in one call each; they stay bit-identical.
+//
 // Devices with mutable call-sequence behaviour or no batch kernel
 // (TimedSwitch, Inductor, Vcvs, Vccs, custom test devices) fall back to
 // their virtual stamp() inside the scatter loop, preserving order.
@@ -78,6 +86,17 @@ class DeviceBatches {
   /// virtual fallback inside the scatter loop).
   std::size_t batchedDeviceCount() const { return batchedCount_; }
   std::size_t deviceCount() const { return order_.size(); }
+
+  /// MOSFET lanes, and how many of them the last stampAll bypassed.
+  std::size_t mosfetLanes() const { return mosfets_.dev.size(); }
+  std::size_t mosfetBypassed() const { return mosfetBypassed_; }
+
+  /// Gate charge density of MOSFET lane `lane` at (vg, vs), through the
+  /// bypass cache: the first-order extrapolation from the lane's last full
+  /// evaluation when vg and vs are inside the band, the exact model
+  /// otherwise.  MosfetDevice::commitStep reads its channel charge here.
+  double mosfetGateChargeDensity(std::uint32_t lane, double vg,
+                                 double vs) const;
 
  private:
   enum class Kind : std::uint8_t {
@@ -133,11 +152,20 @@ class DeviceBatches {
     std::vector<NodeId> drain, gate, source;
     std::vector<const xtor::MosfetModel*> model;
     std::vector<double> gateLeak, overlapCap, junctionCap, gateArea;
+    // Bypass cache, one lane per device: the terminal voltages of the
+    // lane's last full model evaluation (NaN before the first, which no
+    // band test passes) and what it computed there.  A DC assembly
+    // evaluates no gate charge, so the charge part has its own flag.
+    std::vector<double> vdEval, vgEval, vsEval;
+    std::vector<xtor::MosOperatingPoint> opEval;
+    std::vector<double> qEval, cEval;  ///< gate charge/capacitance density
+    std::vector<std::uint8_t> chargeValid;
     // Scratch, one lane per device:
+    std::vector<std::uint32_t> evalLanes;  ///< lanes not bypassed this pass
     std::vector<double> vd, vg, vs;
-    std::vector<xtor::MosOperatingPoint> op;
-    std::vector<double> qDensity, cDensity;  ///< gate charge model
-    std::vector<double> chanI, chanG;        ///< intrinsic charge companion
+    std::vector<double> ids;               ///< stamped drain current
+    std::vector<double> qDensity;          ///< stamped gate charge density
+    std::vector<double> chanI, chanG;      ///< intrinsic charge companion
     std::vector<double> ovlGdI, ovlGdG, ovlGsI, ovlGsG;
     std::vector<double> junDI, junDG, junSI, junSG;
   };
@@ -163,6 +191,11 @@ class DeviceBatches {
   void evalMosfets(const EvalContext& ctx);
   void evalFeCaps(const EvalContext& ctx);
 
+  /// q + c·Δvgs from MOSFET lane `lane`'s charge cache: the gate charge
+  /// density a bypassed lane stamps and a bypassed commit stores.
+  double extrapolatedChargeDensity(std::size_t lane, double vg,
+                                   double vs) const;
+
   void scatterResistor(std::uint32_t lane, StampBuffer& buf) const;
   void scatterCapacitor(std::uint32_t lane, StampBuffer& buf) const;
   void scatterVoltageSource(std::uint32_t lane, const SystemView& view,
@@ -180,6 +213,7 @@ class DeviceBatches {
   std::vector<Device*> order_;  ///< netlist order (generic fallback + names)
   std::vector<Ref> refs_;       ///< parallel to order_
   std::size_t batchedCount_ = 0;
+  std::size_t mosfetBypassed_ = 0;
 
   ResistorBatch resistors_;
   CapacitorBatch capacitors_;

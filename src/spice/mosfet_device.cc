@@ -1,6 +1,7 @@
 #include "spice/mosfet_device.h"
 
 #include "common/error.h"
+#include "spice/device_batch.h"
 
 namespace fefet::spice {
 
@@ -108,7 +109,13 @@ void MosfetDevice::commitStep(const SystemView& view, double /*time*/,
   const double vd = view.nodeVoltage(drain_);
   const double vg = view.nodeVoltage(gate_);
   const double vs = view.nodeVoltage(source_);
-  chanCharge_.commitFrom(channelCharge(view), dt, method);
+  // The assembly's bypass cache holds the gate charge at (or within the
+  // bypass band of) the converged iterate, so the commit reuses it rather
+  // than evaluating the model once more per transistor per step.  Only a
+  // Simulator commits, and its netlist is frozen, so batches_ is set.
+  chanCharge_.commitFrom(
+      model_.gateArea() * batches_->mosfetGateChargeDensity(lane_, vg, vs),
+      dt, method);
   ovlGd_.commitFrom(overlapCap_ * (vg - vd), dt, method);
   ovlGs_.commitFrom(overlapCap_ * (vg - vs), dt, method);
   junD_.commitFrom(junctionCap_ * vd, dt, method);

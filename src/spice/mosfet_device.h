@@ -7,10 +7,14 @@
 // DC path (needed for FEFET internal nodes).
 #pragma once
 
+#include <cstdint>
+
 #include "spice/device.h"
 #include "xtor/mosfet_model.h"
 
 namespace fefet::spice {
+
+class DeviceBatches;
 
 class MosfetDevice final : public Device {
  public:
@@ -42,6 +46,10 @@ class MosfetDevice final : public Device {
   ChargeIntegrator ovlGs_;       // gate <-> source overlap
   ChargeIntegrator junD_;        // drain <-> ground
   ChargeIntegrator junS_;        // source <-> ground
+  /// This transistor's lane in the netlist's batches, set at freeze:
+  /// commitStep reads the channel charge through the lane's bypass cache.
+  const DeviceBatches* batches_ = nullptr;
+  std::uint32_t lane_ = 0;
 };
 
 }  // namespace fefet::spice

@@ -195,10 +195,10 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
     const IntegrationMethod method =
         firstStep ? IntegrationMethod::kBackwardEuler : options.method;
 
-    std::vector<double> trial = x_;
+    trial_ = x_;
     ++solves;
     NewtonStats stats =
-        newton_.solve(trial, /*dc=*/false, t + dt, dt, method);
+        newton_.solve(trial_, /*dc=*/false, t + dt, dt, method);
     result.stats.newtonIterations += stats.iterations;
     lastResidual = stats.finalResidualNorm;
     if (!stats.converged) {
@@ -216,10 +216,10 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       }
       // dt exhausted: last-resort gmin escalation at the floor step.
       if (options.maxGminEscalations > 0) {
-        trial = x_;
+        trial_ = x_;
         ++solves;
         stats = newton_.solveWithEscalation(
-            trial, /*dc=*/false, t + dt, dt, method,
+            trial_, /*dc=*/false, t + dt, dt, method,
             options.maxGminEscalations, options.gminMax);
         result.stats.newtonIterations += stats.iterations;
         result.stats.gminEscalations += stats.gminEscalations;
@@ -234,7 +234,7 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       }
     }
 
-    x_ = std::move(trial);
+    x_.swap(trial_);
     t += dt;
     ++result.stats.steps;
     firstStep = false;

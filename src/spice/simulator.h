@@ -89,6 +89,9 @@ class Simulator {
   NewtonOptions newtonOptions_;
   NewtonSolver newton_;
   std::vector<double> x_;
+  /// Newton iterate of the step being attempted; swapped into x_ on
+  /// acceptance, so steps reuse its storage instead of allocating.
+  std::vector<double> trial_;
   bool stateValid_ = false;
 };
 

@@ -164,20 +164,21 @@ double MosfetModel::idsAt(double vd, double vg, double vs) const {
   return evaluate(vd, vg, vs).ids;
 }
 
-void MosfetModel::evaluateBatch(std::size_t n, const MosfetModel* const* models,
+void MosfetModel::evaluateBatch(std::span<const std::uint32_t> lanes,
+                                const MosfetModel* const* models,
                                 const double* vd, const double* vg,
                                 const double* vs, MosOperatingPoint* out) {
-  for (std::size_t k = 0; k < n; ++k) {
+  for (const std::uint32_t k : lanes) {
     const MosfetModel& m = *models[k];
     out[k] = evaluateLane(m.params_, m.ispec_, m.phit_, vd[k], vg[k], vs[k]);
   }
 }
 
-void MosfetModel::gateChargeBatch(std::size_t n,
+void MosfetModel::gateChargeBatch(std::span<const std::uint32_t> lanes,
                                   const MosfetModel* const* models,
                                   const double* vgs, double* chargeDensity,
                                   double* capacitanceDensity) {
-  for (std::size_t k = 0; k < n; ++k) {
+  for (const std::uint32_t k : lanes) {
     // Read the lane input first: chargeDensity may alias vgs.
     const MosfetModel& m = *models[k];
     const GateCharge g = gateChargeLane(m.params_, m.phit_, vgs[k]);

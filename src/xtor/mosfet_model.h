@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 
 namespace fefet::xtor {
@@ -83,16 +85,22 @@ class MosfetModel {
   // helpers evaluate softplus and logistic of one argument from a single
   // exponential and the gate charge and capacitance in one pass.
 
-  /// out[k] = models[k]->evaluate(vd[k], vg[k], vs[k]).
-  static void evaluateBatch(std::size_t n, const MosfetModel* const* models,
+  // Both run over a gathered lane list: only the lanes k in `lanes` are
+  // read and written, so a caller skips lanes without compacting its
+  // arrays.
+
+  /// out[k] = models[k]->evaluate(vd[k], vg[k], vs[k]) for k in `lanes`.
+  static void evaluateBatch(std::span<const std::uint32_t> lanes,
+                            const MosfetModel* const* models,
                             const double* vd, const double* vg,
                             const double* vs, MosOperatingPoint* out);
 
   /// chargeDensity[k] = gateChargeDensity(vgs[k]) and
-  /// capacitanceDensity[k] = gateCapacitanceDensity(vgs[k]), both from one
-  /// pass per lane.  `chargeDensity` may alias `vgs` (each lane reads its
-  /// input before writing).
-  static void gateChargeBatch(std::size_t n, const MosfetModel* const* models,
+  /// capacitanceDensity[k] = gateCapacitanceDensity(vgs[k]) for k in
+  /// `lanes`, both from one pass per lane.  `chargeDensity` may alias `vgs`
+  /// (each lane reads its input before writing).
+  static void gateChargeBatch(std::span<const std::uint32_t> lanes,
+                              const MosfetModel* const* models,
                               const double* vgs, double* chargeDensity,
                               double* capacitanceDensity);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -299,11 +300,13 @@ TEST(MosfetModel, LaneKernelMatchesTodaysExpressions) {
       }
     }
     const std::size_t n = lanes.size();
+    std::vector<std::uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
     std::vector<MosOperatingPoint> batchOp(n);
     std::vector<double> batchQ(n), batchC(n);
-    MosfetModel::evaluateBatch(n, lanes.data(), vd.data(), vg.data(),
+    MosfetModel::evaluateBatch(all, lanes.data(), vd.data(), vg.data(),
                                vs.data(), batchOp.data());
-    MosfetModel::gateChargeBatch(n, lanes.data(), vgs.data(), batchQ.data(),
+    MosfetModel::gateChargeBatch(all, lanes.data(), vgs.data(), batchQ.data(),
                                  batchC.data());
 
     EXPECT_EQ(bits(model.thermalVoltage()), bits(oracle::thermalVoltage(p)));

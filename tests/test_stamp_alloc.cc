@@ -1,7 +1,8 @@
 // Heap-allocation audit of the compiled stamp pipeline: after a warm-up
 // solve, the Newton steady state (SoA batch assemble + sparse LU numeric
 // refactor + solve) must perform zero heap allocations, on a short and a
-// long ladder.
+// long ladder and on a FEFET array whose MOSFET lanes both hit and miss
+// the bypass cache.
 //
 // The audit replaces the global operator new/delete with counting
 // wrappers for the whole test binary; counting is only armed around the
@@ -17,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "core/array_netlist.h"
+#include "obs/metrics.h"
 #include "spice/extras.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
@@ -129,6 +132,53 @@ TEST(StampAlloc, BatchedLadder40SteadyStateIsAllocationFree) {
 
 TEST(StampAlloc, BatchedLadder200SteadyStateIsAllocationFree) {
   EXPECT_EQ(allocationsDuringSolves(/*stages=*/200, /*activeLoads=*/true), 0);
+}
+
+// A 4x4 FEFET array settled at hold bias: the next solves find most
+// MOSFET lanes inside the bypass band (hits).  Kicking every node voltage
+// by 1 mV before a solve puts every lane outside it for the first
+// iteration (misses), so the audited window runs both paths of the
+// gathered MOSFET kernel.
+TEST(StampAlloc, ArrayNetlistBypassSteadyStateIsAllocationFree) {
+  core::ArrayNetlistConfig config;
+  config.rows = config.cols = 4;
+  core::ArrayNetlist array(config);
+  array.hold(0.2e-9);
+  Netlist& n = array.netlist();
+  NewtonSolver solver(n, NewtonOptions{});
+  std::vector<double> x = array.simulator().solution();
+
+  const bool metricsWereEnabled = obs::Metrics::enabled();
+  obs::Metrics::setEnabled(true);
+  obs::Counter& lanes = obs::Metrics::counter("fefet.assembler.mosfet_lanes");
+  obs::Counter& bypassed =
+      obs::Metrics::counter("fefet.assembler.mosfet_bypassed");
+  NewtonStats stats = solver.solve(x, /*dc=*/false, 1e-10, 1e-12,
+                                   IntegrationMethod::kTrapezoidal);
+  EXPECT_TRUE(stats.converged);
+  const std::uint64_t lanes0 = lanes.total();
+  const std::uint64_t bypassed0 = bypassed.total();
+
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_armed.store(true, std::memory_order_relaxed);
+  for (int step = 0; step < 6; ++step) {
+    if (step % 2 == 1) {
+      for (int i = 0; i < n.nodeCount(); ++i) {
+        x[static_cast<std::size_t>(i)] += 1e-3;
+      }
+    }
+    stats = solver.solve(x, /*dc=*/false, (2 + step) * 1e-10, 1e-12,
+                         IntegrationMethod::kTrapezoidal);
+  }
+  g_armed.store(false, std::memory_order_relaxed);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0);
+
+  const std::uint64_t hits = bypassed.total() - bypassed0;
+  const std::uint64_t laneEvals = lanes.total() - lanes0;
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, laneEvals);
+  obs::Metrics::setEnabled(metricsWereEnabled);
 }
 
 }  // namespace
