@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Build, test, and regenerate every paper figure/table plus the extension
-# studies.  Outputs land in test_output.txt and bench_output.txt.
+# studies.  Outputs land in test_output.txt and bench_output.txt.  Exits
+# with ctest's status, after the benches have run.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# No -G: an existing build/ keeps the generator it was configured with
+# (the tier-1 command configures it with CMake's default).
+cmake -B build -S . || exit 1
+cmake --build build -j"$(nproc)" || exit 1
 
 ctest --test-dir build -j"$(nproc)" 2>&1 | tee test_output.txt
+test_status=${PIPESTATUS[0]}
 
 {
   for b in build/bench/bench_*; do
@@ -17,3 +21,5 @@ ctest --test-dir build -j"$(nproc)" 2>&1 | tee test_output.txt
     echo
   done
 } 2>&1 | tee bench_output.txt
+
+exit "$test_status"

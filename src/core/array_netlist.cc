@@ -6,9 +6,7 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/math.h"
 #include "spice/deck_parser.h"
-#include "xtor/mosfet_model.h"
 
 namespace fefet::core {
 
@@ -72,22 +70,7 @@ std::string emitArrayDeck(const ArrayNetlistConfig& config) {
 
 ArrayNetlist::ArrayNetlist(const ArrayNetlistConfig& config)
     : config_(config) {
-  // Quasi-static state targets (same math as MemoryArray).
-  const auto stable = stableInternalVoltages(config_.fefet, 0.0);
-  FEFET_REQUIRE(stable.size() >= 2, "array requires a nonvolatile FEFET");
-  psiOff_ = stable.front();
-  for (double s : stable) {
-    if (std::abs(s) < std::abs(psiOff_)) psiOff_ = s;
-  }
-  psiOn_ = *std::max_element(stable.begin(), stable.end());
-  const xtor::MosfetModel mos(config_.fefet.mos, config_.fefet.width);
-  pOn_ = mos.gateChargeDensity(psiOn_);
-  pOff_ = mos.gateChargeDensity(psiOff_);
-  const auto allEq = math::findAllRoots(
-      [&](double psi) { return gateVoltageOfInternal(config_.fefet, psi); },
-      psiOff_ + 1e-6, psiOn_ - 1e-6, 4000);
-  pSaddle_ = allEq.empty() ? 0.5 * (pOn_ + pOff_)
-                           : mos.gateChargeDensity(allEq.front());
+  states_ = bistableStates(config_.fefet);
 
   spice::parseDeckString(emitArrayDeck(config_), netlist_);
 
@@ -106,6 +89,10 @@ ArrayNetlist::ArrayNetlist(const ArrayNetlistConfig& config)
     // the interior into one block per word-line row.
     netlist_.markBorderNode("wbl" + std::to_string(c));
     netlist_.markBorderNode("sl" + std::to_string(c));
+    probes_.push_back(Probe::i("Vsl" + std::to_string(c)));
+  }
+  for (int r = 0; r < config_.rows; ++r) {
+    probes_.push_back(Probe::i("Vrs" + std::to_string(r)));
   }
   for (int r = 0; r < config_.rows; ++r) {
     for (int c = 0; c < config_.cols; ++c) {
@@ -133,17 +120,17 @@ void ArrayNetlist::setPattern(const std::vector<std::vector<bool>>& bits) {
     for (int c = 0; c < config_.cols; ++c) {
       const bool one =
           bits[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
-      fe(r, c)->setPolarization(one ? pOn_ : pOff_);
+      fe(r, c)->setPolarization(one ? states_.pOn : states_.pOff);
       sim_->setNodeVoltage(
           internalNodes_[static_cast<std::size_t>(r * config_.cols + c)],
-          one ? psiOn_ : psiOff_);
+          one ? states_.psiOn : states_.psiOff);
     }
   }
   sim_->initializeUic();
 }
 
 bool ArrayNetlist::bitAt(int row, int col) const {
-  return fe(row, col)->polarization() > pSaddle_;
+  return fe(row, col)->polarization() > states_.pSaddle;
 }
 
 std::vector<std::vector<double>> ArrayNetlist::polarizations() const {
@@ -175,15 +162,7 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
   options.duration = duration;
   options.dtMax = duration / 150.0;
   options.dtInitial = std::min(1e-12, options.dtMax);
-
-  std::vector<Probe> probes;
-  for (int c = 0; c < config_.cols; ++c) {
-    probes.push_back(Probe::i("Vsl" + std::to_string(c)));
-  }
-  for (int r = 0; r < config_.rows; ++r) {
-    probes.push_back(Probe::i("Vrs" + std::to_string(r)));
-  }
-  auto transient = sim_->runTransient(options, probes);
+  auto transient = sim_->runTransient(options, probes_);
 
   ArrayNetOpResult result;
   const auto after = polarizations();
@@ -202,28 +181,17 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
   // accessed row legitimately conducts into the sense lines, so sneak
   // currents are those on UNACCESSED rows' read-select lines; during
   // writes and holds no sense line should carry anything at all.
-  if (!isRead) {
-    for (int c = 0; c < config_.cols; ++c) {
-      const auto& col =
-          transient.waveform.column("i(Vsl" + std::to_string(c) + ")");
-      for (double i : col) {
-        result.maxSneakCurrent =
-            std::max(result.maxSneakCurrent, std::abs(i));
-      }
-    }
-  }
-  for (int r = 0; r < config_.rows; ++r) {
-    if (isRead && r == accessedRow) continue;
-    const auto& row =
-        transient.waveform.column("i(Vrs" + std::to_string(r) + ")");
-    for (double i : row) {
+  for (std::size_t k = 0; k < probes_.size(); ++k) {
+    const int row = static_cast<int>(k) - config_.cols;  // < 0: a sense line
+    if (isRead && (row < 0 || row == accessedRow)) continue;
+    for (double i : transient.waveform.column(probes_[k].label)) {
       result.maxSneakCurrent = std::max(result.maxSneakCurrent, std::abs(i));
     }
   }
   if (isRead && accessedRow >= 0) {
     const auto t = transient.waveform.time();
-    const std::string label = "i(Vsl" + std::to_string(accessedCol) + ")";
-    result.readCurrent = -transient.waveform.valueAt(label, 0.6 * t.back());
+    result.readCurrent = -transient.waveform.valueAt(
+        probes_[static_cast<std::size_t>(accessedCol)].label, 0.6 * t.back());
     result.bitRead = result.readCurrent > config_.readCurrentThreshold;
   }
   for (auto* s : wsSources_) result.totalEnergy += s->energyDelivered();

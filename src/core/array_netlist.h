@@ -77,10 +77,10 @@ class ArrayNetlist {
   spice::Netlist& netlist() { return netlist_; }
   spice::Simulator& simulator() { return *sim_; }
 
-  /// Quasi-static state targets (same math as MemoryArray/Cell2T).
-  double pOn() const { return pOn_; }
-  double pOff() const { return pOff_; }
-  double pSaddle() const { return pSaddle_; }
+  /// Quasi-static state targets (bistableStates of the cell's FEFET).
+  double pOn() const { return states_.pOn; }
+  double pOff() const { return states_.pOff; }
+  double pSaddle() const { return states_.pSaddle; }
 
   void setPattern(const std::vector<std::vector<bool>>& bits);
   bool bitAt(int row, int col) const;
@@ -104,8 +104,10 @@ class ArrayNetlist {
   std::vector<spice::VoltageSource*> wblSources_, slSources_;
   std::vector<spice::FeCapDevice*> fes_;        // row-major
   std::vector<std::string> internalNodes_;      // row-major
+  /// Recorded by every op: i(Vsl<c>) per column, then i(Vrs<r>) per row.
+  std::vector<spice::Probe> probes_;
   std::unique_ptr<spice::Simulator> sim_;
-  double pOn_ = 0.0, pOff_ = 0.0, pSaddle_ = 0.0, psiOn_ = 0.0, psiOff_ = 0.0;
+  BistableStates states_;
 };
 
 }  // namespace fefet::core

@@ -1,11 +1,9 @@
 #include "core/cell2t.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 #include "common/math.h"
-#include "xtor/mosfet_model.h"
 
 namespace fefet::core {
 
@@ -18,27 +16,9 @@ Cell2T::Cell2T(const Cell2TConfig& config)
   fault_ = injector_.cellFault(0, 0);
   // Weak cells carry physically collapsed device parameters.
   config_.fefet = injector_.apply(config_.fefet, fault_);
-  // Quasi-static state targets.
-  const auto stable = stableInternalVoltages(config_.fefet, 0.0);
-  FEFET_REQUIRE(stable.size() >= 2,
-                "Cell2T requires a nonvolatile FEFET (bistable at V_G=0)");
-  psiOff_ = stable.front();
-  for (double s : stable) {
-    if (std::abs(s) < std::abs(psiOff_)) psiOff_ = s;
-  }
-  psiOn_ = *std::max_element(stable.begin(), stable.end());
-  const xtor::MosfetModel mos(config_.fefet.mos, config_.fefet.width);
-  pOn_ = mos.gateChargeDensity(psiOn_);
-  pOff_ = mos.gateChargeDensity(psiOff_);
-  // Basin boundary: the unstable equilibrium between OFF and ON (classify
-  // the stored bit by which basin the committed polarization lies in).
-  const auto allEq = math::findAllRoots(
-      [&](double psi) { return gateVoltageOfInternal(config_.fefet, psi); },
-      psiOff_ + 1e-6, psiOn_ - 1e-6, 4000);
-  pSaddle_ = 0.5 * (pOn_ + pOff_);
-  if (!allEq.empty()) {
-    pSaddle_ = mos.gateChargeDensity(allEq.front());
-  }
+  // Quasi-static state targets; the saddle's polarization is the basin
+  // boundary that classifies the stored bit.
+  states_ = bistableStates(config_.fefet);
 
   // Netlist: sources on all four lines; access transistor; FEFET.
   vWbl_ = netlist_.add<spice::VoltageSource>("Vwbl", netlist_.node("wbl"),
@@ -53,7 +33,14 @@ Cell2T::Cell2T(const Cell2TConfig& config)
                                     netlist_.node("ws"), netlist_.node("g"),
                                     config_.accessMos, config_.accessWidth);
   fefet_ = attachFefet(netlist_, "cell", "g", "rs", "sl", config_.fefet,
-                       pOff_);
+                       states_.pOff);
+  probes_ = {
+      Probe::v("wbl"), Probe::v("ws"), Probe::v("rs"), Probe::v("sl"),
+      Probe::v("g"),
+      Probe::v(netlist_.nodeName(fefet_.internalNode)),
+      Probe::deviceState("cell:fe", "P"),
+      Probe::deviceState("cell:mos", "id"),
+  };
   sim_ = std::make_unique<spice::Simulator>(netlist_, config_.newton);
   setStoredBit(false);
 }
@@ -61,14 +48,14 @@ Cell2T::Cell2T(const Cell2TConfig& config)
 void Cell2T::setStoredBit(bool one) {
   if (fault_ == CellFault::kStuckAtZero) one = false;
   if (fault_ == CellFault::kStuckAtOne) one = true;
-  fefet_.fe->setPolarization(one ? pOn_ : pOff_);
+  fefet_.fe->setPolarization(one ? states_.pOn : states_.pOff);
   sim_->setNodeVoltage(netlist_.nodeName(fefet_.internalNode),
-                       one ? psiOn_ : psiOff_);
+                       one ? states_.psiOn : states_.psiOff);
   sim_->initializeUic();
 }
 
 bool Cell2T::storedBit() const {
-  return fefet_.fe->polarization() > pSaddle_;
+  return fefet_.fe->polarization() > states_.pSaddle;
 }
 
 void Cell2T::resetSourceEnergies() {
@@ -81,14 +68,7 @@ CellOpResult Cell2T::runOp(double duration, bool isWrite) {
   options.duration = duration;
   options.dtMax = duration / 200.0;
   options.dtInitial = std::min(1e-12, options.dtMax);
-  const std::vector<Probe> probes = {
-      Probe::v("wbl"), Probe::v("ws"), Probe::v("rs"), Probe::v("sl"),
-      Probe::v("g"),
-      Probe::v(netlist_.nodeName(fefet_.internalNode)),
-      Probe::deviceState("cell:fe", "P"),
-      Probe::deviceState("cell:mos", "id"),
-  };
-  auto transient = sim_->runTransient(options, probes);
+  auto transient = sim_->runTransient(options, probes_);
 
   CellOpResult result;
   result.waveform = std::move(transient.waveform);
@@ -99,7 +79,7 @@ CellOpResult Cell2T::runOp(double duration, bool isWrite) {
     result.totalEnergy += src->energyDelivered();
   }
   if (isWrite) {
-    const double threshold = pSaddle_;
+    const double threshold = states_.pSaddle;
     const auto p = result.waveform.column("P(cell:fe)");
     if (math::hasCrossing(p, threshold)) {
       result.writeLatency = math::firstCrossing(
@@ -135,11 +115,11 @@ CellOpResult Cell2T::write(bool one, double pulseWidth,
   bool overridden = false;
   double pForced = 0.0;
   if (fault_ == CellFault::kStuckAtZero) {
-    pForced = pOff_;
-    overridden = fefet_.fe->polarization() > pSaddle_;
+    pForced = states_.pOff;
+    overridden = fefet_.fe->polarization() > states_.pSaddle;
   } else if (fault_ == CellFault::kStuckAtOne) {
-    pForced = pOn_;
-    overridden = fefet_.fe->polarization() < pSaddle_;
+    pForced = states_.pOn;
+    overridden = fefet_.fe->polarization() < states_.pSaddle;
   } else if (injector_.spec().writeFailureProbability > 0.0 &&
              injector_.nextWriteFails(vw / config_.levels.vWrite)) {
     pForced = pBefore;
@@ -147,8 +127,9 @@ CellOpResult Cell2T::write(bool one, double pulseWidth,
   }
   if (overridden) {
     fefet_.fe->setPolarization(pForced);
-    sim_->setNodeVoltage(netlist_.nodeName(fefet_.internalNode),
-                         pForced > pSaddle_ ? psiOn_ : psiOff_);
+    sim_->setNodeVoltage(
+        netlist_.nodeName(fefet_.internalNode),
+        pForced > states_.pSaddle ? states_.psiOn : states_.psiOff);
     sim_->initializeUic();
     result.finalPolarization = pForced;
     result.bitAfter = storedBit();

@@ -78,8 +78,8 @@ class Cell2T {
                            double resolution = 5e-12);
 
   /// Quasi-static target polarizations of the two states at V_G = 0.
-  double onPolarization() const { return pOn_; }
-  double offPolarization() const { return pOff_; }
+  double onPolarization() const { return states_.pOn; }
+  double offPolarization() const { return states_.pOff; }
 
   /// Injected fault class of this cell.
   CellFault fault() const { return fault_; }
@@ -102,11 +102,9 @@ class Cell2T {
   spice::VoltageSource* vRs_ = nullptr;
   spice::VoltageSource* vSl_ = nullptr;
   std::unique_ptr<spice::Simulator> sim_;
-  double pOn_ = 0.0;
-  double pOff_ = 0.0;
-  double pSaddle_ = 0.0;  ///< basin boundary: P of the unstable equilibrium
-  double psiOn_ = 0.0;
-  double psiOff_ = 0.0;
+  BistableStates states_;
+  /// Recorded by every op; built once, with the FEFET's internal node.
+  std::vector<spice::Probe> probes_;
 };
 
 }  // namespace fefet::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/math.h"
@@ -33,23 +34,54 @@ FefetInstance attachFefet(spice::Netlist& netlist, const std::string& name,
   return inst;
 }
 
+namespace {
+
+/// V_G(psi) with the MOS and LK models built once, so a scan constructs
+/// them once rather than once per sample.
+struct GateVoltageCurve {
+  explicit GateVoltageCurve(const FefetParams& params)
+      : mos(params.mos, params.width), lk(params.lk), t(params.feThickness) {}
+  double operator()(double psi) const {
+    return psi + t * lk.staticField(mos.gateChargeDensity(psi));
+  }
+  xtor::MosfetModel mos;
+  ferro::LandauKhalatnikov lk;
+  double t;  ///< T_FE [m]
+};
+
+/// Every solution of V_G(psi) = gateVoltage in [psiMin, psiMax], ascending,
+/// flagged stable where dV_G/dpsi > 0.
+std::vector<std::pair<double, bool>> equilibria(const GateVoltageCurve& curve,
+                                                double gateVoltage,
+                                                double psiMin, double psiMax,
+                                                int samples) {
+  const auto residual = [&](double psi) { return curve(psi) - gateVoltage; };
+  const double h = (psiMax - psiMin) / samples;
+  std::vector<std::pair<double, bool>> out;
+  for (double r : math::findAllRoots(residual, psiMin, psiMax, samples)) {
+    out.emplace_back(r, residual(r + 0.25 * h) > residual(r - 0.25 * h));
+  }
+  return out;
+}
+
+}  // namespace
+
 double gateVoltageOfInternal(const FefetParams& params, double psi) {
-  const xtor::MosfetModel mos(params.mos, params.width);
-  const ferro::LandauKhalatnikov lk(params.lk);
-  return psi + params.feThickness * lk.staticField(mos.gateChargeDensity(psi));
+  return GateVoltageCurve(params)(psi);
 }
 
 HysteresisWindow analyzeHysteresis(const FefetParams& params, double psiMin,
                                    double psiMax, int samples) {
   FEFET_REQUIRE(samples >= 64, "analyzeHysteresis: too few samples");
   HysteresisWindow window;
+  const GateVoltageCurve curve(params);
 
   double prevPsi = psiMin;
-  double prevVg = gateVoltageOfInternal(params, psiMin);
+  double prevVg = curve(psiMin);
   double prevSlopeSign = 0.0;
   for (int i = 1; i <= samples; ++i) {
     const double psi = psiMin + (psiMax - psiMin) * i / samples;
-    const double vg = gateVoltageOfInternal(params, psi);
+    const double vg = curve(psi);
     const double slopeSign = math::sign(vg - prevVg);
     if (prevSlopeSign != 0.0 && slopeSign != 0.0 &&
         slopeSign != prevSlopeSign) {
@@ -96,17 +128,39 @@ HysteresisWindow analyzeHysteresis(const FefetParams& params, double psiMin,
 std::vector<double> stableInternalVoltages(const FefetParams& params,
                                            double gateVoltage, double psiMin,
                                            double psiMax, int samples) {
-  const auto residual = [&](double psi) {
-    return gateVoltageOfInternal(params, psi) - gateVoltage;
-  };
-  const auto roots = math::findAllRoots(residual, psiMin, psiMax, samples);
   std::vector<double> stable;
-  const double h = (psiMax - psiMin) / samples;
-  for (double r : roots) {
-    // Stable where dV_G/dpsi > 0.
-    if (residual(r + 0.25 * h) > residual(r - 0.25 * h)) stable.push_back(r);
+  for (const auto& [psi, isStable] : equilibria(
+           GateVoltageCurve(params), gateVoltage, psiMin, psiMax, samples)) {
+    if (isStable) stable.push_back(psi);
   }
   return stable;
+}
+
+BistableStates bistableStates(const FefetParams& params) {
+  const GateVoltageCurve curve(params);
+  const auto all = equilibria(curve, 0.0, -4.0, 4.0, 16000);
+  BistableStates s;
+  int stableCount = 0;
+  for (const auto& [psi, isStable] : all) {
+    if (!isStable) continue;
+    const bool first = stableCount++ == 0;
+    if (first || std::abs(psi) < std::abs(s.psiOff)) s.psiOff = psi;
+    if (first || psi > s.psiOn) s.psiOn = psi;
+  }
+  FEFET_REQUIRE(stableCount >= 2,
+                "FEFET is not bistable at V_G = 0 (a volatile device)");
+  // The saddle is the first equilibrium above OFF, from the same scan.
+  const auto saddle =
+      std::find_if(all.begin(), all.end(), [&](const auto& eq) {
+        return eq.first > s.psiOff && eq.first < s.psiOn;
+      });
+  FEFET_REQUIRE(saddle != all.end(),
+                "FEFET has no saddle between its OFF and ON states");
+  s.psiSaddle = saddle->first;
+  s.pOff = curve.mos.gateChargeDensity(s.psiOff);
+  s.pOn = curve.mos.gateChargeDensity(s.psiOn);
+  s.pSaddle = curve.mos.gateChargeDensity(s.psiSaddle);
+  return s;
 }
 
 double stateCurrent(const FefetParams& params, double vgs, double vds,
@@ -125,18 +179,10 @@ double distinguishability(const FefetParams& params, double vread) {
   const auto window = analyzeHysteresis(params);
   FEFET_REQUIRE(window.nonvolatile,
                 "distinguishability needs a nonvolatile device");
-  const auto stable = stableInternalVoltages(params, 0.0);
-  FEFET_REQUIRE(stable.size() >= 2, "expected at least two stable states");
+  const BistableStates states = bistableStates(params);
   const xtor::MosfetModel mos(params.mos, params.width);
-  // OFF: the stable state nearest psi = 0; ON: the largest-psi state on the
-  // inversion branch.
-  double psiOff = stable.front();
-  for (double s : stable) {
-    if (std::abs(s) < std::abs(psiOff)) psiOff = s;
-  }
-  const double psiOn = *std::max_element(stable.begin(), stable.end());
-  const double iOn = mos.idsAt(vread, psiOn, 0.0);
-  const double iOff = mos.idsAt(vread, psiOff, 0.0);
+  const double iOn = mos.idsAt(vread, states.psiOn, 0.0);
+  const double iOff = mos.idsAt(vread, states.psiOff, 0.0);
   FEFET_REQUIRE(iOff > 0.0, "off current vanished");
   return iOn / iOff;
 }

@@ -86,6 +86,19 @@ std::vector<double> stableInternalVoltages(const FefetParams& params,
                                            double psiMax = 4.0,
                                            int samples = 16000);
 
+/// The equilibria of a bistable device at V_G = 0: OFF (the stable psi
+/// nearest 0), ON (the largest stable psi) and the saddle between them,
+/// whose polarization is the basin boundary that classifies a stored bit.
+struct BistableStates {
+  double psiOff = 0.0, psiOn = 0.0, psiSaddle = 0.0;  ///< internal node [V]
+  double pOff = 0.0, pOn = 0.0, pSaddle = 0.0;        ///< polarization [C/m^2]
+};
+
+/// One scan of V_G(psi) with stableInternalVoltages's defaults; psiOff and
+/// psiOn equal what its result yields.  Throws InvalidArgumentError when
+/// the device has no saddle between two stable states at V_G = 0.
+BistableStates bistableStates(const FefetParams& params);
+
 /// Drain current of the stored state: solves the quasi-static equilibrium
 /// nearest to `psiSeed` at V_G = vgs and evaluates the MOS current at the
 /// given drain bias.

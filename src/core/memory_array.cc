@@ -5,9 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/math.h"
 #include "spice/passives.h"
-#include "xtor/mosfet_model.h"
 
 namespace fefet::core {
 
@@ -25,22 +23,7 @@ MemoryArray::MemoryArray(const ArrayConfig& config)
     : config_(config), injector_(config.faults) {
   FEFET_REQUIRE(config_.rows >= 1 && config_.cols >= 1,
                 "array needs at least one cell");
-  // Quasi-static state targets (same math as Cell2T).
-  const auto stable = stableInternalVoltages(config_.fefet, 0.0);
-  FEFET_REQUIRE(stable.size() >= 2, "array requires a nonvolatile FEFET");
-  psiOff_ = stable.front();
-  for (double s : stable) {
-    if (std::abs(s) < std::abs(psiOff_)) psiOff_ = s;
-  }
-  psiOn_ = *std::max_element(stable.begin(), stable.end());
-  const xtor::MosfetModel mos(config_.fefet.mos, config_.fefet.width);
-  pOn_ = mos.gateChargeDensity(psiOn_);
-  pOff_ = mos.gateChargeDensity(psiOff_);
-  const auto allEq = math::findAllRoots(
-      [&](double psi) { return gateVoltageOfInternal(config_.fefet, psi); },
-      psiOff_ + 1e-6, psiOn_ - 1e-6, 4000);
-  pSaddle_ = allEq.empty() ? 0.5 * (pOn_ + pOff_)
-                           : mos.gateChargeDensity(allEq.front());
+  states_ = bistableStates(config_.fefet);
 
   auto& n = netlist_;
   for (int r = 0; r < config_.rows; ++r) {
@@ -66,6 +49,10 @@ MemoryArray::MemoryArray(const ArrayConfig& config)
                             config_.colWireCapPerCell * config_.rows);
     n.add<spice::Capacitor>("C" + sl, n.node(sl), n.ground(),
                             config_.colWireCapPerCell * config_.rows);
+    probes_.push_back(Probe::i("V" + sl));
+  }
+  for (int r = 0; r < config_.rows; ++r) {
+    probes_.push_back(Probe::i("V" + rowName("rs", r)));
   }
   for (int r = 0; r < config_.rows; ++r) {
     for (int c = 0; c < config_.cols; ++c) {
@@ -83,7 +70,7 @@ MemoryArray::MemoryArray(const ArrayConfig& config)
       cells_.push_back(attachFefet(n, id.str(), gate, rowName("rs", r),
                                    rowName("sl", c),
                                    injector_.apply(config_.fefet, fault),
-                                   pOff_));
+                                   states_.pOff));
     }
   }
   sim_ = std::make_unique<spice::Simulator>(netlist_);
@@ -104,9 +91,9 @@ void MemoryArray::setPattern(const std::vector<std::vector<bool>>& bits) {
       const CellFault fault = faultAt(r, c);
       if (fault == CellFault::kStuckAtZero) one = false;
       if (fault == CellFault::kStuckAtOne) one = true;
-      cell(r, c).fe->setPolarization(one ? pOn_ : pOff_);
+      cell(r, c).fe->setPolarization(one ? states_.pOn : states_.pOff);
       sim_->setNodeVoltage(netlist_.nodeName(cell(r, c).internalNode),
-                           one ? psiOn_ : psiOff_);
+                           one ? states_.psiOn : states_.psiOff);
     }
   }
   sim_->initializeUic();
@@ -123,7 +110,7 @@ bool MemoryArray::enforceFaultState(int revertRow, int revertCol,
   const auto pin = [&](int r, int c, double p) {
     cell(r, c).fe->setPolarization(p);
     sim_->setNodeVoltage(netlist_.nodeName(cell(r, c).internalNode),
-                         p > pSaddle_ ? psiOn_ : psiOff_);
+                         p > states_.pSaddle ? states_.psiOn : states_.psiOff);
     changed = true;
   };
   if (revertRow >= 0) pin(revertRow, revertCol, revertP);
@@ -131,8 +118,9 @@ bool MemoryArray::enforceFaultState(int revertRow, int revertCol,
     for (int r = 0; r < config_.rows; ++r) {
       for (int c = 0; c < config_.cols; ++c) {
         const CellFault fault = faultAt(r, c);
-        if (fault == CellFault::kStuckAtZero && bitAt(r, c)) pin(r, c, pOff_);
-        if (fault == CellFault::kStuckAtOne && !bitAt(r, c)) pin(r, c, pOn_);
+        const bool one = bitAt(r, c);
+        if (fault == CellFault::kStuckAtZero && one) pin(r, c, states_.pOff);
+        if (fault == CellFault::kStuckAtOne && !one) pin(r, c, states_.pOn);
       }
     }
   }
@@ -144,7 +132,7 @@ bool MemoryArray::enforceFaultState(int revertRow, int revertCol,
 }
 
 bool MemoryArray::bitAt(int row, int col) const {
-  return cell(row, col).fe->polarization() > pSaddle_;
+  return cell(row, col).fe->polarization() > states_.pSaddle;
 }
 
 std::vector<std::vector<double>> MemoryArray::polarizations() const {
@@ -176,15 +164,7 @@ ArrayOpResult MemoryArray::runOp(double duration, int accessedRow,
   options.duration = duration;
   options.dtMax = duration / 150.0;
   options.dtInitial = std::min(1e-12, options.dtMax);
-
-  std::vector<Probe> probes;
-  for (int c = 0; c < config_.cols; ++c) {
-    probes.push_back(Probe::i("Vsl" + std::to_string(c)));
-  }
-  for (int r = 0; r < config_.rows; ++r) {
-    probes.push_back(Probe::i("Vrs" + std::to_string(r)));
-  }
-  auto transient = sim_->runTransient(options, probes);
+  auto transient = sim_->runTransient(options, probes_);
 
   ArrayOpResult result;
   const auto after = polarizations();
@@ -200,20 +180,10 @@ ArrayOpResult MemoryArray::runOp(double duration, int accessedRow,
   // conducts into its column sense lines (row-parallel read), so sneak
   // paths are currents on UNACCESSED rows' read-select lines; during
   // writes and holds no sense line should carry anything at all.
-  if (!isRead) {
-    for (int c = 0; c < config_.cols; ++c) {
-      const auto& col =
-          transient.waveform.column("i(Vsl" + std::to_string(c) + ")");
-      for (double i : col) {
-        result.maxSneakCurrent = std::max(result.maxSneakCurrent, std::abs(i));
-      }
-    }
-  }
-  for (int r = 0; r < config_.rows; ++r) {
-    if (isRead && r == accessedRow) continue;
-    const auto& row =
-        transient.waveform.column("i(Vrs" + std::to_string(r) + ")");
-    for (double i : row) {
+  for (std::size_t k = 0; k < probes_.size(); ++k) {
+    const int row = static_cast<int>(k) - config_.cols;  // < 0: a sense line
+    if (isRead && (row < 0 || row == accessedRow)) continue;
+    for (double i : transient.waveform.column(probes_[k].label)) {
       result.maxSneakCurrent = std::max(result.maxSneakCurrent, std::abs(i));
     }
   }
@@ -221,9 +191,8 @@ ArrayOpResult MemoryArray::runOp(double duration, int accessedRow,
     // Accessed column current plateau (sampled mid-operation); the SL
     // source absorbs the cell current, so negate its delivered current.
     const auto t = transient.waveform.time();
-    const std::string label = "i(Vsl" + std::to_string(accessedCol) + ")";
-    result.readCurrent =
-        -transient.waveform.valueAt(label, 0.6 * t.back());
+    result.readCurrent = -transient.waveform.valueAt(
+        probes_[static_cast<std::size_t>(accessedCol)].label, 0.6 * t.back());
     result.bitRead = result.readCurrent > config_.readCurrentThreshold;
   }
   for (auto* s : wsSources_) result.totalEnergy += s->energyDelivered();
@@ -330,7 +299,8 @@ ArrayOpResult MemoryArray::hold(double duration) {
         }
         const double factor = injector_.retentionFactor(duration, fault);
         const double p = cell(r, c).fe->polarization();
-        cell(r, c).fe->setPolarization(pSaddle_ + (p - pSaddle_) * factor);
+        cell(r, c).fe->setPolarization(states_.pSaddle +
+                                       (p - states_.pSaddle) * factor);
       }
     }
     sim_->initializeUic();

@@ -125,8 +125,10 @@ class MemoryArray {
   std::vector<FefetInstance> cells_;  // row-major
   std::vector<spice::VoltageSource*> wsSources_, rsSources_;
   std::vector<spice::VoltageSource*> wblSources_, slSources_;
+  /// Recorded by every op: i(Vsl<c>) per column, then i(Vrs<r>) per row.
+  std::vector<spice::Probe> probes_;
   std::unique_ptr<spice::Simulator> sim_;
-  double pOn_ = 0.0, pOff_ = 0.0, pSaddle_ = 0.0, psiOn_ = 0.0, psiOff_ = 0.0;
+  BistableStates states_;
 };
 
 }  // namespace fefet::core

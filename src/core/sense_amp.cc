@@ -15,16 +15,7 @@ using spice::shapes::pulse;
 
 SenseAmpCircuit::SenseAmpCircuit(const SenseAmpConfig& config)
     : config_(config) {
-  const auto stable = stableInternalVoltages(config_.fefet, 0.0);
-  FEFET_REQUIRE(stable.size() >= 2, "sense circuit requires nonvolatile FEFET");
-  psiOff_ = stable.front();
-  for (double s : stable) {
-    if (std::abs(s) < std::abs(psiOff_)) psiOff_ = s;
-  }
-  psiOn_ = *std::max_element(stable.begin(), stable.end());
-  const xtor::MosfetModel mos(config_.fefet.mos, config_.fefet.width);
-  pOn_ = mos.gateChargeDensity(psiOn_);
-  pOff_ = mos.gateChargeDensity(psiOff_);
+  states_ = bistableStates(config_.fefet);
   buildNetlist();
 }
 
@@ -40,7 +31,7 @@ void SenseAmpCircuit::buildNetlist() {
                                       dc(0.0));
   n.add<spice::MosfetDevice>("Macc", n.node("wbl"), n.node("ws"), n.node("g"),
                              config_.accessMos, config_.accessWidth);
-  fefet_ = attachFefet(n, "cell", "g", "rs", "sl", config_.fefet, pOff_);
+  fefet_ = attachFefet(n, "cell", "g", "rs", "sl", config_.fefet, states_.pOff);
 
   // --- clamping driver: PMOS source follower into the mirror ------------
   // The cell pushes its read current INTO the sense line; the follower
@@ -108,7 +99,7 @@ void SenseAmpCircuit::buildNetlist() {
 }
 
 SenseReadResult SenseAmpCircuit::simulateRead(bool storedOne) {
-  return simulateReadAtPolarization(storedOne ? pOn_ : pOff_);
+  return simulateReadAtPolarization(storedOne ? states_.pOn : states_.pOff);
 }
 
 SenseReadResult SenseAmpCircuit::simulateReadAtPolarization(
@@ -164,7 +155,7 @@ SenseReadResult SenseAmpCircuit::simulateReadAtPolarization(
   options.duration = window;
   options.dtMax = window / 400.0;
   options.dtInitial = 1e-12;
-  const std::vector<Probe> probes = {
+  static const std::vector<Probe> probes = {
       Probe::v("sl"),     Probe::v("vsense"), Probe::v("vsa"),
       Probe::v("m1"),     Probe::v("m2"),     Probe::v("rs"),
       Probe::deviceState("cell:fe", "P"),

@@ -70,8 +70,8 @@ class SenseAmpCircuit {
   SenseReadResult simulateReadAtPolarization(double polarization);
 
   /// Quasi-static state targets of the attached cell.
-  double onPolarization() const { return pOn_; }
-  double offPolarization() const { return pOff_; }
+  double onPolarization() const { return states_.pOn; }
+  double offPolarization() const { return states_.pOff; }
 
   const SenseAmpConfig& config() const { return config_; }
 
@@ -92,7 +92,7 @@ class SenseAmpCircuit {
   spice::TimedSwitch* preSwitch_ = nullptr;
   spice::TimedSwitch* slGround_ = nullptr;
   std::unique_ptr<spice::Simulator> sim_;
-  double pOn_ = 0.0, pOff_ = 0.0, psiOn_ = 0.0, psiOff_ = 0.0;
+  BistableStates states_;
 };
 
 }  // namespace fefet::core

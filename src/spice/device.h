@@ -12,6 +12,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -174,11 +175,8 @@ class ChargeIntegrator {
   double iPrev_ = 0.0;
 };
 
-/// A named (state, value) pair reported by a device for probing.
-struct DeviceState {
-  std::string name;
-  double value;
-};
+/// Names of a device's probe-readable states (see Device::stateNames).
+using StateNames = std::span<const std::string_view>;
 
 /// Base class of all circuit devices.  Devices are owned by the Netlist.
 class Device {
@@ -211,10 +209,12 @@ class Device {
   /// Largest tolerable next step given internal state rates (0 = no limit).
   virtual double maxStepHint(const SystemView&) const { return 0.0; }
 
-  /// Named internal states for probing (polarization, charges, energies).
-  virtual std::vector<DeviceState> reportState(const SystemView&) const {
-    return {};
-  }
+  /// Names of the internal states a probe can read (polarization,
+  /// charges, energies), in the order state() indexes them.
+  virtual StateNames stateNames() const { return {}; }
+
+  /// Value of state `k`, an index into stateNames(), at `view`.
+  virtual double state(int /*k*/, const SystemView&) const { return 0.0; }
 
  private:
   std::string name_;

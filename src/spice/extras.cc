@@ -49,10 +49,9 @@ void Diode::stamp(const EvalContext& ctx) {
   ctx.addJacobian(rb, rb, g);
 }
 
-std::vector<DeviceState> Diode::reportState(const SystemView& view) const {
-  const double v =
-      view.nodeVoltage(anode_) - view.nodeVoltage(cathode_);
-  return {{"i", currentAt(v)}, {"v", v}};
+double Diode::state(int k, const SystemView& view) const {
+  const double v = view.nodeVoltage(anode_) - view.nodeVoltage(cathode_);
+  return k == 0 ? currentAt(v) : v;
 }
 
 Inductor::Inductor(std::string name, NodeId a, NodeId b, double inductance)
@@ -113,8 +112,8 @@ void Inductor::commitStep(const SystemView& view, double /*time*/,
   vPrev_ = view.nodeVoltage(a_) - view.nodeVoltage(b_);
 }
 
-std::vector<DeviceState> Inductor::reportState(const SystemView& view) const {
-  return {{"i", view.aux(auxRow_)}};
+double Inductor::state(int /*k*/, const SystemView& view) const {
+  return view.aux(auxRow_);
 }
 
 Vcvs::Vcvs(std::string name, NodeId outPlus, NodeId outMinus, NodeId ctrlPlus,

@@ -24,7 +24,9 @@ class Diode final : public Device {
       : Diode(std::move(name), anode, cathode, Params{}) {}
 
   void stamp(const EvalContext& ctx) override;
-  std::vector<DeviceState> reportState(const SystemView& view) const override;
+  static constexpr std::string_view kStateNames[] = {"i", "v"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
 
   /// Diode current at a given junction voltage.
   double currentAt(double v) const;
@@ -46,7 +48,9 @@ class Inductor final : public Device {
   void initializeState(const SystemView& view) override;
   void commitStep(const SystemView& view, double time, double dt,
                   IntegrationMethod method) override;
-  std::vector<DeviceState> reportState(const SystemView& view) const override;
+  static constexpr std::string_view kStateNames[] = {"i"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
 
  private:
   NodeId a_, b_;

@@ -122,10 +122,9 @@ void FeCapDevice::setPolarization(double p) {
   rateCommitted_ = 0.0;
 }
 
-std::vector<DeviceState> FeCapDevice::reportState(
-    const SystemView& view) const {
-  return {{"P", view.aux(auxRow_)},
-          {"v", view.nodeVoltage(a_) - view.nodeVoltage(b_)}};
+double FeCapDevice::state(int k, const SystemView& view) const {
+  return k == 0 ? view.aux(auxRow_)
+                : view.nodeVoltage(a_) - view.nodeVoltage(b_);
 }
 
 }  // namespace fefet::spice

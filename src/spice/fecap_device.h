@@ -39,7 +39,9 @@ class FeCapDevice final : public Device {
   void commitStep(const SystemView& view, double time, double dt,
                   IntegrationMethod method) override;
   double maxStepHint(const SystemView& view) const override;
-  std::vector<DeviceState> reportState(const SystemView& view) const override;
+  static constexpr std::string_view kStateNames[] = {"P", "v"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
 
   /// Committed polarization state [C/m^2].
   double polarization() const { return pCommitted_; }

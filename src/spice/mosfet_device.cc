@@ -122,16 +122,12 @@ void MosfetDevice::commitStep(const SystemView& view, double /*time*/,
   junS_.commitFrom(junctionCap_ * vs, dt, method);
 }
 
-double MosfetDevice::drainCurrent(const SystemView& view) const {
-  return model_.idsAt(view.nodeVoltage(drain_), view.nodeVoltage(gate_),
-                      view.nodeVoltage(source_));
-}
-
-std::vector<DeviceState> MosfetDevice::reportState(
-    const SystemView& view) const {
-  return {{"id", drainCurrent(view)},
-          {"vgs", view.nodeVoltage(gate_) - view.nodeVoltage(source_)},
-          {"vds", view.nodeVoltage(drain_) - view.nodeVoltage(source_)}};
+double MosfetDevice::state(int k, const SystemView& view) const {
+  const double vd = view.nodeVoltage(drain_);
+  const double vg = view.nodeVoltage(gate_);
+  const double vs = view.nodeVoltage(source_);
+  // "id" is the exact model current, not the bypass extrapolation.
+  return k == 0 ? model_.idsAt(vd, vg, vs) : (k == 1 ? vg : vd) - vs;
 }
 
 }  // namespace fefet::spice

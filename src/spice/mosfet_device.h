@@ -26,10 +26,11 @@ class MosfetDevice final : public Device {
   void initializeState(const SystemView& view) override;
   void commitStep(const SystemView& view, double time, double dt,
                   IntegrationMethod method) override;
-  std::vector<DeviceState> reportState(const SystemView& view) const override;
+  static constexpr std::string_view kStateNames[] = {"id", "vgs", "vds"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
 
   const xtor::MosfetModel& model() const { return model_; }
-  double drainCurrent(const SystemView& view) const;
 
  private:
   friend class DeviceBatches;  // SoA batching (device_batch.h)

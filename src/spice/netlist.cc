@@ -6,6 +6,12 @@
 
 namespace fefet::spice {
 
+namespace {
+bool isGroundName(const std::string& name) {
+  return name == "0" || name == "gnd" || name == "GND";
+}
+}  // namespace
+
 // Out of line so the unique_ptr<StampPattern> member compiles against the
 // complete type.
 Netlist::Netlist() = default;
@@ -13,7 +19,7 @@ Netlist::~Netlist() = default;
 
 NodeId Netlist::node(const std::string& name) {
   FEFET_REQUIRE(!name.empty(), "node name must be nonempty");
-  if (name == "0" || name == "gnd" || name == "GND") return kGround;
+  if (isGroundName(name)) return kGround;
   const auto it = nodeIndex_.find(name);
   if (it != nodeIndex_.end()) return it->second;
   FEFET_REQUIRE(!frozen_, "netlist is frozen; cannot create node " + name);
@@ -23,9 +29,11 @@ NodeId Netlist::node(const std::string& name) {
   return id;
 }
 
-bool Netlist::hasNode(const std::string& name) const {
-  if (name == "0" || name == "gnd" || name == "GND") return true;
-  return nodeIndex_.count(name) > 0;
+NodeId Netlist::findNode(const std::string& name) const {
+  if (isGroundName(name)) return kGround;
+  const auto it = nodeIndex_.find(name);
+  FEFET_REQUIRE(it != nodeIndex_.end(), "no such node: " + name);
+  return it->second;
 }
 
 const std::string& Netlist::nodeName(NodeId id) const {

@@ -32,8 +32,9 @@ class Netlist {
   /// Ground node (always exists).
   NodeId ground() const { return kGround; }
 
-  /// True if a node of this name already exists.
-  bool hasNode(const std::string& name) const;
+  /// Id of an existing node; never creates one.  Throws
+  /// InvalidArgumentError("no such node: <name>") when it is absent.
+  NodeId findNode(const std::string& name) const;
 
   /// Name of a node id (for diagnostics).
   const std::string& nodeName(NodeId id) const;

@@ -60,9 +60,8 @@ void Capacitor::commitStep(const SystemView& view, double /*time*/,
   charge_.commitFrom(capacitance_ * v, dt, method);
 }
 
-std::vector<DeviceState> Capacitor::reportState(const SystemView& view) const {
-  const double v = view.nodeVoltage(a_) - view.nodeVoltage(b_);
-  return {{"q", capacitance_ * v}};
+double Capacitor::state(int /*k*/, const SystemView& view) const {
+  return capacitance_ * (view.nodeVoltage(a_) - view.nodeVoltage(b_));
 }
 
 TimedSwitch::TimedSwitch(std::string name, NodeId a, NodeId b,

@@ -33,7 +33,9 @@ class Capacitor final : public Device {
   void initializeState(const SystemView& view) override;
   void commitStep(const SystemView& view, double time, double dt,
                   IntegrationMethod method) override;
-  std::vector<DeviceState> reportState(const SystemView& view) const override;
+  static constexpr std::string_view kStateNames[] = {"q"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
 
   double capacitance() const { return capacitance_; }
 

@@ -43,7 +43,7 @@ TransientTelemetry& transientTelemetry() {
 }  // namespace
 
 Simulator::Simulator(Netlist& netlist, const NewtonOptions& newton)
-    : netlist_(netlist), newtonOptions_(newton), newton_(netlist, newton) {
+    : netlist_(netlist), newton_(netlist, newton) {
   // The NewtonSolver constructor froze the netlist (freeze() is where the
   // unknown layout and the compiled stamp pattern are fixed).
 }
@@ -68,38 +68,36 @@ void Simulator::initializeUic() {
 
 double Simulator::nodeVoltage(const std::string& name) const {
   FEFET_REQUIRE(!x_.empty(), "no solution available yet");
-  FEFET_REQUIRE(netlist_.hasNode(name), "no such node: " + name);
-  const NodeId id = const_cast<Netlist&>(netlist_).node(name);
   SystemView view(x_, netlist_.nodeCount());
-  return view.nodeVoltage(id);
+  return view.nodeVoltage(netlist_.findNode(name));
 }
 
 void Simulator::setNodeVoltage(const std::string& name, double value) {
   const std::size_t n = static_cast<std::size_t>(netlist_.unknownCount());
   if (x_.size() != n) x_.assign(n, 0.0);
-  const NodeId id = netlist_.node(name);
+  const NodeId id = netlist_.findNode(name);
   if (id != kGround) x_[static_cast<std::size_t>(id - 1)] = value;
 }
 
 double Simulator::measure(const Probe& probe) const {
   FEFET_REQUIRE(!x_.empty(), "no solution available yet");
   SystemView view(x_, netlist_.nodeCount());
-  return probeValue(probe, view);
+  return read(resolve(probe), view);
 }
 
-double Simulator::probeValue(const Probe& probe,
-                             const SystemView& view) const {
+Simulator::ResolvedProbe Simulator::resolve(const Probe& probe) const {
   if (probe.kind == Probe::Kind::kNodeVoltage) {
-    const NodeId id = const_cast<Netlist&>(netlist_).node(probe.target);
-    return view.nodeVoltage(id);
+    return {nullptr, netlist_.findNode(probe.target)};
   }
   const Device* device = netlist_.find(probe.target);
   FEFET_REQUIRE(device != nullptr, "no such device: " + probe.target);
-  for (const auto& st : device->reportState(view)) {
-    if (st.name == probe.state) return st.value;
+  const auto names = device->stateNames();
+  const auto it = std::find(names.begin(), names.end(), probe.state);
+  if (it == names.end()) {
+    throw InvalidArgumentError("device " + probe.target + " has no state '" +
+                               probe.state + "'");
   }
-  throw InvalidArgumentError("device " + probe.target + " has no state '" +
-                             probe.state + "'");
+  return {device, static_cast<int>(it - names.begin())};
 }
 
 TransientResult Simulator::runTransient(const TransientOptions& options,
@@ -113,6 +111,11 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       options.dtMax > 0.0 ? options.dtMax : options.duration / 50.0;
   double dt = std::min(options.dtInitial, dtMax);
 
+  // Resolve every probe before the first step, so a bad name fails the
+  // run without advancing the state.
+  probes_.clear();
+  for (const auto& probe : probes) probes_.push_back(resolve(probe));
+  sample_.resize(probes_.size());
   TransientResult result;
   for (const auto& probe : probes) result.waveform.addColumn(probe.label);
 
@@ -140,10 +143,10 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
   const int nodes = netlist_.nodeCount();
   const auto record = [&](double t) {
     SystemView view(x_, nodes);
-    std::vector<double> values;
-    values.reserve(probes.size());
-    for (const auto& probe : probes) values.push_back(probeValue(probe, view));
-    result.waveform.appendSample(t, values);
+    for (std::size_t k = 0; k < probes_.size(); ++k) {
+      sample_[k] = read(probes_[k], view);
+    }
+    result.waveform.appendSample(t, sample_);
   };
   record(0.0);
 

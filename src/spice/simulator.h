@@ -83,15 +83,29 @@ class Simulator {
   const NewtonSolver& newton() const { return newton_; }
 
  private:
-  double probeValue(const Probe& probe, const SystemView& view) const;
+  /// A probe resolved against the frozen netlist: the voltage of node
+  /// `index` when `device` is null, else state `index` of `device`.
+  struct ResolvedProbe {
+    const Device* device = nullptr;
+    int index = 0;
+  };
+  /// Throws InvalidArgumentError naming a missing node, device or state.
+  ResolvedProbe resolve(const Probe& probe) const;
+  static double read(const ResolvedProbe& probe, const SystemView& view) {
+    return probe.device == nullptr ? view.nodeVoltage(probe.index)
+                                   : probe.device->state(probe.index, view);
+  }
 
   Netlist& netlist_;
-  NewtonOptions newtonOptions_;
   NewtonSolver newton_;
   std::vector<double> x_;
   /// Newton iterate of the step being attempted; swapped into x_ on
   /// acceptance, so steps reuse its storage instead of allocating.
   std::vector<double> trial_;
+  /// Probes of the current run, resolved once, and the sample buffer each
+  /// accepted step is recorded through.
+  std::vector<ResolvedProbe> probes_;
+  std::vector<double> sample_;
   bool stateValid_ = false;
 };
 

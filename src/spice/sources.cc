@@ -98,9 +98,8 @@ void VoltageSource::commitStep(const SystemView& view, double time,
   energy_ += shape_(time) * current(view) * dt;
 }
 
-std::vector<DeviceState> VoltageSource::reportState(
-    const SystemView& view) const {
-  return {{"i", current(view)}, {"e", energy_}};
+double VoltageSource::state(int k, const SystemView& view) const {
+  return k == 0 ? current(view) : energy_;
 }
 
 CurrentSource::CurrentSource(std::string name, NodeId from, NodeId to,

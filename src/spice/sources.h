@@ -41,7 +41,9 @@ class VoltageSource final : public Device {
   void stamp(const EvalContext& ctx) override;
   void commitStep(const SystemView& view, double time, double dt,
                   IntegrationMethod method) override;
-  std::vector<DeviceState> reportState(const SystemView& view) const override;
+  static constexpr std::string_view kStateNames[] = {"i", "e"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
 
   /// Branch current at the given solution (positive = out of + terminal
   /// into the external circuit).

@@ -27,10 +27,6 @@ void Waveform::appendSample(double time, const std::vector<double>& values) {
   }
 }
 
-bool Waveform::hasColumn(const std::string& name) const {
-  return index_.find(name) != index_.end();
-}
-
 std::span<const double> Waveform::column(const std::string& name) const {
   const auto it = index_.find(name);
   FEFET_REQUIRE(it != index_.end(), "no such waveform column: " + name);

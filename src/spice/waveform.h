@@ -17,7 +17,6 @@ class Waveform {
   /// Append one time sample; `values` must match the registered columns.
   void appendSample(double time, const std::vector<double>& values);
 
-  bool hasColumn(const std::string& name) const;
   std::span<const double> time() const { return time_; }
   std::span<const double> column(const std::string& name) const;
   std::vector<std::string> columnNames() const;

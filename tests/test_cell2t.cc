@@ -22,6 +22,40 @@ TEST(Cell2T, StateTargetsAreSeparated) {
   EXPECT_LT(std::abs(cell.offPolarization()), 0.01);
 }
 
+// Every recorded probe sample is the value read directly from the state it
+// names, without the probe path: node rows of the solution, the FE
+// capacitor's committed polarization, the exact MOS drain current at the
+// final node voltages, and a source's negated aux row.
+TEST(Cell2T, ProbeSamplesEqualDirectReads) {
+  Cell2T cell(defaultConfig());
+  const auto w = cell.write(true, 550e-12).waveform;
+  spice::Simulator& sim = cell.simulator();
+  const spice::Netlist& net = sim.netlist();
+  const auto row = [&](const std::string& node) {
+    return sim.solution()[static_cast<std::size_t>(net.findNode(node) - 1)];
+  };
+  for (const std::string node : {"wbl", "ws", "rs", "sl", "g", "cell:int"}) {
+    EXPECT_EQ(w.finalValue("v(" + node + ")"), row(node)) << node;
+  }
+  const FefetInstance& fefet = cell.fefetInstance();
+  EXPECT_EQ(w.finalValue("P(cell:fe)"), fefet.fe->polarization());
+  EXPECT_EQ(w.finalValue("id(cell:mos)"),
+            fefet.mos->model().idsAt(row("rs"), row("cell:int"), row("sl")));
+
+  // Source currents, on a transient the cell's own probe list leaves out.
+  spice::TransientOptions options;
+  options.duration = 100e-12;
+  const auto r = sim.runTransient(
+      options, {spice::Probe::i("Vwbl"), spice::Probe::i("Vws")});
+  for (const std::string name : {"Vwbl", "Vws"}) {
+    const auto* source = net.get<spice::VoltageSource>(name);
+    const double aux =
+        sim.solution()[static_cast<std::size_t>(source->auxRow())];
+    EXPECT_EQ(r.waveform.finalValue("i(" + name + ")"), -aux) << name;
+    EXPECT_EQ(sim.measure(spice::Probe::i(name)), -aux) << name;
+  }
+}
+
 TEST(Cell2T, SetStoredBitRoundTrip) {
   Cell2T cell(defaultConfig());
   cell.setStoredBit(true);

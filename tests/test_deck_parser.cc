@@ -328,8 +328,8 @@ Rtap Xa:mid tap 1k
 Rload tap 0 1k
 .end
 )", n);
-  EXPECT_TRUE(n.hasNode("Xa:mid"));
-  EXPECT_TRUE(n.hasNode("Xb:mid"));
+  EXPECT_NO_THROW(n.findNode("Xa:mid"));
+  EXPECT_NO_THROW(n.findNode("Xb:mid"));
   Simulator sim(n);
   sim.solveDc();
   // Xb's midpoint is the unloaded divider; Xa's is pulled down by the tap.

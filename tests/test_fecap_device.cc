@@ -157,11 +157,14 @@ TEST(FeCapDevice, ReportsStates) {
                                 kGeom, 0.1);
   Simulator sim(n);
   sim.initializeUic();
+  const auto names = fe->stateNames();
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[0], "P");
+  EXPECT_EQ(names[1], "v");
   SystemView view(sim.solution(), n.nodeCount());
-  const auto states = fe->reportState(view);
-  ASSERT_EQ(states.size(), 2u);
-  EXPECT_EQ(states[0].name, "P");
-  EXPECT_EQ(states[1].name, "v");
+  EXPECT_EQ(fe->state(0, view),
+            sim.solution()[static_cast<std::size_t>(fe->auxRow())]);
+  EXPECT_EQ(sim.measure(Probe::deviceState("F", "P")), fe->state(0, view));
 }
 
 // The step hint keeps dP per step below P_r/40 at the present switching

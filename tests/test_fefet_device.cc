@@ -1,10 +1,17 @@
 // Tests of the FEFET device-level behaviour (paper §2-§3, Figs. 2-4):
 // hysteresis windows vs T_FE, non-volatility onset, distinguishability and
 // transient state retention in the circuit solver.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 
+#include "common/math.h"
+#include "common/stats.h"
 #include "core/fefet.h"
+#include "core/materials.h"
+#include "core/variability.h"
 #include "spice/simulator.h"
 #include "spice/sources.h"
 #include "xtor/mosfet_model.h"
@@ -82,6 +89,54 @@ TEST(FefetStates, TwoStableStatesAtZeroBias) {
   // OFF near 0 V internal, ON boosted above 2 V (NC amplification).
   EXPECT_LT(std::abs(stable.front()), 0.2);
   EXPECT_GT(stable.back(), 2.0);
+}
+
+// The one bistable-state scan over seeded Monte Carlo devices: OFF and ON
+// equal, bit for bit, the states derived from stableInternalVoltages, and
+// the saddle agrees with the separate search it replaced (a 4,000-sample
+// root scan between OFF and ON, written out here as the oracle).
+TEST(FefetStates, BistableStatesMatchSeparateScans) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  FefetParams nominal;
+  nominal.lk = fefetMaterial();
+  const VariationSpec spec;
+  stats::Rng rng(20260418);
+  int compared = 0;
+  for (int draw = 0; draw < 80; ++draw) {
+    const FefetParams p = perturbDevice(nominal, spec, rng);
+    const auto stable = stableInternalVoltages(p, 0.0);
+    if (stable.size() < 2) {
+      EXPECT_THROW(bistableStates(p), InvalidArgumentError);
+      continue;
+    }
+    double psiOff = stable.front();
+    for (double s : stable) {
+      if (std::abs(s) < std::abs(psiOff)) psiOff = s;
+    }
+    const double psiOn = *std::max_element(stable.begin(), stable.end());
+    const xtor::MosfetModel mos(p.mos, p.width);
+    const auto saddles = math::findAllRoots(
+        [&](double psi) { return gateVoltageOfInternal(p, psi); },
+        psiOff + 1e-6, psiOn - 1e-6, 4000);
+    ASSERT_FALSE(saddles.empty()) << "draw " << draw;
+
+    const BistableStates s = bistableStates(p);
+    EXPECT_EQ(bits(s.psiOff), bits(psiOff)) << "draw " << draw;
+    EXPECT_EQ(bits(s.psiOn), bits(psiOn)) << "draw " << draw;
+    EXPECT_EQ(bits(s.pOff), bits(mos.gateChargeDensity(psiOff)));
+    EXPECT_EQ(bits(s.pOn), bits(mos.gateChargeDensity(psiOn)));
+    EXPECT_NEAR(s.pSaddle, mos.gateChargeDensity(saddles.front()), 1e-12)
+        << "draw " << draw;
+    EXPECT_GT(s.psiSaddle, s.psiOff);
+    EXPECT_LT(s.psiSaddle, s.psiOn);
+    ++compared;
+  }
+  EXPECT_GE(compared, 50);
+}
+
+TEST(FefetStates, VolatileDeviceHasNoBistableStates) {
+  EXPECT_THROW(bistableStates(at(1.0e-9)), InvalidArgumentError);
+  EXPECT_THROW(bistableStates(at(1.9e-9)), InvalidArgumentError);
 }
 
 TEST(FefetStates, DistinguishabilityIsAboutOneMillion) {

@@ -184,8 +184,9 @@ TEST(Netlist, NodeAndDeviceManagement) {
   const NodeId a = n.node("a");
   EXPECT_EQ(n.node("a"), a);
   EXPECT_EQ(n.node("gnd"), kGround);
-  EXPECT_TRUE(n.hasNode("a"));
-  EXPECT_FALSE(n.hasNode("zzz"));
+  EXPECT_EQ(n.findNode("a"), a);
+  EXPECT_EQ(n.findNode("gnd"), kGround);
+  EXPECT_THROW(n.findNode("zzz"), InvalidArgumentError);
   n.add<Resistor>("R1", a, n.ground(), 1.0);
   EXPECT_NE(n.find("R1"), nullptr);
   EXPECT_EQ(n.find("R2"), nullptr);
@@ -193,6 +194,54 @@ TEST(Netlist, NodeAndDeviceManagement) {
                InvalidArgumentError);
   n.freeze();
   EXPECT_THROW(n.node("new-node"), InvalidArgumentError);
+}
+
+// Probes are resolved before the first step: a missing node, device or
+// device state fails the run with a message naming it, and the state has
+// not advanced; a run with valid probes then still works.
+TEST(Simulator, UnresolvableProbeFailsBeforeTheFirstStep) {
+  Netlist n;
+  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
+  n.add<Resistor>("R1", n.node("in"), n.node("out"), 1e3);
+  n.add<Capacitor>("C1", n.node("out"), n.ground(), 1e-12);
+  Simulator sim(n);
+  sim.initializeUic();
+  const std::vector<double> before = sim.solution();
+  TransientOptions options;
+  options.duration = 1e-9;
+  const auto failure = [&](const Probe& probe) -> std::string {
+    try {
+      sim.runTransient(options, {Probe::v("out"), probe});
+    } catch (const InvalidArgumentError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const auto contains = [](const std::string& text, const std::string& part) {
+    return text.find(part) != std::string::npos;
+  };
+  EXPECT_TRUE(contains(failure(Probe::v("nowhere")), "no such node: nowhere"));
+  EXPECT_TRUE(
+      contains(failure(Probe::i("Vmissing")), "no such device: Vmissing"));
+  EXPECT_TRUE(contains(failure(Probe::deviceState("C1", "P")),
+                       "device C1 has no state 'P'"));
+  EXPECT_EQ(sim.solution(), before);
+
+  std::string nodeFailure;
+  try {
+    sim.nodeVoltage("nowhere");
+  } catch (const InvalidArgumentError& e) {
+    nodeFailure = e.what();
+  }
+  EXPECT_TRUE(contains(nodeFailure, "no such node: nowhere"));
+  EXPECT_THROW(sim.measure(Probe::v("nowhere")), InvalidArgumentError);
+  EXPECT_THROW(sim.setNodeVoltage("nowhere", 1.0), InvalidArgumentError);
+
+  const auto r = sim.runTransient(
+      options, {Probe::v("out"), Probe::deviceState("C1", "q")});
+  EXPECT_GT(r.waveform.finalValue("v(out)"), 0.5);
+  EXPECT_EQ(r.waveform.finalValue("q(C1)"),
+            1e-12 * r.waveform.finalValue("v(out)"));
 }
 
 TEST(Netlist, AuxLabelsAssigned) {
