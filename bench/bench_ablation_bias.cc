@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/memory_array.h"
+#include "core/array_netlist.h"
 
 using namespace fefet;
 
@@ -22,9 +22,11 @@ struct StressResult {
 };
 
 StressResult stressColumn(bool negativeSelect, int cycles) {
-  core::ArrayConfig cfg;  // 2x3
+  core::ArrayNetlistConfig cfg;
+  cfg.rows = 2;
+  cfg.cols = 3;
   cfg.negativeUnaccessedSelect = negativeSelect;
-  core::MemoryArray arr(cfg);
+  core::ArrayNetlist arr(cfg);
   // Victim: cell (1,0) stores '1'; aggressor writes hammer (0,0) with '0'
   // (negative bit line on the shared column).
   arr.setPattern({{true, false, false}, {true, false, false}});

@@ -8,18 +8,20 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "core/array_netlist.h"
 #include "core/feram_array.h"
 #include "core/materials.h"
-#include "core/memory_array.h"
 
 using namespace fefet;
 
 int main() {
   bench::banner("single-bit update energy: circuit-level arrays (2x3)");
 
-  core::ArrayConfig fefetCfg;
+  core::ArrayNetlistConfig fefetCfg;
+  fefetCfg.rows = 2;
+  fefetCfg.cols = 3;
   fefetCfg.fefet.lk = core::fefetMaterial();
-  core::MemoryArray fefet(fefetCfg);
+  core::ArrayNetlist fefet(fefetCfg);
   fefet.setPattern({{false, true, false}, {true, false, true}});
   const auto fefetUpdate = fefet.writeBit(0, 0, true);
 
@@ -39,10 +41,11 @@ int main() {
   bench::banner("row-width scaling of the penalty");
   std::cout << "cols,fefet_bit_update_fJ,feram_bit_update_fJ,penalty_x\n";
   for (int cols : {2, 3, 4, 6}) {
-    core::ArrayConfig fc;
+    core::ArrayNetlistConfig fc;
     fc.fefet.lk = core::fefetMaterial();
+    fc.rows = 2;
     fc.cols = cols;
-    core::MemoryArray fa(fc);
+    core::ArrayNetlist fa(fc);
     const double ef = fa.writeBit(0, 0, true).totalEnergy;
 
     core::FeRamArrayConfig rc;

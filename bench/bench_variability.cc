@@ -3,12 +3,14 @@
 // global corners — and why the 2.25 nm design point (not the 2.05 nm
 // minimum) is the right stability/voltage balance (paper §3).
 //
-// By default the Monte Carlo and write-yield point sets run on
-// sim::SweepEngine, once at 1 thread and once at the full pool, to
-// demonstrate the deterministic parallel speedup (the PERF line at the end
-// is machine-readable).  With any resilient-execution flag the two point
-// sets run once each on journaled engines (journals PATH.mc and
-// PATH.yield) under kCollectAndContinue.
+// By default the Monte Carlo and write-yield point sets run once at 1
+// thread and once at the full pool, to demonstrate the deterministic
+// parallel speedup (the PERF line at the end is machine-readable).  With
+// any resilient-execution flag (--journal, --resume, --point-delay-ms; see
+// bench_util.h) the two point sets run once each on journaled
+// sim::SweepEngines (journals PATH.mc and PATH.yield) under
+// kCollectAndContinue; a run killed mid-sweep and restarted with --resume
+// replays the journaled points and reproduces the PERF record.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -19,7 +21,6 @@
 #include "bench_util.h"
 #include "common/stats.h"
 #include "core/materials.h"
-#include "core/memory_controller.h"
 #include "core/variability.h"
 #include "sim/sweep_engine.h"
 #include "sim/thread_pool.h"
@@ -285,30 +286,6 @@ int main(int argc, char** argv) {
                            ? yieldCodec.encode(results.yield[i])
                            : std::string("!") +
                                  sim::toString(yieldOutcomes[i].status));
-  }
-
-  // Controller smoke: a tiny ECC write/read burst at the nominal device,
-  // so one bench run also exercises the fefet.controller.* counters the
-  // end-of-run report captures (word writes/reads, retries, corrections).
-  bench::banner("controller write/read smoke (ECC on)");
-  {
-    core::ArrayConfig arrayCfg;
-    arrayCfg.rows = 2;
-    arrayCfg.cols = 8;
-    arrayCfg.fefet = nominal;
-    core::ControllerConfig ctlCfg;
-    ctlCfg.wordWidth = 4;
-    ctlCfg.eccEnabled = true;
-    core::MemoryController controller(arrayCfg, ctlCfg);
-    int verified = 0;
-    const std::uint32_t patterns[] = {0x5u, 0xAu, 0x3u, 0xFu};
-    for (int w = 0; w < static_cast<int>(std::size(patterns)); ++w) {
-      const int row = w % controller.rows();
-      const int word = (w / controller.rows()) % controller.wordsPerRow();
-      controller.writeWord(row, word, patterns[w]);
-      if (controller.readWord(row, word) == patterns[w]) ++verified;
-    }
-    std::printf("words_verified,%d_of_%zu\n", verified, std::size(patterns));
   }
 
   bench::banner("sweep-engine wall clock");

@@ -7,13 +7,15 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/array_netlist.h"
 #include "core/bias_scheme.h"
-#include "core/memory_array.h"
 
 using namespace fefet;
 
 int main(int argc, char** argv) {
-  core::ArrayConfig cfg;
+  core::ArrayNetlistConfig cfg;
+  cfg.rows = 2;
+  cfg.cols = 3;
   if (argc > 2) {
     cfg.rows = std::atoi(argv[1]);
     cfg.cols = std::atoi(argv[2]);
@@ -21,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("FEFET 2T array: %d x %d cells\n\n", cfg.rows, cfg.cols);
   std::printf("%s\n", core::describeBiasTable(cfg.levels).c_str());
 
-  core::MemoryArray array(cfg);
+  core::ArrayNetlist array(cfg);
 
   // A diagonal-stripe pattern, written one bit at a time.
   std::vector<std::vector<bool>> pattern(

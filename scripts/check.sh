@@ -10,12 +10,13 @@
 #     stamp-parity suite, the observability layer and the parallel
 #     per-block Schur factorization) — data races in the sim layer.  TSan
 #     cannot combine with ASan, hence the separate build directory;
-#  3. kill-and-resume smoke: SIGKILL a journaled bench sweep mid-run, then
-#     --resume it and require the PERF record (results CRC + outcome
-#     tally, wall-clock and from_journal fields excluded) to match an
-#     uninterrupted run bit for bit;
+#  3. kill-and-resume smoke: SIGKILL the journaled bench_variability sweep
+#     (journals PATH.mc and PATH.yield) mid-run, then --resume it and
+#     require the PERF record (results CRC + outcome tally, wall-clock and
+#     from_journal fields excluded) to match an uninterrupted run bit for
+#     bit;
 #  4. observability smoke: a traced bench_variability sweep must emit a
-#     metrics-JSON report with nonzero newton/assembler/sweep/controller
+#     metrics-JSON report with nonzero newton/assembler/sweep/transient
 #     counters and a Chrome trace with the nested span taxonomy (both
 #     validated with python3), and telemetry must stay ~free — on the
 #     Fig. 7 8x8 array transients, metrics enabled vs disabled, paired
@@ -68,8 +69,8 @@ ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$(nproc)" \
   -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|SchurSolver|HierArray|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson)\.' "$@"
 
 echo "== kill-and-resume smoke: journaled sweep survives SIGKILL =="
-cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_fault_resilience
-BENCH="$ASAN_BUILD_DIR/bench/bench_fault_resilience"
+cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_variability
+BENCH="$ASAN_BUILD_DIR/bench/bench_variability"
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
@@ -82,14 +83,24 @@ normalize_perf() {
 
 "$BENCH" --journal="$SMOKE_DIR/ref.journal" > "$SMOKE_DIR/ref.out"
 
-# Pad each point so SIGKILL reliably lands mid-sweep, then pull the rug.
+# Pad each point so SIGKILL reliably lands mid-sweep, then pull the rug
+# once the Monte Carlo journal (the sweep that runs first) holds its header
+# plus one complete point record.  Polling, not a fixed sleep: under ASan
+# one point takes longer than any fixed delay that keeps this stage short.
 "$BENCH" --journal="$SMOKE_DIR/kill.journal" --point-delay-ms=400 \
   > "$SMOKE_DIR/kill.out" 2>&1 &
 BENCH_PID=$!
-sleep 1.2
+for _ in $(seq 1 600); do
+  if [ -f "$SMOKE_DIR/kill.journal.mc" ] &&
+     [ "$(wc -l < "$SMOKE_DIR/kill.journal.mc")" -ge 2 ]; then
+    break
+  fi
+  kill -0 "$BENCH_PID" 2>/dev/null || break
+  sleep 0.1
+done
 kill -KILL "$BENCH_PID" 2>/dev/null || true
 wait "$BENCH_PID" 2>/dev/null || true
-if ! [ -s "$SMOKE_DIR/kill.journal" ]; then
+if ! [ -s "$SMOKE_DIR/kill.journal.mc" ]; then
   echo "FAIL: SIGKILL'd run left no journal" >&2
   exit 1
 fi
@@ -135,8 +146,7 @@ import sys
 report = json.load(open(sys.argv[1]))
 counters = report["metrics"]["counters"]
 for key in ("fefet.newton.solves.compiled", "fefet.assembler.assemblies",
-            "fefet.sweep.points_ok", "fefet.controller.word_writes",
-            "fefet.transient.steps"):
+            "fefet.sweep.points_ok", "fefet.transient.steps"):
     assert counters.get(key, 0) > 0, f"counter {key} is zero or missing"
 trace = json.load(open(sys.argv[2]))
 names = {event["name"] for event in trace["traceEvents"]}

@@ -130,6 +130,9 @@ void ArrayNetlist::setPattern(const std::vector<std::vector<bool>>& bits) {
 }
 
 bool ArrayNetlist::bitAt(int row, int col) const {
+  FEFET_REQUIRE(row >= 0 && row < config_.rows && col >= 0 &&
+                    col < config_.cols,
+                "bitAt: cell index out of range");
   return fe(row, col)->polarization() > states_.pSaddle;
 }
 
@@ -177,8 +180,8 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
       result.maxUnaccessedDisturb = std::max(result.maxUnaccessedDisturb, dP);
     }
   }
-  // Sneak paths (same convention as MemoryArray): during a read the
-  // accessed row legitimately conducts into the sense lines, so sneak
+  // Sneak paths: during a read the whole accessed row legitimately
+  // conducts into its column sense lines (row-parallel read), so sneak
   // currents are those on UNACCESSED rows' read-select lines; during
   // writes and holds no sense line should carry anything at all.
   for (std::size_t k = 0; k < probes_.size(); ++k) {

@@ -1,21 +1,28 @@
-// array_netlist.h — programmatic N x M FEFET array through the deck path.
+// array_netlist.h — an R x C array of 2T FEFET cells with the paper's line
+// organization (Fig. 7) and bias scheme (Table 1).
 //
-// Where MemoryArray builds its netlist by direct device construction, this
-// layer emits a SPICE deck — a `.subckt cell2t` definition plus an R x C
-// grid of instances sharing word/bit/source lines — and parses it back
-// through the `.subckt`-capable deck parser, exercising the exact path an
-// external array deck would take.  The shared column lines (WBL, SL) are
-// then marked as border nodes so Netlist::freeze() builds the bordered-
-// block-diagonal partition (spice/partition.h): one diagonal block per
-// word-line row, ready for the hierarchical Schur solver (off unless
-// NewtonOptions::useHierarchicalSolve is set).
+// Per row:    write-select (WS) and read-select (RS) lines.
+// Per column: write bit line (WBL) and sense line (SL).
+// The RS line doubles as the read supply; SL is held at virtual ground by
+// the sensing scheme (an ideal 0 V source whose current is the column read
+// current).  All four line sets carry lumped wire capacitance derived from
+// the cell pitch and the paper's 0.2 fF/um metal.
 //
-// The electrical content matches MemoryArray cell for cell: a 2T cell is
-// an access NMOS (drain = WBL, gate = WS, source = floating gate), the FE
-// capacitor from the floating gate to the internal node, and the FEFET
-// read transistor (drain = RS, gate = internal, source = SL) with zero
-// overlap capacitance (see attachFefet's MFMIS rationale — the deck's
-// COV=0 option replicates it).  Bias operations follow paper Table 1.
+// The array is built through the deck path: this layer emits a SPICE deck
+// — a `.subckt cell2t` definition plus an R x C grid of instances sharing
+// word/bit/source lines — and parses it back through the `.subckt`-capable
+// deck parser, exercising the exact path an external array deck would
+// take.  The shared column lines (WBL, SL) are then marked as border nodes
+// so Netlist::freeze() builds the bordered-block-diagonal partition
+// (spice/partition.h): one diagonal block per word-line row, ready for the
+// hierarchical Schur solver (off unless NewtonOptions::useHierarchicalSolve
+// is set).
+//
+// Each 2T cell is an access NMOS (drain = WBL, gate = WS, source =
+// floating gate), the FE capacitor from the floating gate to the internal
+// node, and the FEFET read transistor (drain = RS, gate = internal, source
+// = SL) with zero overlap capacitance (see attachFefet's MFMIS rationale —
+// the deck's COV=0 option replicates it).
 #pragma once
 
 #include <memory>
@@ -39,20 +46,25 @@ struct ArrayNetlistConfig {
   xtor::MosParams accessMos = xtor::nmos45();
   double accessWidth = 65e-9;
   BiasLevels levels;
+  /// Lumped wire capacitance added per cell on each horizontal line (WS,
+  /// RS) and vertical line (WBL, SL).  Defaults: 0.2 fF/um metal times a
+  /// ~0.35 um cell pitch.
   double rowWireCapPerCell = 0.07e-15;
   double colWireCapPerCell = 0.06e-15;
   double edgeTime = 20e-12;
   double settleTime = 150e-12;
-  double writePulse = 700e-12;
+  double writePulse = 700e-12;         ///< write pulse width
   double readCurrentThreshold = 1e-6;  ///< '1' classification level [A]
+  /// Table 1 drives unaccessed write-select lines to -VDD during writes.
+  /// Setting this false grounds them instead — the ablation knob that
+  /// demonstrates why the paper's scheme needs the negative level.
   bool negativeUnaccessedSelect = true;
   /// Solver configuration; set newton.useHierarchicalSolve for the
   /// BBD/Schur engine (the flat sparse LU otherwise).
   spice::NewtonOptions newton;
 };
 
-/// Result of one array operation (subset of MemoryArray's ArrayOpResult —
-/// no fault machinery at this layer).
+/// Outcome of one array operation, including disturb bookkeeping.
 struct ArrayNetOpResult {
   bool ok = false;
   bool bitRead = false;

@@ -11,11 +11,7 @@ using spice::Probe;
 using spice::shapes::dc;
 using spice::shapes::pulse;
 
-Cell2T::Cell2T(const Cell2TConfig& config)
-    : config_(config), injector_(config.faults) {
-  fault_ = injector_.cellFault(0, 0);
-  // Weak cells carry physically collapsed device parameters.
-  config_.fefet = injector_.apply(config_.fefet, fault_);
+Cell2T::Cell2T(const Cell2TConfig& config) : config_(config) {
   // Quasi-static state targets; the saddle's polarization is the basin
   // boundary that classifies the stored bit.
   states_ = bistableStates(config_.fefet);
@@ -46,8 +42,6 @@ Cell2T::Cell2T(const Cell2TConfig& config)
 }
 
 void Cell2T::setStoredBit(bool one) {
-  if (fault_ == CellFault::kStuckAtZero) one = false;
-  if (fault_ == CellFault::kStuckAtOne) one = true;
   fefet_.fe->setPolarization(one ? states_.pOn : states_.pOff);
   sim_->setNodeVoltage(netlist_.nodeName(fefet_.internalNode),
                        one ? states_.psiOn : states_.psiOff);
@@ -106,36 +100,7 @@ CellOpResult Cell2T::write(bool one, double pulseWidth,
   vSl_->setShape(dc(0.0));
   const double duration =
       lead + pulseWidth + 6.0 * edge + config_.settleTime;
-  const double pBefore = fefet_.fe->polarization();
-  auto result = runOp(duration, /*isWrite=*/true);
-
-  // Injected faults: stuck cells ignore writes; a transient failure
-  // reverts this pulse.  The solver state is re-seeded from the overridden
-  // committed polarization, same mechanics as setStoredBit.
-  bool overridden = false;
-  double pForced = 0.0;
-  if (fault_ == CellFault::kStuckAtZero) {
-    pForced = states_.pOff;
-    overridden = fefet_.fe->polarization() > states_.pSaddle;
-  } else if (fault_ == CellFault::kStuckAtOne) {
-    pForced = states_.pOn;
-    overridden = fefet_.fe->polarization() < states_.pSaddle;
-  } else if (injector_.spec().writeFailureProbability > 0.0 &&
-             injector_.nextWriteFails(vw / config_.levels.vWrite)) {
-    pForced = pBefore;
-    overridden = true;
-  }
-  if (overridden) {
-    fefet_.fe->setPolarization(pForced);
-    sim_->setNodeVoltage(
-        netlist_.nodeName(fefet_.internalNode),
-        pForced > states_.pSaddle ? states_.psiOn : states_.psiOff);
-    sim_->initializeUic();
-    result.finalPolarization = pForced;
-    result.bitAfter = storedBit();
-    result.faultInjected = true;
-  }
-  return result;
+  return runOp(duration, /*isWrite=*/true);
 }
 
 CellOpResult Cell2T::read(double duration) {

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "core/bias_scheme.h"
-#include "core/fault_model.h"
 #include "core/fefet.h"
 #include "spice/simulator.h"
 #include "spice/sources.h"
@@ -28,9 +27,6 @@ struct Cell2TConfig {
   BiasLevels levels;
   double edgeTime = 20e-12;     ///< source rise/fall time
   double settleTime = 300e-12;  ///< post-pulse settling (write recovery)
-  /// Injected faults; the cell draws its fault class as cell (0, 0) of the
-  /// fault map (all-zero rates = healthy cell).
-  FaultSpec faults;
   /// Solver options for the cell's simulator (tolerances, damping, LU
   /// structure reuse).
   spice::NewtonOptions newton;
@@ -45,7 +41,6 @@ struct CellOpResult {
   double readCurrent = 0.0;        ///< plateau drain current (reads) [A]
   std::map<std::string, double> sourceEnergy;  ///< per-source energy [J]
   double totalEnergy = 0.0;                    ///< sum over sources [J]
-  bool faultInjected = false;      ///< a fault event altered this op
 };
 
 /// A simulatable 2T cell with persistent state across operations.
@@ -81,9 +76,6 @@ class Cell2T {
   double onPolarization() const { return states_.pOn; }
   double offPolarization() const { return states_.pOff; }
 
-  /// Injected fault class of this cell.
-  CellFault fault() const { return fault_; }
-
   const Cell2TConfig& config() const { return config_; }
   spice::Simulator& simulator() { return *sim_; }
   const FefetInstance& fefetInstance() const { return fefet_; }
@@ -93,8 +85,6 @@ class Cell2T {
   void resetSourceEnergies();
 
   Cell2TConfig config_;
-  FaultInjector injector_;
-  CellFault fault_ = CellFault::kNone;
   spice::Netlist netlist_;
   FefetInstance fefet_;
   spice::VoltageSource* vWbl_ = nullptr;

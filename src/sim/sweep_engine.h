@@ -1,16 +1,14 @@
 // sweep_engine.h — parallel, crash-safe execution of independent
 // simulation points.
 //
-// Monte Carlo variability samples, design-space grid points, per-seed
-// fault-resilience trials and retention/endurance sweeps all share one
-// shape: N independent points, each running a self-contained (and
-// internally single-threaded) simulation.  SweepEngine fans those points
-// across a fixed-size ThreadPool with
+// Monte Carlo variability samples, write-yield points and design-space
+// grid points all share one shape: N independent points, each running a
+// self-contained (and internally single-threaded) simulation.  SweepEngine
+// fans those points across a fixed-size ThreadPool with
 //
 //  * deterministic per-point seeding — pointSeed(baseSeed, index) is a
 //    splitmix64 hash, so a point's random stream depends only on the base
-//    seed and its index, never on thread count or completion order (the
-//    same order-independence contract as core/fault_model);
+//    seed and its index, never on thread count or completion order;
 //  * ordered result collection — run() returns results[i] for points[i]
 //    regardless of which worker finished first;
 //  * exception capture — a throwing point never kills the process; under

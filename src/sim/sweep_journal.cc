@@ -161,8 +161,11 @@ std::string renderJournalLine(const std::string& body) {
   return kLinePrefix + hex32(crc32(body)) + kLineMiddle + body + "}\n";
 }
 
-}  // namespace
-
+/// fsync the directory containing `path`, so a freshly created file's
+/// directory entry is durable (a journal whose records are fsynced but
+/// whose name is not can vanish wholesale after power loss).  Failures
+/// are ignored: some filesystems refuse directory fsync and the data
+/// fsyncs still bound the loss to "file never existed".
 void fsyncParentDir(const std::string& path) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -170,9 +173,11 @@ void fsyncParentDir(const std::string& path) {
                               : path.substr(0, slash == 0 ? 1 : slash);
   const int dirFd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dirFd < 0) return;
-  ::fsync(dirFd);  // best effort — see header comment
+  ::fsync(dirFd);  // best effort
   ::close(dirFd);
 }
+
+}  // namespace
 
 std::uint32_t crc32(std::string_view data) {
   static const std::array<std::uint32_t, 256> table = makeCrcTable();
@@ -328,8 +333,7 @@ void SweepJournal::appendLine(const std::string& body) {
     }
     written += static_cast<std::size_t>(n);
   }
-  // A record must be durable before the engine reports the point done —
-  // the same discipline as nvp/CheckpointManager's commit word.
+  // A record must be durable before the engine reports the point done.
   ::fsync(fd_);
 }
 

@@ -1,8 +1,7 @@
 // sweep_journal.h — crash-safe checkpoint journal for long sweeps.
 //
 // A sweep that runs for hours must survive a kill, an OOM or a power cut
-// without discarding completed points.  The journal is the sweep-level
-// sibling of nvp/CheckpointManager's double-banked backup: an append-only
+// without discarding completed points.  The journal is an append-only
 // JSONL file where every line is an independently checksummed record,
 //
 //   {"crc":"<8 hex>","rec":{...}}
@@ -36,13 +35,6 @@ namespace fefet::sim {
 /// CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the per-record
 /// checksum.  crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(std::string_view data);
-
-/// fsync the directory containing `path`, so a freshly created file's
-/// directory entry is durable (a journal whose records are fsynced but
-/// whose name is not can vanish wholesale after power loss).  Failures
-/// are ignored: some filesystems refuse directory fsync and the data
-/// fsyncs still bound the loss to "file never existed".
-void fsyncParentDir(const std::string& path);
 
 /// Journaling knobs carried inside sim::SweepOptions.
 struct SweepJournalOptions {

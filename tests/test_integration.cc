@@ -4,12 +4,12 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "core/array_netlist.h"
 #include "core/cell2t.h"
 #include "core/design_space.h"
 #include "core/feram_cell.h"
 #include "core/macro_energy.h"
 #include "core/materials.h"
-#include "core/memory_array.h"
 #include "core/sense_amp.h"
 #include "ferro/calibrate.h"
 #include "nvp/nv_processor.h"
@@ -52,8 +52,10 @@ TEST(Integration, CellAndArrayAgreeOnReadCurrents) {
   cell.setStoredBit(true);
   const double iCell = cell.read().readCurrent;
 
-  core::ArrayConfig arrCfg;
-  core::MemoryArray arr(arrCfg);
+  core::ArrayNetlistConfig arrCfg;
+  arrCfg.rows = 2;
+  arrCfg.cols = 3;
+  core::ArrayNetlist arr(arrCfg);
   arr.setPattern({{true, false, false}, {false, false, false}});
   const double iArray = arr.readBit(0, 0).readCurrent;
   EXPECT_NEAR(iArray, iCell, 0.2 * iCell);

@@ -2,17 +2,7 @@
 // workloads and the ODAB forward-progress model.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "common/stats.h"
-#include "core/nvm_macro.h"
-#include "nvp/checkpoint.h"
 #include "nvp/nv_processor.h"
 #include "nvp/power_trace.h"
 #include "nvp/workload.h"
@@ -180,344 +170,6 @@ TEST_P(FpVsPower, MonotoneInMeanPower) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, FpVsPower, ::testing::Values(0, 3, 7));
-
-// --- crash-consistent checkpointing on the NVM macro ---------------------
-
-core::NvmMacro checkpointMacro() {
-  core::MacroConfig cfg;
-  cfg.rows = 64;
-  cfg.cols = 64;
-  cfg.wordBits = 32;
-  return core::NvmMacro(core::MacroTechnology::kFefet, cfg);
-}
-
-std::vector<std::uint32_t> sampleState(int words, std::uint32_t salt) {
-  std::vector<std::uint32_t> s;
-  for (int i = 0; i < words; ++i) {
-    s.push_back(0x85EBCA6Bu * (static_cast<std::uint32_t>(i) + salt + 1));
-  }
-  return s;
-}
-
-TEST(Checkpoint, FirstBootHasNothingToRestore) {
-  auto macro = checkpointMacro();
-  CheckpointManager mgr(macro, 16);
-  EXPECT_EQ(mgr.epoch(), 0u);
-  EXPECT_FALSE(mgr.restore().has_value());
-}
-
-TEST(Checkpoint, BackupRestoreRoundTrip) {
-  auto macro = checkpointMacro();
-  CheckpointManager mgr(macro, 16);
-  const auto state = sampleState(16, 7);
-  const auto r = mgr.backup(state);
-  EXPECT_TRUE(r.committed);
-  EXPECT_EQ(r.wordsWritten, 18);  // state + checksum + epoch
-  EXPECT_GT(r.energy, 0.0);
-  EXPECT_GT(r.latency, 0.0);
-  EXPECT_EQ(mgr.epoch(), 1u);
-  const auto back = mgr.restore();
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, state);
-}
-
-TEST(Checkpoint, PowerFailureAtEveryTruncationPointLosesOnlyTheNewest) {
-  // Commit state A, then inject a power failure at every possible word
-  // boundary of the backup of state B: restore must always return A
-  // intact — the torn B image must never win.
-  auto macro = checkpointMacro();
-  CheckpointManager mgr(macro, 8);
-  const auto stateA = sampleState(8, 1);
-  ASSERT_TRUE(mgr.backup(stateA).committed);
-  for (int failAt = 0; failAt <= 9; ++failAt) {
-    const auto stateB = sampleState(8, 100 + failAt);
-    const auto r = mgr.backup(stateB, failAt);
-    EXPECT_FALSE(r.committed) << failAt;
-    EXPECT_EQ(r.wordsWritten, failAt);
-    const auto back = mgr.restore();
-    ASSERT_TRUE(back.has_value()) << failAt;
-    EXPECT_EQ(*back, stateA) << "torn backup leaked at word " << failAt;
-  }
-  // The epoch word is last: only the full 10-word stream commits.
-  const auto stateC = sampleState(8, 999);
-  EXPECT_TRUE(mgr.backup(stateC, 10).committed);
-  EXPECT_EQ(*mgr.restore(), stateC);
-}
-
-TEST(Checkpoint, AlternatesBanksAndSurvivesManyCycles) {
-  auto macro = checkpointMacro();
-  CheckpointManager mgr(macro, 4);
-  for (std::uint32_t k = 1; k <= 10; ++k) {
-    const auto state = sampleState(4, k);
-    ASSERT_TRUE(mgr.backup(state).committed);
-    EXPECT_EQ(mgr.epoch(), k);
-    EXPECT_EQ(*mgr.restore(), state);
-  }
-}
-
-TEST(Checkpoint, RebuiltManagerResumesFromTheMacroContents) {
-  // A new manager over the same macro (a reboot) must find the committed
-  // checkpoint and continue the epoch sequence.
-  auto macro = checkpointMacro();
-  const auto state = sampleState(6, 3);
-  {
-    CheckpointManager mgr(macro, 6);
-    ASSERT_TRUE(mgr.backup(state).committed);
-    ASSERT_TRUE(mgr.backup(sampleState(6, 4), 2).committed == false);
-  }
-  CheckpointManager reborn(macro, 6);
-  EXPECT_EQ(reborn.epoch(), 1u);
-  const auto back = reborn.restore();
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, state);
-  EXPECT_TRUE(reborn.backup(sampleState(6, 5)).committed);
-  EXPECT_EQ(reborn.epoch(), 2u);
-}
-
-TEST(Checkpoint, WorksOnAFaultyResilientMacro) {
-  // Checkpoints over a macro with injected faults: the resilient word
-  // path underneath must keep every round trip intact.
-  core::MacroConfig cfg;
-  cfg.rows = 64;
-  cfg.cols = 64;
-  cfg.wordBits = 32;
-  core::MacroResilience res;
-  res.enabled = true;
-  res.faults.stuckAtZeroRate = 5e-4;
-  res.faults.writeFailureProbability = 0.05;
-  res.faults.seed = 12;
-  res.retry.maxRetries = 3;
-  res.eccEnabled = true;
-  res.spareWords = 8;
-  core::NvmMacro macro(core::MacroTechnology::kFefet, cfg, res);
-  CheckpointManager mgr(macro, 16);
-  for (std::uint32_t k = 1; k <= 5; ++k) {
-    const auto state = sampleState(16, 40 + k);
-    ASSERT_TRUE(mgr.backup(state).committed);
-    EXPECT_EQ(*mgr.restore(), state) << "cycle " << k;
-  }
-  EXPECT_TRUE(macro.report().clean()) << macro.report().summary();
-}
-
-TEST(Checkpoint, RejectsBadGeometry) {
-  auto macro = checkpointMacro();
-  EXPECT_THROW(CheckpointManager(macro, 0), InvalidArgumentError);
-  EXPECT_THROW(CheckpointManager(macro, 10000), InvalidArgumentError);
-  CheckpointManager mgr(macro, 4);
-  EXPECT_THROW(mgr.backup(sampleState(5, 1)), InvalidArgumentError);
-}
-
-TEST(Checkpoint, MutationRobustness) {
-  // Seeded fuzzing of the macro-bank record reader: each trial commits two
-  // epochs on a fresh macro (epoch k in bank k - 1), then XORs a random
-  // nonzero mask into one state, checksum or epoch word of bank 0, bank 1
-  // or both.  restore() and a rebuilt manager must never throw, and must
-  // return the image of the newest undamaged bank — an image that was
-  // actually backed up — or nullopt when neither survived.  The checksum
-  // mixes the epoch into an FNV-1a hash of every state byte, so any
-  // damaged word invalidates its bank.
-  constexpr int kStateWords = 8;
-  const std::vector<std::vector<std::uint32_t>> saved = {
-      sampleState(kStateWords, 1), sampleState(kStateWords, 2)};
-  stats::Rng rng(2026);
-  int damagedWords[3] = {0, 0, 0};  // state, checksum, epoch
-  for (int i = 0; i < 600; ++i) {
-    auto macro = checkpointMacro();
-    CheckpointManager mgr(macro, kStateWords);
-    for (const auto& state : saved) ASSERT_TRUE(mgr.backup(state).committed);
-
-    const int target = i % 3;  // damage bank 0, bank 1, or both
-    bool intact[2] = {true, true};
-    for (int bank = 0; bank < 2; ++bank) {
-      if (target != bank && target != 2) continue;
-      const int kind = rng.uniformInt(0, 2);
-      const int offset = kind == 0   ? rng.uniformInt(0, kStateWords - 1)
-                         : kind == 1 ? kStateWords
-                                     : kStateWords + 1;
-      std::uint32_t mask = 0;
-      if (i % 2 == 0) {
-        mask = 1u << rng.uniformInt(0, 31);  // a single bit flip
-      }
-      while (mask == 0) {
-        mask = static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF)) << 16 |
-               static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF));
-      }
-      const int address = bank * mgr.bankWords() + offset;
-      macro.writeWord(address, macro.readWord(address).value ^ mask);
-      intact[bank] = false;
-      ++damagedWords[kind];
-    }
-
-    const int newest = intact[1] ? 1 : intact[0] ? 0 : -1;
-    std::optional<std::vector<std::uint32_t>> restored;
-    std::optional<std::vector<std::uint32_t>> rebuiltRestored;
-    std::uint32_t rebuiltEpoch = 0;
-    ASSERT_NO_THROW({
-      restored = mgr.restore();
-      CheckpointManager rebuilt(macro, kStateWords);
-      rebuiltEpoch = rebuilt.epoch();
-      rebuiltRestored = rebuilt.restore();
-    }) << "input " << i;
-    EXPECT_EQ(rebuiltEpoch, static_cast<std::uint32_t>(newest + 1))
-        << "input " << i;
-    for (const auto* r : {&restored, &rebuiltRestored}) {
-      if (newest < 0) {
-        EXPECT_FALSE(r->has_value()) << "input " << i;
-      } else {
-        ASSERT_TRUE(r->has_value()) << "input " << i;
-        EXPECT_EQ(**r, saved[static_cast<std::size_t>(newest)])
-            << "input " << i;
-      }
-    }
-  }
-  // Every word kind of the record was damaged many times.
-  for (const int count : damagedWords) EXPECT_GT(count, 100);
-}
-
-// --- file-backed double-bank store ---------------------------------------
-
-class FileCheckpointStoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "file_ckpt_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
-};
-
-TEST_F(FileCheckpointStoreTest, FirstBootHasNothingToRestore) {
-  FileCheckpointStore store(dir_, 8);
-  EXPECT_EQ(store.epoch(), 0u);
-  EXPECT_FALSE(store.restore().has_value());
-}
-
-TEST_F(FileCheckpointStoreTest, SaveRestoreRoundTripAndAlternatingBanks) {
-  FileCheckpointStore store(dir_, 8);
-  for (std::uint32_t k = 1; k <= 6; ++k) {
-    const auto state = sampleState(8, 50 + k);
-    ASSERT_TRUE(store.save(state));
-    EXPECT_EQ(store.epoch(), k);
-    EXPECT_EQ(*store.restore(), state);
-  }
-  // Both bank files exist (the store alternates) and carry data.
-  EXPECT_GT(std::filesystem::file_size(store.bankPath(0)), 0u);
-  EXPECT_GT(std::filesystem::file_size(store.bankPath(1)), 0u);
-}
-
-TEST_F(FileCheckpointStoreTest, TornNewestBankFallsBackToPrevious) {
-  const auto older = sampleState(8, 1);
-  std::string newestPath;
-  {
-    FileCheckpointStore store(dir_, 8);
-    ASSERT_TRUE(store.save(older));
-    ASSERT_TRUE(store.save(sampleState(8, 2)));
-    // Epoch 2 landed in bank 1 (the first save used bank 0).
-    newestPath = store.bankPath(1);
-  }
-  // Tear the newest bank at every truncation length: restore must always
-  // return the older committed image, never a torn one.
-  const auto full = std::filesystem::file_size(newestPath);
-  for (std::uintmax_t keep = 0; keep < full; keep += 7) {
-    std::filesystem::resize_file(newestPath, keep);
-    FileCheckpointStore reborn(dir_, 8);
-    ASSERT_TRUE(reborn.restore().has_value()) << keep;
-    EXPECT_EQ(*reborn.restore(), older) << keep;
-    EXPECT_EQ(reborn.epoch(), 1u) << keep;
-  }
-}
-
-TEST_F(FileCheckpointStoreTest, RebuiltStoreResumesTheEpochSequence) {
-  const auto state = sampleState(4, 9);
-  {
-    FileCheckpointStore store(dir_, 4);
-    ASSERT_TRUE(store.save(state));
-    ASSERT_TRUE(store.save(sampleState(4, 10)));
-  }
-  FileCheckpointStore reborn(dir_, 4);
-  EXPECT_EQ(reborn.epoch(), 2u);
-  ASSERT_TRUE(reborn.save(sampleState(4, 11)));
-  EXPECT_EQ(reborn.epoch(), 3u);
-  EXPECT_EQ(*reborn.restore(), sampleState(4, 11));
-}
-
-TEST_F(FileCheckpointStoreTest, StateSizeMismatchIsRejected) {
-  FileCheckpointStore store(dir_, 4);
-  EXPECT_THROW(store.save(sampleState(5, 1)), InvalidArgumentError);
-  ASSERT_TRUE(store.save(sampleState(4, 1)));
-  // A store opened with a different geometry does not accept the banks.
-  FileCheckpointStore other(dir_, 8);
-  EXPECT_EQ(other.epoch(), 0u);
-  EXPECT_FALSE(other.restore().has_value());
-}
-
-TEST_F(FileCheckpointStoreTest, MutationRobustness) {
-  // Seeded fuzzing of the bank-file reader: single-byte mutations and
-  // truncations of committed bank files must never throw, and restore()
-  // must return the image of the newest bank that survived intact — an
-  // image that was actually saved — or nullopt when neither did.  The
-  // FNV-1a checksum covers the epoch and every state byte, so any changed
-  // byte invalidates its bank.
-  const std::vector<std::vector<std::uint32_t>> saved = {sampleState(8, 1),
-                                                         sampleState(8, 2)};
-  std::string paths[2];
-  std::string base[2];
-  {
-    FileCheckpointStore store(dir_, 8);
-    for (const auto& state : saved) ASSERT_TRUE(store.save(state));
-    // Epoch k landed in bank k - 1 (the first save used bank 0).
-    for (int bank = 0; bank < 2; ++bank) {
-      paths[bank] = store.bankPath(bank);
-      std::ifstream in(paths[bank], std::ios::binary);
-      base[bank].assign(std::istreambuf_iterator<char>(in), {});
-      ASSERT_FALSE(base[bank].empty());
-    }
-  }
-
-  stats::Rng rng(2026);
-  int emptyRestores = 0;
-  int fallbacks = 0;
-  for (int i = 0; i < 600; ++i) {
-    const int target = i % 3;  // damage bank 0, bank 1, or both
-    bool intact[2] = {true, true};
-    for (int bank = 0; bank < 2; ++bank) {
-      std::string bytes = base[bank];
-      if (target == bank || target == 2) {
-        const int size = static_cast<int>(bytes.size());
-        if ((i / 3) % 2 == 0) {
-          bytes[static_cast<std::size_t>(rng.uniformInt(0, size - 1))] =
-              static_cast<char>(rng.uniformInt(0, 255));
-        } else {
-          bytes.resize(static_cast<std::size_t>(rng.uniformInt(0, size)));
-        }
-        intact[bank] = bytes == base[bank];
-      }
-      std::ofstream out(paths[bank], std::ios::binary | std::ios::trunc);
-      out << bytes;
-    }
-
-    std::optional<std::vector<std::uint32_t>> restored;
-    ASSERT_NO_THROW({
-      FileCheckpointStore reborn(dir_, 8);
-      restored = reborn.restore();
-    }) << "input " << i;
-    const int newest = intact[1] ? 1 : intact[0] ? 0 : -1;
-    if (newest < 0) {
-      EXPECT_FALSE(restored.has_value()) << "input " << i;
-      ++emptyRestores;
-      continue;
-    }
-    ASSERT_TRUE(restored.has_value()) << "input " << i;
-    EXPECT_EQ(*restored, saved[static_cast<std::size_t>(newest)])
-        << "input " << i;
-    if (newest == 0) ++fallbacks;
-  }
-  // Nearly every damaged input really changed its bank: both outcomes
-  // other than the clean restore are exercised many times.
-  EXPECT_GT(emptyRestores, 150);
-  EXPECT_GT(fallbacks, 150);
-}
 
 }  // namespace
 }  // namespace fefet::nvp
