@@ -114,11 +114,11 @@ int main(int argc, char** argv) {
     outcomes = engine.outcomes();
   } else {
     bench::WallTimer serialTimer;
-    const auto serialPoints = core::sweepThicknessParallel(
+    const auto serialPoints = core::sweepThickness(
         base, thicknesses, kVread, /*threads=*/1);
     serialSeconds = serialTimer.seconds();
     bench::WallTimer parallelTimer;
-    points = core::sweepThicknessParallel(base, thicknesses, kVread, threads);
+    points = core::sweepThickness(base, thicknesses, kVread, threads);
     parallelSeconds = parallelTimer.seconds();
 
     identical = serialPoints.size() == points.size();

@@ -13,9 +13,12 @@ cmake --build build -j"$(nproc)" || exit 1
 ctest --test-dir build -j"$(nproc)" 2>&1 | tee test_output.txt
 test_status=${PIPESTATUS[0]}
 
+# Run only the benches bench/CMakeLists.txt declares: build/bench/ may still
+# hold binaries of benches that have since been deleted from the source.
 {
-  for b in build/bench/bench_*; do
-    [ -x "$b" ] && [ -f "$b" ] || continue
+  for name in $(sed -n 's/^fefet_add_bench(\(bench_[a-z0-9_]*\))$/\1/p' \
+                  bench/CMakeLists.txt); do
+    b="build/bench/$name"
     echo "##### $b"
     "$b"
     echo

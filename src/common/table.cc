@@ -50,30 +50,4 @@ std::string TextTable::toString() const {
   return os.str();
 }
 
-void CsvWriter::row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) os_ << ',';
-    const bool needsQuote =
-        cells[i].find_first_of(",\"\n") != std::string::npos;
-    if (needsQuote) {
-      os_ << '"';
-      for (char ch : cells[i]) {
-        if (ch == '"') os_ << '"';
-        os_ << ch;
-      }
-      os_ << '"';
-    } else {
-      os_ << cells[i];
-    }
-  }
-  os_ << '\n';
-}
-
-void CsvWriter::numericRow(const std::vector<double>& values, int digits) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(strings::generalFormat(v, digits));
-  row(cells);
-}
-
 }  // namespace fefet

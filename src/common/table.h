@@ -1,5 +1,5 @@
-// table.h — console table and CSV writers used by the benchmark harnesses to
-// print the paper's tables and figure series.
+// table.h — console table writer used by the benchmark harnesses to print
+// the paper's tables.
 #pragma once
 
 #include <ostream>
@@ -23,23 +23,9 @@ class TextTable {
   /// Render to a string (convenience for tests).
   std::string toString() const;
 
-  std::size_t rowCount() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-};
-
-/// Streaming CSV writer; `row({"a","b"})` quotes cells containing commas.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {}
-
-  void row(const std::vector<std::string>& cells);
-  void numericRow(const std::vector<double>& values, int digits = 9);
-
- private:
-  std::ostream& os_;
 };
 
 }  // namespace fefet

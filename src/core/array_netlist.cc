@@ -22,6 +22,47 @@ std::string num(double v) {
   return buf;
 }
 
+/// The deck's M and X cards carry only the knobs emitArrayDeck writes; any
+/// other FEFET or access-transistor field would be dropped by the deck while
+/// bistableStates() still classified against it, so reject it up front.
+void requireDeckCarriesConfig(const ArrayNetlistConfig& config) {
+  const auto require = [](bool same, const std::string& field) {
+    if (!same) {
+      throw InvalidArgumentError("ArrayNetlist: the array deck cannot carry " +
+                                 field + "; leave it at its default");
+    }
+  };
+  const auto requireMos = [&](const xtor::MosParams& m,
+                              const std::string& prefix, bool checkCov) {
+    const xtor::MosParams d = xtor::nmos45();
+    require(m.type == d.type, prefix + "type");
+    require(m.slopeFactor == d.slopeFactor, prefix + "slopeFactor");
+    require(m.vfb == d.vfb, prefix + "vfb");
+    require(m.accSlopeFactor == d.accSlopeFactor, prefix + "accSlopeFactor");
+    require(m.cox == d.cox, prefix + "cox");
+    require(m.chargeStiffening == d.chargeStiffening,
+            prefix + "chargeStiffening");
+    require(m.mobility == d.mobility, prefix + "mobility");
+    require(m.mobilityTheta == d.mobilityTheta, prefix + "mobilityTheta");
+    require(m.lambda == d.lambda, prefix + "lambda");
+    require(m.dibl == d.dibl, prefix + "dibl");
+    require(m.temperature == d.temperature, prefix + "temperature");
+    require(!checkCov || m.overlapCapPerWidth == d.overlapCapPerWidth,
+            prefix + "overlapCapPerWidth");
+    require(m.junctionCapPerWidth == d.junctionCapPerWidth,
+            prefix + "junctionCapPerWidth");
+  };
+  const FefetParams d;
+  require(config.fefet.lk.alpha == d.lk.alpha, "fefet.lk.alpha");
+  require(config.fefet.lk.beta == d.lk.beta, "fefet.lk.beta");
+  require(config.fefet.lk.gamma == d.lk.gamma, "fefet.lk.gamma");
+  require(config.fefet.backgroundEpsR == d.backgroundEpsR,
+          "fefet.backgroundEpsR");
+  // The FEFET's overlap capacitance is not compared: the deck forces cov=0.
+  requireMos(config.fefet.mos, "fefet.mos.", /*checkCov=*/false);
+  requireMos(config.accessMos, "accessMos.", /*checkCov=*/true);
+}
+
 }  // namespace
 
 std::string emitArrayDeck(const ArrayNetlistConfig& config) {
@@ -70,6 +111,7 @@ std::string emitArrayDeck(const ArrayNetlistConfig& config) {
 
 ArrayNetlist::ArrayNetlist(const ArrayNetlistConfig& config)
     : config_(config) {
+  requireDeckCarriesConfig(config_);
   states_ = bistableStates(config_.fefet);
 
   spice::parseDeckString(emitArrayDeck(config_), netlist_);

@@ -40,8 +40,10 @@ struct ArrayNetlistConfig {
   int rows = 4;
   int cols = 4;
   /// Emitted FEFET knobs: width, mos.length, mos.vt0, feThickness, lk.rho
-  /// (the deck's M/X cards expose those; other parameters must stay at
-  /// their 45nm defaults to round-trip exactly).
+  /// (the deck's M/X cards expose those; mos.overlapCapPerWidth is forced
+  /// to 0).  Every other FEFET field, and every accessMos field but length
+  /// and vt0, must stay at its 45nm default: the constructor throws
+  /// InvalidArgumentError naming the first one that does not.
   FefetParams fefet;
   xtor::MosParams accessMos = xtor::nmos45();
   double accessWidth = 65e-9;

@@ -32,23 +32,12 @@ DesignPoint characterizeThickness(const FefetParams& base, double thickness,
 
 std::vector<DesignPoint> sweepThickness(const FefetParams& base,
                                         const std::vector<double>& thicknesses,
-                                        double vread) {
-  std::vector<DesignPoint> out;
-  out.reserve(thicknesses.size());
-  for (double t : thicknesses) {
-    out.push_back(characterizeThickness(base, t, vread));
-  }
-  return out;
-}
-
-std::vector<DesignPoint> sweepThicknessParallel(
-    const FefetParams& base, const std::vector<double>& thicknesses,
-    double vread, int threads) {
+                                        double vread, int threads) {
   sim::SweepOptions options;
   options.threads = threads;
   sim::SweepEngine engine(options);
   // Each point is a pure function of its thickness — no RNG, so the sweep
-  // seed plays no role and the result matches sweepThickness exactly.
+  // seed plays no role and the thread count does not change the result.
   return engine.run(thicknesses,
                     [&](double t, const sim::SweepContext&) {
                       return characterizeThickness(base, t, vread);

@@ -22,22 +22,17 @@ struct DesignPoint {
 };
 
 /// Characterize a single thickness sample — the per-point body of
-/// sweepThickness, exposed so sweeps can fan points across threads.
+/// sweepThickness.
 DesignPoint characterizeThickness(const FefetParams& base, double thickness,
                                   double vread = 0.40);
 
-/// Sweep T_FE and characterize each point (Fig. 4 context + §3 narrative).
+/// Sweep T_FE and characterize each point (Fig. 4 context + §3 narrative),
+/// with the points fanned across a sim::SweepEngine pool (`threads` = 0
+/// uses the default count).  Each point is a pure function of its
+/// thickness, so results are identical for any thread count.
 std::vector<DesignPoint> sweepThickness(const FefetParams& base,
                                         const std::vector<double>& thicknesses,
-                                        double vread = 0.40);
-
-/// sweepThickness with the points fanned across a sim::SweepEngine pool
-/// (`threads` = 0 uses the default count).  Each point is a pure function
-/// of its thickness, so results are identical to the serial sweep for any
-/// thread count.
-std::vector<DesignPoint> sweepThicknessParallel(
-    const FefetParams& base, const std::vector<double>& thicknesses,
-    double vread = 0.40, int threads = 0);
+                                        double vread = 0.40, int threads = 0);
 
 /// The §3 design recommendation: smallest T_FE that is nonvolatile with at
 /// least `voltageMargin` between the write level and both window edges.

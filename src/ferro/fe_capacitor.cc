@@ -23,11 +23,6 @@ double FeCapacitor::coerciveVoltage() const {
   return geom_.thickness * lk_.coerciveField();
 }
 
-double FeCapacitor::polarizationRate(double appliedVoltage) const {
-  return (appliedVoltage / geom_.thickness - lk_.staticField(p_)) /
-         lk_.coefficients().rho;
-}
-
 double FeCapacitor::step(const std::function<double(double)>& voltageOfTime,
                          double t0, double dt, int substeps) {
   FEFET_REQUIRE(substeps >= 1, "step: substeps must be positive");

@@ -42,9 +42,6 @@ class FeCapacitor {
   /// Coercive voltage of the standalone film: t_FE * E_c.
   double coerciveVoltage() const;
 
-  /// dP/dt for an applied terminal voltage at the current state.
-  double polarizationRate(double appliedVoltage) const;
-
   /// Advance the state by dt under a (possibly time-varying) applied
   /// voltage v(t) using RK4 substeps.  Returns the new polarization.
   double step(const std::function<double(double)>& voltageOfTime, double t0,

@@ -22,10 +22,6 @@ void RunReport::addBool(const std::string& key, bool value) {
   fields_.emplace_back(key, value ? "true" : "false");
 }
 
-void RunReport::addRaw(const std::string& key, const std::string& json) {
-  fields_.emplace_back(key, json);
-}
-
 std::string RunReport::toJson(const MetricsSnapshot& metrics) const {
   std::string out =
       "{\"bench\":\"" + strings::jsonEscape(benchName_) + '"';

@@ -34,9 +34,6 @@ class RunReport {
   void addCount(const std::string& key, std::uint64_t value);
   void addString(const std::string& key, const std::string& value);
   void addBool(const std::string& key, bool value);
-  /// Pre-rendered JSON value (object/array); the caller guarantees it is
-  /// valid JSON.
-  void addRaw(const std::string& key, const std::string& json);
 
   /// Render the document around `metrics` (pass Metrics::snapshot() for
   /// the live registry).

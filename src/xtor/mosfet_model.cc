@@ -202,12 +202,6 @@ double MosfetModel::gateVoltageForCharge(double q) const {
       {.xTolerance = 1e-12});
 }
 
-double MosfetModel::totalGateCharge(double vg, double vd, double vs) const {
-  const double cov = params_.overlapCapPerWidth * width_;
-  return gateArea() * gateChargeDensity(vg - vs) + cov * (vg - vd) +
-         cov * (vg - vs);
-}
-
 double MosfetModel::effectiveThreshold(double vds) const {
   return params_.vt0 - params_.dibl * std::abs(vds);
 }

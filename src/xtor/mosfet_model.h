@@ -117,9 +117,6 @@ class MosfetModel {
   /// charge density q.  Used for load-line analysis.  Solved with Brent.
   double gateVoltageForCharge(double q) const;
 
-  /// Total gate charge [C] (areal x gate area) plus overlap contributions.
-  double totalGateCharge(double vg, double vd, double vs) const;
-
   /// Threshold voltage including DIBL at the given Vds.
   double effectiveThreshold(double vds) const;
 

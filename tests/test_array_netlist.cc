@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/array_netlist.h"
 #include "core/bias_scheme.h"
+#include "core/materials.h"
 
 namespace fefet::core {
 namespace {
@@ -187,6 +189,52 @@ TEST(MemoryArray, RejectsBadIndices) {
   EXPECT_THROW(arr.setPattern({{true}}), InvalidArgumentError);
   EXPECT_THROW(arr.bitAt(2, 0), InvalidArgumentError);
   EXPECT_THROW(arr.bitAt(0, -1), InvalidArgumentError);
+}
+
+// The deck carries only width, mos.length, mos.vt0, feThickness and lk.rho
+// of the FEFET (plus the access transistor's length and vt0).  Any other
+// changed field would run default cells against state targets computed
+// from the changed one, so construction must refuse it by name.
+TEST(MemoryArray, RejectsFieldsTheDeckCannotCarry) {
+  const auto rejectedField = [](const ArrayNetlistConfig& cfg) {
+    try {
+      ArrayNetlist arr(cfg);
+    } catch (const InvalidArgumentError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  ArrayNetlistConfig base;
+  base.rows = 1;
+  base.cols = 2;
+
+  ArrayNetlistConfig alpha = base;
+  alpha.fefet.lk.alpha *= 1.1;
+  EXPECT_NE(rejectedField(alpha).find("fefet.lk.alpha"), std::string::npos);
+  ArrayNetlistConfig epsR = base;
+  epsR.fefet.backgroundEpsR = 5.0;
+  EXPECT_NE(rejectedField(epsR).find("fefet.backgroundEpsR"),
+            std::string::npos);
+  ArrayNetlistConfig mobility = base;
+  mobility.fefet.mos.mobility *= 0.9;
+  EXPECT_NE(rejectedField(mobility).find("fefet.mos.mobility"),
+            std::string::npos);
+  ArrayNetlistConfig access = base;
+  access.accessMos.overlapCapPerWidth = 0.0;
+  EXPECT_NE(rejectedField(access).find("accessMos.overlapCapPerWidth"),
+            std::string::npos);
+
+  // Emitted knobs, the calibrated material and the FEFET's overlap
+  // capacitance (forced to 0 by the deck) all construct.
+  ArrayNetlistConfig carried = base;
+  carried.fefet.lk = fefetMaterial();
+  carried.fefet.feThickness = 2.5e-9;
+  carried.fefet.width = 90e-9;
+  carried.fefet.mos.vt0 = 0.45;
+  carried.fefet.mos.overlapCapPerWidth = 0.0;
+  carried.accessMos.length = 50e-9;
+  EXPECT_EQ(rejectedField(carried), "");
+  EXPECT_EQ(rejectedField(base), "");
 }
 
 // Disturb accumulation: single operations leave unaccessed cells with a
