@@ -1,23 +1,26 @@
 // bench_assembly — microbenchmark of the compiled stamp pipeline (slot
 // programs + SoA device batches) at array scale.
 //
-// Two netlists, each assembled repeatedly at one fixed iterate:
+// Two netlists, each assembled repeatedly at one fixed iterate in the
+// transient stamp mode with trapezoidal companions, as every transient step
+// after a run's first:
 //
 //  * an RC ladder with periodic diodes (the linear/nonlinear row structure
-//    of a bit-line column), backward-Euler transient mode; the assemble and
-//    solve phases are timed separately;
+//    of a bit-line column; the diodes stamp through the generic per-device
+//    path, the R/C/V lanes through their batches); the assemble and solve
+//    phases are timed separately;
 //  * the Fig. 7 8x8 FEFET array (core::ArrayNetlist: 64 FEFETs = 128
-//    MOSFETs + 64 FE capacitors, plus line drivers and wire caps),
-//    trapezoidal transient mode as its ops run, at the iterate a 1 ns
-//    hold after a checkerboard pattern leaves.  This is the MOSFET lane
-//    kernel and the netlist-order scatter that dominate array assembly.
-//    Repeating one iterate makes every MOSFET lane a bypass hit after the
-//    first pass (array_assemble_s), so the array is timed a second way:
-//    alternating with a copy of the iterate 1 mV higher on every node,
-//    far outside the bypass band, which makes every lane run the model
-//    (array_eval_assemble_s).
+//    MOSFETs + 64 FE capacitors, plus line drivers and wire caps), at the
+//    iterate a 1 ns hold after a checkerboard pattern leaves.  This is the
+//    MOSFET lane kernel and the netlist-order scatter that dominate array
+//    assembly.  Repeating one iterate makes every MOSFET lane a bypass hit
+//    after the first pass (array_assemble_s), so the array is timed a
+//    second way: alternating with a copy of the iterate 1 mV higher on
+//    every node, far outside the bypass band, which makes every lane run
+//    the model (array_eval_assemble_s).
 //
-// Emits one machine-readable PERF line:
+// Prints only the banners and one machine-readable PERF line, which
+// carries every timing and its repetition count:
 //
 //   PERF {"bench":"bench_assembly","unknowns":...,"reps":...,
 //         "compiled_assemble_s":...,"compiled_solve_s":...,
@@ -33,7 +36,6 @@
 #include "bench_util.h"
 #include "core/array_netlist.h"
 #include "spice/assembler.h"
-#include "spice/extras.h"
 #include "spice/netlist.h"
 #include "spice/passives.h"
 #include "spice/sources.h"
@@ -70,11 +72,11 @@ struct AssemblyTiming {
 };
 
 AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
-                            std::span<const SystemView> views,
-                            IntegrationMethod method, int reps) {
+                            std::span<const SystemView> views, int reps) {
   const auto assemble = [&](int r) {
     assembler.assemble(n, views[static_cast<std::size_t>(r) % views.size()],
-                       /*dc=*/false, kTime, kDt, method, kGmin);
+                       /*dc=*/false, kTime, kDt,
+                       IntegrationMethod::kTrapezoidal, kGmin);
   };
   assemble(reps - 1);  // warm-up on the view the timed loop does not start at
   bench::WallTimer timer;
@@ -82,7 +84,7 @@ AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
   AssemblyTiming t;
   t.assembleS = timer.seconds();
   const std::size_t stampsPerAssembly =
-      n.stampPattern().jacobianCalls(stampModeFor(false, method)).size();
+      n.stampPattern().jacobianCalls(StampMode::kTransient).size();
   t.stampsPerSec = t.assembleS > 0.0 ? static_cast<double>(stampsPerAssembly) *
                                            reps / t.assembleS
                                      : 0.0;
@@ -110,17 +112,13 @@ int run() {
   std::vector<double> dx;
   // Warm up the solve (the first one pays the one-time symbolic LU).
   compiled.assemble(n, view, /*dc=*/false, kTime, kDt,
-                    IntegrationMethod::kBackwardEuler, kGmin);
+                    IntegrationMethod::kTrapezoidal, kGmin);
   compiled.solveForUpdate(dx);
-  const AssemblyTiming ladder = timeAssembly(
-      compiled, n, {&view, 1}, IntegrationMethod::kBackwardEuler, kReps);
+  const AssemblyTiming ladder = timeAssembly(compiled, n, {&view, 1}, kReps);
 
   bench::WallTimer tCompiledSolve;
   for (int r = 0; r < kReps; ++r) compiled.solveForUpdate(dx);
   const double compiledSolveS = tCompiledSolve.seconds();
-
-  std::printf("assemble: %.1f us/iter\n", ladder.assembleS / kReps * 1e6);
-  std::printf("solve:    %.1f us/iter\n", compiledSolveS / kReps * 1e6);
 
   // --- 8x8 FEFET array ----------------------------------------------------
   core::ArrayNetlistConfig config;
@@ -140,10 +138,7 @@ int run() {
   const SystemView arrayView(ax, an.nodeCount());
   Assembler arrayAssembler(an.stampPattern());
   const AssemblyTiming arrayTiming =
-      timeAssembly(arrayAssembler, an, {&arrayView, 1},
-                   IntegrationMethod::kTrapezoidal, kArrayReps);
-  std::printf("assemble (bypass hits):  %.1f us/iter\n",
-              arrayTiming.assembleS / kArrayReps * 1e6);
+      timeAssembly(arrayAssembler, an, {&arrayView, 1}, kArrayReps);
 
   std::vector<double> axShifted = ax;
   for (int i = 0; i < an.nodeCount(); ++i) {
@@ -152,10 +147,7 @@ int run() {
   const std::array<SystemView, 2> alternating{
       arrayView, SystemView(axShifted, an.nodeCount())};
   const AssemblyTiming evalTiming =
-      timeAssembly(arrayAssembler, an, alternating,
-                   IntegrationMethod::kTrapezoidal, kArrayReps);
-  std::printf("assemble (every lane evaluated): %.1f us/iter\n",
-              evalTiming.assembleS / kArrayReps * 1e6);
+      timeAssembly(arrayAssembler, an, alternating, kArrayReps);
 
   std::printf(
       "PERF {\"bench\":\"bench_assembly\",\"unknowns\":%d,\"reps\":%d,"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Sanitizer + resilience + perf + observability gate, seven stages:
+# Sanitizer + resilience + perf + observability gate, eight stages:
 #
 #  1. ASan + UBSan (FEFET_SANITIZE=address) over the full test suite —
 #     memory errors and UB in the netlist/device ownership chain (the
@@ -33,7 +33,13 @@
 #     events and the sweep engine's embedded metrics snapshot intact;
 #  7. clang-tidy (performance-* as errors + modernize subset, .clang-tidy)
 #     over src/spice and src/common — skipped with a notice when
-#     clang-tidy is not installed.
+#     clang-tidy is not installed;
+#  8. bench determinism: every bench named in bench/CMakeLists.txt runs
+#     twice from the Release build and must print the same stdout both
+#     times, PERF and REPORT lines (wall-clock timings) excluded — the
+#     benches are seeded, so any other difference is a bug.  It runs
+#     right after stage 4, on that stage's Release build, so an open
+#     stage-5 failure does not hide it.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -175,6 +181,29 @@ if ! awk -v o="$OVERHEAD" 'BEGIN { exit !(o <= 0.02) }'; then
   exit 1
 fi
 echo "observability smoke passed (telemetry overhead $OVERHEAD)"
+
+echo "== bench determinism (stage 8): two runs of every bench print the same stdout =="
+BENCHES=$(sed -nE 's/^fefet_add_bench\((bench_[a-z0-9_]+)\)$/\1/p' \
+  bench/CMakeLists.txt)
+# shellcheck disable=SC2086
+cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target $BENCHES
+for bench in $BENCHES; do
+  for run in 1 2; do
+    if ! "$PERF_BUILD_DIR/bench/$bench" > "$SMOKE_DIR/$bench.raw"; then
+      echo "FAIL: $bench exited non-zero" >&2
+      exit 1
+    fi
+    sed -E '/^(PERF|REPORT) /d' "$SMOKE_DIR/$bench.raw" \
+      > "$SMOKE_DIR/$bench.$run.out"
+  done
+  if ! cmp -s "$SMOKE_DIR/$bench.1.out" "$SMOKE_DIR/$bench.2.out"; then
+    echo "FAIL: $bench printed different stdout on two runs" \
+         "(PERF/REPORT lines excluded)" >&2
+    diff "$SMOKE_DIR/$bench.1.out" "$SMOKE_DIR/$bench.2.out" | head -20 >&2
+    exit 1
+  fi
+done
+echo "bench determinism passed ($(echo "$BENCHES" | wc -w) benches)"
 
 echo "== hierarchical solver gate: BBD/Schur parity + speedup =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target bench_fig07_array_bias

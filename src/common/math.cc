@@ -25,12 +25,6 @@ double logistic(double x) {
   return e / (1.0 + e);
 }
 
-double polyval(std::span<const double> c, double x) {
-  double acc = 0.0;
-  for (std::size_t i = c.size(); i-- > 0;) acc = acc * x + c[i];
-  return acc;
-}
-
 namespace {
 void requireBracket(double flo, double fhi, double lo, double hi) {
   if (flo * fhi > 0.0) {
@@ -160,17 +154,6 @@ double trapz(std::span<const double> x, std::span<const double> y) {
   return acc;
 }
 
-std::vector<double> cumtrapz(std::span<const double> x,
-                             std::span<const double> y) {
-  FEFET_REQUIRE(x.size() == y.size() && !x.empty(),
-                "cumtrapz: mismatched or empty inputs");
-  std::vector<double> out(x.size(), 0.0);
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    out[i] = out[i - 1] + 0.5 * (y[i] + y[i - 1]) * (x[i] - x[i - 1]);
-  }
-  return out;
-}
-
 double interp1(std::span<const double> x, std::span<const double> y,
                double q) {
   FEFET_REQUIRE(x.size() == y.size() && x.size() >= 2,
@@ -218,26 +201,6 @@ double rk4Step(const std::function<double(double, double)>& f, double t,
   const double k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2);
   const double k4 = f(t + dt, y + dt * k3);
   return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-}
-
-Trajectory integrateRk4(const std::function<double(double, double)>& f,
-                        double t0, double t1, double y0, int steps) {
-  FEFET_REQUIRE(steps >= 1, "integrateRk4: steps must be positive");
-  FEFET_REQUIRE(t1 > t0, "integrateRk4: empty time span");
-  Trajectory tr;
-  tr.t.reserve(static_cast<std::size_t>(steps) + 1);
-  tr.y.reserve(static_cast<std::size_t>(steps) + 1);
-  const double dt = (t1 - t0) / steps;
-  double t = t0, y = y0;
-  tr.t.push_back(t);
-  tr.y.push_back(y);
-  for (int i = 0; i < steps; ++i) {
-    y = rk4Step(f, t, y, dt);
-    t = t0 + (t1 - t0) * static_cast<double>(i + 1) / steps;
-    tr.t.push_back(t);
-    tr.y.push_back(y);
-  }
-  return tr;
 }
 
 }  // namespace fefet::math

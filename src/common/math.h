@@ -39,10 +39,6 @@ inline SoftplusLogistic softplusLogistic(double x) {
   return {x < -35.0 ? e : std::log1p(e), e / (1.0 + e)};
 }
 
-/// Evaluate a polynomial with coefficients in ascending order
-/// (c[0] + c[1] x + c[2] x^2 + ...).
-double polyval(std::span<const double> ascendingCoefficients, double x);
-
 struct RootOptions {
   double xTolerance = 1e-14;
   double fTolerance = 0.0;   ///< also accept |f| <= fTolerance
@@ -71,11 +67,6 @@ std::vector<double> findAllRoots(const std::function<double(double)>& f,
 /// x and y must have equal size >= 2.
 double trapz(std::span<const double> x, std::span<const double> y);
 
-/// Cumulative trapezoidal integral; result[i] = integral of y up to x[i],
-/// result[0] = 0.
-std::vector<double> cumtrapz(std::span<const double> x,
-                             std::span<const double> y);
-
 /// Linear interpolation of tabulated (x, y) at query point q.  x must be
 /// strictly increasing.  Queries outside [x.front(), x.back()] clamp to
 /// the boundary sample (q <= x.front() returns y.front(), q >= x.back()
@@ -95,14 +86,5 @@ bool hasCrossing(std::span<const double> y, double level);
 /// One classic RK4 step for dy/dt = f(t, y) on a scalar state.
 double rk4Step(const std::function<double(double, double)>& f, double t,
                double y, double dt);
-
-/// Integrate dy/dt = f(t, y) from t0 to t1 with fixed-step RK4 and record the
-/// trajectory.  Returns (t, y) samples including both endpoints.
-struct Trajectory {
-  std::vector<double> t;
-  std::vector<double> y;
-};
-Trajectory integrateRk4(const std::function<double(double, double)>& f,
-                        double t0, double t1, double y0, int steps);
 
 }  // namespace fefet::math

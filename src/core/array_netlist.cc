@@ -206,7 +206,6 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
   spice::TransientOptions options;
   options.duration = duration;
   options.dtMax = duration / 150.0;
-  options.dtInitial = std::min(1e-12, options.dtMax);
   auto transient = sim_->runTransient(options, probes_);
 
   ArrayNetOpResult result;

@@ -1,7 +1,5 @@
 #include "core/cell2t.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/math.h"
 
@@ -37,7 +35,7 @@ Cell2T::Cell2T(const Cell2TConfig& config) : config_(config) {
       Probe::deviceState("cell:fe", "P"),
       Probe::deviceState("cell:mos", "id"),
   };
-  sim_ = std::make_unique<spice::Simulator>(netlist_, config_.newton);
+  sim_ = std::make_unique<spice::Simulator>(netlist_);
   setStoredBit(false);
 }
 
@@ -61,7 +59,6 @@ CellOpResult Cell2T::runOp(double duration, bool isWrite) {
   spice::TransientOptions options;
   options.duration = duration;
   options.dtMax = duration / 200.0;
-  options.dtInitial = std::min(1e-12, options.dtMax);
   auto transient = sim_->runTransient(options, probes_);
 
   CellOpResult result;

@@ -27,9 +27,6 @@ struct Cell2TConfig {
   BiasLevels levels;
   double edgeTime = 20e-12;     ///< source rise/fall time
   double settleTime = 300e-12;  ///< post-pulse settling (write recovery)
-  /// Solver options for the cell's simulator (tolerances, damping, LU
-  /// structure reuse).
-  spice::NewtonOptions newton;
 };
 
 /// Result of one cell operation.

@@ -36,6 +36,12 @@ FefetInstance attachFefet(spice::Netlist& netlist, const std::string& name,
 
 namespace {
 
+/// The quasi-static scan grid: kScanSamples uniform intervals of the
+/// internal node voltage psi over [kPsiMin, kPsiMax] volts.
+constexpr double kPsiMin = -4.0;
+constexpr double kPsiMax = 4.0;
+constexpr int kScanSamples = 16000;
+
 /// V_G(psi) with the MOS and LK models built once, so a scan constructs
 /// them once rather than once per sample.
 struct GateVoltageCurve {
@@ -49,16 +55,15 @@ struct GateVoltageCurve {
   double t;  ///< T_FE [m]
 };
 
-/// Every solution of V_G(psi) = gateVoltage in [psiMin, psiMax], ascending,
+/// Every solution of V_G(psi) = gateVoltage on the scan grid, ascending,
 /// flagged stable where dV_G/dpsi > 0.
 std::vector<std::pair<double, bool>> equilibria(const GateVoltageCurve& curve,
-                                                double gateVoltage,
-                                                double psiMin, double psiMax,
-                                                int samples) {
+                                                double gateVoltage) {
   const auto residual = [&](double psi) { return curve(psi) - gateVoltage; };
-  const double h = (psiMax - psiMin) / samples;
+  const double h = (kPsiMax - kPsiMin) / kScanSamples;
   std::vector<std::pair<double, bool>> out;
-  for (double r : math::findAllRoots(residual, psiMin, psiMax, samples)) {
+  for (double r :
+       math::findAllRoots(residual, kPsiMin, kPsiMax, kScanSamples)) {
     out.emplace_back(r, residual(r + 0.25 * h) > residual(r - 0.25 * h));
   }
   return out;
@@ -70,17 +75,15 @@ double gateVoltageOfInternal(const FefetParams& params, double psi) {
   return GateVoltageCurve(params)(psi);
 }
 
-HysteresisWindow analyzeHysteresis(const FefetParams& params, double psiMin,
-                                   double psiMax, int samples) {
-  FEFET_REQUIRE(samples >= 64, "analyzeHysteresis: too few samples");
+HysteresisWindow analyzeHysteresis(const FefetParams& params) {
   HysteresisWindow window;
   const GateVoltageCurve curve(params);
 
-  double prevPsi = psiMin;
-  double prevVg = curve(psiMin);
+  double prevPsi = kPsiMin;
+  double prevVg = curve(kPsiMin);
   double prevSlopeSign = 0.0;
-  for (int i = 1; i <= samples; ++i) {
-    const double psi = psiMin + (psiMax - psiMin) * i / samples;
+  for (int i = 1; i <= kScanSamples; ++i) {
+    const double psi = kPsiMin + (kPsiMax - kPsiMin) * i / kScanSamples;
     const double vg = curve(psi);
     const double slopeSign = math::sign(vg - prevVg);
     if (prevSlopeSign != 0.0 && slopeSign != 0.0 &&
@@ -126,11 +129,10 @@ HysteresisWindow analyzeHysteresis(const FefetParams& params, double psiMin,
 }
 
 std::vector<double> stableInternalVoltages(const FefetParams& params,
-                                           double gateVoltage, double psiMin,
-                                           double psiMax, int samples) {
+                                           double gateVoltage) {
   std::vector<double> stable;
-  for (const auto& [psi, isStable] : equilibria(
-           GateVoltageCurve(params), gateVoltage, psiMin, psiMax, samples)) {
+  for (const auto& [psi, isStable] :
+       equilibria(GateVoltageCurve(params), gateVoltage)) {
     if (isStable) stable.push_back(psi);
   }
   return stable;
@@ -138,7 +140,7 @@ std::vector<double> stableInternalVoltages(const FefetParams& params,
 
 BistableStates bistableStates(const FefetParams& params) {
   const GateVoltageCurve curve(params);
-  const auto all = equilibria(curve, 0.0, -4.0, 4.0, 16000);
+  const auto all = equilibria(curve, 0.0);
   BistableStates s;
   int stableCount = 0;
   for (const auto& [psi, isStable] : all) {

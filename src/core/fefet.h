@@ -71,20 +71,18 @@ struct HysteresisWindow {
 /// V_G(psi) = psi + T_FE * E_s(Q_G(psi)).
 double gateVoltageOfInternal(const FefetParams& params, double psi);
 
+// The quasi-static analyses below all scan V_G(psi) on one grid: 16,000
+// uniform intervals of psi in [-4, 4] V (fefet.cc).
+
 /// Scan V_G(psi) for folds and classify the memory window.  The inversion
 /// branch window is the fold pair with the largest psi values (the pair
 /// between the OFF state and the inversion ON state); accumulation-side
 /// folds are reported but not used for the window.
-HysteresisWindow analyzeHysteresis(const FefetParams& params,
-                                   double psiMin = -4.0, double psiMax = 4.0,
-                                   int samples = 16000);
+HysteresisWindow analyzeHysteresis(const FefetParams& params);
 
 /// Stable internal-node solutions at a given external V_G (quasi-static).
 std::vector<double> stableInternalVoltages(const FefetParams& params,
-                                           double gateVoltage,
-                                           double psiMin = -4.0,
-                                           double psiMax = 4.0,
-                                           int samples = 16000);
+                                           double gateVoltage);
 
 /// The equilibria of a bistable device at V_G = 0: OFF (the stable psi
 /// nearest 0), ON (the largest stable psi) and the saddle between them,
@@ -94,8 +92,8 @@ struct BistableStates {
   double pOff = 0.0, pOn = 0.0, pSaddle = 0.0;        ///< polarization [C/m^2]
 };
 
-/// One scan of V_G(psi) with stableInternalVoltages's defaults; psiOff and
-/// psiOn equal what its result yields.  Throws InvalidArgumentError when
+/// One scan of V_G(psi) on the same grid as stableInternalVoltages; psiOff
+/// and psiOn equal what its result yields.  Throws InvalidArgumentError when
 /// the device has no saddle between two stable states at V_G = 0.
 BistableStates bistableStates(const FefetParams& params);
 

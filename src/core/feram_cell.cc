@@ -51,7 +51,6 @@ FeRamOpResult FeRamCell::runOp(double duration, bool isWrite) {
   spice::TransientOptions options;
   options.duration = duration;
   options.dtMax = duration / 200.0;
-  options.dtInitial = std::min(1e-12, options.dtMax);
   const std::vector<Probe> probes = {
       Probe::v("bl"), Probe::v("wl"), Probe::v("pl"), Probe::v("x"),
       Probe::deviceState("Cfe", "P"),

@@ -154,7 +154,6 @@ SenseReadResult SenseAmpCircuit::simulateReadAtPolarization(
   spice::TransientOptions options;
   options.duration = window;
   options.dtMax = window / 400.0;
-  options.dtInitial = 1e-12;
   static const std::vector<Probe> probes = {
       Probe::v("sl"),     Probe::v("vsense"), Probe::v("vsa"),
       Probe::v("m1"),     Probe::v("m2"),     Probe::v("rs"),

@@ -36,9 +36,6 @@ class FeCapacitor {
   /// Voltage across the film for a given state and rate.
   double voltage(double polarization, double dPdt) const;
 
-  /// Static (dPdt = 0) voltage at the current state.
-  double staticVoltage() const { return voltage(p_, 0.0); }
-
   /// Coercive voltage of the standalone film: t_FE * E_c.
   double coerciveVoltage() const;
 

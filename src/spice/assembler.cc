@@ -41,7 +41,7 @@ void StampBuffer::throwSlotOverrun(int row, int col) const {
         "recorded (next call at row "
      << row << ", col " << col
      << ") — a device's stamp sequence must be a fixed function of "
-        "(dc, method) for a frozen netlist";
+        "the DC/transient mode for a frozen netlist";
   throw NumericalError(os.str());
 }
 
@@ -77,7 +77,7 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   FEFET_REQUIRE(devices.size() == pattern_.deviceCount(),
                 "compiled stamp pipeline: netlist device list changed after "
                 "the pattern was recorded");
-  const int m = static_cast<int>(stampModeFor(dc, method));
+  const int m = static_cast<int>(stampModeFor(dc));
   const auto& slots = slots_[m];
   const auto& ends = pattern_.deviceJacobianEnds(static_cast<StampMode>(m));
 

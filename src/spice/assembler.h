@@ -36,7 +36,7 @@ class Assembler {
 
   /// Assemble one Newton evaluation: zero the storage, stamp every device
   /// through netlist.deviceBatches() (type-major evaluation, netlist-order
-  /// scatter into the slot program of (dc, method)) and apply gmin.
+  /// scatter into the slot program of the DC or transient mode) and apply gmin.
   /// Throws NumericalError naming the culprit device if a call sequence
   /// deviates from the recorded pattern.
   void assemble(const Netlist& netlist, const SystemView& view, bool dc,

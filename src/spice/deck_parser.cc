@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "ferro/lk_model.h"
-#include "spice/extras.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
 #include "spice/passives.h"
@@ -297,12 +296,6 @@ void processCard(const std::vector<std::string>& tokens, int lineNo,
                                parseEngineeringValue(tokens[3]));
         break;
       }
-      case 'L': {
-        if (tokens.size() < 4) fail(lineNo, "L needs: name a b value");
-        netlist.add<Inductor>(name, node(1), node(2),
-                              parseEngineeringValue(tokens[3]));
-        break;
-      }
       case 'D': {
         if (tokens.size() < 3) fail(lineNo, "D needs: name a b");
         Diode::Params params;
@@ -344,18 +337,6 @@ void processCard(const std::vector<std::string>& tokens, int lineNo,
             options.get("cov", params.overlapCapPerWidth);
         netlist.add<MosfetDevice>(name, node(1), node(2), node(3), params,
                                   width);
-        break;
-      }
-      case 'E': {
-        if (tokens.size() < 6) fail(lineNo, "E needs: name o+ o- c+ c- gain");
-        netlist.add<Vcvs>(name, node(1), node(2), node(3), node(4),
-                          parseEngineeringValue(tokens[5]));
-        break;
-      }
-      case 'G': {
-        if (tokens.size() < 6) fail(lineNo, "G needs: name o+ o- c+ c- gm");
-        netlist.add<Vccs>(name, node(1), node(2), node(3), node(4),
-                          parseEngineeringValue(tokens[5]));
         break;
       }
       case 'X': {

@@ -15,13 +15,10 @@
 // Supported cards:
 //   R<name> a b <value>                      resistor
 //   C<name> a b <value>                      capacitor
-//   L<name> a b <value>                      inductor
 //   D<name> a b [IS=..] [N=..]               diode
 //   V<name> a b DC <v> | PULSE(...) | PWL(t v ...) | SIN(off amp freq)
 //   I<name> a b DC <v>                       current source
 //   M<name> d g s NMOS|PMOS [W=..] [L=..] [VT=..]
-//   E<name> o+ o- c+ c- <gain>               VCVS
-//   G<name> o+ o- c+ c- <gm>                 VCCS
 //   X<name> a b FECAP [T=..] [W=..] [L=..] [P0=..] [RHO=..]
 //   X<name> n1 n2 ... <subckt>               subcircuit instance
 //   .subckt NAME p1 p2 ... / .ends           hierarchical definitions

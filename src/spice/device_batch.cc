@@ -5,9 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/units.h"
 #include "ferro/lk_model.h"
-#include "spice/extras.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
@@ -69,17 +67,6 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
       isources_.dev.push_back(i);
       isources_.from.push_back(i->from_);
       isources_.to.push_back(i->to_);
-    } else if (auto* d = dynamic_cast<Diode*>(device)) {
-      ref = {Kind::kDiode, lane(diodes_.anode.size())};
-      diodes_.anode.push_back(d->anode_);
-      diodes_.cathode.push_back(d->cathode_);
-      // Same expression sequence as Diode::stamp, evaluated once.
-      const double vt = constants::kBoltzmann * d->params_.temperature /
-                        constants::kElementaryCharge *
-                        d->params_.idealityFactor;
-      diodes_.isat.push_back(d->params_.saturationCurrent);
-      diodes_.vt.push_back(vt);
-      diodes_.vmax.push_back(40.0 * vt);
     } else if (auto* m = dynamic_cast<MosfetDevice*>(device)) {
       ref = {Kind::kMosfet, lane(mosfets_.dev.size())};
       m->batches_ = this;
@@ -117,8 +104,6 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
   capacitors_.g.resize(capacitors_.a.size());
   vsources_.v.resize(vsources_.plus.size());
   isources_.i.resize(isources_.from.size());
-  diodes_.i.resize(diodes_.anode.size());
-  diodes_.g.resize(diodes_.anode.size());
   const std::size_t nm = mosfets_.dev.size();
   const double never = std::numeric_limits<double>::quiet_NaN();
   mosfets_.vdEval.assign(nm, never);
@@ -164,7 +149,6 @@ void DeviceBatches::stampAll(const EvalContext& ctx,
   evalCapacitors(ctx);
   evalVoltageSources(ctx);
   evalCurrentSources(ctx);
-  evalDiodes(ctx);
   evalMosfets(ctx);
   evalFeCaps(ctx);
 
@@ -183,7 +167,6 @@ void DeviceBatches::stampAll(const EvalContext& ctx,
         scatterVoltageSource(ref.lane, ctx.view, buf);
         break;
       case Kind::kCurrentSource: scatterCurrentSource(ref.lane, buf); break;
-      case Kind::kDiode: scatterDiode(ref.lane, buf); break;
       case Kind::kMosfet: scatterMosfet(ref.lane, ctx.dc, buf); break;
       case Kind::kFeCap: scatterFeCap(ref.lane, ctx, buf); break;
       case Kind::kGeneric: order_[i]->stamp(ctx); break;
@@ -204,7 +187,8 @@ void DeviceBatches::throwCountMismatch(
      << "' emitted " << consumed - before
      << " Jacobian entries but the recorded pattern has "
      << jacobianEnds[deviceIndex] - before
-     << " — stamp sequences must be a fixed function of (dc, method)";
+     << " — stamp sequences must be a fixed function of the DC/transient "
+        "mode";
   throw NumericalError(os.str());
 }
 
@@ -252,29 +236,6 @@ void DeviceBatches::evalCurrentSources(const EvalContext& ctx) {
   const std::size_t n = batch.from.size();
   for (std::size_t k = 0; k < n; ++k) {
     batch.i[k] = batch.dev[k]->shape_(ctx.time);
-  }
-}
-
-void DeviceBatches::evalDiodes(const EvalContext& ctx) {
-  DiodeBatch& batch = diodes_;
-  const SystemView& view = ctx.view;
-  const std::size_t n = batch.anode.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double v = view.nodeVoltage(batch.anode[k]) -
-                     view.nodeVoltage(batch.cathode[k]);
-    const double isat = batch.isat[k];
-    const double vt = batch.vt[k];
-    const double vmax = batch.vmax[k];
-    // Exponential with linear continuation above vmax (Diode::currentAt).
-    if (v <= vmax) {
-      batch.i[k] = isat * (std::exp(v / vt) - 1.0);
-      batch.g[k] = isat * std::exp(v / vt) / vt;
-    } else {
-      const double iMax = isat * (std::exp(vmax / vt) - 1.0);
-      const double gMax = isat * std::exp(vmax / vt) / vt;
-      batch.i[k] = iMax + gMax * (v - vmax);
-      batch.g[k] = gMax;
-    }
   }
 }
 
@@ -438,7 +399,7 @@ void DeviceBatches::evalFeCaps(const EvalContext& ctx) {
 namespace {
 
 /// Two-terminal element: current i leaving node row ra into rb, and its
-/// conductance g (Resistor/Diode::stamp and the companion forms of every
+/// conductance g (Resistor::stamp and the companion forms of every
 /// charge element emit this same six-call sequence).
 inline void scatterBranch(StampBuffer& buf, int ra, int rb, double i,
                           double g) {
@@ -493,13 +454,6 @@ void DeviceBatches::scatterCurrentSource(std::uint32_t lane,
   const double i = batch.i[lane];
   buf.addResidual(Stamper::rowOfNode(batch.from[lane]), i);
   buf.addResidual(Stamper::rowOfNode(batch.to[lane]), -i);
-}
-
-void DeviceBatches::scatterDiode(std::uint32_t lane, StampBuffer& buf) const {
-  const DiodeBatch& batch = diodes_;
-  scatterBranch(buf, Stamper::rowOfNode(batch.anode[lane]),
-                Stamper::rowOfNode(batch.cathode[lane]), batch.i[lane],
-                batch.g[lane]);
 }
 
 void DeviceBatches::scatterMosfet(std::uint32_t lane, bool dc,

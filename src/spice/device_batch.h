@@ -2,7 +2,7 @@
 // stamp pipeline.
 //
 // Netlist::freeze() groups homogeneous devices (resistors, capacitors,
-// sources, diodes, MOSFETs, FE capacitors) into SoA parameter/state
+// sources, MOSFETs, FE capacitors) into SoA parameter/state
 // arrays.  Each assembly then runs in two phases:
 //
 //  1. eval — type-major batch kernels sweep the SoA arrays and write every
@@ -35,9 +35,9 @@
 // remainder.  The lanes outside the band are gathered into one list and
 // run through the kernels in one call each; they stay bit-identical.
 //
-// Devices with mutable call-sequence behaviour or no batch kernel
-// (TimedSwitch, Inductor, Vcvs, Vccs, custom test devices) fall back to
-// their virtual stamp() inside the scatter loop, preserving order.
+// Devices with a time-dependent control or no batch kernel (TimedSwitch,
+// Diode, custom test devices) fall back to their virtual stamp() inside
+// the scatter loop, preserving order.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,6 @@ class Resistor;
 class Capacitor;
 class VoltageSource;
 class CurrentSource;
-class Diode;
 class MosfetDevice;
 class FeCapDevice;
 
@@ -105,7 +104,6 @@ class DeviceBatches {
     kCapacitor,
     kVoltageSource,
     kCurrentSource,
-    kDiode,
     kMosfet,
     kFeCap,
   };
@@ -139,12 +137,6 @@ class DeviceBatches {
     std::vector<const CurrentSource*> dev;  ///< shape evaluation
     std::vector<NodeId> from, to;
     std::vector<double> i;  ///< scratch: shape(t) per lane
-  };
-
-  struct DiodeBatch {
-    std::vector<NodeId> anode, cathode;
-    std::vector<double> isat, vt, vmax;  ///< precomputed at freeze
-    std::vector<double> i, g;            ///< scratch
   };
 
   struct MosfetBatch {
@@ -187,7 +179,6 @@ class DeviceBatches {
   void evalCapacitors(const EvalContext& ctx);
   void evalVoltageSources(const EvalContext& ctx);
   void evalCurrentSources(const EvalContext& ctx);
-  void evalDiodes(const EvalContext& ctx);
   void evalMosfets(const EvalContext& ctx);
   void evalFeCaps(const EvalContext& ctx);
 
@@ -201,7 +192,6 @@ class DeviceBatches {
   void scatterVoltageSource(std::uint32_t lane, const SystemView& view,
                             StampBuffer& buf) const;
   void scatterCurrentSource(std::uint32_t lane, StampBuffer& buf) const;
-  void scatterDiode(std::uint32_t lane, StampBuffer& buf) const;
   void scatterMosfet(std::uint32_t lane, bool dc, StampBuffer& buf) const;
   void scatterFeCap(std::uint32_t lane, const EvalContext& ctx,
                     StampBuffer& buf) const;
@@ -219,7 +209,6 @@ class DeviceBatches {
   CapacitorBatch capacitors_;
   VoltageSourceBatch vsources_;
   CurrentSourceBatch isources_;
-  DiodeBatch diodes_;
   MosfetBatch mosfets_;
   FeCapBatch fecaps_;
 };

@@ -17,6 +17,23 @@ namespace fefet::spice {
 
 namespace {
 
+// Convergence: an iteration converges when every update is within
+// abs + kRelTol·|x| (abs per unknown kind), every residual row within
+// kResidualAbsTol + kResidualRelTol·(row activity scale), and no update
+// was clamped.
+constexpr int kMaxIterations = 80;
+constexpr double kVoltageAbsTol = 1e-6;   ///< [V] update tol, node voltages
+constexpr double kAuxAbsTol = 1e-9;       ///< update tol, aux unknowns
+constexpr double kRelTol = 1e-4;          ///< relative part of both checks
+constexpr double kResidualAbsTol = 1e-9;  ///< [A]/[V] residual floor
+constexpr double kResidualRelTol = 1e-6;  ///< residual vs row activity
+constexpr double kMaxVoltageStep = 0.6;   ///< [V] damping clamp
+constexpr double kMaxAuxStep = 0.1;       ///< damping clamp, aux unknowns
+constexpr double kGmin = 1e-12;           ///< [S] node-to-ground
+/// solveWithEscalation: gmin x100 per level, this many levels, this cap.
+constexpr int kMaxGminEscalations = 3;
+constexpr double kGminCeiling = 1e-6;  ///< [S]
+
 /// Solver telemetry under fefet.newton.*: every solve exit —
 /// converged or not — lands in these, so convergence-health histograms
 /// cover whole runs rather than only the failures that used to surface
@@ -90,14 +107,12 @@ Netlist& frozen(Netlist& netlist) {
 }  // namespace
 
 NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
-    : netlist_(frozen(netlist)),
-      options_(options),
-      assembler_(netlist.stampPattern()) {
-  if (options_.useHierarchicalSolve) {
+    : netlist_(frozen(netlist)), assembler_(netlist.stampPattern()) {
+  if (options.useHierarchicalSolve) {
     const BbdPartition* partition = netlist_.partition();
     if (partition != nullptr && partition->useful()) {
       hier_ = std::make_unique<HierEngine>(netlist_.stampPattern(),
-                                           *partition, options_.hierThreads);
+                                           *partition, options.hierThreads);
     }
   }
 }
@@ -106,18 +121,16 @@ NewtonSolver::~NewtonSolver() = default;
 
 NewtonStats NewtonSolver::solve(std::vector<double>& x, bool dc, double time,
                                 double dt, IntegrationMethod method) {
-  return solveWithGmin(x, dc, time, dt, method, options_.gmin);
+  return solveWithGmin(x, dc, time, dt, method, kGmin);
 }
 
 NewtonStats NewtonSolver::solveWithEscalation(std::vector<double>& x, bool dc,
                                               double time, double dt,
-                                              IntegrationMethod method,
-                                              int maxEscalations,
-                                              double gminMax) {
+                                              IntegrationMethod method) {
   NewtonTelemetry& telemetry = NewtonTelemetry::get();
   int totalIters = 0;
-  double gmin = options_.gmin;
-  for (int level = 0; level <= maxEscalations; ++level) {
+  double gmin = kGmin;
+  for (int level = 0; level <= kMaxGminEscalations; ++level) {
     if (level > 0) {
       if (obs::Metrics::enabled()) telemetry.escalationAttempts.increment();
       if (obs::FlightRecorder::enabled()) {
@@ -132,7 +145,6 @@ NewtonStats NewtonSolver::solveWithEscalation(std::vector<double>& x, bool dc,
       x = attempt_;
       stats.iterations = totalIters;
       stats.gminEscalations = level;
-      stats.gminUsed = gmin;
       if (level > 0) {
         if (obs::Metrics::enabled()) {
           telemetry.gminEscalations.add(static_cast<std::uint64_t>(level));
@@ -145,13 +157,12 @@ NewtonStats NewtonSolver::solveWithEscalation(std::vector<double>& x, bool dc,
       }
       return stats;
     }
-    if (level == maxEscalations) {
+    if (level == kMaxGminEscalations) {
       stats.iterations = totalIters;
       stats.gminEscalations = level;
-      stats.gminUsed = gmin;
       return stats;
     }
-    gmin = std::min(std::max(gmin * 100.0, options_.gmin * 100.0), gminMax);
+    gmin = std::min(std::max(gmin * 100.0, kGmin * 100.0), kGminCeiling);
   }
   return {};  // unreachable
 }
@@ -222,7 +233,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
   };
 
   NewtonStats stats;
-  for (int iter = 0; iter < options_.maxIterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     stats.iterations = iter + 1;
     SystemView view(x, nodes);
     {
@@ -254,8 +265,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
     // Damping: clamp per-unknown updates.
     bool clamped = false;
     for (int i = 0; i < n; ++i) {
-      const double limit =
-          i < nodes ? options_.maxVoltageStep : options_.maxAuxStep;
+      const double limit = i < nodes ? kMaxVoltageStep : kMaxAuxStep;
       if (dx[static_cast<std::size_t>(i)] > limit) {
         dx[static_cast<std::size_t>(i)] = limit;
         clamped = true;
@@ -264,17 +274,14 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
         clamped = true;
       }
     }
-    double maxUpdate = 0.0;
     bool updateOk = true;
     for (int i = 0; i < n; ++i) {
       const double xi = x[static_cast<std::size_t>(i)];
       const double di = dx[static_cast<std::size_t>(i)];
       x[static_cast<std::size_t>(i)] = xi + di;
       const double tol =
-          (i < nodes ? options_.voltageAbsTol : options_.auxAbsTol) +
-          options_.relTol * std::abs(xi);
+          (i < nodes ? kVoltageAbsTol : kAuxAbsTol) + kRelTol * std::abs(xi);
       if (std::abs(di) > tol) updateOk = false;
-      maxUpdate = std::max(maxUpdate, std::abs(di));
     }
 
     // Residual check on the pre-update residual (already assembled).
@@ -286,8 +293,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
       const double r = residual[static_cast<std::size_t>(i)];
       const double scale = rowScale[static_cast<std::size_t>(i)];
       resNorm = std::max(resNorm, std::abs(r));
-      if (std::abs(r) >
-          options_.residualAbsTol + options_.residualRelTol * scale) {
+      if (std::abs(r) > kResidualAbsTol + kResidualRelTol * scale) {
         residualOk = false;
       }
     }
@@ -315,8 +321,7 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
   // Direct attempt first (attempt_ is the reused member trial buffer).
   attempt_ = x;
   NewtonStats stats = solveWithGmin(attempt_, /*dc=*/true, 0.0, 0.0,
-                                    IntegrationMethod::kBackwardEuler,
-                                    options_.gmin);
+                                    IntegrationMethod::kBackwardEuler, kGmin);
   if (stats.converged) {
     x = attempt_;
     return stats;
@@ -337,7 +342,7 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
             std::to_string(gmin),
         diag);
   };
-  for (double gmin = 1e-2; gmin >= options_.gmin * 0.99; gmin *= 0.1) {
+  for (double gmin = 1e-2; gmin >= kGmin * 0.99; gmin *= 0.1) {
     if (obs::FlightRecorder::enabled()) {
       obs::FlightRecorder::record(obs::FlightEvent::kGminEscalation, gmin,
                                   static_cast<std::uint64_t>(levels + 1));
@@ -349,14 +354,13 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
     if (!stats.converged) throw diagnose(gmin);
   }
   stats = solveWithGmin(attempt_, true, 0.0, 0.0,
-                        IntegrationMethod::kBackwardEuler, options_.gmin);
+                        IntegrationMethod::kBackwardEuler, kGmin);
   totalIters += stats.iterations;
   ++levels;
-  if (!stats.converged) throw diagnose(options_.gmin);
+  if (!stats.converged) throw diagnose(kGmin);
   x = attempt_;
   stats.iterations = totalIters;
   stats.gminEscalations = levels;
-  stats.gminUsed = options_.gmin;
   if (obs::Metrics::enabled()) {
     NewtonTelemetry& telemetry = NewtonTelemetry::get();
     telemetry.escalationAttempts.add(static_cast<std::uint64_t>(levels));
@@ -364,7 +368,7 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
     NewtonForensics::get().gminRescued.increment();
   }
   if (obs::FlightRecorder::enabled()) {
-    obs::FlightRecorder::record(obs::FlightEvent::kGminRescue, options_.gmin,
+    obs::FlightRecorder::record(obs::FlightEvent::kGminRescue, kGmin,
                                 static_cast<std::uint64_t>(levels));
   }
   return stats;

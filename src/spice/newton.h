@@ -15,16 +15,9 @@ namespace fefet::spice {
 
 class HierEngine;
 
+/// Convergence tolerances, damping clamps and the nominal gmin are
+/// constants of newton.cc; the options select only the solve engine.
 struct NewtonOptions {
-  int maxIterations = 80;
-  double voltageAbsTol = 1e-6;    ///< [V] update tolerance on node voltages
-  double auxAbsTol = 1e-9;        ///< update tolerance on aux unknowns
-  double relTol = 1e-4;           ///< relative part of both checks
-  double residualAbsTol = 1e-9;   ///< [A]/[V] absolute residual floor
-  double residualRelTol = 1e-6;   ///< residual vs row activity scale
-  double maxVoltageStep = 0.6;    ///< [V] damping clamp per iteration
-  double maxAuxStep = 0.1;        ///< damping clamp on aux unknowns
-  double gmin = 1e-12;            ///< [S] node-to-ground regularization
   /// Solve the Newton update through the bordered-block-diagonal Schur
   /// engine (hier_engine.h) instead of the flat LU.  Effective only for
   /// a netlist whose freeze() built a useful BBD partition (border nodes
@@ -47,8 +40,6 @@ struct NewtonStats {
   /// Gmin rescue levels applied before this solve converged (0 when the
   /// nominal gmin sufficed).
   int gminEscalations = 0;
-  /// Gmin actually used by the converged solve (options.gmin nominally).
-  double gminUsed = 0.0;
 };
 
 /// Solve F(x) = 0 for the frozen netlist at one (DC or transient) instant.
@@ -65,13 +56,12 @@ class NewtonSolver {
                     IntegrationMethod method);
 
   /// Like solve(), but on non-convergence retries with gmin raised by
-  /// x100 per level, up to `maxEscalations` levels capped at `gminMax`.
-  /// A rescue that converges reports the escalation count and the gmin it
-  /// needed; x is only updated by the converging attempt.
+  /// x100 per level, up to 3 levels capped at 1e-6 S.  A rescue that
+  /// converges reports the escalation count and the gmin it needed; x is
+  /// only updated by the converging attempt.
   NewtonStats solveWithEscalation(std::vector<double>& x, bool dc,
                                   double time, double dt,
-                                  IntegrationMethod method,
-                                  int maxEscalations, double gminMax);
+                                  IntegrationMethod method);
 
   /// DC solve with gmin stepping fallback: tries a direct solve, then a
   /// sequence of decreasing gmin values.  Throws NumericalError when even
@@ -93,7 +83,6 @@ class NewtonSolver {
                             double dt, IntegrationMethod method, double gmin);
 
   Netlist& netlist_;  ///< frozen on construction, before assembler_
-  NewtonOptions options_;
   Assembler assembler_;               ///< compiled stamp pipeline
   std::unique_ptr<HierEngine> hier_;  ///< BBD/Schur solve (optional)
   // Reused across iterations/escalation levels: the Newton update and the

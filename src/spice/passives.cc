@@ -1,6 +1,9 @@
 #include "spice/passives.h"
 
+#include <cmath>
+
 #include "common/error.h"
+#include "common/units.h"
 
 namespace fefet::spice {
 
@@ -89,6 +92,53 @@ void TimedSwitch::stamp(const EvalContext& ctx) {
   ctx.addJacobian(ra, rb, -g);
   ctx.addJacobian(rb, ra, -g);
   ctx.addJacobian(rb, rb, g);
+}
+
+Diode::Diode(std::string name, NodeId anode, NodeId cathode, Params params)
+    : Device(std::move(name)), anode_(anode), cathode_(cathode),
+      params_(params) {
+  FEFET_REQUIRE(params_.saturationCurrent > 0.0,
+                "diode saturation current must be positive");
+  FEFET_REQUIRE(params_.idealityFactor >= 1.0, "ideality factor >= 1");
+}
+
+double Diode::currentAt(double v) const {
+  const double vt = constants::kBoltzmann * params_.temperature /
+                    constants::kElementaryCharge * params_.idealityFactor;
+  // Exponential with linear continuation above vMax to keep Newton stable.
+  const double vMax = 40.0 * vt;
+  if (v <= vMax) {
+    return params_.saturationCurrent * (std::exp(v / vt) - 1.0);
+  }
+  const double iMax = params_.saturationCurrent * (std::exp(vMax / vt) - 1.0);
+  const double gMax = params_.saturationCurrent * std::exp(vMax / vt) / vt;
+  return iMax + gMax * (v - vMax);
+}
+
+void Diode::stamp(const EvalContext& ctx) {
+  const double va = ctx.view.nodeVoltage(anode_);
+  const double vb = ctx.view.nodeVoltage(cathode_);
+  const double v = va - vb;
+  const double vt = constants::kBoltzmann * params_.temperature /
+                    constants::kElementaryCharge * params_.idealityFactor;
+  const double i = currentAt(v);
+  const double vMax = 40.0 * vt;
+  const double g = (v <= vMax)
+                       ? params_.saturationCurrent * std::exp(v / vt) / vt
+                       : params_.saturationCurrent * std::exp(vMax / vt) / vt;
+  const int ra = Stamper::rowOfNode(anode_);
+  const int rb = Stamper::rowOfNode(cathode_);
+  ctx.addResidual(ra, i);
+  ctx.addResidual(rb, -i);
+  ctx.addJacobian(ra, ra, g);
+  ctx.addJacobian(ra, rb, -g);
+  ctx.addJacobian(rb, ra, -g);
+  ctx.addJacobian(rb, rb, g);
+}
+
+double Diode::state(int k, const SystemView& view) const {
+  const double v = view.nodeVoltage(anode_) - view.nodeVoltage(cathode_);
+  return k == 0 ? currentAt(v) : v;
 }
 
 }  // namespace fefet::spice

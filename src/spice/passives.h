@@ -1,4 +1,4 @@
-// passives.h — linear resistor and capacitor.
+// passives.h — resistor, capacitor, timed switch and junction diode.
 #pragma once
 
 #include <functional>
@@ -13,7 +13,6 @@ class Resistor final : public Device {
   Resistor(std::string name, NodeId a, NodeId b, double resistance);
 
   void stamp(const EvalContext& ctx) override;
-  double resistance() const { return resistance_; }
   double current(const SystemView& view) const;
 
  private:
@@ -65,6 +64,33 @@ class TimedSwitch final : public Device {
   NodeId a_, b_;
   Control control_;
   double ron_, roff_;
+};
+
+/// Junction diode: i = Is (exp(v/(n Vt)) - 1), with a series conductance
+/// limit to keep Newton iterations bounded.
+class Diode final : public Device {
+ public:
+  struct Params {
+    double saturationCurrent = 1e-14;  ///< Is [A]
+    double idealityFactor = 1.0;       ///< n
+    double temperature = 300.0;        ///< [K]
+  };
+
+  Diode(std::string name, NodeId anode, NodeId cathode, Params params);
+  Diode(std::string name, NodeId anode, NodeId cathode)
+      : Diode(std::move(name), anode, cathode, Params{}) {}
+
+  void stamp(const EvalContext& ctx) override;
+  static constexpr std::string_view kStateNames[] = {"i", "v"};
+  StateNames stateNames() const override { return kStateNames; }
+  double state(int k, const SystemView& view) const override;
+
+  /// Diode current at a given junction voltage.
+  double currentAt(double v) const;
+
+ private:
+  NodeId anode_, cathode_;
+  Params params_;
 };
 
 }  // namespace fefet::spice

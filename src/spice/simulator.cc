@@ -14,6 +14,17 @@ namespace fefet::spice {
 
 namespace {
 
+// Step schedule: the first step is backward Euler from kDtInitial (capped
+// at dtMax), the rest trapezoidal.  dt grows x kGrowthFactor after a step
+// that took <= kEasyIterations Newton iterations and is cut x kDtCutFactor
+// on non-convergence; below kDtMin the step gets one gmin-escalated retry
+// (NewtonSolver::solveWithEscalation) before the run aborts.
+constexpr double kDtInitial = 1e-12;  ///< [s]
+constexpr double kDtMin = 1e-17;      ///< [s]
+constexpr double kGrowthFactor = 1.4;
+constexpr int kEasyIterations = 8;
+constexpr double kDtCutFactor = 0.5;
+
 /// Transient retry-history telemetry under fefet.transient.*.  Flushed
 /// once per run — on clean completion AND on throw exits — so dt cuts and
 /// gmin escalations from successful runs land in the registry too, not
@@ -103,13 +114,11 @@ Simulator::ResolvedProbe Simulator::resolve(const Probe& probe) const {
 TransientResult Simulator::runTransient(const TransientOptions& options,
                                         const std::vector<Probe>& probes) {
   FEFET_REQUIRE(options.duration > 0.0, "transient duration must be positive");
-  FEFET_REQUIRE(options.dtCutFactor > 0.0 && options.dtCutFactor < 1.0,
-                "dtCutFactor must be in (0, 1)");
   if (!stateValid_) initializeUic();
 
   const double dtMax =
       options.dtMax > 0.0 ? options.dtMax : options.duration / 50.0;
-  double dt = std::min(options.dtInitial, dtMax);
+  double dt = std::min(kDtInitial, dtMax);
 
   // Resolve every probe before the first step, so a bad name fails the
   // run without advancing the state.
@@ -154,7 +163,7 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
   double lastResidual = 0.0;
   result.stats.smallestDt = dt;
 
-  // Retry-history snapshot for budget/underflow aborts.
+  // Retry-history snapshot for underflow aborts.
   const auto diagnose = [&] {
     SolverDiagnostics diag;
     diag.time = t;
@@ -167,23 +176,15 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
     return diag;
   };
 
-  long solves = 0;
   bool firstStep = true;
   while (t < options.duration * (1.0 - 1e-12)) {
-    if (options.maxSteps > 0 && solves >= options.maxSteps) {
-      std::ostringstream os;
-      os << "transient exceeded its step budget of " << options.maxSteps
-         << " solves at t=" << t << " s";
-      throw NumericalError(os.str(), diagnose());
-    }
-
     dt = std::min(dt, options.duration - t);
     // Honor device step-size hints (e.g. fast polarization switching).
     {
       SystemView view(x_, nodes);
       for (const auto& device : netlist_.devices()) {
         const double hint = device->maxStepHint(view);
-        if (hint > 0.0) dt = std::min(dt, std::max(hint, options.dtMin * 10));
+        if (hint > 0.0) dt = std::min(dt, std::max(hint, kDtMin * 10));
       }
     }
     // Underflow guard: a step so small it cannot advance t is an infinite
@@ -195,19 +196,19 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       throw NumericalError(os.str(), diagnose());
     }
     result.stats.smallestDt = std::min(result.stats.smallestDt, dt);
-    const IntegrationMethod method =
-        firstStep ? IntegrationMethod::kBackwardEuler : options.method;
+    const IntegrationMethod method = firstStep
+                                         ? IntegrationMethod::kBackwardEuler
+                                         : IntegrationMethod::kTrapezoidal;
 
     trial_ = x_;
-    ++solves;
     NewtonStats stats =
         newton_.solve(trial_, /*dc=*/false, t + dt, dt, method);
     result.stats.newtonIterations += stats.iterations;
     lastResidual = stats.finalResidualNorm;
     if (!stats.converged) {
       ++result.stats.rejectedSteps;
-      const double cut = dt * options.dtCutFactor;
-      if (cut >= options.dtMin) {
+      const double cut = dt * kDtCutFactor;
+      if (cut >= kDtMin) {
         ++result.stats.dtCuts;
         if (obs::FlightRecorder::enabled()) {
           obs::FlightRecorder::record(
@@ -218,16 +219,12 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
         continue;
       }
       // dt exhausted: last-resort gmin escalation at the floor step.
-      if (options.maxGminEscalations > 0) {
-        trial_ = x_;
-        ++solves;
-        stats = newton_.solveWithEscalation(
-            trial_, /*dc=*/false, t + dt, dt, method,
-            options.maxGminEscalations, options.gminMax);
-        result.stats.newtonIterations += stats.iterations;
-        result.stats.gminEscalations += stats.gminEscalations;
-        lastResidual = stats.finalResidualNorm;
-      }
+      trial_ = x_;
+      stats = newton_.solveWithEscalation(trial_, /*dc=*/false, t + dt, dt,
+                                          method);
+      result.stats.newtonIterations += stats.iterations;
+      result.stats.gminEscalations += stats.gminEscalations;
+      lastResidual = stats.finalResidualNorm;
       if (!stats.converged) {
         std::ostringstream os;
         os << "transient step underflow at t=" << t
@@ -248,8 +245,8 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       }
     }
     record(t);
-    if (stats.iterations <= options.easyIterations) {
-      dt = std::min(dt * options.growthFactor, dtMax);
+    if (stats.iterations <= kEasyIterations) {
+      dt = std::min(dt * kGrowthFactor, dtMax);
     }
   }
   telemetryFlush.ok = true;

@@ -14,27 +14,12 @@
 
 namespace fefet::spice {
 
+/// The step schedule (first step, growth, backoff, the dt floor and its
+/// gmin rescue) is fixed in simulator.cc; a run chooses only its length
+/// and largest step.
 struct TransientOptions {
-  double duration = 0.0;        ///< [s] (required)
-  double dtInitial = 1e-12;     ///< first step
-  double dtMin = 1e-17;         ///< below this the run aborts
-  double dtMax = 0.0;           ///< 0 = duration / 50
-  IntegrationMethod method = IntegrationMethod::kTrapezoidal;
-  /// Grow dt by this factor after an easy step (few Newton iterations).
-  double growthFactor = 1.4;
-  /// Newton iteration count considered "easy" (eligible for growth).
-  int easyIterations = 8;
-  /// Backoff: dt is multiplied by this on every rejected step (exponential
-  /// schedule; must be in (0, 1)).
-  double dtCutFactor = 0.5;
-  /// Last-resort rescue once dt has been cut to dtMin: retry the step with
-  /// gmin raised x100 per level, up to this many levels (0 disables).
-  int maxGminEscalations = 3;
-  double gminMax = 1e-6;  ///< [S] escalation ceiling
-  /// Hard step budget: accepted + rejected Newton solves.  Exceeding it
-  /// aborts the run with a NumericalError carrying the retry history.
-  /// 0 means unlimited.
-  long maxSteps = 0;
+  double duration = 0.0;  ///< [s] (required)
+  double dtMax = 0.0;     ///< 0 = duration / 50
 };
 
 struct TransientStats {

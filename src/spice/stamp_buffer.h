@@ -14,8 +14,8 @@
 //  * residual rows are offset-indexed the same way (row -1 -> index 0).
 //
 // The contract this relies on: a device's call sequence is a pure function
-// of (dc, method) for a frozen netlist — values change per iterate,
-// positions never do.  The Assembler checks the consumed slot count after
+// of the DC/transient mode for a frozen netlist — values change per
+// iterate, positions never do.  The Assembler checks the consumed slot count after
 // every device, so a device that violates the contract is named in the
 // error instead of silently corrupting the matrix.
 #pragma once

@@ -45,12 +45,9 @@ StampPattern::StampPattern(
   for (int m = 0; m < kStampModeCount; ++m) {
     const StampMode mode = static_cast<StampMode>(m);
     const bool dc = mode == StampMode::kDc;
-    const IntegrationMethod method = mode == StampMode::kTransientTrap
-                                         ? IntegrationMethod::kTrapezoidal
-                                         : IntegrationMethod::kBackwardEuler;
     RecordingStamper recorder(calls_[m]);
     EvalContext ctx{view,          dc,      /*time=*/0.0,
-                    dc ? 0.0 : kRecordDt,   method,
+                    dc ? 0.0 : kRecordDt,   IntegrationMethod::kTrapezoidal,
                     /*gmin=*/0.0,  nullptr, &recorder};
     deviceEnds_[m].reserve(devices.size());
     for (const auto& device : devices) {

@@ -7,12 +7,13 @@
 // slot index so the per-iteration hot path is a branch-free value scatter.
 //
 // Devices may stamp different entry sets in DC vs transient (capacitors
-// are open in DC, the FeCap terminal current only exists in transient,
-// the inductor's branch row changes with the companion form), so call
-// sequences are recorded per StampMode — but within one mode the sequence
-// must be a pure function of the frozen netlist.  Every device in this
-// repository satisfies that: guards depend only on construction-time
-// constants (gateLeak > 0, backgroundCap > 0) or on the mode itself.
+// are open in DC, the FeCap terminal current only exists in transient),
+// so call sequences are recorded per StampMode — but within one mode the
+// sequence must be a pure function of the frozen netlist.  Every device in
+// this repository satisfies that: guards depend only on construction-time
+// constants (gateLeak > 0, backgroundCap > 0) or on the mode itself.  The
+// integration method changes companion values, never call positions, so
+// backward-Euler and trapezoidal steps share the one transient mode.
 #pragma once
 
 #include <array>
@@ -24,17 +25,12 @@
 
 namespace fefet::spice {
 
-/// Assembly mode of one Newton evaluation.  BE and trapezoidal transient
-/// evaluations are distinct modes because the inductor stamps a different
-/// aux-row pattern per companion form.
-enum class StampMode : int { kDc = 0, kTransientBe = 1, kTransientTrap = 2 };
-inline constexpr int kStampModeCount = 3;
+/// Assembly mode of one Newton evaluation.
+enum class StampMode : int { kDc = 0, kTransient = 1 };
+inline constexpr int kStampModeCount = 2;
 
-inline StampMode stampModeFor(bool dc, IntegrationMethod method) {
-  if (dc) return StampMode::kDc;
-  return method == IntegrationMethod::kBackwardEuler
-             ? StampMode::kTransientBe
-             : StampMode::kTransientTrap;
+inline StampMode stampModeFor(bool dc) {
+  return dc ? StampMode::kDc : StampMode::kTransient;
 }
 
 /// Recorded stamp structure of a frozen netlist: per-mode Jacobian call

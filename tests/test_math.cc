@@ -75,12 +75,6 @@ TEST(Math, SoftplusLogisticPairMatchesScalar) {
   EXPECT_EQ(mismatches, 0) << "of " << xs.size() << " arguments";
 }
 
-TEST(Polyval, AscendingCoefficients) {
-  const double c[] = {1.0, 2.0, 3.0};  // 1 + 2x + 3x^2
-  EXPECT_DOUBLE_EQ(polyval(c, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(polyval(c, 2.0), 17.0);
-}
-
 TEST(Bisect, FindsRootOfCubic) {
   const auto f = [](double x) { return x * x * x - 2.0; };
   EXPECT_NEAR(bisect(f, 0.0, 2.0), std::cbrt(2.0), 1e-10);
@@ -136,15 +130,6 @@ TEST(Trapz, QuadraticConverges) {
   EXPECT_NEAR(trapz(x, y), 1.0 / 3.0, 1e-6);
 }
 
-TEST(Cumtrapz, LastEqualsTrapz) {
-  const std::vector<double> x = {0.0, 1.0, 2.0, 3.5};
-  const std::vector<double> y = {1.0, 3.0, 2.0, 0.5};
-  const auto c = cumtrapz(x, y);
-  ASSERT_EQ(c.size(), x.size());
-  EXPECT_DOUBLE_EQ(c.front(), 0.0);
-  EXPECT_NEAR(c.back(), trapz(x, y), 1e-14);
-}
-
 TEST(Interp1, InterpolatesAndClamps) {
   const std::vector<double> x = {0.0, 1.0, 2.0};
   const std::vector<double> y = {0.0, 10.0, 0.0};
@@ -186,21 +171,26 @@ TEST(HasCrossing, DetectsBothDirections) {
   EXPECT_FALSE(hasCrossing(up, 2.0));
 }
 
+/// y(t1) from y0 after `steps` fixed rk4Step steps over [0, t1].
+double rk4Endpoint(const std::function<double(double, double)>& f,
+                    double t1, double y0, int steps) {
+  const double dt = t1 / steps;
+  double y = y0;
+  for (int i = 0; i < steps; ++i) y = rk4Step(f, i * dt, y, dt);
+  return y;
+}
+
 TEST(Rk4, ExponentialDecayAccurate) {
   // dy/dt = -y, y(0) = 1 -> y(1) = e^-1.
   const auto f = [](double, double y) { return -y; };
-  const auto tr = integrateRk4(f, 0.0, 1.0, 1.0, 100);
-  EXPECT_NEAR(tr.y.back(), std::exp(-1.0), 1e-9);
-  EXPECT_EQ(tr.t.size(), 101u);
+  EXPECT_NEAR(rk4Endpoint(f, 1.0, 1.0, 100), std::exp(-1.0), 1e-9);
 }
 
 TEST(Rk4, FourthOrderConvergence) {
   const auto f = [](double t, double y) { return t * y; };
   const double exact = std::exp(0.5);  // y' = t y, y(0)=1 -> e^{t^2/2}
-  const double e1 =
-      std::abs(integrateRk4(f, 0.0, 1.0, 1.0, 10).y.back() - exact);
-  const double e2 =
-      std::abs(integrateRk4(f, 0.0, 1.0, 1.0, 20).y.back() - exact);
+  const double e1 = std::abs(rk4Endpoint(f, 1.0, 1.0, 10) - exact);
+  const double e2 = std::abs(rk4Endpoint(f, 1.0, 1.0, 20) - exact);
   EXPECT_GT(e1 / e2, 12.0);  // ~16x for 4th order
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "spice/assembler.h"
-#include "spice/extras.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
 #include "spice/passives.h"
@@ -146,9 +145,8 @@ TEST(Transient, AdaptiveStepGrowsAfterTheEdge) {
   sim.initializeUic();
   TransientOptions options;
   options.duration = 100e-9;
-  options.dtInitial = 1e-13;
   const auto r = sim.runTransient(options, {Probe::v("out")});
-  // 100 ns at the initial 0.1 ps step would be 1e6 steps; growth must cut
+  // 100 ns at the initial 1 ps step would be 1e5 steps; growth must cut
   // that by orders of magnitude.
   EXPECT_LT(r.stats.steps, 5000);
   EXPECT_NEAR(r.waveform.finalValue("v(out)"), 1.0, 0.01);
@@ -170,37 +168,8 @@ TEST(Transient, StatsSurfaceTheRetryHistory) {
   EXPECT_GT(r.stats.steps, 0);
   EXPECT_GT(r.stats.newtonIterations, 0);
   EXPECT_GT(r.stats.smallestDt, 0.0);
-  EXPECT_LE(r.stats.smallestDt, options.dtInitial);
+  EXPECT_LE(r.stats.smallestDt, 1e-12);  // the first step
   EXPECT_EQ(r.stats.gminEscalations, 0);
-}
-
-TEST(Transient, StepBudgetAbortsWithDiagnostics) {
-  // A pathological budget: the run must terminate within it and the
-  // NumericalError must carry the retry history, not just a message.
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(),
-                       pulse(0.0, 1.0, 0.0, 1e-12, 1.0, 1e-12));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 10.0);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1.0;  // absurd: ~1e11 steps at dtMax
-  options.maxSteps = 50;
-  try {
-    sim.runTransient(options, {Probe::v("out")});
-    FAIL() << "expected NumericalError";
-  } catch (const NumericalError& e) {
-    ASSERT_TRUE(e.hasDiagnostics());
-    const auto& d = e.diagnostics();
-    EXPECT_GE(d.steps, 1);
-    EXPECT_LE(d.steps, 50);
-    EXPECT_GT(d.newtonIterations, 0);
-    EXPECT_GT(d.smallestDt, 0.0);
-    EXPECT_GE(d.time, 0.0);
-    // The rendered what() embeds the same history.
-    EXPECT_NE(std::string(e.what()).find("dt"), std::string::npos);
-  }
 }
 
 TEST(Transient, UnderflowNamesTheTimePoint) {
@@ -226,22 +195,6 @@ TEST(Transient, UnderflowNamesTheTimePoint) {
     EXPECT_NE(what.find("underflow"), std::string::npos) << what;
     EXPECT_NE(what.find("smallest dt"), std::string::npos) << what;
   }
-}
-
-TEST(Transient, RejectsBadBackoffFactor) {
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("a"), n.ground(), dc(1.0));
-  n.add<Resistor>("R", n.node("a"), n.ground(), 1e3);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 1e-9;
-  options.dtCutFactor = 1.0;
-  EXPECT_THROW(sim.runTransient(options, {Probe::v("a")}),
-               InvalidArgumentError);
-  options.dtCutFactor = 0.0;
-  EXPECT_THROW(sim.runTransient(options, {Probe::v("a")}),
-               InvalidArgumentError);
 }
 
 TEST(Mna, AddGminFeedsTheRowScale) {

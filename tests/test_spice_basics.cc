@@ -95,23 +95,6 @@ TEST(Transient, RcChargingMatchesAnalytic) {
   }
 }
 
-TEST(Transient, RcBackwardEulerAlsoConverges) {
-  Netlist n;
-  n.add<VoltageSource>("V1", n.node("in"), n.ground(),
-                       pulse(0.0, 1.0, 0.0, 1e-12, 1.0, 1e-12));
-  n.add<Resistor>("R", n.node("in"), n.node("out"), 1000.0);
-  n.add<Capacitor>("C", n.node("out"), n.ground(), 1e-12);
-  Simulator sim(n);
-  sim.initializeUic();
-  TransientOptions options;
-  options.duration = 3e-9;
-  options.dtMax = 5e-12;
-  options.method = IntegrationMethod::kBackwardEuler;
-  const auto result = sim.runTransient(options, {Probe::v("out")});
-  EXPECT_NEAR(result.waveform.valueAt("v(out)", 1e-9), 1.0 - std::exp(-1.0),
-              0.02);
-}
-
 TEST(Transient, EnergyConservationInRc) {
   // Charge C through R to V: source delivers C V^2; half stored, half
   // dissipated.  Check the source-side accounting.

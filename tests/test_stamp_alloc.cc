@@ -20,7 +20,6 @@
 
 #include "core/array_netlist.h"
 #include "obs/metrics.h"
-#include "spice/extras.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"

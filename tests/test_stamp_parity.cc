@@ -5,10 +5,10 @@
 // Two layers of evidence:
 //   1. Matrix-level parity: a zoo netlist containing every device type is
 //      assembled by the Assembler and the oracle at randomized Newton
-//      iterates, in all three stamp modes (DC, transient BE, transient
-//      trapezoid), against dense and sparse oracle storage — every Jacobian
-//      entry, residual and row-scale value compared with exact (==)
-//      equality.
+//      iterates, in DC and in transient with both integration methods (BE
+//      and trapezoid share the one transient stamp mode), against dense
+//      and sparse oracle storage — every Jacobian entry, residual and
+//      row-scale value compared with exact (==) equality.
 //   2. Frozen goldens: a full 2T-cell write -> hold -> read, a 200-stage RC
 //      ladder transient (LU structure reuse) and the diode-string DC
 //      start.  Their values were captured from the last tree that still
@@ -28,13 +28,13 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cell2t.h"
 #include "mna_oracle.h"
 #include "obs/metrics.h"
 #include "spice/assembler.h"
-#include "spice/extras.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
@@ -71,11 +71,8 @@ void buildZoo(Netlist& n, const std::string& tag = "") {
                      [](double t) { return t < 0.5e-9 ? 1.0 : 0.0; });
   n.add<CurrentSource>(id("I1"), n.ground(), node("out"), dc(1e-6));
   n.add<Diode>(id("D1"), node("out"), n.ground());
-  n.add<Inductor>(id("L1"), node("out"), node("tail"), 1e-9);
-  n.add<Resistor>(id("R2"), node("tail"), n.ground(), 5e3);
-  n.add<Vcvs>(id("E1"), node("e"), n.ground(), node("mid"), n.ground(), 2.0);
-  n.add<Vccs>(id("G1"), n.ground(), node("out"), node("e"), n.ground(), 1e-3);
-  n.add<Resistor>(id("Rg"), node("e"), node("gate"), 1e3);
+  n.add<Resistor>(id("R2"), node("out"), n.ground(), 5e3);
+  n.add<Resistor>(id("Rg"), node("mid"), node("gate"), 1e3);
   n.add<Resistor>(id("Rd"), node("in"), node("drn"), 1e4);
   n.add<MosfetDevice>(id("M1"), node("drn"), node("gate"), n.ground(),
                       xtor::nmos45(), 65e-9);
@@ -105,9 +102,9 @@ const Mode kModes[] = {
 // compiled CSR pattern is a superset of the oracle's (the oracle drops
 // exact-zero contributions), so compiled-only entries must carry 0.0 and
 // oracle entries must all exist in the pattern.  The zoo includes the
-// batched types (R, C, V, I, diode, MOSFET, FeCap) and the generic-
-// fallback types (switch, inductor, VCVS, VCCS), so both dispatch paths
-// of DeviceBatches::stampAll and their interleaving run.  With
+// batched types (R, C, V, I, MOSFET, FeCap) and the generic-fallback
+// types (switch, diode), so both dispatch paths of
+// DeviceBatches::stampAll and their interleaving run.  With
 // `zooCopies` > 1 every SoA batch holds several devices whose netlist
 // positions interleave with the other batches and the fallback devices,
 // so the type-major kernels must scatter each one back to its own slots.
@@ -211,6 +208,61 @@ TEST(StampParity, BatchedKernelsMatchDenseOracleAtRandomIterates) {
 
 TEST(StampParity, BatchedKernelsMatchSparseOracleAtRandomIterates) {
   expectParityAtIterates(/*sparse=*/true, /*zooCopies=*/3);
+}
+
+/// Stamper that records Jacobian call positions and discards values.
+class CallRecorder final : public Stamper {
+ public:
+  void addResidual(int, double) override {}
+  void addJacobian(int row, int col, double) override {
+    calls.emplace_back(row, col);
+  }
+  std::vector<std::pair<int, int>> calls;
+};
+
+// BE and trapezoidal steps replay one transient slot program, so every
+// device kind must emit the same Jacobian call sequence under both
+// integration methods — at any iterate, and equal to what the pattern
+// recorded for the transient mode.
+TEST(StampPattern, TransientCallSequenceIsIndependentOfIntegrationMethod) {
+  Netlist n;
+  buildZoo(n);
+  const int unknowns = n.freeze();
+  const StampPattern& pattern = n.stampPattern();
+  const auto& recorded = pattern.jacobianCalls(StampMode::kTransient);
+  const auto& ends = pattern.deviceJacobianEnds(StampMode::kTransient);
+
+  std::mt19937_64 rng(20261018u);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> x(static_cast<std::size_t>(unknowns), 0.0);
+  for (const auto& device : n.devices()) device->seedUnknowns(x);
+  for (int iterate = 0; iterate < 4; ++iterate) {
+    if (iterate > 0) {
+      for (auto& xi : x) xi += 0.25 * dist(rng);
+    }
+    const SystemView view(x, n.nodeCount());
+    for (std::size_t d = 0; d < n.devices().size(); ++d) {
+      Device& device = *n.devices()[d];
+      SCOPED_TRACE(device.name() + " iterate=" + std::to_string(iterate));
+      CallRecorder be;
+      CallRecorder trap;
+      const EvalContext beCtx{view,    false, 0.3e-9, 1e-12,
+                              IntegrationMethod::kBackwardEuler,
+                              0.0,     nullptr, &be};
+      const EvalContext trapCtx{view,    false, 0.3e-9, 1e-12,
+                                IntegrationMethod::kTrapezoidal,
+                                0.0,     nullptr, &trap};
+      device.stamp(beCtx);
+      device.stamp(trapCtx);
+      EXPECT_EQ(be.calls, trap.calls);
+      const std::size_t begin = d > 0 ? ends[d - 1] : 0;
+      ASSERT_EQ(ends[d] - begin, trap.calls.size());
+      for (std::size_t k = 0; k < trap.calls.size(); ++k) {
+        EXPECT_EQ(recorded[begin + k].row, trap.calls[k].first);
+        EXPECT_EQ(recorded[begin + k].col, trap.calls[k].second);
+      }
+    }
+  }
 }
 
 // FNV-1a over the IEEE bit patterns of every sample, sample-major (time,
