@@ -13,41 +13,48 @@
 #include "core/design_space.h"
 #include "core/fefet.h"
 #include "core/materials.h"
-#include "ferro/load_line.h"
-#include "xtor/mosfet_model.h"
 
 using namespace fefet;
+
+namespace {
+
+/// The quasi-static curve of the design device at T_FE = t.
+core::QuasiStaticCurve curveAt(const core::FefetParams& params, double t) {
+  core::FefetParams p = params;
+  p.feThickness = t;
+  return core::QuasiStaticCurve(p);
+}
+
+}  // namespace
 
 int main() {
   core::FefetParams params;
   params.lk = core::fefetMaterial();
-  const ferro::LandauKhalatnikov lk(params.lk);
-  auto mosModel =
-      std::make_shared<xtor::MosfetModel>(params.mos, params.width);
-  const ferro::MosChargeVoltage mosCurve = [mosModel](double q) {
-    return mosModel->gateVoltageForCharge(q);
-  };
 
+  // The load line is the quasi-static curve in charge coordinates: at
+  // V_G = 0 the FE branch -T_FE*E_s(Q) meets the MOS branch psi(Q) at each
+  // equilibrium, and Q = Q_G(psi) is monotone in psi.
   bench::banner("Fig. 4(a): load line at V_G = 0 (intersection count)");
   std::cout << "thickness_nm,equilibria,bistable\n";
   for (double t : {1.0e-9, 1.5e-9, 1.9e-9, 2.25e-9, 2.5e-9}) {
-    const auto result = ferro::analyzeLoadLine(lk, t, mosCurve, 0.0);
-    std::printf("%.2f,%zu,%s\n", t * 1e9, result.equilibria.size(),
-                result.bistable() ? "yes" : "no");
+    const std::size_t n = curveAt(params, t).equilibria(0.0).size();
+    std::printf("%.2f,%zu,%s\n", t * 1e9, n, n >= 3 ? "yes" : "no");
   }
 
   std::cout << "\ncharge-voltage branches at T_FE = 2.25 nm "
                "(Q, V_MOS, V_G - V_FE):\n";
-  const auto ll = ferro::analyzeLoadLine(lk, 2.25e-9, mosCurve, 0.0);
+  const auto curve = curveAt(params, 2.25e-9);
   std::cout << "q_C_per_m2,mos_branch_V,fe_branch_V\n";
-  const std::size_t stride = ll.chargeGrid.size() / 40 + 1;
-  for (std::size_t i = 0; i < ll.chargeGrid.size(); i += stride) {
-    std::printf("%.4f,%.4f,%.4f\n", ll.chargeGrid[i], ll.mosBranch[i],
-                ll.feBranch[i]);
+  for (int i = 0; i <= 40; ++i) {
+    const double psi = -4.0 + 0.2 * i;
+    std::printf("%.4f,%.4f,%.4f\n", curve.chargeDensity(psi), psi,
+                psi - curve.gateVoltage(psi));
   }
+  const auto equilibria = curve.equilibria(0.0);
   std::cout << "equilibrium charges:";
-  for (const auto& eq : ll.equilibria) {
-    std::printf(" %.4f(%s)", eq.charge, eq.stable ? "stable" : "unstable");
+  for (const auto& eq : equilibria) {
+    std::printf(" %.4f(%s)", curve.chargeDensity(eq.internalVoltage),
+                eq.stable ? "stable" : "unstable");
   }
   std::cout << "\n";
 
@@ -63,12 +70,10 @@ int main() {
 
   bench::Comparison cmp;
   cmp.add("intersections @ 1 nm (monostable)", 1.0,
-          static_cast<double>(
-              ferro::analyzeLoadLine(lk, 1e-9, mosCurve, 0.0)
-                  .equilibria.size()),
+          static_cast<double>(curveAt(params, 1e-9).equilibria(0.0).size()),
           "count");
   cmp.add("intersections @ 2.25 nm (bistable, >= 3)", 3.0,
-          static_cast<double>(ll.equilibria.size()), "count");
+          static_cast<double>(equilibria.size()), "count");
   cmp.add("standalone cap V_c @ 2.5 nm (paper: outside +/-2 V)", 3.11,
           points.back().standaloneCoerciveVoltage, "V");
   cmp.add("FEFET loop upper edge @ 2.5 nm (inside +/-1 V)", 1.0,

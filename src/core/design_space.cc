@@ -16,7 +16,8 @@ DesignPoint characterizeThickness(const FefetParams& base, double thickness,
   DesignPoint dp;
   dp.feThickness = thickness;
   dp.standaloneCoerciveVoltage = lk.coerciveField() * thickness;
-  const auto window = analyzeHysteresis(p);
+  const QuasiStaticCurve curve(p);
+  const HysteresisWindow& window = curve.window();
   dp.hysteretic = window.hysteretic;
   dp.nonvolatile = window.nonvolatile;
   if (window.hysteretic) {
@@ -25,7 +26,7 @@ DesignPoint characterizeThickness(const FefetParams& base, double thickness,
     dp.windowWidth = window.width();
   }
   if (window.nonvolatile) {
-    dp.onOffRatio = distinguishability(p, vread);
+    dp.onOffRatio = curve.distinguishability(vread);
   }
   return dp;
 }

@@ -11,6 +11,7 @@
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
+#include "xtor/mosfet_model.h"
 #include "xtor/technology.h"
 
 namespace fefet::core {
@@ -71,19 +72,6 @@ struct HysteresisWindow {
 /// V_G(psi) = psi + T_FE * E_s(Q_G(psi)).
 double gateVoltageOfInternal(const FefetParams& params, double psi);
 
-// The quasi-static analyses below all scan V_G(psi) on one grid: 16,000
-// uniform intervals of psi in [-4, 4] V (fefet.cc).
-
-/// Scan V_G(psi) for folds and classify the memory window.  The inversion
-/// branch window is the fold pair with the largest psi values (the pair
-/// between the OFF state and the inversion ON state); accumulation-side
-/// folds are reported but not used for the window.
-HysteresisWindow analyzeHysteresis(const FefetParams& params);
-
-/// Stable internal-node solutions at a given external V_G (quasi-static).
-std::vector<double> stableInternalVoltages(const FefetParams& params,
-                                           double gateVoltage);
-
 /// The equilibria of a bistable device at V_G = 0: OFF (the stable psi
 /// nearest 0), ON (the largest stable psi) and the saddle between them,
 /// whose polarization is the basin boundary that classifies a stored bit.
@@ -92,9 +80,71 @@ struct BistableStates {
   double pOff = 0.0, pOn = 0.0, pSaddle = 0.0;        ///< polarization [C/m^2]
 };
 
-/// One scan of V_G(psi) on the same grid as stableInternalVoltages; psiOff
-/// and psiOn equal what its result yields.  Throws InvalidArgumentError when
-/// the device has no saddle between two stable states at V_G = 0.
+/// One quasi-static equilibrium: a root of V_G(psi) = V_G.
+struct Equilibrium {
+  double internalVoltage = 0.0;  ///< psi [V]
+  bool stable = false;           ///< dV_G/dpsi > 0 (on a rising branch)
+};
+
+/// The quasi-static V_G(psi) characteristic of one device over psi in
+/// [-4, 4] V, built once per FefetParams.  Construction samples the
+/// analytic slope dV_G/dpsi = 1 + T_FE * E_s'(Q) * C_MOS(psi) on a coarse
+/// grid and Brent-solves each sign change to an exact fold; between folds
+/// V_G is monotone, so the equilibria at any V_G cost one Brent solve per
+/// branch whose V_G range brackets it.  Every quasi-static analysis below
+/// runs on this curve.
+class QuasiStaticCurve {
+ public:
+  explicit QuasiStaticCurve(const FefetParams& params);
+
+  /// V_G(psi), as gateVoltageOfInternal.
+  double gateVoltage(double psi) const;
+  /// Gate charge density Q_G(psi) = polarization [C/m^2]; monotone in psi.
+  double chargeDensity(double psi) const;
+
+  /// The folds and memory window.  The inversion-branch window is the fold
+  /// pair with the largest psi values (the pair between the OFF state and
+  /// the inversion ON state); accumulation-side folds are reported but not
+  /// used for the window.
+  const HysteresisWindow& window() const { return window_; }
+
+  /// Every equilibrium at the given V_G, ascending in psi.
+  std::vector<Equilibrium> equilibria(double gateVoltage) const;
+  /// The stable equilibria at the given V_G, ascending in psi.
+  std::vector<double> stableInternalVoltages(double gateVoltage) const;
+  /// OFF, ON and saddle at V_G = 0.  Throws InvalidArgumentError when the
+  /// device has no saddle between two stable states at V_G = 0.
+  BistableStates bistableStates() const;
+  /// ON/OFF current ratio at V_GS = 0 and drain bias vread.  Throws
+  /// InvalidArgumentError unless the window is nonvolatile.
+  double distinguishability(double vread) const;
+  /// Drain current at internal node voltage psi and drain bias vds.
+  double drainCurrent(double vds, double psi) const;
+
+ private:
+  /// psi interval between two folds (or a fold and a range end) on which
+  /// V_G is monotone.
+  struct Branch {
+    double psiLo, psiHi;  ///< [V]
+    double vgLo, vgHi;    ///< V_G at psiLo and psiHi [V]
+  };
+
+  xtor::MosfetModel mos_;
+  ferro::LandauKhalatnikov lk_;
+  double thickness_;  ///< T_FE [m]
+  HysteresisWindow window_;
+  std::vector<Branch> branches_;
+};
+
+/// QuasiStaticCurve(params).window().
+HysteresisWindow analyzeHysteresis(const FefetParams& params);
+
+/// Stable internal-node solutions at a given external V_G (quasi-static).
+std::vector<double> stableInternalVoltages(const FefetParams& params,
+                                           double gateVoltage);
+
+/// QuasiStaticCurve(params).bistableStates(); psiOff and psiOn equal what
+/// stableInternalVoltages(params, 0) yields.
 BistableStates bistableStates(const FefetParams& params);
 
 /// Drain current of the stored state: solves the quasi-static equilibrium
@@ -104,7 +154,8 @@ double stateCurrent(const FefetParams& params, double vgs, double vds,
                     double psiSeed);
 
 /// ON/OFF current ratio at V_GS = 0 with the given read drain bias —
-/// the paper's "distinguishability" (~1e6).
+/// the paper's "distinguishability" (~1e6).  Window and states come from
+/// one curve.
 double distinguishability(const FefetParams& params, double vread);
 
 /// Smallest T_FE for which the device is nonvolatile (window spans V_G=0).

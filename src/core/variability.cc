@@ -32,8 +32,8 @@ DeviceMonteCarlo runDeviceMonteCarlo(const FefetParams& nominal,
   mc.upSwitchMin = 1e9;
   mc.downSwitchMax = -1e9;
   for (int i = 0; i < samples; ++i) {
-    const auto device = perturbDevice(nominal, spec, rng);
-    const auto window = analyzeHysteresis(device);
+    const QuasiStaticCurve curve(perturbDevice(nominal, spec, rng));
+    const HysteresisWindow& window = curve.window();
     if (!window.nonvolatile) continue;
     ++mc.nonvolatileCount;
     widths.push_back(window.width());
@@ -42,7 +42,7 @@ DeviceMonteCarlo runDeviceMonteCarlo(const FefetParams& nominal,
     const bool writable = (vWrite > window.upSwitchVoltage) &&
                           (-vWrite < window.downSwitchVoltage);
     if (writable) ++mc.writableCount;
-    ratios.push_back(std::log10(distinguishability(device, vRead)));
+    ratios.push_back(std::log10(curve.distinguishability(vRead)));
   }
   if (!widths.empty()) {
     mc.windowWidthMean = stats::mean(widths);
@@ -191,11 +191,12 @@ std::vector<CornerResult> runCorners(const FefetParams& nominal,
     }
     CornerResult r;
     r.corner = corner;
-    const auto window = analyzeHysteresis(p);
+    const QuasiStaticCurve curve(p);
+    const HysteresisWindow& window = curve.window();
     r.nonvolatile = window.nonvolatile;
     r.upSwitchVoltage = window.upSwitchVoltage;
     r.downSwitchVoltage = window.downSwitchVoltage;
-    if (window.nonvolatile) r.onOffRatio = distinguishability(p, vRead);
+    if (window.nonvolatile) r.onOffRatio = curve.distinguishability(vRead);
     out.push_back(r);
   }
   return out;

@@ -1,11 +1,15 @@
 // Tests of the FEFET device-level behaviour (paper §2-§3, Figs. 2-4):
-// hysteresis windows vs T_FE, non-volatility onset, distinguishability and
-// transient state retention in the circuit solver.
+// hysteresis windows vs T_FE, non-volatility onset, distinguishability, the
+// Fig. 4(a) load line, the quasi-static curve against a dense-grid oracle
+// and a textbook memory-window oracle, and transient state retention in the
+// circuit solver.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 #include "common/math.h"
 #include "common/stats.h"
@@ -81,6 +85,13 @@ TEST(FefetWindows, NonvolatilityOnsetNearTwoNm) {
   const double t = minimumNonvolatileThickness(at(2.25e-9), 1.0e-9, 2.5e-9);
   EXPECT_GT(t, 1.9e-9);
   EXPECT_LT(t, 2.1e-9);
+}
+
+TEST(FefetWindows, NonvolatileThicknessBracketsValidated) {
+  EXPECT_THROW(minimumNonvolatileThickness(at(2.25e-9), 2.2e-9, 2.5e-9),
+               InvalidArgumentError);  // lower bracket already nonvolatile
+  EXPECT_THROW(minimumNonvolatileThickness(at(2.25e-9), 0.5e-9, 1.0e-9),
+               InvalidArgumentError);  // upper bracket not nonvolatile
 }
 
 TEST(FefetStates, TwoStableStatesAtZeroBias) {
@@ -162,6 +173,337 @@ TEST(FefetStates, GateVoltageOfInternalConsistent) {
   const double expected =
       psi + p.feThickness * lk.staticField(mos.gateChargeDensity(psi));
   EXPECT_DOUBLE_EQ(gateVoltageOfInternal(p, psi), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Paper Fig. 4(a), the load line: at V_G the FE branch V_G - T_FE*E_s(Q)
+// meets the MOS branch psi(Q) at each equilibrium of the quasi-static curve.
+
+TEST(LoadLine, ThinFilmMonostable) {
+  // T_FE = 1 nm has a single, stable intersection at V_G = 0.
+  const auto eqs = QuasiStaticCurve(at(1e-9)).equilibria(0.0);
+  ASSERT_EQ(eqs.size(), 1u);
+  EXPECT_TRUE(eqs.front().stable);
+}
+
+TEST(LoadLine, ThickFilmBistable) {
+  // T_FE = 2.25 nm: three intersections, the outer two stable.
+  const auto eqs = QuasiStaticCurve(at(2.25e-9)).equilibria(0.0);
+  ASSERT_EQ(eqs.size(), 3u);
+  EXPECT_TRUE(eqs[0].stable);
+  EXPECT_FALSE(eqs[1].stable);
+  EXPECT_TRUE(eqs[2].stable);
+}
+
+TEST(LoadLine, EquilibriaSatisfyKirchhoff) {
+  // Charge balance: the MOS and FE voltages at the shared charge add up to
+  // V_G, written out here from the two models.
+  const FefetParams p = at(2.25e-9);
+  const xtor::MosfetModel mos(p.mos, p.width);
+  const ferro::LandauKhalatnikov lk(p.lk);
+  const QuasiStaticCurve curve(p);
+  const double vg = 0.2;
+  const auto eqs = curve.equilibria(vg);
+  ASSERT_FALSE(eqs.empty());
+  for (const auto& eq : eqs) {
+    const double q = mos.gateChargeDensity(eq.internalVoltage);
+    EXPECT_EQ(curve.chargeDensity(eq.internalVoltage), q);
+    EXPECT_NEAR(eq.internalVoltage + p.feThickness * lk.staticField(q), vg,
+                1e-12);
+  }
+}
+
+TEST(LoadLine, CriticalThicknessNearTwoNm) {
+  // Three intersections at V_G = 0 appear at the nonvolatility onset: the
+  // intersection count and the fold classification agree on the threshold.
+  const auto bistableAt = [](double t) {
+    return QuasiStaticCurve(at(t)).equilibria(0.0).size() >= 3;
+  };
+  double lo = 1.0e-9, hi = 2.5e-9;
+  ASSERT_FALSE(bistableAt(lo));
+  ASSERT_TRUE(bistableAt(hi));
+  while (hi - lo > 1e-13) {
+    const double mid = 0.5 * (lo + hi);
+    (bistableAt(mid) ? hi : lo) = mid;
+  }
+  EXPECT_GT(hi, 1.8e-9);
+  EXPECT_LT(hi, 2.2e-9);
+  EXPECT_NEAR(hi, minimumNonvolatileThickness(at(2.25e-9), 1.0e-9, 2.5e-9),
+              1e-12);
+}
+
+// Property sweep: gate voltage shifts the equilibrium set monotonically
+// (the largest equilibrium charge grows with V_G).
+class LoadLineVsBias : public ::testing::TestWithParam<double> {};
+
+TEST_P(LoadLineVsBias, LargestChargeGrowsWithGateVoltage) {
+  const QuasiStaticCurve curve(at(2.25e-9));
+  const double vg = GetParam();
+  const auto lo = curve.equilibria(vg);
+  const auto hi = curve.equilibria(vg + 0.2);
+  ASSERT_FALSE(lo.empty());
+  ASSERT_FALSE(hi.empty());
+  EXPECT_GE(curve.chargeDensity(hi.back().internalVoltage),
+            curve.chargeDensity(lo.back().internalVoltage) - 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(GateBiases, LoadLineVsBias,
+                         ::testing::Values(-0.4, -0.2, 0.0, 0.2, 0.4, 0.6));
+
+// ---------------------------------------------------------------------------
+// Grid oracle: V_G(psi) sampled on 16,000 uniform intervals of [-4, 4] V.
+// Folds are the grid points where the sign of the sampled difference
+// changes; equilibria are Brent-polished grid brackets of V_G - target.
+
+struct GridScan {
+  static constexpr double kPsiMin = -4.0;
+  static constexpr double kPsiMax = 4.0;
+  static constexpr int kSamples = 16000;
+
+  explicit GridScan(const FefetParams& p)
+      : mos(p.mos, p.width), lk(p.lk), t(p.feThickness) {
+    for (int i = 0; i <= kSamples; ++i) vg.push_back(gateVoltage(psiAt(i)));
+    double prevSign = 0.0;
+    for (int i = 1; i <= kSamples; ++i) {
+      const double sign = math::sign(vg[i] - vg[i - 1]);
+      if (prevSign != 0.0 && sign != 0.0 && sign != prevSign) {
+        folds.push_back({psiAt(i - 1), vg[i - 1], prevSign > 0.0});
+      }
+      if (sign != 0.0) prevSign = sign;
+    }
+    // The window pair: the last minimum and the last maximum below it.
+    for (auto f = folds.rbegin(); f != folds.rend(); ++f) {
+      if (!down && !f->isMaximum) {
+        down = &*f;
+      } else if (down && f->isMaximum) {
+        up = &*f;
+        break;
+      }
+    }
+    nonvolatile = up && down && down->gateVoltage < 0.0 &&
+                  up->gateVoltage > 0.0;
+  }
+  static double psiAt(int i) {
+    return kPsiMin + (kPsiMax - kPsiMin) * i / kSamples;
+  }
+  double gateVoltage(double psi) const {
+    return psi + t * lk.staticField(mos.gateChargeDensity(psi));
+  }
+  /// Roots of V_G = 0, ascending, flagged stable on a rising grid bracket.
+  std::vector<std::pair<double, bool>> zeroBiasEquilibria() const {
+    std::vector<std::pair<double, bool>> out;
+    const auto f = [this](double psi) { return gateVoltage(psi); };
+    for (int i = 1; i <= kSamples; ++i) {
+      if (vg[i - 1] * vg[i] < 0.0) {
+        out.emplace_back(math::brent(f, psiAt(i - 1), psiAt(i)),
+                         vg[i] > vg[i - 1]);
+      }
+    }
+    return out;
+  }
+
+  xtor::MosfetModel mos;
+  ferro::LandauKhalatnikov lk;
+  double t;
+  std::vector<double> vg;
+  std::vector<Fold> folds;
+  const Fold* up = nullptr;
+  const Fold* down = nullptr;
+  bool nonvolatile = false;
+};
+
+/// Compares the curve's folds with the grid's: the same count, kind and
+/// classification; V_G at a fold within 1e-6 V (the grid's error at a fold
+/// is second order in its 0.5 mV spacing, and always on the inside of the
+/// turning point) and psi within one grid interval.  Returns the smallest
+/// psi distance between neighbouring folds.
+double expectFoldsMatchGrid(const QuasiStaticCurve& curve,
+                            const GridScan& grid) {
+  const HysteresisWindow& w = curve.window();
+  EXPECT_EQ(w.folds.size(), grid.folds.size());
+  EXPECT_EQ(w.hysteretic, !grid.folds.empty());
+  EXPECT_EQ(w.nonvolatile, grid.nonvolatile);
+  if (w.folds.size() != grid.folds.size()) return 0.0;
+  const double h = (GridScan::kPsiMax - GridScan::kPsiMin) / GridScan::kSamples;
+  double closest = 1e9;
+  for (std::size_t k = 0; k < w.folds.size(); ++k) {
+    const Fold& exact = w.folds[k];
+    const Fold& sampled = grid.folds[k];
+    EXPECT_EQ(exact.isMaximum, sampled.isMaximum);
+    EXPECT_NEAR(exact.gateVoltage, sampled.gateVoltage, 1e-6);
+    EXPECT_GE((exact.gateVoltage - sampled.gateVoltage) *
+                  (exact.isMaximum ? 1.0 : -1.0),
+              -1e-12);
+    EXPECT_NEAR(exact.internalVoltage, sampled.internalVoltage, h);
+    if (k > 0) {
+      closest = std::min(closest, exact.internalVoltage -
+                                      w.folds[k - 1].internalVoltage);
+    }
+  }
+  if (grid.nonvolatile) {
+    EXPECT_NEAR(w.upSwitchVoltage, grid.up->gateVoltage, 1e-6);
+    EXPECT_NEAR(w.downSwitchVoltage, grid.down->gateVoltage, 1e-6);
+  }
+  return closest;
+}
+
+/// bistableStates against the grid's equilibria at V_G = 0: the same
+/// answer to "bistable?", and OFF, ON and saddle within 1e-12 V in psi.
+void expectStatesMatchGrid(const QuasiStaticCurve& curve,
+                           const GridScan& grid) {
+  const auto eqs = grid.zeroBiasEquilibria();
+  std::vector<double> stable;
+  for (const auto& [psi, isStable] : eqs) {
+    if (isStable) stable.push_back(psi);
+  }
+  if (stable.size() < 2) {
+    EXPECT_THROW(curve.bistableStates(), InvalidArgumentError);
+    return;
+  }
+  double psiOff = stable.front();
+  for (double s : stable) {
+    if (std::abs(s) < std::abs(psiOff)) psiOff = s;
+  }
+  const double psiOn = stable.back();
+  const auto saddle = std::find_if(eqs.begin(), eqs.end(), [&](auto& eq) {
+    return eq.first > psiOff && eq.first < psiOn;
+  });
+  ASSERT_NE(saddle, eqs.end());
+  const BistableStates s = curve.bistableStates();
+  EXPECT_NEAR(s.psiOff, psiOff, 1e-12);
+  EXPECT_NEAR(s.psiOn, psiOn, 1e-12);
+  EXPECT_NEAR(s.psiSaddle, saddle->first, 1e-12);
+}
+
+TEST(FefetCurve, FoldsMatchGridOracleAcrossThickness) {
+  // 1.0-3.0 nm in 2 pm steps.  The curve finds folds from slope samples
+  // 16 mV apart in psi; the closest fold pair here must keep a margin
+  // above that spacing, or a pair could fall inside one slope interval.
+  double closest = 1e9;
+  int nonvolatile = 0;
+  for (int i = 0; i <= 1000; ++i) {
+    const FefetParams p = at(1.0e-9 + 2e-12 * i);
+    SCOPED_TRACE("T_FE = " + std::to_string(p.feThickness * 1e9) + " nm");
+    const QuasiStaticCurve curve(p);
+    const GridScan grid(p);
+    closest = std::min(closest, expectFoldsMatchGrid(curve, grid));
+    expectStatesMatchGrid(curve, grid);
+    nonvolatile += curve.window().nonvolatile ? 1 : 0;
+  }
+  EXPECT_GT(closest, 0.020);
+  EXPECT_GT(nonvolatile, 400);
+  EXPECT_LT(nonvolatile, 600);
+}
+
+TEST(FefetCurve, MatchesGridOracleOnPerturbedDevices) {
+  const VariationSpec spec;
+  stats::Rng rng(26);
+  int devices = 0, nonvolatile = 0;
+  for (double t : {1.85e-9, 1.9e-9, 1.95e-9, 2.0e-9, 2.05e-9, 2.25e-9,
+                   2.5e-9}) {
+    FefetParams nominal = at(t);
+    nominal.lk = fefetMaterial();
+    for (int draw = 0; draw < 430; ++draw, ++devices) {
+      const FefetParams p = perturbDevice(nominal, spec, rng);
+      SCOPED_TRACE("device " + std::to_string(devices));
+      const QuasiStaticCurve curve(p);
+      const GridScan grid(p);
+      expectFoldsMatchGrid(curve, grid);
+      expectStatesMatchGrid(curve, grid);
+      nonvolatile += curve.window().nonvolatile ? 1 : 0;
+    }
+  }
+  EXPECT_GE(devices, 3000);
+  // Both classes are well represented around the 2.01 nm onset.
+  EXPECT_GT(nonvolatile, 1000);
+  EXPECT_LT(nonvolatile, devices - 500);
+}
+
+// ---------------------------------------------------------------------------
+// Independent memory-window oracle.  The window edges are the turning
+// points of V_G(Q) = T_FE*(alpha*Q + beta*Q^3 + gamma*Q^5) + V_MOS(Q), with
+// V_MOS(Q) from the textbook regional charge-sheet MOS (Taur & Ning ch. 2)
+// with a poly-gate depletion drop V_poly = Q^2/(2*q*eps_si*N_poly):
+//  * depletion, 0 <= psi_s <= 2*phi_F: Q = sqrt(2*eps_si*q*N_A*psi_s) and
+//    V_MOS = V_FB + psi_s + Q/C_ox + V_poly;
+//  * strong inversion: psi_s pinned at 2*phi_F and
+//    V_MOS = V_T + (Q - Q_dep)/C_ox + V_poly.
+// It shares only C_ox, V_T and the quadratic gate stiffening kappa (read as
+// N_poly = 1/(2*q*eps_si*kappa)) with the 45 nm card, and nothing of
+// core/fefet or xtor.  V_G rises into the threshold kink at psi_s =
+// 2*phi_F along depletion and falls out of it along inversion, so the up
+// edge is the kink; the down edge is the minimum on the inversion branch,
+// solved here by bisection on dV_G/dQ.
+struct TextbookWindow {
+  double up = 0.0, down = 0.0;
+};
+
+TextbookWindow textbookWindow(double feThickness) {
+  constexpr double kQ = 1.602176634e-19;               // [C]
+  constexpr double kEpsSi = 11.7 * 8.8541878128e-12;   // [F/m]
+  constexpr double kPhiT = 1.380649e-23 * 300.0 / kQ;  // [V] at 300 K
+  constexpr double kNi = 1.0e16;      // Si intrinsic density [m^-3]
+  constexpr double kNa = 1.0e24;      // channel doping, 1e18 cm^-3
+  constexpr double kCox = 1.0 / 9.2;  // [F/m^2], the card's
+  constexpr double kVt = 0.40;        // [V], the card's
+  constexpr double kKappa = 5.0;      // [V m^4/C^2], the card's
+  constexpr double kAlpha = -7.0e9, kBeta = 3.3e10, kGamma = -0.2e10;
+  const double phiF = kPhiT * std::log(kNa / kNi);
+  const double qDep = std::sqrt(2.0 * kEpsSi * kQ * kNa * 2.0 * phiF);
+  const auto inversionVg = [&](double q) {
+    const double q2 = q * q;
+    return kVt + (q - qDep) / kCox + kKappa * q2 +
+           feThickness * q * (kAlpha + q2 * (kBeta + q2 * kGamma));
+  };
+  // dV_G/dQ; the same on both sides of the kink.
+  const auto slope = [&](double q) {
+    const double q2 = q * q;
+    return 1.0 / kCox + 2.0 * kKappa * q +
+           feThickness * (kAlpha + q2 * (3.0 * kBeta + q2 * 5.0 * kGamma));
+  };
+  // Rising into the kink: dV_G/dpsi_s = 1 + dV_G/dQ * C_dep > 0 there.
+  const double cDep = std::sqrt(kEpsSi * kQ * kNa / (2.0 * 2.0 * phiF));
+  EXPECT_GT(1.0 + slope(qDep) * cDep, 0.0);
+  // The minimum lies between the kink and the FE's positive-stiffness end,
+  // where E_s'(Q) = 0.
+  double lo = qDep;
+  double hi = std::sqrt((-3.0 * kBeta + std::sqrt(9.0 * kBeta * kBeta -
+                                                  20.0 * kAlpha * kGamma)) /
+                        (10.0 * kGamma));
+  EXPECT_LT(slope(lo), 0.0);
+  EXPECT_GT(slope(hi), 0.0);
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (slope(mid) < 0.0 ? lo : hi) = mid;
+  }
+  return {inversionVg(qDep), inversionVg(0.5 * (lo + hi))};
+}
+
+TEST(FefetOracle, TextbookTurningPointsMatchWindowAndOnset) {
+  // Tolerance: the textbook model carries a depletion charge Q_dep (5.6
+  // mC/m^2 at 1e18 cm^-3) and switches abruptly from depletion to
+  // inversion, where the compact model has an exponential subthreshold
+  // tail and no depletion charge.  That moves both edges the same way, by
+  // about Q_dep/C_ox = 52 mV, so each edge is held to 60 mV, the window
+  // (their difference) to 5 %, and the onset (where the down edge crosses
+  // 0 V) to 0.1 nm.
+  const TextbookWindow oracle = textbookWindow(2.25e-9);
+  const HysteresisWindow w = analyzeHysteresis(at(2.25e-9));
+  ASSERT_TRUE(w.nonvolatile);
+  EXPECT_NEAR(w.width(), 0.575, 0.0005);  // the simulated design window
+  EXPECT_NEAR(w.upSwitchVoltage, oracle.up, 0.060);
+  EXPECT_NEAR(w.downSwitchVoltage, oracle.down, 0.060);
+  EXPECT_NEAR(w.width(), oracle.up - oracle.down, 0.05 * w.width());
+
+  double lo = 1.5e-9, hi = 2.5e-9;
+  while (hi - lo > 1e-13) {
+    const double mid = 0.5 * (lo + hi);
+    (textbookWindow(mid).down < 0.0 ? hi : lo) = mid;
+  }
+  const double onset =
+      minimumNonvolatileThickness(at(2.25e-9), 1.0e-9, 2.5e-9);
+  EXPECT_NEAR(onset, 2.01e-9, 0.005e-9);  // the simulated onset
+  EXPECT_NEAR(onset, hi, 0.1e-9);
 }
 
 TEST(FefetTransient, WritePulseSetsStateAndHoldRetainsIt) {
