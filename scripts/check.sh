@@ -20,7 +20,8 @@
 #     counters and a Chrome trace with the nested span taxonomy (both
 #     validated with python3), and telemetry must stay ~free — on the
 #     Fig. 7 8x8 array transients, metrics enabled vs disabled, paired
-#     per op and interleaved in thread CPU time, median overhead <= 2%;
+#     per op and interleaved in thread CPU time, median overhead <= 2%
+#     (the same measurement on a 1x1 array is printed, not gated);
 #  5. hierarchical solver gate: bench_fig07_array_bias --parity at 32x32
 #     must match the flat oracle within the DESIGN.md §6.7 tolerances
 #     (1e-3 of the memory window, 0.5% read current), and --speedup at
@@ -180,7 +181,12 @@ if ! awk -v o="$OVERHEAD" 'BEGIN { exit !(o <= 0.02) }'; then
        "median overhead $OVERHEAD" >&2
   exit 1
 fi
-echo "observability smoke passed (telemetry overhead $OVERHEAD)"
+# The same pairing on a 1x1 array, where a Newton iteration is cheapest and
+# the telemetry's fixed cost per iteration is largest: reported, not gated.
+SMALL_OVERHEAD_PERF=$("$PERF_BUILD_DIR/bench/bench_fig07_array_bias" --rows=1 \
+  --cols=1 --writes=120 --telemetry-overhead | grep '^PERF ')
+echo "$SMALL_OVERHEAD_PERF"
+echo "observability smoke passed (telemetry overhead $OVERHEAD at 8x8)"
 
 echo "== bench determinism (stage 8): two runs of every bench print the same stdout =="
 BENCHES=$(sed -nE 's/^fefet_add_bench\((bench_[a-z0-9_]+)\)$/\1/p' \

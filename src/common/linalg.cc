@@ -132,7 +132,37 @@ namespace {
 /// is kept while its magnitude is at least this fraction of the column's
 /// largest candidate (KLU's default).
 constexpr double kPivotThreshold = 0.1;
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+/// The pivot rule over the candidates `rows` plus `extra` (kNone: none):
+/// the largest magnitude, ties to the lowest row (`rowOf` maps a work
+/// index to its row), unless `diag` — the diagonal's work index, kNone
+/// when it is not a candidate — reaches kPivotThreshold of it.  The result
+/// depends on the candidate set and its values only, not on their order.
+/// Returns kNone when no candidate reaches 1e-300 (singular column).
+template <typename RowOf>
+std::uint32_t pivotRule(const double* work,
+                        std::span<const std::uint32_t> rows,
+                        std::uint32_t extra, std::uint32_t diag,
+                        RowOf rowOf) {
+  double maxMag = 0.0;
+  std::uint32_t best = kNone;
+  const auto consider = [&](std::uint32_t i) {
+    const double mag = std::abs(work[i]);
+    if (mag > maxMag ||
+        (mag == maxMag && (best == kNone || rowOf(i) < rowOf(best)))) {
+      maxMag = mag;
+      best = i;
+    }
+  };
+  for (const std::uint32_t i : rows) consider(i);
+  if (extra != kNone) consider(extra);
+  if (best == kNone || !(maxMag >= 1e-300)) return kNone;
+  if (diag != kNone && std::abs(work[diag]) >= kPivotThreshold * maxMag) {
+    return diag;
+  }
+  return best;
+}
 
 /// Minimum-degree ordering of the pattern of A + A^T (diagonal ignored).
 /// Greedy on the explicit elimination graph: repeatedly eliminate the
@@ -203,19 +233,25 @@ void SparseLuFactorizer::factor(const CsrView& a) {
   FEFET_REQUIRE(a.values.size() == a.colIdx.size(),
                 "SparseLuFactorizer: CSR values/pattern size mismatch");
   factored_ = false;
-  if (samePattern(a)) {
-    if (structureValid_) {
-      if (refactorNumeric(a)) {
-        ++numericRefactorizations_;
-        factored_ = true;
-        return;
-      }
-      ++pivotFallbacks_;
+  if (!samePattern(a)) analyzePattern(a);
+  refactor(a.values);
+}
+
+void SparseLuFactorizer::refactor(std::span<const double> values) {
+  FEFET_REQUIRE(analyzed_,
+                "SparseLuFactorizer::refactor called before factor()");
+  FEFET_REQUIRE(values.size() == patColIdx_.size(),
+                "SparseLuFactorizer: CSR values/pattern size mismatch");
+  factored_ = false;
+  if (structureValid_) {
+    if (refactorNumeric(values)) {
+      ++numericRefactorizations_;
+      factored_ = true;
+      return;
     }
-  } else {
-    analyzePattern(a);
+    ++pivotFallbacks_;
   }
-  factorFull(a);
+  factorFull(values);
 }
 
 bool SparseLuFactorizer::samePattern(const CsrView& a) const {
@@ -230,127 +266,54 @@ void SparseLuFactorizer::analyzePattern(const CsrView& a) {
   FEFET_REQUIRE(a.rowPtr.size() == a.n + 1 &&
                     a.colIdx.size() == a.rowPtr[a.n],
                 "SparseLuFactorizer: malformed CSR view");
+  FEFET_REQUIRE(a.n < kNone && a.colIdx.size() < kNone,
+                "SparseLuFactorizer: too large for 32-bit indices");
   const std::size_t n = a.n;
+  for (const std::size_t c : a.colIdx) {
+    FEFET_REQUIRE(c < n, "SparseLuFactorizer: column index out of range");
+  }
   n_ = n;
   analyzed_ = false;
   structureValid_ = false;
   patRowPtr_.assign(a.rowPtr.begin(), a.rowPtr.end());
   patColIdx_.assign(a.colIdx.begin(), a.colIdx.end());
-
-  // Transpose, so step k can scatter column q_[k] of the CSR values.
-  colPtr_.assign(n + 1, 0);
-  for (const std::size_t c : patColIdx_) {
-    FEFET_REQUIRE(c < n, "SparseLuFactorizer: column index out of range");
-    ++colPtr_[c + 1];
-  }
-  for (std::size_t c = 0; c < n; ++c) colPtr_[c + 1] += colPtr_[c];
-  colRows_.resize(patColIdx_.size());
-  colSrc_.resize(patColIdx_.size());
-  std::vector<std::size_t> next(colPtr_.begin(), colPtr_.end() - 1);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t p = patRowPtr_[r]; p < patRowPtr_[r + 1]; ++p) {
-      const std::size_t dst = next[patColIdx_[p]]++;
-      colRows_[dst] = r;
-      colSrc_[dst] = p;
-    }
-  }
-
-  q_ = minimumDegreeOrder(n, patRowPtr_, patColIdx_);
+  const auto order = minimumDegreeOrder(n, a.rowPtr, a.colIdx);
+  q_.assign(order.begin(), order.end());
   work_.assign(n, 0.0);
   analyzed_ = true;
 }
 
-void SparseLuFactorizer::solveColumn(std::size_t k,
-                                     std::span<const double> values) {
-  // Scatter column q_[k] into the (all-zero) working column, then apply
-  // the L columns of the earlier steps it reaches, in topological order:
-  // each step's U entry is final when it is read.
-  const std::size_t c = q_[k];
-  for (std::size_t p = colPtr_[c]; p < colPtr_[c + 1]; ++p) {
-    work_[colRows_[p]] = values[colSrc_[p]];
-  }
-  for (std::size_t t = up_[k]; t < up_[k + 1]; ++t) {
-    const std::size_t j = ui_[t];
-    const std::size_t r = perm_[j];
-    const double v = work_[r];
-    work_[r] = 0.0;
-    ux_[t] = v;
-    for (std::size_t p = lp_[j]; p < lp_[j + 1]; ++p) {
-      work_[li_[p]] -= lx_[p] * v;
-    }
-  }
+void SparseLuFactorizer::throwSingular(std::size_t k) const {
+  std::ostringstream os;
+  os << "SparseLu: singular matrix at elimination step " << k << " of "
+     << n_;
+  throw NumericalError(os.str());
 }
 
-std::size_t SparseLuFactorizer::choosePivot(
-    std::size_t k, std::span<const std::size_t> rows, std::size_t extraRow) {
-  // The rule depends only on the candidate set and its values, not on the
-  // order the candidates are listed in.
-  const std::size_t diagRow = q_[k];
-  double maxMag = 0.0;
-  std::size_t best = kNone;
-  bool hasDiag = false;
-  const auto consider = [&](std::size_t r) {
-    const double mag = std::abs(work_[r]);
-    if (mag > maxMag || (mag == maxMag && r < best)) {
-      maxMag = mag;
-      best = r;
-    }
-    hasDiag = hasDiag || r == diagRow;
-  };
-  for (const std::size_t r : rows) consider(r);
-  if (extraRow != kNone) consider(extraRow);
-  if (best == kNone || !(maxMag >= 1e-300)) {
-    for (const std::size_t r : rows) work_[r] = 0.0;
-    if (extraRow != kNone) work_[extraRow] = 0.0;
-    std::ostringstream os;
-    os << "SparseLu: singular matrix at elimination step " << k << " of "
-       << n_;
-    throw NumericalError(os.str());
-  }
-  if (hasDiag && std::abs(work_[diagRow]) >= kPivotThreshold * maxMag) {
-    return diagRow;
-  }
-  return best;
-}
-
-void SparseLuFactorizer::storeColumn(std::size_t k) {
-  const std::size_t prow = perm_[k];
-  const double pivot = work_[prow];
-  work_[prow] = 0.0;
-  udiag_[k] = pivot;
-  for (std::size_t p = lp_[k]; p < lp_[k + 1]; ++p) {
-    lx_[p] = work_[li_[p]] / pivot;
-    work_[li_[p]] = 0.0;
-  }
-}
-
-bool SparseLuFactorizer::refactorNumeric(const CsrView& a) {
-  // Replays factorFull() on the cached patterns: the same kernel, and at
-  // every step the same pivot rule over the same candidate set (the cached
-  // L rows plus the cached pivot row), so agreement at every step means
-  // the arithmetic matches a fresh factorization exactly.
-  for (std::size_t k = 0; k < n_; ++k) {
-    solveColumn(k, a.values);
-    const std::span<const std::size_t> rows(li_.data() + lp_[k],
-                                            lp_[k + 1] - lp_[k]);
-    if (choosePivot(k, rows, perm_[k]) != perm_[k]) {  // pivot drift
-      for (const std::size_t r : rows) work_[r] = 0.0;
-      work_[perm_[k]] = 0.0;
-      return false;
-    }
-    storeColumn(k);
-  }
-  return true;
-}
-
-void SparseLuFactorizer::factorFull(const CsrView& a) {
+void SparseLuFactorizer::factorFull(std::span<const double> values) {
   const std::size_t n = n_;
   structureValid_ = false;
   ++fullFactorizations_;
 
+  // Transpose of the pattern: column c holds rows colRows[colPtr[c] ..
+  // colPtr[c + 1]), whose values sit at CSR positions colSrc[...].
+  std::vector<Index> colPtr(n + 1, 0);
+  for (const Index c : patColIdx_) ++colPtr[c + 1];
+  for (std::size_t c = 0; c < n; ++c) colPtr[c + 1] += colPtr[c];
+  std::vector<Index> colRows(patColIdx_.size());
+  std::vector<Index> colSrc(patColIdx_.size());
+  std::vector<Index> next(colPtr.begin(), colPtr.end() - 1);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (Index p = patRowPtr_[r]; p < patRowPtr_[r + 1]; ++p) {
+      const Index dst = next[patColIdx_[p]]++;
+      colRows[dst] = static_cast<Index>(r);
+      colSrc[dst] = p;
+    }
+  }
+
   std::fill(work_.begin(), work_.end(), 0.0);
   perm_.clear();
-  rowStep_.assign(n, kNone);
+  diag_.assign(n, kNone);
   lp_.assign(1, 0);
   li_.clear();
   lx_.clear();
@@ -359,38 +322,42 @@ void SparseLuFactorizer::factorFull(const CsrView& a) {
   ux_.clear();
   udiag_.assign(n, 0.0);
 
-  // Reach search state: the step that last visited each row, the pivot
-  // candidates, the visited steps in postorder and the depth-first stack
-  // of (step, next L entry).
-  std::vector<std::size_t> mark(n, kNone);
-  std::vector<std::size_t> candidates;
-  std::vector<std::size_t> postorder;
-  std::vector<std::pair<std::size_t, std::size_t>> stack;
+  // Until compileProgram() runs, li_ holds row indices.  Reach search
+  // state: the step that pivoted each row, the step that last visited it,
+  // the pivot candidates, the visited steps in postorder and the
+  // depth-first stack of (step, next L entry).
+  std::vector<Index> rowStep(n, kNone);
+  std::vector<Index> mark(n, kNone);
+  std::vector<Index> candidates;
+  std::vector<Index> postorder;
+  std::vector<std::pair<Index, Index>> stack;
+  double* work = work_.data();
   for (std::size_t k = 0; k < n; ++k) {
     // Reach of column q_[k] through the L columns found so far: the
     // unpivoted rows it fills (the pivot candidates) and, by depth-first
     // search, the earlier steps it depends on in postorder — reversed,
     // that is a valid elimination order.
+    const Index step = static_cast<Index>(k);
     candidates.clear();
     postorder.clear();
-    const auto visit = [&](std::size_t r) {
-      if (mark[r] == k) return;
-      mark[r] = k;
-      if (rowStep_[r] == kNone) {
+    const auto visit = [&](Index r) {
+      if (mark[r] == step) return;
+      mark[r] = step;
+      if (rowStep[r] == kNone) {
         candidates.push_back(r);
       } else {
-        stack.emplace_back(rowStep_[r], lp_[rowStep_[r]]);
+        stack.emplace_back(rowStep[r], lp_[rowStep[r]]);
       }
     };
-    const std::size_t c = q_[k];
-    for (std::size_t p = colPtr_[c]; p < colPtr_[c + 1]; ++p) {
-      visit(colRows_[p]);
+    const Index c = q_[k];
+    for (Index p = colPtr[c]; p < colPtr[c + 1]; ++p) {
+      visit(colRows[p]);
       while (!stack.empty()) {
-        const std::size_t j = stack.back().first;
-        const std::size_t next = stack.back().second;
-        if (next < lp_[j + 1]) {
+        const Index j = stack.back().first;
+        const Index nextL = stack.back().second;
+        if (nextL < lp_[j + 1]) {
           ++stack.back().second;
-          visit(li_[next]);
+          visit(li_[nextL]);
         } else {
           postorder.push_back(j);
           stack.pop_back();
@@ -398,25 +365,198 @@ void SparseLuFactorizer::factorFull(const CsrView& a) {
       }
     }
     ui_.insert(ui_.end(), postorder.rbegin(), postorder.rend());
-    up_.push_back(ui_.size());
+    up_.push_back(static_cast<Index>(ui_.size()));
     ux_.resize(ui_.size());
 
-    solveColumn(k, a.values);
-    const std::size_t prow = choosePivot(k, candidates, kNone);
+    // Scatter column q_[k], then apply the L columns of the earlier steps
+    // it reaches in topological order: each U entry is final when read.
+    for (Index p = colPtr[c]; p < colPtr[c + 1]; ++p) {
+      work[colRows[p]] = values[colSrc[p]];
+    }
+    for (Index t = up_[k]; t < up_[k + 1]; ++t) {
+      const Index j = ui_[t];
+      const Index r = perm_[j];
+      const double v = work[r];
+      work[r] = 0.0;
+      ux_[t] = v;
+      for (Index p = lp_[j]; p < lp_[j + 1]; ++p) work[li_[p]] -= lx_[p] * v;
+    }
+
+    const bool diagIsCandidate = mark[c] == step && rowStep[c] == kNone;
+    const Index diag = diagIsCandidate ? c : kNone;
+    const Index prow = pivotRule(work, candidates, kNone, diag,
+                                 [](Index r) { return r; });
+    if (prow == kNone) {
+      for (const Index r : candidates) work[r] = 0.0;
+      throwSingular(k);
+    }
     perm_.push_back(prow);
-    rowStep_[prow] = k;
-    for (const std::size_t r : candidates) {
+    rowStep[prow] = step;
+    diag_[k] = diag;
+    for (const Index r : candidates) {
       if (r != prow) li_.push_back(r);
     }
-    lp_.push_back(li_.size());
+    lp_.push_back(static_cast<Index>(li_.size()));
     lx_.resize(li_.size());
-    storeColumn(k);
+
+    const double pivot = work[prow];
+    work[prow] = 0.0;
+    udiag_[k] = pivot;
+    for (Index p = lp_[k]; p < lp_[k + 1]; ++p) {
+      lx_[p] = work[li_[p]] / pivot;
+      work[li_[p]] = 0.0;
+    }
   }
 
-  rowSlot_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) rowSlot_[r] = q_[rowStep_[r]];
+  compileProgram(colPtr, colRows, colSrc, rowStep);
   structureValid_ = true;
   factored_ = true;
+}
+
+void SparseLuFactorizer::compileProgram(std::span<const Index> colPtr,
+                                        std::span<const Index> colRows,
+                                        std::span<const Index> colSrc,
+                                        std::span<const Index> rowStep) {
+  const std::size_t n = n_;
+  // Row r's unknown lives at slot q_[rowStep[r]]; step k's pivot row at
+  // slot q_[k].
+  const auto slotOf = [&](Index r) { return q_[rowStep[r]]; };
+  slotRow_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) slotRow_[q_[k]] = perm_[k];
+  for (Index& r : li_) r = slotOf(r);
+  for (Index& d : diag_) {
+    if (d != kNone) d = slotOf(d);
+  }
+
+  // Per step: a U entry whose row no earlier update of the step touches
+  // still holds its gathered CSR value when read, so it is copied straight
+  // from the CSR values instead; every other CSR entry of the column is
+  // gathered.  An entry with no L entries to apply writes nothing, and no
+  // update of the step writes its row after the topological order reads
+  // it, so it may be read last.  Reordering a step's U entries leaves the
+  // substitutions unchanged: they update distinct unknowns.
+  // source[s] is the CSR position of slot s in column q_[k] while
+  // inColumn[s] == k; touched[s] == k once an update of step k wrote s.
+  gp_.assign(1, 0);
+  gslot_.clear();
+  gsrc_.clear();
+  copyU_.clear();
+  copySrc_.clear();
+  uApplyEnd_.resize(n);
+  uTakeEnd_.resize(n);
+  utake_.resize(ui_.size());
+  std::vector<Index> source(n);
+  std::vector<Index> inColumn(n, kNone);
+  std::vector<Index> touched(n, kNone);
+  struct Entry {
+    Index step;
+    double value;
+    Index src;  ///< CSR position when copied, else kNone
+  };
+  std::vector<Entry> apply;
+  std::vector<Entry> take;
+  std::vector<Entry> copied;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Index step = static_cast<Index>(k);
+    const Index c = q_[k];
+    for (Index p = colPtr[c]; p < colPtr[c + 1]; ++p) {
+      const Index s = slotOf(colRows[p]);
+      source[s] = colSrc[p];
+      inColumn[s] = step;
+    }
+    apply.clear();
+    take.clear();
+    copied.clear();
+    for (Index t = up_[k]; t < up_[k + 1]; ++t) {
+      const Index j = ui_[t];
+      const Index s = q_[j];
+      Entry e{j, ux_[t], kNone};
+      if (inColumn[s] == step && touched[s] != step) {
+        e.src = source[s];
+        inColumn[s] = kNone;  // copied, not gathered
+      }
+      for (Index p = lp_[j]; p < lp_[j + 1]; ++p) touched[li_[p]] = step;
+      if (lp_[j] < lp_[j + 1]) {
+        apply.push_back(e);
+      } else {
+        (e.src == kNone ? take : copied).push_back(e);
+      }
+    }
+    Index t = up_[k];
+    const auto emit = [&](const std::vector<Entry>& entries) {
+      for (const Entry& e : entries) {
+        ui_[t] = e.step;
+        ux_[t] = e.value;
+        utake_[t] = e.src == kNone ? q_[e.step] : kNone;
+        if (e.src != kNone) {
+          copyU_.push_back(t);
+          copySrc_.push_back(e.src);
+        }
+        ++t;
+      }
+    };
+    emit(apply);
+    uApplyEnd_[k] = t;
+    emit(take);
+    uTakeEnd_[k] = t;
+    emit(copied);
+    for (Index p = colPtr[c]; p < colPtr[c + 1]; ++p) {
+      const Index s = slotOf(colRows[p]);
+      if (inColumn[s] == step) {
+        gslot_.push_back(s);
+        gsrc_.push_back(colSrc[p]);
+      }
+    }
+    gp_.push_back(static_cast<Index>(gslot_.size()));
+  }
+}
+
+bool SparseLuFactorizer::refactorNumeric(std::span<const double> values) {
+  // Runs the compiled program: factorFull()'s arithmetic in the same
+  // order, and at every step the same pivot rule over the same candidate
+  // set (the cached L rows plus the cached pivot row), so agreement at
+  // every step means the result matches a fresh factorization exactly.
+  double* work = work_.data();
+  double* ux = ux_.data();
+  const double* a = values.data();
+  for (std::size_t i = 0; i < copyU_.size(); ++i) ux[copyU_[i]] = a[copySrc_[i]];
+  const auto rowOf = [this](Index s) { return slotRow_[s]; };
+  for (std::size_t k = 0; k < n_; ++k) {
+    for (Index g = gp_[k]; g < gp_[k + 1]; ++g) work[gslot_[g]] = a[gsrc_[g]];
+    for (Index t = up_[k]; t < uApplyEnd_[k]; ++t) {
+      const Index s = utake_[t];
+      if (s != kNone) {
+        ux[t] = work[s];
+        work[s] = 0.0;
+      }
+      const double v = ux[t];
+      const Index j = ui_[t];
+      for (Index p = lp_[j]; p < lp_[j + 1]; ++p) work[li_[p]] -= lx_[p] * v;
+    }
+    for (Index t = uApplyEnd_[k]; t < uTakeEnd_[k]; ++t) {
+      const Index s = utake_[t];
+      ux[t] = work[s];
+      work[s] = 0.0;
+    }
+    const Index pslot = q_[k];
+    const std::span<const Index> rows(li_.data() + lp_[k],
+                                      lp_[k + 1] - lp_[k]);
+    const Index chosen = pivotRule(work, rows, pslot, diag_[k], rowOf);
+    if (chosen != pslot) {  // singular column or pivot drift
+      for (const Index s : rows) work[s] = 0.0;
+      work[pslot] = 0.0;
+      if (chosen == kNone) throwSingular(k);
+      return false;
+    }
+    const double pivot = work[pslot];
+    work[pslot] = 0.0;
+    udiag_[k] = pivot;
+    for (Index p = lp_[k]; p < lp_[k + 1]; ++p) {
+      lx_[p] = work[li_[p]] / pivot;
+      work[li_[p]] = 0.0;
+    }
+  }
+  return true;
 }
 
 std::vector<double> SparseLuFactorizer::solve(
@@ -437,15 +577,13 @@ void SparseLuFactorizer::solve(std::span<const double> b,
   // Forward substitution on unit-lower L, column by column.
   for (std::size_t j = 0; j < n_; ++j) {
     const double v = x[q_[j]];
-    for (std::size_t p = lp_[j]; p < lp_[j + 1]; ++p) {
-      x[rowSlot_[li_[p]]] -= lx_[p] * v;
-    }
+    for (Index p = lp_[j]; p < lp_[j + 1]; ++p) x[li_[p]] -= lx_[p] * v;
   }
   // Backward substitution on U, column by column.
   for (std::size_t k = n_; k-- > 0;) {
     const double v = x[q_[k]] / udiag_[k];
     x[q_[k]] = v;
-    for (std::size_t t = up_[k]; t < up_[k + 1]; ++t) {
+    for (Index t = up_[k]; t < up_[k + 1]; ++t) {
       x[q_[ui_[t]]] -= ux_[t] * v;
     }
   }
@@ -466,9 +604,9 @@ void SparseLuFactorizer::solveMulti(std::span<const double> b,
   // the identical operation sequence as the scalar solve().
   for (std::size_t j = 0; j < n_; ++j) {
     const std::size_t sj = q_[j];
-    for (std::size_t p = lp_[j]; p < lp_[j + 1]; ++p) {
+    for (Index p = lp_[j]; p < lp_[j + 1]; ++p) {
       const double l = lx_[p];
-      const std::size_t si = rowSlot_[li_[p]];
+      const std::size_t si = li_[p];
       for (std::size_t c = 0; c < nrhs; ++c) {
         x[c * n_ + si] -= l * x[c * n_ + sj];
       }
@@ -478,7 +616,7 @@ void SparseLuFactorizer::solveMulti(std::span<const double> b,
     const std::size_t sk = q_[k];
     const double diag = udiag_[k];
     for (std::size_t c = 0; c < nrhs; ++c) x[c * n_ + sk] /= diag;
-    for (std::size_t t = up_[k]; t < up_[k + 1]; ++t) {
+    for (Index t = up_[k]; t < up_[k + 1]; ++t) {
       const double u = ux_[t];
       const std::size_t si = q_[ui_[t]];
       for (std::size_t c = 0; c < nrhs; ++c) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <vector>
@@ -123,22 +124,24 @@ class SparseMatrix {
 /// pivot by a threshold rule that prefers the diagonal — the row whose
 /// index equals q[k] when its magnitude is at least a fixed fraction of the
 /// column maximum, else the largest magnitude (ties to the lowest row).
-/// The ordering, the per-step patterns it discovers (U entries in
-/// topological order, the L candidate rows) and the pivot sequence are
-/// cached, so later factorizations of a same-pattern matrix run
-/// *numerically only* on preallocated flat arrays and touch only the rows
-/// that hold each column.
 ///
-/// Correctness contract: a full factorization and a numeric refactorization
-/// run the same per-step kernel on the same patterns, so a refactorization
-/// is bit-identical to a fresh factorization of the same matrix.  The
-/// refactorization re-runs the pivot rule at every step: if it picks a
-/// different row than the cached sequence, the cache is discarded and a
-/// full factorization runs (reusing the ordering, which depends only on the
-/// pattern), so pivot quality is never sacrificed for speed.  A changed
-/// pattern recomputes the ordering.  Explicit zeros are structural: the
-/// fill pattern depends on the assembled pattern and the pivot sequence
-/// only, never on values.
+/// Each full factorization then compiles its pivot sequence and the
+/// patterns it discovered into a per-step refactorization program on flat
+/// 32-bit index arrays: the CSR entries each step gathers, in step order;
+/// the U entries no earlier update of the step touches, read straight from
+/// the CSR values; every row addressed by the slot its unknown occupies in
+/// a solve.  Later factorizations of a same-pattern matrix run that
+/// program numerically only.
+///
+/// Correctness contract: the program performs the full factorization's
+/// arithmetic in the same order, so a refactorization is bit-identical to
+/// a fresh factorization of the same matrix.  The refactorization re-runs
+/// the pivot rule at every step: if it picks a different row than the
+/// cached sequence, the program is discarded and a full factorization runs
+/// (reusing the ordering, which depends only on the pattern), so pivot
+/// quality is never sacrificed for speed.  A changed pattern recomputes
+/// the ordering.  Explicit zeros are structural: the fill pattern depends
+/// on the assembled pattern and the pivot sequence only, never on values.
 class SparseLuFactorizer {
  public:
   SparseLuFactorizer() = default;
@@ -152,6 +155,10 @@ class SparseLuFactorizer {
   void factor(const CsrView& a);
   /// Row-map convenience overload (copies into CSR first).
   void factor(const SparseMatrix& a);
+  /// factor() of new values on the CSR pattern of the previous factor()
+  /// call, for a caller whose pattern cannot change: skips factor()'s
+  /// O(nnz) pattern compare.  Requires an earlier factor() call.
+  void refactor(std::span<const double> values);
 
   /// Solve A x = b with the most recent factorization.
   std::vector<double> solve(std::span<const double> b) const;
@@ -183,49 +190,66 @@ class SparseLuFactorizer {
   }
 
  private:
+  using Index = std::uint32_t;
+
   bool samePattern(const CsrView& a) const;
   void analyzePattern(const CsrView& a);
-  void factorFull(const CsrView& a);
-  bool refactorNumeric(const CsrView& a);
-  // The per-step kernel shared by both paths.
-  void solveColumn(std::size_t k, std::span<const double> values);
-  std::size_t choosePivot(std::size_t k, std::span<const std::size_t> rows,
-                          std::size_t extraRow);
-  void storeColumn(std::size_t k);
+  void factorFull(std::span<const double> values);
+  void compileProgram(std::span<const Index> colPtr,
+                      std::span<const Index> colRows,
+                      std::span<const Index> colSrc,
+                      std::span<const Index> rowStep);
+  bool refactorNumeric(std::span<const double> values);
+  [[noreturn]] void throwSingular(std::size_t k) const;
 
   std::size_t n_ = 0;
   bool factored_ = false;
   bool analyzed_ = false;        ///< pattern + ordering below are current
-  bool structureValid_ = false;  ///< pivot sequence + L/U patterns too
+  bool structureValid_ = false;  ///< pivot sequence + program too
 
-  // Per pattern: the CSR pattern the cache was built for, its transpose
-  // (column c holds rows colRows_[colPtr_[c]..colPtr_[c+1]), whose values
-  // sit at CSR positions colSrc_[...]) and the fill-reducing order: step k
-  // eliminates column q_[k].
-  std::vector<std::size_t> patRowPtr_;
-  std::vector<std::size_t> patColIdx_;
-  std::vector<std::size_t> colPtr_;
-  std::vector<std::size_t> colRows_;
-  std::vector<std::size_t> colSrc_;
-  std::vector<std::size_t> q_;
+  // Per pattern: the CSR pattern the cache was built for and the
+  // fill-reducing order: step k eliminates column q_[k].
+  std::vector<Index> patRowPtr_;
+  std::vector<Index> patColIdx_;
+  std::vector<Index> q_;
 
-  // Per pivot sequence: step k pivots on row perm_[k] (rowStep_ is the
-  // inverse).  L is stored by step: rows li_[lp_[k]..lp_[k+1]) (original
-  // row indices, unit diagonal implied) with multipliers lx_.  U is stored
-  // by step too: the earlier steps ui_[up_[k]..up_[k+1]) in the
-  // topological order the elimination visits them, values ux_, and the
-  // pivot udiag_[k].  In a solve, step k's unknown lives at x[q_[k]], so
-  // row r's lives at x[rowSlot_[r]] = x[q_[rowStep_[r]]].
-  std::vector<std::size_t> perm_;
-  std::vector<std::size_t> rowStep_;
-  std::vector<std::size_t> rowSlot_;
-  std::vector<std::size_t> lp_;
-  std::vector<std::size_t> li_;
+  // Per pivot sequence, the compiled program.  Step k pivots on row
+  // perm_[k], whose unknown lives at x[q_[k]] in a solve; that position is
+  // the row's slot, and after compilation every row index below is a slot
+  // (slotRow_ maps back, for the pivot rule's ties).
+  //  - L: slots li_[lp_[k]..lp_[k+1]) (unit diagonal implied), multipliers
+  //    lx_;
+  //  - U: the earlier steps ui_[up_[k]..up_[k+1]), values ux_, pivot
+  //    udiag_[k].  Each step lists first, in the topological order the
+  //    elimination visits them, the entries whose step has L entries to
+  //    apply (up to uApplyEnd_[k]), then the other entries read from
+  //    work_ (up to uTakeEnd_[k]), then the rest;
+  //  - an entry no earlier update of its step touches holds its CSR value:
+  //    ux_[copyU_[i]] = values[copySrc_[i]] before the steps run; every
+  //    other entry takes its value from work_ slot utake_[t] (kNone for
+  //    the copied ones);
+  //  - gathers: step k writes CSR values gsrc_[gp_[k]..gp_[k+1]) into
+  //    work_ slots gslot_[...];
+  //  - pivot candidates: the L slots plus q_[k]; diag_[k] is the slot of
+  //    row q_[k] when it is a candidate, else kNone.
+  std::vector<Index> perm_;
+  std::vector<Index> slotRow_;
+  std::vector<Index> diag_;
+  std::vector<Index> lp_;
+  std::vector<Index> li_;
   std::vector<double> lx_;
-  std::vector<std::size_t> up_;
-  std::vector<std::size_t> ui_;
+  std::vector<Index> up_;
+  std::vector<Index> uApplyEnd_;
+  std::vector<Index> uTakeEnd_;
+  std::vector<Index> ui_;
+  std::vector<Index> utake_;
   std::vector<double> ux_;
   std::vector<double> udiag_;
+  std::vector<Index> copyU_;
+  std::vector<Index> copySrc_;
+  std::vector<Index> gp_;
+  std::vector<Index> gslot_;
+  std::vector<Index> gsrc_;
 
   /// Factor-time dense working column, all zero between steps (never
   /// touched by the const solves).

@@ -48,12 +48,6 @@ constexpr int kSlopeSamples = 500;
 
 }  // namespace
 
-double gateVoltageOfInternal(const FefetParams& params, double psi) {
-  const xtor::MosfetModel mos(params.mos, params.width);
-  const ferro::LandauKhalatnikov lk(params.lk);
-  return psi + params.feThickness * lk.staticField(mos.gateChargeDensity(psi));
-}
-
 QuasiStaticCurve::QuasiStaticCurve(const FefetParams& params)
     : mos_(params.mos, params.width),
       lk_(params.lk),

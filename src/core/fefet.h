@@ -68,10 +68,6 @@ struct HysteresisWindow {
   double width() const { return upSwitchVoltage - downSwitchVoltage; }
 };
 
-/// Quasi-static external gate voltage for a given internal node voltage:
-/// V_G(psi) = psi + T_FE * E_s(Q_G(psi)).
-double gateVoltageOfInternal(const FefetParams& params, double psi);
-
 /// The equilibria of a bistable device at V_G = 0: OFF (the stable psi
 /// nearest 0), ON (the largest stable psi) and the saddle between them,
 /// whose polarization is the basin boundary that classifies a stored bit.
@@ -97,7 +93,8 @@ class QuasiStaticCurve {
  public:
   explicit QuasiStaticCurve(const FefetParams& params);
 
-  /// V_G(psi), as gateVoltageOfInternal.
+  /// Quasi-static external gate voltage at internal node voltage psi:
+  /// V_G(psi) = psi + T_FE * E_s(Q_G(psi)).
   double gateVoltage(double psi) const;
   /// Gate charge density Q_G(psi) = polarization [C/m^2]; monotone in psi.
   double chargeDensity(double psi) const;

@@ -35,6 +35,14 @@ Registry& registry() {
   return *r;
 }
 
+/// Relaxed CAS accumulation: atomic<double> has no fetch_add pre-C++23.
+void addToSum(std::atomic<double>& sum, double value) {
+  double expected = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(expected, expected + value,
+                                    std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 std::atomic<bool> Metrics::enabled_{initialEnabled()};
@@ -63,21 +71,30 @@ void Histogram::observe(double value) {
         1, std::memory_order_relaxed);
     return;
   }
-  std::size_t bucket = edges_.size();  // overflow unless an edge catches it
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (value <= edges_[i]) {
-      bucket = i;
-      break;
+  Shard& shard = shards_[static_cast<std::size_t>(shardIndex())];
+  shard.buckets[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+  shard.count.fetch_add(1, std::memory_order_relaxed);
+  addToSum(shard.sum, value);
+}
+
+void Histogram::merge(HistogramTally& tally) {
+  FEFET_REQUIRE(tally.histogram_ == this,
+                "histogram tally merged into another histogram");
+  Shard& shard = shards_[static_cast<std::size_t>(shardIndex())];
+  for (std::size_t i = 0; i < tally.buckets_.size(); ++i) {
+    if (tally.buckets_[i] != 0) {
+      shard.buckets[i].fetch_add(tally.buckets_[i], std::memory_order_relaxed);
+      tally.buckets_[i] = 0;
     }
   }
-  Shard& shard = shards_[static_cast<std::size_t>(shardIndex())];
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  // Relaxed CAS accumulation: atomic<double> has no fetch_add pre-C++23.
-  double expected = shard.sum.load(std::memory_order_relaxed);
-  while (!shard.sum.compare_exchange_weak(expected, expected + value,
-                                          std::memory_order_relaxed)) {
+  if (tally.count_ != 0) {
+    shard.count.fetch_add(tally.count_, std::memory_order_relaxed);
+    addToSum(shard.sum, tally.sum_);
   }
+  if (tally.nan_ != 0) shard.nan.fetch_add(tally.nan_, std::memory_order_relaxed);
+  tally.count_ = 0;
+  tally.sum_ = 0.0;
+  tally.nan_ = 0;
 }
 
 std::vector<std::uint64_t> Histogram::bucketTotals() const {

@@ -27,6 +27,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -86,6 +87,8 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+class HistogramTally;
+
 /// Fixed-bucket histogram: bucket i counts observations v <= edges[i]
 /// (first matching bucket, Prometheus "le" semantics); one extra
 /// overflow bucket catches v > edges.back().  Edges are fixed at
@@ -102,6 +105,10 @@ class Histogram {
   explicit Histogram(std::span<const double> edges);
 
   void observe(double value);
+  /// Land a tally's bins, count, sum and NaN count in one shard and clear
+  /// the tally.  The bins and counts equal those of one observe() per
+  /// tallied value; only the sum's summation order differs.
+  void merge(HistogramTally& tally);
 
   std::size_t bucketCount() const { return edges_.size() + 1; }
   const std::vector<double>& edges() const { return edges_; }
@@ -118,6 +125,14 @@ class Histogram {
 
   void reset();
 
+  /// Bucket of a non-NaN value: the first edge >= value, else overflow.
+  std::size_t bucketOf(double value) const {
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      if (value <= edges_[i]) return i;
+    }
+    return edges_.size();
+  }
+
  private:
   static int shardIndex() { return currentThreadId() & (kMetricShards - 1); }
   struct alignas(64) Shard {
@@ -128,6 +143,34 @@ class Histogram {
   };
   std::vector<double> edges_;
   std::array<Shard, kMetricShards> shards_;
+};
+
+/// Plain, single-owner bins of one Histogram, for a hot loop that
+/// observes many values between two merges: observe() applies the
+/// histogram's bucket rule with no atomics, Histogram::merge() lands the
+/// batch.  Sized at construction; observe() never allocates.
+class HistogramTally {
+ public:
+  explicit HistogramTally(const Histogram& histogram)
+      : histogram_(&histogram), buckets_(histogram.bucketCount(), 0) {}
+
+  void observe(double value) {
+    if (std::isnan(value)) {
+      ++nan_;
+      return;
+    }
+    ++buckets_[histogram_->bucketOf(value)];
+    ++count_;
+    sum_ += value;
+  }
+
+ private:
+  friend class Histogram;
+  const Histogram* histogram_;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  std::uint64_t nan_ = 0;
 };
 
 /// Point-in-time copy of every registered metric, decoupled from the

@@ -12,8 +12,9 @@ namespace fefet::spice {
 namespace {
 
 /// Assembly-rate telemetry.  Deliberately counter-only — no clock reads
-/// inside assemble(): the observability budget caps telemetry overhead at
-/// 2% of the Fig. 7 8x8 array transients, measured by scripts/check.sh on
+/// inside assemble() — and tallied in plain members between flushes: the
+/// observability budget caps telemetry overhead at 2% of the Fig. 7 8x8
+/// array transients, measured by scripts/check.sh on
 /// bench_fig07_array_bias --telemetry-overhead.
 struct AssemblerTelemetry {
   obs::Counter& assemblies;
@@ -70,6 +71,20 @@ Assembler::Assembler(const StampPattern& pattern)
   }
 }
 
+Assembler::~Assembler() { flushTelemetry(); }
+
+void Assembler::flushTelemetry() {
+  if (tally_.assemblies != 0) {
+    AssemblerTelemetry& t = assemblerTelemetry();
+    t.assemblies.add(tally_.assemblies);
+    t.stamps.add(tally_.stamps);
+    t.patternReuseHits.add(tally_.patternReuseHits);
+    t.mosfetLanes.add(tally_.mosfetLanes);
+    t.mosfetBypassed.add(tally_.mosfetBypassed);
+  }
+  tally_ = {};
+}
+
 void Assembler::assemble(const Netlist& netlist, const SystemView& view,
                          bool dc, double time, double dt,
                          IntegrationMethod method, double gmin) {
@@ -97,12 +112,11 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   batches.stampAll(ctx, ends);
 
   if (obs::Metrics::enabled()) {
-    AssemblerTelemetry& t = assemblerTelemetry();
-    t.assemblies.increment();
-    t.stamps.add(devices.size());
-    if (modeUsed_[static_cast<std::size_t>(m)]) t.patternReuseHits.increment();
-    t.mosfetLanes.add(batches.mosfetLanes());
-    t.mosfetBypassed.add(batches.mosfetBypassed());
+    ++tally_.assemblies;
+    tally_.stamps += devices.size();
+    if (modeUsed_[static_cast<std::size_t>(m)]) ++tally_.patternReuseHits;
+    tally_.mosfetLanes += batches.mosfetLanes();
+    tally_.mosfetBypassed += batches.mosfetBypassed();
   }
   modeUsed_[static_cast<std::size_t>(m)] = true;
 
@@ -125,7 +139,12 @@ void Assembler::solveForUpdate(std::vector<double>& dx) {
   for (std::size_t i = 0; i < n; ++i) rhs_[i] = -res[i];
 
   dx.resize(n);
-  lu_.factor(csr());
+  if (luHasPattern_) {
+    lu_.refactor(csr().values);
+  } else {
+    luHasPattern_ = true;
+    lu_.factor(csr());
+  }
   lu_.solve(rhs_, dx);
 }
 

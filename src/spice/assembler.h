@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,10 @@ class Assembler {
  public:
   /// `pattern` must outlive the assembler (the netlist owns it).
   explicit Assembler(const StampPattern& pattern);
+  /// Lands the telemetry tallies not yet flushed.
+  ~Assembler();
+  Assembler(const Assembler&) = delete;
+  Assembler& operator=(const Assembler&) = delete;
 
   /// Assemble one Newton evaluation: zero the storage, stamp every device
   /// through netlist.deviceBatches() (type-major evaluation, netlist-order
@@ -54,6 +59,11 @@ class Assembler {
   std::span<const double> rowScale() const {
     return {rowScale_.data() + 1, static_cast<std::size_t>(n_)};
   }
+
+  /// Add the fefet.assembler.* tallies kept since the last flush to the
+  /// metrics registry and zero them.  assemble() only bumps plain member
+  /// counters, and only while metrics are enabled.
+  void flushTelemetry();
 
   /// Structure-cache counters and factor fill of the sparse LU.
   const linalg::SparseLuFactorizer& factorizer() const { return lu_; }
@@ -78,11 +88,22 @@ class Assembler {
   std::vector<double> rowScale_;  ///< 1 + n
   std::vector<double> rhs_;       ///< n (negated residual)
   linalg::SparseLuFactorizer lu_;
+  /// The first solve hands lu_ the CSR pattern; later ones pass values
+  /// only (the pattern of a frozen netlist never changes).
+  bool luHasPattern_ = false;
   StampBuffer buffer_;
   /// Which modes have already replayed their compiled slot program at
   /// least once — every assemble after that is a pattern-reuse hit for
   /// the fefet.assembler.pattern_reuse_hits counter.
   std::array<bool, kStampModeCount> modeUsed_{};
+  /// fefet.assembler.* counts since the last flushTelemetry().
+  struct Tally {
+    std::uint64_t assemblies = 0;
+    std::uint64_t stamps = 0;
+    std::uint64_t patternReuseHits = 0;
+    std::uint64_t mosfetLanes = 0;
+    std::uint64_t mosfetBypassed = 0;
+  } tally_;
 };
 
 }  // namespace fefet::spice

@@ -37,8 +37,8 @@ constexpr double kGminCeiling = 1e-6;  ///< [S]
 /// Solver telemetry under fefet.newton.*: every solve exit —
 /// converged or not — lands in these, so convergence-health histograms
 /// cover whole runs rather than only the failures that used to surface
-/// through NumericalError's SolverDiagnostics.  Registered once; the hot
-/// loop only touches preallocated atomics.
+/// through NumericalError's SolverDiagnostics.  Registered once; solves
+/// tally into NewtonSolver::tally_ and flushTelemetry() adds the tallies.
 struct NewtonTelemetry {
   obs::Counter& solves;
   obs::Counter& iterations;
@@ -107,7 +107,10 @@ Netlist& frozen(Netlist& netlist) {
 }  // namespace
 
 NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
-    : netlist_(frozen(netlist)), assembler_(netlist.stampPattern()) {
+    : netlist_(frozen(netlist)),
+      assembler_(netlist.stampPattern()),
+      tally_(NewtonTelemetry::get().iterationsPerSolve,
+             NewtonForensics::get().residualDecayRate) {
   if (options.useHierarchicalSolve) {
     const BbdPartition* partition = netlist_.partition();
     if (partition != nullptr && partition->useful()) {
@@ -117,7 +120,30 @@ NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
   }
 }
 
-NewtonSolver::~NewtonSolver() = default;
+NewtonSolver::~NewtonSolver() { flushTelemetry(); }
+
+void NewtonSolver::flushTelemetry() {
+  assembler_.flushTelemetry();
+  const auto put = [](obs::Counter& counter, std::uint64_t& count) {
+    if (count != 0) counter.add(count);
+    count = 0;
+  };
+  NewtonTelemetry& telemetry = NewtonTelemetry::get();
+  put(telemetry.solves, tally_.solves);
+  put(telemetry.iterations, tally_.iterations);
+  put(telemetry.nonconverged, tally_.nonconverged);
+  put(telemetry.gminEscalations, tally_.gminEscalations);
+  put(telemetry.escalationAttempts, tally_.escalationAttempts);
+  put(telemetry.assembleNs, tally_.assembleNs);
+  put(telemetry.solveNs, tally_.solveNs);
+  NewtonForensics& forensics = NewtonForensics::get();
+  put(forensics.converged, tally_.converged);
+  put(forensics.stagnated, tally_.stagnated);
+  put(forensics.diverged, tally_.diverged);
+  put(forensics.gminRescued, tally_.gminRescued);
+  telemetry.iterationsPerSolve.merge(tally_.iterationsPerSolve);
+  forensics.residualDecayRate.merge(tally_.residualDecayRate);
+}
 
 NewtonStats NewtonSolver::solve(std::vector<double>& x, bool dc, double time,
                                 double dt, IntegrationMethod method) {
@@ -127,12 +153,11 @@ NewtonStats NewtonSolver::solve(std::vector<double>& x, bool dc, double time,
 NewtonStats NewtonSolver::solveWithEscalation(std::vector<double>& x, bool dc,
                                               double time, double dt,
                                               IntegrationMethod method) {
-  NewtonTelemetry& telemetry = NewtonTelemetry::get();
   int totalIters = 0;
   double gmin = kGmin;
   for (int level = 0; level <= kMaxGminEscalations; ++level) {
     if (level > 0) {
-      if (obs::Metrics::enabled()) telemetry.escalationAttempts.increment();
+      if (obs::Metrics::enabled()) ++tally_.escalationAttempts;
       if (obs::FlightRecorder::enabled()) {
         obs::FlightRecorder::record(obs::FlightEvent::kGminEscalation, gmin,
                                     static_cast<std::uint64_t>(level));
@@ -147,8 +172,8 @@ NewtonStats NewtonSolver::solveWithEscalation(std::vector<double>& x, bool dc,
       stats.gminEscalations = level;
       if (level > 0) {
         if (obs::Metrics::enabled()) {
-          telemetry.gminEscalations.add(static_cast<std::uint64_t>(level));
-          NewtonForensics::get().gminRescued.increment();
+          tally_.gminEscalations += static_cast<std::uint64_t>(level);
+          ++tally_.gminRescued;
         }
         if (obs::FlightRecorder::enabled()) {
           obs::FlightRecorder::record(obs::FlightEvent::kGminRescue, gmin,
@@ -176,22 +201,18 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
   FEFET_REQUIRE(static_cast<int>(x.size()) == n,
                 "newton: solution vector size mismatch");
 
-  // Telemetry for this solve: locals accumulate in the loop and flush to
-  // the registry once per solve (one atomic add per counter, not per
-  // iteration).  The clock reads for the assemble-vs-solve split are
-  // skipped entirely when metrics are disabled.
-  NewtonTelemetry& telemetry = NewtonTelemetry::get();
-  const bool timed = obs::Metrics::enabled();
-  std::uint64_t assembleNs = 0;
-  std::uint64_t luSolveNs = 0;
-  const auto flushTelemetry = [&](const NewtonStats& s) {
-    if (!obs::Metrics::enabled()) return;
-    telemetry.solves.increment();
-    telemetry.iterations.add(static_cast<std::uint64_t>(s.iterations));
-    if (!s.converged) telemetry.nonconverged.increment();
-    telemetry.assembleNs.add(assembleNs);
-    telemetry.solveNs.add(luSolveNs);
-    telemetry.iterationsPerSolve.observe(static_cast<double>(s.iterations));
+  // Telemetry for this solve goes to the plain tallies.  The clock is read
+  // once before the loop and twice per iteration — after assembly and
+  // after the update and convergence check — so assemble_ns and solve_ns
+  // tile the Newton loop with no gap.  Nothing is read or counted while
+  // metrics are disabled.
+  const bool metered = obs::Metrics::enabled();
+  std::uint64_t lapStart = metered ? monotonicNanos() : 0;
+  const auto lap = [&](std::uint64_t& ns) {
+    if (!metered) return;
+    const std::uint64_t now = monotonicNanos();
+    ns += now - lapStart;
+    lapStart = now;
   };
   const obs::Span solveSpan("newton.solve");
 
@@ -202,25 +223,29 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
   // First-iteration residual norm, for the exit classification and the
   // decay-rate histogram.
   double firstResNorm = 0.0;
-  const auto classifyExit = [&](const NewtonStats& s, bool singular) {
+  // Every exit: counts, iterations-per-solve, and a classification into
+  // exactly one of converged/stagnated/diverged.
+  const auto finish = [&](const NewtonStats& s, bool singular) {
     const double last = s.finalResidualNorm;
     const bool divergedExit =
         !s.converged && (singular || !std::isfinite(last) ||
                          (firstResNorm > 0.0 && last > 10.0 * firstResNorm));
-    if (obs::Metrics::enabled()) {
-      NewtonForensics& forensics = NewtonForensics::get();
+    if (metered) {
+      ++tally_.solves;
+      tally_.iterations += static_cast<std::uint64_t>(s.iterations);
+      if (!s.converged) ++tally_.nonconverged;
+      tally_.iterationsPerSolve.observe(static_cast<double>(s.iterations));
       if (s.converged) {
-        forensics.converged.increment();
+        ++tally_.converged;
       } else if (divergedExit) {
-        forensics.diverged.increment();
+        ++tally_.diverged;
       } else {
-        forensics.stagnated.increment();
+        ++tally_.stagnated;
       }
       if (s.iterations > 0 && firstResNorm > 0.0 && last > 0.0 &&
           std::isfinite(firstResNorm) && std::isfinite(last)) {
-        forensics.residualDecayRate.observe(
-            std::log10(firstResNorm / last) /
-            std::max(1, s.iterations - 1));
+        tally_.residualDecayRate.observe(std::log10(firstResNorm / last) /
+                                         std::max(1, s.iterations - 1));
       }
     }
     if (obs::FlightRecorder::enabled()) {
@@ -238,27 +263,24 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
     SystemView view(x, nodes);
     {
       const obs::Span span("newton.assemble");
-      const std::uint64_t t0 = timed ? monotonicNanos() : 0;
       assembler_.assemble(netlist_, view, dc, time, dt, method, gmin);
-      if (timed) assembleNs += monotonicNanos() - t0;
     }
+    lap(tally_.assembleNs);
 
     std::vector<double>& dx = dx_;  // member buffer: no per-iteration alloc
     try {
       const obs::Span span("newton.lu_solve");
-      const std::uint64_t t0 = timed ? monotonicNanos() : 0;
       if (hier_) {
         hier_->solveForUpdate(assembler_.csr(), assembler_.residual(), dx);
       } else {
         assembler_.solveForUpdate(dx);
       }
-      if (timed) luSolveNs += monotonicNanos() - t0;
     } catch (const NumericalError&) {
       // Singular Jacobian mid-iteration: report non-convergence so the
       // caller can cut the time step or raise gmin.
+      lap(tally_.solveNs);
       stats.converged = false;
-      flushTelemetry(stats);
-      classifyExit(stats, /*singular=*/true);
+      finish(stats, /*singular=*/true);
       return stats;
     }
 
@@ -304,16 +326,16 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
                                   static_cast<std::uint64_t>(iter));
     }
 
+    lap(tally_.solveNs);
+
     if (updateOk && residualOk && !clamped) {
       stats.converged = true;
-      flushTelemetry(stats);
-      classifyExit(stats, /*singular=*/false);
+      finish(stats, /*singular=*/false);
       return stats;
     }
   }
   stats.converged = false;
-  flushTelemetry(stats);
-  classifyExit(stats, /*singular=*/false);
+  finish(stats, /*singular=*/false);
   return stats;
 }
 
@@ -362,10 +384,9 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
   stats.iterations = totalIters;
   stats.gminEscalations = levels;
   if (obs::Metrics::enabled()) {
-    NewtonTelemetry& telemetry = NewtonTelemetry::get();
-    telemetry.escalationAttempts.add(static_cast<std::uint64_t>(levels));
-    telemetry.gminEscalations.add(static_cast<std::uint64_t>(levels));
-    NewtonForensics::get().gminRescued.increment();
+    tally_.escalationAttempts += static_cast<std::uint64_t>(levels);
+    tally_.gminEscalations += static_cast<std::uint64_t>(levels);
+    ++tally_.gminRescued;
   }
   if (obs::FlightRecorder::enabled()) {
     obs::FlightRecorder::record(obs::FlightEvent::kGminRescue, kGmin,

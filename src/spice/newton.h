@@ -3,11 +3,13 @@
 // operating points.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "spice/assembler.h"
 #include "spice/netlist.h"
 
@@ -44,6 +46,12 @@ struct NewtonStats {
 
 /// Solve F(x) = 0 for the frozen netlist at one (DC or transient) instant.
 /// `x` holds the initial guess and receives the solution.
+///
+/// Telemetry: every solve tallies the fefet.newton.* counters, the two
+/// Newton histograms and (through the Assembler) fefet.assembler.* in plain
+/// members; flushTelemetry() lands them in the metrics registry.  The
+/// Simulator flushes once per transient run (returned or thrown) and per
+/// DC solve, and the destructor flushes what is left.
 class NewtonSolver {
  public:
   NewtonSolver(Netlist& netlist, const NewtonOptions& options);
@@ -68,6 +76,11 @@ class NewtonSolver {
   /// the continuation fails.
   NewtonStats solveDcWithContinuation(std::vector<double>& x);
 
+  /// Add the telemetry tallied since the last flush to the metrics
+  /// registry and zero it.  A caller that runs solve() directly and reads
+  /// the registry must flush first.
+  void flushTelemetry();
+
   /// The hierarchical solve engine, or nullptr when the flat LU is in use
   /// (option off or no useful partition).
   const HierEngine* hier() const { return hier_.get(); }
@@ -90,6 +103,27 @@ class NewtonSolver {
   // heap churn).
   std::vector<double> dx_;
   std::vector<double> attempt_;
+  /// Telemetry since the last flushTelemetry(), counted while
+  /// obs::Metrics::enabled() (one check per solve).
+  struct Tally {
+    Tally(const obs::Histogram& iterationsPerSolve,
+          const obs::Histogram& residualDecayRate)
+        : iterationsPerSolve(iterationsPerSolve),
+          residualDecayRate(residualDecayRate) {}
+    std::uint64_t solves = 0;
+    std::uint64_t iterations = 0;
+    std::uint64_t nonconverged = 0;
+    std::uint64_t gminEscalations = 0;
+    std::uint64_t escalationAttempts = 0;
+    std::uint64_t assembleNs = 0;
+    std::uint64_t solveNs = 0;
+    std::uint64_t converged = 0;
+    std::uint64_t stagnated = 0;
+    std::uint64_t diverged = 0;
+    std::uint64_t gminRescued = 0;
+    obs::HistogramTally iterationsPerSolve;
+    obs::HistogramTally residualDecayRate;
+  } tally_;
 };
 
 }  // namespace fefet::spice

@@ -28,7 +28,8 @@ constexpr double kDtCutFactor = 0.5;
 /// Transient retry-history telemetry under fefet.transient.*.  Flushed
 /// once per run — on clean completion AND on throw exits — so dt cuts and
 /// gmin escalations from successful runs land in the registry too, not
-/// only the copies carried by SolverDiagnostics on failure.
+/// only the copies carried by SolverDiagnostics on failure.  The Newton
+/// solver's fefet.newton.* and fefet.assembler.* tallies flush with it.
 struct TransientTelemetry {
   obs::Counter& runs;
   obs::Counter& failedRuns;
@@ -61,6 +62,11 @@ Simulator::Simulator(Netlist& netlist, const NewtonOptions& newton)
 
 NewtonStats Simulator::solveDc() {
   initializeUic();
+  // Lands the solver's telemetry whether the solve returns or throws.
+  struct TelemetryFlush {
+    NewtonSolver& newton;
+    ~TelemetryFlush() { newton.flushTelemetry(); }
+  } telemetryFlush{newton_};
   const NewtonStats stats = newton_.solveDcWithContinuation(x_);
   SystemView view(x_, netlist_.nodeCount());
   for (const auto& device : netlist_.devices()) device->initializeState(view);
@@ -132,8 +138,10 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
   // Destructor-driven flush: counts the run whether it returns or throws.
   struct TelemetryFlush {
     const TransientResult& result;
+    NewtonSolver& newton;
     bool ok = false;
     ~TelemetryFlush() {
+      newton.flushTelemetry();
       if (!obs::Metrics::enabled()) return;
       TransientTelemetry& t = transientTelemetry();
       t.runs.increment();
@@ -147,7 +155,7 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
       t.gminEscalations.add(
           static_cast<std::uint64_t>(result.stats.gminEscalations));
     }
-  } telemetryFlush{result};
+  } telemetryFlush{result, newton_};
 
   const int nodes = netlist_.nodeCount();
   const auto record = [&](double t) {

@@ -126,8 +126,12 @@ TEST(FefetStates, BistableStatesMatchSeparateScans) {
     }
     const double psiOn = *std::max_element(stable.begin(), stable.end());
     const xtor::MosfetModel mos(p.mos, p.width);
+    const ferro::LandauKhalatnikov lk(p.lk);
     const auto saddles = math::findAllRoots(
-        [&](double psi) { return gateVoltageOfInternal(p, psi); },
+        [&](double psi) {
+          return psi +
+                 p.feThickness * lk.staticField(mos.gateChargeDensity(psi));
+        },
         psiOff + 1e-6, psiOn - 1e-6, 4000);
     ASSERT_FALSE(saddles.empty()) << "draw " << draw;
 
@@ -169,10 +173,12 @@ TEST(FefetStates, GateVoltageOfInternalConsistent) {
   const auto p = at(2.25e-9);
   const xtor::MosfetModel mos(p.mos, p.width);
   const ferro::LandauKhalatnikov lk(p.lk);
-  const double psi = 1.0;
-  const double expected =
-      psi + p.feThickness * lk.staticField(mos.gateChargeDensity(psi));
-  EXPECT_DOUBLE_EQ(gateVoltageOfInternal(p, psi), expected);
+  const QuasiStaticCurve curve(p);
+  for (const double psi : {-1.0, 0.0, 1.0, 2.5}) {
+    const double expected =
+        psi + p.feThickness * lk.staticField(mos.gateChargeDensity(psi));
+    EXPECT_DOUBLE_EQ(curve.gateVoltage(psi), expected) << "psi " << psi;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@
 // Newton iterations and timesteps, and the cache at work on a 2T cell.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/linalg.h"
+#include "common/stats.h"
+#include "core/array_netlist.h"
 #include "core/cell2t.h"
 #include "spice/assembler.h"
 #include "spice/netlist.h"
@@ -168,6 +172,259 @@ TEST(SparseLuFactorizer, RejectsMalformedCsrViews) {
   const std::vector<std::size_t> badCols{0, 2};
   EXPECT_THROW(lu.factor(linalg::CsrView{2, rowPtr, badCols, values}),
                InvalidArgumentError);
+}
+
+// ---------------------------------------------------------------------------
+// The compiled refactorization program on the Jacobian patterns Newton
+// actually factors: the 8x8 array (256 unknowns) and the 2T cell (11).
+
+/// A circuit Jacobian with its own storage, assembled at the netlist's
+/// current solution.
+struct Jacobian {
+  std::size_t n = 0;
+  std::vector<std::size_t> rowPtr;
+  std::vector<std::size_t> colIdx;
+  std::vector<double> values;
+
+  linalg::CsrView view(std::span<const double> v) const {
+    return {n, rowPtr, colIdx, v};
+  }
+  linalg::CsrView view() const { return view(values); }
+};
+
+Jacobian assembledJacobian(spice::Simulator& sim) {
+  using namespace spice;
+  Netlist& n = sim.netlist();
+  std::vector<double> x = sim.solution();
+  Assembler assembler(n.stampPattern());
+  assembler.assemble(n, SystemView(x, n.nodeCount()), /*dc=*/false, 1e-10,
+                     1e-12, IntegrationMethod::kTrapezoidal, 1e-12);
+  const linalg::CsrView csr = assembler.csr();
+  return {csr.n,
+          {csr.rowPtr.begin(), csr.rowPtr.end()},
+          {csr.colIdx.begin(), csr.colIdx.end()},
+          {csr.values.begin(), csr.values.end()}};
+}
+
+Jacobian array8Jacobian() {
+  core::ArrayNetlistConfig config;
+  config.rows = config.cols = 8;
+  core::ArrayNetlist array(config);
+  array.hold(0.2e-9);
+  return assembledJacobian(array.simulator());
+}
+
+Jacobian cellJacobian() {
+  core::Cell2T cell(core::Cell2TConfig{});
+  cell.setStoredBit(true);
+  cell.hold(0.2e-9);
+  return assembledJacobian(cell.simulator());
+}
+
+std::vector<double> rhsFor(std::size_t n) {
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = std::sin(0.7 + 0.31 * i);
+  return b;
+}
+
+/// Bitwise equality of two solutions; returns the first differing index
+/// or n.
+std::size_t firstBitDifference(const std::vector<double>& a,
+                               const std::vector<double>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return i;
+    }
+  }
+  return a.size();
+}
+
+/// 60 random perturbations of every value (up to +-5%): the cached
+/// factorizer (through refactor(), the Assembler's call, and factor()
+/// alternately) must solve bit for bit like a fresh one, with the program
+/// reused.
+void expectRefactorsMatchFreshLu(const Jacobian& jac, std::uint64_t seed) {
+  constexpr int kDraws = 60;
+  stats::Rng rng(seed);
+  const std::vector<double> b = rhsFor(jac.n);
+  linalg::SparseLuFactorizer cached;
+  cached.factor(jac.view());
+  std::vector<double> values(jac.values.size());
+  for (int draw = 0; draw < kDraws; ++draw) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = jac.values[i] * (1.0 + rng.uniform(-0.05, 0.05));
+    }
+    if (draw % 2 == 0) {
+      cached.refactor(values);
+    } else {
+      cached.factor(jac.view(values));
+    }
+    linalg::SparseLuFactorizer fresh;
+    fresh.factor(jac.view(values));
+    EXPECT_EQ(cached.nonZeros(), fresh.nonZeros()) << "draw " << draw;
+    const auto xCached = cached.solve(b);
+    const auto xFresh = fresh.solve(b);
+    EXPECT_EQ(firstBitDifference(xCached, xFresh), jac.n)
+        << "draw " << draw << ": refactored solve differs from fresh LU";
+  }
+  EXPECT_GE(cached.numericRefactorizations(), 50);
+  EXPECT_EQ(cached.fullFactorizations(), 1 + cached.pivotFallbacks());
+}
+
+TEST(CompiledRefactor, MatchesFreshLuOnPerturbedArray8Jacobians) {
+  const Jacobian jac = array8Jacobian();
+  ASSERT_EQ(jac.n, 256u);
+  expectRefactorsMatchFreshLu(jac, 20261019);
+}
+
+TEST(CompiledRefactor, MatchesFreshLuOnPerturbedCellJacobians) {
+  const Jacobian jac = cellJacobian();
+  ASSERT_EQ(jac.n, 11u);
+  expectRefactorsMatchFreshLu(jac, 7);
+}
+
+TEST(CompiledRefactor, MatchesFreshLuOnPerturbedRandomPatterns) {
+  // Unsymmetric random patterns dense enough that some U entries hold a
+  // CSR value and receive updates within their step, which the circuit
+  // patterns above do not produce.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    stats::Rng rng(seed);
+    Jacobian jac;
+    jac.n = 40;
+    jac.rowPtr.push_back(0);
+    for (std::size_t r = 0; r < jac.n; ++r) {
+      for (std::size_t c = 0; c < jac.n; ++c) {
+        if (c == r || rng.bernoulli(0.12)) {
+          jac.colIdx.push_back(c);
+          jac.values.push_back(c == r ? rng.uniform(2.0, 4.0)
+                                      : rng.uniform(-1.0, 1.0));
+        }
+      }
+      jac.rowPtr.push_back(jac.colIdx.size());
+    }
+    expectRefactorsMatchFreshLu(jac, 100 + seed);
+  }
+}
+
+TEST(CompiledRefactor, ForcedPivotDriftTakesTheCountedFallback) {
+  // Shrinking one row by 1e-8 makes every other candidate of a column it
+  // pivots outweigh it, so the cached pivot sequence must be rebuilt.
+  // Some row of the cell Jacobian pivots a column with other candidates.
+  const Jacobian jac = cellJacobian();
+  const std::vector<double> b = rhsFor(jac.n);
+  linalg::SparseLuFactorizer cached;
+  cached.factor(jac.view());
+  bool drifted = false;
+  for (std::size_t r = 0; r < jac.n && !drifted; ++r) {
+    std::vector<double> values = jac.values;
+    for (std::size_t p = jac.rowPtr[r]; p < jac.rowPtr[r + 1]; ++p) {
+      values[p] *= 1e-8;
+    }
+    const long fallbacks = cached.pivotFallbacks();
+    const long full = cached.fullFactorizations();
+    const long refactors = cached.numericRefactorizations();
+    cached.refactor(values);
+    if (cached.pivotFallbacks() == fallbacks) {
+      EXPECT_EQ(cached.numericRefactorizations(), refactors + 1);
+      cached.refactor(jac.values);  // back to the original pivots
+      continue;
+    }
+    drifted = true;
+    EXPECT_EQ(cached.pivotFallbacks(), fallbacks + 1) << "row " << r;
+    EXPECT_EQ(cached.fullFactorizations(), full + 1) << "row " << r;
+    EXPECT_EQ(cached.numericRefactorizations(), refactors) << "row " << r;
+    linalg::SparseLuFactorizer fresh;
+    fresh.factor(jac.view(values));
+    EXPECT_EQ(firstBitDifference(cached.solve(b), fresh.solve(b)), jac.n);
+  }
+  EXPECT_TRUE(drifted) << "no row scaling moved a pivot";
+}
+
+TEST(CompiledRefactor, SingularColumnThrowsNamingTheStep) {
+  const Jacobian jac = array8Jacobian();
+  const std::vector<double> b = rhsFor(jac.n);
+  std::vector<double> singular = jac.values;
+  const std::size_t column = 37;
+  for (std::size_t p = 0; p < jac.colIdx.size(); ++p) {
+    if (jac.colIdx[p] == column) singular[p] = 0.0;
+  }
+  const auto expectSingular = [&](const auto& factorIt) {
+    try {
+      factorIt();
+      ADD_FAILURE() << "zero column factored";
+    } catch (const NumericalError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("singular matrix at elimination step "),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(" of 256"), std::string::npos) << what;
+    }
+  };
+  // On the compiled program (refactor) and on a first factorization.
+  linalg::SparseLuFactorizer cached;
+  cached.factor(jac.view());
+  expectSingular([&] { cached.refactor(singular); });
+  EXPECT_FALSE(cached.factored());
+  linalg::SparseLuFactorizer first;
+  expectSingular([&] { first.factor(jac.view(singular)); });
+
+  // The throw leaves the working column clean: the next refactorization
+  // still matches a fresh factorization bit for bit.
+  cached.refactor(jac.values);
+  linalg::SparseLuFactorizer fresh;
+  fresh.factor(jac.view());
+  EXPECT_EQ(firstBitDifference(cached.solve(b), fresh.solve(b)), jac.n);
+  EXPECT_EQ(cached.fullFactorizations(), 1);
+}
+
+TEST(CompiledRefactor, ChangedPatternIsReanalysed) {
+  const Jacobian cell = cellJacobian();
+  const Jacobian array = array8Jacobian();
+  const std::vector<double> bCell = rhsFor(cell.n);
+  const std::vector<double> bArray = rhsFor(array.n);
+  linalg::SparseLuFactorizer lu;
+  lu.factor(cell.view());
+  lu.factor(array.view());
+  EXPECT_EQ(lu.fullFactorizations(), 2);
+  linalg::SparseLuFactorizer freshArray;
+  freshArray.factor(array.view());
+  EXPECT_EQ(firstBitDifference(lu.solve(bArray), freshArray.solve(bArray)),
+            array.n);
+
+  // Same size and entry count, another pattern: the transpose (regular
+  // when the cell Jacobian is; the MOSFETs make the pattern unsymmetric).
+  Jacobian moved{cell.n, std::vector<std::size_t>(cell.n + 1, 0), {}, {}};
+  for (const std::size_t c : cell.colIdx) ++moved.rowPtr[c + 1];
+  for (std::size_t c = 0; c < cell.n; ++c) {
+    moved.rowPtr[c + 1] += moved.rowPtr[c];
+  }
+  moved.colIdx.resize(cell.colIdx.size());
+  moved.values.resize(cell.values.size());
+  std::vector<std::size_t> next(moved.rowPtr.begin(), moved.rowPtr.end() - 1);
+  for (std::size_t r = 0; r < cell.n; ++r) {
+    for (std::size_t p = cell.rowPtr[r]; p < cell.rowPtr[r + 1]; ++p) {
+      const std::size_t dst = next[cell.colIdx[p]]++;
+      moved.colIdx[dst] = r;
+      moved.values[dst] = cell.values[p];
+    }
+  }
+  ASSERT_NE(moved.colIdx, cell.colIdx);
+  lu.factor(cell.view());
+  lu.factor(moved.view());
+  EXPECT_EQ(lu.fullFactorizations(), 4);
+  EXPECT_EQ(lu.numericRefactorizations(), 0);
+  linalg::SparseLuFactorizer freshMoved;
+  freshMoved.factor(moved.view());
+  EXPECT_EQ(firstBitDifference(lu.solve(bCell), freshMoved.solve(bCell)),
+            cell.n);
+}
+
+TEST(CompiledRefactor, RefactorNeedsAnEarlierFactor) {
+  linalg::SparseLuFactorizer lu;
+  const std::vector<double> values{1.0};
+  EXPECT_THROW(lu.refactor(values), InvalidArgumentError);
 }
 
 // A long RC ladder through Newton, which runs SparseLuFactorizer inside

@@ -5,7 +5,8 @@
 //  * histogram bucketing follows Prometheus "le" semantics exactly at
 //    the edges, with the overflow bucket last;
 //  * the sharded snapshot merge is associative — N threads striping into
-//    shards must equal a single-threaded reference fill;
+//    shards must equal a single-threaded reference fill — and a bulk
+//    HistogramTally merge equals one observe() per value;
 //  * spans nest by timestamp containment and the bounded ring drops the
 //    oldest events (counted) on overflow;
 //  * the Chrome trace_event and metrics-snapshot JSON exporters emit
@@ -311,6 +312,40 @@ TEST(Metrics, ShardedMergeMatchesSingleThreadReference) {
   EXPECT_DOUBLE_EQ(striped.sum(), reference.sum());
 }
 
+TEST(Metrics, TallyMergeMatchesPerObservationBins) {
+  // A hot loop tallies plain bins and merges them in bulk; the merged bins,
+  // count and NaN tally must equal one observe() per value exactly, and a
+  // merge empties the tally so a second batch is not counted twice.
+  static constexpr double kEdges[] = {1.0, 2.0, 4.0, 8.0};
+  Histogram& perValue = Metrics::histogram("test.obs.per_value_hist", kEdges);
+  Histogram& bulk = Metrics::histogram("test.obs.bulk_hist", kEdges);
+  perValue.reset();
+  bulk.reset();
+  HistogramTally tally(bulk);
+  for (int batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 200; ++i) {
+      // Edge values, overflow, negatives and NaNs; quarter-integers keep
+      // the sums exact in any order.
+      const double v = i % 37 == 0
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : 0.25 * ((i * 7 + batch * 3) % 48) - 2.0;
+      perValue.observe(v);
+      tally.observe(v);
+    }
+    bulk.merge(tally);
+  }
+  bulk.merge(tally);  // empty: adds nothing
+  EXPECT_EQ(bulk.bucketTotals(), perValue.bucketTotals());
+  EXPECT_EQ(bulk.count(), perValue.count());
+  EXPECT_EQ(bulk.nanCount(), perValue.nanCount());
+  EXPECT_GT(bulk.nanCount(), 0u);
+  EXPECT_EQ(bulk.sum(), perValue.sum());
+  const auto buckets = bulk.bucketTotals();
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    EXPECT_GT(buckets[b], 0u) << "bucket " << b << " never exercised";
+  }
+}
+
 TEST(Metrics, SnapshotAndJson) {
   Counter& c = Metrics::counter("test.obs.snapshot_counter");
   c.reset();
@@ -443,12 +478,15 @@ TEST(ObsAlloc, CounterAndHistogramHotPathsAreAllocationFree) {
   Histogram& h = Metrics::histogram("test.obs.alloc_hist", kEdges);
   c.increment();  // warm: registration happened above, storage is fixed
   h.observe(5.0);
+  HistogramTally tally(h);  // sized here, outside the audited loop
 
   g_allocations.store(0, std::memory_order_relaxed);
   g_armed.store(true, std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
     c.add(2);
     h.observe(static_cast<double>(i % 128));
+    tally.observe(static_cast<double>(i % 64));
+    if (i % 100 == 99) h.merge(tally);
   }
   g_armed.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0);

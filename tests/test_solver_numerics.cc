@@ -1,9 +1,14 @@
 // Stress tests of the solver numerics: Newton damping/limiting, gmin
 // continuation, adaptive step control, stiff circuits and the damped
-// trapezoidal integrator's ringing suppression.
+// trapezoidal integrator's ringing suppression; and the solver telemetry
+// those runs land in the metrics registry.
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
 
+#include "core/cell2t.h"
+#include "obs/metrics.h"
 #include "spice/assembler.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
@@ -255,6 +260,126 @@ TEST(Dc, GminContinuationRescuesHardStart) {
   EXPECT_GT(m1, m2);
   EXPECT_GT(m2, m3);
   EXPECT_GT(m3, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Solver telemetry: Newton and the assembler tally in plain members and the
+// Simulator lands the tallies once per run, so the registry must agree with
+// the transient's own statistics after every run, returned or thrown.
+
+/// The registry values the checks below compare, read from one snapshot.
+struct SolverCounts {
+  std::uint64_t runs, failedRuns, steps, transientIterations;
+  std::uint64_t solves, iterations, nonconverged, assemblies;
+  std::uint64_t converged, stagnated, diverged, perSolveCount;
+
+  static SolverCounts read() {
+    const obs::MetricsSnapshot snap = obs::Metrics::snapshot();
+    SolverCounts c{};
+    c.runs = snap.counterValue("fefet.transient.runs");
+    c.failedRuns = snap.counterValue("fefet.transient.failed_runs");
+    c.steps = snap.counterValue("fefet.transient.steps");
+    c.transientIterations =
+        snap.counterValue("fefet.transient.newton_iterations");
+    c.solves = snap.counterValue("fefet.newton.solves.compiled");
+    c.iterations = snap.counterValue("fefet.newton.iterations.compiled");
+    c.nonconverged = snap.counterValue("fefet.newton.nonconverged.compiled");
+    c.assemblies = snap.counterValue("fefet.assembler.assemblies");
+    c.converged = snap.counterValue("fefet.newton.outcome.converged");
+    c.stagnated = snap.counterValue("fefet.newton.outcome.stagnated");
+    c.diverged = snap.counterValue("fefet.newton.outcome.diverged");
+    for (const auto& h : snap.histograms) {
+      if (h.name == "fefet.newton.iterations_per_solve") {
+        c.perSolveCount = h.count;
+      }
+    }
+    return c;
+  }
+
+  SolverCounts operator-(const SolverCounts& o) const {
+    return {runs - o.runs,
+            failedRuns - o.failedRuns,
+            steps - o.steps,
+            transientIterations - o.transientIterations,
+            solves - o.solves,
+            iterations - o.iterations,
+            nonconverged - o.nonconverged,
+            assemblies - o.assemblies,
+            converged - o.converged,
+            stagnated - o.stagnated,
+            diverged - o.diverged,
+            perSolveCount - o.perSolveCount};
+  }
+};
+
+/// Turns metrics on for one test and restores the previous gate.
+class MetricsOn {
+ public:
+  MetricsOn() : was_(obs::Metrics::enabled()) { obs::Metrics::setEnabled(true); }
+  ~MetricsOn() { obs::Metrics::setEnabled(was_); }
+
+ private:
+  bool was_;
+};
+
+TEST(SolverTelemetry, Cell2TOpsLandEveryIterationOnce) {
+  const MetricsOn metrics;
+  core::Cell2T cell(core::Cell2TConfig{});
+  cell.setStoredBit(false);
+  for (int op = 0; op < 3; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const SolverCounts before = SolverCounts::read();
+    if (op == 0) {
+      EXPECT_TRUE(cell.write(true, 550e-12).bitAfter);
+    } else if (op == 1) {
+      EXPECT_TRUE(cell.read().bitAfter);
+    } else {
+      cell.hold(1e-9);
+    }
+    const SolverCounts d = SolverCounts::read() - before;
+    EXPECT_EQ(d.runs, 1u);
+    EXPECT_EQ(d.failedRuns, 0u);
+    EXPECT_GT(d.steps, 0u);
+    EXPECT_GT(d.iterations, 0u);
+    EXPECT_EQ(d.iterations, d.transientIterations);
+    EXPECT_EQ(d.assemblies, d.iterations);
+    EXPECT_GE(d.solves, d.steps);
+    EXPECT_EQ(d.perSolveCount, d.solves);
+    EXPECT_EQ(d.converged + d.stagnated + d.diverged, d.solves);
+    EXPECT_EQ(d.solves - d.converged, d.nonconverged);
+  }
+}
+
+TEST(SolverTelemetry, ThrowingTransientStillLandsItsCounts) {
+  // The structurally singular two-source deck: every Newton solve exits on
+  // a singular Jacobian until the run aborts on step underflow.
+  const MetricsOn metrics;
+  Netlist n;
+  n.add<VoltageSource>("V1", n.node("a"), n.ground(), dc(1.0));
+  n.add<VoltageSource>("V2", n.node("a"), n.ground(), dc(2.0));
+  Simulator sim(n);
+  sim.initializeUic();
+  TransientOptions options;
+  options.duration = 1e-9;
+  const SolverCounts before = SolverCounts::read();
+  int iterations = -1;
+  try {
+    sim.runTransient(options, {Probe::v("a")});
+    ADD_FAILURE() << "expected NumericalError";
+  } catch (const NumericalError& e) {
+    ASSERT_TRUE(e.hasDiagnostics());
+    iterations = e.diagnostics().newtonIterations;
+  }
+  const SolverCounts d = SolverCounts::read() - before;
+  EXPECT_EQ(d.runs, 1u);
+  EXPECT_EQ(d.failedRuns, 1u);
+  EXPECT_EQ(d.steps, 0u);
+  EXPECT_GT(d.solves, 0u);
+  EXPECT_EQ(d.iterations, static_cast<std::uint64_t>(iterations));
+  EXPECT_EQ(d.iterations, d.transientIterations);
+  EXPECT_EQ(d.nonconverged, d.solves);
+  EXPECT_EQ(d.diverged, d.solves);
+  EXPECT_EQ(d.perSolveCount, d.solves);
 }
 
 }  // namespace

@@ -155,6 +155,8 @@ TEST(StampAlloc, ArrayNetlistBypassSteadyStateIsAllocationFree) {
   NewtonStats stats = solver.solve(x, /*dc=*/false, 1e-10, 1e-12,
                                    IntegrationMethod::kTrapezoidal);
   EXPECT_TRUE(stats.converged);
+  // Direct solve() calls tally in the solver; land them before reading.
+  solver.flushTelemetry();
   const std::uint64_t lanes0 = lanes.total();
   const std::uint64_t bypassed0 = bypassed.total();
 
@@ -173,6 +175,7 @@ TEST(StampAlloc, ArrayNetlistBypassSteadyStateIsAllocationFree) {
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0);
 
+  solver.flushTelemetry();
   const std::uint64_t hits = bypassed.total() - bypassed0;
   const std::uint64_t laneEvals = lanes.total() - lanes0;
   EXPECT_GT(hits, 0u);
