@@ -131,15 +131,34 @@ class ChargeIntegrator {
  public:
   static constexpr double kTheta = 0.60;
 
+  /// The companion form's step constants at one evaluation, shared by
+  /// every integrator of an assembly (the batch kernels compute them once
+  /// per assembly instead of once per charge element).
+  struct Companion {
+    bool active = false;  ///< false in DC and at dt <= 0: no current
+    bool backwardEuler = false;
+    double dt = 0.0;
+    double gain = 0.0;  ///< dI/dQ: 1/dt (BE) or 1/(theta dt)
+
+    static Companion of(const EvalContext& ctx) {
+      if (ctx.dc || ctx.dt <= 0.0) return {};
+      if (ctx.method == IntegrationMethod::kBackwardEuler) {
+        return {true, true, ctx.dt, 1.0 / ctx.dt};
+      }
+      return {true, false, ctx.dt, 1.0 / (kTheta * ctx.dt)};
+    }
+  };
+
   /// Current and dI/dQ for charge value q at the present iterate.
+  std::pair<double, double> currentFor(double q, const Companion& c) const {
+    if (!c.active) return {0.0, 0.0};
+    if (c.backwardEuler) return {(q - qPrev_) / c.dt, c.gain};
+    return {(q - qPrev_) * c.gain - (1.0 - kTheta) / kTheta * iPrev_,
+            c.gain};
+  }
   std::pair<double, double> currentFor(double q,
                                        const EvalContext& ctx) const {
-    if (ctx.dc || ctx.dt <= 0.0) return {0.0, 0.0};
-    if (ctx.method == IntegrationMethod::kBackwardEuler) {
-      return {(q - qPrev_) / ctx.dt, 1.0 / ctx.dt};
-    }
-    const double a = 1.0 / (kTheta * ctx.dt);
-    return {(q - qPrev_) * a - (1.0 - kTheta) / kTheta * iPrev_, a};
+    return currentFor(q, Companion::of(ctx));
   }
 
   /// Accept the converged end-of-step values.

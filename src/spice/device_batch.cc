@@ -145,12 +145,13 @@ void DeviceBatches::stampAll(const EvalContext& ctx,
   FEFET_REQUIRE(ctx.buffer != nullptr,
                 "DeviceBatches::stampAll writes into a StampBuffer");
   // Phase 1: type-major kernels into scratch.
+  const auto companion = ChargeIntegrator::Companion::of(ctx);
   evalResistors(ctx);
-  evalCapacitors(ctx);
+  evalCapacitors(ctx, companion);
   evalVoltageSources(ctx);
   evalCurrentSources(ctx);
-  evalMosfets(ctx);
-  evalFeCaps(ctx);
+  evalMosfets(ctx, companion);
+  evalFeCaps(ctx, companion);
 
   // Phase 2: scatter in netlist order straight into the slot buffer — the
   // accumulation order (and therefore the floating-point result) matches
@@ -208,7 +209,8 @@ void DeviceBatches::evalResistors(const EvalContext& ctx) {
   }
 }
 
-void DeviceBatches::evalCapacitors(const EvalContext& ctx) {
+void DeviceBatches::evalCapacitors(
+    const EvalContext& ctx, const ChargeIntegrator::Companion& companion) {
   if (ctx.dc) return;  // scalar Capacitor::stamp is a no-op in DC
   CapacitorBatch& batch = capacitors_;
   const SystemView& view = ctx.view;
@@ -217,7 +219,7 @@ void DeviceBatches::evalCapacitors(const EvalContext& ctx) {
     const double v =
         view.nodeVoltage(batch.a[k]) - view.nodeVoltage(batch.b[k]);
     const double q = batch.c[k] * v;
-    const auto [i, dIdQ] = batch.dev[k]->charge_.currentFor(q, ctx);
+    const auto [i, dIdQ] = batch.dev[k]->charge_.currentFor(q, companion);
     batch.i[k] = i;
     batch.g[k] = dIdQ * batch.c[k];
   }
@@ -239,7 +241,8 @@ void DeviceBatches::evalCurrentSources(const EvalContext& ctx) {
   }
 }
 
-void DeviceBatches::evalMosfets(const EvalContext& ctx) {
+void DeviceBatches::evalMosfets(
+    const EvalContext& ctx, const ChargeIntegrator::Companion& companion) {
   MosfetBatch& batch = mosfets_;
   const SystemView& view = ctx.view;
   const std::size_t n = batch.dev.size();
@@ -299,7 +302,7 @@ void DeviceBatches::evalMosfets(const EvalContext& ctx) {
   for (std::size_t k = 0; k < n; ++k) {
     const MosfetDevice& dev = *batch.dev[k];
     const double q = batch.gateArea[k] * batch.qDensity[k];
-    const auto [i, dIdQ] = dev.chanCharge_.currentFor(q, ctx);
+    const auto [i, dIdQ] = dev.chanCharge_.currentFor(q, companion);
     batch.chanI[k] = i;
     batch.chanG[k] = dIdQ * (batch.gateArea[k] * batch.cEval[k]);
   }
@@ -312,22 +315,24 @@ void DeviceBatches::evalMosfets(const EvalContext& ctx) {
     const double ovl = batch.overlapCap[k];
     const double jun = batch.junctionCap[k];
     {
-      const auto [i, dIdQ] = dev.ovlGd_.currentFor(ovl * (vg - vd), ctx);
+      const auto [i, dIdQ] =
+          dev.ovlGd_.currentFor(ovl * (vg - vd), companion);
       batch.ovlGdI[k] = i;
       batch.ovlGdG[k] = dIdQ * ovl;
     }
     {
-      const auto [i, dIdQ] = dev.ovlGs_.currentFor(ovl * (vg - vs), ctx);
+      const auto [i, dIdQ] =
+          dev.ovlGs_.currentFor(ovl * (vg - vs), companion);
       batch.ovlGsI[k] = i;
       batch.ovlGsG[k] = dIdQ * ovl;
     }
     {
-      const auto [i, dIdQ] = dev.junD_.currentFor(jun * vd, ctx);
+      const auto [i, dIdQ] = dev.junD_.currentFor(jun * vd, companion);
       batch.junDI[k] = i;
       batch.junDG[k] = dIdQ * jun;
     }
     {
-      const auto [i, dIdQ] = dev.junS_.currentFor(jun * vs, ctx);
+      const auto [i, dIdQ] = dev.junS_.currentFor(jun * vs, companion);
       batch.junSI[k] = i;
       batch.junSG[k] = dIdQ * jun;
     }
@@ -351,7 +356,8 @@ double DeviceBatches::mosfetGateChargeDensity(std::uint32_t lane, double vg,
   return batch.model[lane]->gateChargeDensity(vg - vs);
 }
 
-void DeviceBatches::evalFeCaps(const EvalContext& ctx) {
+void DeviceBatches::evalFeCaps(
+    const EvalContext& ctx, const ChargeIntegrator::Companion& companion) {
   FeCapBatch& batch = fecaps_;
   const SystemView& view = ctx.view;
   const std::size_t n = batch.dev.size();
@@ -369,9 +375,10 @@ void DeviceBatches::evalFeCaps(const EvalContext& ctx) {
       batch.dRatedP[k] = 0.0;
     }
   } else {
+    const double rate = 1.0 / ctx.dt;
     for (std::size_t k = 0; k < n; ++k) {
       batch.dPdt[k] = (batch.p[k] - batch.pPrev[k]) / ctx.dt;
-      batch.dRatedP[k] = 1.0 / ctx.dt;
+      batch.dRatedP[k] = rate;
     }
   }
   ferro::LandauKhalatnikov::staticFieldBatch(n, batch.lk.data(),
@@ -385,7 +392,7 @@ void DeviceBatches::evalFeCaps(const EvalContext& ctx) {
       const double v =
           view.nodeVoltage(batch.a[k]) - view.nodeVoltage(batch.b[k]);
       const auto [ib, dIdQ] =
-          batch.dev[k]->background_.currentFor(bc * v, ctx);
+          batch.dev[k]->background_.currentFor(bc * v, companion);
       batch.bgI[k] = ib;
       batch.bgG[k] = dIdQ * bc;
     }

@@ -176,11 +176,14 @@ class DeviceBatches {
   };
 
   void evalResistors(const EvalContext& ctx);
-  void evalCapacitors(const EvalContext& ctx);
+  void evalCapacitors(const EvalContext& ctx,
+                      const ChargeIntegrator::Companion& companion);
   void evalVoltageSources(const EvalContext& ctx);
   void evalCurrentSources(const EvalContext& ctx);
-  void evalMosfets(const EvalContext& ctx);
-  void evalFeCaps(const EvalContext& ctx);
+  void evalMosfets(const EvalContext& ctx,
+                   const ChargeIntegrator::Companion& companion);
+  void evalFeCaps(const EvalContext& ctx,
+                  const ChargeIntegrator::Companion& companion);
 
   /// q + c·Δvgs from MOSFET lane `lane`'s charge cache: the gate charge
   /// density a bypassed lane stamps and a bypassed commit stores.

@@ -284,38 +284,36 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
       return stats;
     }
 
-    // Damping: clamp per-unknown updates.
-    bool clamped = false;
-    for (int i = 0; i < n; ++i) {
-      const double limit = i < nodes ? kMaxVoltageStep : kMaxAuxStep;
-      if (dx[static_cast<std::size_t>(i)] > limit) {
-        dx[static_cast<std::size_t>(i)] = limit;
-        clamped = true;
-      } else if (dx[static_cast<std::size_t>(i)] < -limit) {
-        dx[static_cast<std::size_t>(i)] = -limit;
-        clamped = true;
-      }
-    }
-    bool updateOk = true;
-    for (int i = 0; i < n; ++i) {
-      const double xi = x[static_cast<std::size_t>(i)];
-      const double di = dx[static_cast<std::size_t>(i)];
-      x[static_cast<std::size_t>(i)] = xi + di;
-      const double tol =
-          (i < nodes ? kVoltageAbsTol : kAuxAbsTol) + kRelTol * std::abs(xi);
-      if (std::abs(di) > tol) updateOk = false;
-    }
-
-    // Residual check on the pre-update residual (already assembled).
+    // One pass over the unknowns: clamp the update (damping), apply it,
+    // and check the update and the pre-update residual (already
+    // assembled) against their tolerances.
     const std::span<const double> residual = assembler_.residual();
     const std::span<const double> rowScale = assembler_.rowScale();
-    double resNorm = 0.0;
+    bool clamped = false;
+    bool updateOk = true;
     bool residualOk = true;
+    double resNorm = 0.0;
     for (int i = 0; i < n; ++i) {
-      const double r = residual[static_cast<std::size_t>(i)];
-      const double scale = rowScale[static_cast<std::size_t>(i)];
+      const auto u = static_cast<std::size_t>(i);
+      const bool node = i < nodes;
+      const double limit = node ? kMaxVoltageStep : kMaxAuxStep;
+      double di = dx[u];
+      if (di > limit) {
+        di = limit;
+        clamped = true;
+      } else if (di < -limit) {
+        di = -limit;
+        clamped = true;
+      }
+      const double xi = x[u];
+      x[u] = xi + di;
+      const double tol =
+          (node ? kVoltageAbsTol : kAuxAbsTol) + kRelTol * std::abs(xi);
+      if (std::abs(di) > tol) updateOk = false;
+
+      const double r = residual[u];
       resNorm = std::max(resNorm, std::abs(r));
-      if (std::abs(r) > kResidualAbsTol + kResidualRelTol * scale) {
+      if (std::abs(r) > kResidualAbsTol + kResidualRelTol * rowScale[u]) {
         residualOk = false;
       }
     }

@@ -24,6 +24,8 @@ constexpr double kDtMin = 1e-17;      ///< [s]
 constexpr double kGrowthFactor = 1.4;
 constexpr int kEasyIterations = 8;
 constexpr double kDtCutFactor = 0.5;
+/// Most waveform samples a run reserves up front.
+constexpr double kMaxReservedSamples = 65536.0;
 
 /// Transient retry-history telemetry under fefet.transient.*.  Flushed
 /// once per run — on clean completion AND on throw exits — so dt cuts and
@@ -133,6 +135,11 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
   sample_.resize(probes_.size());
   TransientResult result;
   for (const auto& probe : probes) result.waveform.addColumn(probe.label);
+  // A run takes about duration/dtMax steps plus the short ones of its
+  // start and source edges; the cap bounds what a tiny dtMax reserves.
+  const double expectedSteps = options.duration / dtMax;
+  result.waveform.reserve(static_cast<std::size_t>(
+      std::min(1.25 * expectedSteps + 32.0, kMaxReservedSamples)));
 
   const obs::Span transientSpan("transient");
   // Destructor-driven flush: counts the run whether it returns or throws.
@@ -208,7 +215,9 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
                                          ? IntegrationMethod::kBackwardEuler
                                          : IntegrationMethod::kTrapezoidal;
 
-    trial_ = x_;
+    // Same size as x_ after the first step: a plain copy, no reassignment.
+    trial_.resize(x_.size());
+    std::copy(x_.begin(), x_.end(), trial_.begin());
     NewtonStats stats =
         newton_.solve(trial_, /*dc=*/false, t + dt, dt, method);
     result.stats.newtonIterations += stats.iterations;
@@ -227,7 +236,7 @@ TransientResult Simulator::runTransient(const TransientOptions& options,
         continue;
       }
       // dt exhausted: last-resort gmin escalation at the floor step.
-      trial_ = x_;
+      std::copy(x_.begin(), x_.end(), trial_.begin());
       stats = newton_.solveWithEscalation(trial_, /*dc=*/false, t + dt, dt,
                                           method);
       result.stats.newtonIterations += stats.iterations;

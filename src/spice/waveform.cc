@@ -18,6 +18,11 @@ void Waveform::addColumn(const std::string& name) {
   columns_.emplace_back();
 }
 
+void Waveform::reserve(std::size_t samples) {
+  time_.reserve(samples);
+  for (auto& column : columns_) column.reserve(samples);
+}
+
 void Waveform::appendSample(double time, const std::vector<double>& values) {
   FEFET_REQUIRE(values.size() == names_.size(),
                 "waveform sample arity mismatch");

@@ -14,6 +14,9 @@ class Waveform {
   /// Register a signal column (order of registration = column order).
   void addColumn(const std::string& name);
 
+  /// Reserve room for `samples` time samples in every registered column.
+  void reserve(std::size_t samples);
+
   /// Append one time sample; `values` must match the registered columns.
   void appendSample(double time, const std::vector<double>& values);
 
