@@ -164,15 +164,17 @@ std::uint32_t pivotRule(const double* work,
   return best;
 }
 
-/// Minimum-degree ordering of the pattern of A + A^T (diagonal ignored).
-/// Greedy on the explicit elimination graph: repeatedly eliminate the
-/// vertex of least current degree (ties to the lowest index, so the order
-/// is deterministic) and turn its neighbourhood into a clique.  The graph
-/// holds exactly the symmetrised fill, which stays small on MNA patterns,
-/// and the ordering runs once per sparsity pattern.
-std::vector<std::size_t> minimumDegreeOrder(std::size_t n,
-                                            std::span<const std::size_t> rowPtr,
-                                            std::span<const std::size_t> colIdx) {
+}  // namespace
+
+// Greedy on the explicit elimination graph of A + A^T (diagonal ignored):
+// repeatedly eliminate the vertex of least current degree (ties to the
+// lowest index, so the order is deterministic) and turn its neighbourhood
+// into a clique.  The graph holds exactly the symmetrised fill, which stays
+// small on MNA patterns, and the ordering runs once per sparsity pattern.
+std::vector<std::size_t> minimumDegreeOrder(const CsrView& pattern) {
+  const std::size_t n = pattern.n;
+  const std::span<const std::size_t> rowPtr = pattern.rowPtr;
+  const std::span<const std::size_t> colIdx = pattern.colIdx;
   std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t p = rowPtr[r]; p < rowPtr[r + 1]; ++p) {
@@ -213,8 +215,6 @@ std::vector<std::size_t> minimumDegreeOrder(std::size_t n,
   return order;
 }
 
-}  // namespace
-
 void SparseLuFactorizer::factor(const SparseMatrix& a) {
   std::vector<std::size_t> rowPtr{0};
   std::vector<std::size_t> colIdx;
@@ -233,7 +233,21 @@ void SparseLuFactorizer::factor(const CsrView& a) {
   FEFET_REQUIRE(a.values.size() == a.colIdx.size(),
                 "SparseLuFactorizer: CSR values/pattern size mismatch");
   factored_ = false;
-  if (!samePattern(a)) analyzePattern(a);
+  if (!samePattern(a)) analyzePattern(a, {});
+  refactor(a.values);
+}
+
+void SparseLuFactorizer::factor(const CsrView& a,
+                                std::span<const std::size_t> order) {
+  FEFET_REQUIRE(a.values.size() == a.colIdx.size(),
+                "SparseLuFactorizer: CSR values/pattern size mismatch");
+  FEFET_REQUIRE(order.size() == a.n,
+                "SparseLuFactorizer: column order size mismatch");
+  factored_ = false;
+  if (!samePattern(a) ||
+      !std::equal(order.begin(), order.end(), q_.begin(), q_.end())) {
+    analyzePattern(a, order);
+  }
   refactor(a.values);
 }
 
@@ -262,7 +276,8 @@ bool SparseLuFactorizer::samePattern(const CsrView& a) const {
                     patColIdx_.end());
 }
 
-void SparseLuFactorizer::analyzePattern(const CsrView& a) {
+void SparseLuFactorizer::analyzePattern(const CsrView& a,
+                                        std::span<const std::size_t> order) {
   FEFET_REQUIRE(a.rowPtr.size() == a.n + 1 &&
                     a.colIdx.size() == a.rowPtr[a.n],
                 "SparseLuFactorizer: malformed CSR view");
@@ -277,8 +292,18 @@ void SparseLuFactorizer::analyzePattern(const CsrView& a) {
   structureValid_ = false;
   patRowPtr_.assign(a.rowPtr.begin(), a.rowPtr.end());
   patColIdx_.assign(a.colIdx.begin(), a.colIdx.end());
-  const auto order = minimumDegreeOrder(n, a.rowPtr, a.colIdx);
-  q_.assign(order.begin(), order.end());
+  if (order.empty()) {
+    const auto minDegree = minimumDegreeOrder(a);
+    q_.assign(minDegree.begin(), minDegree.end());
+  } else {
+    std::vector<bool> seen(n, false);
+    for (const std::size_t c : order) {
+      FEFET_REQUIRE(c < n && !seen[c],
+                    "SparseLuFactorizer: column order is not a permutation");
+      seen[c] = true;
+    }
+    q_.assign(order.begin(), order.end());
+  }
   work_.assign(n, 0.0);
   analyzed_ = true;
 }
@@ -557,6 +582,25 @@ bool SparseLuFactorizer::refactorNumeric(std::span<const double> values) {
     }
   }
   return true;
+}
+
+std::vector<SparseLuFactorizer::Step> SparseLuFactorizer::steps() const {
+  std::vector<Step> steps;
+  if (!structureValid_) return steps;
+  steps.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    Step& step = steps[k];
+    step.column = q_[k];
+    step.pivotRow = perm_[k];
+    step.pivot = udiag_[k];
+    for (Index p = lp_[k]; p < lp_[k + 1]; ++p) {
+      step.lower.emplace_back(slotRow_[li_[p]], lx_[p]);
+    }
+    for (Index t = up_[k]; t < up_[k + 1]; ++t) {
+      step.upper.emplace_back(perm_[ui_[t]], ux_[t]);
+    }
+  }
+  return steps;
 }
 
 std::vector<double> SparseLuFactorizer::solve(

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace fefet::linalg {
@@ -153,6 +154,12 @@ class SparseLuFactorizer {
   /// factorization must rerun.  Throws NumericalError when the matrix is
   /// numerically singular.
   void factor(const CsrView& a);
+  /// factor() in a caller-chosen column order (step k eliminates column
+  /// order[k], a permutation of 0..n-1) instead of the minimum-degree one.
+  /// The Assembler factors its condensed Jacobian in the full Jacobian's
+  /// minimum-degree order restricted to the free unknowns, which keeps the
+  /// pivot sequence of the full system.
+  void factor(const CsrView& a, std::span<const std::size_t> order);
   /// Row-map convenience overload (copies into CSR first).
   void factor(const SparseMatrix& a);
   /// factor() of new values on the CSR pattern of the previous factor()
@@ -182,6 +189,23 @@ class SparseLuFactorizer {
   /// different row than the cached sequence (each one also counts a full
   /// factorization).
   long pivotFallbacks() const { return pivotFallbacks_; }
+  /// One elimination step of the current factor, in the matrix's own row
+  /// and column indices: step k eliminates `column` on `pivotRow` (U's
+  /// diagonal `pivot`); `lower` holds the L multipliers (row, value) of the
+  /// step and `upper` the U entries (row, value) of its column above the
+  /// pivot, each row being the pivot row of an earlier step.  For
+  /// diagnostics and tests; allocates.
+  struct Step {
+    std::size_t column = 0;
+    std::size_t pivotRow = 0;
+    double pivot = 0.0;
+    std::vector<std::pair<std::size_t, double>> lower;
+    std::vector<std::pair<std::size_t, double>> upper;
+  };
+  /// The steps of the current factor in elimination order (empty before
+  /// the first factorization).
+  std::vector<Step> steps() const;
+
   /// Stored entries of the current factor, nnz(L + U): the strictly lower
   /// L multipliers plus U including its diagonal (0 before the first
   /// factorization).
@@ -193,7 +217,9 @@ class SparseLuFactorizer {
   using Index = std::uint32_t;
 
   bool samePattern(const CsrView& a) const;
-  void analyzePattern(const CsrView& a);
+  /// Caches the pattern of `a` and the column order: `order`, or the
+  /// minimum-degree order when it is empty.
+  void analyzePattern(const CsrView& a, std::span<const std::size_t> order);
   void factorFull(std::span<const double> values);
   void compileProgram(std::span<const Index> colPtr,
                       std::span<const Index> colRows,
@@ -259,6 +285,11 @@ class SparseLuFactorizer {
   long numericRefactorizations_ = 0;
   long pivotFallbacks_ = 0;
 };
+
+/// Minimum-degree column order of the pattern of A + A^T (values are
+/// ignored): order[k] is the column eliminated at step k.  The order
+/// SparseLuFactorizer computes for a pattern it has not seen.
+std::vector<std::size_t> minimumDegreeOrder(const CsrView& pattern);
 
 /// Infinity norm of a vector.
 double normInf(std::span<const double> v);

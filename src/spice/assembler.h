@@ -10,12 +10,16 @@
 //     -> per iteration: zero the values, evaluate every device through
 //        the SoA batches (device_batch.h) and scatter it through the
 //        program in netlist order, verify per-device call counts, apply
-//        gmin, solve: the CSR view goes straight to the ordered sparse
-//        LU, at every system size.
+//        gmin;
+//     -> solve, condensed: every source with a grounded terminal pins its
+//        node, so only the free unknowns go through the ordered sparse LU
+//        (DESIGN.md §6.6); the pinned updates and the source currents
+//        come from the sources' own rows and their nodes' KCL rows.
 //
 // The steady state of assemble() + solveForUpdate() performs no heap
-// allocation: everything was sized at construction and the factorizer
-// keeps its own workspace and reuses its symbolic structure.
+// allocation: everything was sized at construction or on the first solve,
+// and the factorizer keeps its own workspace and reuses its symbolic
+// structure.
 #pragma once
 
 #include <array>
@@ -50,7 +54,20 @@ class Assembler {
 
   /// Solve J dx = -F into dx (resized to the system size).  Throws
   /// NumericalError when the Jacobian is singular.
+  ///
+  /// Condensed: a branch row whose only entry is one node's column, and
+  /// whose unknown appears only in that node's KCL row (a voltage source
+  /// with one grounded terminal), pins the node: dv = -F_aux / J[aux,node].
+  /// The free unknowns F solve J_FF dx_F = -F_F - J_F,pinned dv in the full
+  /// Jacobian's minimum-degree order restricted to F, and each source
+  /// current follows from its node's KCL row.  A node pins once: a second
+  /// source on it stays free, and its empty row makes J_FF singular.
   void solveForUpdate(std::vector<double>& dx);
+
+  /// The unknowns the condensed solve factors (the free ones), ascending:
+  /// unknown k of J_FF is unknown freeUnknowns()[k] of the full system.
+  /// Empty before the first solveForUpdate(), which builds the map.
+  std::span<const int> freeUnknowns() const { return free_; }
 
   // Unpadded views of the last assembly (row i = unknown i).
   std::span<const double> residual() const {
@@ -65,7 +82,8 @@ class Assembler {
   /// counters, and only while metrics are enabled.
   void flushTelemetry();
 
-  /// Structure-cache counters and factor fill of the sparse LU.
+  /// Structure-cache counters and factor fill of the sparse LU, which
+  /// factors the condensed Jacobian J_FF.
   const linalg::SparseLuFactorizer& factorizer() const { return lu_; }
 
   /// Assembled Jacobian as CSR.
@@ -76,6 +94,9 @@ class Assembler {
   }
 
  private:
+  /// Finds the pinned nodes and builds the J_FF pattern, maps and order.
+  void buildCondensation();
+
   const StampPattern& pattern_;
   int n_;
   /// Per-mode slot programs (padded indices into values_).
@@ -86,9 +107,39 @@ class Assembler {
   std::vector<double> values_;    ///< CSR values (1 + nnz)
   std::vector<double> residual_;  ///< 1 + n
   std::vector<double> rowScale_;  ///< 1 + n
-  std::vector<double> rhs_;       ///< n (negated residual)
+
+  // Condensation, built from the pattern on the first solve (condensed_);
+  // CSR positions below are unpadded.  A pinned node's update comes from
+  // its source's branch row (J[aux,node] at auxNode), the source current
+  // from the node's KCL row (J[node,aux] at nodeAux).
+  struct Pin {
+    int node;
+    int aux;
+    std::size_t auxNode;
+    std::size_t nodeAux;
+  };
+  /// J_F,pinned entry: rhs_[row] -= values[pos] * dx[col].
+  struct Coupling {
+    std::size_t row;
+    std::size_t pos;
+    int col;
+  };
+  std::vector<Pin> pins_;
+  std::vector<int> free_;  ///< reduced unknown -> full unknown
+  std::vector<std::size_t> freeRowPtr_;  ///< J_FF pattern
+  std::vector<std::size_t> freeColIdx_;
+  std::vector<std::size_t> gather_;  ///< CSR position of each J_FF entry
+  std::vector<Coupling> couplings_;
+  /// The full Jacobian's minimum-degree order restricted to F, for the
+  /// first factorization: it keeps the full system's pivot sequence on
+  /// the free columns.
+  std::vector<std::size_t> freeOrder_;
+  std::vector<double> freeValues_;  ///< J_FF values
+  std::vector<double> rhs_;         ///< -F_F - J_F,pinned dv
+  std::vector<double> dxFree_;
+  bool condensed_ = false;
   linalg::SparseLuFactorizer lu_;
-  /// The first solve hands lu_ the CSR pattern; later ones pass values
+  /// The first solve hands lu_ the J_FF pattern; later ones pass values
   /// only (the pattern of a frozen netlist never changes).
   bool luHasPattern_ = false;
   StampBuffer buffer_;

@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/linalg.h"
 #include "core/array_netlist.h"
+#include "spice/assembler.h"
 #include "spice/hier_engine.h"
 #include "spice/partition.h"
 
@@ -162,21 +164,44 @@ TEST(HierArray, ParallelBlockFactorization) {
   }
 }
 
-/// Fill regression for the flat sparse LU on the array Jacobians.  The
+/// Fill regression for the flat sparse LU on the array Jacobians.  On the
+/// full Jacobian (every line node and driver current included), the
 /// minimum-degree factor holds 1,504 (8x8) and 22,912 (32x32) entries of
 /// L + U.  Natural column order gives 1,696 and 25,984 with the same pivot
 /// rule, and 1,632 and 24,960 with pure partial pivoting; the bounds sit
 /// about 3% above the ordered fill, below all of those, so a lost or
-/// weakened ordering fails here.
-void expectFlatFillBelow(int size, std::size_t bound) {
+/// weakened ordering fails here.  The full Jacobian goes through a
+/// standalone factorizer: Newton's solve condenses the grounded line
+/// drivers out, which leaves three free unknowns per cell (floating gate,
+/// internal node, polarization) coupled only within the cell.  Its factor
+/// is therefore at most a dense 3x3 per cell, and reaches that bound
+/// (576 and 9,216 entries); a line left unpinned would couple the cells
+/// and fill across them.
+void expectFlatFillBelow(int size, std::size_t fullBound) {
   SCOPED_TRACE(std::to_string(size) + "x" + std::to_string(size));
   ArrayNetlist array(makeConfig(size, size, /*hierarchical=*/false));
   array.hold(10e-12);  // a short transient: assembles and factors flat
+  spice::Netlist& netlist = array.netlist();
+  const auto unknowns = static_cast<std::size_t>(netlist.unknownCount());
+
+  std::vector<double> x = array.simulator().solution();
+  spice::Assembler assembler(netlist.stampPattern());
+  assembler.assemble(netlist, spice::SystemView(x, netlist.nodeCount()),
+                     /*dc=*/false, 10e-12, 1e-12,
+                     spice::IntegrationMethod::kTrapezoidal, 1e-12);
+  linalg::SparseLuFactorizer full;
+  full.factor(assembler.csr());
+  EXPECT_LT(full.nonZeros(), fullBound);
+  EXPECT_GT(full.nonZeros(), unknowns);
+  std::vector<double> dx;
+  assembler.solveForUpdate(dx);  // builds the condensation map
+
+  const auto cells = static_cast<std::size_t>(size * size);
   const auto& lu = array.simulator().newton().sparseFactorizer();
   ASSERT_GE(lu.fullFactorizations(), 1);
-  EXPECT_LT(lu.nonZeros(), bound);
-  EXPECT_GT(lu.nonZeros(),
-            static_cast<std::size_t>(array.netlist().unknownCount()));
+  EXPECT_EQ(assembler.freeUnknowns().size(), 3 * cells);
+  EXPECT_LE(lu.nonZeros(), 9 * cells);
+  EXPECT_GT(lu.nonZeros(), 3 * cells);
 }
 
 TEST(ArrayLuFill, FlatFactorFillStaysNearLinear) {

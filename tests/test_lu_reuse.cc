@@ -2,9 +2,14 @@
 // SparseLuFactorizer contracts (bit-identical solves, counter bookkeeping,
 // pattern-change and pivot-drift fallbacks) and, on an assembled circuit
 // Jacobian, agreement with dense LU while the cache is reused across
-// Newton iterations and timesteps, and the cache at work on a 2T cell.
+// Newton iterations and timesteps, and the cache at work on a 2T cell and
+// an 8x8 array.  The Assembler's condensed solve (grounded sources pin
+// their nodes; only the free unknowns are factored) must agree with a
+// full-system solve, and its factor must be the free part of the full
+// factor, pivot for pivot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,8 +25,11 @@
 #include "spice/assembler.h"
 #include "spice/netlist.h"
 #include "spice/newton.h"
+#include "spice/mosfet_device.h"
 #include "spice/passives.h"
+#include "spice/simulator.h"
 #include "spice/sources.h"
+#include "xtor/mosfet_model.h"
 
 namespace fefet {
 namespace {
@@ -488,9 +496,10 @@ TEST(LuReuse, LadderJacobianSolvesMatchDenseLu) {
   EXPECT_GT(lu.numericRefactorizations(), 10);
 }
 
-// A 2T-cell write (11 unknowns) runs Newton through the same sparse LU as
-// an array: one full factorization, then numeric refactorizations on the
-// cached structure for every later iteration and timestep.
+// A 2T-cell write (11 unknowns, 3 of them free) runs Newton through the
+// same sparse LU as an array: one full factorization, then numeric
+// refactorizations on the cached structure for every later iteration and
+// timestep.
 TEST(LuReuse, Cell2TWriteReusesTheSparseFactorization) {
   core::Cell2T cell(core::Cell2TConfig{});
   cell.setStoredBit(false);
@@ -499,6 +508,291 @@ TEST(LuReuse, Cell2TWriteReusesTheSparseFactorization) {
   EXPECT_EQ(lu.fullFactorizations(), 1);
   EXPECT_GT(lu.numericRefactorizations(), 0);
   EXPECT_EQ(lu.pivotFallbacks(), 0);
+}
+
+// The 8x8 array through a write, a read and a hold: one full factorization
+// of the condensed Jacobian, never a pivot fallback.
+TEST(LuReuse, Array8WriteReadHoldReusesTheSparseFactorization) {
+  core::ArrayNetlistConfig config;
+  config.rows = config.cols = 8;
+  core::ArrayNetlist array(config);
+  ASSERT_TRUE(array.writeBit(2, 5, true).ok);
+  EXPECT_TRUE(array.readBit(2, 5).bitRead);
+  array.hold(1e-9);
+  const auto& lu = array.simulator().newton().sparseFactorizer();
+  EXPECT_EQ(lu.fullFactorizations(), 1);
+  EXPECT_GT(lu.numericRefactorizations(), 100);
+  EXPECT_EQ(lu.pivotFallbacks(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Condensed solve: Assembler::solveForUpdate against the full system
+// factored by a standalone SparseLuFactorizer.
+
+/// How a random circuit drives its nodes.
+enum class Drive {
+  kGrounded,  ///< grounded sources on some nodes
+  kSeries,    ///< plus a floating source in series with a grounded one
+  kNone,      ///< current sources only: the identity condensation
+};
+
+/// A random MNA-like circuit on `nodes` nodes: a resistor chain plus
+/// random resistors, capacitors to ground, a diode and a MOSFET (the
+/// generic and batched nonlinear paths), driven as `drive` says.
+void buildRandomCircuit(spice::Netlist& n, stats::Rng& rng, int nodes,
+                        Drive drive) {
+  using namespace spice;
+  const auto node = [&](int i) { return n.node("n" + std::to_string(i)); };
+  int devices = 0;
+  const auto name = [&](const char* kind) {
+    return kind + std::to_string(devices++);
+  };
+  for (int i = 0; i + 1 < nodes; ++i) {
+    n.add<Resistor>(name("R"), node(i), node(i + 1),
+                    rng.uniform(1e2, 1e4));
+  }
+  for (int k = 0; k < nodes; ++k) {
+    const int a = rng.uniformInt(0, nodes - 1);
+    const int b = rng.uniformInt(0, nodes - 1);
+    if (a != b) {
+      n.add<Resistor>(name("R"), node(a), node(b), rng.uniform(1e2, 1e5));
+    }
+  }
+  for (int i = 0; i < nodes; ++i) {
+    n.add<Capacitor>(name("C"), node(i), n.ground(),
+                     rng.uniform(1e-16, 1e-14));
+    if (rng.bernoulli(0.3)) {
+      n.add<Resistor>(name("R"), node(i), n.ground(), rng.uniform(1e3, 1e5));
+    }
+  }
+  n.add<Diode>(name("D"), node(1), node(2));
+  n.add<MosfetDevice>(name("M"), node(3), node(4), node(5), xtor::nmos45(),
+                      65e-9);
+  if (drive == Drive::kNone) {
+    n.add<Resistor>(name("R"), node(0), n.ground(), 1e3);
+    n.add<CurrentSource>(name("I"), n.ground(), node(0),
+                         shapes::dc(1e-4));
+    return;
+  }
+  // Grounded sources on every third node, minus terminal to ground.
+  for (int i = 0; i < nodes; i += 3) {
+    n.add<VoltageSource>(name("V"), node(i), n.ground(),
+                         shapes::dc(rng.uniform(-1.0, 1.0)));
+  }
+  if (drive == Drive::kSeries) {
+    // Node 1 rides 0.4 V above the grounded node 0.
+    n.add<VoltageSource>(name("V"), node(1), node(0), shapes::dc(0.4));
+  }
+}
+
+/// Per-kind scale: the largest magnitude among the node updates or among
+/// the aux updates (branch currents are orders below node voltages).
+void expectUpdatesAgree(const std::vector<double>& got,
+                        const std::vector<double>& ref, int nodeCount) {
+  double nodeScale = 0.0;
+  double auxScale = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    double& scale = static_cast<int>(i) < nodeCount ? nodeScale : auxScale;
+    scale = std::max(scale, std::abs(ref[i]));
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const double scale =
+        static_cast<int>(i) < nodeCount ? nodeScale : auxScale;
+    EXPECT_LE(std::abs(got[i] - ref[i]), 1e-12 * scale)
+        << "unknown " << i << ": " << got[i] << " vs " << ref[i];
+  }
+}
+
+/// The condensed update against the full solve of the same assembly.
+void expectCondensedMatchesFull(spice::Assembler& assembler,
+                                const spice::Netlist& n) {
+  std::vector<double> dx;
+  assembler.solveForUpdate(dx);
+  linalg::SparseLuFactorizer full;
+  full.factor(assembler.csr());
+  std::vector<double> rhs(assembler.residual().begin(),
+                          assembler.residual().end());
+  for (double& r : rhs) r = -r;
+  expectUpdatesAgree(dx, full.solve(rhs), n.nodeCount());
+}
+
+TEST(Condensation, MatchesFullSolveOnRandomCircuits) {
+  using namespace spice;
+  struct Case {
+    Drive drive;
+    const char* name;
+  };
+  const Case cases[] = {{Drive::kGrounded, "grounded"},
+                        {Drive::kSeries, "series"},
+                        {Drive::kNone, "no source"}};
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      stats::Rng rng(seed);
+      Netlist n;
+      buildRandomCircuit(n, rng, 12 + static_cast<int>(seed), c.drive);
+      const int unknowns = n.freeze();
+      Assembler assembler(n.stampPattern());
+      std::vector<double> x(static_cast<std::size_t>(unknowns), 0.0);
+      for (double& xi : x) xi = rng.uniform(-0.5, 0.5);
+      const SystemView view(x, n.nodeCount());
+      // DC, a BE and a trapezoidal step, then the gmin continuation ladder.
+      assembler.assemble(n, view, /*dc=*/true, 0.0, 0.0,
+                         IntegrationMethod::kBackwardEuler, 1e-12);
+      expectCondensedMatchesFull(assembler, n);
+
+      const std::size_t pinned = static_cast<std::size_t>(unknowns) -
+                                 assembler.freeUnknowns().size();
+      if (c.drive == Drive::kNone) {
+        EXPECT_EQ(pinned, 0u);
+      } else {
+        // Two unknowns per grounded source; the series source stays free.
+        EXPECT_EQ(pinned, 2u * static_cast<std::size_t>(
+                                   (12 + seed + 2) / 3));
+      }
+      assembler.assemble(n, view, /*dc=*/false, 1e-10, 1e-12,
+                         IntegrationMethod::kBackwardEuler, 1e-12);
+      expectCondensedMatchesFull(assembler, n);
+      assembler.assemble(n, view, /*dc=*/false, 2e-10, 3e-12,
+                         IntegrationMethod::kTrapezoidal, 1e-12);
+      expectCondensedMatchesFull(assembler, n);
+      for (double gmin = 1e-2; gmin >= 1e-12 * 0.99; gmin *= 0.1) {
+        SCOPED_TRACE("gmin " + std::to_string(gmin));
+        assembler.assemble(n, view, /*dc=*/true, 0.0, 0.0,
+                           IntegrationMethod::kBackwardEuler, gmin);
+        expectCondensedMatchesFull(assembler, n);
+      }
+    }
+  }
+}
+
+TEST(Condensation, MatchesFullSolveAtConvergedDcAndTransientPoints) {
+  // The updates near a converged DC operating point and at the end of a
+  // transient, where the residuals and updates are small.
+  using namespace spice;
+  stats::Rng rng(11);
+  Netlist n;
+  buildRandomCircuit(n, rng, 14, Drive::kSeries);
+  Simulator sim(n);
+  ASSERT_TRUE(sim.solveDc().converged);
+  std::vector<double> x = sim.solution();
+  Assembler assembler(n.stampPattern());
+  assembler.assemble(n, SystemView(x, n.nodeCount()), /*dc=*/true, 0.0, 0.0,
+                     IntegrationMethod::kBackwardEuler, 1e-12);
+  expectCondensedMatchesFull(assembler, n);
+  TransientOptions options;
+  options.duration = 0.2e-9;
+  options.dtMax = 2e-12;
+  sim.runTransient(options, {});
+  x = sim.solution();
+  assembler.assemble(n, SystemView(x, n.nodeCount()), /*dc=*/false, 0.2e-9,
+                     2e-12, IntegrationMethod::kTrapezoidal, 1e-12);
+  expectCondensedMatchesFull(assembler, n);
+}
+
+TEST(Condensation, TwoSourcesPinningOneNodeFailLoudly) {
+  using namespace spice;
+  Netlist n;
+  n.add<VoltageSource>("V1", n.node("a"), n.ground(), shapes::dc(1.0));
+  n.add<VoltageSource>("V2", n.node("a"), n.ground(), shapes::dc(1.0));
+  n.add<Resistor>("R1", n.node("a"), n.node("b"), 1e3);
+  n.add<Resistor>("R2", n.node("b"), n.ground(), 1e3);
+  const int unknowns = n.freeze();
+  Assembler assembler(n.stampPattern());
+  std::vector<double> x(static_cast<std::size_t>(unknowns), 0.0);
+  assembler.assemble(n, SystemView(x, n.nodeCount()), /*dc=*/true, 0.0, 0.0,
+                     IntegrationMethod::kBackwardEuler, 1e-12);
+  std::vector<double> dx;
+  EXPECT_THROW(assembler.solveForUpdate(dx), NumericalError);
+  // V1 pins "a"; V2's branch current stays free with an empty row.
+  EXPECT_EQ(assembler.freeUnknowns().size(),
+            static_cast<std::size_t>(unknowns) - 2);
+  linalg::SparseLuFactorizer full;
+  EXPECT_THROW(full.factor(assembler.csr()), NumericalError);
+  Simulator sim(n);
+  EXPECT_THROW(sim.solveDc(), NumericalError);
+}
+
+/// The condensed factor is the free part of the full factor: the Newton
+/// solve's first factorization of J_FF (in the full minimum-degree order
+/// restricted to the free unknowns) against a standalone full
+/// factorization of the same assembly.  Every full step on a free column
+/// pivots on a free row, and its pivot, L multipliers and U entries in
+/// free rows equal the condensed step's bit for bit.
+void expectCondensedFactorIsFreePart(spice::Simulator& sim) {
+  using namespace spice;
+  Netlist& n = sim.netlist();
+  std::vector<double> x = sim.solution();
+  Assembler assembler(n.stampPattern());
+  assembler.assemble(n, SystemView(x, n.nodeCount()), /*dc=*/false, 1e-10,
+                     1e-12, IntegrationMethod::kTrapezoidal, 1e-12);
+  std::vector<double> dx;
+  assembler.solveForUpdate(dx);
+  linalg::SparseLuFactorizer full;
+  full.factor(assembler.csr());
+
+  const std::span<const int> freeUnknowns = assembler.freeUnknowns();
+  const auto size = static_cast<std::size_t>(n.unknownCount());
+  constexpr std::size_t kPinned = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> reduced(size, kPinned);
+  for (std::size_t i = 0; i < freeUnknowns.size(); ++i) {
+    reduced[static_cast<std::size_t>(freeUnknowns[i])] = i;
+  }
+  using Entries = std::vector<std::pair<std::size_t, double>>;
+  // Free-row entries in reduced indices, sorted; bitwise comparable.
+  const auto freePart = [&](const Entries& entries, bool mapRows) {
+    Entries out;
+    for (const auto& [row, value] : entries) {
+      const std::size_t r = mapRows ? reduced[row] : row;
+      if (r != kPinned) out.emplace_back(r, value);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto bits = [](const Entries& entries) {
+    std::vector<std::pair<std::size_t, std::uint64_t>> out;
+    for (const auto& [row, value] : entries) {
+      out.emplace_back(row, std::bit_cast<std::uint64_t>(value));
+    }
+    return out;
+  };
+
+  const auto condensedSteps = assembler.factorizer().steps();
+  ASSERT_EQ(condensedSteps.size(), freeUnknowns.size());
+  std::size_t next = 0;
+  for (const auto& step : full.steps()) {
+    if (reduced[step.column] == kPinned) continue;
+    SCOPED_TRACE("full column " + std::to_string(step.column));
+    ASSERT_LT(next, condensedSteps.size());
+    const auto& mine = condensedSteps[next++];
+    EXPECT_EQ(mine.column, reduced[step.column]);
+    ASSERT_NE(reduced[step.pivotRow], kPinned) << "pivot on a pinned row";
+    EXPECT_EQ(mine.pivotRow, reduced[step.pivotRow]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(mine.pivot),
+              std::bit_cast<std::uint64_t>(step.pivot));
+    EXPECT_EQ(bits(freePart(mine.lower, false)),
+              bits(freePart(step.lower, true)));
+    EXPECT_EQ(bits(freePart(mine.upper, false)),
+              bits(freePart(step.upper, true)));
+  }
+  EXPECT_EQ(next, condensedSteps.size());
+}
+
+TEST(Condensation, Cell2TFactorIsTheFreePartOfTheFullFactor) {
+  core::Cell2T cell(core::Cell2TConfig{});
+  cell.setStoredBit(true);
+  cell.hold(0.2e-9);
+  EXPECT_EQ(cell.simulator().netlist().unknownCount(), 11);
+  expectCondensedFactorIsFreePart(cell.simulator());
+}
+
+TEST(Condensation, Array8FactorIsTheFreePartOfTheFullFactor) {
+  core::ArrayNetlistConfig config;
+  config.rows = config.cols = 8;
+  core::ArrayNetlist array(config);
+  array.hold(0.2e-9);
+  EXPECT_EQ(array.simulator().netlist().unknownCount(), 256);
+  expectCondensedFactorIsFreePart(array.simulator());
 }
 
 }  // namespace

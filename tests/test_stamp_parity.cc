@@ -20,7 +20,10 @@
 //      changed, the cell and the diode string when they moved off dense
 //      LU.  Each golden holds the final physical values, the
 //      step/iteration/escalation counts and an order-sensitive hash over
-//      the bits of every waveform sample.
+//      the bits of every waveform sample.  When Newton's solve began
+//      condensing the grounded sources out (only the free unknowns are
+//      factored; DESIGN.md §6.6) all three came through bit for bit, so
+//      none was re-captured.
 #include <gtest/gtest.h>
 
 #include <bit>
