@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
     points = engine.run(
         thicknesses,
         [&](double t, const sim::SweepContext&) {
+          cli.padPoint();
           return core::characterizeThickness(base, t, kVread);
         },
         codec);

@@ -1,8 +1,9 @@
 // Reproduces paper Fig. 7 + Table 1 on a generated N x M electrical array:
 // selective writes/reads under the proposed bias scheme, unaccessed-row
-// isolation, disturb and sneak-current quantification — through the deck-
-// generated core::ArrayNetlist, so the same binary exercises the flat and
-// the hierarchical (BBD/Schur, --hier=1) solve paths at any --rows/--cols.
+// isolation, disturb and sneak-current quantification — through the
+// circuit-level core::ArrayNetlist, so the same binary exercises the flat
+// and the hierarchical (BBD/Schur, --hier=1) solve paths at any
+// --rows/--cols.
 //
 // Modes (composable with --rows/--cols/--threads/--writes):
 //   default    checkerboard-or-strided writes, hold, read-back; one PERF
@@ -14,7 +15,7 @@
 //              gate on the DESIGN.md §6.7 tolerances (1e-3 of the memory
 //              window on polarizations, 0.5% on the read current).
 //   --speedup  time the same transient hold flat vs hierarchically and
-//              report the solve-path speedup (check.sh stage 5 smoke).
+//              report the solve-path speedup (check.sh stage 8 smoke).
 //   --telemetry-overhead
 //              run the write/read schedule on two identical flat arrays,
 //              metrics disabled on one and enabled on the other, and
@@ -216,7 +217,7 @@ int runParity(const Cli& cli, const std::vector<WriteOp>& ops) {
   return pass ? 0 : 1;
 }
 
-/// check.sh stage 5 smoke: the same short transient flat vs hierarchical.
+/// check.sh stage 8 smoke: the same short transient flat vs hierarchical.
 int runSpeedup(const Cli& cli) {
   bench::banner("hierarchical solve speedup smoke");
   core::ArrayNetlist hier(makeConfig(cli, /*hierarchical=*/true));

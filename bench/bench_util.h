@@ -10,6 +10,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -54,6 +55,15 @@ struct SweepCli {
   /// parallel identity pass).
   bool resilient() const {
     return !journalPath.empty() || pointDelaySeconds > 0.0;
+  }
+
+  /// Sleep for --point-delay-ms.  Every resilient point function calls it
+  /// first, so a signal sent once a journal holds a point lands mid-sweep.
+  void padPoint() const {
+    if (pointDelaySeconds > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(pointDelaySeconds));
+    }
   }
 };
 

@@ -142,6 +142,7 @@ int main(int argc, char** argv) {
       results.mc = engine.run(
           thicknesses,
           [&](double t, const sim::SweepContext&) {
+            cli.padPoint();
             core::FefetParams p = nominal;
             p.feThickness = t;
             return core::runDeviceMonteCarloParallel(p, spec, 1000,
@@ -163,6 +164,7 @@ int main(int argc, char** argv) {
       results.yield = engine.run(
           yieldPoints,
           [&](const std::pair<double, double>& pt, const sim::SweepContext&) {
+            cli.padPoint();
             return core::runWriteYieldParallel(cfg, spec, 20, pt.first,
                                                pt.second, /*threads=*/1);
           },

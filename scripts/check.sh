@@ -22,25 +22,26 @@
 #     Fig. 7 8x8 array transients, metrics enabled vs disabled, paired
 #     per op and interleaved in thread CPU time, median overhead <= 2%
 #     (the same measurement on a 1x1 array is printed, not gated);
-#  5. hierarchical solver gate: bench_fig07_array_bias --parity at 32x32
-#     must match the flat oracle within the DESIGN.md §6.7 tolerances
-#     (1e-3 of the memory window, 0.5% read current), and --speedup at
-#     64x64 must show the BBD/Schur path >= 2x faster than the flat
-#     sparse-LU solve on the same transient;
+#  5. bench determinism: every bench named in bench/CMakeLists.txt runs
+#     twice from the Release build and must print the same stdout both
+#     times, PERF and REPORT lines (wall-clock timings) excluded — the
+#     benches are seeded, so any other difference is a bug;
 #  6. black-box crash gate: the Release bench_variability sweep with
-#     FEFET_BLACKBOX set, sent SIGSEGV once its journaled write-yield
-#     sweep (the Newton-running one) has recorded a point, must leave a
-#     dump that fefet-blackbox parses and pretty-prints, with the solver
-#     events and the sweep engine's embedded metrics snapshot intact;
+#     FEFET_BLACKBOX set (points padded 400 ms), sent SIGSEGV once its
+#     journaled write-yield sweep (the Newton-running one) has recorded a
+#     point, must leave a dump that fefet-blackbox parses and
+#     pretty-prints, with the solver events and the sweep engine's
+#     embedded metrics snapshot intact;
 #  7. clang-tidy (performance-* as errors + modernize subset, .clang-tidy)
 #     over src/spice and src/common — skipped with a notice when
 #     clang-tidy is not installed;
-#  8. bench determinism: every bench named in bench/CMakeLists.txt runs
-#     twice from the Release build and must print the same stdout both
-#     times, PERF and REPORT lines (wall-clock timings) excluded — the
-#     benches are seeded, so any other difference is a bug.  It runs
-#     right after stage 4, on that stage's Release build, so an open
-#     stage-5 failure does not hide it.
+#  8. hierarchical solver gate: bench_fig07_array_bias --parity at 32x32
+#     must match the flat oracle within the DESIGN.md §6.7 tolerances
+#     (1e-3 of the memory window, 0.5% read current), and --speedup at
+#     64x64 must show the BBD/Schur path >= 2x faster than the flat
+#     sparse-LU solve on the same transient.  It runs last: the speedup
+#     floor has been failing since the flat LU gained its ordering
+#     (ROADMAP item 2), and a failure here must not hide stages 5-7.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -188,7 +189,7 @@ SMALL_OVERHEAD_PERF=$("$PERF_BUILD_DIR/bench/bench_fig07_array_bias" --rows=1 \
 echo "$SMALL_OVERHEAD_PERF"
 echo "observability smoke passed (telemetry overhead $OVERHEAD at 8x8)"
 
-echo "== bench determinism (stage 8): two runs of every bench print the same stdout =="
+echo "== bench determinism (stage 5): two runs of every bench print the same stdout =="
 BENCHES=$(sed -nE 's/^fefet_add_bench\((bench_[a-z0-9_]+)\)$/\1/p' \
   bench/CMakeLists.txt)
 # shellcheck disable=SC2086
@@ -211,31 +212,6 @@ for bench in $BENCHES; do
 done
 echo "bench determinism passed ($(echo "$BENCHES" | wc -w) benches)"
 
-echo "== hierarchical solver gate: BBD/Schur parity + speedup =="
-cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target bench_fig07_array_bias
-HIER_BENCH="$PERF_BUILD_DIR/bench/bench_fig07_array_bias"
-# Parity: identical write/hold/read schedule hierarchically and flat on a
-# 32x32 electrical array; the bench exits non-zero when the DESIGN.md §6.7
-# tolerances are violated (the PERF line carries the measured deviations).
-if ! "$HIER_BENCH" --rows=32 --cols=32 --writes=2 --parity \
-    > "$SMOKE_DIR/hier-parity.out"; then
-  echo "FAIL: 32x32 hierarchical-vs-flat parity gate" >&2
-  cat "$SMOKE_DIR/hier-parity.out" >&2
-  exit 1
-fi
-grep '^PERF ' "$SMOKE_DIR/hier-parity.out"
-# Speedup: the same short transient flat vs hierarchical at 64x64.
-"$HIER_BENCH" --rows=64 --cols=64 --speedup --threads=4 \
-  > "$SMOKE_DIR/hier-speedup.out"
-HIER_PERF=$(grep '^PERF ' "$SMOKE_DIR/hier-speedup.out")
-echo "$HIER_PERF"
-HIER_SPEEDUP=$(echo "$HIER_PERF" | sed -E 's/.*"speedup":([0-9.]+).*/\1/')
-if ! awk -v s="$HIER_SPEEDUP" 'BEGIN { exit !(s >= 2.0) }'; then
-  echo "FAIL: hierarchical solve speedup $HIER_SPEEDUP is below the 2x floor" >&2
-  exit 1
-fi
-echo "hierarchical solver gate passed (64x64 speedup ${HIER_SPEEDUP}x)"
-
 echo "== black-box crash gate: SIGSEGV mid-sweep leaves a parseable dump =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" \
   --target bench_variability fefet_blackbox
@@ -248,12 +224,15 @@ VARIABILITY_BENCH="$PERF_BUILD_DIR/bench/bench_variability"
 # phase would find no solver events to check.  The .yield journal belongs
 # to the Newton-running write-yield sweep, so once it holds its header
 # plus one point record, solver events are in the rings and the sweep
-# engine has refreshed the dump's metrics snapshot.
+# engine has refreshed the dump's metrics snapshot.  The whole unpadded
+# sweep takes ~0.5 s, so the last yield points can finish within one poll
+# interval; padding each point by 400 ms keeps the signal mid-sweep.
 CRASH_BBX="$SMOKE_DIR/crash.bbx"
 CRASH_JOURNAL="$SMOKE_DIR/crash.journal"
 rm -f "$CRASH_BBX" "$CRASH_JOURNAL.yield"
 FEFET_BLACKBOX="$CRASH_BBX" "$VARIABILITY_BENCH" --threads 2 \
-  --journal="$CRASH_JOURNAL" > "$SMOKE_DIR/crash.out" 2>&1 &
+  --journal="$CRASH_JOURNAL" --point-delay-ms=400 \
+  > "$SMOKE_DIR/crash.out" 2>&1 &
 CRASH_PID=$!
 # Complete (newline-terminated) records in the write-yield journal.
 yield_journal_lines() {
@@ -316,3 +295,28 @@ if command -v clang-tidy >/dev/null 2>&1; then
 else
   echo "clang-tidy not installed; skipping static-analysis stage"
 fi
+
+echo "== hierarchical solver gate: BBD/Schur parity + speedup =="
+cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target bench_fig07_array_bias
+HIER_BENCH="$PERF_BUILD_DIR/bench/bench_fig07_array_bias"
+# Parity: identical write/hold/read schedule hierarchically and flat on a
+# 32x32 electrical array; the bench exits non-zero when the DESIGN.md §6.7
+# tolerances are violated (the PERF line carries the measured deviations).
+if ! "$HIER_BENCH" --rows=32 --cols=32 --writes=2 --parity \
+    > "$SMOKE_DIR/hier-parity.out"; then
+  echo "FAIL: 32x32 hierarchical-vs-flat parity gate" >&2
+  cat "$SMOKE_DIR/hier-parity.out" >&2
+  exit 1
+fi
+grep '^PERF ' "$SMOKE_DIR/hier-parity.out"
+# Speedup: the same short transient flat vs hierarchical at 64x64.
+"$HIER_BENCH" --rows=64 --cols=64 --speedup --threads=4 \
+  > "$SMOKE_DIR/hier-speedup.out"
+HIER_PERF=$(grep '^PERF ' "$SMOKE_DIR/hier-speedup.out")
+echo "$HIER_PERF"
+HIER_SPEEDUP=$(echo "$HIER_PERF" | sed -E 's/.*"speedup":([0-9.]+).*/\1/')
+if ! awk -v s="$HIER_SPEEDUP" 'BEGIN { exit !(s >= 2.0) }'; then
+  echo "FAIL: hierarchical solve speedup $HIER_SPEEDUP is below the 2x floor" >&2
+  exit 1
+fi
+echo "hierarchical solver gate passed (64x64 speedup ${HIER_SPEEDUP}x)"

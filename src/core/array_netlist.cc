@@ -6,68 +6,21 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "spice/deck_parser.h"
+#include "spice/passives.h"
 
 namespace fefet::core {
 
 using spice::Probe;
 using spice::shapes::dc;
-using spice::shapes::pulse;
-
-namespace {
-
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// The deck's M and X cards carry only the knobs emitArrayDeck writes; any
-/// other FEFET or access-transistor field would be dropped by the deck while
-/// bistableStates() still classified against it, so reject it up front.
-void requireDeckCarriesConfig(const ArrayNetlistConfig& config) {
-  const auto require = [](bool same, const std::string& field) {
-    if (!same) {
-      throw InvalidArgumentError("ArrayNetlist: the array deck cannot carry " +
-                                 field + "; leave it at its default");
-    }
-  };
-  const auto requireMos = [&](const xtor::MosParams& m,
-                              const std::string& prefix, bool checkCov) {
-    const xtor::MosParams d = xtor::nmos45();
-    require(m.type == d.type, prefix + "type");
-    require(m.slopeFactor == d.slopeFactor, prefix + "slopeFactor");
-    require(m.vfb == d.vfb, prefix + "vfb");
-    require(m.accSlopeFactor == d.accSlopeFactor, prefix + "accSlopeFactor");
-    require(m.cox == d.cox, prefix + "cox");
-    require(m.chargeStiffening == d.chargeStiffening,
-            prefix + "chargeStiffening");
-    require(m.mobility == d.mobility, prefix + "mobility");
-    require(m.mobilityTheta == d.mobilityTheta, prefix + "mobilityTheta");
-    require(m.lambda == d.lambda, prefix + "lambda");
-    require(m.dibl == d.dibl, prefix + "dibl");
-    require(m.temperature == d.temperature, prefix + "temperature");
-    require(!checkCov || m.overlapCapPerWidth == d.overlapCapPerWidth,
-            prefix + "overlapCapPerWidth");
-    require(m.junctionCapPerWidth == d.junctionCapPerWidth,
-            prefix + "junctionCapPerWidth");
-  };
-  const FefetParams d;
-  require(config.fefet.lk.alpha == d.lk.alpha, "fefet.lk.alpha");
-  require(config.fefet.lk.beta == d.lk.beta, "fefet.lk.beta");
-  require(config.fefet.lk.gamma == d.lk.gamma, "fefet.lk.gamma");
-  require(config.fefet.backgroundEpsR == d.backgroundEpsR,
-          "fefet.backgroundEpsR");
-  // The FEFET's overlap capacitance is not compared: the deck forces cov=0.
-  requireMos(config.fefet.mos, "fefet.mos.", /*checkCov=*/false);
-  requireMos(config.accessMos, "accessMos.", /*checkCov=*/true);
-}
-
-}  // namespace
 
 std::string emitArrayDeck(const ArrayNetlistConfig& config) {
   FEFET_REQUIRE(config.rows >= 1 && config.cols >= 1,
                 "emitArrayDeck: array needs at least one cell");
+  const auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return std::string(buf);
+  };
   std::ostringstream deck;
   deck << "* " << config.rows << "x" << config.cols
        << " FEFET 2T array (paper Fig. 7 line organization)\n";
@@ -111,37 +64,56 @@ std::string emitArrayDeck(const ArrayNetlistConfig& config) {
 
 ArrayNetlist::ArrayNetlist(const ArrayNetlistConfig& config)
     : config_(config) {
-  requireDeckCarriesConfig(config_);
+  FEFET_REQUIRE(config_.rows >= 1 && config_.cols >= 1,
+                "ArrayNetlist: array needs at least one cell");
   states_ = bistableStates(config_.fefet);
 
-  spice::parseDeckString(emitArrayDeck(config_), netlist_);
-
+  // Each line pair (WS/RS per row, WBL/SL per column): the two drivers,
+  // then their wire caps, in the order emitArrayDeck writes them.
+  auto& n = netlist_;
+  const auto addLines = [&](const std::string& a, const std::string& b,
+                            double cap,
+                            std::vector<spice::VoltageSource*>& aSources,
+                            std::vector<spice::VoltageSource*>& bSources) {
+    aSources.push_back(n.add<spice::VoltageSource>("V" + a, n.node(a),
+                                                   n.ground(), dc(0.0)));
+    bSources.push_back(n.add<spice::VoltageSource>("V" + b, n.node(b),
+                                                   n.ground(), dc(0.0)));
+    n.add<spice::Capacitor>("C" + a, n.node(a), n.ground(), cap);
+    n.add<spice::Capacitor>("C" + b, n.node(b), n.ground(), cap);
+  };
   for (int r = 0; r < config_.rows; ++r) {
-    wsSources_.push_back(
-        netlist_.get<spice::VoltageSource>("Vws" + std::to_string(r)));
-    rsSources_.push_back(
-        netlist_.get<spice::VoltageSource>("Vrs" + std::to_string(r)));
+    addLines("ws" + std::to_string(r), "rs" + std::to_string(r),
+             config_.rowWireCapPerCell * config_.cols, wsSources_,
+             rsSources_);
   }
   for (int c = 0; c < config_.cols; ++c) {
-    wblSources_.push_back(
-        netlist_.get<spice::VoltageSource>("Vwbl" + std::to_string(c)));
-    slSources_.push_back(
-        netlist_.get<spice::VoltageSource>("Vsl" + std::to_string(c)));
+    const std::string wbl = "wbl" + std::to_string(c);
+    const std::string sl = "sl" + std::to_string(c);
+    addLines(wbl, sl, config_.colWireCapPerCell * config_.rows, wblSources_,
+             slSources_);
     // Shared column lines become the BBD border; freeze() then partitions
     // the interior into one block per word-line row.
-    netlist_.markBorderNode("wbl" + std::to_string(c));
-    netlist_.markBorderNode("sl" + std::to_string(c));
+    n.markBorderNode(wbl);
+    n.markBorderNode(sl);
     probes_.push_back(Probe::i("Vsl" + std::to_string(c)));
   }
   for (int r = 0; r < config_.rows; ++r) {
     probes_.push_back(Probe::i("Vrs" + std::to_string(r)));
   }
+  for (const auto* lines : {&wsSources_, &rsSources_, &wblSources_,
+                            &slSources_}) {
+    drivers_.insert(drivers_.end(), lines->begin(), lines->end());
+  }
   for (int r = 0; r < config_.rows; ++r) {
     for (int c = 0; c < config_.cols; ++c) {
-      const std::string inst =
-          "Xc" + std::to_string(r) + "_" + std::to_string(c);
-      fes_.push_back(netlist_.get<spice::FeCapDevice>(inst + ":Xfe"));
-      internalNodes_.push_back(inst + ":int");
+      const std::string cell =
+          "cell" + std::to_string(r) + "_" + std::to_string(c);
+      cells_.push_back(attachCell2T(
+          n, cell, cell + ":g", "wbl" + std::to_string(c),
+          "ws" + std::to_string(r), "rs" + std::to_string(r),
+          "sl" + std::to_string(c), config_.fefet, config_.accessMos,
+          config_.accessWidth));
     }
   }
 
@@ -162,10 +134,10 @@ void ArrayNetlist::setPattern(const std::vector<std::vector<bool>>& bits) {
     for (int c = 0; c < config_.cols; ++c) {
       const bool one =
           bits[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
-      fe(r, c)->setPolarization(one ? states_.pOn : states_.pOff);
-      sim_->setNodeVoltage(
-          internalNodes_[static_cast<std::size_t>(r * config_.cols + c)],
-          one ? states_.psiOn : states_.psiOff);
+      const FefetInstance& cell = this->cell(r, c);
+      cell.fe->setPolarization(one ? states_.pOn : states_.pOff);
+      sim_->setNodeVoltage(netlist_.nodeName(cell.internalNode),
+                           one ? states_.psiOn : states_.psiOff);
     }
   }
   sim_->initializeUic();
@@ -175,33 +147,28 @@ bool ArrayNetlist::bitAt(int row, int col) const {
   FEFET_REQUIRE(row >= 0 && row < config_.rows && col >= 0 &&
                     col < config_.cols,
                 "bitAt: cell index out of range");
-  return fe(row, col)->polarization() > states_.pSaddle;
+  return cell(row, col).polarization() > states_.pSaddle;
 }
 
 std::vector<std::vector<double>> ArrayNetlist::polarizations() const {
   std::vector<std::vector<double>> out(static_cast<std::size_t>(config_.rows));
   for (int r = 0; r < config_.rows; ++r) {
     for (int c = 0; c < config_.cols; ++c) {
-      out[static_cast<std::size_t>(r)].push_back(fe(r, c)->polarization());
+      out[static_cast<std::size_t>(r)].push_back(cell(r, c).polarization());
     }
   }
   return out;
 }
 
 void ArrayNetlist::groundAll() {
-  for (auto* s : wsSources_) s->setShape(dc(0.0));
-  for (auto* s : rsSources_) s->setShape(dc(0.0));
-  for (auto* s : wblSources_) s->setShape(dc(0.0));
-  for (auto* s : slSources_) s->setShape(dc(0.0));
+  for (auto* s : drivers_) s->setShape(dc(0.0));
 }
 
 ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
                                      int accessedCol, bool isRead) {
-  const auto before = polarizations();
-  for (auto* s : wsSources_) s->resetEnergy();
-  for (auto* s : rsSources_) s->resetEnergy();
-  for (auto* s : wblSources_) s->resetEnergy();
-  for (auto* s : slSources_) s->resetEnergy();
+  std::vector<double> before;
+  for (const auto& cell : cells_) before.push_back(cell.polarization());
+  for (auto* s : drivers_) s->resetEnergy();
 
   spice::TransientOptions options;
   options.duration = duration;
@@ -209,17 +176,12 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
   auto transient = sim_->runTransient(options, probes_);
 
   ArrayNetOpResult result;
-  const auto after = polarizations();
-  for (int r = 0; r < config_.rows; ++r) {
-    for (int c = 0; c < config_.cols; ++c) {
-      if (r == accessedRow && c == accessedCol) continue;
-      const double dP =
-          std::abs(after[static_cast<std::size_t>(r)]
-                        [static_cast<std::size_t>(c)] -
-                   before[static_cast<std::size_t>(r)]
-                         [static_cast<std::size_t>(c)]);
-      result.maxUnaccessedDisturb = std::max(result.maxUnaccessedDisturb, dP);
-    }
+  const int accessed = accessedRow * config_.cols + accessedCol;
+  for (std::size_t k = 0; k < cells_.size(); ++k) {
+    if (static_cast<int>(k) == accessed) continue;
+    result.maxUnaccessedDisturb =
+        std::max(result.maxUnaccessedDisturb,
+                 std::abs(cells_[k].polarization() - before[k]));
   }
   // Sneak paths: during a read the whole accessed row legitimately
   // conducts into its column sense lines (row-parallel read), so sneak
@@ -238,10 +200,7 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
         probes_[static_cast<std::size_t>(accessedCol)].label, 0.6 * t.back());
     result.bitRead = result.readCurrent > config_.readCurrentThreshold;
   }
-  for (auto* s : wsSources_) result.totalEnergy += s->energyDelivered();
-  for (auto* s : rsSources_) result.totalEnergy += s->energyDelivered();
-  for (auto* s : wblSources_) result.totalEnergy += s->energyDelivered();
-  for (auto* s : slSources_) result.totalEnergy += s->energyDelivered();
+  for (auto* s : drivers_) result.totalEnergy += s->energyDelivered();
   result.waveform = std::move(transient.waveform);
   return result;
 }
@@ -251,29 +210,23 @@ ArrayNetOpResult ArrayNetlist::writeBit(int row, int col, bool one) {
                     col < config_.cols,
                 "writeBit: cell index out of range");
   groundAll();
-  const double edge = config_.edgeTime;
-  const double width = config_.writePulse;
-  const double lead = 2.0 * edge;
+  const WritePulses pulses{config_.writePulse, config_.edgeTime,
+                           config_.settleTime};
   // Table 1 write biases: accessed WS boosted, unaccessed WS at -VDD.
   for (int r = 0; r < config_.rows; ++r) {
+    auto* ws = wsSources_[static_cast<std::size_t>(r)];
     if (r == row) {
-      wsSources_[static_cast<std::size_t>(r)]->setShape(
-          pulse(0.0, config_.levels.writeBoost, edge, edge,
-                width + 4.0 * edge + 0.8 * config_.settleTime, edge));
+      ws->setShape(pulses.select(config_.levels.writeBoost));
     } else if (config_.negativeUnaccessedSelect) {
-      wsSources_[static_cast<std::size_t>(r)]->setShape(
-          pulse(0.0, -config_.levels.vdd, edge, edge,
-                width + 4.0 * edge + 0.8 * config_.settleTime, edge));
+      ws->setShape(pulses.select(-config_.levels.vdd));
     } else {
-      wsSources_[static_cast<std::size_t>(r)]->setShape(dc(0.0));
+      ws->setShape(dc(0.0));
     }
   }
   const double vw = config_.levels.vWrite;
   wblSources_[static_cast<std::size_t>(col)]->setShape(
-      pulse(0.0, one ? vw : -vw, lead + edge, edge, width, edge));
-  const double duration = lead + width + 6.0 * edge + config_.settleTime;
-
-  auto result = runOp(duration, row, col, /*isRead=*/false);
+      pulses.bitLine(one ? vw : -vw));
+  auto result = runOp(pulses.duration(), row, col, /*isRead=*/false);
   result.ok = (bitAt(row, col) == one);
   return result;
 }
@@ -283,17 +236,14 @@ ArrayNetOpResult ArrayNetlist::readBit(int row, int col) {
                     col < config_.cols,
                 "readBit: cell index out of range");
   groundAll();
-  const double edge = config_.edgeTime;
-  const double duration = 2e-9;
+  const ReadPulses pulses{2e-9, config_.edgeTime};
   // Accessed row: WS = VDD (gate pinned to the grounded WBL), RS = V_read.
   wsSources_[static_cast<std::size_t>(row)]->setShape(
-      pulse(0.0, config_.levels.vdd, edge, edge, duration - 6.0 * edge,
-            edge));
+      pulses.select(config_.levels.vdd));
   rsSources_[static_cast<std::size_t>(row)]->setShape(
-      pulse(0.0, config_.levels.vRead, 3.0 * edge, edge,
-            duration - 10.0 * edge, edge));
+      pulses.readSelect(config_.levels.vRead));
   const bool expected = bitAt(row, col);
-  auto result = runOp(duration, row, col, /*isRead=*/true);
+  auto result = runOp(pulses.duration, row, col, /*isRead=*/true);
   result.ok = (result.bitRead == expected) && (bitAt(row, col) == expected);
   return result;
 }

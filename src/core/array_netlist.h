@@ -8,21 +8,17 @@
 // current).  All four line sets carry lumped wire capacitance derived from
 // the cell pitch and the paper's 0.2 fF/um metal.
 //
-// The array is built through the deck path: this layer emits a SPICE deck
-// — a `.subckt cell2t` definition plus an R x C grid of instances sharing
-// word/bit/source lines — and parses it back through the `.subckt`-capable
-// deck parser, exercising the exact path an external array deck would
-// take.  The shared column lines (WBL, SL) are then marked as border nodes
-// so Netlist::freeze() builds the bordered-block-diagonal partition
+// Each cell is built by attachCell2T, the builder Cell2T and
+// SenseAmpCircuit use: an access NMOS (drain = WBL, gate = WS, source =
+// floating gate), the FE capacitor from the floating gate to the internal
+// node, and the FEFET read transistor (drain = RS, gate = internal, source
+// = SL) with zero overlap capacitance (see attachFefet's MFMIS rationale).
+// Any FefetParams and access-MOS parameters flow into the cells.  The
+// shared column lines (WBL, SL) are marked as border nodes so
+// Netlist::freeze() builds the bordered-block-diagonal partition
 // (spice/partition.h): one diagonal block per word-line row, ready for the
 // hierarchical Schur solver (off unless NewtonOptions::useHierarchicalSolve
 // is set).
-//
-// Each 2T cell is an access NMOS (drain = WBL, gate = WS, source =
-// floating gate), the FE capacitor from the floating gate to the internal
-// node, and the FEFET read transistor (drain = RS, gate = internal, source
-// = SL) with zero overlap capacitance (see attachFefet's MFMIS rationale —
-// the deck's COV=0 option replicates it).
 #pragma once
 
 #include <memory>
@@ -39,12 +35,7 @@ namespace fefet::core {
 struct ArrayNetlistConfig {
   int rows = 4;
   int cols = 4;
-  /// Emitted FEFET knobs: width, mos.length, mos.vt0, feThickness, lk.rho
-  /// (the deck's M/X cards expose those; mos.overlapCapPerWidth is forced
-  /// to 0).  Every other FEFET field, and every accessMos field but length
-  /// and vt0, must stay at its 45nm default: the constructor throws
-  /// InvalidArgumentError naming the first one that does not.
-  FefetParams fefet;
+  FefetParams fefet;  ///< every cell's FEFET
   xtor::MosParams accessMos = xtor::nmos45();
   double accessWidth = 65e-9;
   BiasLevels levels;
@@ -77,7 +68,11 @@ struct ArrayNetOpResult {
   spice::Waveform waveform;
 };
 
-/// The generated deck text (also what ArrayNetlist parses internally).
+/// The array as a SPICE deck: a `.subckt cell2t` definition plus the R x C
+/// instance grid, in ArrayNetlist's device order.  Its cards carry only the
+/// FEFET's width, length, V_T, T_FE and rho and the access MOS's length and
+/// V_T, so it describes the array only for configs that leave every other
+/// field at its default.  A deck-parser fixture; ArrayNetlist does not use it.
 std::string emitArrayDeck(const ArrayNetlistConfig& config);
 
 class ArrayNetlist {
@@ -108,16 +103,16 @@ class ArrayNetlist {
   ArrayNetOpResult runOp(double duration, int accessedRow, int accessedCol,
                          bool isRead);
   void groundAll();
-  spice::FeCapDevice* fe(int row, int col) const {
-    return fes_[static_cast<std::size_t>(row * config_.cols + col)];
+  const FefetInstance& cell(int row, int col) const {
+    return cells_[static_cast<std::size_t>(row * config_.cols + col)];
   }
 
   ArrayNetlistConfig config_;
   spice::Netlist netlist_;
   std::vector<spice::VoltageSource*> wsSources_, rsSources_;
   std::vector<spice::VoltageSource*> wblSources_, slSources_;
-  std::vector<spice::FeCapDevice*> fes_;        // row-major
-  std::vector<std::string> internalNodes_;      // row-major
+  std::vector<spice::VoltageSource*> drivers_;  // all of the above, in order
+  std::vector<FefetInstance> cells_;  // row-major
   /// Recorded by every op: i(Vsl<c>) per column, then i(Vrs<r>) per row.
   std::vector<spice::Probe> probes_;
   std::unique_ptr<spice::Simulator> sim_;

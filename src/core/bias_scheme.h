@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "spice/sources.h"
+
 namespace fefet::core {
 
 enum class ArrayOp { kWrite, kRead, kHold };
@@ -33,5 +35,42 @@ BiasCondition biasFor(ArrayOp op, RowKind row, const BiasLevels& levels,
 
 /// Pretty table of all conditions (used by the Table 1 bench).
 std::string describeBiasTable(const BiasLevels& levels);
+
+/// Table 1 write timing, shared by Cell2T and ArrayNetlist: WS rises one
+/// edge in, the WBL pulse starts two edges later, and WS stays up across
+/// it and 0.8 of the settle window, so the gate is held at 0 V while P
+/// settles into its basin (write recovery; a floating gate would freeze P
+/// mid-flight).
+struct WritePulses {
+  double width, edge, settle;  ///< WBL pulse, source edges, settling [s]
+
+  /// WS at `level`: the boost on the accessed row, -VDD on the others.
+  spice::Shape select(double level) const {
+    return spice::shapes::pulse(0.0, level, edge, edge,
+                                width + 4.0 * edge + 0.8 * settle, edge);
+  }
+  /// WBL at `level`: +V_write for a '1', -V_write for a '0'.
+  spice::Shape bitLine(double level) const {
+    return spice::shapes::pulse(0.0, level, 2.0 * edge + edge, edge, width,
+                                edge);
+  }
+  double duration() const { return 2.0 * edge + width + 6.0 * edge + settle; }
+};
+
+/// Table 1 read timing, shared by Cell2T and ArrayNetlist: WS = VDD with
+/// WBL grounded pins the FEFET gate to 0 V, and RS = V_read rises two
+/// edges after WS and falls two edges before it.
+struct ReadPulses {
+  double duration, edge;  ///< read window, source edges [s]
+
+  spice::Shape select(double vdd) const {
+    return spice::shapes::pulse(0.0, vdd, edge, edge, duration - 6.0 * edge,
+                                edge);
+  }
+  spice::Shape readSelect(double vRead) const {
+    return spice::shapes::pulse(0.0, vRead, 3.0 * edge, edge,
+                                duration - 10.0 * edge, edge);
+  }
+};
 
 }  // namespace fefet::core

@@ -7,14 +7,13 @@ namespace fefet::core {
 
 using spice::Probe;
 using spice::shapes::dc;
-using spice::shapes::pulse;
 
 Cell2T::Cell2T(const Cell2TConfig& config) : config_(config) {
   // Quasi-static state targets; the saddle's polarization is the basin
   // boundary that classifies the stored bit.
   states_ = bistableStates(config_.fefet);
 
-  // Netlist: sources on all four lines; access transistor; FEFET.
+  // Netlist: sources on all four lines, then the cell.
   vWbl_ = netlist_.add<spice::VoltageSource>("Vwbl", netlist_.node("wbl"),
                                              netlist_.ground(), dc(0.0));
   vWs_ = netlist_.add<spice::VoltageSource>("Vws", netlist_.node("ws"),
@@ -23,11 +22,8 @@ Cell2T::Cell2T(const Cell2TConfig& config) : config_(config) {
                                             netlist_.ground(), dc(0.0));
   vSl_ = netlist_.add<spice::VoltageSource>("Vsl", netlist_.node("sl"),
                                             netlist_.ground(), dc(0.0));
-  netlist_.add<spice::MosfetDevice>("Macc", netlist_.node("wbl"),
-                                    netlist_.node("ws"), netlist_.node("g"),
-                                    config_.accessMos, config_.accessWidth);
-  fefet_ = attachFefet(netlist_, "cell", "g", "rs", "sl", config_.fefet,
-                       states_.pOff);
+  fefet_ = attachCell2T(netlist_, "cell", "g", "wbl", "ws", "rs", "sl",
+                        config_.fefet, config_.accessMos, config_.accessWidth);
   probes_ = {
       Probe::v("wbl"), Probe::v("ws"), Probe::v("rs"), Probe::v("sl"),
       Probe::v("g"),
@@ -50,12 +46,8 @@ bool Cell2T::storedBit() const {
   return fefet_.fe->polarization() > states_.pSaddle;
 }
 
-void Cell2T::resetSourceEnergies() {
-  for (auto* src : {vWbl_, vWs_, vRs_, vSl_}) src->resetEnergy();
-}
-
 CellOpResult Cell2T::runOp(double duration, bool isWrite) {
-  resetSourceEnergies();
+  for (auto* src : {vWbl_, vWs_, vRs_, vSl_}) src->resetEnergy();
   spice::TransientOptions options;
   options.duration = duration;
   options.dtMax = duration / 200.0;
@@ -83,34 +75,23 @@ CellOpResult Cell2T::runOp(double duration, bool isWrite) {
 CellOpResult Cell2T::write(bool one, double pulseWidth,
                            std::optional<double> voltageOverride) {
   const double vw = voltageOverride.value_or(config_.levels.vWrite);
-  const double edge = config_.edgeTime;
-  const double lead = 2.0 * edge;  // WS asserted before the WBL pulse
-  // Boosted select spans the bit-line pulse plus the recovery window, so
-  // the gate is actively held at 0 V while the polarization settles into
-  // its basin (write recovery; a floating gate would freeze P mid-flight).
-  vWs_->setShape(pulse(0.0, config_.levels.writeBoost, edge, edge,
-                       pulseWidth + 4.0 * edge + 0.8 * config_.settleTime,
-                       edge));
-  vWbl_->setShape(pulse(0.0, one ? vw : -vw, lead + edge, edge, pulseWidth,
-                        edge));
+  const WritePulses pulses{pulseWidth, config_.edgeTime, config_.settleTime};
+  vWs_->setShape(pulses.select(config_.levels.writeBoost));
+  vWbl_->setShape(pulses.bitLine(one ? vw : -vw));
   vRs_->setShape(dc(0.0));
   vSl_->setShape(dc(0.0));
-  const double duration =
-      lead + pulseWidth + 6.0 * edge + config_.settleTime;
-  return runOp(duration, /*isWrite=*/true);
+  return runOp(pulses.duration(), /*isWrite=*/true);
 }
 
 CellOpResult Cell2T::read(double duration) {
-  const double edge = config_.edgeTime;
-  // WS on with WBL grounded pins the FEFET gate to 0 V during the read.
-  vWs_->setShape(pulse(0.0, config_.levels.vdd, edge, edge,
-                       duration - 6.0 * edge, edge));
+  const ReadPulses pulses{duration, config_.edgeTime};
+  vWs_->setShape(pulses.select(config_.levels.vdd));
   vWbl_->setShape(dc(0.0));
-  vRs_->setShape(pulse(0.0, config_.levels.vRead, 3.0 * edge, edge,
-                       duration - 10.0 * edge, edge));
+  vRs_->setShape(pulses.readSelect(config_.levels.vRead));
   vSl_->setShape(dc(0.0));
   auto result = runOp(duration, /*isWrite=*/false);
   // Plateau current: sample the drain current midway through the RS pulse.
+  const double edge = config_.edgeTime;
   const double tSample = 3.0 * edge + 0.5 * (duration - 10.0 * edge);
   result.readCurrent = result.waveform.valueAt("id(cell:mos)", tSample);
   return result;

@@ -79,7 +79,6 @@ class Cell2T {
 
  private:
   CellOpResult runOp(double duration, bool isWrite);
-  void resetSourceEnergies();
 
   Cell2TConfig config_;
   spice::Netlist netlist_;

@@ -33,6 +33,18 @@ FefetInstance attachFefet(spice::Netlist& netlist, const std::string& name,
   return inst;
 }
 
+FefetInstance attachCell2T(spice::Netlist& netlist, const std::string& name,
+                           const std::string& gate, const std::string& wbl,
+                           const std::string& ws, const std::string& rs,
+                           const std::string& sl, const FefetParams& fefet,
+                           const xtor::MosParams& accessMos,
+                           double accessWidth) {
+  netlist.add<spice::MosfetDevice>(name + ":acc", netlist.node(wbl),
+                                   netlist.node(ws), netlist.node(gate),
+                                   accessMos, accessWidth);
+  return attachFefet(netlist, name, gate, rs, sl, fefet);
+}
+
 namespace {
 
 /// The fold scan: kSlopeSamples uniform intervals of the internal node

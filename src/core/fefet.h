@@ -47,6 +47,18 @@ FefetInstance attachFefet(spice::Netlist& netlist, const std::string& name,
                           const std::string& source, const FefetParams& params,
                           double initialPolarization = 0.0);
 
+/// Instantiate one 2T memory cell (paper Fig. 5): the access NMOS
+/// `<name>:acc` (drain = `wbl`, gate = `ws`, source = the FEFET gate node
+/// `gate`), then attachFefet(name, gate, rs, sl) at P = 0.  Cell2T,
+/// SenseAmpCircuit and ArrayNetlist all build their cell here, and each
+/// sets the stored state before it simulates.
+FefetInstance attachCell2T(spice::Netlist& netlist, const std::string& name,
+                           const std::string& gate, const std::string& wbl,
+                           const std::string& ws, const std::string& rs,
+                           const std::string& sl, const FefetParams& fefet,
+                           const xtor::MosParams& accessMos,
+                           double accessWidth);
+
 // ---------------------------------------------------------------------------
 // Quasi-static device analysis (no circuit solver needed).
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "spice/mosfet_device.h"
 #include "spice/passives.h"
 
 namespace fefet::core {
@@ -41,14 +40,9 @@ FeRamArray::FeRamArray(const FeRamArrayConfig& config) : config_(config) {
     for (int c = 0; c < config_.cols; ++c) {
       const std::string id =
           "cell" + std::to_string(r) + "_" + std::to_string(c);
-      n.add<spice::MosfetDevice>(id + ":acc",
-                                 n.node("bl" + std::to_string(c)),
-                                 n.node("wl" + std::to_string(r)),
-                                 n.node(id + ":x"), cc.accessMos,
-                                 cc.accessWidth);
-      cells_.push_back(n.add<spice::FeCapDevice>(
-          id + ":fe", n.node(id + ":x"), n.node("pl" + std::to_string(r)),
-          cc.lk, cc.feGeometry(), -pr));
+      cells_.push_back(attachFeRamCell(
+          n, id, "bl" + std::to_string(c), "wl" + std::to_string(r),
+          "pl" + std::to_string(r), cc, -pr));
     }
   }
   sim_ = std::make_unique<spice::Simulator>(netlist_);

@@ -11,6 +11,19 @@ using spice::Probe;
 using spice::shapes::dc;
 using spice::shapes::pulse;
 
+spice::FeCapDevice* attachFeRamCell(
+    spice::Netlist& netlist, const std::string& name, const std::string& bl,
+    const std::string& wl, const std::string& pl, const FeRamConfig& config,
+    double initialPolarization) {
+  const spice::NodeId x = netlist.node(name + ":x");
+  netlist.add<spice::MosfetDevice>(name + ":acc", netlist.node(bl),
+                                   netlist.node(wl), x, config.accessMos,
+                                   config.accessWidth);
+  return netlist.add<spice::FeCapDevice>(name + ":fe", x, netlist.node(pl),
+                                         config.lk, config.feGeometry(),
+                                         initialPolarization);
+}
+
 FeRamCell::FeRamCell(const FeRamConfig& config) : config_(config) {
   auto& n = netlist_;
   // Bit-line driver behind a switch so the BL can float during reads.
@@ -24,12 +37,8 @@ FeRamCell::FeRamCell(const FeRamConfig& config) : config_(config) {
                                      dc(0.0));
   n.add<spice::Capacitor>("Cbl", n.node("bl"), n.ground(),
                           config_.bitLineCap);
-  n.add<spice::MosfetDevice>("Macc", n.node("bl"), n.node("wl"), n.node("x"),
-                             config_.accessMos, config_.accessWidth);
-  const ferro::LandauKhalatnikov lk(config_.lk);
-  fe_ = n.add<spice::FeCapDevice>("Cfe", n.node("x"), n.node("pl"),
-                                  config_.lk, config_.feGeometry(),
-                                  -lk.remnantPolarization());
+  fe_ = attachFeRamCell(n, "cell", "bl", "wl", "pl", config_,
+                        -remnantPolarization());
   sim_ = std::make_unique<spice::Simulator>(netlist_);
   setStoredBit(false);
 }
@@ -52,8 +61,8 @@ FeRamOpResult FeRamCell::runOp(double duration, bool isWrite) {
   options.duration = duration;
   options.dtMax = duration / 200.0;
   const std::vector<Probe> probes = {
-      Probe::v("bl"), Probe::v("wl"), Probe::v("pl"), Probe::v("x"),
-      Probe::deviceState("Cfe", "P"),
+      Probe::v("bl"), Probe::v("wl"), Probe::v("pl"), Probe::v("cell:x"),
+      Probe::deviceState("cell:fe", "P"),
   };
   auto transient = sim_->runTransient(options, probes);
 
@@ -66,7 +75,7 @@ FeRamOpResult FeRamCell::runOp(double duration, bool isWrite) {
     result.totalEnergy += src->energyDelivered();
   }
   if (isWrite) {
-    const auto p = result.waveform.column("P(Cfe)");
+    const auto p = result.waveform.column("P(cell:fe)");
     if (math::hasCrossing(p, 0.0)) {
       result.writeLatency = math::firstCrossing(result.waveform.time(), p,
                                                 0.0, p.front() < 0.0);

@@ -45,6 +45,15 @@ struct FeRamConfig {
   }
 };
 
+/// Instantiate one 1T-1C cell: the access NMOS `<name>:acc` (drain = `bl`,
+/// gate = `wl`) onto a fresh storage node `<name>:x`, then the FE capacitor
+/// `<name>:fe` from it to the plate line `pl`.  FeRamCell and FeRamArray
+/// both build their cell here.
+spice::FeCapDevice* attachFeRamCell(
+    spice::Netlist& netlist, const std::string& name, const std::string& bl,
+    const std::string& wl, const std::string& pl, const FeRamConfig& config,
+    double initialPolarization);
+
 struct FeRamOpResult {
   spice::Waveform waveform;
   bool bitAfter = false;

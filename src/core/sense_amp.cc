@@ -29,9 +29,8 @@ void SenseAmpCircuit::buildNetlist() {
   vWs_ = n.add<spice::VoltageSource>("Vws", n.node("ws"), n.ground(), dc(0.0));
   vWbl_ = n.add<spice::VoltageSource>("Vwbl", n.node("wbl"), n.ground(),
                                       dc(0.0));
-  n.add<spice::MosfetDevice>("Macc", n.node("wbl"), n.node("ws"), n.node("g"),
-                             config_.accessMos, config_.accessWidth);
-  fefet_ = attachFefet(n, "cell", "g", "rs", "sl", config_.fefet, states_.pOff);
+  fefet_ = attachCell2T(n, "cell", "g", "wbl", "ws", "rs", "sl",
+                        config_.fefet, config_.accessMos, config_.accessWidth);
 
   // --- clamping driver: PMOS source follower into the mirror ------------
   // The cell pushes its read current INTO the sense line; the follower

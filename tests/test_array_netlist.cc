@@ -1,7 +1,7 @@
 // Tests of the 2xN / NxN FEFET array with the Table 1 bias scheme
 // (paper Fig. 7): selective access, unaccessed-cell isolation, sneak
 // currents, half-select safety and repeated-access (hammer) disturb, all on
-// the deck-built ArrayNetlist.  The Table 1 property suite is named
+// the circuit-level ArrayNetlist.  The Table 1 property suite is named
 // MemoryArray after the paper's memory array, and the hammer suite Stress,
 // so their test names are unchanged from the earlier behavioural array
 // model they were first written against.
@@ -9,12 +9,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "core/array_netlist.h"
 #include "core/bias_scheme.h"
-#include "core/materials.h"
+#include "spice/assembler.h"
+#include "spice/deck_parser.h"
+#include "spice/partition.h"
 
 namespace fefet::core {
 namespace {
@@ -189,52 +193,141 @@ TEST(MemoryArray, RejectsBadIndices) {
   EXPECT_THROW(arr.setPattern({{true}}), InvalidArgumentError);
   EXPECT_THROW(arr.bitAt(2, 0), InvalidArgumentError);
   EXPECT_THROW(arr.bitAt(0, -1), InvalidArgumentError);
+  ArrayNetlistConfig empty = smallArray();
+  empty.rows = 0;
+  EXPECT_THROW(ArrayNetlist{empty}, InvalidArgumentError);
+  empty.rows = 2;
+  empty.cols = 0;
+  EXPECT_THROW(ArrayNetlist{empty}, InvalidArgumentError);
 }
 
-// The deck carries only width, mos.length, mos.vt0, feThickness and lk.rho
-// of the FEFET (plus the access transistor's length and vt0).  Any other
-// changed field would run default cells against state targets computed
-// from the changed one, so construction must refuse it by name.
-TEST(MemoryArray, RejectsFieldsTheDeckCannotCarry) {
-  const auto rejectedField = [](const ArrayNetlistConfig& cfg) {
-    try {
-      ArrayNetlist arr(cfg);
-    } catch (const InvalidArgumentError& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
+// Every FEFET and access-MOS field reaches the simulated cells, so the
+// state targets always describe the cells that run.  A 10% larger Landau
+// alpha moves P_on: a stored '1' must sit at the new target through a
+// grounded hold (cells built with the default alpha drifted from 0.2676 to
+// 0.2616 C/m^2 against it).
+TEST(MemoryArray, AcceptsAnyFefetOrAccessMosField) {
   ArrayNetlistConfig base;
   base.rows = 1;
   base.cols = 2;
 
   ArrayNetlistConfig alpha = base;
   alpha.fefet.lk.alpha *= 1.1;
-  EXPECT_NE(rejectedField(alpha).find("fefet.lk.alpha"), std::string::npos);
+  ArrayNetlist arr(alpha);
+  arr.setPattern({{true, false}});
+  EXPECT_TRUE(arr.hold(2e-9).ok);
+  EXPECT_NEAR(arr.polarizations()[0][0], arr.pOn(), 1e-3);
+  EXPECT_TRUE(arr.bitAt(0, 0));
+  EXPECT_FALSE(arr.bitAt(0, 1));
+
+  // A linear background dielectric on the FE stack and a slower access
+  // transistor each change what a write draws from the line drivers.
+  const auto writeEnergy = [](const ArrayNetlistConfig& cfg) {
+    ArrayNetlist a(cfg);
+    const auto res = a.writeBit(0, 0, true);
+    EXPECT_TRUE(res.ok);
+    return res.totalEnergy;
+  };
+  const double reference = writeEnergy(base);
   ArrayNetlistConfig epsR = base;
   epsR.fefet.backgroundEpsR = 5.0;
-  EXPECT_NE(rejectedField(epsR).find("fefet.backgroundEpsR"),
-            std::string::npos);
+  EXPECT_NE(writeEnergy(epsR), reference);
   ArrayNetlistConfig mobility = base;
-  mobility.fefet.mos.mobility *= 0.9;
-  EXPECT_NE(rejectedField(mobility).find("fefet.mos.mobility"),
-            std::string::npos);
-  ArrayNetlistConfig access = base;
-  access.accessMos.overlapCapPerWidth = 0.0;
-  EXPECT_NE(rejectedField(access).find("accessMos.overlapCapPerWidth"),
-            std::string::npos);
+  mobility.accessMos.mobility *= 0.9;
+  EXPECT_NE(writeEnergy(mobility), reference);
+}
 
-  // Emitted knobs, the calibrated material and the FEFET's overlap
-  // capacitance (forced to 0 by the deck) all construct.
-  ArrayNetlistConfig carried = base;
-  carried.fefet.lk = fefetMaterial();
-  carried.fefet.feThickness = 2.5e-9;
-  carried.fefet.width = 90e-9;
-  carried.fefet.mos.vt0 = 0.45;
-  carried.fefet.mos.overlapCapPerWidth = 0.0;
-  carried.accessMos.length = 50e-9;
-  EXPECT_EQ(rejectedField(carried), "");
-  EXPECT_EQ(rejectedField(base), "");
+// emitArrayDeck is a deck-parser fixture; parsed back it must be the very
+// netlist ArrayNetlist builds in code: same nodes, devices, terminals and
+// stamp structure, and bit-identical residual and Jacobian at a random
+// transient iterate.  8x8 is chosen so that %.9g round-trips the wire
+// caps (0.07e-15 * 8 and 0.06e-15 * 8); at sizes where it does not, e.g.
+// 3 or 6 rows, the deck's caps differ from the built ones by 1 ulp.
+TEST(MemoryArray, DeckFixtureMatchesBuiltNetlist) {
+  ArrayNetlistConfig cfg;
+  cfg.rows = 8;
+  cfg.cols = 8;
+  ArrayNetlist arr(cfg);
+  spice::Netlist& built = arr.netlist();
+
+  spice::Netlist deck;
+  spice::parseDeckString(emitArrayDeck(cfg), deck);
+  for (int c = 0; c < cfg.cols; ++c) {
+    deck.markBorderNode("wbl" + std::to_string(c));
+    deck.markBorderNode("sl" + std::to_string(c));
+  }
+  // Mirror the constructor's initial state: every cell at P_off with its
+  // internal node at psi_off, then a UIC start.
+  spice::Simulator deckSim(deck, cfg.newton);
+  const BistableStates states = bistableStates(cfg.fefet);
+  for (int r = 0; r < cfg.rows; ++r) {
+    for (int c = 0; c < cfg.cols; ++c) {
+      const std::string inst =
+          "Xc" + std::to_string(r) + "_" + std::to_string(c);
+      deck.get<spice::FeCapDevice>(inst + ":Xfe")
+          ->setPolarization(states.pOff);
+      deckSim.setNodeVoltage(inst + ":int", states.psiOff);
+    }
+  }
+  deckSim.initializeUic();
+
+  ASSERT_EQ(deck.nodeCount(), built.nodeCount());
+  ASSERT_EQ(deck.unknownCount(), built.unknownCount());
+  ASSERT_EQ(deck.devices().size(), built.devices().size());
+  for (std::size_t i = 0; i < built.devices().size(); ++i) {
+    const spice::Device& a = *deck.devices()[i];
+    const spice::Device& b = *built.devices()[i];
+    ASSERT_EQ(typeid(a), typeid(b)) << a.name() << " vs " << b.name();
+  }
+  // Terminal node ids, in order: every device's recorded Jacobian calls.
+  const spice::StampPattern& dp = deck.stampPattern();
+  const spice::StampPattern& bp = built.stampPattern();
+  for (const auto mode :
+       {spice::StampMode::kDc, spice::StampMode::kTransient}) {
+    ASSERT_EQ(dp.deviceJacobianEnds(mode), bp.deviceJacobianEnds(mode));
+    const auto& deckCalls = dp.jacobianCalls(mode);
+    const auto& builtCalls = bp.jacobianCalls(mode);
+    ASSERT_EQ(deckCalls.size(), builtCalls.size());
+    for (std::size_t k = 0; k < builtCalls.size(); ++k) {
+      ASSERT_EQ(deckCalls[k].row, builtCalls[k].row) << "call " << k;
+      ASSERT_EQ(deckCalls[k].col, builtCalls[k].col) << "call " << k;
+    }
+  }
+  EXPECT_EQ(dp.rowPtr(), bp.rowPtr());
+  EXPECT_EQ(dp.colIdx(), bp.colIdx());
+  ASSERT_NE(deck.partition(), nullptr);
+  ASSERT_NE(built.partition(), nullptr);
+  EXPECT_EQ(deck.partition()->blockCount(), built.partition()->blockCount());
+  EXPECT_EQ(deck.partition()->borderSize(), built.partition()->borderSize());
+
+  const int unknowns = built.unknownCount();
+  std::vector<double> x(static_cast<std::size_t>(unknowns), 0.0);
+  for (const auto& device : built.devices()) device->seedUnknowns(x);
+  std::mt19937_64 rng(20261019u);
+  std::uniform_real_distribution<double> dist(-0.25, 0.25);
+  for (auto& xi : x) xi += dist(rng);
+  const spice::SystemView view(x, built.nodeCount());
+  spice::Assembler deckAsm(dp);
+  spice::Assembler builtAsm(bp);
+  for (const auto method : {spice::IntegrationMethod::kBackwardEuler,
+                            spice::IntegrationMethod::kTrapezoidal}) {
+    deckAsm.assemble(deck, view, /*dc=*/false, 0.3e-9, 1e-12, method, 1e-12);
+    builtAsm.assemble(built, view, /*dc=*/false, 0.3e-9, 1e-12, method,
+                      1e-12);
+    const auto fd = deckAsm.residual();
+    const auto fb = builtAsm.residual();
+    for (int i = 0; i < unknowns; ++i) {
+      ASSERT_EQ(fd[static_cast<std::size_t>(i)],
+                fb[static_cast<std::size_t>(i)])
+          << "residual row " << i;
+    }
+    const linalg::CsrView jd = deckAsm.csr();
+    const linalg::CsrView jb = builtAsm.csr();
+    ASSERT_EQ(jd.n, jb.n);
+    for (std::size_t p = 0; p < jb.rowPtr[jb.n]; ++p) {
+      ASSERT_EQ(jd.values[p], jb.values[p]) << "Jacobian entry " << p;
+    }
+  }
 }
 
 // Disturb accumulation: single operations leave unaccessed cells with a

@@ -73,7 +73,7 @@ TEST(FeRam, ReadIsDestructiveButRestored) {
   const auto r = cell.read();
   // During the sense phase the polarization must have swung negative: the
   // final waveform of the sense phase ends pre-restore.
-  const auto pTrace = r.waveform.column("P(Cfe)");
+  const auto pTrace = r.waveform.column("P(cell:fe)");
   double pMin = p0;
   for (double p : pTrace) pMin = std::min(pMin, p);
   EXPECT_LT(pMin, 0.0) << "read did not disturb the cell: not destructive?";

@@ -1,4 +1,4 @@
-// Tests of the hierarchical array stack end to end: the deck-generated
+// Tests of the hierarchical array stack end to end: the circuit-level
 // ArrayNetlist, the BBD partition built at freeze (one block per word-line
 // row, shared column lines on the border), hierarchical-vs-flat waveform
 // parity within the documented tolerance (DESIGN.md §6.7), the hold-bias
