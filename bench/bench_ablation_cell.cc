@@ -11,6 +11,7 @@
 #include "bench_util.h"
 #include "core/cell2t.h"
 #include "core/materials.h"
+#include "core/write_pulse.h"
 #include "layout/layout.h"
 
 using namespace fefet;
@@ -26,8 +27,8 @@ int main() {
     core::Cell2TConfig cfg = base;
     cfg.levels.writeBoost = boost;
     core::Cell2T cell(cfg);
-    const double t1 = cell.minimumWritePulse(true, 0.68);
-    const double t0 = cell.minimumWritePulse(false, 0.68);
+    const double t1 = core::minimumWritePulse(cell, true, 0.68);
+    const double t0 = core::minimumWritePulse(cell, false, 0.68);
     if (boost == 0.68) tAtVdd = std::max(t1, t0);
     if (boost == 1.36) tAtBoost = std::max(t1, t0);
     std::printf("%.2f,%.0f,%.0f\n", boost, t1 * 1e12, t0 * 1e12);

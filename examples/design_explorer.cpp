@@ -10,6 +10,7 @@
 #include "core/cell2t.h"
 #include "core/design_space.h"
 #include "core/materials.h"
+#include "core/write_pulse.h"
 
 using namespace fefet;
 
@@ -61,8 +62,8 @@ int main(int argc, char** argv) {
   cfg.fefet.feThickness = tPick;
   cfg.levels.vWrite = vWrite;
   core::Cell2T cell(cfg);
-  const double t1 = cell.minimumWritePulse(true, vWrite);
-  const double t0 = cell.minimumWritePulse(false, vWrite);
+  const double t1 = core::minimumWritePulse(cell, true, vWrite);
+  const double t0 = core::minimumWritePulse(cell, false, vWrite);
   std::printf("write access time at %.2f V: %.0f ps ('1') / %.0f ps ('0')\n",
               vWrite, t1 * 1e12, t0 * 1e12);
   cell.setStoredBit(true);

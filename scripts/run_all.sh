@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Build, test, and regenerate every paper figure/table plus the extension
-# studies.  Outputs land in test_output.txt and bench_output.txt.  Exits
-# with ctest's status, after the benches have run.
+# Build, test, and run every bench named in bench/CMakeLists.txt: the paper
+# figures and tables plus the ablation, variability, sense-margin,
+# granularity and assembly studies.  Outputs land in test_output.txt and
+# bench_output.txt.  Exits with ctest's status, after the benches have run.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 

@@ -194,13 +194,4 @@ bool hasCrossing(std::span<const double> y, double level) {
   return false;
 }
 
-double rk4Step(const std::function<double(double, double)>& f, double t,
-               double y, double dt) {
-  const double k1 = f(t, y);
-  const double k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1);
-  const double k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2);
-  const double k4 = f(t + dt, y + dt * k3);
-  return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-}
-
 }  // namespace fefet::math

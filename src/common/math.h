@@ -83,8 +83,4 @@ double firstCrossing(std::span<const double> x, std::span<const double> y,
 /// Does the sampled waveform cross `level` at all (either direction)?
 bool hasCrossing(std::span<const double> y, double level);
 
-/// One classic RK4 step for dy/dt = f(t, y) on a scalar state.
-double rk4Step(const std::function<double(double, double)>& f, double t,
-               double y, double dt);
-
 }  // namespace fefet::math

@@ -105,20 +105,4 @@ CellOpResult Cell2T::hold(double duration) {
   return runOp(duration, /*isWrite=*/false);
 }
 
-double Cell2T::minimumWritePulse(bool one, double vWrite, double maxPulse,
-                                 double resolution) {
-  const auto attempt = [&](double width) {
-    setStoredBit(!one);
-    const auto r = write(one, width, vWrite);
-    return r.bitAfter == one;
-  };
-  if (!attempt(maxPulse)) return -1.0;
-  double lo = 0.0, hi = maxPulse;
-  while (hi - lo > resolution) {
-    const double mid = 0.5 * (lo + hi);
-    (attempt(mid) ? hi : lo) = mid;
-  }
-  return hi;
-}
-
 }  // namespace fefet::core

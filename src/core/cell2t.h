@@ -63,12 +63,6 @@ class Cell2T {
   /// Hold with all lines grounded.
   CellOpResult hold(double duration);
 
-  /// Smallest pulse width that reliably writes the target bit at the given
-  /// bit-line voltage (bisection; the paper's "write access time").
-  /// Returns a negative value when even `maxPulse` fails.
-  double minimumWritePulse(bool one, double vWrite, double maxPulse = 4e-9,
-                           double resolution = 5e-12);
-
   /// Quasi-static target polarizations of the two states at V_G = 0.
   double onPolarization() const { return states_.pOn; }
   double offPolarization() const { return states_.pOff; }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ferro/lk_model.h"
-#include "ferro/fe_capacitor.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"

@@ -141,28 +141,22 @@ FeRamRowResult FeRamArray::writeRow(int row,
 FeRamRowResult FeRamArray::readRow(int row) {
   FEFET_REQUIRE(row >= 0 && row < config_.rows, "readRow: row out of range");
   const auto& cc = config_.cell;
-  const double edge = cc.edgeTime;
   groundAll();
   resetEnergies();
   // Sense phase: BLs float, WL on, row plate pulses.
-  const double t0 = 4.0 * edge;
-  const double plWidth = 1.2e-9;
-  const double senseAt = t0 + edge + 0.8 * plWidth;
-  const double span = t0 + plWidth + 6.0 * edge;
-  for (auto* sw : blSwitches_) {
-    sw->setControl(pulse(1.0, 0.0, t0 - edge, 1e-12, span, 1e-12));
-  }
+  const FeRamReadPulses pulses{cc.edgeTime, cc.settleTime};
+  for (auto* sw : blSwitches_) sw->setControl(pulses.bitLineConnect());
   wlSources_[static_cast<std::size_t>(row)]->setShape(
-      pulse(0.0, cc.wordLineBoost, edge, edge, span, edge));
+      pulses.wordLine(cc.wordLineBoost));
   plSources_[static_cast<std::size_t>(row)]->setShape(
-      pulse(0.0, cc.vWrite, t0, edge, plWidth, edge));
+      pulses.plate(cc.vWrite));
 
   std::vector<Probe> probes;
   for (int c = 0; c < config_.cols; ++c) {
     probes.push_back(Probe::v("bl" + std::to_string(c)));
   }
   spice::TransientOptions options;
-  options.duration = span + cc.settleTime;
+  options.duration = pulses.duration();
   options.dtMax = options.duration / 300.0;
   const auto tr = sim_->runTransient(options, probes);
 
@@ -171,7 +165,8 @@ FeRamRowResult FeRamArray::readRow(int row) {
   result.bitsRead.resize(static_cast<std::size_t>(config_.cols));
   for (int c = 0; c < config_.cols; ++c) {
     const double swing =
-        tr.waveform.valueAt("v(bl" + std::to_string(c) + ")", senseAt);
+        tr.waveform.valueAt("v(bl" + std::to_string(c) + ")",
+                            pulses.senseAt());
     result.bitsRead[static_cast<std::size_t>(c)] =
         swing > cc.senseThreshold;
   }

@@ -107,23 +107,18 @@ FeRamOpResult FeRamCell::write(bool one, double pulseWidth,
 }
 
 FeRamOpResult FeRamCell::read() {
-  const double edge = config_.edgeTime;
   // Phase 1: sense.  BL floats after t0; WL on; PL pulses to vWrite.
-  const double t0 = 4.0 * edge;
-  const double plWidth = 1.2e-9;
-  const double senseAt = t0 + edge + 0.8 * plWidth;
-  const double phase1 = t0 + plWidth + 6.0 * edge;
-
-  blSwitch_->setControl(
-      pulse(1.0, 0.0, t0 - edge, 1e-12, phase1, 1e-12));  // float window
+  const FeRamReadPulses pulses{config_.edgeTime, config_.settleTime};
+  blSwitch_->setControl(pulses.bitLineConnect());
   vBl_->setShape(dc(0.0));
-  vWl_->setShape(pulse(0.0, config_.wordLineBoost, edge, edge, phase1, edge));
-  vPl_->setShape(pulse(0.0, config_.vWrite, t0, edge, plWidth, edge));
+  vWl_->setShape(pulses.wordLine(config_.wordLineBoost));
+  vPl_->setShape(pulses.plate(config_.vWrite));
 
-  auto sense = runOp(phase1 + config_.settleTime, /*isWrite=*/false);
+  auto sense = runOp(pulses.duration(), /*isWrite=*/false);
   sense.bitLineSwing = sense.waveform.maximum("v(bl)");
   const bool readOne =
-      sense.waveform.valueAt("v(bl)", senseAt) > config_.senseThreshold;
+      sense.waveform.valueAt("v(bl)", pulses.senseAt()) >
+      config_.senseThreshold;
   sense.bitRead = readOne;
 
   // Phase 2: write back the sensed value (a read of '0' leaves -P_r in
@@ -151,22 +146,6 @@ FeRamOpResult FeRamCell::hold(double duration) {
   vWl_->setShape(dc(0.0));
   vPl_->setShape(dc(0.0));
   return runOp(duration, /*isWrite=*/false);
-}
-
-double FeRamCell::minimumWritePulse(bool one, double vWrite, double maxPulse,
-                                    double resolution) {
-  const auto attempt = [&](double width) {
-    setStoredBit(!one);
-    const auto r = write(one, width, vWrite);
-    return r.bitAfter == one;
-  };
-  if (!attempt(maxPulse)) return -1.0;
-  double lo = 0.0, hi = maxPulse;
-  while (hi - lo > resolution) {
-    const double mid = 0.5 * (lo + hi);
-    (attempt(mid) ? hi : lo) = mid;
-  }
-  return hi;
 }
 
 }  // namespace fefet::core

@@ -54,6 +54,32 @@ spice::FeCapDevice* attachFeRamCell(
     const std::string& wl, const std::string& pl, const FeRamConfig& config,
     double initialPolarization);
 
+/// Destructive-read timing shared by FeRamCell::read and
+/// FeRamArray::readRow: the word line rises one edge in, the bit lines
+/// float from one edge before t0 = 4 edges until the end of the sense
+/// span, the plate pulses to V_write for 1.2 ns from t0, and the bit line
+/// is sensed 0.8 of the way through the plate pulse.
+struct FeRamReadPulses {
+  double edge, settle;  ///< source edges, settling after the span [s]
+  static constexpr double kPlateWidth = 1.2e-9;
+
+  double t0() const { return 4.0 * edge; }
+  double senseAt() const { return t0() + edge + 0.8 * kPlateWidth; }
+  double span() const { return t0() + kPlateWidth + 6.0 * edge; }
+  double duration() const { return span() + settle; }
+
+  /// Bit-line driver switch control: 1 connects, 0 floats.
+  spice::Shape bitLineConnect() const {
+    return spice::shapes::pulse(1.0, 0.0, t0() - edge, 1e-12, span(), 1e-12);
+  }
+  spice::Shape wordLine(double boost) const {
+    return spice::shapes::pulse(0.0, boost, edge, edge, span(), edge);
+  }
+  spice::Shape plate(double vWrite) const {
+    return spice::shapes::pulse(0.0, vWrite, t0(), edge, kPlateWidth, edge);
+  }
+};
+
 struct FeRamOpResult {
   spice::Waveform waveform;
   bool bitAfter = false;
@@ -82,10 +108,6 @@ class FeRamCell {
   FeRamOpResult read();
 
   FeRamOpResult hold(double duration);
-
-  /// Minimum successful write pulse width at a given voltage (bisection).
-  double minimumWritePulse(bool one, double vWrite, double maxPulse = 4e-9,
-                           double resolution = 5e-12);
 
   const FeRamConfig& config() const { return config_; }
   double remnantPolarization() const;

@@ -1,10 +1,8 @@
 #include "core/materials.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/cell2t.h"
 #include "core/feram_cell.h"
+#include "core/write_pulse.h"
 #include "ferro/calibrate.h"
 
 namespace fefet::core {
@@ -26,10 +24,8 @@ ferro::LkCoefficients feramMaterial() {
 namespace {
 double bisectRho(const std::function<double(double)>& worstPulse,
                  double targetTime) {
-  const auto calibration = ferro::calibrateRho(
-      worstPulse, targetTime, /*rhoMin=*/0.3, /*rhoMax=*/20.0,
-      /*relTolerance=*/2e-4);
-  return calibration.rho;
+  return ferro::calibrateRho(worstPulse, targetTime, /*rhoMin=*/0.3,
+                             /*rhoMax=*/20.0, /*relTolerance=*/2e-4);
 }
 }  // namespace
 
@@ -39,10 +35,8 @@ double calibrateFefetRho(double vWrite, double targetTime) {
         Cell2TConfig cfg;
         cfg.fefet.lk.rho = rho;
         Cell2T cell(cfg);
-        const double a = cell.minimumWritePulse(true, vWrite, 8e-9, 2e-12);
-        const double b = cell.minimumWritePulse(false, vWrite, 8e-9, 2e-12);
-        if (a < 0.0 || b < 0.0) return 1.0;  // "infinite" (fails even at max)
-        return std::max(a, b);
+        const double worst = worstWritePulse(cell, vWrite, 8e-9, 2e-12);
+        return worst < 0.0 ? 1.0 : worst;  // "infinite" (fails even at max)
       },
       targetTime);
 }
@@ -53,10 +47,8 @@ double calibrateFeramRho(double vWrite, double targetTime) {
         FeRamConfig cfg;
         cfg.lk.rho = rho;
         FeRamCell cell(cfg);
-        const double a = cell.minimumWritePulse(true, vWrite, 8e-9, 2e-12);
-        const double b = cell.minimumWritePulse(false, vWrite, 8e-9, 2e-12);
-        if (a < 0.0 || b < 0.0) return 1.0;
-        return std::max(a, b);
+        const double worst = worstWritePulse(cell, vWrite, 8e-9, 2e-12);
+        return worst < 0.0 ? 1.0 : worst;
       },
       targetTime);
 }

@@ -13,7 +13,8 @@
 
 namespace fefet::core {
 
-/// FE gate-stack material of the 2T FEFET cell (rho = 1.368 ohm·m).
+/// FE gate-stack material of the 2T FEFET cell (rho = 0.885 ohm·m, from
+/// calibrateFefetRho()).
 ferro::LkCoefficients fefetMaterial();
 
 /// FE capacitor material of the FERAM baseline (rho reconstructed from the

@@ -1,10 +1,8 @@
 #include "core/write_explorer.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.h"
 #include "common/log.h"
+#include "core/write_pulse.h"
 
 namespace fefet::core {
 
@@ -15,13 +13,12 @@ template <typename CellT>
 WritePoint measurePoint(CellT& cell, double voltage, double maxPulse) {
   WritePoint pt;
   pt.voltage = voltage;
-  const double t1 = cell.minimumWritePulse(true, voltage, maxPulse);
-  const double t0 = cell.minimumWritePulse(false, voltage, maxPulse);
-  if (t1 < 0.0 || t0 < 0.0) {
+  const double worst = worstWritePulse(cell, voltage, maxPulse);
+  if (worst < 0.0) {
     pt.failed = true;
     return pt;
   }
-  pt.writeTime = std::max(t1, t0);
+  pt.writeTime = worst;
   // Energy at the worst-polarity pulse width: average of the two writes
   // (the paper's write energy covers both data values symmetrically).
   cell.setStoredBit(false);
@@ -35,8 +32,7 @@ template <typename CellT>
 double writeWall(CellT& cell, double vLo, double vHi, double maxPulse,
                  double tolerance) {
   const auto succeeds = [&](double v) {
-    return cell.minimumWritePulse(true, v, maxPulse) >= 0.0 &&
-           cell.minimumWritePulse(false, v, maxPulse) >= 0.0;
+    return worstWritePulse(cell, v, maxPulse) >= 0.0;
   };
   FEFET_REQUIRE(!succeeds(vLo), "write wall: lower bracket already writes");
   FEFET_REQUIRE(succeeds(vHi), "write wall: upper bracket fails");
@@ -52,10 +48,8 @@ WritePoint isoWrite(CellT& cell, double targetTime, double vLo, double vHi,
                     double maxPulse) {
   // Write time decreases monotonically with voltage; bisect.
   const auto timeAt = [&](double v) {
-    const double t1 = cell.minimumWritePulse(true, v, maxPulse, 2e-12);
-    const double t0 = cell.minimumWritePulse(false, v, maxPulse, 2e-12);
-    if (t1 < 0.0 || t0 < 0.0) return maxPulse * 10.0;
-    return std::max(t1, t0);
+    const double worst = worstWritePulse(cell, v, maxPulse, 2e-12);
+    return worst < 0.0 ? maxPulse * 10.0 : worst;
   };
   FEFET_REQUIRE(timeAt(vLo) > targetTime,
                 "isoWrite: lower voltage already faster than target");

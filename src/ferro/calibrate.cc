@@ -4,21 +4,15 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/math.h"
 
 namespace fefet::ferro {
 
-RhoCalibration calibrateRho(const SwitchingTimeOfRho& measure,
-                            double targetTime, double rhoMin, double rhoMax,
-                            double relTolerance) {
+double calibrateRho(const SwitchingTimeOfRho& measure, double targetTime,
+                    double rhoMin, double rhoMax, double relTolerance) {
   FEFET_REQUIRE(targetTime > 0.0, "calibrateRho: target time must be positive");
   FEFET_REQUIRE(rhoMin > 0.0 && rhoMax > rhoMin, "calibrateRho: bad bracket");
 
-  RhoCalibration result;
-  auto residual = [&](double rho) {
-    ++result.evaluations;
-    return measure(rho) - targetTime;
-  };
+  const auto residual = [&](double rho) { return measure(rho) - targetTime; };
 
   const double fLo = residual(rhoMin);
   if (fLo > 0.0) {
@@ -38,32 +32,11 @@ RhoCalibration calibrateRho(const SwitchingTimeOfRho& measure,
   // Bisection in log space: switching time scales ~linearly with rho, so
   // log-bisection converges uniformly across decades.
   double lo = std::log(rhoMin), hi = std::log(rhoMax);
-  double mid = 0.5 * (lo + hi);
   for (int i = 0; i < 60 && (hi - lo) > relTolerance; ++i) {
-    mid = 0.5 * (lo + hi);
-    if (residual(std::exp(mid)) < 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    const double mid = 0.5 * (lo + hi);
+    (residual(std::exp(mid)) < 0.0 ? lo : hi) = mid;
   }
-  result.rho = std::exp(0.5 * (lo + hi));
-  result.achievedTime = measure(result.rho);
-  return result;
-}
-
-RhoCalibration calibrateRhoStandalone(const LkCoefficients& coefficients,
-                                      const FeGeometry& geometry,
-                                      double appliedVoltage,
-                                      double targetTime) {
-  return calibrateRho(
-      [&](double rho) {
-        LkCoefficients c = coefficients;
-        c.rho = rho;
-        const FeCapacitor cap(c, geometry);
-        return cap.switchingTime(appliedVoltage);
-      },
-      targetTime);
+  return std::exp(0.5 * (lo + hi));
 }
 
 }  // namespace fefet::ferro

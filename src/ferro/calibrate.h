@@ -5,38 +5,22 @@
 // the 2T FEFET cell writes in ~550 ps at V_write = 0.68 V (Table 3), and the
 // FERAM writes in ~550 ps at 1.64 V.  Switching time is monotonically
 // increasing in rho, so rho is recovered by bisection against any
-// user-supplied "measure switching time for this rho" functional — either
-// the standalone capacitor (cheap) or the full cell transient (exact).
+// user-supplied "measure switching time for this rho" functional (the
+// cell transients of core::calibrateFefetRho / calibrateFeramRho).
 #pragma once
 
 #include <functional>
-
-#include "ferro/fe_capacitor.h"
 
 namespace fefet::ferro {
 
 /// t_switch(rho): any measurement of switching time as a function of rho.
 using SwitchingTimeOfRho = std::function<double(double)>;
 
-struct RhoCalibration {
-  double rho = 0.0;            ///< recovered kinetic coefficient [ohm·m]
-  double achievedTime = 0.0;   ///< switching time at the recovered rho [s]
-  int evaluations = 0;         ///< number of transient evaluations used
-};
-
-/// Find rho in [rhoMin, rhoMax] such that measure(rho) == targetTime within
-/// `relTolerance`.  Requires the target to be bracketed.
-RhoCalibration calibrateRho(const SwitchingTimeOfRho& measure,
-                            double targetTime, double rhoMin = 1.0,
-                            double rhoMax = 1e4,
-                            double relTolerance = 1e-3);
-
-/// Convenience: calibrate rho so a standalone capacitor with the given
-/// coefficients/geometry switches (-P_r to +0.9 P_r) in `targetTime` under
-/// `appliedVoltage`.
-RhoCalibration calibrateRhoStandalone(const LkCoefficients& coefficients,
-                                      const FeGeometry& geometry,
-                                      double appliedVoltage,
-                                      double targetTime);
+/// The kinetic coefficient [ohm·m] in [rhoMin, rhoMax] at which
+/// measure(rho) == targetTime, to within `relTolerance` in log(rho).
+/// Requires the target to be bracketed.
+double calibrateRho(const SwitchingTimeOfRho& measure, double targetTime,
+                    double rhoMin = 1.0, double rhoMax = 1e4,
+                    double relTolerance = 1e-3);
 
 }  // namespace fefet::ferro

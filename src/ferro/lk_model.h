@@ -32,6 +32,12 @@ struct LkCoefficients {
   double rho = 0.885;
 };
 
+/// Geometry of a ferroelectric film.
+struct FeGeometry {
+  double thickness = 2.25e-9;  ///< t_FE [m]
+  double area = 65e-9 * 45e-9; ///< plate area [m^2] (W x L of the 45nm gate)
+};
+
 /// Static and dynamic evaluation of the LK equation for one FE film.
 class LandauKhalatnikov {
  public:

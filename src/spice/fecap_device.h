@@ -17,7 +17,7 @@
 
 #include <optional>
 
-#include "ferro/fe_capacitor.h"
+#include "ferro/lk_model.h"
 #include "spice/device.h"
 
 namespace fefet::spice {

@@ -6,6 +6,7 @@
 
 #include "core/cell2t.h"
 #include "core/materials.h"
+#include "core/write_pulse.h"
 
 namespace fefet::core {
 namespace {
@@ -91,8 +92,8 @@ TEST(Cell2T, WriteZeroAtPaperAnchor) {
 TEST(Cell2T, MinimumWritePulseMatchesCalibration) {
   // The calibrated material writes (worst polarity) in ~550 ps at 0.68 V.
   Cell2T cell(defaultConfig());
-  const double t1 = cell.minimumWritePulse(true, 0.68);
-  const double t0 = cell.minimumWritePulse(false, 0.68);
+  const double t1 = minimumWritePulse(cell, true, 0.68);
+  const double t0 = minimumWritePulse(cell, false, 0.68);
   ASSERT_GT(t1, 0.0);
   ASSERT_GT(t0, 0.0);
   EXPECT_NEAR(std::max(t1, t0), 550e-12, 40e-12);
@@ -100,8 +101,8 @@ TEST(Cell2T, MinimumWritePulseMatchesCalibration) {
 
 TEST(Cell2T, WriteFasterAtHigherVoltage) {
   Cell2T cell(defaultConfig());
-  const double tLow = cell.minimumWritePulse(true, 0.6);
-  const double tHigh = cell.minimumWritePulse(true, 0.9);
+  const double tLow = minimumWritePulse(cell, true, 0.6);
+  const double tHigh = minimumWritePulse(cell, true, 0.9);
   ASSERT_GT(tLow, 0.0);
   ASSERT_GT(tHigh, 0.0);
   EXPECT_LT(tHigh, tLow);
@@ -110,7 +111,7 @@ TEST(Cell2T, WriteFasterAtHigherVoltage) {
 TEST(Cell2T, WriteFailsInsideHysteresisWindow) {
   // 0.30 V is inside the window: no pulse length can flip the cell.
   Cell2T cell(defaultConfig());
-  EXPECT_LT(cell.minimumWritePulse(true, 0.30, 2e-9), 0.0);
+  EXPECT_LT(minimumWritePulse(cell, true, 0.30, 2e-9), 0.0);
 }
 
 TEST(Cell2T, ReadDistinguishesStates) {

@@ -1,13 +1,13 @@
 // Tests of the LK ferroelectric capacitor as an MNA device: switching,
-// retention, charge delivery and consistency with the standalone
-// integrator in ferro/fe_capacitor.h.
+// retention, relaxation, charge delivery, and switching times against a
+// quadrature of the exact LK solution under constant bias.
 #include <cmath>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
-#include "ferro/fe_capacitor.h"
+#include "ferro/lk_model.h"
 #include "spice/fecap_device.h"
 #include "spice/netlist.h"
 #include "spice/passives.h"
@@ -72,25 +72,72 @@ TEST(FeCapDevice, RetainsPolarizationAtZeroBias) {
   EXPECT_NEAR(fe->polarization(), pr, 1e-3 * pr);
 }
 
-TEST(FeCapDevice, MatchesStandaloneIntegrator) {
-  // Drive the same constant 1.8 V through both the MNA device and the
-  // RK4 standalone model; the trajectories must agree.
+TEST(FeCapDevice, DepolarizedStateRelaxesToWell) {
+  // P = 0 is the unstable hilltop: any perturbation rolls into a well.
+  const ferro::LandauKhalatnikov lk(material());
+  Netlist n;
+  n.add<VoltageSource>("V1", n.node("a"), n.ground(), dc(0.0));
+  auto* fe = n.add<FeCapDevice>("F", n.node("a"), n.ground(), material(),
+                                kGeom, 0.01);
+  Simulator sim(n);
+  sim.initializeUic();
+  TransientOptions options;
+  options.duration = 20e-9;
+  sim.runTransient(options, {Probe::deviceState("F", "P")});
+  EXPECT_NEAR(fe->polarization(), lk.remnantPolarization(), 1e-3);
+}
+
+/// Oracle: under a constant bias V the LK law dP/dt = (V/t_FE - E_s(P))/rho
+/// separates, so the time from -P_r to P = 0 is exactly
+/// t0 = rho * integral_{-P_r}^{0} dP / (V/t_FE - E_s(P)); composite Simpson
+/// with 2e5 intervals evaluates it far below the tolerance checked here.
+double lkSwitchingTimeToZero(const ferro::LkCoefficients& c, double voltage,
+                             double thickness) {
+  const ferro::LandauKhalatnikov lk(c);
+  const double pr = lk.remnantPolarization();
+  const auto integrand = [&](double p) {
+    return 1.0 / (voltage / thickness - lk.staticField(p));
+  };
+  const int intervals = 200000;
+  const double h = pr / intervals;
+  double sum = integrand(-pr) + integrand(0.0);
+  for (int k = 1; k < intervals; ++k) {
+    sum += (k % 2 == 1 ? 4.0 : 2.0) * integrand(-pr + k * h);
+  }
+  return c.rho * sum * h / 3.0;
+}
+
+/// Time for a device starting at -P_r under a constant bias to cross P = 0,
+/// integrated at dtMax = 4 ps.
+double deviceSwitchingTime(double volts, double duration) {
   const double pr = ferro::LandauKhalatnikov(material()).remnantPolarization();
   Netlist n;
-  n.add<VoltageSource>("V1", n.node("a"), n.ground(), dc(1.8));
+  n.add<VoltageSource>("V1", n.node("a"), n.ground(), dc(volts));
   n.add<FeCapDevice>("F", n.node("a"), n.ground(), material(), kGeom, -pr);
   Simulator sim(n);
   sim.initializeUic();
   TransientOptions options;
-  options.duration = 1.0e-9;
-  options.dtMax = 1e-12;
+  options.duration = duration;
+  options.dtMax = 4e-12;
   const auto r = sim.runTransient(options, {Probe::deviceState("F", "P")});
+  return r.waveform.firstCrossing("P(F)", 0.0, true);
+}
 
-  ferro::FeCapacitor ref(material(), kGeom);
-  ref.setPolarization(-pr);
-  ref.stepConstant(1.8, 1.0e-9, 4000);
-  EXPECT_NEAR(r.waveform.finalValue("P(F)"), ref.polarization(),
-              0.03 * pr);
+TEST(FeCapDevice, SwitchingTimeMatchesLkQuadrature) {
+  for (double volts : {1.5, 1.8, 2.5}) {
+    const double t0 = lkSwitchingTimeToZero(material(), volts, kGeom.thickness);
+    EXPECT_NEAR(deviceSwitchingTime(volts, 1.5 * t0), t0, 5e-3 * t0)
+        << volts << " V";
+  }
+}
+
+TEST(FeCapDevice, SwitchingFasterAtHigherVoltage) {
+  const double t15 = deviceSwitchingTime(1.5, 3e-9);
+  const double t20 = deviceSwitchingTime(2.0, 3e-9);
+  const double t25 = deviceSwitchingTime(2.5, 3e-9);
+  EXPECT_GT(t15, 0.0);
+  EXPECT_GT(t15, t20);
+  EXPECT_GT(t20, t25);
 }
 
 TEST(FeCapDevice, DeliversSwitchingChargeToSeriesCapacitor) {
@@ -197,8 +244,8 @@ TEST(FeCapDevice, MaxStepHintUsesRemnantPolarization) {
   }
 }
 
-// Property: circuit-level switching time scales linearly with rho, same
-// law as the standalone capacitor.
+// Property: circuit-level switching time scales linearly with rho, as
+// the LK law t ~ rho * integral dP / (V/t_FE - E_s(P)) requires.
 class RhoScaling : public ::testing::TestWithParam<double> {};
 
 TEST_P(RhoScaling, SwitchingTimeLinearInRho) {

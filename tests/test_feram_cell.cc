@@ -6,6 +6,7 @@
 
 #include "core/feram_cell.h"
 #include "core/materials.h"
+#include "core/write_pulse.h"
 
 namespace fefet::core {
 namespace {
@@ -34,8 +35,8 @@ TEST(FeRam, WriteZeroAtPaperAnchor) {
 
 TEST(FeRam, MinimumWritePulseMatchesCalibration) {
   FeRamCell cell(defaultConfig());
-  const double t1 = cell.minimumWritePulse(true, 1.64);
-  const double t0 = cell.minimumWritePulse(false, 1.64);
+  const double t1 = minimumWritePulse(cell, true, 1.64);
+  const double t0 = minimumWritePulse(cell, false, 1.64);
   ASSERT_GT(t1, 0.0);
   ASSERT_GT(t0, 0.0);
   EXPECT_NEAR(std::max(t1, t0), 550e-12, 40e-12);
@@ -44,7 +45,7 @@ TEST(FeRam, MinimumWritePulseMatchesCalibration) {
 TEST(FeRam, SubCoerciveWriteFails) {
   FeRamCell cell(defaultConfig());
   // 1.0 V is below the 1.24 V film coercive voltage: no flip, ever.
-  EXPECT_LT(cell.minimumWritePulse(true, 1.0, 2e-9), 0.0);
+  EXPECT_LT(minimumWritePulse(cell, true, 1.0, 2e-9), 0.0);
 }
 
 TEST(FeRam, ReadSensesOne) {

@@ -171,29 +171,6 @@ TEST(HasCrossing, DetectsBothDirections) {
   EXPECT_FALSE(hasCrossing(up, 2.0));
 }
 
-/// y(t1) from y0 after `steps` fixed rk4Step steps over [0, t1].
-double rk4Endpoint(const std::function<double(double, double)>& f,
-                    double t1, double y0, int steps) {
-  const double dt = t1 / steps;
-  double y = y0;
-  for (int i = 0; i < steps; ++i) y = rk4Step(f, i * dt, y, dt);
-  return y;
-}
-
-TEST(Rk4, ExponentialDecayAccurate) {
-  // dy/dt = -y, y(0) = 1 -> y(1) = e^-1.
-  const auto f = [](double, double y) { return -y; };
-  EXPECT_NEAR(rk4Endpoint(f, 1.0, 1.0, 100), std::exp(-1.0), 1e-9);
-}
-
-TEST(Rk4, FourthOrderConvergence) {
-  const auto f = [](double t, double y) { return t * y; };
-  const double exact = std::exp(0.5);  // y' = t y, y(0)=1 -> e^{t^2/2}
-  const double e1 = std::abs(rk4Endpoint(f, 1.0, 1.0, 10) - exact);
-  const double e2 = std::abs(rk4Endpoint(f, 1.0, 1.0, 20) - exact);
-  EXPECT_GT(e1 / e2, 12.0);  // ~16x for 4th order
-}
-
 // Property sweep: brent and bisect agree on a family of transcendental
 // functions.
 class RootAgreement : public ::testing::TestWithParam<double> {};
