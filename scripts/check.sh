@@ -20,8 +20,9 @@
 #     counters and a Chrome trace with the nested span taxonomy (both
 #     validated with python3), and telemetry must stay ~free — on the
 #     Fig. 7 8x8 array transients, metrics enabled vs disabled, paired
-#     per op and interleaved in thread CPU time, median overhead <= 2%
-#     (the same measurement on a 1x1 array is printed, not gated);
+#     per op and interleaved in thread CPU time, median overhead <= 2%,
+#     and <= 10% on a 1x1 array, where the fixed cost per Newton
+#     iteration weighs most;
 #  5. bench determinism: every bench named in bench/CMakeLists.txt runs
 #     twice from the Release build and must print the same stdout both
 #     times, PERF and REPORT lines (wall-clock timings) excluded — the
@@ -183,11 +184,19 @@ if ! awk -v o="$OVERHEAD" 'BEGIN { exit !(o <= 0.02) }'; then
   exit 1
 fi
 # The same pairing on a 1x1 array, where a Newton iteration is cheapest and
-# the telemetry's fixed cost per iteration is largest: reported, not gated.
+# the telemetry's fixed cost per iteration is largest: within 10%.
 SMALL_OVERHEAD_PERF=$("$PERF_BUILD_DIR/bench/bench_fig07_array_bias" --rows=1 \
   --cols=1 --writes=120 --telemetry-overhead | grep '^PERF ')
 echo "$SMALL_OVERHEAD_PERF"
-echo "observability smoke passed (telemetry overhead $OVERHEAD at 8x8)"
+SMALL_OVERHEAD=$(echo "$SMALL_OVERHEAD_PERF" |
+  sed -E 's/.*"overhead":(-?[0-9.]+).*/\1/')
+if ! awk -v o="$SMALL_OVERHEAD" 'BEGIN { exit !(o <= 0.10) }'; then
+  echo "FAIL: telemetry costs >10% on the 1x1 array transients:" \
+       "median overhead $SMALL_OVERHEAD" >&2
+  exit 1
+fi
+echo "observability smoke passed (telemetry overhead $OVERHEAD at 8x8," \
+     "$SMALL_OVERHEAD at 1x1)"
 
 echo "== bench determinism (stage 5): two runs of every bench print the same stdout =="
 BENCHES=$(sed -nE 's/^fefet_add_bench\((bench_[a-z0-9_]+)\)$/\1/p' \

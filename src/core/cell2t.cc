@@ -29,8 +29,9 @@ Cell2T::Cell2T(const Cell2TConfig& config) : config_(config) {
       Probe::v("g"),
       Probe::v(netlist_.nodeName(fefet_.internalNode)),
       Probe::deviceState("cell:fe", "P"),
-      Probe::deviceState("cell:mos", "id"),
   };
+  readProbes_ = probes_;
+  readProbes_.push_back(Probe::deviceState("cell:mos", "id"));
   sim_ = std::make_unique<spice::Simulator>(netlist_);
   setStoredBit(false);
 }
@@ -46,12 +47,14 @@ bool Cell2T::storedBit() const {
   return fefet_.fe->polarization() > states_.pSaddle;
 }
 
-CellOpResult Cell2T::runOp(double duration, bool isWrite) {
+CellOpResult Cell2T::runOp(double duration,
+                           const std::vector<spice::Probe>& probes,
+                           bool isWrite) {
   for (auto* src : {vWbl_, vWs_, vRs_, vSl_}) src->resetEnergy();
   spice::TransientOptions options;
   options.duration = duration;
   options.dtMax = duration / 200.0;
-  auto transient = sim_->runTransient(options, probes_);
+  auto transient = sim_->runTransient(options, probes);
 
   CellOpResult result;
   result.waveform = std::move(transient.waveform);
@@ -80,7 +83,7 @@ CellOpResult Cell2T::write(bool one, double pulseWidth,
   vWbl_->setShape(pulses.bitLine(one ? vw : -vw));
   vRs_->setShape(dc(0.0));
   vSl_->setShape(dc(0.0));
-  return runOp(pulses.duration(), /*isWrite=*/true);
+  return runOp(pulses.duration(), probes_, /*isWrite=*/true);
 }
 
 CellOpResult Cell2T::read(double duration) {
@@ -89,7 +92,7 @@ CellOpResult Cell2T::read(double duration) {
   vWbl_->setShape(dc(0.0));
   vRs_->setShape(pulses.readSelect(config_.levels.vRead));
   vSl_->setShape(dc(0.0));
-  auto result = runOp(duration, /*isWrite=*/false);
+  auto result = runOp(duration, readProbes_, /*isWrite=*/false);
   // Plateau current: sample the drain current midway through the RS pulse.
   const double edge = config_.edgeTime;
   const double tSample = 3.0 * edge + 0.5 * (duration - 10.0 * edge);
@@ -102,7 +105,7 @@ CellOpResult Cell2T::hold(double duration) {
   vWbl_->setShape(dc(0.0));
   vRs_->setShape(dc(0.0));
   vSl_->setShape(dc(0.0));
-  return runOp(duration, /*isWrite=*/false);
+  return runOp(duration, probes_, /*isWrite=*/false);
 }
 
 }  // namespace fefet::core

@@ -31,6 +31,8 @@ struct Cell2TConfig {
 
 /// Result of one cell operation.
 struct CellOpResult {
+  /// Line and gate voltages, v(cell:int) and P(cell:fe); a read also
+  /// records the drain current id(cell:mos).
   spice::Waveform waveform;
   bool bitAfter = false;           ///< classified stored bit after the op
   double finalPolarization = 0.0;  ///< committed P [C/m^2]
@@ -72,7 +74,8 @@ class Cell2T {
   const FefetInstance& fefetInstance() const { return fefet_; }
 
  private:
-  CellOpResult runOp(double duration, bool isWrite);
+  CellOpResult runOp(double duration, const std::vector<spice::Probe>& probes,
+                     bool isWrite);
 
   Cell2TConfig config_;
   spice::Netlist netlist_;
@@ -85,6 +88,8 @@ class Cell2T {
   BistableStates states_;
   /// Recorded by every op; built once, with the FEFET's internal node.
   std::vector<spice::Probe> probes_;
+  /// probes_ plus the drain current id(cell:mos), which only a read samples.
+  std::vector<spice::Probe> readProbes_;
 };
 
 }  // namespace fefet::core

@@ -22,10 +22,6 @@ double LandauKhalatnikov::staticFieldSlope(double p) const {
   return c_.alpha + p2 * (3.0 * c_.beta + p2 * 5.0 * c_.gamma);
 }
 
-double LandauKhalatnikov::dynamicField(double p, double dPdt) const {
-  return staticField(p) + c_.rho * dPdt;
-}
-
 void LandauKhalatnikov::staticFieldBatch(std::size_t n,
                                          const LandauKhalatnikov* const* models,
                                          const double* p, double* field,

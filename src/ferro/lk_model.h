@@ -53,9 +53,6 @@ class LandauKhalatnikov {
   /// capacitance region).
   double staticFieldSlope(double polarization) const;
 
-  /// Full dynamic field including the viscous term.
-  double dynamicField(double polarization, double dPdt) const;
-
   /// Batch kernel of the static field and its slope for the SoA device
   /// path (see spice/device_batch.h): field[k] =
   /// models[k]->staticField(p[k]), slope[k] =

@@ -22,6 +22,8 @@ namespace {
 // kResidualAbsTol + kResidualRelTol·(row activity scale), and no update
 // was clamped.
 constexpr int kMaxIterations = 80;
+/// One metered solve in this many times its Newton laps (see solveWithGmin).
+constexpr std::uint64_t kLapStride = 16;
 constexpr double kVoltageAbsTol = 1e-6;   ///< [V] update tol, node voltages
 constexpr double kAuxAbsTol = 1e-9;       ///< update tol, aux unknowns
 constexpr double kRelTol = 1e-4;          ///< relative part of both checks
@@ -47,6 +49,7 @@ struct NewtonTelemetry {
   obs::Counter& escalationAttempts;
   obs::Counter& assembleNs;
   obs::Counter& solveNs;
+  obs::Counter& timedSolves;
   obs::Histogram& iterationsPerSolve;
 
   // The ".compiled" suffix names the compiled stamp pipeline, the one
@@ -62,6 +65,7 @@ struct NewtonTelemetry {
         obs::Metrics::counter("fefet.newton.escalation_attempts.compiled"),
         obs::Metrics::counter("fefet.newton.assemble_ns.compiled"),
         obs::Metrics::counter("fefet.newton.solve_ns.compiled"),
+        obs::Metrics::counter("fefet.newton.timed_solves.compiled"),
         obs::Metrics::histogram("fefet.newton.iterations_per_solve",
                                 kIterEdges)};
     return t;
@@ -136,6 +140,7 @@ void NewtonSolver::flushTelemetry() {
   put(telemetry.escalationAttempts, tally_.escalationAttempts);
   put(telemetry.assembleNs, tally_.assembleNs);
   put(telemetry.solveNs, tally_.solveNs);
+  put(telemetry.timedSolves, tally_.timedSolves);
   NewtonForensics& forensics = NewtonForensics::get();
   put(forensics.converged, tally_.converged);
   put(forensics.stagnated, tally_.stagnated);
@@ -201,17 +206,23 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
   FEFET_REQUIRE(static_cast<int>(x.size()) == n,
                 "newton: solution vector size mismatch");
 
-  // Telemetry for this solve goes to the plain tallies.  The clock is read
-  // once before the loop and twice per iteration — after assembly and
-  // after the update and convergence check — so assemble_ns and solve_ns
-  // tile the Newton loop with no gap.  Nothing is read or counted while
-  // metrics are disabled.
+  // Telemetry for this solve goes to the plain tallies.  Every count is
+  // exact; the Newton laps are sampled.  One metered solve in kLapStride
+  // on this thread is timed: it reads the clock once before the loop and
+  // twice per iteration — after assembly and after the update and
+  // convergence check — and adds kLapStride times each lap, so assemble_ns
+  // and solve_ns tile the Newton loop in expectation.  The phase runs
+  // across every solver on the thread, so a new solver's first solve (its
+  // symbolic analysis and full factorization) is timed no more often than
+  // any other.  Nothing is read or counted while metrics are disabled.
+  static thread_local std::uint64_t meteredSolves = 0;
   const bool metered = obs::Metrics::enabled();
-  std::uint64_t lapStart = metered ? monotonicNanos() : 0;
+  const bool timed = metered && meteredSolves++ % kLapStride == 0;
+  std::uint64_t lapStart = timed ? monotonicNanos() : 0;
   const auto lap = [&](std::uint64_t& ns) {
-    if (!metered) return;
+    if (!timed) return;
     const std::uint64_t now = monotonicNanos();
-    ns += now - lapStart;
+    ns += kLapStride * (now - lapStart);
     lapStart = now;
   };
   const obs::Span solveSpan("newton.solve");
@@ -232,6 +243,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
                          (firstResNorm > 0.0 && last > 10.0 * firstResNorm));
     if (metered) {
       ++tally_.solves;
+      if (timed) ++tally_.timedSolves;
       tally_.iterations += static_cast<std::uint64_t>(s.iterations);
       if (!s.converged) ++tally_.nonconverged;
       tally_.iterationsPerSolve.observe(static_cast<double>(s.iterations));

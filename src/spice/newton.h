@@ -49,7 +49,9 @@ struct NewtonStats {
 ///
 /// Telemetry: every solve tallies the fefet.newton.* counters, the two
 /// Newton histograms and (through the Assembler) fefet.assembler.* in plain
-/// members; flushTelemetry() lands them in the metrics registry.  The
+/// members; only the Newton laps (assemble_ns, solve_ns) are sampled, on
+/// one solve in sixteen per thread (counted in timed_solves) and weighted
+/// x16.  flushTelemetry() lands the tallies in the metrics registry.  The
 /// Simulator flushes once per transient run (returned or thrown) and per
 /// DC solve, and the destructor flushes what is left.
 class NewtonSolver {
@@ -117,6 +119,7 @@ class NewtonSolver {
     std::uint64_t escalationAttempts = 0;
     std::uint64_t assembleNs = 0;
     std::uint64_t solveNs = 0;
+    std::uint64_t timedSolves = 0;
     std::uint64_t converged = 0;
     std::uint64_t stagnated = 0;
     std::uint64_t diverged = 0;

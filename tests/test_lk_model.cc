@@ -75,14 +75,6 @@ TEST(LkModel, EnergyGradientIsStaticField) {
   }
 }
 
-TEST(LkModel, DynamicFieldAddsViscousTerm) {
-  LkCoefficients c;
-  c.rho = 2.0;
-  LandauKhalatnikov lk{c};
-  EXPECT_DOUBLE_EQ(lk.dynamicField(0.1, 5.0),
-                   lk.staticField(0.1) + 2.0 * 5.0);
-}
-
 TEST(LkModel, StaticPolarizationsCountVsField) {
   LandauKhalatnikov lk{LkCoefficients{}};
   // Below the coercive field: three solutions (bistable); above: one.

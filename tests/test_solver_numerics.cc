@@ -2,6 +2,7 @@
 // continuation, adaptive step control, stiff circuits and the damped
 // trapezoidal integrator's ringing suppression; and the solver telemetry
 // those runs land in the metrics registry.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -348,6 +349,58 @@ TEST(SolverTelemetry, Cell2TOpsLandEveryIterationOnce) {
     EXPECT_EQ(d.converged + d.stagnated + d.diverged, d.solves);
     EXPECT_EQ(d.solves - d.converged, d.nonconverged);
   }
+}
+
+// Only the Newton laps are sampled: one metered solve in sixteen on the
+// thread is timed and adds each lap sixteen times, so the two lap counters
+// are multiples of 16 backed by ~solves/16 timed solves, and every count
+// stays exact.  The thread's phase is arbitrary, hence the bound below.
+TEST(SolverTelemetry, NewtonLapsAreTimedOnOneSolveInSixteen) {
+  constexpr std::uint64_t kStride = 16;
+  const MetricsOn metrics;
+  const auto runOps = [] {
+    core::Cell2T cell(core::Cell2TConfig{});
+    cell.setStoredBit(false);
+    EXPECT_TRUE(cell.write(true, 550e-12).bitAfter);
+    EXPECT_TRUE(cell.read().bitAfter);
+    cell.hold(1e-9);
+  };
+  const auto counter = [](const char* name) {
+    return obs::Metrics::snapshot().counterValue(name);
+  };
+
+  obs::Metrics::setEnabled(false);
+  obs::Metrics::reset();
+  runOps();
+  EXPECT_EQ(counter("fefet.newton.timed_solves.compiled"), 0u);
+  EXPECT_EQ(counter("fefet.newton.assemble_ns.compiled"), 0u);
+  EXPECT_EQ(counter("fefet.newton.solve_ns.compiled"), 0u);
+  EXPECT_EQ(counter("fefet.newton.solves.compiled"), 0u);
+
+  obs::Metrics::setEnabled(true);
+  obs::Metrics::reset();
+  runOps();
+  const SolverCounts d = SolverCounts::read();
+  const std::uint64_t timed = counter("fefet.newton.timed_solves.compiled");
+  const std::uint64_t assembleNs =
+      counter("fefet.newton.assemble_ns.compiled");
+  const std::uint64_t solveNs = counter("fefet.newton.solve_ns.compiled");
+  EXPECT_GT(timed, 0u);
+  EXPECT_LT(std::max(kStride * timed, d.solves) -
+                std::min(kStride * timed, d.solves),
+            kStride);
+  EXPECT_GT(assembleNs, 0u);
+  EXPECT_GT(solveNs, 0u);
+  EXPECT_EQ(assembleNs % kStride, 0u);
+  EXPECT_EQ(solveNs % kStride, 0u);
+  EXPECT_EQ(d.runs, 3u);
+  EXPECT_EQ(d.failedRuns, 0u);
+  EXPECT_GE(d.solves, d.steps);
+  EXPECT_EQ(d.iterations, d.transientIterations);
+  EXPECT_EQ(d.assemblies, d.iterations);
+  EXPECT_EQ(d.perSolveCount, d.solves);
+  EXPECT_EQ(d.converged + d.stagnated + d.diverged, d.solves);
+  EXPECT_EQ(d.solves - d.converged, d.nonconverged);
 }
 
 TEST(SolverTelemetry, ThrowingTransientStillLandsItsCounts) {

@@ -269,9 +269,11 @@ TEST(StampPattern, TransientCallSequenceIsIndependentOfIntegrationMethod) {
 }
 
 // FNV-1a over the IEEE bit patterns of every sample, sample-major (time,
-// then each column in columnNames() order): any change to the timestep
-// sequence or to any probe value in any bit changes the hash.
-std::uint64_t waveformHash(const Waveform& w) {
+// then each column in columnNames() order, then `extra` if given): any
+// change to the timestep sequence or to any probe value in any bit changes
+// the hash.
+std::uint64_t waveformHash(const Waveform& w,
+                           std::span<const double> extra = {}) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](double v) {
     const auto bits = std::bit_cast<std::uint64_t>(v);
@@ -283,6 +285,7 @@ std::uint64_t waveformHash(const Waveform& w) {
   const auto time = w.time();
   std::vector<std::span<const double>> columns;
   for (const auto& name : w.columnNames()) columns.push_back(w.column(name));
+  if (!extra.empty()) columns.push_back(extra);
   for (std::size_t i = 0; i < time.size(); ++i) {
     mix(time[i]);
     for (const auto& column : columns) mix(column[i]);
@@ -355,6 +358,9 @@ struct CellOpGolden {
 // only moved samples are its internal node (at most 4.2e-22 V) and gate
 // node (at most 1.3e-25 V); every other value, count and time point, and
 // the hold and read hashes, are unchanged.
+// The write and hold no longer record the drain current; their hashes
+// append it, recomputed from the recorded terminal voltages exactly as the
+// probe did, so the goldens cover the same samples as before.
 TEST(StampParity, Cell2TWriteHoldReadIsBitIdenticalAcrossEngines) {
   static constexpr CellOpGolden kGolden[3] = {
       {0x1.d702c019d19c4p-3, 0.0, 0x1.89ce1a86b8ebp-51, true, 204, 628, 0,
@@ -391,7 +397,18 @@ TEST(StampParity, Cell2TWriteHoldReadIsBitIdenticalAcrossEngines) {
     EXPECT_EQ(steps.total() - steps0, golden.steps);
     EXPECT_EQ(iterations.total() - iterations0, golden.iterations);
     EXPECT_EQ(escalations.total() - escalations0, golden.escalations);
-    EXPECT_EQ(waveformHash(result.waveform), golden.hash);
+    const Waveform& w = result.waveform;
+    std::vector<double> drainCurrent;
+    if (op < 2) {
+      const xtor::MosfetModel& mos = cell.fefetInstance().mos->model();
+      const auto vd = w.column("v(rs)");
+      const auto vg = w.column("v(cell:int)");
+      const auto vs = w.column("v(sl)");
+      for (std::size_t i = 0; i < w.sampleCount(); ++i) {
+        drainCurrent.push_back(mos.idsAt(vd[i], vg[i], vs[i]));
+      }
+    }
+    EXPECT_EQ(waveformHash(w, drainCurrent), golden.hash);
   }
   obs::Metrics::setEnabled(metricsWereEnabled);
 }
