@@ -72,10 +72,10 @@ cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" \
   test_hier_array
 
 # The ^(...)\. anchors keep the test_obs suites from pulling in unbuilt
-# binaries with similar names (Trace vs PowerTrace, LogJson vs Logistic).
+# binaries with similar names (Trace vs PowerTrace).
 TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$(nproc)" \
-  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|SchurSolver|HierArray|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson)\.' "$@"
+  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|SchurSolver|HierArray|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc)\.' "$@"
 
 echo "== kill-and-resume smoke: journaled sweep survives SIGKILL =="
 cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_variability

@@ -1,8 +1,8 @@
 // clock.h — shared monotonic clock and thread-id helpers.
 //
-// Telemetry (obs/trace), structured logging (common/log) and any other
-// subsystem that timestamps events read the same monotonic nanosecond
-// clock, so spans and log lines interleave consistently in one timeline.
+// Telemetry (obs/trace, obs/flight_recorder) and any other subsystem that
+// timestamps events read the same monotonic nanosecond clock, so spans and
+// recorded events interleave consistently in one timeline.
 // Thread ids are small dense integers assigned on first use — stable for
 // the thread's lifetime and friendly to trace viewers (tid 0, 1, 2 …
 // instead of opaque pthread handles).

@@ -28,8 +28,9 @@ std::string padRight(const std::string& s, std::size_t width);
 
 /// Escape a string for embedding inside JSON double quotes: quotes,
 /// backslashes and control characters become \", \\, \n, \uXXXX, ….
-/// Shared by the structured log sink, the metrics snapshot serializer and
-/// the trace exporter (obs/), so every JSON emitter escapes identically.
+/// Shared by the metrics snapshot serializer, the trace exporter, the run
+/// report (obs/) and the sweep journal, so every JSON emitter escapes
+/// identically.
 std::string jsonEscape(const std::string& s);
 
 /// JSON-safe number rendering: round-trippable %.17g for finite values;

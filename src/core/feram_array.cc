@@ -66,6 +66,9 @@ void FeRamArray::setPattern(const std::vector<std::vector<bool>>& bits) {
 }
 
 bool FeRamArray::bitAt(int row, int col) const {
+  FEFET_REQUIRE(row >= 0 && row < config_.rows && col >= 0 &&
+                    col < config_.cols,
+                "bitAt: cell index out of range");
   return cells_[static_cast<std::size_t>(row * config_.cols + col)]
              ->polarization() > 0.0;
 }
@@ -93,8 +96,7 @@ double FeRamArray::collectEnergies() const {
   return e;
 }
 
-FeRamRowResult FeRamArray::driveRow(int row, const std::vector<bool>& bits,
-                                    bool /*isWriteBack*/) {
+FeRamRowResult FeRamArray::driveRow(int row, const std::vector<bool>& bits) {
   const auto& cc = config_.cell;
   const double edge = cc.edgeTime;
   const double phase = 700e-12;  // per-phase drive width
@@ -135,7 +137,7 @@ FeRamRowResult FeRamArray::writeRow(int row,
   FEFET_REQUIRE(row >= 0 && row < config_.rows, "writeRow: row out of range");
   FEFET_REQUIRE(static_cast<int>(bits.size()) == config_.cols,
                 "writeRow: bit count mismatch");
-  return driveRow(row, bits, false);
+  return driveRow(row, bits);
 }
 
 FeRamRowResult FeRamArray::readRow(int row) {
@@ -171,7 +173,7 @@ FeRamRowResult FeRamArray::readRow(int row) {
         swing > cc.senseThreshold;
   }
   // Write-back the sensed data (the read flipped every stored '1').
-  const auto restore = driveRow(row, result.bitsRead, true);
+  const auto restore = driveRow(row, result.bitsRead);
   result.totalEnergy += restore.totalEnergy;
   result.ok = restore.ok;
   return result;

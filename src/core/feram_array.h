@@ -54,8 +54,7 @@ class FeRamArray {
   const FeRamArrayConfig& config() const { return config_; }
 
  private:
-  FeRamRowResult driveRow(int row, const std::vector<bool>& bits,
-                          bool isWriteBack);
+  FeRamRowResult driveRow(int row, const std::vector<bool>& bits);
   void groundAll();
   void resetEnergies();
   double collectEnergies() const;

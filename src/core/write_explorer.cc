@@ -1,7 +1,6 @@
 #include "core/write_explorer.h"
 
 #include "common/error.h"
-#include "common/log.h"
 #include "core/write_pulse.h"
 
 namespace fefet::core {
@@ -73,7 +72,6 @@ std::vector<WritePoint> sweepFefetWrite(const Cell2TConfig& config,
   std::vector<WritePoint> out;
   out.reserve(voltages.size());
   for (double v : voltages) {
-    FEFET_INFO() << "fefet write sweep @ " << v << " V";
     out.push_back(measurePoint(cell, v, maxPulse));
   }
   return out;
@@ -86,7 +84,6 @@ std::vector<WritePoint> sweepFeramWrite(const FeRamConfig& config,
   std::vector<WritePoint> out;
   out.reserve(voltages.size());
   for (double v : voltages) {
-    FEFET_INFO() << "feram write sweep @ " << v << " V";
     out.push_back(measurePoint(cell, v, maxPulse));
   }
   return out;

@@ -26,7 +26,6 @@ bool initialEnabled() {
 struct Registry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
@@ -52,14 +51,7 @@ Histogram::Histogram(std::span<const double> edges)
   FEFET_REQUIRE(!edges_.empty(), "histogram needs at least one bucket edge");
   FEFET_REQUIRE(std::is_sorted(edges_.begin(), edges_.end()),
                 "histogram bucket edges must be sorted ascending");
-  const std::size_t buckets = bucketCount();
-  for (auto& shard : shards_) {
-    shard.buckets =
-        std::make_unique<std::atomic<std::uint64_t>[]>(buckets);
-    for (std::size_t i = 0; i < buckets; ++i) {
-      shard.buckets[i].store(0, std::memory_order_relaxed);
-    }
-  }
+  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bucketCount());
 }
 
 void Histogram::observe(double value) {
@@ -67,79 +59,58 @@ void Histogram::observe(double value) {
     // A NaN fails every `value <= edge` comparison (so it would count as
     // overflow) and turns the running sum into NaN permanently.  Drop it
     // from the distribution and tally it separately.
-    shards_[static_cast<std::size_t>(shardIndex())].nan.fetch_add(
-        1, std::memory_order_relaxed);
+    nan_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Shard& shard = shards_[static_cast<std::size_t>(shardIndex())];
-  shard.buckets[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  addToSum(shard.sum, value);
+  buckets_[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  addToSum(sum_, value);
 }
 
 void Histogram::merge(HistogramTally& tally) {
   FEFET_REQUIRE(tally.histogram_ == this,
                 "histogram tally merged into another histogram");
-  Shard& shard = shards_[static_cast<std::size_t>(shardIndex())];
   for (std::size_t i = 0; i < tally.buckets_.size(); ++i) {
     if (tally.buckets_[i] != 0) {
-      shard.buckets[i].fetch_add(tally.buckets_[i], std::memory_order_relaxed);
+      buckets_[i].fetch_add(tally.buckets_[i], std::memory_order_relaxed);
       tally.buckets_[i] = 0;
     }
   }
   if (tally.count_ != 0) {
-    shard.count.fetch_add(tally.count_, std::memory_order_relaxed);
-    addToSum(shard.sum, tally.sum_);
+    count_.fetch_add(tally.count_, std::memory_order_relaxed);
+    addToSum(sum_, tally.sum_);
   }
-  if (tally.nan_ != 0) shard.nan.fetch_add(tally.nan_, std::memory_order_relaxed);
+  if (tally.nan_ != 0) nan_.fetch_add(tally.nan_, std::memory_order_relaxed);
   tally.count_ = 0;
   tally.sum_ = 0.0;
   tally.nan_ = 0;
 }
 
 std::vector<std::uint64_t> Histogram::bucketTotals() const {
-  std::vector<std::uint64_t> totals(bucketCount(), 0);
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < totals.size(); ++i) {
-      totals[i] += shard.buckets[i].load(std::memory_order_relaxed);
-    }
+  std::vector<std::uint64_t> totals(bucketCount());
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    totals[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return totals;
 }
 
 std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard.count.load(std::memory_order_relaxed);
-  }
-  return total;
+  return count_.load(std::memory_order_relaxed);
 }
 
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const auto& shard : shards_) {
-    total += shard.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
+double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
 
 std::uint64_t Histogram::nanCount() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard.nan.load(std::memory_order_relaxed);
-  }
-  return total;
+  return nan_.load(std::memory_order_relaxed);
 }
 
 void Histogram::reset() {
-  for (auto& shard : shards_) {
-    for (std::size_t i = 0; i < bucketCount(); ++i) {
-      shard.buckets[i].store(0, std::memory_order_relaxed);
-    }
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0.0, std::memory_order_relaxed);
-    shard.nan.store(0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < bucketCount(); ++i) {
+    buckets_[i].store(0, std::memory_order_relaxed);
   }
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  nan_.store(0, std::memory_order_relaxed);
 }
 
 Counter& Metrics::counter(const std::string& name) {
@@ -147,14 +118,6 @@ Counter& Metrics::counter(const std::string& name) {
   const std::lock_guard<std::mutex> guard(r.mutex);
   auto& slot = r.counters[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Metrics::gauge(const std::string& name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> guard(r.mutex);
-  auto& slot = r.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
@@ -175,10 +138,6 @@ MetricsSnapshot Metrics::snapshot() {
   for (const auto& [name, counter] : r.counters) {
     snap.counters.push_back({name, counter->total()});
   }
-  snap.gauges.reserve(r.gauges.size());
-  for (const auto& [name, gauge] : r.gauges) {
-    snap.gauges.push_back({name, gauge->value()});
-  }
   snap.histograms.reserve(r.histograms.size());
   for (const auto& [name, histogram] : r.histograms) {
     MetricsSnapshot::HistogramValue h;
@@ -197,7 +156,6 @@ void Metrics::reset() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> guard(r.mutex);
   for (auto& [name, counter] : r.counters) counter->reset();
-  for (auto& [name, gauge] : r.gauges) gauge->reset();
   for (auto& [name, histogram] : r.histograms) histogram->reset();
 }
 
@@ -215,14 +173,6 @@ std::string MetricsSnapshot::toJson() const {
     if (!first) out += ',';
     first = false;
     out += '"' + strings::jsonEscape(c.name) + "\":" + std::to_string(c.value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& g : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + strings::jsonEscape(g.name) +
-           "\":" + strings::jsonNumber(g.value);
   }
   out += "},\"histograms\":{";
   first = true;

@@ -1,15 +1,18 @@
-// metrics.h — process-wide registry of named counters, gauges and
-// fixed-bucket histograms.
+// metrics.h — process-wide registry of named counters and fixed-bucket
+// histograms.
 //
 // Design goals, in order:
 //
-//  1. Hot-path increments are lock-free and allocation-free.  Counters
-//     and histograms stripe their storage across cache-line-padded
-//     shards indexed by the caller's thread id, so concurrent workers
-//     never contend on one atomic; a snapshot merges the shards.  All
-//     storage is sized at registration — after that, add()/observe()
-//     touch only preallocated atomics (tests/test_obs.cc audits this
-//     with the same operator-new hook as test_stamp_alloc).
+//  1. Increments are lock-free and allocation-free, and sized to their
+//     traffic.  Every add()/observe()/merge() in src/ runs at low
+//     frequency — once per flush (transient run, DC solve, solver
+//     teardown), once per sweep point or pool task, or once per Newton
+//     solve on one thread — because hot loops tally plain members or a
+//     HistogramTally and land them here in bulk.  So each metric is one
+//     set of relaxed atomics, with no per-thread striping.  All storage
+//     is sized at registration — after that, add()/observe() touch only
+//     preallocated atomics (tests/test_obs.cc audits this with the same
+//     operator-new hook as test_stamp_alloc).
 //  2. Registration is cheap but not free (mutex + map lookup), so call
 //     sites hold the returned reference — typically a function-local
 //     static or a constructor-initialized member.  Registered metrics
@@ -25,7 +28,6 @@
 // load per call site.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -34,57 +36,23 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
-
 namespace fefet::obs {
-
-/// Shard count of the thread-striped storage.  Power of two; threads map
-/// onto shards by `currentThreadId() & (kMetricShards - 1)`.
-inline constexpr int kMetricShards = 8;
 
 /// Monotonically increasing event count (iterations, retries, stamped
 /// entries, accumulated nanoseconds, …).
 class Counter {
  public:
   void add(std::uint64_t delta) {
-    shards_[shardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   void increment() { add(1); }
 
-  /// Sum across shards.  Safe to call concurrently with add(); the result
-  /// is a consistent-enough merge for reporting (each shard is read
-  /// atomically).
-  std::uint64_t total() const {
-    std::uint64_t sum = 0;
-    for (const auto& shard : shards_) {
-      sum += shard.value.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
+  std::uint64_t total() const { return value_.load(std::memory_order_relaxed); }
 
-  void reset() {
-    for (auto& shard : shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  static int shardIndex() { return currentThreadId() & (kMetricShards - 1); }
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> value{0};
-  };
-  std::array<Shard, kMetricShards> shards_;
-};
-
-/// Last-written value (queue depth, active workers, configured threads).
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { set(0.0); }
-
- private:
-  std::atomic<double> value_{0.0};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 class HistogramTally;
@@ -105,18 +73,17 @@ class Histogram {
   explicit Histogram(std::span<const double> edges);
 
   void observe(double value);
-  /// Land a tally's bins, count, sum and NaN count in one shard and clear
-  /// the tally.  The bins and counts equal those of one observe() per
-  /// tallied value; only the sum's summation order differs.
+  /// Land a tally's bins, count, sum and NaN count and clear the tally.
+  /// The bins and counts equal those of one observe() per tallied value;
+  /// only the sum's summation order differs.
   void merge(HistogramTally& tally);
 
   std::size_t bucketCount() const { return edges_.size() + 1; }
   const std::vector<double>& edges() const { return edges_; }
 
-  /// Merged bucket counts (size bucketCount()), total count and sum.
-  /// The merge is a plain per-bucket sum, so it is associative: merging
-  /// shard-by-shard equals merging any grouping of shards
-  /// (tests/test_obs.cc checks this against a single-threaded reference).
+  /// Bucket counts (size bucketCount()), total count and sum.  Each is
+  /// read atomically on its own, so a read concurrent with observe() may
+  /// see a bucket and the count one observation apart.
   std::vector<std::uint64_t> bucketTotals() const;
   std::uint64_t count() const;
   double sum() const;
@@ -134,15 +101,11 @@ class Histogram {
   }
 
  private:
-  static int shardIndex() { return currentThreadId() & (kMetricShards - 1); }
-  struct alignas(64) Shard {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<std::uint64_t> nan{0};
-  };
   std::vector<double> edges_;
-  std::array<Shard, kMetricShards> shards_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<std::uint64_t> nan_{0};
 };
 
 /// Plain, single-owner bins of one Histogram, for a hot loop that
@@ -180,10 +143,6 @@ struct MetricsSnapshot {
     std::string name;
     std::uint64_t value = 0;
   };
-  struct GaugeValue {
-    std::string name;
-    double value = 0.0;
-  };
   struct HistogramValue {
     std::string name;
     std::vector<double> edges;
@@ -193,7 +152,6 @@ struct MetricsSnapshot {
     std::uint64_t nan = 0;  ///< NaN observations dropped
   };
   std::vector<CounterValue> counters;    ///< sorted by name
-  std::vector<GaugeValue> gauges;        ///< sorted by name
   std::vector<HistogramValue> histograms;  ///< sorted by name
 
   /// Value of one counter (0 when absent — absent and never-incremented
@@ -201,7 +159,7 @@ struct MetricsSnapshot {
   std::uint64_t counterValue(const std::string& name) const;
 
   /// PERF-v2-style JSON object:
-  /// {"counters":{name:value,...},"gauges":{...},
+  /// {"counters":{name:value,...},
   ///  "histograms":{name:{"edges":[...],"buckets":[...],
   ///                      "count":N,"sum":S,"nan":N},...}}
   std::string toJson() const;
@@ -227,7 +185,6 @@ class Metrics {
   /// an existing histogram ignores the new edges (first registration
   /// wins).
   static Counter& counter(const std::string& name);
-  static Gauge& gauge(const std::string& name);
   static Histogram& histogram(const std::string& name,
                               std::span<const double> edges);
 

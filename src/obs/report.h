@@ -8,7 +8,7 @@
 // document shape:
 //
 //   {"bench":"<name>", <extra fields in insertion order>,
-//    "metrics":{"counters":{...},"gauges":{...},"histograms":{...}}}
+//    "metrics":{"counters":{...},"histograms":{...}}}
 //
 // Extra fields are added typed (number/string/bool/raw) so the report
 // builder owns all escaping and formatting.

@@ -82,12 +82,7 @@ SweepJournalLoad SweepEngine::loadJournal(std::size_t total) {
       SweepJournal::load(options_.journal.path, total, options_.baseSeed,
                          options_.journal.configDigest);
   if (!load.warning.empty()) {
-    FEFET_WARN() << "sweep journal: " << load.warning;
-  }
-  if (load.usable && !load.records.empty()) {
-    FEFET_INFO() << "sweep journal: resuming " << load.records.size()
-                 << " of " << total << " points from "
-                 << options_.journal.path;
+    std::fprintf(stderr, "[WARN ] sweep journal: %s\n", load.warning.c_str());
   }
   return load;
 }

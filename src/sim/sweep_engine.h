@@ -34,6 +34,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "obs/trace.h"
 #include "sim/sweep_journal.h"
 #include "sim/thread_pool.h"
@@ -205,9 +205,10 @@ class SweepEngine {
           try {
             restored.emplace_back(record.index, codec->decode(record.payload));
           } catch (const std::exception& e) {
-            FEFET_WARN() << "sweep journal: cannot decode point "
-                         << record.index << " (" << e.what()
-                         << "); discarding the journal and starting fresh";
+            std::fprintf(stderr,
+                         "[WARN ] sweep journal: cannot decode point %zu "
+                         "(%s); discarding the journal and starting fresh\n",
+                         record.index, e.what());
             decodeOk = false;
             break;
           }
@@ -233,12 +234,6 @@ class SweepEngine {
         for (int t = 0; t < threads; ++t) {
           pool.submit([this, t, total, &next, &slots, &replayed, &points, &fn,
                        codec] {
-            // RAII prefix: pooled threads outlive this task, so the
-            // prefix must be restored even if a point handler throws —
-            // otherwise a stale "sweep[N] " leaks into the thread's next
-            // job (see ScopedThreadPrefix in common/log.h).
-            const ScopedThreadPrefix prefixGuard("sweep[" +
-                                                 std::to_string(t) + "] ");
             for (;;) {
               const std::size_t i =
                   next.fetch_add(1, std::memory_order_relaxed);

@@ -6,7 +6,6 @@
 
 #include "common/clock.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -359,7 +358,6 @@ NewtonStats NewtonSolver::solveDcWithContinuation(std::vector<double>& x) {
     return stats;
   }
   // Gmin stepping: start heavily regularized, then relax.
-  FEFET_DEBUG() << "DC: direct solve failed; starting gmin continuation";
   attempt_ = x;
   int totalIters = stats.iterations;
   int levels = 0;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

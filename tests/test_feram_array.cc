@@ -74,6 +74,8 @@ TEST(FeRamArray, RejectsBadArguments) {
   EXPECT_THROW(arr.writeRow(5, {true, true, true}), InvalidArgumentError);
   EXPECT_THROW(arr.writeRow(0, {true}), InvalidArgumentError);
   EXPECT_THROW(arr.updateBit(0, 9, true), InvalidArgumentError);
+  EXPECT_THROW(arr.bitAt(5, 0), InvalidArgumentError);
+  EXPECT_THROW(arr.bitAt(0, -1), InvalidArgumentError);
 }
 
 }  // namespace

@@ -1,20 +1,18 @@
 // Observability subsystem audit (obs/metrics.h, obs/trace.h,
-// obs/report.h + the log/telemetry satellites):
+// obs/report.h):
 //
 //  * counters survive concurrent increments without losing updates;
 //  * histogram bucketing follows Prometheus "le" semantics exactly at
 //    the edges, with the overflow bucket last;
-//  * the sharded snapshot merge is associative — N threads striping into
-//    shards must equal a single-threaded reference fill — and a bulk
-//    HistogramTally merge equals one observe() per value;
+//  * N threads observing and merging tallies into one histogram while
+//    another thread snapshots it must equal a single-threaded reference
+//    fill, and a bulk HistogramTally merge equals one observe() per value;
 //  * spans nest by timestamp containment and the bounded ring drops the
 //    oldest events (counted) on overflow;
 //  * the Chrome trace_event and metrics-snapshot JSON exporters emit
 //    syntactically valid JSON (checked by a small validator below);
 //  * the counter/histogram/span hot paths perform zero heap allocations
-//    at steady state (same operator-new hook as test_stamp_alloc);
-//  * ScopedThreadPrefix restores the previous log prefix (the pooled-
-//    thread leak fix) and the JSON log sink escapes its payload.
+//    at steady state (same operator-new hook as test_stamp_alloc).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/log.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -271,7 +268,9 @@ TEST(Metrics, HistogramDropsNanObservations) {
   // Snapshot/JSON carry the dropped-NaN tally.
   const MetricsSnapshot snap = Metrics::snapshot();
   for (const auto& hv : snap.histograms) {
-    if (hv.name == "test.obs.nan_hist") EXPECT_EQ(hv.nan, 2u);
+    if (hv.name == "test.obs.nan_hist") {
+      EXPECT_EQ(hv.nan, 2u);
+    }
   }
   const std::string json = snap.toJson();
   EXPECT_TRUE(isValidJson(json)) << json;
@@ -281,35 +280,62 @@ TEST(Metrics, HistogramDropsNanObservations) {
   EXPECT_EQ(h.nanCount(), 0u);
 }
 
-TEST(Metrics, ShardedMergeMatchesSingleThreadReference) {
-  // The same deterministic observation stream, once striped across 6
-  // threads (hitting different shards) and once on this thread alone.
-  // Per-bucket sums are associative, so the merged totals must be equal.
+TEST(Metrics, ConcurrentObserveMergeAndSnapshotMatchSingleThreadReference) {
+  // The same deterministic observation stream, once spread over 6 threads
+  // that alternate direct observe() calls with merges of their own
+  // HistogramTally while another thread keeps snapshotting the registry,
+  // and once on this thread alone.  No update may be lost.
   static constexpr double kEdges[] = {2.0, 4.0, 8.0, 16.0};
-  Histogram& striped = Metrics::histogram("test.obs.striped_hist", kEdges);
+  Histogram& shared = Metrics::histogram("test.obs.shared_hist", kEdges);
   Histogram& reference = Metrics::histogram("test.obs.reference_hist", kEdges);
-  striped.reset();
+  shared.reset();
   reference.reset();
   constexpr int kThreads = 6;
   constexpr int kPerThread = 500;
   const auto valueAt = [](int thread, int i) {
+    if (i % 97 == 0) return std::numeric_limits<double>::quiet_NaN();
     return static_cast<double>((thread * 7 + i * 3) % 20);  // integers: exact
   };
+  std::atomic<bool> done{false};
+  std::thread reader([&done] {
+    std::uint64_t lastCount = 0;
+    do {
+      for (const auto& h : Metrics::snapshot().histograms) {
+        if (h.name != "test.obs.shared_hist") continue;
+        EXPECT_GE(h.count, lastCount);  // one atomic: never runs backwards
+        EXPECT_LE(h.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+        lastCount = h.count;
+      }
+    } while (!done.load(std::memory_order_acquire));
+  });
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&striped, t, &valueAt] {
-      for (int i = 0; i < kPerThread; ++i) striped.observe(valueAt(t, i));
+    workers.emplace_back([&shared, t, &valueAt] {
+      HistogramTally tally(shared);
+      for (int i = 0; i < kPerThread; ++i) {
+        if (i % 2 == 0) {
+          shared.observe(valueAt(t, i));
+        } else {
+          tally.observe(valueAt(t, i));
+        }
+        if (i % 50 == 49) shared.merge(tally);
+      }
+      shared.merge(tally);
     });
   }
   for (auto& w : workers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) reference.observe(valueAt(t, i));
   }
-  EXPECT_EQ(striped.bucketTotals(), reference.bucketTotals());
-  EXPECT_EQ(striped.count(), reference.count());
+  EXPECT_EQ(shared.bucketTotals(), reference.bucketTotals());
+  EXPECT_EQ(shared.count(), reference.count());
+  EXPECT_EQ(shared.nanCount(), reference.nanCount());
+  EXPECT_GT(shared.nanCount(), 0u);
   // Integer-valued observations: double accumulation is exact in any
   // order, so even the sums must match bit for bit.
-  EXPECT_DOUBLE_EQ(striped.sum(), reference.sum());
+  EXPECT_EQ(shared.sum(), reference.sum());
 }
 
 TEST(Metrics, TallyMergeMatchesPerObservationBins) {
@@ -351,13 +377,19 @@ TEST(Metrics, SnapshotAndJson) {
   c.reset();
   c.add(41);
   c.increment();
-  Metrics::gauge("test.obs.snapshot_gauge").set(2.5);
   const MetricsSnapshot snap = Metrics::snapshot();
   EXPECT_EQ(snap.counterValue("test.obs.snapshot_counter"), 42u);
   EXPECT_EQ(snap.counterValue("test.obs.never_registered"), 0u);
   const std::string json = snap.toJson();
   EXPECT_TRUE(isValidJson(json)) << json;
   EXPECT_NE(json.find("\"test.obs.snapshot_counter\":42"), std::string::npos);
+  // The serializer builds its names and numbers from these helpers;
+  // quotes, backslashes and control characters must come back JSON-clean.
+  EXPECT_EQ(strings::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_TRUE(isValidJson('"' + strings::jsonEscape("ctrl:\x01\ttab") + '"'));
+  EXPECT_TRUE(isValidJson(strings::jsonNumber(1.5)));
+  EXPECT_TRUE(isValidJson(strings::jsonNumber(
+      std::numeric_limits<double>::quiet_NaN())));
 }
 
 TEST(Metrics, DisabledGateIsHonoredByCallSites) {
@@ -504,38 +536,6 @@ TEST(ObsAlloc, SpanRecordingIsAllocationFreeAfterWarmup) {
   g_armed.store(false, std::memory_order_relaxed);
   Trace::disable();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Log satellites
-
-TEST(LogPrefix, ScopedThreadPrefixRestoresPrevious) {
-  Log::setThreadPrefix("outer ");
-  {
-    ScopedThreadPrefix guard("inner ");
-    EXPECT_EQ(Log::threadPrefix(), "inner ");
-    {
-      ScopedThreadPrefix nested("nested ");
-      EXPECT_EQ(Log::threadPrefix(), "nested ");
-    }
-    EXPECT_EQ(Log::threadPrefix(), "inner ");
-  }
-  EXPECT_EQ(Log::threadPrefix(), "outer ");
-  Log::setThreadPrefix("");
-}
-
-TEST(LogJson, SinkToggleAndEscaping) {
-  const bool was = Log::jsonSink();
-  Log::setJsonSink(true);
-  EXPECT_TRUE(Log::jsonSink());
-  Log::setJsonSink(was);
-  // The JSON sink builds its line from these helpers; quotes, backslashes
-  // and control characters must come back JSON-clean.
-  EXPECT_EQ(strings::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_TRUE(isValidJson('"' + strings::jsonEscape("ctrl:\x01\ttab") + '"'));
-  EXPECT_TRUE(isValidJson(strings::jsonNumber(1.5)));
-  EXPECT_TRUE(isValidJson(strings::jsonNumber(
-      std::numeric_limits<double>::quiet_NaN())));
 }
 
 }  // namespace
