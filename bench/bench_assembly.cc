@@ -12,12 +12,17 @@
 //  * the Fig. 7 8x8 FEFET array (core::ArrayNetlist: 64 FEFETs = 128
 //    MOSFETs + 64 FE capacitors, plus line drivers and wire caps), at the
 //    iterate a 1 ns hold after a checkerboard pattern leaves.  This is the
-//    MOSFET lane kernel and the netlist-order scatter that dominate array
+//    MOSFET lane kernel and the netlist-order stamping that dominate array
 //    assembly.  Repeating one iterate makes every MOSFET lane a bypass hit
 //    after the first pass (array_assemble_s), so the array is timed a
 //    second way: alternating with a copy of the iterate 1 mV higher on
 //    every node, far outside the bypass band, which makes every lane run
-//    the model (array_eval_assemble_s).
+//    the model (array_eval_assemble_s);
+//  * the 2T cell perfbench's cell_sweep builds (core::Cell2T on the
+//    calibrated FEFET material: 2 MOSFETs, 1 FE capacitor, 4 line drivers),
+//    at the iterate a 550 ps write of '1' leaves, timed the same two ways
+//    (cell_assemble_s, cell_eval_assemble_s).  Its 11 unknowns give the
+//    fixed cost per assembly at cell scale its own number.
 //
 // Prints only the banners and one machine-readable PERF line, which
 // carries every timing and its repetition count:
@@ -26,7 +31,8 @@
 //         "compiled_assemble_s":...,"compiled_solve_s":...,
 //         "stamps_per_sec":...,"array_unknowns":...,"array_reps":...,
 //         "array_assemble_s":...,"array_stamps_per_sec":...,
-//         "array_eval_assemble_s":...}
+//         "array_eval_assemble_s":...,"cell_unknowns":...,"cell_reps":...,
+//         "cell_assemble_s":...,"cell_eval_assemble_s":...}
 #include <array>
 #include <cstdio>
 #include <span>
@@ -35,6 +41,8 @@
 
 #include "bench_util.h"
 #include "core/array_netlist.h"
+#include "core/cell2t.h"
+#include "core/materials.h"
 #include "spice/assembler.h"
 #include "spice/netlist.h"
 #include "spice/passives.h"
@@ -71,6 +79,33 @@ struct AssemblyTiming {
   double stampsPerSec = 0.0;
 };
 
+/// Assembly timings at one iterate, repeated (every MOSFET lane a bypass
+/// hit) and alternating with a copy 1 mV higher on every node (every lane
+/// evaluated).
+struct BypassTimings {
+  AssemblyTiming hits;
+  AssemblyTiming evaluated;
+};
+
+AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
+                            std::span<const SystemView> views, int reps);
+
+BypassTimings timeBypassAndEval(const Netlist& n, const std::vector<double>& x,
+                                int reps) {
+  const SystemView view(x, n.nodeCount());
+  Assembler assembler(n.stampPattern());
+  BypassTimings t;
+  t.hits = timeAssembly(assembler, n, {&view, 1}, reps);
+  std::vector<double> shifted = x;
+  for (int i = 0; i < n.nodeCount(); ++i) {
+    shifted[static_cast<std::size_t>(i)] += 1e-3;
+  }
+  const std::array<SystemView, 2> alternating{
+      view, SystemView(shifted, n.nodeCount())};
+  t.evaluated = timeAssembly(assembler, n, alternating, reps);
+  return t;
+}
+
 AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
                             std::span<const SystemView> views, int reps) {
   const auto assemble = [&](int r) {
@@ -96,6 +131,7 @@ int run() {
   constexpr int kStages = 240;
   constexpr int kReps = 2000;
   constexpr int kArrayReps = 20000;
+  constexpr int kCellReps = 400000;
 
   // --- RC/diode ladder ----------------------------------------------------
   Netlist n;
@@ -135,29 +171,33 @@ int run() {
   const int arrayUnknowns = static_cast<int>(ax.size());
   bench::banner("assembly: 8x8 FEFET array (" +
                 std::to_string(arrayUnknowns) + " unknowns)");
-  const SystemView arrayView(ax, an.nodeCount());
-  Assembler arrayAssembler(an.stampPattern());
-  const AssemblyTiming arrayTiming =
-      timeAssembly(arrayAssembler, an, {&arrayView, 1}, kArrayReps);
+  const BypassTimings arrayTimings = timeBypassAndEval(an, ax, kArrayReps);
 
-  std::vector<double> axShifted = ax;
-  for (int i = 0; i < an.nodeCount(); ++i) {
-    axShifted[static_cast<std::size_t>(i)] += 1e-3;
-  }
-  const std::array<SystemView, 2> alternating{
-      arrayView, SystemView(axShifted, an.nodeCount())};
-  const AssemblyTiming evalTiming =
-      timeAssembly(arrayAssembler, an, alternating, kArrayReps);
+  // --- 2T cell ------------------------------------------------------------
+  core::Cell2TConfig cellConfig;
+  cellConfig.fefet.lk = core::fefetMaterial();
+  core::Cell2T cell(cellConfig);
+  cell.write(true, 550e-12);
+  const Netlist& cn = cell.simulator().netlist();
+  const std::vector<double>& cx = cell.simulator().solution();
+  const int cellUnknowns = static_cast<int>(cx.size());
+  bench::banner("assembly: 2T cell (" + std::to_string(cellUnknowns) +
+                " unknowns)");
+  const BypassTimings cellTimings = timeBypassAndEval(cn, cx, kCellReps);
 
   std::printf(
       "PERF {\"bench\":\"bench_assembly\",\"unknowns\":%d,\"reps\":%d,"
       "\"compiled_assemble_s\":%.4f,\"compiled_solve_s\":%.4f,"
       "\"stamps_per_sec\":%.3g,\"array_unknowns\":%d,\"array_reps\":%d,"
       "\"array_assemble_s\":%.4f,\"array_stamps_per_sec\":%.3g,"
-      "\"array_eval_assemble_s\":%.4f}\n",
+      "\"array_eval_assemble_s\":%.4f,\"cell_unknowns\":%d,"
+      "\"cell_reps\":%d,\"cell_assemble_s\":%.4f,"
+      "\"cell_eval_assemble_s\":%.4f}\n",
       unknowns, kReps, ladder.assembleS, compiledSolveS, ladder.stampsPerSec,
-      arrayUnknowns, kArrayReps, arrayTiming.assembleS,
-      arrayTiming.stampsPerSec, evalTiming.assembleS);
+      arrayUnknowns, kArrayReps, arrayTimings.hits.assembleS,
+      arrayTimings.hits.stampsPerSec, arrayTimings.evaluated.assembleS,
+      cellUnknowns, kCellReps, cellTimings.hits.assembleS,
+      cellTimings.evaluated.assembleS);
 
   telemetry.report().addCount("unknowns", static_cast<std::uint64_t>(unknowns));
   telemetry.report().addCount("reps", static_cast<std::uint64_t>(kReps));
@@ -165,7 +205,9 @@ int run() {
   telemetry.report().addCount("array_unknowns",
                               static_cast<std::uint64_t>(arrayUnknowns));
   telemetry.report().addNumber("array_stamps_per_sec",
-                               arrayTiming.stampsPerSec);
+                               arrayTimings.hits.stampsPerSec);
+  telemetry.report().addCount("cell_unknowns",
+                              static_cast<std::uint64_t>(cellUnknowns));
   telemetry.finish();
   return 0;
 }

@@ -4,7 +4,11 @@
 #  1. ASan + UBSan (FEFET_SANITIZE=address) over the full test suite —
 #     memory errors and UB in the netlist/device ownership chain (the
 #     suite includes the assembler-vs-oracle stamp parity tests, so the
-#     assembly engine runs under ASan);
+#     assembly engine runs under ASan).  The build must print no compiler
+#     warning for a file under src/, tests/, bench/ or examples/ (the gate
+#     reads the warnings of the files this build compiles, so all of them
+#     in a fresh build directory); warnings inside system headers, such as
+#     GCC 12's -Wrestrict false positives in <bits/char_traits.h>, pass;
 #  2. TSan (FEFET_SANITIZE=thread) over the concurrency-sensitive tests
 #     (the sweep engine / thread pool, the LU-reuse solver path, the
 #     stamp-parity suite, the observability layer and the parallel
@@ -52,10 +56,22 @@ ASAN_BUILD_DIR=build-sanitize
 TSAN_BUILD_DIR=build-tsan
 PERF_BUILD_DIR=build-perf
 
+SMOKE_DIR=$(mktemp -d)
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
 echo "== ASan/UBSan: full suite =="
 cmake -B "$ASAN_BUILD_DIR" -S . -DFEFET_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)"
+cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" 2>&1 \
+  | tee "$SMOKE_DIR/asan-build.log"
+PROJECT_WARNINGS=$(grep -E \
+  "^($PWD/)?(src|tests|bench|examples)/[^:]+:[0-9]+(:[0-9]+)?: warning:" \
+  "$SMOKE_DIR/asan-build.log" || true)
+if [ -n "$PROJECT_WARNINGS" ]; then
+  echo "FAIL: the build warns in project sources:" >&2
+  echo "$PROJECT_WARNINGS" >&2
+  exit 1
+fi
 
 # abort_on_error keeps CI logs short; detect_leaks catches missing frees in
 # the netlist/device ownership chain.
@@ -80,8 +96,6 @@ ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$(nproc)" \
 echo "== kill-and-resume smoke: journaled sweep survives SIGKILL =="
 cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_variability
 BENCH="$ASAN_BUILD_DIR/bench/bench_variability"
-SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 # PERF record minus the fields legitimately differing between a fresh and
 # a resumed run (wall clock, speedup, replay count).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <set>
 #include <sstream>
@@ -232,9 +233,8 @@ void SparseLuFactorizer::factor(const SparseMatrix& a) {
 void SparseLuFactorizer::factor(const CsrView& a) {
   FEFET_REQUIRE(a.values.size() == a.colIdx.size(),
                 "SparseLuFactorizer: CSR values/pattern size mismatch");
-  factored_ = false;
   if (!samePattern(a)) analyzePattern(a, {});
-  refactor(a.values);
+  factorValues(a.values);
 }
 
 void SparseLuFactorizer::factor(const CsrView& a,
@@ -243,12 +243,11 @@ void SparseLuFactorizer::factor(const CsrView& a,
                 "SparseLuFactorizer: CSR values/pattern size mismatch");
   FEFET_REQUIRE(order.size() == a.n,
                 "SparseLuFactorizer: column order size mismatch");
-  factored_ = false;
   if (!samePattern(a) ||
       !std::equal(order.begin(), order.end(), q_.begin(), q_.end())) {
     analyzePattern(a, order);
   }
-  refactor(a.values);
+  factorValues(a.values);
 }
 
 void SparseLuFactorizer::refactor(std::span<const double> values) {
@@ -256,7 +255,24 @@ void SparseLuFactorizer::refactor(std::span<const double> values) {
                 "SparseLuFactorizer::refactor called before factor()");
   FEFET_REQUIRE(values.size() == patColIdx_.size(),
                 "SparseLuFactorizer: CSR values/pattern size mismatch");
+  // Exact reuse: values bitwise equal to the ones the current factor was
+  // computed from (so -0.0 and +0.0 differ) would refactor to the same
+  // bits.
+  if (valuesKept_ &&
+      (values.empty() ||  // memcmp must not see a null pointer
+       std::memcmp(values.data(), factoredValues_.data(),
+                   values.size() * sizeof(double)) == 0)) {
+    ++factorReuses_;
+    return;
+  }
+  factorValues(values);
+  factoredValues_.assign(values.begin(), values.end());
+  valuesKept_ = true;
+}
+
+void SparseLuFactorizer::factorValues(std::span<const double> values) {
   factored_ = false;
+  valuesKept_ = false;
   if (structureValid_) {
     if (refactorNumeric(values)) {
       ++numericRefactorizations_;
@@ -305,6 +321,8 @@ void SparseLuFactorizer::analyzePattern(const CsrView& a,
     q_.assign(order.begin(), order.end());
   }
   work_.assign(n, 0.0);
+  factoredValues_.assign(patColIdx_.size(), 0.0);
+  valuesKept_ = false;
   analyzed_ = true;
 }
 

@@ -132,7 +132,10 @@ class SparseMatrix {
 /// the U entries no earlier update of the step touches, read straight from
 /// the CSR values; every row addressed by the slot its unknown occupies in
 /// a solve.  Later factorizations of a same-pattern matrix run that
-/// program numerically only.
+/// program numerically only, and a refactor() of values bitwise equal to
+/// those the previous refactor() factored keeps the factor: by the
+/// contract below, running the program again would reproduce it bit for
+/// bit.
 ///
 /// Correctness contract: the program performs the full factorization's
 /// arithmetic in the same order, so a refactorization is bit-identical to
@@ -164,7 +167,9 @@ class SparseLuFactorizer {
   void factor(const SparseMatrix& a);
   /// factor() of new values on the CSR pattern of the previous factor()
   /// call, for a caller whose pattern cannot change: skips factor()'s
-  /// O(nnz) pattern compare.  Requires an earlier factor() call.
+  /// O(nnz) pattern compare.  Values bitwise equal to those of the last
+  /// refactor() keep its factor (a factor reuse); factor() always
+  /// factors.  Requires an earlier factor() call.
   void refactor(std::span<const double> values);
 
   /// Solve A x = b with the most recent factorization.
@@ -185,6 +190,9 @@ class SparseLuFactorizer {
   /// how many structure-reusing numeric refactorizations have run.
   long fullFactorizations() const { return fullFactorizations_; }
   long numericRefactorizations() const { return numericRefactorizations_; }
+  /// refactor() calls that kept the current factor: their values were
+  /// bitwise equal to those of the refactor() that computed it.
+  long factorReuses() const { return factorReuses_; }
   /// Numeric refactorizations abandoned because the pivot rule chose a
   /// different row than the cached sequence (each one also counts a full
   /// factorization).
@@ -217,6 +225,9 @@ class SparseLuFactorizer {
   using Index = std::uint32_t;
 
   bool samePattern(const CsrView& a) const;
+  /// Numeric refactorization of `values` on the cached structure, or a
+  /// full factorization when there is none or the pivots drift.
+  void factorValues(std::span<const double> values);
   /// Caches the pattern of `a` and the column order: `order`, or the
   /// minimum-degree order when it is empty.
   void analyzePattern(const CsrView& a, std::span<const std::size_t> order);
@@ -281,8 +292,15 @@ class SparseLuFactorizer {
   /// touched by the const solves).
   std::vector<double> work_;
 
+  /// The values the current factor was computed from, kept by refactor()
+  /// for its reuse test (valuesKept_; factor() does not keep them, so the
+  /// Schur blocks pay no copy).
+  std::vector<double> factoredValues_;
+  bool valuesKept_ = false;
+
   long fullFactorizations_ = 0;
   long numericRefactorizations_ = 0;
+  long factorReuses_ = 0;
   long pivotFallbacks_ = 0;
 };
 

@@ -278,9 +278,8 @@ void FlightRecorder::enable(const std::string& path,
                                   capacity]();
     g->capacity = capacity;
   } else {
-    std::memset(g->storage, 0,
-                static_cast<std::size_t>(kMaxRings) * capacity *
-                    sizeof(FlightRecord));
+    std::fill_n(g->storage, static_cast<std::size_t>(kMaxRings) * capacity,
+                FlightRecord{});
   }
   for (Ring& ring : g->rings) {
     ring.head.store(0, std::memory_order_relaxed);

@@ -1,7 +1,6 @@
 #include "spice/assembler.h"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 
 #include "common/error.h"
@@ -37,16 +36,6 @@ AssemblerTelemetry& assemblerTelemetry() {
 
 }  // namespace
 
-void StampBuffer::throwSlotOverrun(int row, int col) const {
-  std::ostringstream os;
-  os << "compiled stamp pipeline: device emitted more Jacobian entries than "
-        "recorded (next call at row "
-     << row << ", col " << col
-     << ") — a device's stamp sequence must be a fixed function of "
-        "the DC/transient mode for a frozen netlist";
-  throw NumericalError(os.str());
-}
-
 Assembler::Assembler(const StampPattern& pattern)
     : pattern_(pattern),
       n_(pattern.unknowns()),
@@ -54,17 +43,9 @@ Assembler::Assembler(const StampPattern& pattern)
       residual_(1 + static_cast<std::size_t>(n_), 0.0),
       rowScale_(1 + static_cast<std::size_t>(n_), 0.0) {
   FEFET_REQUIRE(n_ > 0, "MNA system needs at least one unknown");
-  // Compile the per-mode slot programs: CSR position + 1 per recorded
-  // call, ground entries to the trash slot 0.
-  for (int m = 0; m < kStampModeCount; ++m) {
-    const auto& calls = pattern_.jacobianCalls(static_cast<StampMode>(m));
-    auto& slots = slots_[m];
-    slots.reserve(calls.size());
-    for (const StampEntry& e : calls) {
-      const std::size_t idx = pattern_.csrIndex(e.row, e.col);
-      slots.push_back(idx == StampPattern::npos ? 0 : idx + 1);
-    }
-  }
+  buffer_.values_ = values_.data();
+  buffer_.residual_ = residual_.data();
+  buffer_.rowScale_ = rowScale_.data();
   diagSlots_.reserve(pattern_.nodeDiagonals().size());
   for (const std::size_t idx : pattern_.nodeDiagonals()) {
     diagSlots_.push_back(idx + 1);
@@ -154,23 +135,14 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
                 "compiled stamp pipeline: netlist device list changed after "
                 "the pattern was recorded");
   const int m = static_cast<int>(stampModeFor(dc));
-  const auto& slots = slots_[m];
-  const auto& ends = pattern_.deviceJacobianEnds(static_cast<StampMode>(m));
 
   std::fill(values_.begin(), values_.end(), 0.0);
   std::fill(residual_.begin(), residual_.end(), 0.0);
   std::fill(rowScale_.begin(), rowScale_.end(), 0.0);
 
-  buffer_.values_ = values_.data();
-  buffer_.residual_ = residual_.data();
-  buffer_.rowScale_ = rowScale_.data();
-  buffer_.slotBegin_ = slots.data();
-  buffer_.slotCursor_ = slots.data();
-  buffer_.slotEnd_ = slots.data() + slots.size();
-
   EvalContext ctx{view, dc, time, dt, method, gmin, &buffer_, nullptr};
   DeviceBatches& batches = netlist.deviceBatches();
-  batches.stampAll(ctx, ends);
+  batches.stampAll(ctx);
 
   if (obs::Metrics::enabled()) {
     ++tally_.assemblies;

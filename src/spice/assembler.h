@@ -1,20 +1,22 @@
 // assembler.h — numeric phase of the compiled stamp pipeline.
 //
-// Owns the preallocated slot storage the StampBuffer writes into and the
-// per-mode slot programs compiled from the recorded StampPattern:
+// Owns the preallocated, padded storage the devices write into — CSR
+// values, residual and row scale, each with the trash element at index 0
+// that ground entries land in (stamp_buffer.h):
 //
-//   pattern (symbolic, built once at freeze)
-//     -> slot program: one CSR value position per recorded addJacobian
-//        call, padded by one so ground entries map to the trash bin at
-//        index 0 (branch-free ground dropping)
-//     -> per iteration: zero the values, evaluate every device through
-//        the SoA batches (device_batch.h) and scatter it through the
-//        program in netlist order, verify per-device call counts, apply
-//        gmin;
+//   pattern (symbolic, built once at freeze; stamp_pattern.h)
+//     -> lane tables and the generic slot program (device_batch.h): the
+//        padded CSR slots of every batched lane's entries, one slot per
+//        recorded call of a generic device;
+//     -> per iteration: zero the storage, evaluate every device through
+//        the SoA batches and stamp them in netlist order (each batched
+//        lane loads, sums and stores every entry it touches once; each
+//        generic device's call count is checked), apply gmin;
 //     -> solve, condensed: every source with a grounded terminal pins its
 //        node, so only the free unknowns go through the ordered sparse LU
-//        (DESIGN.md §6.6); the pinned updates and the source currents
-//        come from the sources' own rows and their nodes' KCL rows.
+//        (DESIGN.md §6.6), which keeps its factor when J_FF is bitwise
+//        unchanged; the pinned updates and the source currents come from
+//        the sources' own rows and their nodes' KCL rows.
 //
 // The steady state of assemble() + solveForUpdate() performs no heap
 // allocation: everything was sized at construction or on the first solve,
@@ -45,8 +47,8 @@ class Assembler {
 
   /// Assemble one Newton evaluation: zero the storage, stamp every device
   /// through netlist.deviceBatches() (type-major evaluation, netlist-order
-  /// scatter into the slot program of the DC or transient mode) and apply gmin.
-  /// Throws NumericalError naming the culprit device if a call sequence
+  /// stamping in the DC or transient mode) and apply gmin.  Throws
+  /// NumericalError naming the culprit if a generic device's call count
   /// deviates from the recorded pattern.
   void assemble(const Netlist& netlist, const SystemView& view, bool dc,
                 double time, double dt, IntegrationMethod method,
@@ -99,8 +101,6 @@ class Assembler {
 
   const StampPattern& pattern_;
   int n_;
-  /// Per-mode slot programs (padded indices into values_).
-  std::array<std::vector<std::size_t>, kStampModeCount> slots_;
   /// Padded CSR slot of each node diagonal (for gmin).
   std::vector<std::size_t> diagSlots_;
   // Padded storage: index 0 is the trash bin ground entries write into.
@@ -143,9 +143,9 @@ class Assembler {
   /// only (the pattern of a frozen netlist never changes).
   bool luHasPattern_ = false;
   StampBuffer buffer_;
-  /// Which modes have already replayed their compiled slot program at
-  /// least once — every assemble after that is a pattern-reuse hit for
-  /// the fefet.assembler.pattern_reuse_hits counter.
+  /// Which modes have already been assembled at least once — every
+  /// assemble after that is a pattern-reuse hit for the
+  /// fefet.assembler.pattern_reuse_hits counter.
   std::array<bool, kStampModeCount> modeUsed_{};
   /// fefet.assembler.* counts since the last flushTelemetry().
   struct Tally {

@@ -10,6 +10,7 @@
 // companion forms supplied through the EvalContext.
 #pragma once
 
+#include <array>
 #include <span>
 #include <string>
 #include <string_view>
@@ -79,8 +80,9 @@ class Stamper {
 /// the DC, transient and gmin-escalation paths (gmin rides along so the
 /// whole evaluation state lives in one place), and exactly one of two
 /// sinks receives the entries:
-///  * assembly (buffer != nullptr): inlined slot writes into the
-///    preallocated StampBuffer — no virtual dispatch per entry;
+///  * assembly of a generic device (buffer != nullptr): inlined slot
+///    writes into the preallocated StampBuffer — no virtual dispatch per
+///    entry (batched kinds never stamp through here, see device_batch.h);
 ///  * recording (stamper != nullptr): virtual Stamper calls — the pass
 ///    that builds the StampPattern, and the test-side reference oracle.
 struct EvalContext {
@@ -110,6 +112,56 @@ struct EvalContext {
     stamper->addJacobian(row, col, value);
   }
 };
+
+/// Scalar-path sink of an entry-major stamp body (see stampBranch):
+/// residual(t) and jacobian(t, u) forward every contribution as one
+/// EvalContext call on terminal t's row (-1 = ground).  Device::stamp
+/// runs a kind's body through it; DeviceBatches runs the same body through
+/// a SlotSink (stamp_buffer.h), so the two paths add the same terms to each
+/// entry in the same order.
+template <int T>
+class CallSink {
+ public:
+  CallSink(const EvalContext& ctx, const std::array<int, T>& rows)
+      : ctx_(ctx), rows_(rows) {}
+
+  struct Row {
+    const EvalContext& ctx;
+    int row;
+    void operator+=(double x) const { ctx.addResidual(row, x); }
+  };
+  struct Entry {
+    const EvalContext& ctx;
+    int row;
+    int col;
+    void operator+=(double x) const { ctx.addJacobian(row, col, x); }
+  };
+
+  Row residual(int t) const {
+    return {ctx_, rows_[static_cast<std::size_t>(t)]};
+  }
+  Entry jacobian(int t, int u) const {
+    return {ctx_, rows_[static_cast<std::size_t>(t)],
+            rows_[static_cast<std::size_t>(u)]};
+  }
+
+ private:
+  const EvalContext& ctx_;
+  std::array<int, T> rows_;
+};
+
+/// Entry-major stamp body of a two-terminal branch: current i leaving
+/// terminal 0 into terminal 1, and its conductance g.  Resistors,
+/// capacitors, the timed switch and the diode stamp exactly this.
+template <class Sink>
+void stampBranch(const Sink& s, double i, double g) {
+  s.residual(0) += i;
+  s.residual(1) += -i;
+  s.jacobian(0, 0) += g;
+  s.jacobian(0, 1) += -g;
+  s.jacobian(1, 0) += -g;
+  s.jacobian(1, 1) += g;
+}
 
 /// Allocation interface passed to Device::setup().
 class SetupContext {

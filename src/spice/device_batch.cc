@@ -1,5 +1,6 @@
 #include "spice/device_batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -31,9 +32,47 @@ inline bool inBypassBand(double v, double cached) {
          kBypassAbsTol + kBypassRelTol * std::abs(cached);
 }
 
+/// Padded CSR slot of (row, col): 0, the trash element, for ground.
+std::uint32_t paddedSlot(const StampPattern& pattern, int row, int col) {
+  const std::size_t idx = pattern.csrIndex(row, col);
+  return idx == StampPattern::npos ? 0 : static_cast<std::uint32_t>(idx + 1);
+}
+
+/// Padded slots of a lane on terminal rows `rows` (-1 = ground); without a
+/// pattern (a netlist with no unknowns, which no Assembler solves) only
+/// the rows.
+template <int T>
+LaneSlots<T> laneSlots(const StampPattern* pattern,
+                       const std::array<int, T>& rows) {
+  LaneSlots<T> slots;
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    slots.row[t] = static_cast<std::uint32_t>(rows[t] + 1);
+  }
+  if (pattern == nullptr) return slots;
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    for (std::size_t u = 0; u < rows.size(); ++u) {
+      slots.entry[t * rows.size() + u] =
+          paddedSlot(*pattern, rows[t], rows[u]);
+    }
+  }
+  return slots;
+}
+
+/// Scalar sink on a lane table's terminal rows (padded row - 1, so ground
+/// is -1 again).
+template <int T>
+CallSink<T> callSinkOn(const EvalContext& ctx, const LaneSlots<T>& slots) {
+  std::array<int, T> rows{};
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    rows[t] = static_cast<int>(slots.row[t]) - 1;
+  }
+  return CallSink<T>(ctx, rows);
+}
+
 }  // namespace
 
-DeviceBatches::DeviceBatches(const Netlist& netlist) {
+DeviceBatches::DeviceBatches(const Netlist& netlist,
+                             const StampPattern* pattern) {
   const auto& devices = netlist.devices();
   order_.reserve(devices.size());
   refs_.reserve(devices.size());
@@ -41,6 +80,11 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
   const auto lane = [](std::size_t size) {
     return static_cast<std::uint32_t>(size);
   };
+  FEFET_REQUIRE(pattern == nullptr ||
+                    pattern->nonZeros() <
+                        std::numeric_limits<std::uint32_t>::max(),
+                "DeviceBatches: too many entries for 32-bit slots");
+  const auto row = Stamper::rowOfNode;
   for (const auto& owned : devices) {
     Device* device = owned.get();
     order_.push_back(device);
@@ -49,12 +93,16 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
       ref = {Kind::kResistor, lane(resistors_.a.size())};
       resistors_.a.push_back(r->a_);
       resistors_.b.push_back(r->b_);
+      resistors_.slots.push_back(
+          laneSlots<2>(pattern, {row(r->a_), row(r->b_)}));
       resistors_.g.push_back(1.0 / r->resistance_);
     } else if (auto* c = dynamic_cast<Capacitor*>(device)) {
       ref = {Kind::kCapacitor, lane(capacitors_.a.size())};
       capacitors_.dev.push_back(c);
       capacitors_.a.push_back(c->a_);
       capacitors_.b.push_back(c->b_);
+      capacitors_.slots.push_back(
+          laneSlots<2>(pattern, {row(c->a_), row(c->b_)}));
       capacitors_.c.push_back(c->capacitance_);
     } else if (auto* v = dynamic_cast<VoltageSource*>(device)) {
       ref = {Kind::kVoltageSource, lane(vsources_.plus.size())};
@@ -62,11 +110,15 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
       vsources_.plus.push_back(v->plus_);
       vsources_.minus.push_back(v->minus_);
       vsources_.auxRow.push_back(v->auxRow_);
+      vsources_.slots.push_back(laneSlots<3>(
+          pattern, {row(v->plus_), row(v->minus_), v->auxRow_}));
     } else if (auto* i = dynamic_cast<CurrentSource*>(device)) {
       ref = {Kind::kCurrentSource, lane(isources_.from.size())};
       isources_.dev.push_back(i);
       isources_.from.push_back(i->from_);
       isources_.to.push_back(i->to_);
+      isources_.slots.push_back(
+          laneSlots<2>(pattern, {row(i->from_), row(i->to_)}));
     } else if (auto* m = dynamic_cast<MosfetDevice*>(device)) {
       ref = {Kind::kMosfet, lane(mosfets_.dev.size())};
       m->batches_ = this;
@@ -75,6 +127,8 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
       mosfets_.drain.push_back(m->drain_);
       mosfets_.gate.push_back(m->gate_);
       mosfets_.source.push_back(m->source_);
+      mosfets_.slots.push_back(laneSlots<3>(
+          pattern, {row(m->drain_), row(m->gate_), row(m->source_)}));
       mosfets_.model.push_back(&m->model_);
       mosfets_.gateLeak.push_back(m->gateLeak_);
       mosfets_.overlapCap.push_back(m->overlapCap_);
@@ -86,6 +140,8 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
       fecaps_.a.push_back(f->a_);
       fecaps_.b.push_back(f->b_);
       fecaps_.auxRow.push_back(f->auxRow_);
+      fecaps_.slots.push_back(
+          laneSlots<3>(pattern, {row(f->a_), row(f->b_), f->auxRow_}));
       fecaps_.tFe.push_back(f->geom_.thickness);
       fecaps_.area.push_back(f->geom_.area);
       fecaps_.rho.push_back(f->lk_.coefficients().rho);
@@ -94,7 +150,6 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
     } else {
       ref = {Kind::kGeneric, 0};
     }
-    if (ref.kind != Kind::kGeneric) ++batchedCount_;
     refs_.push_back(ref);
   }
 
@@ -102,10 +157,15 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
   resistors_.i.resize(resistors_.a.size());
   capacitors_.i.resize(capacitors_.a.size());
   capacitors_.g.resize(capacitors_.a.size());
-  vsources_.v.resize(vsources_.plus.size());
-  isources_.i.resize(isources_.from.size());
-  const std::size_t nm = mosfets_.dev.size();
   const double never = std::numeric_limits<double>::quiet_NaN();
+  const auto sizeCache = [never](ShapeCache& cache, std::size_t n) {
+    cache.value.resize(n);
+    cache.time.assign(n, never);
+    cache.version.resize(n);
+  };
+  sizeCache(vsources_.v, vsources_.dev.size());
+  sizeCache(isources_.i, isources_.dev.size());
+  const std::size_t nm = mosfets_.dev.size();
   mosfets_.vdEval.assign(nm, never);
   mosfets_.vgEval.assign(nm, never);
   mosfets_.vsEval.assign(nm, never);
@@ -117,18 +177,15 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
   mosfets_.vd.resize(nm);
   mosfets_.vg.resize(nm);
   mosfets_.vs.resize(nm);
-  mosfets_.ids.resize(nm);
   mosfets_.qDensity.resize(nm);
-  mosfets_.chanI.resize(nm);
-  mosfets_.chanG.resize(nm);
-  mosfets_.ovlGdI.resize(nm);
-  mosfets_.ovlGdG.resize(nm);
-  mosfets_.ovlGsI.resize(nm);
-  mosfets_.ovlGsG.resize(nm);
-  mosfets_.junDI.resize(nm);
-  mosfets_.junDG.resize(nm);
-  mosfets_.junSI.resize(nm);
-  mosfets_.junSG.resize(nm);
+  mosfets_.terms.resize(nm);
+  for (std::size_t k = 0; k < nm; ++k) {
+    MosfetStampTerms& t = mosfets_.terms[k];
+    t.leak = mosfets_.gateLeak[k] > 0.0;
+    t.overlap = mosfets_.overlapCap[k] > 0.0;
+    t.junction = mosfets_.junctionCap[k] > 0.0;
+    t.leakG = mosfets_.gateLeak[k];
+  }
   const std::size_t nf = fecaps_.dev.size();
   fecaps_.p.resize(nf);
   fecaps_.pPrev.resize(nf);
@@ -136,61 +193,111 @@ DeviceBatches::DeviceBatches(const Netlist& netlist) {
   fecaps_.slope.resize(nf);
   fecaps_.dPdt.resize(nf);
   fecaps_.dRatedP.resize(nf);
-  fecaps_.bgI.resize(nf);
-  fecaps_.bgG.resize(nf);
+  fecaps_.terms.resize(nf);
+  for (std::size_t k = 0; k < nf; ++k) {
+    fecaps_.terms[k].background = fecaps_.backgroundCap[k] > 0.0;
+  }
+
+  if (pattern != nullptr) compile(*pattern);
 }
 
-void DeviceBatches::stampAll(const EvalContext& ctx,
-                             std::span<const std::size_t> jacobianEnds) {
+void DeviceBatches::stampAll(const EvalContext& ctx) {
   FEFET_REQUIRE(ctx.buffer != nullptr,
                 "DeviceBatches::stampAll writes into a StampBuffer");
   // Phase 1: type-major kernels into scratch.
   const auto companion = ChargeIntegrator::Companion::of(ctx);
   evalResistors(ctx);
   evalCapacitors(ctx, companion);
-  evalVoltageSources(ctx);
-  evalCurrentSources(ctx);
+  evalShapes(vsources_.dev, vsources_.v, ctx.time);
+  evalShapes(isources_.dev, isources_.i, ctx.time);
   evalMosfets(ctx, companion);
   evalFeCaps(ctx, companion);
 
-  // Phase 2: scatter in netlist order straight into the slot buffer — the
-  // accumulation order (and therefore the floating-point result) matches
-  // the scalar engine.
+  // Phase 2: stamp in netlist order — the accumulation order of every
+  // shared entry (and therefore the floating-point result) matches the
+  // scalar engine.
   StampBuffer& buf = *ctx.buffer;
+  const auto m = static_cast<std::size_t>(stampModeFor(ctx.dc));
+  buf.slots_ = genericSlots_[m].data();
+  buf.next_ = 0;
+  const std::size_t* genericEnd = genericEnds_[m].data();
+  const auto slotSink = [&buf](const auto& slots) {
+    return SlotSink(buf, slots);
+  };
   for (std::size_t i = 0; i < refs_.size(); ++i) {
     const Ref ref = refs_[i];
-    switch (ref.kind) {
-      case Kind::kResistor: scatterResistor(ref.lane, buf); break;
-      case Kind::kCapacitor:
-        if (!ctx.dc) scatterCapacitor(ref.lane, buf);
-        break;
-      case Kind::kVoltageSource:
-        scatterVoltageSource(ref.lane, ctx.view, buf);
-        break;
-      case Kind::kCurrentSource: scatterCurrentSource(ref.lane, buf); break;
-      case Kind::kMosfet: scatterMosfet(ref.lane, ctx.dc, buf); break;
-      case Kind::kFeCap: scatterFeCap(ref.lane, ctx, buf); break;
-      case Kind::kGeneric: order_[i]->stamp(ctx); break;
+    if (ref.kind != Kind::kGeneric) {
+      stampBatched(ref, ctx, slotSink);
+      continue;
     }
-    if (buf.jacobianCalls() != jacobianEnds[i]) {
-      throwCountMismatch(i, buf.jacobianCalls(), jacobianEnds);
+    const std::size_t begin = buf.next_;
+    buf.end_ = *genericEnd++;
+    order_[i]->stamp(ctx);
+    if (buf.next_ != buf.end_) {
+      throwCountMismatch(i, buf.next_ - begin, buf.end_ - begin);
     }
   }
 }
 
-void DeviceBatches::throwCountMismatch(
-    std::size_t deviceIndex, std::size_t consumed,
-    std::span<const std::size_t> jacobianEnds) const {
-  const std::size_t before =
-      deviceIndex > 0 ? jacobianEnds[deviceIndex - 1] : 0;
+void DeviceBatches::throwCountMismatch(std::size_t deviceIndex,
+                                       std::size_t emitted,
+                                       std::size_t recorded) const {
   std::ostringstream os;
   os << "compiled stamp pipeline: device '" << order_[deviceIndex]->name()
-     << "' emitted " << consumed - before
-     << " Jacobian entries but the recorded pattern has "
-     << jacobianEnds[deviceIndex] - before
+     << "' emitted " << emitted
+     << " Jacobian entries but the recorded pattern has " << recorded
      << " — stamp sequences must be a fixed function of the DC/transient "
         "mode";
   throw NumericalError(os.str());
+}
+
+void DeviceBatches::compile(const StampPattern& pattern) {
+  FEFET_REQUIRE(pattern.deviceCount() == order_.size(),
+                "DeviceBatches: pattern recorded another device list");
+  // Per mode: the generic devices' recorded calls become their slot
+  // program, and every batched lane's body, run through a recording
+  // CallSink on its table's rows, must reproduce its device's recording.
+  std::vector<double> x(static_cast<std::size_t>(pattern.unknowns()), 0.0);
+  const SystemView view(x, pattern.nodeCount());
+  std::vector<StampEntry> calls;
+  RecordingStamper recorder(calls);
+  for (int m = 0; m < kStampModeCount; ++m) {
+    const auto mode = static_cast<StampMode>(m);
+    const bool dc = mode == StampMode::kDc;
+    const std::vector<StampEntry>& recorded = pattern.jacobianCalls(mode);
+    const std::vector<std::size_t>& ends = pattern.deviceJacobianEnds(mode);
+    auto& genericSlots = genericSlots_[static_cast<std::size_t>(m)];
+    auto& genericEnds = genericEnds_[static_cast<std::size_t>(m)];
+    const EvalContext ctx{view,          dc,      /*time=*/0.0,
+                          dc ? 0.0 : 1e-12,       IntegrationMethod::kTrapezoidal,
+                          /*gmin=*/0.0,  nullptr, &recorder};
+    const auto callSink = [&ctx](const auto& slots) {
+      return callSinkOn(ctx, slots);
+    };
+    for (std::size_t i = 0; i < refs_.size(); ++i) {
+      const auto first = recorded.begin() + static_cast<std::ptrdiff_t>(
+                                                i > 0 ? ends[i - 1] : 0);
+      const auto last = recorded.begin() + static_cast<std::ptrdiff_t>(ends[i]);
+      if (refs_[i].kind == Kind::kGeneric) {
+        for (auto it = first; it != last; ++it) {
+          genericSlots.push_back(paddedSlot(pattern, it->row, it->col));
+        }
+        genericEnds.push_back(genericSlots.size());
+        continue;
+      }
+      calls.clear();
+      stampBatched(refs_[i], ctx, callSink);
+      if (!std::equal(calls.begin(), calls.end(), first, last)) {
+        std::ostringstream os;
+        os << "compiled stamp pipeline: the " << (dc ? "DC" : "transient")
+           << " lane table of device '" << order_[i]->name()
+           << "' assumes " << calls.size()
+           << " Jacobian entries that differ from the " << last - first
+           << " its stamp recorded";
+        throw NumericalError(os.str());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -225,19 +332,19 @@ void DeviceBatches::evalCapacitors(
   }
 }
 
-void DeviceBatches::evalVoltageSources(const EvalContext& ctx) {
-  VoltageSourceBatch& batch = vsources_;
-  const std::size_t n = batch.plus.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    batch.v[k] = batch.dev[k]->shape_(ctx.time);
-  }
-}
-
-void DeviceBatches::evalCurrentSources(const EvalContext& ctx) {
-  CurrentSourceBatch& batch = isources_;
-  const std::size_t n = batch.from.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    batch.i[k] = batch.dev[k]->shape_(ctx.time);
+template <class Source>
+void DeviceBatches::evalShapes(const std::vector<const Source*>& dev,
+                               ShapeCache& cache, double time) {
+  // `time` is fixed within a Newton solve, so a lane re-evaluates on the
+  // solve's first assembly, or when setShape replaced its waveform.
+  for (std::size_t k = 0; k < dev.size(); ++k) {
+    const Source& source = *dev[k];
+    if (cache.time[k] == time && cache.version[k] == source.shapeVersion_) {
+      continue;
+    }
+    cache.value[k] = source.shape_(time);
+    cache.time[k] = time;
+    cache.version[k] = source.shapeVersion_;
   }
 }
 
@@ -270,9 +377,9 @@ void DeviceBatches::evalMosfets(
       continue;
     }
     const xtor::MosOperatingPoint& op = batch.opEval[k];
-    batch.ids[k] = op.ids + op.gds * (vd - batch.vdEval[k]) +
-                   op.gm * (vg - batch.vgEval[k]) -
-                   (op.gm + op.gds) * (vs - batch.vsEval[k]);
+    batch.terms[k].ids = op.ids + op.gds * (vd - batch.vdEval[k]) +
+                         op.gm * (vg - batch.vgEval[k]) -
+                         (op.gm + op.gds) * (vs - batch.vsEval[k]);
     if (charge) batch.qDensity[k] = extrapolatedChargeDensity(k, vg, vs);
   }
   const std::span<const std::uint32_t> lanes = batch.evalLanes;
@@ -286,7 +393,13 @@ void DeviceBatches::evalMosfets(
     batch.vgEval[k] = batch.vg[k];
     batch.vsEval[k] = batch.vs[k];
     batch.chargeValid[k] = charge ? 1 : 0;
-    batch.ids[k] = batch.opEval[k].ids;
+    batch.terms[k].ids = batch.opEval[k].ids;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    MosfetStampTerms& t = batch.terms[k];
+    t.gm = batch.opEval[k].gm;
+    t.gds = batch.opEval[k].gds;
+    if (t.leak) t.leakI = batch.gateLeak[k] * (batch.vg[k] - batch.vs[k]);
   }
   if (!charge) return;
 
@@ -303,12 +416,14 @@ void DeviceBatches::evalMosfets(
     const MosfetDevice& dev = *batch.dev[k];
     const double q = batch.gateArea[k] * batch.qDensity[k];
     const auto [i, dIdQ] = dev.chanCharge_.currentFor(q, companion);
-    batch.chanI[k] = i;
-    batch.chanG[k] = dIdQ * (batch.gateArea[k] * batch.cEval[k]);
+    batch.terms[k].chanI = i;
+    batch.terms[k].chanG = dIdQ * (batch.gateArea[k] * batch.cEval[k]);
   }
-  // Linear charge elements (same companion arithmetic as stampLinearCap).
+  // Linear charge elements (same companion arithmetic as the scalar
+  // MosfetDevice::stamp).
   for (std::size_t k = 0; k < n; ++k) {
     const MosfetDevice& dev = *batch.dev[k];
+    MosfetStampTerms& t = batch.terms[k];
     const double vd = batch.vd[k];
     const double vg = batch.vg[k];
     const double vs = batch.vs[k];
@@ -317,24 +432,24 @@ void DeviceBatches::evalMosfets(
     {
       const auto [i, dIdQ] =
           dev.ovlGd_.currentFor(ovl * (vg - vd), companion);
-      batch.ovlGdI[k] = i;
-      batch.ovlGdG[k] = dIdQ * ovl;
+      t.ovlGdI = i;
+      t.ovlGdG = dIdQ * ovl;
     }
     {
       const auto [i, dIdQ] =
           dev.ovlGs_.currentFor(ovl * (vg - vs), companion);
-      batch.ovlGsI[k] = i;
-      batch.ovlGsG[k] = dIdQ * ovl;
+      t.ovlGsI = i;
+      t.ovlGsG = dIdQ * ovl;
     }
     {
       const auto [i, dIdQ] = dev.junD_.currentFor(jun * vd, companion);
-      batch.junDI[k] = i;
-      batch.junDG[k] = dIdQ * jun;
+      t.junDI = i;
+      t.junDG = dIdQ * jun;
     }
     {
       const auto [i, dIdQ] = dev.junS_.currentFor(jun * vs, companion);
-      batch.junSI[k] = i;
-      batch.junSG[k] = dIdQ * jun;
+      t.junSI = i;
+      t.junSG = dIdQ * jun;
     }
   }
 }
@@ -385,152 +500,65 @@ void DeviceBatches::evalFeCaps(
                                              batch.p.data(),
                                              batch.field.data(),
                                              batch.slope.data());
-  if (!ctx.dc) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double bc = batch.backgroundCap[k];
-      if (bc <= 0.0) continue;
-      const double v =
-          view.nodeVoltage(batch.a[k]) - view.nodeVoltage(batch.b[k]);
-      const auto [ib, dIdQ] =
-          batch.dev[k]->background_.currentFor(bc * v, companion);
-      batch.bgI[k] = ib;
-      batch.bgG[k] = dIdQ * bc;
-    }
+  for (std::size_t k = 0; k < n; ++k) {
+    FeCapStampTerms& t = batch.terms[k];
+    const double tFe = batch.tFe[k];
+    const double rho = batch.rho[k];
+    const double va = view.nodeVoltage(batch.a[k]);
+    const double vb = view.nodeVoltage(batch.b[k]);
+    t.lkResidual = va - vb - tFe * (batch.field[k] + rho * batch.dPdt[k]);
+    t.lkSlope = -tFe * (batch.slope[k] + rho * batch.dRatedP[k]);
+    if (ctx.dc) continue;
+    t.i = batch.area[k] * batch.dPdt[k];
+    t.dIdP = batch.area[k] * batch.dRatedP[k];
+    if (!t.background) continue;
+    const double bc = batch.backgroundCap[k];
+    const auto [ib, dIdQ] =
+        batch.dev[k]->background_.currentFor(bc * (va - vb), companion);
+    t.bgI = ib;
+    t.bgG = dIdQ * bc;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: netlist-order scatter into the StampBuffer.  Call sequences
-// mirror the scalar stamp implementations entry for entry.
+// Phase 2: one dispatch that runs a batched lane's stamp body, on the terms
+// phase 1 left in scratch, through the sink it is given.
 
-namespace {
-
-/// Two-terminal element: current i leaving node row ra into rb, and its
-/// conductance g (Resistor::stamp and the companion forms of every
-/// charge element emit this same six-call sequence).
-inline void scatterBranch(StampBuffer& buf, int ra, int rb, double i,
-                          double g) {
-  buf.addResidual(ra, i);
-  buf.addResidual(rb, -i);
-  buf.addJacobian(ra, ra, g);
-  buf.addJacobian(ra, rb, -g);
-  buf.addJacobian(rb, ra, -g);
-  buf.addJacobian(rb, rb, g);
-}
-
-}  // namespace
-
-void DeviceBatches::scatterResistor(std::uint32_t lane,
-                                    StampBuffer& buf) const {
-  const ResistorBatch& batch = resistors_;
-  scatterBranch(buf, Stamper::rowOfNode(batch.a[lane]),
-                Stamper::rowOfNode(batch.b[lane]), batch.i[lane],
-                batch.g[lane]);
-}
-
-void DeviceBatches::scatterCapacitor(std::uint32_t lane,
-                                     StampBuffer& buf) const {
-  const CapacitorBatch& batch = capacitors_;
-  scatterBranch(buf, Stamper::rowOfNode(batch.a[lane]),
-                Stamper::rowOfNode(batch.b[lane]), batch.i[lane],
-                batch.g[lane]);
-}
-
-void DeviceBatches::scatterVoltageSource(std::uint32_t lane,
-                                         const SystemView& view,
-                                         StampBuffer& buf) const {
-  const VoltageSourceBatch& batch = vsources_;
-  const int rp = Stamper::rowOfNode(batch.plus[lane]);
-  const int rm = Stamper::rowOfNode(batch.minus[lane]);
-  const int aux = batch.auxRow[lane];
-  const double i = view.aux(aux);
-  const double vp = view.nodeVoltage(batch.plus[lane]);
-  const double vm = view.nodeVoltage(batch.minus[lane]);
-  buf.addResidual(rp, i);
-  buf.addResidual(rm, -i);
-  buf.addJacobian(rp, aux, 1.0);
-  buf.addJacobian(rm, aux, -1.0);
-  buf.addResidual(aux, vp - vm - batch.v[lane]);
-  buf.addJacobian(aux, rp, 1.0);
-  buf.addJacobian(aux, rm, -1.0);
-}
-
-void DeviceBatches::scatterCurrentSource(std::uint32_t lane,
-                                         StampBuffer& buf) const {
-  const CurrentSourceBatch& batch = isources_;
-  const double i = batch.i[lane];
-  buf.addResidual(Stamper::rowOfNode(batch.from[lane]), i);
-  buf.addResidual(Stamper::rowOfNode(batch.to[lane]), -i);
-}
-
-void DeviceBatches::scatterMosfet(std::uint32_t lane, bool dc,
-                                  StampBuffer& buf) const {
-  const MosfetBatch& batch = mosfets_;
-  const int rd = Stamper::rowOfNode(batch.drain[lane]);
-  const int rg = Stamper::rowOfNode(batch.gate[lane]);
-  const int rs = Stamper::rowOfNode(batch.source[lane]);
-
-  const xtor::MosOperatingPoint& op = batch.opEval[lane];
-  const double ids = batch.ids[lane];
-  const double gms = -(op.gm + op.gds);
-  buf.addResidual(rd, ids);
-  buf.addResidual(rs, -ids);
-  buf.addJacobian(rd, rd, op.gds);
-  buf.addJacobian(rd, rg, op.gm);
-  buf.addJacobian(rd, rs, gms);
-  buf.addJacobian(rs, rd, -op.gds);
-  buf.addJacobian(rs, rg, -op.gm);
-  buf.addJacobian(rs, rs, -gms);
-
-  const double gateLeak = batch.gateLeak[lane];
-  if (gateLeak > 0.0) {
-    scatterBranch(buf, rg, rs,
-                  gateLeak * (batch.vg[lane] - batch.vs[lane]), gateLeak);
-  }
-
-  if (dc) return;
-
-  scatterBranch(buf, rg, rs, batch.chanI[lane], batch.chanG[lane]);
-  const int rground = Stamper::rowOfNode(kGround);
-  if (batch.overlapCap[lane] > 0.0) {
-    scatterBranch(buf, rg, rd, batch.ovlGdI[lane], batch.ovlGdG[lane]);
-    scatterBranch(buf, rg, rs, batch.ovlGsI[lane], batch.ovlGsG[lane]);
-  }
-  if (batch.junctionCap[lane] > 0.0) {
-    scatterBranch(buf, rd, rground, batch.junDI[lane], batch.junDG[lane]);
-    scatterBranch(buf, rs, rground, batch.junSI[lane], batch.junSG[lane]);
-  }
-}
-
-void DeviceBatches::scatterFeCap(std::uint32_t lane, const EvalContext& ctx,
-                                 StampBuffer& buf) const {
-  const FeCapBatch& batch = fecaps_;
-  const int ra = Stamper::rowOfNode(batch.a[lane]);
-  const int rb = Stamper::rowOfNode(batch.b[lane]);
-  const int aux = batch.auxRow[lane];
-  const double tFe = batch.tFe[lane];
-  const double rho = batch.rho[lane];
-  const double dPdt = batch.dPdt[lane];
-  const double dRatedP = batch.dRatedP[lane];
-  const double va = ctx.view.nodeVoltage(batch.a[lane]);
-  const double vb = ctx.view.nodeVoltage(batch.b[lane]);
-
-  buf.addResidual(aux, va - vb - tFe * (batch.field[lane] + rho * dPdt));
-  buf.addJacobian(aux, ra, 1.0);
-  buf.addJacobian(aux, rb, -1.0);
-  buf.addJacobian(aux, aux, -tFe * (batch.slope[lane] + rho * dRatedP));
-
-  if (!ctx.dc) {
-    const double i = batch.area[lane] * dPdt;
-    buf.addResidual(ra, i);
-    buf.addResidual(rb, -i);
-    const double dIdP = batch.area[lane] * dRatedP;
-    buf.addJacobian(ra, aux, dIdP);
-    buf.addJacobian(rb, aux, -dIdP);
-
-    if (batch.backgroundCap[lane] > 0.0) {
-      scatterBranch(buf, ra, rb, batch.bgI[lane], batch.bgG[lane]);
+template <class SinkOf>
+void DeviceBatches::stampBatched(Ref ref, const EvalContext& ctx,
+                                 const SinkOf& sinkOf) const {
+  const std::uint32_t k = ref.lane;
+  switch (ref.kind) {
+    case Kind::kResistor:
+      stampBranch(sinkOf(resistors_.slots[k]), resistors_.i[k],
+                  resistors_.g[k]);
+      break;
+    case Kind::kCapacitor:
+      if (!ctx.dc) {
+        stampBranch(sinkOf(capacitors_.slots[k]), capacitors_.i[k],
+                    capacitors_.g[k]);
+      }
+      break;
+    case Kind::kVoltageSource: {
+      const VoltageSourceBatch& batch = vsources_;
+      const double vp = ctx.view.nodeVoltage(batch.plus[k]);
+      const double vm = ctx.view.nodeVoltage(batch.minus[k]);
+      stampVoltageSource(sinkOf(batch.slots[k]),
+                         ctx.view.aux(batch.auxRow[k]),
+                         vp - vm - batch.v.value[k]);
+      break;
     }
+    case Kind::kCurrentSource:
+      stampCurrentSource(sinkOf(isources_.slots[k]), isources_.i.value[k]);
+      break;
+    case Kind::kMosfet:
+      stampMosfet(sinkOf(mosfets_.slots[k]), mosfets_.terms[k], ctx.dc);
+      break;
+    case Kind::kFeCap:
+      stampFeCap(sinkOf(fecaps_.slots[k]), fecaps_.terms[k], ctx.dc);
+      break;
+    case Kind::kGeneric:
+      break;
   }
 }
 

@@ -13,19 +13,30 @@
 //     helpers the scalar methods call.  A MOSFET lane does its
 //     transcendental work once: softplus/logistic pairs share one
 //     exponential, and the gate charge and capacitance come from one pass.
-//  2. scatter — devices replay in netlist order, reading their scratch
-//     lanes and writing straight into the Assembler's StampBuffer (slot
-//     program + padded residual), with no per-entry sink dispatch.  Only
-//     the generic fallback below goes through EvalContext.
+//     A source lane evaluates its waveform only when the time or its shape
+//     changed since its last evaluation, so once per Newton solve.
+//  2. stamp — devices stamp in netlist order.  A batched lane runs its
+//     kind's entry-major stamp body (the one its scalar Device::stamp runs)
+//     through a SlotSink over its LaneSlots table (stamp_buffer.h): each
+//     residual row and Jacobian entry it touches is loaded once, summed in
+//     a register and stored once.  Only the generic fallback below goes
+//     through EvalContext and the StampBuffer's slot program.
 //
 // This is the one assembly path.  The phase split keeps it bit-identical
 // to scalar Device::stamp() (the pattern recorder and the test oracle's
 // input): every lane's arithmetic is the same expression sequence the
 // scalar Device::stamp evaluates (phase 1 calls the same inline helpers,
-// e.g. ChargeIntegrator::currentFor), and phase 2 accumulates into shared
-// CSR slots / residual rows in the original device order, so the
-// floating-point accumulation order never changes.  A type-major single
-// pass would reorder those additions and drift in the last ulp.
+// e.g. ChargeIntegrator::currentFor), both paths add each entry's terms
+// in the order of the one stamp body, and phase 2 visits devices in the
+// original order, so every shared CSR slot and residual row accumulates
+// the same additions in the same order.  A type-major single pass would
+// reorder those additions and drift in the last ulp.
+//
+// The lane tables replace a per-call slot program, so they are checked
+// once, at freeze: in both modes, each batched lane's stamp body must emit
+// exactly the (row, col) sequence the pattern recorded for its device, or
+// the constructor throws naming the device.  Generic devices keep a slot
+// per recorded call and a call-count check after every stamp.
 //
 // The one exception is MOSFET bypass (DESIGN.md §6.5.1).  A MOSFET lane
 // whose three terminal voltages all stayed inside a narrow band of its
@@ -37,19 +48,18 @@
 //
 // Devices with a time-dependent control or no batch kernel (TimedSwitch,
 // Diode, custom test devices) fall back to their virtual stamp() inside
-// the scatter loop, preserving order.
+// the netlist-order loop, preserving order.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "spice/device.h"
+#include "spice/fecap_device.h"
+#include "spice/mosfet_device.h"
+#include "spice/stamp_pattern.h"
 #include "xtor/mosfet_model.h"
-
-namespace fefet::ferro {
-class LandauKhalatnikov;
-}  // namespace fefet::ferro
 
 namespace fefet::spice {
 
@@ -58,33 +68,27 @@ class Resistor;
 class Capacitor;
 class VoltageSource;
 class CurrentSource;
-class MosfetDevice;
-class FeCapDevice;
 
 class DeviceBatches {
  public:
-  /// Build the batches for a frozen netlist (auxiliary rows assigned).
-  /// The netlist owns both; device pointers stay valid for its lifetime.
-  explicit DeviceBatches(const Netlist& netlist);
+  /// Build the batches for a frozen netlist (auxiliary rows assigned) and,
+  /// when the netlist has unknowns, the lane tables and generic slot
+  /// program from its recorded `pattern`; throws NumericalError naming a
+  /// batched device whose stamp body disagrees with the recording.  The
+  /// netlist owns all three; device pointers stay valid for its lifetime.
+  DeviceBatches(const Netlist& netlist, const StampPattern* pattern);
 
   DeviceBatches(const DeviceBatches&) = delete;
   DeviceBatches& operator=(const DeviceBatches&) = delete;
 
   /// One full batched assembly pass: eval every batch kernel at the
-  /// iterate, then scatter all devices in netlist order into
-  /// `ctx.buffer`, which must be set (the recording pass and the test
-  /// oracle use the scalar Device::stamp, not this).  `jacobianEnds` is
-  /// the active mode's cumulative per-device Jacobian call count
-  /// (StampPattern::deviceJacobianEnds); every device's consumed slot
-  /// count is verified against it, naming the culprit on mismatch.
-  /// Performs no heap allocation (scratch was sized at construction).
-  void stampAll(const EvalContext& ctx,
-                std::span<const std::size_t> jacobianEnds);
-
-  /// Devices covered by a typed batch kernel (the rest use the generic
-  /// virtual fallback inside the scatter loop).
-  std::size_t batchedDeviceCount() const { return batchedCount_; }
-  std::size_t deviceCount() const { return order_.size(); }
+  /// iterate, then stamp all devices in netlist order into `ctx.buffer`,
+  /// which must be set (the recording pass and the test oracle use the
+  /// scalar Device::stamp, not this).  Each generic device's Jacobian call
+  /// count is checked against the recording, naming the culprit on
+  /// mismatch.  Performs no heap allocation (scratch was sized at
+  /// construction).
+  void stampAll(const EvalContext& ctx);
 
   /// MOSFET lanes, and how many of them the last stampAll bypassed.
   std::size_t mosfetLanes() const { return mosfets_.dev.size(); }
@@ -115,6 +119,7 @@ class DeviceBatches {
 
   struct ResistorBatch {
     std::vector<NodeId> a, b;
+    std::vector<LaneSlots<2>> slots;
     std::vector<double> g;  ///< 1/R, precomputed at freeze
     std::vector<double> i;  ///< scratch: branch current per lane
   };
@@ -122,26 +127,38 @@ class DeviceBatches {
   struct CapacitorBatch {
     std::vector<const Capacitor*> dev;  ///< integrator state access
     std::vector<NodeId> a, b;
+    std::vector<LaneSlots<2>> slots;
     std::vector<double> c;
     std::vector<double> i, g;  ///< scratch: companion current/conductance
+  };
+
+  /// shape(t) per source lane, with the time and shape version it was
+  /// evaluated at (NaN time before the first evaluation).
+  struct ShapeCache {
+    std::vector<double> value;
+    std::vector<double> time;
+    std::vector<std::uint64_t> version;
   };
 
   struct VoltageSourceBatch {
     std::vector<const VoltageSource*> dev;  ///< shape evaluation
     std::vector<NodeId> plus, minus;
     std::vector<int> auxRow;
-    std::vector<double> v;  ///< scratch: shape(t) per lane
+    std::vector<LaneSlots<3>> slots;  ///< +, -, branch current
+    ShapeCache v;
   };
 
   struct CurrentSourceBatch {
     std::vector<const CurrentSource*> dev;  ///< shape evaluation
     std::vector<NodeId> from, to;
-    std::vector<double> i;  ///< scratch: shape(t) per lane
+    std::vector<LaneSlots<2>> slots;
+    ShapeCache i;
   };
 
   struct MosfetBatch {
     std::vector<const MosfetDevice*> dev;  ///< integrator state access
     std::vector<NodeId> drain, gate, source;
+    std::vector<LaneSlots<3>> slots;  ///< drain, gate, source
     std::vector<const xtor::MosfetModel*> model;
     std::vector<double> gateLeak, overlapCap, junctionCap, gateArea;
     // Bypass cache, one lane per device: the terminal voltages of the
@@ -155,31 +172,30 @@ class DeviceBatches {
     // Scratch, one lane per device:
     std::vector<std::uint32_t> evalLanes;  ///< lanes not bypassed this pass
     std::vector<double> vd, vg, vs;
-    std::vector<double> ids;               ///< stamped drain current
     std::vector<double> qDensity;          ///< stamped gate charge density
-    std::vector<double> chanI, chanG;      ///< intrinsic charge companion
-    std::vector<double> ovlGdI, ovlGdG, ovlGsI, ovlGsG;
-    std::vector<double> junDI, junDG, junSI, junSG;
+    std::vector<MosfetStampTerms> terms;   ///< the stamp body's input
   };
 
   struct FeCapBatch {
     std::vector<const FeCapDevice*> dev;  ///< committed state access
     std::vector<NodeId> a, b;
     std::vector<int> auxRow;
+    std::vector<LaneSlots<3>> slots;  ///< a, b, polarization
     std::vector<double> tFe, area, rho, backgroundCap;
     std::vector<const ferro::LandauKhalatnikov*> lk;
     // Scratch, one lane per device:
     std::vector<double> p, pPrev;
     std::vector<double> field, slope;  ///< E_s(P), dE_s/dP
     std::vector<double> dPdt, dRatedP;
-    std::vector<double> bgI, bgG;  ///< background dielectric companion
+    std::vector<FeCapStampTerms> terms;  ///< the stamp body's input
   };
 
   void evalResistors(const EvalContext& ctx);
   void evalCapacitors(const EvalContext& ctx,
                       const ChargeIntegrator::Companion& companion);
-  void evalVoltageSources(const EvalContext& ctx);
-  void evalCurrentSources(const EvalContext& ctx);
+  template <class Source>
+  static void evalShapes(const std::vector<const Source*>& dev,
+                         ShapeCache& cache, double time);
   void evalMosfets(const EvalContext& ctx,
                    const ChargeIntegrator::Companion& companion);
   void evalFeCaps(const EvalContext& ctx,
@@ -190,22 +206,26 @@ class DeviceBatches {
   double extrapolatedChargeDensity(std::size_t lane, double vg,
                                    double vs) const;
 
-  void scatterResistor(std::uint32_t lane, StampBuffer& buf) const;
-  void scatterCapacitor(std::uint32_t lane, StampBuffer& buf) const;
-  void scatterVoltageSource(std::uint32_t lane, const SystemView& view,
-                            StampBuffer& buf) const;
-  void scatterCurrentSource(std::uint32_t lane, StampBuffer& buf) const;
-  void scatterMosfet(std::uint32_t lane, bool dc, StampBuffer& buf) const;
-  void scatterFeCap(std::uint32_t lane, const EvalContext& ctx,
-                    StampBuffer& buf) const;
+  /// Run batched device `ref`'s stamp body through `sinkOf(lane slots)`:
+  /// a SlotSink in assembly, a CallSink when the tables are checked.
+  template <class SinkOf>
+  void stampBatched(Ref ref, const EvalContext& ctx,
+                    const SinkOf& sinkOf) const;
 
-  [[noreturn]] void throwCountMismatch(
-      std::size_t deviceIndex, std::size_t consumed,
-      std::span<const std::size_t> jacobianEnds) const;
+  /// The generic slot program from the recorded pattern, and the
+  /// freeze-time check of every batched lane's table against it.
+  void compile(const StampPattern& pattern);
+
+  [[noreturn]] void throwCountMismatch(std::size_t deviceIndex,
+                                       std::size_t emitted,
+                                       std::size_t recorded) const;
 
   std::vector<Device*> order_;  ///< netlist order (generic fallback + names)
   std::vector<Ref> refs_;       ///< parallel to order_
-  std::size_t batchedCount_ = 0;
+  /// Per mode, the padded CSR slot of every recorded Jacobian call of the
+  /// generic devices, and each generic device's cumulative end in it.
+  std::array<std::vector<std::uint32_t>, kStampModeCount> genericSlots_;
+  std::array<std::vector<std::size_t>, kStampModeCount> genericEnds_;
   std::size_t mosfetBypassed_ = 0;
 
   ResistorBatch resistors_;

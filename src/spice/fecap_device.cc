@@ -46,43 +46,28 @@ void FeCapDevice::stamp(const EvalContext& ctx) {
   const double va = view.nodeVoltage(a_);
   const double vb = view.nodeVoltage(b_);
   const double p = view.aux(auxRow_);
-  const int ra = Stamper::rowOfNode(a_);
-  const int rb = Stamper::rowOfNode(b_);
 
   const auto [dPdt, dRatedP] = rateFor(p, ctx);
   const double tFe = geom_.thickness;
   const double rho = lk_.coefficients().rho;
 
-  // Constraint row: va - vb - tFe*(Es(P) + rho*dP/dt) = 0.
-  ctx.addResidual(auxRow_,
-                          va - vb - tFe * (lk_.staticField(p) + rho * dPdt));
-  ctx.addJacobian(auxRow_, ra, 1.0);
-  ctx.addJacobian(auxRow_, rb, -1.0);
-  ctx.addJacobian(auxRow_, auxRow_,
-                          -tFe * (lk_.staticFieldSlope(p) + rho * dRatedP));
-
-  // Terminal current from polarization displacement: i = A * dP/dt.
+  FeCapStampTerms t;
+  t.background = backgroundCap_ > 0.0;
+  t.lkResidual = va - vb - tFe * (lk_.staticField(p) + rho * dPdt);
+  t.lkSlope = -tFe * (lk_.staticFieldSlope(p) + rho * dRatedP);
   if (!ctx.dc) {
-    const double i = geom_.area * dPdt;
-    ctx.addResidual(ra, i);
-    ctx.addResidual(rb, -i);
-    const double dIdP = geom_.area * dRatedP;
-    ctx.addJacobian(ra, auxRow_, dIdP);
-    ctx.addJacobian(rb, auxRow_, -dIdP);
-
-    // Linear background dielectric.
-    if (backgroundCap_ > 0.0) {
+    t.i = geom_.area * dPdt;
+    t.dIdP = geom_.area * dRatedP;
+    if (t.background) {
       const double q = backgroundCap_ * (va - vb);
       const auto [ib, dIdQ] = background_.currentFor(q, ctx);
-      const double g = dIdQ * backgroundCap_;
-      ctx.addResidual(ra, ib);
-      ctx.addResidual(rb, -ib);
-      ctx.addJacobian(ra, ra, g);
-      ctx.addJacobian(ra, rb, -g);
-      ctx.addJacobian(rb, ra, -g);
-      ctx.addJacobian(rb, rb, g);
+      t.bgI = ib;
+      t.bgG = dIdQ * backgroundCap_;
     }
   }
+  stampFeCap(CallSink<3>(ctx, {Stamper::rowOfNode(a_), Stamper::rowOfNode(b_),
+                               auxRow_}),
+             t, ctx.dc);
 }
 
 void FeCapDevice::initializeState(const SystemView& view) {

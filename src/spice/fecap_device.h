@@ -22,6 +22,50 @@
 
 namespace fefet::spice {
 
+/// Input of the FeCap's entry-major stamp body (a batch keeps one per lane
+/// as scratch).  The terminal current and the background dielectric are
+/// read in transient only, the latter only when the device has one.
+struct FeCapStampTerms {
+  bool background = false;  ///< backgroundCap > 0
+  double lkResidual = 0.0;  ///< va - vb - tFe*(E_s(P) + rho*dP/dt)
+  double lkSlope = 0.0;     ///< its derivative in P
+  double i = 0.0;           ///< terminal current A*dP/dt
+  double dIdP = 0.0;
+  double bgI = 0.0, bgG = 0.0;  ///< background dielectric companion
+};
+
+/// Entry-major stamp body of a FeCap on terminals a (0), b (1) and its
+/// polarization unknown (2).
+template <class Sink>
+void stampFeCap(const Sink& s, const FeCapStampTerms& t, bool dc) {
+  constexpr int a = 0, b = 1, p = 2;
+  // Constraint row: va - vb - tFe*(Es(P) + rho*dP/dt) = 0.
+  s.residual(p) += t.lkResidual;
+  s.jacobian(p, a) += 1.0;
+  s.jacobian(p, b) += -1.0;
+  s.jacobian(p, p) += t.lkSlope;
+  if (dc) return;
+  // Terminal current from polarization displacement, then the linear
+  // background dielectric.
+  {
+    auto r = s.residual(a);
+    r += t.i;
+    if (t.background) r += t.bgI;
+  }
+  {
+    auto r = s.residual(b);
+    r += -t.i;
+    if (t.background) r += -t.bgI;
+  }
+  s.jacobian(a, p) += t.dIdP;
+  s.jacobian(b, p) += -t.dIdP;
+  if (!t.background) return;
+  s.jacobian(a, a) += t.bgG;
+  s.jacobian(a, b) += -t.bgG;
+  s.jacobian(b, a) += -t.bgG;
+  s.jacobian(b, b) += t.bgG;
+}
+
 class FeCapDevice final : public Device {
  public:
   /// `a` is the positive plate (field from a to b is positive for P > 0).

@@ -28,69 +28,53 @@ void MosfetDevice::stamp(const EvalContext& ctx) {
   const double vd = view.nodeVoltage(drain_);
   const double vg = view.nodeVoltage(gate_);
   const double vs = view.nodeVoltage(source_);
-  const int rd = Stamper::rowOfNode(drain_);
-  const int rg = Stamper::rowOfNode(gate_);
-  const int rs = Stamper::rowOfNode(source_);
+  MosfetStampTerms t;
+  t.leak = gateLeak_ > 0.0;
+  t.overlap = overlapCap_ > 0.0;
+  t.junction = junctionCap_ > 0.0;
 
   // --- channel current -------------------------------------------------
   const auto op = model_.evaluate(vd, vg, vs);
-  const double gms = -(op.gm + op.gds);
-  ctx.addResidual(rd, op.ids);
-  ctx.addResidual(rs, -op.ids);
-  ctx.addJacobian(rd, rd, op.gds);
-  ctx.addJacobian(rd, rg, op.gm);
-  ctx.addJacobian(rd, rs, gms);
-  ctx.addJacobian(rs, rd, -op.gds);
-  ctx.addJacobian(rs, rg, -op.gm);
-  ctx.addJacobian(rs, rs, -gms);
+  t.ids = op.ids;
+  t.gm = op.gm;
+  t.gds = op.gds;
 
   // --- gate leakage (also provides a DC path for floating gates) -------
-  if (gateLeak_ > 0.0) {
-    const double il = gateLeak_ * (vg - vs);
-    ctx.addResidual(rg, il);
-    ctx.addResidual(rs, -il);
-    ctx.addJacobian(rg, rg, gateLeak_);
-    ctx.addJacobian(rg, rs, -gateLeak_);
-    ctx.addJacobian(rs, rg, -gateLeak_);
-    ctx.addJacobian(rs, rs, gateLeak_);
+  if (t.leak) {
+    t.leakI = gateLeak_ * (vg - vs);
+    t.leakG = gateLeak_;
   }
 
-  if (ctx.dc) return;
-
-  // --- intrinsic gate-channel charge (nonlinear, lumped to source) -----
-  {
+  if (!ctx.dc) {
+    // --- intrinsic gate-channel charge (nonlinear, lumped to source) ---
     const double q = channelCharge(view);
     const auto [i, dIdQ] = chanCharge_.currentFor(q, ctx);
     const double cgg =
         model_.gateArea() * model_.gateCapacitanceDensity(vg - vs);
-    const double g = dIdQ * cgg;
-    ctx.addResidual(rg, i);
-    ctx.addResidual(rs, -i);
-    ctx.addJacobian(rg, rg, g);
-    ctx.addJacobian(rg, rs, -g);
-    ctx.addJacobian(rs, rg, -g);
-    ctx.addJacobian(rs, rs, g);
+    t.chanI = i;
+    t.chanG = dIdQ * cgg;
+    // --- linear charge elements ----------------------------------------
+    const auto linearCap = [&](const ChargeIntegrator& integ, NodeId a,
+                               NodeId b, double c, double& iOut,
+                               double& gOut) {
+      const double v = view.nodeVoltage(a) - view.nodeVoltage(b);
+      const auto [ic, dIdQc] = integ.currentFor(c * v, ctx);
+      iOut = ic;
+      gOut = dIdQc * c;
+    };
+    if (t.overlap) {
+      linearCap(ovlGd_, gate_, drain_, overlapCap_, t.ovlGdI, t.ovlGdG);
+      linearCap(ovlGs_, gate_, source_, overlapCap_, t.ovlGsI, t.ovlGsG);
+    }
+    if (t.junction) {
+      linearCap(junD_, drain_, kGround, junctionCap_, t.junDI, t.junDG);
+      linearCap(junS_, source_, kGround, junctionCap_, t.junSI, t.junSG);
+    }
   }
-  // --- linear charge elements ------------------------------------------
-  const auto stampLinearCap = [&](ChargeIntegrator& integ, NodeId a, NodeId b,
-                                  double c) {
-    if (c <= 0.0) return;
-    const double v = view.nodeVoltage(a) - view.nodeVoltage(b);
-    const auto [i, dIdQ] = integ.currentFor(c * v, ctx);
-    const double g = dIdQ * c;
-    const int ra = Stamper::rowOfNode(a);
-    const int rb = Stamper::rowOfNode(b);
-    ctx.addResidual(ra, i);
-    ctx.addResidual(rb, -i);
-    ctx.addJacobian(ra, ra, g);
-    ctx.addJacobian(ra, rb, -g);
-    ctx.addJacobian(rb, ra, -g);
-    ctx.addJacobian(rb, rb, g);
-  };
-  stampLinearCap(ovlGd_, gate_, drain_, overlapCap_);
-  stampLinearCap(ovlGs_, gate_, source_, overlapCap_);
-  stampLinearCap(junD_, drain_, kGround, junctionCap_);
-  stampLinearCap(junS_, source_, kGround, junctionCap_);
+  stampMosfet(CallSink<3>(ctx, {Stamper::rowOfNode(drain_),
+                                Stamper::rowOfNode(gate_),
+                                Stamper::rowOfNode(source_)}),
+              t, ctx.dc);
 }
 
 void MosfetDevice::initializeState(const SystemView& view) {

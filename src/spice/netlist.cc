@@ -72,7 +72,7 @@ int Netlist::freeze() {
       pattern_ = std::make_unique<StampPattern>(devices_, unknownCount(),
                                                 nodeCount());
     }
-    batches_ = std::make_unique<DeviceBatches>(*this);
+    batches_ = std::make_unique<DeviceBatches>(*this, pattern_.get());
     if (!borderNodeNames_.empty() && pattern_ != nullptr) {
       std::vector<int> seeds;
       seeds.reserve(borderNodeNames_.size());

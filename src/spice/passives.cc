@@ -7,6 +7,15 @@
 
 namespace fefet::spice {
 
+namespace {
+
+/// Scalar sink of a two-terminal branch from node a to node b.
+CallSink<2> branchSink(const EvalContext& ctx, NodeId a, NodeId b) {
+  return CallSink<2>(ctx, {Stamper::rowOfNode(a), Stamper::rowOfNode(b)});
+}
+
+}  // namespace
+
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double resistance)
     : Device(std::move(name)), a_(a), b_(b), resistance_(resistance) {
   FEFET_REQUIRE(resistance_ > 0.0, "resistance must be positive");
@@ -17,14 +26,7 @@ void Resistor::stamp(const EvalContext& ctx) {
   const double va = ctx.view.nodeVoltage(a_);
   const double vb = ctx.view.nodeVoltage(b_);
   const double i = g * (va - vb);
-  const int ra = Stamper::rowOfNode(a_);
-  const int rb = Stamper::rowOfNode(b_);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  stampBranch(branchSink(ctx, a_, b_), i, g);
 }
 
 double Resistor::current(const SystemView& view) const {
@@ -42,14 +44,7 @@ void Capacitor::stamp(const EvalContext& ctx) {
   const double q = capacitance_ * v;
   const auto [i, dIdQ] = charge_.currentFor(q, ctx);
   const double g = dIdQ * capacitance_;
-  const int ra = Stamper::rowOfNode(a_);
-  const int rb = Stamper::rowOfNode(b_);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  stampBranch(branchSink(ctx, a_, b_), i, g);
 }
 
 void Capacitor::initializeState(const SystemView& view) {
@@ -84,14 +79,7 @@ void TimedSwitch::stamp(const EvalContext& ctx) {
   const double va = ctx.view.nodeVoltage(a_);
   const double vb = ctx.view.nodeVoltage(b_);
   const double i = g * (va - vb);
-  const int ra = Stamper::rowOfNode(a_);
-  const int rb = Stamper::rowOfNode(b_);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  stampBranch(branchSink(ctx, a_, b_), i, g);
 }
 
 Diode::Diode(std::string name, NodeId anode, NodeId cathode, Params params)
@@ -126,14 +114,7 @@ void Diode::stamp(const EvalContext& ctx) {
   const double g = (v <= vMax)
                        ? params_.saturationCurrent * std::exp(v / vt) / vt
                        : params_.saturationCurrent * std::exp(vMax / vt) / vt;
-  const int ra = Stamper::rowOfNode(anode_);
-  const int rb = Stamper::rowOfNode(cathode_);
-  ctx.addResidual(ra, i);
-  ctx.addResidual(rb, -i);
-  ctx.addJacobian(ra, ra, g);
-  ctx.addJacobian(ra, rb, -g);
-  ctx.addJacobian(rb, ra, -g);
-  ctx.addJacobian(rb, rb, g);
+  stampBranch(branchSink(ctx, anode_, cathode_), i, g);
 }
 
 double Diode::state(int k, const SystemView& view) const {

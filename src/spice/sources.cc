@@ -71,20 +71,13 @@ void VoltageSource::setup(SetupContext& ctx) {
 }
 
 void VoltageSource::stamp(const EvalContext& ctx) {
-  const int rp = Stamper::rowOfNode(plus_);
-  const int rm = Stamper::rowOfNode(minus_);
   const double i = ctx.view.aux(auxRow_);
   const double vp = ctx.view.nodeVoltage(plus_);
   const double vm = ctx.view.nodeVoltage(minus_);
-  // KCL: branch current leaves the + node into the source.
-  ctx.addResidual(rp, i);
-  ctx.addResidual(rm, -i);
-  ctx.addJacobian(rp, auxRow_, 1.0);
-  ctx.addJacobian(rm, auxRow_, -1.0);
-  // Branch equation: v+ - v- = shape(t).
-  ctx.addResidual(auxRow_, vp - vm - shape_(ctx.time));
-  ctx.addJacobian(auxRow_, rp, 1.0);
-  ctx.addJacobian(auxRow_, rm, -1.0);
+  stampVoltageSource(
+      CallSink<3>(ctx, {Stamper::rowOfNode(plus_), Stamper::rowOfNode(minus_),
+                        auxRow_}),
+      i, vp - vm - shape_(ctx.time));
 }
 
 double VoltageSource::current(const SystemView& view) const {
@@ -109,9 +102,9 @@ CurrentSource::CurrentSource(std::string name, NodeId from, NodeId to,
 }
 
 void CurrentSource::stamp(const EvalContext& ctx) {
-  const double i = shape_(ctx.time);
-  ctx.addResidual(Stamper::rowOfNode(from_), i);
-  ctx.addResidual(Stamper::rowOfNode(to_), -i);
+  stampCurrentSource(
+      CallSink<2>(ctx, {Stamper::rowOfNode(from_), Stamper::rowOfNode(to_)}),
+      shape_(ctx.time));
 }
 
 }  // namespace fefet::spice

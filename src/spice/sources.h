@@ -1,6 +1,7 @@
 // sources.h — independent sources and their time-shapes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -30,6 +31,29 @@ Shape sine(double offset, double amplitude, double frequency,
 
 }  // namespace shapes
 
+/// Entry-major stamp body of an ideal voltage source on terminals plus
+/// (0), minus (1) and its branch current (2): branch current i, and the
+/// branch equation's residual v+ - v- - shape(t).
+template <class Sink>
+void stampVoltageSource(const Sink& s, double i, double branchResidual) {
+  // KCL: branch current leaves the + node into the source.
+  s.residual(0) += i;
+  s.residual(1) += -i;
+  s.jacobian(0, 2) += 1.0;
+  s.jacobian(1, 2) += -1.0;
+  s.residual(2) += branchResidual;
+  s.jacobian(2, 0) += 1.0;
+  s.jacobian(2, 1) += -1.0;
+}
+
+/// Stamp body of an ideal current source pushing i from terminal 0 into
+/// terminal 1 (residual only).
+template <class Sink>
+void stampCurrentSource(const Sink& s, double i) {
+  s.residual(0) += i;
+  s.residual(1) += -i;
+}
+
 /// Ideal voltage source between plus and minus nodes.  Adds one auxiliary
 /// unknown: the branch current flowing plus -> (through source) -> minus.
 /// Tracks delivered energy (integral of v * i_out dt) across a transient.
@@ -54,7 +78,10 @@ class VoltageSource final : public Device {
   void resetEnergy() { energy_ = 0.0; }
 
   /// Replace the waveform (e.g. between operations on the same netlist).
-  void setShape(Shape shape) { shape_ = std::move(shape); }
+  void setShape(Shape shape) {
+    shape_ = std::move(shape);
+    ++shapeVersion_;
+  }
   double valueAt(double time) const { return shape_(time); }
 
   int auxRow() const { return auxRow_; }
@@ -64,6 +91,9 @@ class VoltageSource final : public Device {
 
   NodeId plus_, minus_;
   Shape shape_;
+  /// Bumped by setShape: the batch re-evaluates a lane whose shape changed
+  /// even at the time it last evaluated.
+  std::uint64_t shapeVersion_ = 0;
   int auxRow_ = -1;
   double energy_ = 0.0;
 };
@@ -77,13 +107,17 @@ class CurrentSource final : public Device {
   CurrentSource(std::string name, NodeId from, NodeId to, Shape shape);
 
   void stamp(const EvalContext& ctx) override;
-  void setShape(Shape shape) { shape_ = std::move(shape); }
+  void setShape(Shape shape) {
+    shape_ = std::move(shape);
+    ++shapeVersion_;
+  }
 
  private:
   friend class DeviceBatches;  // SoA batching (device_batch.h)
 
   NodeId from_, to_;
   Shape shape_;
+  std::uint64_t shapeVersion_ = 0;  ///< as VoltageSource::shapeVersion_
 };
 
 }  // namespace fefet::spice

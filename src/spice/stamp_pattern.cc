@@ -6,24 +6,6 @@
 
 namespace fefet::spice {
 
-namespace {
-
-/// Stamper that records call positions and discards values.
-class RecordingStamper final : public Stamper {
- public:
-  explicit RecordingStamper(std::vector<StampEntry>& calls) : calls_(calls) {}
-
-  void addResidual(int, double) override {}
-  void addJacobian(int row, int col, double) override {
-    calls_.push_back({row, col});
-  }
-
- private:
-  std::vector<StampEntry>& calls_;
-};
-
-}  // namespace
-
 StampPattern::StampPattern(
     const std::vector<std::unique_ptr<Device>>& devices, int unknowns,
     int nodeCount)

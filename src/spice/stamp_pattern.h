@@ -2,9 +2,12 @@
 //
 // When a netlist freezes, a recording Stamper runs one stamp pass per
 // assembly mode and captures the exact (row, col) sequence every device
-// emits.  From the union of all modes a fixed CSR pattern is built once;
-// the Assembler (assembler.h) then maps each recorded call to a stable
-// slot index so the per-iteration hot path is a branch-free value scatter.
+// emits.  From the union of all modes a fixed CSR pattern is built once.
+// DeviceBatches (device_batch.h) then gives every batched lane the padded
+// CSR slots of the entries its kind touches, checked once against the
+// lane's recorded calls, and every recorded call of a generic device a
+// slot of its own, so the per-iteration hot path is branch-free slot
+// arithmetic.
 //
 // Devices may stamp different entry sets in DC vs transient (capacitors
 // are open in DC, the FeCap terminal current only exists in transient),
@@ -33,6 +36,21 @@ inline StampMode stampModeFor(bool dc) {
   return dc ? StampMode::kDc : StampMode::kTransient;
 }
 
+/// Stamper that records Jacobian call positions and discards values: the
+/// pattern's recording pass, and DeviceBatches' check of its lane tables.
+class RecordingStamper final : public Stamper {
+ public:
+  explicit RecordingStamper(std::vector<StampEntry>& calls) : calls_(calls) {}
+
+  void addResidual(int, double) override {}
+  void addJacobian(int row, int col, double) override {
+    calls_.push_back({row, col});
+  }
+
+ private:
+  std::vector<StampEntry>& calls_;
+};
+
 /// Recorded stamp structure of a frozen netlist: per-mode Jacobian call
 /// sequences with per-device boundaries, plus the union CSR sparsity.
 class StampPattern {
@@ -55,8 +73,8 @@ class StampPattern {
   const std::vector<StampEntry>& jacobianCalls(StampMode mode) const {
     return calls_[static_cast<int>(mode)];
   }
-  /// jacobianCalls() index one past device i's last call (cumulative; the
-  /// Assembler's per-device integrity check compares against these).
+  /// jacobianCalls() index one past device i's last call (cumulative;
+  /// DeviceBatches cuts each device's calls out of jacobianCalls() here).
   const std::vector<std::size_t>& deviceJacobianEnds(StampMode mode) const {
     return deviceEnds_[static_cast<int>(mode)];
   }

@@ -3,8 +3,8 @@
 // The straightforward engine: every Device::stamp() call lands through
 // virtual Stamper dispatch directly in a dense matrix or a sparse row-map,
 // and gmin is added per node row afterwards.  The production Assembler
-// (compiled slot programs + SoA device batches) must reproduce its
-// residual, row scale and every Jacobian entry bit for bit.  Assembly
+// (SoA device batches stamping through their lane tables) must reproduce
+// its residual, row scale and every Jacobian entry bit for bit.  Assembly
 // only: the tests compare matrices, they never solve through this class.
 #pragma once
 

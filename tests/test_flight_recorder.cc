@@ -202,7 +202,9 @@ TEST(FlightRecorderCrash, SigsegvMidRunLeavesParseableDump) {
   const bool died = WIFSIGNALED(status) ||
                     (WIFEXITED(status) && WEXITSTATUS(status) != 0);
   ASSERT_TRUE(died) << "child exited cleanly, status=" << status;
-  if (WIFSIGNALED(status)) EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+  if (WIFSIGNALED(status)) {
+    EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+  }
 
   BlackboxDump dump;
   std::string error;

@@ -162,6 +162,35 @@ TEST(Transient, StatePersistsAcrossRuns) {
   EXPECT_NEAR(r2.waveform.finalValue("v(out)"), 0.0, 0.01);
 }
 
+// Sources evaluate their waveform once per time point, not once per
+// Newton iteration.  Two one-step runs land on the same t; a setShape
+// between them must still reach the second run's solve.
+TEST(Transient, SetShapeReachesARunStartingOnTheLastEvaluatedTime) {
+  Netlist n;
+  auto* v = n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
+  n.add<Resistor>("R1", n.node("in"), n.node("out"), 1e3);
+  n.add<Capacitor>("C1", n.node("out"), n.ground(), 1e-15);
+  auto* i = n.add<CurrentSource>("I1", n.ground(), n.node("load"), dc(1e-6));
+  n.add<Resistor>("RL", n.node("load"), n.ground(), 1e3);
+  Simulator sim(n);
+  sim.initializeUic();
+  TransientOptions options;
+  options.duration = 1e-12;  // the first step, and the only one
+  options.dtMax = 1e-12;
+  const std::vector<Probe> probes{Probe::v("in"), Probe::v("load")};
+  const auto r1 = sim.runTransient(options, probes);
+  v->setShape(dc(2.0));
+  i->setShape(dc(3e-6));
+  const auto r2 = sim.runTransient(options, probes);
+  ASSERT_EQ(r1.waveform.sampleCount(), 2u);
+  ASSERT_EQ(r2.waveform.sampleCount(), 2u);
+  EXPECT_EQ(r1.waveform.time()[1], r2.waveform.time()[1]);
+  EXPECT_NEAR(r1.waveform.column("v(in)")[1], 1.0, 1e-12);
+  EXPECT_NEAR(r2.waveform.column("v(in)")[1], 2.0, 1e-12);
+  EXPECT_NEAR(r1.waveform.column("v(load)")[1], 1e-3, 1e-9);
+  EXPECT_NEAR(r2.waveform.column("v(load)")[1], 3e-3, 1e-9);
+}
+
 TEST(Netlist, NodeAndDeviceManagement) {
   Netlist n;
   const NodeId a = n.node("a");

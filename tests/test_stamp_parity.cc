@@ -1,6 +1,6 @@
-// Stamp-parity suite: the production assembler (StampPattern slot
-// programs + SoA device batches) must be bit-identical to the reference
-// MNA assembly in mna_oracle.h.
+// Stamp-parity suite: the production assembler (SoA device batches
+// stamping through lane tables compiled from the StampPattern) must be
+// bit-identical to the reference MNA assembly in mna_oracle.h.
 //
 // Two layers of evidence:
 //   1. Matrix-level parity: a zoo netlist containing every device type is
@@ -58,8 +58,9 @@ ferro::LkCoefficients feMaterial() {
 
 const ferro::FeGeometry kFeGeom{1e-9, 65e-9 * 45e-9};
 
-// One of every device type, wired into a single connected circuit.  The
-// point is stamp coverage, not physical plausibility.  `tag` suffixes every
+// One of every device type, wired into a single connected circuit, plus
+// MOSFETs, a resistor and a capacitor on coincident or grounded terminals.
+// The point is stamp coverage, not physical plausibility.  `tag` suffixes every
 // node and device name so several copies can share one netlist.
 void buildZoo(Netlist& n, const std::string& tag = "") {
   using shapes::dc;
@@ -84,6 +85,19 @@ void buildZoo(Netlist& n, const std::string& tag = "") {
   // backgroundEpsR > 0 exercises the FeCap linear-dielectric branch.
   n.add<FeCapDevice>(id("F1"), node("gate"), n.ground(), feMaterial(),
                      kFeGeom, pr, 5.0);
+  // Coincident and grounded terminals.  A diode-connected MOSFET (gate =
+  // drain) and one with drain = source add several terms of one stamp to
+  // a shared entry, which the batched lane must accumulate in the scalar
+  // stamp's order; the others drop a terminal's row to ground, with the
+  // ground first for the resistor and the capacitor.
+  n.add<MosfetDevice>(id("M2"), node("mid"), node("mid"), node("out"),
+                      xtor::nmos45(), 65e-9);
+  n.add<MosfetDevice>(id("M3"), node("out"), node("gate"), node("out"),
+                      xtor::pmos45(), 65e-9);
+  n.add<MosfetDevice>(id("M4"), node("in"), node("out"), n.ground(),
+                      xtor::nmos45(), 90e-9);
+  n.add<Resistor>(id("R3"), n.ground(), node("drn"), 2e3);
+  n.add<Capacitor>(id("C2"), n.ground(), node("gate"), 1e-15);
 }
 
 struct Mode {
@@ -213,17 +227,7 @@ TEST(StampParity, BatchedKernelsMatchSparseOracleAtRandomIterates) {
   expectParityAtIterates(/*sparse=*/true, /*zooCopies=*/3);
 }
 
-/// Stamper that records Jacobian call positions and discards values.
-class CallRecorder final : public Stamper {
- public:
-  void addResidual(int, double) override {}
-  void addJacobian(int row, int col, double) override {
-    calls.emplace_back(row, col);
-  }
-  std::vector<std::pair<int, int>> calls;
-};
-
-// BE and trapezoidal steps replay one transient slot program, so every
+// BE and trapezoidal steps share the one transient stamp mode, so every
 // device kind must emit the same Jacobian call sequence under both
 // integration methods — at any iterate, and equal to what the pattern
 // recorded for the transient mode.
@@ -247,8 +251,10 @@ TEST(StampPattern, TransientCallSequenceIsIndependentOfIntegrationMethod) {
     for (std::size_t d = 0; d < n.devices().size(); ++d) {
       Device& device = *n.devices()[d];
       SCOPED_TRACE(device.name() + " iterate=" + std::to_string(iterate));
-      CallRecorder be;
-      CallRecorder trap;
+      std::vector<StampEntry> beCalls;
+      std::vector<StampEntry> trapCalls;
+      RecordingStamper be(beCalls);
+      RecordingStamper trap(trapCalls);
       const EvalContext beCtx{view,    false, 0.3e-9, 1e-12,
                               IntegrationMethod::kBackwardEuler,
                               0.0,     nullptr, &be};
@@ -257,13 +263,12 @@ TEST(StampPattern, TransientCallSequenceIsIndependentOfIntegrationMethod) {
                                 0.0,     nullptr, &trap};
       device.stamp(beCtx);
       device.stamp(trapCtx);
-      EXPECT_EQ(be.calls, trap.calls);
-      const std::size_t begin = d > 0 ? ends[d - 1] : 0;
-      ASSERT_EQ(ends[d] - begin, trap.calls.size());
-      for (std::size_t k = 0; k < trap.calls.size(); ++k) {
-        EXPECT_EQ(recorded[begin + k].row, trap.calls[k].first);
-        EXPECT_EQ(recorded[begin + k].col, trap.calls[k].second);
-      }
+      EXPECT_EQ(beCalls, trapCalls);
+      const auto begin = static_cast<std::ptrdiff_t>(d > 0 ? ends[d - 1] : 0);
+      const auto end = static_cast<std::ptrdiff_t>(ends[d]);
+      EXPECT_EQ(std::vector<StampEntry>(recorded.begin() + begin,
+                                        recorded.begin() + end),
+                trapCalls);
     }
   }
 }
@@ -496,8 +501,8 @@ class ErraticDevice final : public Device {
 TEST(StampParity, CallSequenceDeviationIsDiagnosedByName) {
   Netlist n;
   bool erratic = false;
-  // The erratic device goes first so its extra call trips the per-device
-  // count check (which names it) rather than the end-of-program guard.
+  // A generic device's extra call lands in the trash slot, and the count
+  // check after its stamp names it.
   n.add<ErraticDevice>("X1", n.node("a"), &erratic);
   n.add<Resistor>("R1", n.node("a"), n.ground(), 1e3);
   n.freeze();
