@@ -1,14 +1,14 @@
-// bench_assembly — microbenchmark of the compiled stamp pipeline (slot
-// programs + SoA device batches) at array scale.
+// bench_assembly — microbenchmark of the compiled stamp pipeline (lane
+// tables + SoA device batches) at array scale.
 //
 // Two netlists, each assembled repeatedly at one fixed iterate in the
 // transient stamp mode with trapezoidal companions, as every transient step
 // after a run's first:
 //
 //  * an RC ladder with periodic diodes (the linear/nonlinear row structure
-//    of a bit-line column; the diodes stamp through the generic per-device
-//    path, the R/C/V lanes through their batches); the assemble and solve
-//    phases are timed separately;
+//    of a bit-line column; every device, the diodes included, stamps as a
+//    lane of its kind's batch); the assemble and solve phases are timed
+//    separately;
 //  * the Fig. 7 8x8 FEFET array (core::ArrayNetlist: 64 FEFETs = 128
 //    MOSFETs + 64 FE capacitors, plus line drivers and wire caps), at the
 //    iterate a 1 ns hold after a checkerboard pattern leaves.  This is the
@@ -25,14 +25,15 @@
 //    fixed cost per assembly at cell scale its own number.
 //
 // Prints only the banners and one machine-readable PERF line, which
-// carries every timing and its repetition count:
+// carries every timing, its repetition count and the Jacobian pattern's
+// non-zero count (nnz) of the netlist it assembles:
 //
 //   PERF {"bench":"bench_assembly","unknowns":...,"reps":...,
-//         "compiled_assemble_s":...,"compiled_solve_s":...,
-//         "stamps_per_sec":...,"array_unknowns":...,"array_reps":...,
-//         "array_assemble_s":...,"array_stamps_per_sec":...,
-//         "array_eval_assemble_s":...,"cell_unknowns":...,"cell_reps":...,
-//         "cell_assemble_s":...,"cell_eval_assemble_s":...}
+//         "compiled_assemble_s":...,"nnz":...,"compiled_solve_s":...,
+//         "array_unknowns":...,"array_reps":...,"array_assemble_s":...,
+//         "array_nnz":...,"array_eval_assemble_s":...,"cell_unknowns":...,
+//         "cell_reps":...,"cell_assemble_s":...,"cell_nnz":...,
+//         "cell_eval_assemble_s":...}
 #include <array>
 #include <cstdio>
 #include <span>
@@ -72,42 +73,37 @@ constexpr double kGmin = 1e-12;
 constexpr double kTime = 0.3e-9;
 constexpr double kDt = 1e-12;
 
-/// Wall seconds for `reps` assemblies of `n` cycling through `views`
-/// (after one warm-up), and the matching Jacobian stamps per second.
-struct AssemblyTiming {
-  double assembleS = 0.0;
-  double stampsPerSec = 0.0;
-};
-
-/// Assembly timings at one iterate, repeated (every MOSFET lane a bypass
-/// hit) and alternating with a copy 1 mV higher on every node (every lane
-/// evaluated).
+/// Assembly wall seconds at one iterate, repeated (every MOSFET lane a
+/// bypass hit) and alternating with a copy 1 mV higher on every node (every
+/// lane evaluated).
 struct BypassTimings {
-  AssemblyTiming hits;
-  AssemblyTiming evaluated;
+  double hitsS = 0.0;
+  double evaluatedS = 0.0;
 };
 
-AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
-                            std::span<const SystemView> views, int reps);
+double timeAssembly(Assembler& assembler, const Netlist& n,
+                    std::span<const SystemView> views, int reps);
 
 BypassTimings timeBypassAndEval(const Netlist& n, const std::vector<double>& x,
                                 int reps) {
   const SystemView view(x, n.nodeCount());
   Assembler assembler(n.stampPattern());
   BypassTimings t;
-  t.hits = timeAssembly(assembler, n, {&view, 1}, reps);
+  t.hitsS = timeAssembly(assembler, n, {&view, 1}, reps);
   std::vector<double> shifted = x;
   for (int i = 0; i < n.nodeCount(); ++i) {
     shifted[static_cast<std::size_t>(i)] += 1e-3;
   }
   const std::array<SystemView, 2> alternating{
       view, SystemView(shifted, n.nodeCount())};
-  t.evaluated = timeAssembly(assembler, n, alternating, reps);
+  t.evaluatedS = timeAssembly(assembler, n, alternating, reps);
   return t;
 }
 
-AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
-                            std::span<const SystemView> views, int reps) {
+/// Wall seconds for `reps` assemblies of `n` cycling through `views`
+/// (after one warm-up).
+double timeAssembly(Assembler& assembler, const Netlist& n,
+                    std::span<const SystemView> views, int reps) {
   const auto assemble = [&](int r) {
     assembler.assemble(n, views[static_cast<std::size_t>(r) % views.size()],
                        /*dc=*/false, kTime, kDt,
@@ -116,14 +112,7 @@ AssemblyTiming timeAssembly(Assembler& assembler, const Netlist& n,
   assemble(reps - 1);  // warm-up on the view the timed loop does not start at
   bench::WallTimer timer;
   for (int r = 0; r < reps; ++r) assemble(r);
-  AssemblyTiming t;
-  t.assembleS = timer.seconds();
-  const std::size_t stampsPerAssembly =
-      n.stampPattern().jacobianCalls(StampMode::kTransient).size();
-  t.stampsPerSec = t.assembleS > 0.0 ? static_cast<double>(stampsPerAssembly) *
-                                           reps / t.assembleS
-                                     : 0.0;
-  return t;
+  return timer.seconds();
 }
 
 int run() {
@@ -150,7 +139,7 @@ int run() {
   compiled.assemble(n, view, /*dc=*/false, kTime, kDt,
                     IntegrationMethod::kTrapezoidal, kGmin);
   compiled.solveForUpdate(dx);
-  const AssemblyTiming ladder = timeAssembly(compiled, n, {&view, 1}, kReps);
+  const double ladderS = timeAssembly(compiled, n, {&view, 1}, kReps);
 
   bench::WallTimer tCompiledSolve;
   for (int r = 0; r < kReps; ++r) compiled.solveForUpdate(dx);
@@ -185,29 +174,31 @@ int run() {
                 " unknowns)");
   const BypassTimings cellTimings = timeBypassAndEval(cn, cx, kCellReps);
 
+  const std::size_t nnz = n.stampPattern().nonZeros();
+  const std::size_t arrayNnz = an.stampPattern().nonZeros();
+  const std::size_t cellNnz = cn.stampPattern().nonZeros();
   std::printf(
       "PERF {\"bench\":\"bench_assembly\",\"unknowns\":%d,\"reps\":%d,"
-      "\"compiled_assemble_s\":%.4f,\"compiled_solve_s\":%.4f,"
-      "\"stamps_per_sec\":%.3g,\"array_unknowns\":%d,\"array_reps\":%d,"
-      "\"array_assemble_s\":%.4f,\"array_stamps_per_sec\":%.3g,"
+      "\"compiled_assemble_s\":%.4f,\"nnz\":%zu,\"compiled_solve_s\":%.4f,"
+      "\"array_unknowns\":%d,\"array_reps\":%d,"
+      "\"array_assemble_s\":%.4f,\"array_nnz\":%zu,"
       "\"array_eval_assemble_s\":%.4f,\"cell_unknowns\":%d,"
-      "\"cell_reps\":%d,\"cell_assemble_s\":%.4f,"
+      "\"cell_reps\":%d,\"cell_assemble_s\":%.4f,\"cell_nnz\":%zu,"
       "\"cell_eval_assemble_s\":%.4f}\n",
-      unknowns, kReps, ladder.assembleS, compiledSolveS, ladder.stampsPerSec,
-      arrayUnknowns, kArrayReps, arrayTimings.hits.assembleS,
-      arrayTimings.hits.stampsPerSec, arrayTimings.evaluated.assembleS,
-      cellUnknowns, kCellReps, cellTimings.hits.assembleS,
-      cellTimings.evaluated.assembleS);
+      unknowns, kReps, ladderS, nnz, compiledSolveS, arrayUnknowns,
+      kArrayReps, arrayTimings.hitsS, arrayNnz, arrayTimings.evaluatedS,
+      cellUnknowns, kCellReps, cellTimings.hitsS, cellNnz,
+      cellTimings.evaluatedS);
 
   telemetry.report().addCount("unknowns", static_cast<std::uint64_t>(unknowns));
   telemetry.report().addCount("reps", static_cast<std::uint64_t>(kReps));
-  telemetry.report().addNumber("stamps_per_sec", ladder.stampsPerSec);
+  telemetry.report().addCount("nnz", nnz);
   telemetry.report().addCount("array_unknowns",
                               static_cast<std::uint64_t>(arrayUnknowns));
-  telemetry.report().addNumber("array_stamps_per_sec",
-                               arrayTimings.hits.stampsPerSec);
+  telemetry.report().addCount("array_nnz", arrayNnz);
   telemetry.report().addCount("cell_unknowns",
                               static_cast<std::uint64_t>(cellUnknowns));
+  telemetry.report().addCount("cell_nnz", cellNnz);
   telemetry.finish();
   return 0;
 }

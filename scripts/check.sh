@@ -27,10 +27,12 @@
 #     per op and interleaved in thread CPU time, median overhead <= 2%,
 #     and <= 10% on a 1x1 array, where the fixed cost per Newton
 #     iteration weighs most;
-#  5. bench determinism: every bench named in bench/CMakeLists.txt runs
-#     twice from the Release build and must print the same stdout both
-#     times, PERF and REPORT lines (wall-clock timings) excluded — the
-#     benches are seeded, so any other difference is a bug;
+#  5. bench and example determinism: every bench named in
+#     bench/CMakeLists.txt runs twice from the Release build and must print
+#     the same stdout both times, PERF and REPORT lines (wall-clock
+#     timings) excluded — the benches are seeded, so any other difference
+#     is a bug.  Every example named in examples/CMakeLists.txt runs twice
+#     the same way, netlist_sim once per deck in examples/decks;
 #  6. black-box crash gate: the Release bench_variability sweep with
 #     FEFET_BLACKBOX set (points padded 400 ms), sent SIGSEGV once its
 #     journaled write-yield sweep (the Newton-running one) has recorded a
@@ -212,7 +214,7 @@ fi
 echo "observability smoke passed (telemetry overhead $OVERHEAD at 8x8," \
      "$SMALL_OVERHEAD at 1x1)"
 
-echo "== bench determinism (stage 5): two runs of every bench print the same stdout =="
+echo "== bench determinism (stage 5): two runs of every bench and example print the same stdout =="
 BENCHES=$(sed -nE 's/^fefet_add_bench\((bench_[a-z0-9_]+)\)$/\1/p' \
   bench/CMakeLists.txt)
 # shellcheck disable=SC2086
@@ -234,6 +236,40 @@ for bench in $BENCHES; do
   fi
 done
 echo "bench determinism passed ($(echo "$BENCHES" | wc -w) benches)"
+
+EXAMPLES=$(sed -nE 's/^fefet_add_example\(([a-z0-9_]+)\)$/\1/p' \
+  examples/CMakeLists.txt)
+# shellcheck disable=SC2086
+cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target $EXAMPLES
+EXAMPLE_RUNS=0
+# run_twice LABEL CMD...: CMD must exit 0 and print the same stdout twice.
+run_twice() {
+  local label=$1 run
+  shift
+  for run in 1 2; do
+    if ! "$@" > "$SMOKE_DIR/$label.$run.out"; then
+      echo "FAIL: $label exited non-zero" >&2
+      exit 1
+    fi
+  done
+  if ! cmp -s "$SMOKE_DIR/$label.1.out" "$SMOKE_DIR/$label.2.out"; then
+    echo "FAIL: $label printed different stdout on two runs" >&2
+    diff "$SMOKE_DIR/$label.1.out" "$SMOKE_DIR/$label.2.out" | head -20 >&2
+    exit 1
+  fi
+  EXAMPLE_RUNS=$((EXAMPLE_RUNS + 1))
+}
+for example in $EXAMPLES; do
+  if [ "$example" = netlist_sim ]; then
+    for deck in examples/decks/*.sp; do
+      run_twice "netlist_sim-$(basename "$deck" .sp)" \
+        "$PERF_BUILD_DIR/examples/netlist_sim" "$deck"
+    done
+  else
+    run_twice "$example" "$PERF_BUILD_DIR/examples/$example"
+  fi
+done
+echo "example determinism passed ($EXAMPLE_RUNS example runs)"
 
 echo "== black-box crash gate: SIGSEGV mid-sweep leaves a parseable dump =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" \

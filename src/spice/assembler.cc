@@ -1,6 +1,7 @@
 #include "spice/assembler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/error.h"
@@ -43,9 +44,6 @@ Assembler::Assembler(const StampPattern& pattern)
       residual_(1 + static_cast<std::size_t>(n_), 0.0),
       rowScale_(1 + static_cast<std::size_t>(n_), 0.0) {
   FEFET_REQUIRE(n_ > 0, "MNA system needs at least one unknown");
-  buffer_.values_ = values_.data();
-  buffer_.residual_ = residual_.data();
-  buffer_.rowScale_ = rowScale_.data();
   diagSlots_.reserve(pattern_.nodeDiagonals().size());
   for (const std::size_t idx : pattern_.nodeDiagonals()) {
     diagSlots_.push_back(idx + 1);
@@ -140,9 +138,9 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   std::fill(residual_.begin(), residual_.end(), 0.0);
   std::fill(rowScale_.begin(), rowScale_.end(), 0.0);
 
-  EvalContext ctx{view, dc, time, dt, method, gmin, &buffer_, nullptr};
+  const EvalContext ctx{view, dc, time, dt, method, gmin, nullptr};
   DeviceBatches& batches = netlist.deviceBatches();
-  batches.stampAll(ctx);
+  batches.stampAll(ctx, {values_.data(), residual_.data(), rowScale_.data()});
 
   if (obs::Metrics::enabled()) {
     ++tally_.assemblies;
@@ -153,14 +151,16 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   }
   modeUsed_[static_cast<std::size_t>(m)] = true;
 
-  // gmin regularization after the device loop: residual through the same
-  // accumulation (so the row scale sees the gmin current), diagonal
-  // through the precompiled slots.
+  // gmin regularization after the device loop: the residual and the row
+  // scale see the gmin current, the diagonal goes through the precompiled
+  // slots.
   if (gmin > 0.0) {
     const int nodes = pattern_.nodeCount();
     for (int row = 0; row < nodes; ++row) {
-      const double v = view.nodeVoltage(row + 1);
-      buffer_.addResidual(row, gmin * v);
+      const double i = gmin * view.nodeVoltage(row + 1);
+      const auto padded = static_cast<std::size_t>(row + 1);
+      residual_[padded] += i;
+      rowScale_[padded] += std::abs(i);
       values_[diagSlots_[static_cast<std::size_t>(row)]] += gmin;
     }
   }

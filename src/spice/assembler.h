@@ -5,13 +5,11 @@
 // that ground entries land in (stamp_buffer.h):
 //
 //   pattern (symbolic, built once at freeze; stamp_pattern.h)
-//     -> lane tables and the generic slot program (device_batch.h): the
-//        padded CSR slots of every batched lane's entries, one slot per
-//        recorded call of a generic device;
+//     -> lane tables (device_batch.h): the padded CSR slots of every
+//        device's entries, each device a lane of its kind's batch;
 //     -> per iteration: zero the storage, evaluate every device through
-//        the SoA batches and stamp them in netlist order (each batched
-//        lane loads, sums and stores every entry it touches once; each
-//        generic device's call count is checked), apply gmin;
+//        the SoA batches and stamp them in netlist order (each lane loads,
+//        sums and stores every entry it touches once), apply gmin;
 //     -> solve, condensed: every source with a grounded terminal pins its
 //        node, so only the free unknowns go through the ordered sparse LU
 //        (DESIGN.md §6.6), which keeps its factor when J_FF is bitwise
@@ -31,7 +29,6 @@
 
 #include "common/linalg.h"
 #include "spice/netlist.h"
-#include "spice/stamp_buffer.h"
 #include "spice/stamp_pattern.h"
 
 namespace fefet::spice {
@@ -47,9 +44,7 @@ class Assembler {
 
   /// Assemble one Newton evaluation: zero the storage, stamp every device
   /// through netlist.deviceBatches() (type-major evaluation, netlist-order
-  /// stamping in the DC or transient mode) and apply gmin.  Throws
-  /// NumericalError naming the culprit if a generic device's call count
-  /// deviates from the recorded pattern.
+  /// stamping in the DC or transient mode) and apply gmin.
   void assemble(const Netlist& netlist, const SystemView& view, bool dc,
                 double time, double dt, IntegrationMethod method,
                 double gmin);
@@ -142,7 +137,6 @@ class Assembler {
   /// The first solve hands lu_ the J_FF pattern; later ones pass values
   /// only (the pattern of a frozen netlist never changes).
   bool luHasPattern_ = false;
-  StampBuffer buffer_;
   /// Which modes have already been assembled at least once — every
   /// assemble after that is a pattern-reuse hit for the
   /// fefet.assembler.pattern_reuse_hits counter.

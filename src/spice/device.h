@@ -17,8 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "spice/stamp_buffer.h"
-
 namespace fefet::spice {
 
 /// Node handle.  0 is ground; positive values index named circuit nodes.
@@ -78,13 +76,11 @@ class Stamper {
 
 /// Per-evaluation context handed to Device::stamp().  One signature serves
 /// the DC, transient and gmin-escalation paths (gmin rides along so the
-/// whole evaluation state lives in one place), and exactly one of two
-/// sinks receives the entries:
-///  * assembly of a generic device (buffer != nullptr): inlined slot
-///    writes into the preallocated StampBuffer — no virtual dispatch per
-///    entry (batched kinds never stamp through here, see device_batch.h);
-///  * recording (stamper != nullptr): virtual Stamper calls — the pass
-///    that builds the StampPattern, and the test-side reference oracle.
+/// whole evaluation state lives in one place).  Its one sink is the virtual
+/// Stamper: the pass that records the StampPattern, the freeze-time check
+/// of the lane tables and the test-side reference oracle.  Assembly never
+/// calls Device::stamp; it runs the same stamp bodies through the lane
+/// tables (device_batch.h), and the stamper of its context is null.
 struct EvalContext {
   const SystemView& view;
   bool dc = false;                ///< DC operating point: d/dt == 0
@@ -94,21 +90,12 @@ struct EvalContext {
   /// Node-to-ground regularization applied by the assembly engine after
   /// the device loop (informational for devices; escalation raises it).
   double gmin = 0.0;
-  StampBuffer* buffer = nullptr;
   Stamper* stamper = nullptr;
 
   void addResidual(int row, double value) const {
-    if (buffer != nullptr) {
-      buffer->addResidual(row, value);
-      return;
-    }
     stamper->addResidual(row, value);
   }
   void addJacobian(int row, int col, double value) const {
-    if (buffer != nullptr) {
-      buffer->addJacobian(row, col, value);
-      return;
-    }
     stamper->addJacobian(row, col, value);
   }
 };
@@ -249,7 +236,8 @@ class ChargeIntegrator {
 /// Names of a device's probe-readable states (see Device::stateNames).
 using StateNames = std::span<const std::string_view>;
 
-/// Base class of all circuit devices.  Devices are owned by the Netlist.
+/// Base class of the circuit devices.  Devices are owned by the Netlist,
+/// whose freeze() accepts only the classes DeviceBatches has a lane kind for.
 class Device {
  public:
   explicit Device(std::string name) : name_(std::move(name)) {}
@@ -267,7 +255,8 @@ class Device {
   /// full solution vector (e.g. the committed polarization).
   virtual void seedUnknowns(std::vector<double>&) const {}
 
-  /// Add residual/Jacobian contributions for the current iterate.
+  /// Add residual/Jacobian contributions for the current iterate through
+  /// ctx's Stamper (recording and oracle only; see EvalContext).
   virtual void stamp(const EvalContext& ctx) = 0;
 
   /// Initialize dynamic history from a consistent solution (t = tstart).

@@ -74,7 +74,6 @@ CallSink<T> callSinkOn(const EvalContext& ctx, const LaneSlots<T>& slots) {
 DeviceBatches::DeviceBatches(const Netlist& netlist,
                              const StampPattern* pattern) {
   const auto& devices = netlist.devices();
-  order_.reserve(devices.size());
   refs_.reserve(devices.size());
 
   const auto lane = [](std::size_t size) {
@@ -85,17 +84,31 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
                         std::numeric_limits<std::uint32_t>::max(),
                 "DeviceBatches: too many entries for 32-bit slots");
   const auto row = Stamper::rowOfNode;
+  const double never = std::numeric_limits<double>::quiet_NaN();
+  const auto addResistorLane = [&](NodeId a, NodeId b, double g) {
+    const Ref ref{Kind::kResistor, lane(resistors_.a.size())};
+    resistors_.a.push_back(a);
+    resistors_.b.push_back(b);
+    resistors_.slots.push_back(laneSlots<2>(pattern, {row(a), row(b)}));
+    resistors_.g.push_back(g);
+    return ref;
+  };
   for (const auto& owned : devices) {
     Device* device = owned.get();
-    order_.push_back(device);
     Ref ref;
     if (auto* r = dynamic_cast<Resistor*>(device)) {
-      ref = {Kind::kResistor, lane(resistors_.a.size())};
-      resistors_.a.push_back(r->a_);
-      resistors_.b.push_back(r->b_);
-      resistors_.slots.push_back(
-          laneSlots<2>(pattern, {row(r->a_), row(r->b_)}));
-      resistors_.g.push_back(1.0 / r->resistance_);
+      ref = addResistorLane(r->a_, r->b_, 1.0 / r->resistance_);
+    } else if (auto* s = dynamic_cast<TimedSwitch*>(device)) {
+      ref = addResistorLane(s->a_, s->b_, 0.0);  // g set at the first eval
+      resistors_.switches.push_back({ref.lane, s, never, 0});
+    } else if (auto* d = dynamic_cast<Diode*>(device)) {
+      ref = {Kind::kDiode, lane(diodes_.anode.size())};
+      diodes_.anode.push_back(d->anode_);
+      diodes_.cathode.push_back(d->cathode_);
+      diodes_.slots.push_back(
+          laneSlots<2>(pattern, {row(d->anode_), row(d->cathode_)}));
+      diodes_.is.push_back(d->params_.saturationCurrent);
+      diodes_.vt.push_back(d->vt_);
     } else if (auto* c = dynamic_cast<Capacitor*>(device)) {
       ref = {Kind::kCapacitor, lane(capacitors_.a.size())};
       capacitors_.dev.push_back(c);
@@ -148,7 +161,9 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
       fecaps_.backgroundCap.push_back(f->backgroundCap_);
       fecaps_.lk.push_back(&f->lk_);
     } else {
-      ref = {Kind::kGeneric, 0};
+      throw InvalidArgumentError(
+          "compiled stamp pipeline: device '" + device->name() +
+          "' has no lane kind; the device set is closed (device_batch.h)");
     }
     refs_.push_back(ref);
   }
@@ -157,7 +172,8 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
   resistors_.i.resize(resistors_.a.size());
   capacitors_.i.resize(capacitors_.a.size());
   capacitors_.g.resize(capacitors_.a.size());
-  const double never = std::numeric_limits<double>::quiet_NaN();
+  diodes_.i.resize(diodes_.anode.size());
+  diodes_.g.resize(diodes_.anode.size());
   const auto sizeCache = [never](ShapeCache& cache, std::size_t n) {
     cache.value.resize(n);
     cache.time.assign(n, never);
@@ -198,16 +214,15 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
     fecaps_.terms[k].background = fecaps_.backgroundCap[k] > 0.0;
   }
 
-  if (pattern != nullptr) compile(*pattern);
+  if (pattern != nullptr) checkLaneTables(netlist, *pattern);
 }
 
-void DeviceBatches::stampAll(const EvalContext& ctx) {
-  FEFET_REQUIRE(ctx.buffer != nullptr,
-                "DeviceBatches::stampAll writes into a StampBuffer");
+void DeviceBatches::stampAll(const EvalContext& ctx, const StampBuffer& out) {
   // Phase 1: type-major kernels into scratch.
   const auto companion = ChargeIntegrator::Companion::of(ctx);
   evalResistors(ctx);
   evalCapacitors(ctx, companion);
+  evalDiodes(ctx);
   evalShapes(vsources_.dev, vsources_.v, ctx.time);
   evalShapes(isources_.dev, isources_.i, ctx.time);
   evalMosfets(ctx, companion);
@@ -216,47 +231,19 @@ void DeviceBatches::stampAll(const EvalContext& ctx) {
   // Phase 2: stamp in netlist order — the accumulation order of every
   // shared entry (and therefore the floating-point result) matches the
   // scalar engine.
-  StampBuffer& buf = *ctx.buffer;
-  const auto m = static_cast<std::size_t>(stampModeFor(ctx.dc));
-  buf.slots_ = genericSlots_[m].data();
-  buf.next_ = 0;
-  const std::size_t* genericEnd = genericEnds_[m].data();
-  const auto slotSink = [&buf](const auto& slots) {
-    return SlotSink(buf, slots);
+  const auto slotSink = [&out](const auto& slots) {
+    return SlotSink(out, slots);
   };
-  for (std::size_t i = 0; i < refs_.size(); ++i) {
-    const Ref ref = refs_[i];
-    if (ref.kind != Kind::kGeneric) {
-      stampBatched(ref, ctx, slotSink);
-      continue;
-    }
-    const std::size_t begin = buf.next_;
-    buf.end_ = *genericEnd++;
-    order_[i]->stamp(ctx);
-    if (buf.next_ != buf.end_) {
-      throwCountMismatch(i, buf.next_ - begin, buf.end_ - begin);
-    }
-  }
+  for (const Ref ref : refs_) stampLane(ref, ctx, slotSink);
 }
 
-void DeviceBatches::throwCountMismatch(std::size_t deviceIndex,
-                                       std::size_t emitted,
-                                       std::size_t recorded) const {
-  std::ostringstream os;
-  os << "compiled stamp pipeline: device '" << order_[deviceIndex]->name()
-     << "' emitted " << emitted
-     << " Jacobian entries but the recorded pattern has " << recorded
-     << " — stamp sequences must be a fixed function of the DC/transient "
-        "mode";
-  throw NumericalError(os.str());
-}
-
-void DeviceBatches::compile(const StampPattern& pattern) {
-  FEFET_REQUIRE(pattern.deviceCount() == order_.size(),
+void DeviceBatches::checkLaneTables(const Netlist& netlist,
+                                    const StampPattern& pattern) {
+  const auto& devices = netlist.devices();
+  FEFET_REQUIRE(pattern.deviceCount() == devices.size(),
                 "DeviceBatches: pattern recorded another device list");
-  // Per mode: the generic devices' recorded calls become their slot
-  // program, and every batched lane's body, run through a recording
-  // CallSink on its table's rows, must reproduce its device's recording.
+  // Per mode, every lane's body, run through a recording CallSink on its
+  // table's rows, must reproduce its device's recording.
   std::vector<double> x(static_cast<std::size_t>(pattern.unknowns()), 0.0);
   const SystemView view(x, pattern.nodeCount());
   std::vector<StampEntry> calls;
@@ -266,11 +253,9 @@ void DeviceBatches::compile(const StampPattern& pattern) {
     const bool dc = mode == StampMode::kDc;
     const std::vector<StampEntry>& recorded = pattern.jacobianCalls(mode);
     const std::vector<std::size_t>& ends = pattern.deviceJacobianEnds(mode);
-    auto& genericSlots = genericSlots_[static_cast<std::size_t>(m)];
-    auto& genericEnds = genericEnds_[static_cast<std::size_t>(m)];
-    const EvalContext ctx{view,          dc,      /*time=*/0.0,
-                          dc ? 0.0 : 1e-12,       IntegrationMethod::kTrapezoidal,
-                          /*gmin=*/0.0,  nullptr, &recorder};
+    const EvalContext ctx{view, dc, /*time=*/0.0, dc ? 0.0 : 1e-12,
+                          IntegrationMethod::kTrapezoidal, /*gmin=*/0.0,
+                          &recorder};
     const auto callSink = [&ctx](const auto& slots) {
       return callSinkOn(ctx, slots);
     };
@@ -278,19 +263,12 @@ void DeviceBatches::compile(const StampPattern& pattern) {
       const auto first = recorded.begin() + static_cast<std::ptrdiff_t>(
                                                 i > 0 ? ends[i - 1] : 0);
       const auto last = recorded.begin() + static_cast<std::ptrdiff_t>(ends[i]);
-      if (refs_[i].kind == Kind::kGeneric) {
-        for (auto it = first; it != last; ++it) {
-          genericSlots.push_back(paddedSlot(pattern, it->row, it->col));
-        }
-        genericEnds.push_back(genericSlots.size());
-        continue;
-      }
       calls.clear();
-      stampBatched(refs_[i], ctx, callSink);
+      stampLane(refs_[i], ctx, callSink);
       if (!std::equal(calls.begin(), calls.end(), first, last)) {
         std::ostringstream os;
         os << "compiled stamp pipeline: the " << (dc ? "DC" : "transient")
-           << " lane table of device '" << order_[i]->name()
+           << " lane table of device '" << devices[i]->name()
            << "' assumes " << calls.size()
            << " Jacobian entries that differ from the " << last - first
            << " its stamp recorded";
@@ -307,6 +285,14 @@ void DeviceBatches::compile(const StampPattern& pattern) {
 
 void DeviceBatches::evalResistors(const EvalContext& ctx) {
   ResistorBatch& batch = resistors_;
+  // A switch lane re-evaluates its control on a Newton solve's first
+  // assembly, or when setControl replaced it (as evalShapes does).
+  for (SwitchLane& s : batch.switches) {
+    if (s.time == ctx.time && s.version == s.dev->controlVersion_) continue;
+    batch.g[s.lane] = s.dev->conductanceAt(ctx.time);
+    s.time = ctx.time;
+    s.version = s.dev->controlVersion_;
+  }
   const SystemView& view = ctx.view;
   const std::size_t n = batch.a.size();
   for (std::size_t k = 0; k < n; ++k) {
@@ -329,6 +315,19 @@ void DeviceBatches::evalCapacitors(
     const auto [i, dIdQ] = batch.dev[k]->charge_.currentFor(q, companion);
     batch.i[k] = i;
     batch.g[k] = dIdQ * batch.c[k];
+  }
+}
+
+void DeviceBatches::evalDiodes(const EvalContext& ctx) {
+  DiodeBatch& batch = diodes_;
+  const SystemView& view = ctx.view;
+  const std::size_t n = batch.anode.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double v =
+        view.nodeVoltage(batch.anode[k]) - view.nodeVoltage(batch.cathode[k]);
+    const auto [i, g] = diodeBranch(v, batch.is[k], batch.vt[k]);
+    batch.i[k] = i;
+    batch.g[k] = g;
   }
 }
 
@@ -521,12 +520,12 @@ void DeviceBatches::evalFeCaps(
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: one dispatch that runs a batched lane's stamp body, on the terms
-// phase 1 left in scratch, through the sink it is given.
+// Phase 2: one dispatch that runs a lane's stamp body, on the terms phase 1
+// left in scratch, through the sink it is given.
 
 template <class SinkOf>
-void DeviceBatches::stampBatched(Ref ref, const EvalContext& ctx,
-                                 const SinkOf& sinkOf) const {
+void DeviceBatches::stampLane(Ref ref, const EvalContext& ctx,
+                              const SinkOf& sinkOf) const {
   const std::uint32_t k = ref.lane;
   switch (ref.kind) {
     case Kind::kResistor:
@@ -538,6 +537,9 @@ void DeviceBatches::stampBatched(Ref ref, const EvalContext& ctx,
         stampBranch(sinkOf(capacitors_.slots[k]), capacitors_.i[k],
                     capacitors_.g[k]);
       }
+      break;
+    case Kind::kDiode:
+      stampBranch(sinkOf(diodes_.slots[k]), diodes_.i[k], diodes_.g[k]);
       break;
     case Kind::kVoltageSource: {
       const VoltageSourceBatch& batch = vsources_;
@@ -556,8 +558,6 @@ void DeviceBatches::stampBatched(Ref ref, const EvalContext& ctx,
       break;
     case Kind::kFeCap:
       stampFeCap(sinkOf(fecaps_.slots[k]), fecaps_.terms[k], ctx.dc);
-      break;
-    case Kind::kGeneric:
       break;
   }
 }

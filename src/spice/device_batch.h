@@ -1,9 +1,11 @@
 // device_batch.h — structure-of-arrays device batches for the compiled
 // stamp pipeline.
 //
-// Netlist::freeze() groups homogeneous devices (resistors, capacitors,
-// sources, MOSFETs, FE capacitors) into SoA parameter/state
-// arrays.  Each assembly then runs in two phases:
+// Netlist::freeze() groups the devices by kind (resistors and timed
+// switches, capacitors, diodes, sources, MOSFETs, FE capacitors) into SoA
+// parameter/state arrays.  Every device class has a lane kind, and freeze
+// throws, naming the device, for a class without one.  Each assembly then
+// runs in two phases:
 //
 //  1. eval — type-major batch kernels sweep the SoA arrays and write every
 //     lane's currents/conductances into preallocated scratch.  The model
@@ -13,30 +15,28 @@
 //     helpers the scalar methods call.  A MOSFET lane does its
 //     transcendental work once: softplus/logistic pairs share one
 //     exponential, and the gate charge and capacitance come from one pass.
-//     A source lane evaluates its waveform only when the time or its shape
-//     changed since its last evaluation, so once per Newton solve.
-//  2. stamp — devices stamp in netlist order.  A batched lane runs its
-//     kind's entry-major stamp body (the one its scalar Device::stamp runs)
+//     A source lane evaluates its waveform, and a switch lane its control,
+//     only when the time or its shape/control changed since its last
+//     evaluation, so once per Newton solve.
+//  2. stamp — one loop in netlist order: each lane runs its kind's
+//     entry-major stamp body (the one its scalar Device::stamp runs)
 //     through a SlotSink over its LaneSlots table (stamp_buffer.h): each
 //     residual row and Jacobian entry it touches is loaded once, summed in
-//     a register and stored once.  Only the generic fallback below goes
-//     through EvalContext and the StampBuffer's slot program.
+//     a register and stored once.
 //
 // This is the one assembly path.  The phase split keeps it bit-identical
 // to scalar Device::stamp() (the pattern recorder and the test oracle's
 // input): every lane's arithmetic is the same expression sequence the
 // scalar Device::stamp evaluates (phase 1 calls the same inline helpers,
-// e.g. ChargeIntegrator::currentFor), both paths add each entry's terms
-// in the order of the one stamp body, and phase 2 visits devices in the
-// original order, so every shared CSR slot and residual row accumulates
-// the same additions in the same order.  A type-major single pass would
-// reorder those additions and drift in the last ulp.
+// e.g. ChargeIntegrator::currentFor, diodeBranch), both paths add each
+// entry's terms in the order of the one stamp body, and phase 2 visits
+// devices in the original order, so every shared CSR slot and residual row
+// accumulates the same additions in the same order.  A type-major single
+// pass would reorder those additions and drift in the last ulp.
 //
-// The lane tables replace a per-call slot program, so they are checked
-// once, at freeze: in both modes, each batched lane's stamp body must emit
-// exactly the (row, col) sequence the pattern recorded for its device, or
-// the constructor throws naming the device.  Generic devices keep a slot
-// per recorded call and a call-count check after every stamp.
+// The lane tables are checked once, at freeze: in both modes, each lane's
+// stamp body must emit exactly the (row, col) sequence the pattern
+// recorded for its device, or the constructor throws naming the device.
 //
 // The one exception is MOSFET bypass (DESIGN.md §6.5.1).  A MOSFET lane
 // whose three terminal voltages all stayed inside a narrow band of its
@@ -45,13 +45,8 @@
 // the cached gm, gds and c, off the exact stamp by a second-order
 // remainder.  The lanes outside the band are gathered into one list and
 // run through the kernels in one call each; they stay bit-identical.
-//
-// Devices with a time-dependent control or no batch kernel (TimedSwitch,
-// Diode, custom test devices) fall back to their virtual stamp() inside
-// the netlist-order loop, preserving order.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -66,29 +61,30 @@ namespace fefet::spice {
 class Netlist;
 class Resistor;
 class Capacitor;
+class TimedSwitch;
+class Diode;
 class VoltageSource;
 class CurrentSource;
 
 class DeviceBatches {
  public:
   /// Build the batches for a frozen netlist (auxiliary rows assigned) and,
-  /// when the netlist has unknowns, the lane tables and generic slot
-  /// program from its recorded `pattern`; throws NumericalError naming a
-  /// batched device whose stamp body disagrees with the recording.  The
-  /// netlist owns all three; device pointers stay valid for its lifetime.
+  /// when the netlist has unknowns, the lane tables from its recorded
+  /// `pattern`.  Throws InvalidArgumentError naming a device with no lane
+  /// kind, and NumericalError naming a device whose stamp body disagrees
+  /// with the recording.  The netlist owns all three; device pointers stay
+  /// valid for its lifetime.
   DeviceBatches(const Netlist& netlist, const StampPattern* pattern);
 
   DeviceBatches(const DeviceBatches&) = delete;
   DeviceBatches& operator=(const DeviceBatches&) = delete;
 
   /// One full batched assembly pass: eval every batch kernel at the
-  /// iterate, then stamp all devices in netlist order into `ctx.buffer`,
-  /// which must be set (the recording pass and the test oracle use the
-  /// scalar Device::stamp, not this).  Each generic device's Jacobian call
-  /// count is checked against the recording, naming the culprit on
-  /// mismatch.  Performs no heap allocation (scratch was sized at
-  /// construction).
-  void stampAll(const EvalContext& ctx);
+  /// iterate in `ctx`, then stamp all devices in netlist order into `out`
+  /// (ctx's stamper is not used: the recording pass and the test oracle
+  /// run the scalar Device::stamp, not this).  Performs no heap allocation
+  /// (scratch was sized at construction).
+  void stampAll(const EvalContext& ctx, const StampBuffer& out);
 
   /// MOSFET lanes, and how many of them the last stampAll bypassed.
   std::size_t mosfetLanes() const { return mosfets_.dev.size(); }
@@ -103,9 +99,9 @@ class DeviceBatches {
 
  private:
   enum class Kind : std::uint8_t {
-    kGeneric,
     kResistor,
     kCapacitor,
+    kDiode,
     kVoltageSource,
     kCurrentSource,
     kMosfet,
@@ -113,15 +109,27 @@ class DeviceBatches {
   };
   /// Per-device dispatch record, netlist order: which batch, which lane.
   struct Ref {
-    Kind kind = Kind::kGeneric;
-    std::uint32_t lane = 0;
+    Kind kind;
+    std::uint32_t lane;
+  };
+
+  /// A resistor lane whose conductance a timed switch's control sets, with
+  /// the time and control version it was evaluated at (NaN time before
+  /// the first evaluation).
+  struct SwitchLane {
+    std::uint32_t lane;
+    const TimedSwitch* dev;
+    double time;
+    std::uint64_t version;
   };
 
   struct ResistorBatch {
     std::vector<NodeId> a, b;
     std::vector<LaneSlots<2>> slots;
-    std::vector<double> g;  ///< 1/R, precomputed at freeze
+    /// 1/R, precomputed at freeze; a switch lane's 1/Ron or 1/Roff
+    std::vector<double> g;
     std::vector<double> i;  ///< scratch: branch current per lane
+    std::vector<SwitchLane> switches;
   };
 
   struct CapacitorBatch {
@@ -130,6 +138,13 @@ class DeviceBatches {
     std::vector<LaneSlots<2>> slots;
     std::vector<double> c;
     std::vector<double> i, g;  ///< scratch: companion current/conductance
+  };
+
+  struct DiodeBatch {
+    std::vector<NodeId> anode, cathode;
+    std::vector<LaneSlots<2>> slots;
+    std::vector<double> is, vt;
+    std::vector<double> i, g;  ///< scratch: diodeBranch per lane
   };
 
   /// shape(t) per source lane, with the time and shape version it was
@@ -193,6 +208,7 @@ class DeviceBatches {
   void evalResistors(const EvalContext& ctx);
   void evalCapacitors(const EvalContext& ctx,
                       const ChargeIntegrator::Companion& companion);
+  void evalDiodes(const EvalContext& ctx);
   template <class Source>
   static void evalShapes(const std::vector<const Source*>& dev,
                          ShapeCache& cache, double time);
@@ -206,30 +222,21 @@ class DeviceBatches {
   double extrapolatedChargeDensity(std::size_t lane, double vg,
                                    double vs) const;
 
-  /// Run batched device `ref`'s stamp body through `sinkOf(lane slots)`:
-  /// a SlotSink in assembly, a CallSink when the tables are checked.
+  /// Run device `ref`'s stamp body through `sinkOf(lane slots)`: a
+  /// SlotSink in assembly, a CallSink when the tables are checked.
   template <class SinkOf>
-  void stampBatched(Ref ref, const EvalContext& ctx,
-                    const SinkOf& sinkOf) const;
+  void stampLane(Ref ref, const EvalContext& ctx, const SinkOf& sinkOf) const;
 
-  /// The generic slot program from the recorded pattern, and the
-  /// freeze-time check of every batched lane's table against it.
-  void compile(const StampPattern& pattern);
+  /// The freeze-time check of every lane's table against the recorded
+  /// `pattern` of `netlist`.
+  void checkLaneTables(const Netlist& netlist, const StampPattern& pattern);
 
-  [[noreturn]] void throwCountMismatch(std::size_t deviceIndex,
-                                       std::size_t emitted,
-                                       std::size_t recorded) const;
-
-  std::vector<Device*> order_;  ///< netlist order (generic fallback + names)
-  std::vector<Ref> refs_;       ///< parallel to order_
-  /// Per mode, the padded CSR slot of every recorded Jacobian call of the
-  /// generic devices, and each generic device's cumulative end in it.
-  std::array<std::vector<std::uint32_t>, kStampModeCount> genericSlots_;
-  std::array<std::vector<std::size_t>, kStampModeCount> genericEnds_;
+  std::vector<Ref> refs_;  ///< netlist order
   std::size_t mosfetBypassed_ = 0;
 
   ResistorBatch resistors_;
   CapacitorBatch capacitors_;
+  DiodeBatch diodes_;
   VoltageSourceBatch vsources_;
   CurrentSourceBatch isources_;
   MosfetBatch mosfets_;

@@ -65,9 +65,11 @@ class Netlist::AuxAllocator final : public SetupContext {
 
 int Netlist::freeze() {
   if (!frozen_) {
+    // Marked frozen only once everything is built: a retry after a throw
+    // (a device without a lane kind) redoes the setup and throws again.
+    auxLabels_.clear();
     AuxAllocator allocator(nodeCount(), auxLabels_);
     for (const auto& device : devices_) device->setup(allocator);
-    frozen_ = true;
     if (unknownCount() > 0) {
       pattern_ = std::make_unique<StampPattern>(devices_, unknownCount(),
                                                 nodeCount());
@@ -82,6 +84,7 @@ int Netlist::freeze() {
       }
       partition_ = std::make_unique<BbdPartition>(*pattern_, std::move(seeds));
     }
+    frozen_ = true;
   }
   return unknownCount();
 }

@@ -73,9 +73,11 @@ class Netlist {
     return devices_;
   }
 
-  /// Freeze the netlist: run device setup, assign auxiliary rows and
-  /// record the compiled stamp pattern.  Idempotent.  Returns the total
-  /// unknown count.
+  /// Freeze the netlist: run device setup, assign auxiliary rows, record
+  /// the compiled stamp pattern and build the device batches.  Idempotent.
+  /// Returns the total unknown count.  Throws InvalidArgumentError naming
+  /// a device whose class has no lane kind (the device set is closed; see
+  /// device_batch.h).
   int freeze();
 
   bool frozen() const { return frozen_; }

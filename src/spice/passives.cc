@@ -75,7 +75,7 @@ TimedSwitch::TimedSwitch(std::string name, NodeId a, NodeId b,
 }
 
 void TimedSwitch::stamp(const EvalContext& ctx) {
-  const double g = (control_(ctx.time) > 0.5) ? 1.0 / ron_ : 1.0 / roff_;
+  const double g = conductanceAt(ctx.time);
   const double va = ctx.view.nodeVoltage(a_);
   const double vb = ctx.view.nodeVoltage(b_);
   const double i = g * (va - vb);
@@ -88,32 +88,17 @@ Diode::Diode(std::string name, NodeId anode, NodeId cathode, Params params)
   FEFET_REQUIRE(params_.saturationCurrent > 0.0,
                 "diode saturation current must be positive");
   FEFET_REQUIRE(params_.idealityFactor >= 1.0, "ideality factor >= 1");
-}
-
-double Diode::currentAt(double v) const {
-  const double vt = constants::kBoltzmann * params_.temperature /
-                    constants::kElementaryCharge * params_.idealityFactor;
-  // Exponential with linear continuation above vMax to keep Newton stable.
-  const double vMax = 40.0 * vt;
-  if (v <= vMax) {
-    return params_.saturationCurrent * (std::exp(v / vt) - 1.0);
-  }
-  const double iMax = params_.saturationCurrent * (std::exp(vMax / vt) - 1.0);
-  const double gMax = params_.saturationCurrent * std::exp(vMax / vt) / vt;
-  return iMax + gMax * (v - vMax);
+  FEFET_REQUIRE(std::isfinite(params_.temperature) &&
+                    params_.temperature > 0.0,
+                "diode temperature must be finite and positive");
+  vt_ = constants::kBoltzmann * params_.temperature /
+        constants::kElementaryCharge * params_.idealityFactor;
 }
 
 void Diode::stamp(const EvalContext& ctx) {
-  const double va = ctx.view.nodeVoltage(anode_);
-  const double vb = ctx.view.nodeVoltage(cathode_);
-  const double v = va - vb;
-  const double vt = constants::kBoltzmann * params_.temperature /
-                    constants::kElementaryCharge * params_.idealityFactor;
-  const double i = currentAt(v);
-  const double vMax = 40.0 * vt;
-  const double g = (v <= vMax)
-                       ? params_.saturationCurrent * std::exp(v / vt) / vt
-                       : params_.saturationCurrent * std::exp(vMax / vt) / vt;
+  const double v =
+      ctx.view.nodeVoltage(anode_) - ctx.view.nodeVoltage(cathode_);
+  const auto [i, g] = diodeBranch(v, params_.saturationCurrent, vt_);
   stampBranch(branchSink(ctx, anode_, cathode_), i, g);
 }
 

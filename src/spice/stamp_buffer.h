@@ -8,21 +8,12 @@
 // ground dropping is a plain store into a byte nobody reads instead of a
 // per-call branch.
 //
-// Two kinds of writer share that storage:
-//
-//  * a batched lane (device_batch.h) holds LaneSlots — the padded residual
-//    row of each terminal and the padded CSR slot of each terminal pair —
-//    and writes through a SlotSink: each entry and residual row it touches
-//    is loaded once, its contributions are added in a register in the
-//    order the kind's entry-major stamp body lists them, and it is stored
-//    once;
-//  * a generic device (diode, TimedSwitch, test devices) replays its
-//    recorded calls through the StampBuffer, which consumes one slot of the
-//    generic slot program per addJacobian.  A call beyond the device's
-//    recorded count lands in the trash slot, and DeviceBatches compares the
-//    consumed count after every generic device, so a device that violates
-//    the pattern contract is named in the error instead of silently
-//    corrupting the matrix.
+// Every device is a lane of one batch (device_batch.h).  A lane holds
+// LaneSlots — the padded residual row of each terminal and the padded CSR
+// slot of each terminal pair — and writes through a SlotSink: each entry
+// and residual row it touches is loaded once, its contributions are added
+// in a register in the order the kind's entry-major stamp body lists them,
+// and it is stored once.
 #pragma once
 
 #include <array>
@@ -41,44 +32,14 @@ struct StampEntry {
   bool operator==(const StampEntry&) const = default;
 };
 
-class Assembler;
-class DeviceBatches;
-
-/// Slot-write sink for a generic device's Device::stamp.  Configured by the
-/// Assembler (storage) and DeviceBatches (slot program); devices only ever
-/// see it through EvalContext.
-class StampBuffer {
- public:
-  void addResidual(int row, double value) {
-    // Padded store: ground (row -1) lands in the trash element at 0.
-    const std::size_t i = static_cast<std::size_t>(row + 1);
-    residual_[i] += value;
-    rowScale_[i] += std::abs(value);
-  }
-
-  void addJacobian(int /*row*/, int /*col*/, double value) {
-    values_[next_ < end_ ? slots_[next_] : 0] += value;
-    ++next_;
-  }
-
- private:
-  friend class Assembler;
-  friend class DeviceBatches;
-  template <int T>
-  friend class SlotSink;
-
-  // Padded storage views (index 0 = trash), owned by the Assembler.
-  double* values_ = nullptr;
-  double* residual_ = nullptr;
-  double* rowScale_ = nullptr;
-  // Generic slot program of the active mode: one index per recorded
-  // addJacobian of a generic device; next_ counts the calls consumed.
-  const std::uint32_t* slots_ = nullptr;
-  std::size_t next_ = 0;
-  std::size_t end_ = 0;
+/// The Assembler's padded storage (index 0 = trash) that SlotSinks write.
+struct StampBuffer {
+  double* values = nullptr;    ///< CSR values
+  double* residual = nullptr;
+  double* rowScale = nullptr;
 };
 
-/// Padded slots of one batched lane whose kind touches terminals 0..T-1:
+/// Padded slots of one lane whose kind touches terminals 0..T-1:
 /// the residual row of each terminal and the CSR value of each terminal
 /// pair (row-major).  0 — the trash element — for ground and for pairs the
 /// kind never touches.
@@ -97,9 +58,9 @@ template <int T>
 class SlotSink {
  public:
   SlotSink(const StampBuffer& buffer, const LaneSlots<T>& slots)
-      : values_(buffer.values_),
-        residual_(buffer.residual_),
-        rowScale_(buffer.rowScale_),
+      : values_(buffer.values),
+        residual_(buffer.residual),
+        rowScale_(buffer.rowScale),
         slots_(slots) {}
 
   class Row {

@@ -28,9 +28,9 @@ StampPattern::StampPattern(
     const StampMode mode = static_cast<StampMode>(m);
     const bool dc = mode == StampMode::kDc;
     RecordingStamper recorder(calls_[m]);
-    EvalContext ctx{view,          dc,      /*time=*/0.0,
-                    dc ? 0.0 : kRecordDt,   IntegrationMethod::kTrapezoidal,
-                    /*gmin=*/0.0,  nullptr, &recorder};
+    EvalContext ctx{view, dc, /*time=*/0.0, dc ? 0.0 : kRecordDt,
+                    IntegrationMethod::kTrapezoidal, /*gmin=*/0.0,
+                    &recorder};
     deviceEnds_[m].reserve(devices.size());
     for (const auto& device : devices) {
       device->stamp(ctx);

@@ -3,11 +3,10 @@
 // When a netlist freezes, a recording Stamper runs one stamp pass per
 // assembly mode and captures the exact (row, col) sequence every device
 // emits.  From the union of all modes a fixed CSR pattern is built once.
-// DeviceBatches (device_batch.h) then gives every batched lane the padded
+// DeviceBatches (device_batch.h) then gives every device's lane the padded
 // CSR slots of the entries its kind touches, checked once against the
-// lane's recorded calls, and every recorded call of a generic device a
-// slot of its own, so the per-iteration hot path is branch-free slot
-// arithmetic.
+// device's recorded calls, so the per-iteration hot path is branch-free
+// slot arithmetic.
 //
 // Devices may stamp different entry sets in DC vs transient (capacitors
 // are open in DC, the FeCap terminal current only exists in transient),
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "spice/device.h"
+#include "spice/stamp_buffer.h"
 
 namespace fefet::spice {
 

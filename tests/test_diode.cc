@@ -1,6 +1,8 @@
 // Tests of the junction diode.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "spice/netlist.h"
 #include "spice/passives.h"
 #include "spice/simulator.h"
@@ -62,6 +64,15 @@ TEST(Diode, RejectsBadParameters) {
   EXPECT_THROW(
       n.add<Diode>("D", n.node("a"), n.ground(), bad),
       InvalidArgumentError);
+  // v_T = k T / q n must be finite and positive, or every stamp is inf/NaN.
+  for (const double t : {0.0, -300.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    Diode::Params cold;
+    cold.temperature = t;
+    EXPECT_THROW(n.add<Diode>("D", n.node("a"), n.ground(), cold),
+                 InvalidArgumentError)
+        << "temperature " << t;
+  }
 }
 
 }  // namespace

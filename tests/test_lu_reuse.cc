@@ -613,8 +613,8 @@ enum class Drive {
 };
 
 /// A random MNA-like circuit on `nodes` nodes: a resistor chain plus
-/// random resistors, capacitors to ground, a diode and a MOSFET (the
-/// generic and batched nonlinear paths), driven as `drive` says.
+/// random resistors, capacitors to ground, a diode and a MOSFET (the two
+/// nonlinear lane kinds), driven as `drive` says.
 void buildRandomCircuit(spice::Netlist& n, stats::Rng& rng, int nodes,
                         Drive drive) {
   using namespace spice;

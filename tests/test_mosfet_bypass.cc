@@ -78,7 +78,7 @@ void assembleOracle(const Netlist& n, MnaSystem& oracle,
   const SystemView view(x, n.nodeCount());
   oracle.clear();
   EvalContext ctx{view, mode.dc, kTime, mode.dc ? 0.0 : kDt,
-                  mode.method, kGmin, nullptr, &oracle};
+                  mode.method, kGmin, &oracle};
   for (const auto& device : n.devices()) device->stamp(ctx);
   oracle.addGmin(kGmin, view, n.nodeCount());
 }

@@ -162,9 +162,10 @@ TEST(Transient, StatePersistsAcrossRuns) {
   EXPECT_NEAR(r2.waveform.finalValue("v(out)"), 0.0, 0.01);
 }
 
-// Sources evaluate their waveform once per time point, not once per
-// Newton iteration.  Two one-step runs land on the same t; a setShape
-// between them must still reach the second run's solve.
+// Sources evaluate their waveform, and switches their control, once per
+// time point, not once per Newton iteration.  Two one-step runs land on
+// the same t; a setShape or setControl between them must still reach the
+// second run's solve.
 TEST(Transient, SetShapeReachesARunStartingOnTheLastEvaluatedTime) {
   Netlist n;
   auto* v = n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
@@ -172,15 +173,21 @@ TEST(Transient, SetShapeReachesARunStartingOnTheLastEvaluatedTime) {
   n.add<Capacitor>("C1", n.node("out"), n.ground(), 1e-15);
   auto* i = n.add<CurrentSource>("I1", n.ground(), n.node("load"), dc(1e-6));
   n.add<Resistor>("RL", n.node("load"), n.ground(), 1e3);
+  // A closed switch into a divider; setControl opens it for the second run.
+  auto* s = n.add<TimedSwitch>("S1", n.node("in"), n.node("sw"),
+                               [](double) { return 1.0; });
+  n.add<Resistor>("RS", n.node("sw"), n.ground(), 900.0);
   Simulator sim(n);
   sim.initializeUic();
   TransientOptions options;
   options.duration = 1e-12;  // the first step, and the only one
   options.dtMax = 1e-12;
-  const std::vector<Probe> probes{Probe::v("in"), Probe::v("load")};
+  const std::vector<Probe> probes{Probe::v("in"), Probe::v("load"),
+                                  Probe::v("sw")};
   const auto r1 = sim.runTransient(options, probes);
   v->setShape(dc(2.0));
   i->setShape(dc(3e-6));
+  s->setControl([](double) { return 0.0; });
   const auto r2 = sim.runTransient(options, probes);
   ASSERT_EQ(r1.waveform.sampleCount(), 2u);
   ASSERT_EQ(r2.waveform.sampleCount(), 2u);
@@ -189,6 +196,9 @@ TEST(Transient, SetShapeReachesARunStartingOnTheLastEvaluatedTime) {
   EXPECT_NEAR(r2.waveform.column("v(in)")[1], 2.0, 1e-12);
   EXPECT_NEAR(r1.waveform.column("v(load)")[1], 1e-3, 1e-9);
   EXPECT_NEAR(r2.waveform.column("v(load)")[1], 3e-3, 1e-9);
+  // Ron = 100 ohm against 900 ohm; open, Roff = 1e12 ohm.
+  EXPECT_NEAR(r1.waveform.column("v(sw)")[1], 0.9, 1e-9);
+  EXPECT_NEAR(r2.waveform.column("v(sw)")[1], 0.0, 1e-8);
 }
 
 TEST(Netlist, NodeAndDeviceManagement) {

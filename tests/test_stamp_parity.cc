@@ -108,23 +108,25 @@ struct Mode {
   IntegrationMethod method;
 };
 
+// The zoo's switch S1 is closed before 0.5 ns and open after it: the
+// "open" mode compares its 1/Roff branch.
 const Mode kModes[] = {
     {"dc", true, 0.0, 0.0, IntegrationMethod::kBackwardEuler},
     {"be", false, 0.3e-9, 1e-12, IntegrationMethod::kBackwardEuler},
     {"trap", false, 0.3e-9, 1e-12, IntegrationMethod::kTrapezoidal},
+    {"open", false, 0.7e-9, 1e-12, IntegrationMethod::kTrapezoidal},
 };
 
 // Assemble the Assembler and the oracle at the same iterate and require
 // exact equality of residual, row scale and every Jacobian entry.  The
 // compiled CSR pattern is a superset of the oracle's (the oracle drops
 // exact-zero contributions), so compiled-only entries must carry 0.0 and
-// oracle entries must all exist in the pattern.  The zoo includes the
-// batched types (R, C, V, I, MOSFET, FeCap) and the generic-fallback
-// types (switch, diode), so both dispatch paths of
-// DeviceBatches::stampAll and their interleaving run.  With
-// `zooCopies` > 1 every SoA batch holds several devices whose netlist
-// positions interleave with the other batches and the fallback devices,
-// so the type-major kernels must scatter each one back to its own slots.
+// oracle entries must all exist in the pattern.  The zoo holds every
+// device class, so every lane kind of DeviceBatches::stampAll runs, the
+// switch as a resistor lane.  With `zooCopies` > 1 every SoA batch holds
+// several devices whose netlist positions interleave with the other
+// batches, so the type-major kernels must scatter each one back to its
+// own slots.
 void expectParityAtIterates(bool sparse, int zooCopies = 1) {
   Netlist n;
   for (int copy = 0; copy < zooCopies; ++copy) {
@@ -157,7 +159,7 @@ void expectParityAtIterates(bool sparse, int zooCopies = 1) {
 
       oracle.clear();
       EvalContext ctx{view,        mode.dc, mode.time, mode.dt,
-                      mode.method, gmin,    nullptr,   &oracle};
+                      mode.method, gmin,    &oracle};
       for (const auto& device : n.devices()) device->stamp(ctx);
       oracle.addGmin(gmin, view, nodes);
 
@@ -255,12 +257,10 @@ TEST(StampPattern, TransientCallSequenceIsIndependentOfIntegrationMethod) {
       std::vector<StampEntry> trapCalls;
       RecordingStamper be(beCalls);
       RecordingStamper trap(trapCalls);
-      const EvalContext beCtx{view,    false, 0.3e-9, 1e-12,
-                              IntegrationMethod::kBackwardEuler,
-                              0.0,     nullptr, &be};
-      const EvalContext trapCtx{view,    false, 0.3e-9, 1e-12,
-                                IntegrationMethod::kTrapezoidal,
-                                0.0,     nullptr, &trap};
+      const EvalContext beCtx{view, false, 0.3e-9, 1e-12,
+                              IntegrationMethod::kBackwardEuler, 0.0, &be};
+      const EvalContext trapCtx{view, false, 0.3e-9, 1e-12,
+                                IntegrationMethod::kTrapezoidal, 0.0, &trap};
       device.stamp(beCtx);
       device.stamp(trapCtx);
       EXPECT_EQ(beCalls, trapCalls);
@@ -479,47 +479,35 @@ TEST(StampParity, GminContinuationIsBitIdenticalAcrossEngines) {
   EXPECT_EQ(sim.nodeVoltage("m3"), 0x1.7ffff3ba4d794p-1);
 }
 
-// A device whose call sequence deviates from the recorded pattern must be
-// caught by the per-device integrity check, not silently corrupt slots.
-class ErraticDevice final : public Device {
+// The device set is closed: a Device subclass without a lane kind cannot
+// freeze, and the error names it.
+class CustomDevice final : public Device {
  public:
-  ErraticDevice(std::string name, NodeId a, bool* erratic)
-      : Device(std::move(name)), a_(a), erratic_(erratic) {}
+  CustomDevice(std::string name, NodeId a) : Device(std::move(name)), a_(a) {}
 
   void stamp(const EvalContext& ctx) override {
-    const int row = a_ - 1;
+    const int row = Stamper::rowOfNode(a_);
     ctx.addResidual(row, 1e-9);
     ctx.addJacobian(row, row, 1e-9);
-    if (*erratic_) ctx.addJacobian(row, row, 1e-9);  // extra call
   }
 
  private:
   NodeId a_;
-  bool* erratic_;
 };
 
-TEST(StampParity, CallSequenceDeviationIsDiagnosedByName) {
+TEST(StampParity, FreezeRejectsADeviceWithoutALaneKindByName) {
   Netlist n;
-  bool erratic = false;
-  // A generic device's extra call lands in the trash slot, and the count
-  // check after its stamp names it.
-  n.add<ErraticDevice>("X1", n.node("a"), &erratic);
   n.add<Resistor>("R1", n.node("a"), n.ground(), 1e3);
-  n.freeze();
-  Assembler compiled(n.stampPattern());
-  std::vector<double> x(static_cast<std::size_t>(n.unknownCount()), 0.0);
-  const SystemView view(x, n.nodeCount());
-  compiled.assemble(n, view, true, 0.0, 0.0,
-                    IntegrationMethod::kBackwardEuler, 0.0);  // in-pattern
-
-  erratic = true;  // now emits one extra addJacobian vs the recording
-  try {
-    compiled.assemble(n, view, true, 0.0, 0.0,
-                      IntegrationMethod::kBackwardEuler, 0.0);
-    FAIL() << "deviating call sequence was not diagnosed";
-  } catch (const NumericalError& e) {
-    EXPECT_NE(std::string(e.what()).find("X1"), std::string::npos)
-        << "diagnostic must name the culprit device: " << e.what();
+  n.add<CustomDevice>("X1", n.node("a"));
+  for (int attempt = 0; attempt < 2; ++attempt) {  // a retry fails the same
+    try {
+      n.freeze();
+      FAIL() << "a device without a lane kind froze";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("'X1'"), std::string::npos)
+          << "diagnostic must name the device: " << e.what();
+    }
+    EXPECT_FALSE(n.frozen());
   }
 }
 
