@@ -694,10 +694,4 @@ double normInf(std::span<const double> v) {
   return m;
 }
 
-double norm2(std::span<const double> v) {
-  double acc = 0.0;
-  for (double e : v) acc += e * e;
-  return std::sqrt(acc);
-}
-
 }  // namespace fefet::linalg

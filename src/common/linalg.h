@@ -312,7 +312,4 @@ std::vector<std::size_t> minimumDegreeOrder(const CsrView& pattern);
 /// Infinity norm of a vector.
 double normInf(std::span<const double> v);
 
-/// Euclidean norm of a vector.
-double norm2(std::span<const double> v);
-
 }  // namespace fefet::linalg

@@ -27,11 +27,6 @@ double minOf(std::span<const double> v) {
   return *std::min_element(v.begin(), v.end());
 }
 
-double maxOf(std::span<const double> v) {
-  FEFET_REQUIRE(!v.empty(), "maxOf: empty input");
-  return *std::max_element(v.begin(), v.end());
-}
-
 double percentile(std::span<const double> v, double p) {
   FEFET_REQUIRE(!v.empty(), "percentile: empty input");
   FEFET_REQUIRE(p >= 0.0 && p <= 100.0, "percentile: p outside [0,100]");
@@ -42,16 +37,6 @@ double percentile(std::span<const double> v, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double t = idx - static_cast<double>(lo);
   return sorted[lo] * (1.0 - t) + sorted[hi] * t;
-}
-
-double geomean(std::span<const double> v) {
-  FEFET_REQUIRE(!v.empty(), "geomean: empty input");
-  double acc = 0.0;
-  for (double e : v) {
-    FEFET_REQUIRE(e > 0.0, "geomean: non-positive entry");
-    acc += std::log(e);
-  }
-  return std::exp(acc / static_cast<double>(v.size()));
 }
 
 void Accumulator::add(double x) {

@@ -12,13 +12,9 @@ namespace fefet::stats {
 double mean(std::span<const double> v);
 double stddev(std::span<const double> v);  ///< sample (n-1) std deviation
 double minOf(std::span<const double> v);
-double maxOf(std::span<const double> v);
 
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::span<const double> v, double p);
-
-/// Geometric mean (all entries must be positive).
-double geomean(std::span<const double> v);
 
 /// Streaming moment accumulator (Welford) with exact min/max, designed for
 /// per-thread partials: each sweep worker feeds its own Accumulator and the

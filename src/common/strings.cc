@@ -83,11 +83,6 @@ std::string jsonNumber(double value) {
   return buf;
 }
 
-std::string padLeft(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
 std::string padRight(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s;
   return s + std::string(width - s.size(), ' ');

@@ -22,8 +22,7 @@ std::string generalFormat(double value, int digits = 6);
 std::string join(const std::vector<std::string>& parts,
                  const std::string& separator);
 
-/// Left/right pad to a width with spaces.
-std::string padLeft(const std::string& s, std::size_t width);
+/// Right pad to a width with spaces.
 std::string padRight(const std::string& s, std::size_t width);
 
 /// Escape a string for embedding inside JSON double quotes: quotes,

@@ -128,23 +128,22 @@ void Assembler::flushTelemetry() {
 void Assembler::assemble(const Netlist& netlist, const SystemView& view,
                          bool dc, double time, double dt,
                          IntegrationMethod method, double gmin) {
-  const auto& devices = netlist.devices();
-  FEFET_REQUIRE(devices.size() == pattern_.deviceCount(),
-                "compiled stamp pipeline: netlist device list changed after "
-                "the pattern was recorded");
+  FEFET_REQUIRE(&netlist.stampPattern() == &pattern_,
+                "compiled stamp pipeline: assembling a netlist other than "
+                "the one whose pattern this assembler was built with");
   const int m = static_cast<int>(stampModeFor(dc));
 
   std::fill(values_.begin(), values_.end(), 0.0);
   std::fill(residual_.begin(), residual_.end(), 0.0);
   std::fill(rowScale_.begin(), rowScale_.end(), 0.0);
 
-  const EvalContext ctx{view, dc, time, dt, method, gmin, nullptr};
+  const EvalContext ctx{view, dc, time, dt, method, nullptr};
   DeviceBatches& batches = netlist.deviceBatches();
   batches.stampAll(ctx, {values_.data(), residual_.data(), rowScale_.data()});
 
   if (obs::Metrics::enabled()) {
     ++tally_.assemblies;
-    tally_.stamps += devices.size();
+    tally_.stamps += netlist.devices().size();
     if (modeUsed_[static_cast<std::size_t>(m)]) ++tally_.patternReuseHits;
     tally_.mosfetLanes += batches.mosfetLanes();
     tally_.mosfetBypassed += batches.mosfetBypassed();

@@ -4,9 +4,10 @@
 // values, residual and row scale, each with the trash element at index 0
 // that ground entries land in (stamp_buffer.h):
 //
-//   pattern (symbolic, built once at freeze; stamp_pattern.h)
-//     -> lane tables (device_batch.h): the padded CSR slots of every
-//        device's entries, each device a lane of its kind's batch;
+//   lanes (device_batch.h), each device a lane of its kind's batch
+//     -> pattern (symbolic, built once at freeze from the entries the
+//        lanes' stamp bodies touch; stamp_pattern.h)
+//     -> lane tables: the padded CSR slots of every lane's entries;
 //     -> per iteration: zero the storage, evaluate every device through
 //        the SoA batches and stamp them in netlist order (each lane loads,
 //        sums and stores every entry it touches once), apply gmin;
@@ -35,7 +36,8 @@ namespace fefet::spice {
 
 class Assembler {
  public:
-  /// `pattern` must outlive the assembler (the netlist owns it).
+  /// `pattern` must outlive the assembler (the netlist owns it), and
+  /// assemble() takes only the netlist whose stampPattern() it is.
   explicit Assembler(const StampPattern& pattern);
   /// Lands the telemetry tallies not yet flushed.
   ~Assembler();

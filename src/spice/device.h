@@ -74,22 +74,18 @@ class Stamper {
   static int rowOfNode(NodeId node) { return node - 1; }
 };
 
-/// Per-evaluation context handed to Device::stamp().  One signature serves
-/// the DC, transient and gmin-escalation paths (gmin rides along so the
-/// whole evaluation state lives in one place).  Its one sink is the virtual
-/// Stamper: the pass that records the StampPattern, the freeze-time check
-/// of the lane tables and the test-side reference oracle.  Assembly never
-/// calls Device::stamp; it runs the same stamp bodies through the lane
-/// tables (device_batch.h), and the stamper of its context is null.
+/// Per-evaluation context: the iterate, the mode and the step.  One
+/// signature serves the DC and transient paths.  The Assembler hands it to
+/// DeviceBatches::stampAll, which runs every stamp body through the lane
+/// tables (device_batch.h) and leaves the stamper null.  Its one sink, the
+/// virtual Stamper, is only for scalar Device::stamp, the input of the
+/// test-side reference oracle (tests/mna_oracle.h).
 struct EvalContext {
   const SystemView& view;
   bool dc = false;                ///< DC operating point: d/dt == 0
   double time = 0.0;              ///< evaluation time (end of step) [s]
   double dt = 0.0;                ///< step size (0 in DC) [s]
   IntegrationMethod method = IntegrationMethod::kBackwardEuler;
-  /// Node-to-ground regularization applied by the assembly engine after
-  /// the device loop (informational for devices; escalation raises it).
-  double gmin = 0.0;
   Stamper* stamper = nullptr;
 
   void addResidual(int row, double value) const {
@@ -105,7 +101,8 @@ struct EvalContext {
 /// EvalContext call on terminal t's row (-1 = ground).  Device::stamp
 /// runs a kind's body through it; DeviceBatches runs the same body through
 /// a SlotSink (stamp_buffer.h), so the two paths add the same terms to each
-/// entry in the same order.
+/// entry in the same order, and through a PatternSink once per mode at
+/// freeze to build the StampPattern.
 template <int T>
 class CallSink {
  public:
@@ -256,7 +253,7 @@ class Device {
   virtual void seedUnknowns(std::vector<double>&) const {}
 
   /// Add residual/Jacobian contributions for the current iterate through
-  /// ctx's Stamper (recording and oracle only; see EvalContext).
+  /// ctx's Stamper (the test oracle's input only; see EvalContext).
   virtual void stamp(const EvalContext& ctx) = 0;
 
   /// Initialize dynamic history from a consistent solution (t = tstart).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "ferro/lk_model.h"
@@ -32,64 +32,93 @@ inline bool inBypassBand(double v, double cached) {
          kBypassAbsTol + kBypassRelTol * std::abs(cached);
 }
 
-/// Padded CSR slot of (row, col): 0, the trash element, for ground.
-std::uint32_t paddedSlot(const StampPattern& pattern, int row, int col) {
-  const std::size_t idx = pattern.csrIndex(row, col);
-  return idx == StampPattern::npos ? 0 : static_cast<std::uint32_t>(idx + 1);
-}
-
-/// Padded slots of a lane on terminal rows `rows` (-1 = ground); without a
-/// pattern (a netlist with no unknowns, which no Assembler solves) only
-/// the rows.
+/// A lane table on terminal rows `rows` (-1 = ground), its CSR slots
+/// still unset (buildPattern fills them).
 template <int T>
-LaneSlots<T> laneSlots(const StampPattern* pattern,
-                       const std::array<int, T>& rows) {
+LaneSlots<T> laneSlots(const std::array<int, T>& rows) {
   LaneSlots<T> slots;
   for (std::size_t t = 0; t < rows.size(); ++t) {
     slots.row[t] = static_cast<std::uint32_t>(rows[t] + 1);
   }
-  if (pattern == nullptr) return slots;
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    for (std::size_t u = 0; u < rows.size(); ++u) {
-      slots.entry[t * rows.size() + u] =
-          paddedSlot(*pattern, rows[t], rows[u]);
-    }
-  }
   return slots;
 }
 
-/// Scalar sink on a lane table's terminal rows (padded row - 1, so ground
-/// is -1 again).
+/// Terminal row t of a lane table (padded row - 1, so ground is -1 again).
 template <int T>
-CallSink<T> callSinkOn(const EvalContext& ctx, const LaneSlots<T>& slots) {
-  std::array<int, T> rows{};
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    rows[t] = static_cast<int>(slots.row[t]) - 1;
+int rowOf(const LaneSlots<T>& slots, std::size_t t) {
+  return static_cast<int>(slots.row[t]) - 1;
+}
+
+/// Pattern-building sink of an entry-major stamp body: every Jacobian
+/// term marks its terminal pair's (row, col) in `rowCols` unless either is
+/// ground; values and residuals go nowhere.
+template <int T>
+class PatternSink {
+ public:
+  PatternSink(std::vector<std::vector<std::size_t>>& rowCols,
+              const LaneSlots<T>& slots)
+      : rowCols_(rowCols), slots_(slots) {}
+
+  struct Row {
+    void operator+=(double) const {}
+  };
+  struct Entry {
+    std::vector<std::size_t>* cols;  ///< nullptr on ground
+    std::size_t col;
+    void operator+=(double) const {
+      if (cols != nullptr) cols->push_back(col);
+    }
+  };
+
+  Row residual(int) const { return {}; }
+  Entry jacobian(int t, int u) const {
+    const int row = rowOf(slots_, static_cast<std::size_t>(t));
+    const int col = rowOf(slots_, static_cast<std::size_t>(u));
+    if (row < 0 || col < 0) return {nullptr, 0};
+    return {&rowCols_[static_cast<std::size_t>(row)],
+            static_cast<std::size_t>(col)};
   }
-  return CallSink<T>(ctx, rows);
+
+ private:
+  std::vector<std::vector<std::size_t>>& rowCols_;
+  const LaneSlots<T>& slots_;
+};
+
+/// Fill the CSR slots of lane tables from `pattern`: the padded slot of
+/// each terminal pair, 0 — the trash element — for ground and for pairs
+/// outside the pattern (which the lane's body never touches).
+template <int T>
+void fillSlots(const StampPattern& pattern, std::vector<LaneSlots<T>>& lanes) {
+  constexpr std::size_t n = T;
+  for (LaneSlots<T>& slots : lanes) {
+    for (std::size_t t = 0; t < n; ++t) {
+      for (std::size_t u = 0; u < n; ++u) {
+        const std::size_t idx =
+            pattern.csrIndex(rowOf(slots, t), rowOf(slots, u));
+        slots.entry[t * n + u] =
+            idx == StampPattern::npos ? 0
+                                      : static_cast<std::uint32_t>(idx + 1);
+      }
+    }
+  }
 }
 
 }  // namespace
 
-DeviceBatches::DeviceBatches(const Netlist& netlist,
-                             const StampPattern* pattern) {
+DeviceBatches::DeviceBatches(const Netlist& netlist) {
   const auto& devices = netlist.devices();
   refs_.reserve(devices.size());
 
   const auto lane = [](std::size_t size) {
     return static_cast<std::uint32_t>(size);
   };
-  FEFET_REQUIRE(pattern == nullptr ||
-                    pattern->nonZeros() <
-                        std::numeric_limits<std::uint32_t>::max(),
-                "DeviceBatches: too many entries for 32-bit slots");
   const auto row = Stamper::rowOfNode;
   const double never = std::numeric_limits<double>::quiet_NaN();
   const auto addResistorLane = [&](NodeId a, NodeId b, double g) {
     const Ref ref{Kind::kResistor, lane(resistors_.a.size())};
     resistors_.a.push_back(a);
     resistors_.b.push_back(b);
-    resistors_.slots.push_back(laneSlots<2>(pattern, {row(a), row(b)}));
+    resistors_.slots.push_back(laneSlots<2>({row(a), row(b)}));
     resistors_.g.push_back(g);
     return ref;
   };
@@ -106,7 +135,7 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
       diodes_.anode.push_back(d->anode_);
       diodes_.cathode.push_back(d->cathode_);
       diodes_.slots.push_back(
-          laneSlots<2>(pattern, {row(d->anode_), row(d->cathode_)}));
+          laneSlots<2>({row(d->anode_), row(d->cathode_)}));
       diodes_.is.push_back(d->params_.saturationCurrent);
       diodes_.vt.push_back(d->vt_);
     } else if (auto* c = dynamic_cast<Capacitor*>(device)) {
@@ -115,7 +144,7 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
       capacitors_.a.push_back(c->a_);
       capacitors_.b.push_back(c->b_);
       capacitors_.slots.push_back(
-          laneSlots<2>(pattern, {row(c->a_), row(c->b_)}));
+          laneSlots<2>({row(c->a_), row(c->b_)}));
       capacitors_.c.push_back(c->capacitance_);
     } else if (auto* v = dynamic_cast<VoltageSource*>(device)) {
       ref = {Kind::kVoltageSource, lane(vsources_.plus.size())};
@@ -124,14 +153,14 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
       vsources_.minus.push_back(v->minus_);
       vsources_.auxRow.push_back(v->auxRow_);
       vsources_.slots.push_back(laneSlots<3>(
-          pattern, {row(v->plus_), row(v->minus_), v->auxRow_}));
+          {row(v->plus_), row(v->minus_), v->auxRow_}));
     } else if (auto* i = dynamic_cast<CurrentSource*>(device)) {
       ref = {Kind::kCurrentSource, lane(isources_.from.size())};
       isources_.dev.push_back(i);
       isources_.from.push_back(i->from_);
       isources_.to.push_back(i->to_);
       isources_.slots.push_back(
-          laneSlots<2>(pattern, {row(i->from_), row(i->to_)}));
+          laneSlots<2>({row(i->from_), row(i->to_)}));
     } else if (auto* m = dynamic_cast<MosfetDevice*>(device)) {
       ref = {Kind::kMosfet, lane(mosfets_.dev.size())};
       m->batches_ = this;
@@ -141,7 +170,7 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
       mosfets_.gate.push_back(m->gate_);
       mosfets_.source.push_back(m->source_);
       mosfets_.slots.push_back(laneSlots<3>(
-          pattern, {row(m->drain_), row(m->gate_), row(m->source_)}));
+          {row(m->drain_), row(m->gate_), row(m->source_)}));
       mosfets_.model.push_back(&m->model_);
       mosfets_.gateLeak.push_back(m->gateLeak_);
       mosfets_.overlapCap.push_back(m->overlapCap_);
@@ -154,7 +183,7 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
       fecaps_.b.push_back(f->b_);
       fecaps_.auxRow.push_back(f->auxRow_);
       fecaps_.slots.push_back(
-          laneSlots<3>(pattern, {row(f->a_), row(f->b_), f->auxRow_}));
+          laneSlots<3>({row(f->a_), row(f->b_), f->auxRow_}));
       fecaps_.tFe.push_back(f->geom_.thickness);
       fecaps_.area.push_back(f->geom_.area);
       fecaps_.rho.push_back(f->lk_.coefficients().rho);
@@ -214,7 +243,36 @@ DeviceBatches::DeviceBatches(const Netlist& netlist,
     fecaps_.terms[k].background = fecaps_.backgroundCap[k] > 0.0;
   }
 
-  if (pattern != nullptr) checkLaneTables(netlist, *pattern);
+  if (netlist.unknownCount() > 0) buildPattern(netlist);
+}
+
+void DeviceBatches::buildPattern(const Netlist& netlist) {
+  // The union over both modes of every lane's touched pairs.  Bodies
+  // branch only on the mode and on construction-time flags, so the
+  // all-zero iterate and zero scratch mark what every assembly writes.
+  std::vector<std::vector<std::size_t>> rowCols(
+      static_cast<std::size_t>(netlist.unknownCount()));
+  const std::vector<double> x(rowCols.size(), 0.0);
+  const SystemView view(x, netlist.nodeCount());
+  const auto patternSink = [&rowCols](const auto& slots) {
+    return PatternSink(rowCols, slots);
+  };
+  for (const bool dc : {true, false}) {
+    const EvalContext ctx{view, dc};
+    for (const Ref ref : refs_) stampLane(ref, ctx, patternSink);
+  }
+  pattern_.emplace(std::move(rowCols), netlist.nodeCount());
+  FEFET_REQUIRE(pattern_->nonZeros() <
+                    std::numeric_limits<std::uint32_t>::max(),
+                "DeviceBatches: too many entries for 32-bit slots");
+
+  fillSlots(*pattern_, resistors_.slots);
+  fillSlots(*pattern_, capacitors_.slots);
+  fillSlots(*pattern_, diodes_.slots);
+  fillSlots(*pattern_, vsources_.slots);
+  fillSlots(*pattern_, isources_.slots);
+  fillSlots(*pattern_, mosfets_.slots);
+  fillSlots(*pattern_, fecaps_.slots);
 }
 
 void DeviceBatches::stampAll(const EvalContext& ctx, const StampBuffer& out) {
@@ -235,47 +293,6 @@ void DeviceBatches::stampAll(const EvalContext& ctx, const StampBuffer& out) {
     return SlotSink(out, slots);
   };
   for (const Ref ref : refs_) stampLane(ref, ctx, slotSink);
-}
-
-void DeviceBatches::checkLaneTables(const Netlist& netlist,
-                                    const StampPattern& pattern) {
-  const auto& devices = netlist.devices();
-  FEFET_REQUIRE(pattern.deviceCount() == devices.size(),
-                "DeviceBatches: pattern recorded another device list");
-  // Per mode, every lane's body, run through a recording CallSink on its
-  // table's rows, must reproduce its device's recording.
-  std::vector<double> x(static_cast<std::size_t>(pattern.unknowns()), 0.0);
-  const SystemView view(x, pattern.nodeCount());
-  std::vector<StampEntry> calls;
-  RecordingStamper recorder(calls);
-  for (int m = 0; m < kStampModeCount; ++m) {
-    const auto mode = static_cast<StampMode>(m);
-    const bool dc = mode == StampMode::kDc;
-    const std::vector<StampEntry>& recorded = pattern.jacobianCalls(mode);
-    const std::vector<std::size_t>& ends = pattern.deviceJacobianEnds(mode);
-    const EvalContext ctx{view, dc, /*time=*/0.0, dc ? 0.0 : 1e-12,
-                          IntegrationMethod::kTrapezoidal, /*gmin=*/0.0,
-                          &recorder};
-    const auto callSink = [&ctx](const auto& slots) {
-      return callSinkOn(ctx, slots);
-    };
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-      const auto first = recorded.begin() + static_cast<std::ptrdiff_t>(
-                                                i > 0 ? ends[i - 1] : 0);
-      const auto last = recorded.begin() + static_cast<std::ptrdiff_t>(ends[i]);
-      calls.clear();
-      stampLane(refs_[i], ctx, callSink);
-      if (!std::equal(calls.begin(), calls.end(), first, last)) {
-        std::ostringstream os;
-        os << "compiled stamp pipeline: the " << (dc ? "DC" : "transient")
-           << " lane table of device '" << devices[i]->name()
-           << "' assumes " << calls.size()
-           << " Jacobian entries that differ from the " << last - first
-           << " its stamp recorded";
-        throw NumericalError(os.str());
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

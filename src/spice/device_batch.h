@@ -4,8 +4,13 @@
 // Netlist::freeze() groups the devices by kind (resistors and timed
 // switches, capacitors, diodes, sources, MOSFETs, FE capacitors) into SoA
 // parameter/state arrays.  Every device class has a lane kind, and freeze
-// throws, naming the device, for a class without one.  Each assembly then
-// runs in two phases:
+// throws, naming the device, for a class without one.  Each lane keeps its
+// terminal rows, and the lanes define the Jacobian's pattern: each lane's
+// stamp body runs once per StampMode through a sink that only marks the
+// terminal pairs it touches, the union of those pairs (ground dropped) plus
+// the node diagonals is the StampPattern (stamp_pattern.h), and then every
+// lane's LaneSlots table is filled from it.  Each assembly then runs in two
+// phases:
 //
 //  1. eval — type-major batch kernels sweep the SoA arrays and write every
 //     lane's currents/conductances into preallocated scratch.  The model
@@ -25,18 +30,14 @@
 //     a register and stored once.
 //
 // This is the one assembly path.  The phase split keeps it bit-identical
-// to scalar Device::stamp() (the pattern recorder and the test oracle's
-// input): every lane's arithmetic is the same expression sequence the
-// scalar Device::stamp evaluates (phase 1 calls the same inline helpers,
-// e.g. ChargeIntegrator::currentFor, diodeBranch), both paths add each
-// entry's terms in the order of the one stamp body, and phase 2 visits
-// devices in the original order, so every shared CSR slot and residual row
+// to scalar Device::stamp() (the test oracle's input, tests/mna_oracle.h):
+// every lane's arithmetic is the same expression sequence the scalar
+// Device::stamp evaluates (phase 1 calls the same inline helpers, e.g.
+// ChargeIntegrator::currentFor, diodeBranch), both paths add each entry's
+// terms in the order of the one stamp body, and phase 2 visits devices in
+// the original order, so every shared CSR slot and residual row
 // accumulates the same additions in the same order.  A type-major single
 // pass would reorder those additions and drift in the last ulp.
-//
-// The lane tables are checked once, at freeze: in both modes, each lane's
-// stamp body must emit exactly the (row, col) sequence the pattern
-// recorded for its device, or the constructor throws naming the device.
 //
 // The one exception is MOSFET bypass (DESIGN.md §6.5.1).  A MOSFET lane
 // whose three terminal voltages all stayed inside a narrow band of its
@@ -48,11 +49,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "spice/device.h"
 #include "spice/fecap_device.h"
 #include "spice/mosfet_device.h"
+#include "spice/stamp_buffer.h"
 #include "spice/stamp_pattern.h"
 #include "xtor/mosfet_model.h"
 
@@ -69,21 +72,26 @@ class CurrentSource;
 class DeviceBatches {
  public:
   /// Build the batches for a frozen netlist (auxiliary rows assigned) and,
-  /// when the netlist has unknowns, the lane tables from its recorded
-  /// `pattern`.  Throws InvalidArgumentError naming a device with no lane
-  /// kind, and NumericalError naming a device whose stamp body disagrees
-  /// with the recording.  The netlist owns all three; device pointers stay
-  /// valid for its lifetime.
-  DeviceBatches(const Netlist& netlist, const StampPattern* pattern);
+  /// when the netlist has unknowns, its pattern and the lane tables.
+  /// Throws InvalidArgumentError naming a device with no lane kind.  The
+  /// netlist owns the batches; device pointers stay valid for its
+  /// lifetime.
+  explicit DeviceBatches(const Netlist& netlist);
 
   DeviceBatches(const DeviceBatches&) = delete;
   DeviceBatches& operator=(const DeviceBatches&) = delete;
 
+  /// The pattern the lanes stamp into; nullptr for a netlist with no
+  /// unknowns (which no Assembler solves).
+  const StampPattern* pattern() const {
+    return pattern_ ? &*pattern_ : nullptr;
+  }
+
   /// One full batched assembly pass: eval every batch kernel at the
   /// iterate in `ctx`, then stamp all devices in netlist order into `out`
-  /// (ctx's stamper is not used: the recording pass and the test oracle
-  /// run the scalar Device::stamp, not this).  Performs no heap allocation
-  /// (scratch was sized at construction).
+  /// (ctx's stamper is not used: only the test oracle runs the scalar
+  /// Device::stamp).  Performs no heap allocation (scratch was sized at
+  /// construction).
   void stampAll(const EvalContext& ctx, const StampBuffer& out);
 
   /// MOSFET lanes, and how many of them the last stampAll bypassed.
@@ -223,15 +231,16 @@ class DeviceBatches {
                                    double vs) const;
 
   /// Run device `ref`'s stamp body through `sinkOf(lane slots)`: a
-  /// SlotSink in assembly, a CallSink when the tables are checked.
+  /// SlotSink in assembly, a PatternSink when the pattern is built.
   template <class SinkOf>
   void stampLane(Ref ref, const EvalContext& ctx, const SinkOf& sinkOf) const;
 
-  /// The freeze-time check of every lane's table against the recorded
-  /// `pattern` of `netlist`.
-  void checkLaneTables(const Netlist& netlist, const StampPattern& pattern);
+  /// Build pattern_ from the lanes' touched pairs and fill every lane's
+  /// CSR slots from it.
+  void buildPattern(const Netlist& netlist);
 
   std::vector<Ref> refs_;  ///< netlist order
+  std::optional<StampPattern> pattern_;
   std::size_t mosfetBypassed_ = 0;
 
   ResistorBatch resistors_;

@@ -2,7 +2,6 @@
 
 #include "spice/device_batch.h"
 #include "spice/partition.h"
-#include "spice/stamp_pattern.h"
 
 namespace fefet::spice {
 
@@ -12,8 +11,8 @@ bool isGroundName(const std::string& name) {
 }
 }  // namespace
 
-// Out of line so the unique_ptr<StampPattern> member compiles against the
-// complete type.
+// Out of line so the unique_ptr members compile against the complete
+// types.
 Netlist::Netlist() = default;
 Netlist::~Netlist() = default;
 
@@ -70,19 +69,16 @@ int Netlist::freeze() {
     auxLabels_.clear();
     AuxAllocator allocator(nodeCount(), auxLabels_);
     for (const auto& device : devices_) device->setup(allocator);
-    if (unknownCount() > 0) {
-      pattern_ = std::make_unique<StampPattern>(devices_, unknownCount(),
-                                                nodeCount());
-    }
-    batches_ = std::make_unique<DeviceBatches>(*this, pattern_.get());
-    if (!borderNodeNames_.empty() && pattern_ != nullptr) {
+    batches_ = std::make_unique<DeviceBatches>(*this);
+    const StampPattern* pattern = batches_->pattern();
+    if (!borderNodeNames_.empty() && pattern != nullptr) {
       std::vector<int> seeds;
       seeds.reserve(borderNodeNames_.size());
       for (const auto& name : borderNodeNames_) {
         const NodeId id = nodeIndex_.at(name);
         seeds.push_back(static_cast<int>(id) - 1);  // node id 1 -> row 0
       }
-      partition_ = std::make_unique<BbdPartition>(*pattern_, std::move(seeds));
+      partition_ = std::make_unique<BbdPartition>(*pattern, std::move(seeds));
     }
     frozen_ = true;
   }
@@ -108,9 +104,9 @@ DeviceBatches& Netlist::deviceBatches() const {
 }
 
 const StampPattern& Netlist::stampPattern() const {
-  FEFET_REQUIRE(frozen_ && pattern_ != nullptr,
+  FEFET_REQUIRE(frozen_ && batches_->pattern() != nullptr,
                 "stampPattern() requires a frozen, non-empty netlist");
-  return *pattern_;
+  return *batches_->pattern();
 }
 
 int Netlist::unknownCount() const {

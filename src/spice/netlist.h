@@ -73,8 +73,9 @@ class Netlist {
     return devices_;
   }
 
-  /// Freeze the netlist: run device setup, assign auxiliary rows, record
-  /// the compiled stamp pattern and build the device batches.  Idempotent.
+  /// Freeze the netlist: run device setup, assign auxiliary rows and build
+  /// the device batches, which build the compiled stamp pattern from their
+  /// lanes.  Idempotent.
   /// Returns the total unknown count.  Throws InvalidArgumentError naming
   /// a device whose class has no lane kind (the device set is closed; see
   /// device_batch.h).
@@ -84,8 +85,9 @@ class Netlist {
   int unknownCount() const;
   const std::vector<std::string>& auxLabels() const { return auxLabels_; }
 
-  /// Symbolic stamp structure recorded at freeze() — the compiled
-  /// pipeline's pattern (see stamp_pattern.h).  Requires frozen().
+  /// Symbolic stamp structure built at freeze() — the compiled
+  /// pipeline's pattern (see stamp_pattern.h).  Requires frozen() and at
+  /// least one unknown.
   const StampPattern& stampPattern() const;
 
   /// Structure-of-arrays device batches built at freeze() (see
@@ -113,7 +115,6 @@ class Netlist {
   std::map<std::string, std::size_t> deviceIndex_;
   std::vector<std::string> auxLabels_;
   std::vector<std::string> borderNodeNames_;
-  std::unique_ptr<StampPattern> pattern_;
   std::unique_ptr<DeviceBatches> batches_;
   std::unique_ptr<BbdPartition> partition_;
   bool frozen_ = false;

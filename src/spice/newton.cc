@@ -101,7 +101,7 @@ struct NewtonForensics {
 };
 
 /// Freeze (idempotent) before use: netlist_ is the first member, so the
-/// assembler initialized after it sees the recorded stamp pattern.
+/// assembler initialized after it sees the built stamp pattern.
 Netlist& frozen(Netlist& netlist) {
   netlist.freeze();
   return netlist;
@@ -320,11 +320,13 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
       x[u] = xi + di;
       const double tol =
           (node ? kVoltageAbsTol : kAuxAbsTol) + kRelTol * std::abs(xi);
-      if (std::abs(di) > tol) updateOk = false;
+      // Negated tests, so a NaN update or residual fails them, and a NaN
+      // residual carries into resNorm (the exit is classed diverged).
+      if (!(std::abs(di) <= tol)) updateOk = false;
 
       const double r = residual[u];
-      resNorm = std::max(resNorm, std::abs(r));
-      if (std::abs(r) > kResidualAbsTol + kResidualRelTol * rowScale[u]) {
+      if (!(std::abs(r) <= resNorm)) resNorm = std::abs(r);
+      if (!(std::abs(r) <= kResidualAbsTol + kResidualRelTol * rowScale[u])) {
         residualOk = false;
       }
     }

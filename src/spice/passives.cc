@@ -85,9 +85,12 @@ void TimedSwitch::stamp(const EvalContext& ctx) {
 Diode::Diode(std::string name, NodeId anode, NodeId cathode, Params params)
     : Device(std::move(name)), anode_(anode), cathode_(cathode),
       params_(params) {
-  FEFET_REQUIRE(params_.saturationCurrent > 0.0,
-                "diode saturation current must be positive");
-  FEFET_REQUIRE(params_.idealityFactor >= 1.0, "ideality factor >= 1");
+  FEFET_REQUIRE(std::isfinite(params_.saturationCurrent) &&
+                    params_.saturationCurrent > 0.0,
+                "diode saturation current must be finite and positive");
+  FEFET_REQUIRE(std::isfinite(params_.idealityFactor) &&
+                    params_.idealityFactor >= 1.0,
+                "diode ideality factor must be finite and >= 1");
   FEFET_REQUIRE(std::isfinite(params_.temperature) &&
                     params_.temperature > 0.0,
                 "diode temperature must be finite and positive");

@@ -1,12 +1,12 @@
 // stamp_buffer.h — the per-iteration write target of the compiled stamp
 // pipeline.
 //
-// After Netlist::freeze() records every device's (row, col) call sequence
-// (see stamp_pattern.h), every array the Assembler writes is padded with a
-// trash element at index 0: entries attached to ground map to slot 0, and
-// residual rows are offset-indexed the same way (row -1 -> index 0), so
-// ground dropping is a plain store into a byte nobody reads instead of a
-// per-call branch.
+// Netlist::freeze() builds the Jacobian's pattern from the entries every
+// lane's stamp body touches (see stamp_pattern.h).  Every array the
+// Assembler writes is padded with a trash element at index 0: entries
+// attached to ground map to slot 0, and residual rows are offset-indexed
+// the same way (row -1 -> index 0), so ground dropping is a plain store
+// into a byte nobody reads instead of a per-call branch.
 //
 // Every device is a lane of one batch (device_batch.h).  A lane holds
 // LaneSlots — the padded residual row of each terminal and the padded CSR
@@ -23,15 +23,6 @@
 
 namespace fefet::spice {
 
-/// One recorded stamp call: the (row, col) a device passed, before ground
-/// dropping (-1 = ground).
-struct StampEntry {
-  int row = 0;
-  int col = 0;
-
-  bool operator==(const StampEntry&) const = default;
-};
-
 /// The Assembler's padded storage (index 0 = trash) that SlotSinks write.
 struct StampBuffer {
   double* values = nullptr;    ///< CSR values
@@ -41,8 +32,8 @@ struct StampBuffer {
 
 /// Padded slots of one lane whose kind touches terminals 0..T-1:
 /// the residual row of each terminal and the CSR value of each terminal
-/// pair (row-major).  0 — the trash element — for ground and for pairs the
-/// kind never touches.
+/// pair (row-major).  0 — the trash element — for ground and for pairs
+/// outside the pattern.
 template <int T>
 struct LaneSlots {
   std::array<std::uint32_t, T> row{};

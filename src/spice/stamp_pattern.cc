@@ -6,61 +6,24 @@
 
 namespace fefet::spice {
 
-StampPattern::StampPattern(
-    const std::vector<std::unique_ptr<Device>>& devices, int unknowns,
-    int nodeCount)
-    : unknowns_(unknowns), nodeCount_(nodeCount), deviceCount_(devices.size()) {
-  FEFET_REQUIRE(unknowns >= nodeCount && nodeCount >= 0,
+StampPattern::StampPattern(std::vector<std::vector<std::size_t>> rowCols,
+                           int nodeCount)
+    : nodeCount_(nodeCount) {
+  const std::size_t unknowns = rowCols.size();
+  FEFET_REQUIRE(nodeCount >= 0 &&
+                    static_cast<std::size_t>(nodeCount) <= unknowns,
                 "StampPattern: inconsistent unknown/node counts");
-
-  // Evaluation point for the recording pass: the seeded initial iterate
-  // (devices with aux unknowns, e.g. the FeCap polarization, expect a
-  // sensible value there) and a representative small dt so transient
-  // companion terms are live.  Call *positions* must not depend on the
-  // iterate — only values do — so any point works; this one avoids
-  // evaluating models at garbage inputs.
-  std::vector<double> x(static_cast<std::size_t>(unknowns), 0.0);
-  for (const auto& device : devices) device->seedUnknowns(x);
-  const SystemView view(x, nodeCount);
-  constexpr double kRecordDt = 1e-12;
-
-  for (int m = 0; m < kStampModeCount; ++m) {
-    const StampMode mode = static_cast<StampMode>(m);
-    const bool dc = mode == StampMode::kDc;
-    RecordingStamper recorder(calls_[m]);
-    EvalContext ctx{view, dc, /*time=*/0.0, dc ? 0.0 : kRecordDt,
-                    IntegrationMethod::kTrapezoidal, /*gmin=*/0.0,
-                    &recorder};
-    deviceEnds_[m].reserve(devices.size());
-    for (const auto& device : devices) {
-      device->stamp(ctx);
-      deviceEnds_[m].push_back(calls_[m].size());
-    }
-  }
-
-  // Union sparsity: all recorded non-ground entries plus the node-row
-  // diagonals (gmin).  Sorted-unique per row gives the CSR layout.
-  std::vector<std::vector<std::size_t>> cols(
-      static_cast<std::size_t>(unknowns));
   for (int row = 0; row < nodeCount; ++row) {
-    cols[static_cast<std::size_t>(row)].push_back(
+    rowCols[static_cast<std::size_t>(row)].push_back(
         static_cast<std::size_t>(row));
   }
-  for (const auto& calls : calls_) {
-    for (const StampEntry& e : calls) {
-      if (e.row < 0 || e.col < 0) continue;
-      FEFET_REQUIRE(e.row < unknowns && e.col < unknowns,
-                    "StampPattern: device stamped outside the system");
-      cols[static_cast<std::size_t>(e.row)].push_back(
-          static_cast<std::size_t>(e.col));
-    }
-  }
-  rowPtr_.assign(static_cast<std::size_t>(unknowns) + 1, 0);
-  for (std::size_t r = 0; r < cols.size(); ++r) {
-    auto& rowCols = cols[r];
-    std::sort(rowCols.begin(), rowCols.end());
-    rowCols.erase(std::unique(rowCols.begin(), rowCols.end()), rowCols.end());
-    colIdx_.insert(colIdx_.end(), rowCols.begin(), rowCols.end());
+  // Sorted-unique per row gives the CSR layout.
+  rowPtr_.assign(unknowns + 1, 0);
+  for (std::size_t r = 0; r < unknowns; ++r) {
+    auto& cols = rowCols[r];
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    colIdx_.insert(colIdx_.end(), cols.begin(), cols.end());
     rowPtr_[r + 1] = colIdx_.size();
   }
 

@@ -80,10 +80,6 @@ double Waveform::maximum(const std::string& name) const {
   return *std::max_element(col.begin(), col.end());
 }
 
-double Waveform::integral(const std::string& name) const {
-  return math::trapz(time_, nonEmptyColumn(name));
-}
-
 void Waveform::writeCsv(std::ostream& os) const {
   os << "time";
   for (const auto& n : names_) os << ',' << n;

@@ -38,8 +38,6 @@ class Waveform {
   /// Min / max of a column.
   double minimum(const std::string& name) const;
   double maximum(const std::string& name) const;
-  /// Trapezoidal integral of the column over the full trace.
-  double integral(const std::string& name) const;
 
   /// Write all columns as CSV (time first).
   void writeCsv(std::ostream& os) const;

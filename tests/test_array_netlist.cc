@@ -279,20 +279,8 @@ TEST(MemoryArray, DeckFixtureMatchesBuiltNetlist) {
     const spice::Device& b = *built.devices()[i];
     ASSERT_EQ(typeid(a), typeid(b)) << a.name() << " vs " << b.name();
   }
-  // Terminal node ids, in order: every device's recorded Jacobian calls.
   const spice::StampPattern& dp = deck.stampPattern();
   const spice::StampPattern& bp = built.stampPattern();
-  for (const auto mode :
-       {spice::StampMode::kDc, spice::StampMode::kTransient}) {
-    ASSERT_EQ(dp.deviceJacobianEnds(mode), bp.deviceJacobianEnds(mode));
-    const auto& deckCalls = dp.jacobianCalls(mode);
-    const auto& builtCalls = bp.jacobianCalls(mode);
-    ASSERT_EQ(deckCalls.size(), builtCalls.size());
-    for (std::size_t k = 0; k < builtCalls.size(); ++k) {
-      ASSERT_EQ(deckCalls[k].row, builtCalls[k].row) << "call " << k;
-      ASSERT_EQ(deckCalls[k].col, builtCalls[k].col) << "call " << k;
-    }
-  }
   EXPECT_EQ(dp.rowPtr(), bp.rowPtr());
   EXPECT_EQ(dp.colIdx(), bp.colIdx());
   ASSERT_NE(deck.partition(), nullptr);
@@ -309,11 +297,19 @@ TEST(MemoryArray, DeckFixtureMatchesBuiltNetlist) {
   const spice::SystemView view(x, built.nodeCount());
   spice::Assembler deckAsm(dp);
   spice::Assembler builtAsm(bp);
-  for (const auto method : {spice::IntegrationMethod::kBackwardEuler,
-                            spice::IntegrationMethod::kTrapezoidal}) {
-    deckAsm.assemble(deck, view, /*dc=*/false, 0.3e-9, 1e-12, method, 1e-12);
-    builtAsm.assemble(built, view, /*dc=*/false, 0.3e-9, 1e-12, method,
-                      1e-12);
+  // Both modes: the terminals of every device show in the DC and the
+  // transient assembly alike.
+  struct Mode {
+    bool dc;
+    spice::IntegrationMethod method;
+  };
+  for (const Mode mode : {Mode{true, spice::IntegrationMethod::kBackwardEuler},
+                          Mode{false, spice::IntegrationMethod::kBackwardEuler},
+                          Mode{false, spice::IntegrationMethod::kTrapezoidal}}) {
+    SCOPED_TRACE(mode.dc ? "dc" : "transient");
+    const double dt = mode.dc ? 0.0 : 1e-12;
+    deckAsm.assemble(deck, view, mode.dc, 0.3e-9, dt, mode.method, 1e-12);
+    builtAsm.assemble(built, view, mode.dc, 0.3e-9, dt, mode.method, 1e-12);
     const auto fd = deckAsm.residual();
     const auto fb = builtAsm.residual();
     for (int i = 0; i < unknowns; ++i) {

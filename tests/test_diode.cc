@@ -73,6 +73,17 @@ TEST(Diode, RejectsBadParameters) {
                  InvalidArgumentError)
         << "temperature " << t;
   }
+  // An infinite Is makes every stamp NaN, an infinite n a silent open
+  // circuit (v_T = inf gives i = g = 0).
+  const double inf = std::numeric_limits<double>::infinity();
+  Diode::Params hugeIs;
+  hugeIs.saturationCurrent = inf;
+  EXPECT_THROW(n.add<Diode>("D", n.node("a"), n.ground(), hugeIs),
+               InvalidArgumentError);
+  Diode::Params hugeN;
+  hugeN.idealityFactor = inf;
+  EXPECT_THROW(n.add<Diode>("D", n.node("a"), n.ground(), hugeN),
+               InvalidArgumentError);
 }
 
 }  // namespace

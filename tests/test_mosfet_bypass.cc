@@ -77,8 +77,8 @@ void assembleOracle(const Netlist& n, MnaSystem& oracle,
                     const std::vector<double>& x, Mode mode) {
   const SystemView view(x, n.nodeCount());
   oracle.clear();
-  EvalContext ctx{view, mode.dc, kTime, mode.dc ? 0.0 : kDt,
-                  mode.method, kGmin, &oracle};
+  EvalContext ctx{view,        mode.dc, kTime, mode.dc ? 0.0 : kDt,
+                  mode.method, &oracle};
   for (const auto& device : n.devices()) device->stamp(ctx);
   oracle.addGmin(kGmin, view, n.nodeCount());
 }

@@ -6,13 +6,16 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/cell2t.h"
 #include "obs/metrics.h"
 #include "spice/assembler.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
+#include "spice/newton.h"
 #include "spice/passives.h"
 #include "spice/simulator.h"
 #include "spice/sources.h"
@@ -59,6 +62,30 @@ TEST(Newton, ColdStartFarFromSolution) {
   EXPECT_TRUE(stats.converged);
   EXPECT_GT(sim.nodeVoltage("out"), 0.05);
   EXPECT_LT(sim.nodeVoltage("out"), 0.63);
+}
+
+// NaN fails the update and residual tests instead of passing them: a
+// source whose shape returns NaN must not report a converged solve.
+TEST(Newton, NanSourceDoesNotConverge) {
+  const auto build = [](Netlist& n) {
+    n.add<VoltageSource>("V1", n.node("in"), n.ground(), [](double) {
+      return std::numeric_limits<double>::quiet_NaN();
+    });
+    n.add<Resistor>("R", n.node("in"), n.ground(), 1e3);
+  };
+  Netlist n;
+  build(n);
+  std::vector<double> x(static_cast<std::size_t>(n.freeze()), 0.0);
+  NewtonSolver newton(n, NewtonOptions{});
+  const NewtonStats stats = newton.solve(x, /*dc=*/true, 0.0, 0.0,
+                                         IntegrationMethod::kBackwardEuler);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_TRUE(std::isnan(stats.finalResidualNorm));
+
+  Netlist m;
+  build(m);
+  Simulator sim(m);
+  EXPECT_THROW(sim.solveDc(), NumericalError);
 }
 
 TEST(Transient, StiffTwoTimeConstantCircuit) {

@@ -284,7 +284,6 @@ TEST(Waveform, CsvAndMeasurements) {
   EXPECT_EQ(w.sampleCount(), 2u);
   EXPECT_DOUBLE_EQ(w.valueAt("x", 0.5), 1.0);
   EXPECT_DOUBLE_EQ(w.maximum("x"), 2.0);
-  EXPECT_DOUBLE_EQ(w.integral("x"), 1.0);
   EXPECT_NEAR(w.firstCrossing("x", 1.0, true), 0.5, 1e-12);
   std::ostringstream os;
   w.writeCsv(os);
@@ -301,7 +300,6 @@ TEST(Waveform, EmptyColumnReducersThrowClearly) {
   EXPECT_THROW(w.valueAt("x", 0.0), InvalidArgumentError);
   EXPECT_THROW(w.minimum("x"), InvalidArgumentError);
   EXPECT_THROW(w.maximum("x"), InvalidArgumentError);
-  EXPECT_THROW(w.integral("x"), InvalidArgumentError);
   EXPECT_THROW(w.firstCrossing("x", 0.5, true), InvalidArgumentError);
   try {
     w.finalValue("x");
